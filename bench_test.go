@@ -7,10 +7,8 @@ package tako
 // paper-vs-measured numbers from these runs.
 
 import (
-	"fmt"
 	"testing"
 
-	"tako/internal/cpu"
 	"tako/internal/energy"
 	"tako/internal/engine"
 	"tako/internal/exp"
@@ -20,7 +18,6 @@ import (
 	"tako/internal/morphs"
 	"tako/internal/sim"
 	"tako/internal/stats"
-	"tako/internal/system"
 	"tako/internal/trace"
 )
 
@@ -486,77 +483,6 @@ func BenchmarkHierarchyThroughput(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(accesses*b.N)/b.Elapsed().Seconds(), "sim-accesses/s")
-}
-
-// tileParChase runs one strided read loop per tile on a full 16-tile
-// system whose kernel is partitioned tilePar ways (1 = the sequential
-// single-queue kernel), and returns total simulated accesses.
-func tileParChase(tb testing.TB, tilePar, accesses int) int {
-	const tiles = 16
-	cfg := system.Default(tiles)
-	cfg.TilePar = tilePar
-	s := system.New(cfg)
-	done := 0
-	for tile := 0; tile < tiles; tile++ {
-		tile := tile
-		s.Go(tile, "chase", func(p *sim.Proc, c *cpu.Core) {
-			base := mem.Addr(0x10_0000 + tile*0x4_0000)
-			for j := 0; j < accesses; j++ {
-				s.H.Load(p, tile, base+mem.Addr((j%4096)*64))
-			}
-			done++
-		})
-	}
-	s.Run()
-	if done != tiles {
-		tb.Fatalf("only %d/%d chase threads finished", done, tiles)
-	}
-	return tiles * accesses
-}
-
-// BenchmarkHierarchyThroughputParallel sweeps the kernel shard width on
-// the 16-tile machine. Events partition across per-tile queues (the
-// schedule stays byte-identical — see exp.TestTileParMatchesSequential);
-// the sweep records what the partitioned dispatch costs relative to the
-// single-queue kernel in the CI bench artifact.
-func BenchmarkHierarchyThroughputParallel(b *testing.B) {
-	for _, tilePar := range []int{1, 2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("tilepar=%d", tilePar), func(b *testing.B) {
-			total := 0
-			for i := 0; i < b.N; i++ {
-				total += tileParChase(b, tilePar, 2000)
-			}
-			b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "sim-accesses/s")
-		})
-	}
-}
-
-// TestHierarchyAccessAllocsTilePar extends the per-access alloc gate to
-// the partitioned kernel: sharded queues must not reintroduce per-access
-// allocations (queue routing is index arithmetic, not boxing).
-func TestHierarchyAccessAllocsTilePar(t *testing.T) {
-	cfg := system.Default(16)
-	cfg.TilePar = 16
-	s := system.New(cfg)
-	const accesses = 2000
-	run := func() {
-		for tile := 0; tile < 16; tile++ {
-			tile := tile
-			s.Go(tile, "chase", func(p *sim.Proc, c *cpu.Core) {
-				base := mem.Addr(0x10_0000 + tile*0x4_0000)
-				for j := 0; j < accesses; j++ {
-					s.H.Load(p, tile, base+mem.Addr((j%4096)*64))
-				}
-			})
-		}
-		s.K.Run()
-	}
-	run() // warm: fills caches, grows tables and queues, populates pools
-	avg := testing.AllocsPerRun(5, run)
-	if per := avg / (16 * accesses); per > 0.01 {
-		t.Fatalf("partitioned-kernel access allocates %.4f allocs/access (%.0f per %d accesses), want ≤ 0.01",
-			per, avg, 16*accesses)
-	}
 }
 
 // TestHierarchyAccessAllocs is the alloc-count regression gate for the

@@ -49,7 +49,6 @@ type reportExp struct {
 type reportSummary struct {
 	Scale       string      `json:"scale"`
 	Jobs        int         `json:"jobs"`
-	TilePar     int         `json:"tile_par"`
 	WallMS      float64     `json:"wall_ms"`
 	ExecMS      float64     `json:"exec_ms"`
 	Speedup     float64     `json:"speedup_vs_serial"`
@@ -62,7 +61,7 @@ type trajectory struct {
 	Sharded    *shardedSpeed `json:"sharded,omitempty"`
 	// ShardedTako is the same speedup column for a täkō machine (live
 	// engines running onMiss callbacks at the home tiles), from
-	// BenchmarkShardedTakoVsPartitioned.
+	// BenchmarkShardedTakoVsClassic.
 	ShardedTako *shardedSpeed  `json:"sharded_tako,omitempty"`
 	FFWarmup    *ffSpeed       `json:"ff_warmup,omitempty"`
 	Report      *reportSummary `json:"report,omitempty"`
@@ -107,15 +106,15 @@ func buildFFSpeed(entries []benchEntry) *ffSpeed {
 	return &ffSpeed{AnalyticalNsOp: ana, SimulatedNsOp: sim, FFSpeedup: sim / ana}
 }
 
-// shardedRow is one engine variant of the sharded-vs-partitioned
-// machine benchmark, reduced to its best sample.
+// shardedRow is one engine variant of the sharded-vs-classic machine
+// benchmark, reduced to its best sample.
 type shardedRow struct {
 	Variant string  `json:"variant"`
 	NsOp    float64 `json:"ns_op"`
-	// SpeedupVsPartitioned is partitioned ns/op over this variant's
-	// ns/op (>1: the sharded engine is faster). Omitted for the
-	// partitioned baseline row itself.
-	SpeedupVsPartitioned float64 `json:"speedup_vs_partitioned,omitempty"`
+	// SpeedupVsClassic is classic ns/op over this variant's ns/op (>1:
+	// the sharded engine is faster). Omitted for the classic baseline row
+	// itself.
+	SpeedupVsClassic float64 `json:"speedup_vs_classic,omitempty"`
 	// SingleCore marks a row measured on a host with one usable CPU
 	// (cpus or gomaxprocs ≤ 1), where every worker width degenerates to
 	// sequenced execution plus barrier overhead. Such rows are
@@ -124,8 +123,8 @@ type shardedRow struct {
 	SingleCore bool `json:"single_core,omitempty"`
 }
 
-// shardedSpeed is the sharded-vs-partitioned speedup column assembled
-// from BenchmarkShardedVsPartitioned sub-benchmarks.
+// shardedSpeed is the sharded-vs-classic speedup column assembled from
+// BenchmarkShardedVsClassic sub-benchmarks.
 type shardedSpeed struct {
 	Baseline string       `json:"baseline"`
 	Rows     []shardedRow `json:"rows"`
@@ -135,12 +134,12 @@ type shardedSpeed struct {
 }
 
 const (
-	shardedBenchName     = "BenchmarkShardedVsPartitioned/"
-	shardedTakoBenchName = "BenchmarkShardedTakoVsPartitioned/"
+	shardedBenchName     = "BenchmarkShardedVsClassic/"
+	shardedTakoBenchName = "BenchmarkShardedTakoVsClassic/"
 )
 
 // benchVariant strips the benchmark prefix and Go's -GOMAXPROCS suffix:
-// "BenchmarkShardedVsPartitioned/sharded-w2-8" → "sharded-w2".
+// "BenchmarkShardedVsClassic/sharded-w2-8" → "sharded-w2".
 func benchVariant(name string) string {
 	v := name[strings.Index(name, "/")+1:]
 	if i := strings.LastIndex(v, "-"); i > 0 {
@@ -163,7 +162,7 @@ func singleCore(e benchEntry) bool {
 	return false
 }
 
-// buildShardedSpeed pairs one sharded-vs-partitioned machine benchmark's
+// buildShardedSpeed pairs one sharded-vs-classic machine benchmark's
 // sub-benchmarks (selected by name prefix) into a speedup column.
 // Repeated samples (-count N) reduce to the best (minimum) ns/op;
 // single-core samples are preferred strictly less than multi-core ones —
@@ -202,16 +201,16 @@ func buildShardedSpeed(entries []benchEntry, prefix string) *shardedSpeed {
 			a.best = ns
 		}
 	}
-	base, ok := byVariant["partitioned"]
+	base, ok := byVariant["classic"]
 	if !ok || len(order) < 2 {
 		return nil
 	}
-	out := &shardedSpeed{Baseline: "partitioned", SingleCore: true}
+	out := &shardedSpeed{Baseline: "classic", SingleCore: true}
 	for _, v := range order {
 		a := byVariant[v]
 		row := shardedRow{Variant: v, NsOp: a.best, SingleCore: a.singleCore}
 		if v != out.Baseline && a.best > 0 {
-			row.SpeedupVsPartitioned = base.best / a.best
+			row.SpeedupVsClassic = base.best / a.best
 		}
 		if !a.singleCore {
 			out.SingleCore = false

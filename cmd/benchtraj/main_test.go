@@ -101,14 +101,14 @@ ok  	tako	3.1s
 }
 
 const multiCoreLog = `goos: linux
-BenchmarkShardedVsPartitioned/partitioned-8     3  11000000 ns/op  8.000 cpus  8.000 gomaxprocs  300000 sim-cycles/s
-BenchmarkShardedVsPartitioned/sharded-w1-8      3  12000000 ns/op  8.000 cpus  8.000 gomaxprocs  290000 sim-cycles/s
-BenchmarkShardedVsPartitioned/sharded-w4-8      3   5500000 ns/op  8.000 cpus  8.000 gomaxprocs  600000 sim-cycles/s
+BenchmarkShardedVsClassic/classic-8         3  11000000 ns/op  8.000 cpus  8.000 gomaxprocs  300000 sim-cycles/s
+BenchmarkShardedVsClassic/sharded-w1-8      3  12000000 ns/op  8.000 cpus  8.000 gomaxprocs  290000 sim-cycles/s
+BenchmarkShardedVsClassic/sharded-w4-8      3   5500000 ns/op  8.000 cpus  8.000 gomaxprocs  600000 sim-cycles/s
 PASS
 `
 
-const singleCoreLog = `BenchmarkShardedVsPartitioned/partitioned     2  11000000 ns/op  1.000 cpus  1.000 gomaxprocs
-BenchmarkShardedVsPartitioned/sharded-w4      2  17000000 ns/op  1.000 cpus  1.000 gomaxprocs
+const singleCoreLog = `BenchmarkShardedVsClassic/classic         2  11000000 ns/op  1.000 cpus  1.000 gomaxprocs
+BenchmarkShardedVsClassic/sharded-w4      2  17000000 ns/op  1.000 cpus  1.000 gomaxprocs
 `
 
 func parseLog(t *testing.T, log string) []benchEntry {
@@ -122,10 +122,10 @@ func parseLog(t *testing.T, log string) []benchEntry {
 
 func TestBenchVariant(t *testing.T) {
 	for name, want := range map[string]string{
-		"BenchmarkShardedVsPartitioned/partitioned-8": "partitioned",
-		"BenchmarkShardedVsPartitioned/partitioned":   "partitioned",
-		"BenchmarkShardedVsPartitioned/sharded-w2-16": "sharded-w2",
-		"BenchmarkShardedVsPartitioned/sharded-w2":    "sharded-w2",
+		"BenchmarkShardedVsClassic/classic-8":     "classic",
+		"BenchmarkShardedVsClassic/classic":       "classic",
+		"BenchmarkShardedVsClassic/sharded-w2-16": "sharded-w2",
+		"BenchmarkShardedVsClassic/sharded-w2":    "sharded-w2",
 	} {
 		if got := benchVariant(name); got != want {
 			t.Errorf("benchVariant(%q) = %q, want %q", name, got, want)
@@ -173,10 +173,10 @@ func TestBuildShardedSpeedMultiCore(t *testing.T) {
 	for _, r := range sp.Rows {
 		byVariant[r.Variant] = r
 	}
-	if s := byVariant["sharded-w4"].SpeedupVsPartitioned; s < 1.99 || s > 2.01 {
+	if s := byVariant["sharded-w4"].SpeedupVsClassic; s < 1.99 || s > 2.01 {
 		t.Errorf("sharded-w4 speedup = %v, want 2.0", s)
 	}
-	if s := byVariant["partitioned"].SpeedupVsPartitioned; s != 0 {
+	if s := byVariant["classic"].SpeedupVsClassic; s != 0 {
 		t.Errorf("baseline row carries a speedup: %v", s)
 	}
 }
@@ -207,15 +207,15 @@ func TestBuildShardedSpeedSingleCoreAnnotation(t *testing.T) {
 		if r.SingleCore {
 			t.Errorf("row %s kept its single-core sample over the multi-core one", r.Variant)
 		}
-		if r.Variant == "sharded-w4" && (r.SpeedupVsPartitioned < 1.99 || r.SpeedupVsPartitioned > 2.01) {
-			t.Errorf("sharded-w4 speedup = %v, want 2.0 (multi-core samples only)", r.SpeedupVsPartitioned)
+		if r.Variant == "sharded-w4" && (r.SpeedupVsClassic < 1.99 || r.SpeedupVsClassic > 2.01) {
+			t.Errorf("sharded-w4 speedup = %v, want 2.0 (multi-core samples only)", r.SpeedupVsClassic)
 		}
 	}
 }
 
 const takoLog = `goos: linux
-BenchmarkShardedTakoVsPartitioned/partitioned-8   3  12000000 ns/op  8.000 cpus  8.000 gomaxprocs
-BenchmarkShardedTakoVsPartitioned/sharded-w4-8    3   4000000 ns/op  8.000 cpus  8.000 gomaxprocs
+BenchmarkShardedTakoVsClassic/classic-8       3  12000000 ns/op  8.000 cpus  8.000 gomaxprocs
+BenchmarkShardedTakoVsClassic/sharded-w4-8    3   4000000 ns/op  8.000 cpus  8.000 gomaxprocs
 PASS
 `
 
@@ -231,8 +231,8 @@ func TestBuildShardedTakoSpeedIsolated(t *testing.T) {
 		t.Fatalf("sharded_tako rows = %d, want 2", len(tako.Rows))
 	}
 	for _, r := range tako.Rows {
-		if r.Variant == "sharded-w4" && (r.SpeedupVsPartitioned < 2.99 || r.SpeedupVsPartitioned > 3.01) {
-			t.Errorf("sharded-w4 täkō speedup = %v, want 3.0", r.SpeedupVsPartitioned)
+		if r.Variant == "sharded-w4" && (r.SpeedupVsClassic < 2.99 || r.SpeedupVsClassic > 3.01) {
+			t.Errorf("sharded-w4 täkō speedup = %v, want 3.0", r.SpeedupVsClassic)
 		}
 	}
 	base := buildShardedSpeed(entries, shardedBenchName)

@@ -13,11 +13,8 @@
 // experiments' variant fan-outs and sensitivity sweeps run -j
 // simulations in parallel (default GOMAXPROCS); results always assemble
 // in variant order, so the report and all gated counts are byte-identical
-// at any -j. -tile-par N additionally partitions each simulation's event
-// kernel into N tile-sharded queues merged on the global (cycle,
-// sequence) key; like -j it never changes any output, so CI runs the
-// ops-golden gate at several -j/-tile-par combinations against one
-// golden. Runs are also memoized for the duration of the process:
+// at any -j, so CI runs the ops-golden gate at several -j values against
+// one golden. Runs are also memoized for the duration of the process:
 // paired figures drawn from the same simulations (fig6/fig7, fig13/fig14,
 // fig16/fig17, fig19/fig20) and sweeps that revisit an already-simulated
 // configuration share one run instead of recomputing. Per-experiment
@@ -90,9 +87,8 @@ type benchEntry struct {
 
 // benchReport is the document written by -bench.
 type benchReport struct {
-	Scale   string `json:"scale"`
-	Jobs    int    `json:"jobs"`
-	TilePar int    `json:"tile_par"` // kernel shard width each simulation ran with
+	Scale string `json:"scale"`
+	Jobs  int    `json:"jobs"`
 	// Aggregate perf trajectory: total report wall-clock vs the summed
 	// serial cost of every simulation executed or reused.
 	WallMS      float64      `json:"wall_ms"`
@@ -108,7 +104,6 @@ func main() {
 		ffAuto    = flag.Bool("ff-auto", false, "end fast-forward at analytical miss-ratio convergence (bounded by -ff when both are given)")
 		scaleTier = flag.String("scale", "quick", "workload tier for scale-aware experiments (fig25full): quick or full")
 		jobs      = flag.Int("j", 0, "simulations to run in parallel (0 = GOMAXPROCS)")
-		tilePar   = flag.Int("tile-par", 1, "tile queues to partition each simulation's event kernel into (1 = sequential single-queue kernel; the report is identical at any width)")
 
 		sharded      = flag.Bool("sharded", false, "host the machine (baseline or täkō) on the tile-sharded message-passing engine (cycle counts differ from the classic engine; byte-identical at any -shard-workers)")
 		shardWorkers = flag.Int("shard-workers", 0, "worker goroutines per sharded simulation (≤1 = deterministic sequenced schedule)")
@@ -143,7 +138,6 @@ func main() {
 	}
 
 	sched.SetWorkers(*jobs)
-	system.SetDefaultTilePar(*tilePar)
 	system.SetDefaultSharded(*sharded, *shardWorkers)
 	system.SetDefaultFastForward(*ff, *ffAuto)
 	if err := exp.SetScale(*scaleTier); err != nil {
@@ -373,7 +367,6 @@ func main() {
 		doc := benchReport{
 			Scale:       scale,
 			Jobs:        sched.Workers(),
-			TilePar:     *tilePar,
 			WallMS:      totalWall,
 			ExecMS:      totalExec,
 			Experiments: entries,

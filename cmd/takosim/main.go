@@ -60,13 +60,8 @@
 // remain well-formed — sinks serialize writers — but spans from
 // concurrently-running systems interleave in file order; sort by the
 // process id (one per simulated system) when reading jsonl directly.
-//
-// -tile-par N partitions each simulation's event kernel into N
-// tile-sharded queues merged by the global (cycle, sequence) key, so
-// every output — tables, metrics, traces, explorer findings — is
-// byte-identical at any width. It composes with -j (and with -explore,
-// where -j parallelizes schedule evaluation): -j picks how many
-// simulations run at once, -tile-par how each one's queue is organized.
+// With -explore, -j parallelizes schedule evaluation instead; findings
+// are identical at any -j.
 package main
 
 import (
@@ -89,14 +84,13 @@ import (
 
 func main() {
 	var (
-		list    = flag.Bool("list", false, "list available experiments")
-		id      = flag.String("exp", "", "experiment id to run (e.g. fig6, table2)")
-		full    = flag.Bool("full", false, "run at full (slow) scale instead of quick scale")
-		ff      = flag.Uint64("ff", 0, "fast-forward the first N core memory accesses of each baseline machine analytically (reuse-distance warmup, no event kernel), then switch the event kernel on with warm caches/TLBs/directory")
-		ffAuto  = flag.Bool("ff-auto", false, "end fast-forward as soon as the analytical per-level miss ratios converge (bounded by -ff when both are given)")
-		scale   = flag.String("scale", "quick", "workload tier for scale-aware experiments (fig25full): quick or full (uk-2002-class, ≥100M edges)")
-		jobs    = flag.Int("j", 0, "simulations to run in parallel (0 = GOMAXPROCS; output is identical at any -j)")
-		tilePar = flag.Int("tile-par", 1, "tile queues to partition each simulation's event kernel into (1 = sequential single-queue kernel; output is identical at any width, and the flag composes with -j)")
+		list   = flag.Bool("list", false, "list available experiments")
+		id     = flag.String("exp", "", "experiment id to run (e.g. fig6, table2)")
+		full   = flag.Bool("full", false, "run at full (slow) scale instead of quick scale")
+		ff     = flag.Uint64("ff", 0, "fast-forward the first N core memory accesses of each baseline machine analytically (reuse-distance warmup, no event kernel), then switch the event kernel on with warm caches/TLBs/directory")
+		ffAuto = flag.Bool("ff-auto", false, "end fast-forward as soon as the analytical per-level miss ratios converge (bounded by -ff when both are given)")
+		scale  = flag.String("scale", "quick", "workload tier for scale-aware experiments (fig25full): quick or full (uk-2002-class, ≥100M edges)")
+		jobs   = flag.Int("j", 0, "simulations to run in parallel (0 = GOMAXPROCS; output is identical at any -j)")
 
 		sharded      = flag.Bool("sharded", false, "host the machine (baseline or täkō) on the tile-sharded message-passing engine — one kernel per tile, cross-tile traffic as lookahead-respecting messages; cycle counts differ from the classic engine but are byte-identical at any -shard-workers")
 		shardWorkers = flag.Int("shard-workers", 0, "worker goroutines per sharded simulation (≤1 = deterministic sequenced schedule; results identical at any count)")
@@ -130,7 +124,6 @@ func main() {
 	}
 
 	sched.SetWorkers(*jobs)
-	system.SetDefaultTilePar(*tilePar)
 	system.SetDefaultSharded(*sharded, *shardWorkers)
 	system.SetDefaultFastForward(*ff, *ffAuto)
 	if err := exp.SetScale(*scale); err != nil {
@@ -166,10 +159,9 @@ func main() {
 		if *exploreRuns > 0 {
 			cfg.MaxRuns = *exploreRuns
 		}
-		// -j parallelizes schedule evaluation; -tile-par partitions each
-		// schedule's kernel. Findings are identical at any combination.
+		// -j parallelizes schedule evaluation; findings are identical at
+		// any -j.
 		cfg.Workers = sched.Workers()
-		cfg.TilePar = *tilePar
 		cfg.Logf = func(format string, args ...any) {
 			fmt.Printf(format+"\n", args...)
 		}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"tako/internal/system"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -79,5 +81,32 @@ func TestFig21DriverRuns(t *testing.T) {
 	}
 	if rows[0][1] != "false" || rows[1][1] != "true" {
 		t.Fatalf("detection column wrong: %v / %v", rows[0], rows[1])
+	}
+}
+
+// TestShardedClassicRowIgnoresShardedDefault pins that the engine
+// comparison builds the engines it names: with the process-wide -sharded
+// default armed, the classic row still runs on the classic kernel and
+// reproduces the unarmed row's cycles and ops.
+func TestShardedClassicRowIgnoresShardedDefault(t *testing.T) {
+	const tiles, words = 4, 16
+	classic := shardedVariants()[0]
+	if classic.name != "classic" || classic.sharded {
+		t.Fatalf("first engine-comparison row is %q, want the classic kernel", classic.name)
+	}
+	ref, _, err := runShardedVariant(classic, tiles, words)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prevOn, prevW := system.DefaultSharded()
+	defer system.SetDefaultSharded(prevOn, prevW)
+	system.SetDefaultSharded(true, 2)
+	got, _, err := runShardedVariant(classic, tiles, words)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cycles != ref.Cycles || recordOps(&got) != recordOps(&ref) {
+		t.Fatalf("armed -sharded default changed the classic row: %d cycles / %d ops, want %d / %d",
+			got.Cycles, recordOps(&got), ref.Cycles, recordOps(&ref))
 	}
 }

@@ -14,10 +14,11 @@ import (
 
 // The "sharded" experiment is simulator engineering rather than a paper
 // artifact: it runs one cross-tile coherence workload on the baseline
-// machine under every engine the simulator offers — the classic
-// single-queue kernel, the partitioned kernel (TilePar), and the
-// tile-sharded message-passing engine at several worker counts — and
-// tabulates cycles and op counts side by side.
+// machine under both engines the simulator offers — the classic
+// single-kernel engine and the tile-sharded message-passing engine at
+// several worker counts — and tabulates cycles and op counts side by
+// side. Every row is built with system.Build, so process-wide defaults
+// (-sharded, -ff) cannot re-host a row onto another engine.
 //
 // Two properties are asserted, not just printed:
 //
@@ -27,7 +28,7 @@ import (
 //     readback of every stripe after the counter barrier).
 //
 // Cycle counts legitimately differ between the sharded engine and the
-// classic kernels: cross-tile operations pay real message round trips
+// classic kernel: cross-tile operations pay real message round trips
 // on the sharded build, while the classic engine resolves directory and
 // home-bank state under one clock. The table shows that divergence
 // honestly instead of hiding it.
@@ -38,14 +39,11 @@ type shardedVariant struct {
 	sharded bool
 }
 
-func shardedVariants(tiles int) []shardedVariant {
-	classic := func(tilePar int) func(int) system.Config {
-		return func(tiles int) system.Config {
-			cfg := system.Default(tiles)
-			cfg.NoTako = true
-			cfg.TilePar = tilePar
-			return cfg
-		}
+func shardedVariants() []shardedVariant {
+	classic := func(tiles int) system.Config {
+		cfg := system.Default(tiles)
+		cfg.NoTako = true
+		return cfg
 	}
 	shard := func(workers int) func(int) system.Config {
 		return func(tiles int) system.Config {
@@ -58,8 +56,7 @@ func shardedVariants(tiles int) []shardedVariant {
 		}
 	}
 	return []shardedVariant{
-		{"classic", classic(1), false},
-		{fmt.Sprintf("tilepar-%d", tiles), classic(tiles), false},
+		{"classic", classic, false},
 		{"sharded-seq", shard(0), true},
 		{"sharded-w2", shard(2), true},
 		{"sharded-w4", shard(4), true},
@@ -73,7 +70,7 @@ func shardedVariants(tiles int) []shardedVariant {
 // driver can cross-check architectural values between engines.
 func runShardedVariant(v shardedVariant, tiles, words int) (morphs.Result, [][]uint64, error) {
 	start := time.Now()
-	s := system.New(v.cfg(tiles))
+	s := system.Build(v.cfg(tiles))
 	data := s.Alloc("data", uint64(tiles*words*8+4096))
 	ctr := data.Base + mem.Addr(tiles*words*8+512)
 	out := make([][]uint64, tiles)
@@ -110,14 +107,14 @@ func runShardedVariant(v shardedVariant, tiles, words int) (morphs.Result, [][]u
 func init() {
 	register(Experiment{
 		ID:    "sharded",
-		Title: "Engine comparison: classic vs partitioned vs tile-sharded kernels",
+		Title: "Engine comparison: classic vs tile-sharded kernels",
 		Paper: "not in the paper — simulator engineering: one simulation parallelized across tile shards, byte-identical at any worker count",
 		Run: func(quick bool) (*stats.Table, error) {
 			tiles, words := 4, 192
 			if quick {
 				words = 48
 			}
-			variants := shardedVariants(tiles)
+			variants := shardedVariants()
 			t := stats.NewTable("Engine comparison — shared-counter workload",
 				"engine", "cycles", "ops", "dram", "deterministic")
 			type outcome struct {
@@ -146,23 +143,24 @@ func init() {
 			}
 			// The sharded rows must be identical at every worker count.
 			var ref *morphs.Result
+			var refName string
 			for i, v := range variants {
 				if !v.sharded {
 					continue
 				}
 				r := &outs[i].r
 				if ref == nil {
-					ref = r
+					ref, refName = r, v.name
 					continue
 				}
 				if r.Cycles != ref.Cycles || recordOps(r) != recordOps(ref) {
 					return nil, fmt.Errorf("sharded determinism violated: %s ran %d cycles / %d ops, %s ran %d / %d",
-						v.name, r.Cycles, recordOps(r), variants[2].name, ref.Cycles, recordOps(ref))
+						v.name, r.Cycles, recordOps(r), refName, ref.Cycles, recordOps(ref))
 				}
 				if r.Record != nil && ref.Record != nil &&
 					fmt.Sprint(r.Record.Metrics) != fmt.Sprint(ref.Record.Metrics) {
 					return nil, fmt.Errorf("sharded determinism violated: %s metrics diverge from %s",
-						v.name, variants[2].name)
+						v.name, refName)
 				}
 			}
 			for i, v := range variants {

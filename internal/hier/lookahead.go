@@ -7,10 +7,9 @@ import "tako/internal/sim"
 // interaction takes. Every cross-tile effect in the model — directory
 // messages, data transfers between sibling caches, engine spawns on
 // remote tiles — travels over the mesh and therefore pays at least
-// Mesh.MinCrossTileLatency cycles. Tile-sharded execution (sim.Sharded,
-// or a Partition-ed kernel driven in epochs) may advance every tile that
-// many cycles between synchronization points without reordering any
-// observable interaction.
+// Mesh.MinCrossTileLatency cycles. Tile-sharded execution (sim.Sharded)
+// may advance every tile that many cycles between synchronization points
+// without reordering any observable interaction.
 func (h *Hierarchy) Lookahead() sim.Cycle {
 	la := h.Mesh.MinCrossTileLatency()
 	if la < 1 {

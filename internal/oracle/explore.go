@@ -362,10 +362,6 @@ type ExploreConfig struct {
 	// Workers ≤ 1 (which evaluates inline, exactly the sequential
 	// explorer). 0/1 means sequential.
 	Workers int
-	// TilePar partitions each schedule's event kernel into tile-sharded
-	// queues (TraceConfig.TilePar); results are byte-identical at every
-	// width. 0 inherits the process default.
-	TilePar int
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 }
@@ -551,7 +547,6 @@ func runSchedule(sc scenario, cfg ExploreConfig, ch *schedChooser) string {
 		Chooser:       ch,
 		RecoverPanics: true,
 		RealMorph:     sc.realMorph,
-		TilePar:       cfg.TilePar,
 	}
 	res, err := RunTrace(tc)
 	if err != nil {

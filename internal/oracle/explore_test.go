@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -54,6 +55,41 @@ func TestExploreDeterministic(t *testing.T) {
 			t.Fatalf("replay diverged at choice %d: taken %d/%d arity %d/%d",
 				i, first.taken[i], second.taken[i], first.arity[i], second.arity[i])
 		}
+	}
+}
+
+// exploreAll sweeps every scenario with a small budget at the given
+// worker count and returns the full result.
+func exploreAll(t *testing.T, workers int) *ExploreResult {
+	t.Helper()
+	cfg := DefaultExploreConfig()
+	cfg.MaxRuns = 6
+	cfg.Workers = workers
+	res, err := Explore(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestExploreParallelMatchesSequential pins the explorer's batched
+// parallel evaluation: the complete ExploreResult — scenario list, run
+// count, choice-point high-water mark, and findings in order — is
+// identical at 1 and 4 workers. CI runs this under -race, making it the
+// data-race probe for concurrent schedule evaluation.
+func TestExploreParallelMatchesSequential(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	ref := exploreAll(t, 1)
+	if ref.Runs == 0 || ref.ChoicePoints == 0 {
+		t.Fatalf("reference sweep did not explore: %+v", ref)
+	}
+	for _, f := range ref.Findings {
+		t.Errorf("%s under schedule %v: %s", f.Scenario, trimSchedule(f.Schedule), f.Err)
+	}
+	if got := exploreAll(t, 4); !reflect.DeepEqual(got, ref) {
+		t.Errorf("workers=4 explore result diverged:\ngot:  %+v\nwant: %+v", got, ref)
 	}
 }
 

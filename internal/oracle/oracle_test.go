@@ -2,6 +2,8 @@ package oracle
 
 import (
 	"testing"
+
+	"tako/internal/system"
 )
 
 // TestOracleRandomTraces is the main differential-verification
@@ -59,6 +61,34 @@ func TestOracleDeterminism(t *testing.T) {
 	}
 	if err := a.Oracle.Err(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRunTraceIgnoresShardedDefault pins that the harness builds the
+// engine it drives: with the process-wide -sharded default armed, a
+// trace still runs on the classic kernel and reproduces the unarmed
+// run's fingerprint byte for byte.
+func TestRunTraceIgnoresShardedDefault(t *testing.T) {
+	ref, err := RunTrace(DefaultTraceConfig(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prevOn, prevW := system.DefaultSharded()
+	defer system.SetDefaultSharded(prevOn, prevW)
+	system.SetDefaultSharded(true, 2)
+	res, err := RunTrace(DefaultTraceConfig(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Oracle.h.K == nil {
+		t.Fatal("armed -sharded default re-hosted the trace off the classic kernel")
+	}
+	if err := res.Oracle.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if res.Fingerprint != ref.Fingerprint {
+		t.Fatalf("armed -sharded default changed the trace:\n--- unarmed ---\n%s\n--- armed ---\n%s",
+			ref.Fingerprint, res.Fingerprint)
 	}
 }
 

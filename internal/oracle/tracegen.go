@@ -43,11 +43,6 @@ type TraceConfig struct {
 	// callback between the home grant and the private install — the
 	// in-flight window that mid-install revocation races live in.
 	RealMorph bool
-	// TilePar partitions the system's event kernel into tile-sharded
-	// queues (system.Config.TilePar). The schedule — and therefore the
-	// fingerprint — is byte-identical at every width; 0 inherits the
-	// process-wide default (system.SetDefaultTilePar, the -tile-par flag).
-	TilePar int
 }
 
 // DefaultTraceConfig returns a config exercising 4 tiles with heavy
@@ -142,8 +137,9 @@ func RunTrace(cfg TraceConfig) (*TraceResult, error) {
 	}
 	scfg := system.Scaled(cfg.Tiles, cfg.CacheScale)
 	scfg.Hier.FreshChecks = true
-	scfg.TilePar = cfg.TilePar
-	s := system.New(scfg)
+	// Build, not New: the harness drives the classic kernel (s.K)
+	// directly, so a process-wide -sharded default must not re-host it.
+	s := system.Build(scfg)
 	if cfg.Chooser != nil {
 		s.K.SetChooser(cfg.Chooser)
 	}

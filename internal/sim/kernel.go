@@ -29,25 +29,16 @@ type event struct {
 // Kernel is a deterministic discrete-event simulator clock and queue.
 // The zero value is not usable; create kernels with NewKernel.
 //
-// Each queue is a 4-ary min-heap stored flat in a slice. Compared to
+// The queue is a 4-ary min-heap stored flat in a slice. Compared to
 // container/heap this is monomorphic (no interface{} boxing, so pushes
 // don't allocate) and shallower (half the levels of a binary heap), and
 // popping zeroes the vacated slot so completed events — and everything
 // their closures captured — are collectable instead of pinned by the
 // backing array.
-//
-// A kernel normally holds one queue. Partition splits it into several
-// tile-sharded queues (see Partition): events carry a shard affinity and
-// live in their shard's queue, and dispatch merges the queue heads by
-// the global (time, sequence) key. The merged execution order is
-// byte-identical to the single-queue order at any partition width,
-// because the key is assigned at scheduling time and is independent of
-// which queue an event sits in.
 type Kernel struct {
 	now    Cycle
 	seq    uint64
-	queues [][]event
-	cur    int // queue index of the executing event: the routing affinity for events it schedules
+	queue  []event
 	procs  []*Proc
 	events uint64
 
@@ -69,13 +60,10 @@ type Kernel struct {
 	futurePool []*Future
 
 	// chooser, when set, resolves same-cycle scheduling ties (see
-	// SetChooser); batch is its reusable scratch slice and batchQ records
-	// each batched event's origin queue so unchosen events reinsert where
-	// they came from. nil on every normal run — the default schedule pays
-	// nothing for the hook.
+	// SetChooser); batch is its reusable scratch slice. nil on every
+	// normal run — the default schedule pays nothing for the hook.
 	chooser Chooser
 	batch   []event
-	batchQ  []int
 
 	// procPanic holds a panic captured on a Proc goroutine; dispatch
 	// re-raises it on the kernel goroutine so drivers can recover it.
@@ -101,40 +89,9 @@ type Chooser interface {
 // Without one, same-cycle events run in insertion order.
 func (k *Kernel) SetChooser(c Chooser) { k.chooser = c }
 
-// NewKernel returns an empty kernel at cycle 0 with a single queue.
+// NewKernel returns an empty kernel at cycle 0.
 func NewKernel() *Kernel {
-	return &Kernel{queues: make([][]event, 1)}
-}
-
-// Partition splits the kernel's event queue into n tile-sharded queues.
-// Queue 0 is the home (shared/uncore) queue; queues 1..n-1 hold
-// tile-affine events. Events route by affinity — proc events to their
-// proc's shard, callback and future events to the shard of the event
-// that scheduled them — and dispatch merges all queue heads by the
-// global (time, sequence) key, so the schedule is byte-identical to the
-// unpartitioned kernel at any n. Must be called before any event is
-// scheduled; repartitioning or shrinking an active kernel panics.
-func (k *Kernel) Partition(n int) {
-	if n < 1 {
-		panic("sim: partition needs at least one queue")
-	}
-	if k.Pending() != 0 || k.seq != 0 {
-		panic("sim: cannot partition a kernel with scheduled events")
-	}
-	k.queues = make([][]event, n)
-}
-
-// Shards returns the number of event queues (1 for an unpartitioned
-// kernel).
-func (k *Kernel) Shards() int { return len(k.queues) }
-
-// shardFor clamps a requested shard affinity to the kernel's queues, so
-// affinity-tagged call sites work unchanged on unpartitioned kernels.
-func (k *Kernel) shardFor(shard int) int {
-	if shard < 0 || shard >= len(k.queues) {
-		return 0
-	}
-	return shard
+	return &Kernel{}
 }
 
 // Now returns the current simulated cycle.
@@ -150,7 +107,7 @@ func (k *Kernel) At(when Cycle, fn func()) {
 		panic("sim: scheduling event in the past")
 	}
 	k.seq++
-	k.push(k.cur, event{when: when, seq: k.seq, fn: fn})
+	k.push(event{when: when, seq: k.seq, fn: fn})
 }
 
 // After schedules fn to run delay cycles from now.
@@ -165,7 +122,7 @@ func (k *Kernel) wakeAt(when Cycle, p *Proc) {
 		panic("sim: scheduling event in the past")
 	}
 	k.seq++
-	k.push(p.shard, event{when: when, seq: k.seq, proc: p})
+	k.push(event{when: when, seq: k.seq, proc: p})
 }
 
 // wakeAfter schedules p to be dispatched delay cycles from now.
@@ -180,52 +137,26 @@ func (k *Kernel) completeAt(when Cycle, f *Future) {
 		panic("sim: scheduling event in the past")
 	}
 	k.seq++
-	k.push(k.cur, event{when: when, seq: k.seq, future: f})
-}
-
-// minQueue returns the index of the queue whose head is the global
-// minimum by (time, sequence), or -1 when every queue is empty. With a
-// single queue this is a branch; partitioned kernels scan the (at most
-// tiles+1) heads.
-func (k *Kernel) minQueue() int {
-	if len(k.queues) == 1 {
-		if len(k.queues[0]) == 0 {
-			return -1
-		}
-		return 0
-	}
-	best := -1
-	for i := range k.queues {
-		if len(k.queues[i]) == 0 {
-			continue
-		}
-		if best < 0 || k.queues[i][0].before(&k.queues[best][0]) {
-			best = i
-		}
-	}
-	return best
+	k.push(event{when: when, seq: k.seq, future: f})
 }
 
 // Step executes the next pending event, advancing the clock to its time.
 // It reports whether an event was executed.
 func (k *Kernel) Step() bool {
-	qi := k.minQueue()
-	if qi < 0 {
+	if len(k.queue) == 0 {
 		return false
 	}
 	if k.chooser != nil {
-		return k.stepChoose(qi)
+		k.stepChoose()
+		return true
 	}
-	k.exec(qi, k.pop(qi))
+	k.exec(k.pop())
 	return true
 }
 
-// exec runs one dequeued event, advancing the clock to its time. qi is
-// the queue the event came from: it becomes the routing affinity for
-// events scheduled while it runs.
-func (k *Kernel) exec(qi int, e event) {
+// exec runs one dequeued event, advancing the clock to its time.
+func (k *Kernel) exec(e event) {
 	k.now = e.when
-	k.cur = qi
 	k.events++
 	switch {
 	case e.proc != nil:
@@ -244,22 +175,16 @@ func (k *Kernel) exec(qi int, e event) {
 	}
 }
 
-// stepChoose is Step with a chooser installed: pop every event tied at
-// the minimum time (in insertion order, across all queues), let the
-// chooser pick which one runs, and reinsert the rest into the queues
-// they came from. Reinserted events keep their original sequence
-// numbers, so the unchosen events' relative order — and hence the
-// meaning of future choices — is unchanged by the pick.
-func (k *Kernel) stepChoose(qi int) bool {
-	b := append(k.batch[:0], k.pop(qi))
-	bq := append(k.batchQ[:0], qi)
-	for {
-		next := k.minQueue()
-		if next < 0 || k.queues[next][0].when != b[0].when {
-			break
-		}
-		b = append(b, k.pop(next))
-		bq = append(bq, next)
+// stepChoose is Step with a chooser installed on a non-empty queue: pop
+// every event tied at the minimum time (in insertion order), let the
+// chooser pick which one runs, and reinsert the rest. Reinserted events
+// keep their original sequence numbers, so the unchosen events' relative
+// order — and hence the meaning of future choices — is unchanged by the
+// pick.
+func (k *Kernel) stepChoose() {
+	b := append(k.batch[:0], k.pop())
+	for len(k.queue) > 0 && k.queue[0].when == b[0].when {
+		b = append(b, k.pop())
 	}
 	idx := 0
 	if len(b) > 1 {
@@ -267,16 +192,15 @@ func (k *Kernel) stepChoose(qi int) bool {
 			idx = c
 		}
 	}
-	e, eq := b[idx], bq[idx]
+	e := b[idx]
 	for i := range b {
 		if i != idx {
-			k.push(bq[i], b[i])
+			k.push(b[i])
 		}
 	}
 	clear(b) // don't pin closures from the scratch slice
-	k.batch, k.batchQ = b[:0], bq[:0]
-	k.exec(eq, e)
-	return true
+	k.batch = b[:0]
+	k.exec(e)
 }
 
 // Run executes events until the queue is empty.
@@ -286,22 +210,17 @@ func (k *Kernel) Run() {
 }
 
 // next returns the time of the earliest pending event; ok is false when
-// every queue is empty.
+// the queue is empty.
 func (k *Kernel) next() (when Cycle, ok bool) {
-	qi := k.minQueue()
-	if qi < 0 {
+	if len(k.queue) == 0 {
 		return 0, false
 	}
-	return k.queues[qi][0].when, true
+	return k.queue[0].when, true
 }
 
 // RunUntil executes events with time ≤ t, then advances the clock to t.
 func (k *Kernel) RunUntil(t Cycle) {
-	for {
-		when, ok := k.next()
-		if !ok || when > t {
-			break
-		}
+	for len(k.queue) > 0 && k.queue[0].when <= t {
 		k.Step()
 	}
 	if k.now < t {
@@ -309,14 +228,8 @@ func (k *Kernel) RunUntil(t Cycle) {
 	}
 }
 
-// Pending returns the number of queued events across all queues.
-func (k *Kernel) Pending() int {
-	n := 0
-	for i := range k.queues {
-		n += len(k.queues[i])
-	}
-	return n
-}
+// Pending returns the number of queued events.
+func (k *Kernel) Pending() int { return len(k.queue) }
 
 // Blocked returns the names of processes that are parked (waiting) right
 // now. After Run returns, a non-empty result means those processes are
@@ -339,9 +252,9 @@ func (a *event) before(b *event) bool {
 	return a.seq < b.seq
 }
 
-// push inserts e into queue qi, sifting it up from the tail.
-func (k *Kernel) push(qi int, e event) {
-	q := append(k.queues[qi], e)
+// push inserts e into the queue, sifting it up from the tail.
+func (k *Kernel) push(e event) {
+	q := append(k.queue, e)
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) >> 2
@@ -351,20 +264,20 @@ func (k *Kernel) push(qi int, e event) {
 		q[i], q[parent] = q[parent], q[i]
 		i = parent
 	}
-	k.queues[qi] = q
+	k.queue = q
 }
 
-// pop removes and returns queue qi's minimum event, zeroing the vacated
+// pop removes and returns the queue's minimum event, zeroing the vacated
 // tail slot so the popped event's closure (and captured state) is
 // GC-able.
-func (k *Kernel) pop(qi int) event {
-	q := k.queues[qi]
+func (k *Kernel) pop() event {
+	q := k.queue
 	top := q[0]
 	n := len(q) - 1
 	q[0] = q[n]
 	q[n] = event{}
 	q = q[:n]
-	k.queues[qi] = q
+	k.queue = q
 
 	// Sift the relocated tail element down: swap with the smallest of
 	// up to four children until in place.

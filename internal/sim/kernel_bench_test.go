@@ -15,19 +15,19 @@ func TestHeapOrdersLikeReference(t *testing.T) {
 		k := NewKernel()
 		n := 1 + rng.Intn(500)
 		for i := 0; i < n; i++ {
-			k.push(0, event{when: Cycle(rng.Intn(32)), seq: uint64(i), fn: func() {}})
+			k.push(event{when: Cycle(rng.Intn(32)), seq: uint64(i), fn: func() {}})
 		}
 		var lastWhen Cycle
 		var lastSeq uint64
 		for i := 0; i < n; i++ {
-			e := k.pop(0)
+			e := k.pop()
 			if i > 0 && (e.when < lastWhen || (e.when == lastWhen && e.seq < lastSeq)) {
 				t.Fatalf("trial %d: popped (%d,%d) after (%d,%d)", trial, e.when, e.seq, lastWhen, lastSeq)
 			}
 			lastWhen, lastSeq = e.when, e.seq
 		}
-		if len(k.queues[0]) != 0 {
-			t.Fatalf("queue not drained: %d left", len(k.queues[0]))
+		if len(k.queue) != 0 {
+			t.Fatalf("queue not drained: %d left", len(k.queue))
 		}
 	}
 }
@@ -42,7 +42,7 @@ func TestPopZeroesVacatedSlots(t *testing.T) {
 		k.After(Cycle(i), func() { _ = big })
 	}
 	k.Run()
-	backing := k.queues[0][:cap(k.queues[0])]
+	backing := k.queue[:cap(k.queue)]
 	for i, e := range backing {
 		if e.fn != nil || e.proc != nil || e.future != nil || e.when != 0 || e.seq != 0 {
 			t.Fatalf("slot %d not zeroed after pop: %+v", i, e)

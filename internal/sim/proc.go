@@ -22,7 +22,6 @@ import (
 type Proc struct {
 	k       *Kernel
 	name    string
-	shard   int // queue affinity on a partitioned kernel (0 otherwise)
 	resume  chan struct{}
 	parked  chan struct{}
 	started bool
@@ -43,18 +42,8 @@ type Proc struct {
 // Go creates a simulated process named name running fn, and schedules it
 // to start at the current cycle. fn runs on its own goroutine; it blocks
 // the simulation only while actively computing between blocking calls.
-// On a partitioned kernel the process inherits the shard affinity of the
-// event that spawned it; use GoOn to pin it explicitly.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
-	return k.GoOn(k.cur, name, fn)
-}
-
-// GoOn is Go with an explicit shard affinity: the process's wake events
-// live in queue shard of a partitioned kernel (system drivers pin each
-// tile's threads to that tile's queue). Out-of-range shards — including
-// any shard on an unpartitioned kernel — fall back to queue 0.
-func (k *Kernel) GoOn(shard int, name string, fn func(p *Proc)) *Proc {
-	p := k.spawn(shard, name)
+	p := k.spawn(name)
 	p.fn = fn
 	k.scheduleStart(p)
 	return p
@@ -64,30 +53,27 @@ func (k *Kernel) GoOn(shard int, name string, fn func(p *Proc)) *Proc {
 // long-lived function value and a0/a1 carry the operands, so issuing a
 // process allocates nothing once the proc pool is warm.
 func (k *Kernel) GoArgs(name string, fn func(p *Proc, a0, a1 uint64), a0, a1 uint64) *Proc {
-	p := k.spawn(k.cur, name)
+	p := k.spawn(name)
 	p.fnArgs, p.a0, p.a1 = fn, a0, a1
 	k.scheduleStart(p)
 	return p
 }
 
-// spawn returns a ready-to-start Proc pinned to shard, recycling a
-// pooled one when available. Recycled procs are already in k.procs;
-// fresh ones are appended and their worker goroutine started.
-func (k *Kernel) spawn(shard int, name string) *Proc {
-	shard = k.shardFor(shard)
+// spawn returns a ready-to-start Proc, recycling a pooled one when
+// available. Recycled procs are already in k.procs; fresh ones are
+// appended and their worker goroutine started.
+func (k *Kernel) spawn(name string) *Proc {
 	if n := len(k.freeProcs); n > 0 {
 		p := k.freeProcs[n-1]
 		k.freeProcs[n-1] = nil
 		k.freeProcs = k.freeProcs[:n-1]
 		p.name = name
-		p.shard = shard
 		p.started, p.done = false, false
 		return p
 	}
 	p := &Proc{
 		k:      k,
 		name:   name,
-		shard:  shard,
 		resume: make(chan struct{}),
 		parked: make(chan struct{}),
 	}
@@ -100,7 +86,7 @@ func (k *Kernel) spawn(shard int, name string) *Proc {
 // carried directly on the event (no closure).
 func (k *Kernel) scheduleStart(p *Proc) {
 	k.seq++
-	k.push(p.shard, event{when: k.now, seq: k.seq, proc: p, start: true})
+	k.push(event{when: k.now, seq: k.seq, proc: p, start: true})
 }
 
 // loop is the pooled worker body: run a task, return to the free list,

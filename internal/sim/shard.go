@@ -142,7 +142,7 @@ type Sharded struct {
 
 	// permute, when set (tests only), reorders the sender iteration of a
 	// drain; the canonical sort must erase any such reordering, which
-	// FuzzEpochSchedule pins.
+	// FuzzShardedDrainOrder pins.
 	permute func(senders int) []int
 
 	// barrierHook, when set, runs on the coordinator after every epoch

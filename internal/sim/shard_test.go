@@ -10,10 +10,8 @@ import (
 // This file is the determinism battery for the tile-sharded kernel. The
 // contract under test: a Sharded run produces a byte-identical simulation
 // at every worker width, identical to the single-threaded RunSequenced
-// reference, and unaffected by the order mailboxes are drained in; and a
-// partitioned Kernel produces a byte-identical schedule to the
-// single-queue kernel at every partition width. Run these under -race to
-// also certify the epoch barriers (CI does).
+// reference, and unaffected by the order mailboxes are drained in. Run
+// these under -race to also certify the epoch barriers (CI does).
 
 // shardedFixture is a Sharded kernel plus per-shard trace logs. Each
 // shard's log is appended only by events executing on that shard, so
@@ -488,75 +486,6 @@ func TestShardedAllocsPerEvent(t *testing.T) {
 	}
 	if perEvent := avg / float64(perRun); perEvent > 0.01 {
 		t.Fatalf("sharded run allocates %.4f allocs/event over %d events, want ≤0.01", perEvent, perRun)
-	}
-}
-
-// lastChooser always picks the newest event in a same-cycle batch — the
-// opposite of the default FIFO resolution, maximally sensitive to batch
-// membership changing across partition widths.
-type lastChooser struct{}
-
-func (lastChooser) Choose(n int) int { return n - 1 }
-
-// runPartitionedProgram runs a mixed proc/future/callback program on a
-// kernel partitioned parts ways and returns its execution trace. The
-// program itself is identical for every parts value; only queue
-// placement changes.
-func runPartitionedProgram(parts int, chooser Chooser) string {
-	k := NewKernel()
-	if parts > 1 {
-		k.Partition(parts)
-	}
-	k.SetChooser(chooser)
-	var trace []string
-	for i := 0; i < 6; i++ {
-		i := i
-		k.GoOn(i, fmt.Sprintf("p%d", i), func(p *Proc) {
-			rng := rand.New(rand.NewSource(int64(i) + 7))
-			for s := 0; s < 25; s++ {
-				s := s
-				trace = append(trace, fmt.Sprintf("p%d step %d at %d", i, s, p.Now()))
-				k.After(Cycle(rng.Intn(4)), func() {
-					trace = append(trace, fmt.Sprintf("fn p%d step %d at %d", i, s, k.Now()))
-				})
-				if s%3 == 0 {
-					f := NewFuture(k)
-					f.CompleteAt(p.Now() + Cycle(rng.Intn(5)))
-					p.Wait(f)
-				} else {
-					p.Sleep(Cycle(rng.Intn(3)))
-				}
-			}
-		})
-	}
-	k.Run()
-	k.Release()
-	return strings.Join(trace, "\n")
-}
-
-// TestPartitionedKernelMatchesSingleQueue pins the property the system
-// driver's -tile-par mode relies on: partitioning the kernel's queue
-// changes where events are stored but not the (time, sequence) dispatch
-// order, so the schedule is byte-identical at every width — with and
-// without a Chooser installed (the explorer's hook must see identical
-// same-cycle batches).
-func TestPartitionedKernelMatchesSingleQueue(t *testing.T) {
-	for _, chooser := range []Chooser{nil, lastChooser{}} {
-		name := "fifo"
-		if chooser != nil {
-			name = "chooser"
-		}
-		t.Run(name, func(t *testing.T) {
-			want := runPartitionedProgram(1, chooser)
-			if want == "" {
-				t.Fatal("program produced no trace")
-			}
-			for _, parts := range []int{2, 4, 7, 16} {
-				if got := runPartitionedProgram(parts, chooser); got != want {
-					t.Errorf("partition width %d changed the schedule:\n%s", parts, firstDiff(got, want))
-				}
-			}
-		})
 	}
 }
 

@@ -40,15 +40,15 @@ func benchMachineWorkload(cfg Config, words int) sim.Cycle {
 	return s.Run()
 }
 
-// BenchmarkShardedVsPartitioned is the single-simulation speedup
-// benchmark: one machine, one workload, hosted on the partitioned
-// classic kernel (the fastest sequential engine) and on the sharded
-// engine at several worker widths. cmd/benchtraj pairs the sub-benchmark
-// names to emit a sharded-vs-partitioned speedup column; the cpus and
+// BenchmarkShardedVsClassic is the single-simulation speedup benchmark:
+// one machine, one workload, hosted on the classic kernel and on the
+// sharded engine at several worker widths. cmd/benchtraj pairs the
+// sub-benchmark names to emit a sharded-vs-classic speedup column; the
+// cpus and
 // gomaxprocs metrics let it annotate sweeps from single-core runners,
 // where every worker width degenerates to sequenced execution plus
 // barrier overhead, instead of folding them into speedup trends.
-func BenchmarkShardedVsPartitioned(b *testing.B) {
+func BenchmarkShardedVsClassic(b *testing.B) {
 	const (
 		tiles = 4
 		words = 256
@@ -63,10 +63,9 @@ func BenchmarkShardedVsPartitioned(b *testing.B) {
 		b.ReportMetric(float64(runtime.NumCPU()), "cpus")
 		b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 	}
-	b.Run("partitioned", func(b *testing.B) {
+	b.Run("classic", func(b *testing.B) {
 		cfg := Default(tiles)
 		cfg.NoTako = true
-		cfg.TilePar = tiles
 		run(b, cfg)
 	})
 	for _, workers := range []int{1, 2, 4} {
@@ -123,14 +122,14 @@ func benchTakoWorkload(cfg Config, words int) sim.Cycle {
 	return s.Run()
 }
 
-// BenchmarkShardedTakoVsPartitioned is the täkō-machine companion of
-// BenchmarkShardedVsPartitioned: the same speedup question asked of a
+// BenchmarkShardedTakoVsClassic is the täkō-machine companion of
+// BenchmarkShardedVsClassic: the same speedup question asked of a
 // machine with live engines — every miss on the morph region runs an
 // onMiss callback at the line's home tile, so the sharded variants pay
 // engine scheduling and cross-tile callback messages, not just
 // coherence. cmd/benchtraj pairs the sub-benchmarks into the
 // sharded-täkō speedup column of the trajectory artifact.
-func BenchmarkShardedTakoVsPartitioned(b *testing.B) {
+func BenchmarkShardedTakoVsClassic(b *testing.B) {
 	const (
 		tiles = 4
 		words = 256
@@ -145,10 +144,8 @@ func BenchmarkShardedTakoVsPartitioned(b *testing.B) {
 		b.ReportMetric(float64(runtime.NumCPU()), "cpus")
 		b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 	}
-	b.Run("partitioned", func(b *testing.B) {
-		cfg := Default(tiles)
-		cfg.TilePar = tiles
-		run(b, cfg)
+	b.Run("classic", func(b *testing.B) {
+		run(b, Default(tiles))
 	})
 	for _, workers := range []int{1, 2, 4} {
 		cfg := shardedConfig(tiles, workers)

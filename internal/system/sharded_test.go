@@ -103,22 +103,21 @@ func TestShardedDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesPartitionedArchitecturally cross-checks the sharded
-// machine against the classic partitioned kernel on the same workload.
+// TestShardedMatchesClassicArchitecturally cross-checks the sharded
+// machine against the classic kernel on the same workload.
 // Cycle counts legitimately differ (sharded cross-tile operations pay
 // real message round trips; the classic engine resolves them under one
 // clock), so the comparison is architectural only: every committed load
 // observes the same values, and the instruction count is identical.
-func TestShardedMatchesPartitionedArchitecturally(t *testing.T) {
+func TestShardedMatchesClassicArchitecturally(t *testing.T) {
 	classic := Default(4)
 	classic.NoTako = true
-	classic.TilePar = 4
 	outC, _ := runSharedCounterWorkload(t, classic)
 	checkReadback(t, outC, 4)
 
 	outS, _ := runSharedCounterWorkload(t, shardedConfig(4, 2))
 	if !reflect.DeepEqual(outS, outC) {
-		t.Fatal("sharded run observed different architectural values than the partitioned kernel")
+		t.Fatal("sharded run observed different architectural values than the classic kernel")
 	}
 }
 

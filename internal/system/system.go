@@ -27,23 +27,13 @@ type Config struct {
 	// NoTako disables Morph support entirely (baseline machine): the
 	// hierarchy runs with no registry or engines.
 	NoTako bool
-	// TilePar, when > 1, partitions the event kernel into tile-sharded
-	// queues (min(TilePar, Tiles) tile queues plus a home queue for
-	// shared/uncore events). Partitioning changes only where events are
-	// stored — dispatch still merges all queues by the global
-	// (cycle, sequence) key — so every simulated outcome is byte-identical
-	// to TilePar ≤ 1 at any width; sim.TestPartitionedKernelMatchesSingleQueue
-	// and exp.TestTileParMatchesSequential pin this. 0 means
-	// DefaultTilePar(); 1 forces the single-queue kernel.
-	TilePar int
 	// Sharded hosts the machine on a sim.Sharded engine — one shard (its
 	// own kernel and clock) per tile, cross-tile interactions carried by
 	// lookahead-respecting messages — for real parallel speedup on a
 	// single simulation. Baseline and täkō machines both shard: the Morph
 	// registry is partitioned per tile, engines run on their tile's shard
 	// kernel, and registration/flush/persist traffic rides the message
-	// protocol. Unlike TilePar, which only re-buckets events under one
-	// global clock, sharded execution changes the timing model: cross-tile
+	// protocol. Sharded execution changes the timing model: cross-tile
 	// operations pay real message round trips, so cycle counts differ
 	// from the classic engine. Results are still byte-identical across
 	// ShardWorkers values (and to the sequenced schedule), which is what
@@ -70,37 +60,20 @@ type Config struct {
 	FFAuto bool
 }
 
-// defaultTilePar is the package-wide default for Config.TilePar when a
-// config leaves it 0, mirroring hier.SetVerifyDefaults: the -tile-par
-// CLI flag sets it once and every system built afterwards (including by
-// experiment code that never sees the flag) picks it up.
-var defaultTilePar = 1
-
-// SetDefaultTilePar sets the kernel shard width used when a Config
-// leaves TilePar at 0. n ≤ 1 selects the sequential single-queue kernel.
-func SetDefaultTilePar(n int) {
-	if n < 1 {
-		n = 1
-	}
-	defaultTilePar = n
-}
-
-// DefaultTilePar returns the current package-wide shard-width default.
-func DefaultTilePar() int { return defaultTilePar }
-
-// defaultSharded, when armed via SetDefaultSharded, hosts every baseline
-// (NoTako) machine whose Config left the kernel organization unspecified
-// (TilePar == 0, Sharded false) on the tile-sharded engine. The -sharded
-// CLI flag sets it once; täkō machines and configs that pick an engine
-// explicitly are unaffected.
+// defaultSharded, when armed via SetDefaultSharded, makes New host every
+// machine whose Config left Sharded false on the tile-sharded engine,
+// mirroring hier.SetVerifyDefaults: the -sharded CLI flag sets it once
+// and every system built afterwards (including by experiment code that
+// never sees the flag) picks it up. Build ignores it.
 var (
 	defaultSharded      = false
 	defaultShardWorkers = 0
 )
 
 // SetDefaultSharded arms (or disarms) sharded-by-default execution for
-// baseline machines, with the given worker count (≤ 1: the deterministic
-// sequenced schedule; results are byte-identical either way).
+// the machines New builds, with the given worker count (≤ 1: the
+// deterministic sequenced schedule; results are byte-identical either
+// way).
 func SetDefaultSharded(on bool, workers int) {
 	defaultSharded = on
 	if workers < 0 {
@@ -112,10 +85,10 @@ func SetDefaultSharded(on bool, workers int) {
 // DefaultSharded reports the package-wide sharded default.
 func DefaultSharded() (bool, int) { return defaultSharded, defaultShardWorkers }
 
-// defaultFF mirrors SetDefaultTilePar/SetDefaultSharded for the
-// analytical fast-forward warmup: the -ff / -ff-auto CLI flags set it
-// once and every baseline machine built afterwards picks it up, unless
-// its Config chose explicitly.
+// defaultFF mirrors SetDefaultSharded for the analytical fast-forward
+// warmup: the -ff / -ff-auto CLI flags set it once and every baseline
+// machine New builds afterwards picks it up, unless its Config chose
+// explicitly.
 var (
 	defaultFFAccesses uint64
 	defaultFFAuto     bool
@@ -163,7 +136,6 @@ type System struct {
 
 	threads int
 	workers int // Sharded run's worker count (≤ 1: sequenced)
-	shards  int // tile queues on a partitioned kernel (0: unpartitioned)
 
 	// Capture state (capture.go): set when a process-wide observability
 	// capture was armed before this System was built.
@@ -171,21 +143,33 @@ type System struct {
 	capPid   int
 }
 
-// New builds and wires a System.
+// New builds and wires a System, first resolving the process-wide
+// defaults (SetDefaultSharded, SetDefaultFastForward) into cfg, then
+// building it with Build.
 func New(cfg Config) *System {
-	if !cfg.Sharded && defaultSharded && cfg.TilePar == 0 &&
+	if !cfg.Sharded && defaultSharded &&
 		cfg.FastForward == 0 && !cfg.FFAuto && defaultFFAccesses == 0 && !defaultFFAuto {
 		// The -sharded default applies to any machine — baseline or täkō —
-		// that left the kernel organization unspecified; a config that
-		// chose an engine explicitly (TilePar ≥ 1, or Sharded itself)
-		// wins — as does fast-forward warmup (the config's or the -ff
-		// flags'), which needs the classic kernel.
+		// that did not ask for it itself, except under fast-forward warmup
+		// (the config's or the -ff flags'), which needs the classic kernel.
 		cfg.Sharded = true
 		if cfg.ShardWorkers == 0 {
 			cfg.ShardWorkers = defaultShardWorkers
 		}
 		cfg.Hier.FreshChecks = false
 	}
+	if !cfg.Sharded && cfg.FastForward == 0 && !cfg.FFAuto {
+		cfg.FastForward, cfg.FFAuto = defaultFFAccesses, defaultFFAuto
+	}
+	return Build(cfg)
+}
+
+// Build assembles exactly the machine cfg names — the classic
+// single-kernel engine, or the tile-sharded one when cfg.Sharded — and
+// ignores the process-wide defaults New applies. Harnesses whose result
+// depends on the engine (the engine comparison, the interleaving
+// explorer's trace runs) build with it.
+func Build(cfg Config) *System {
 	if cfg.Sharded {
 		return newSharded(cfg)
 	}
@@ -193,22 +177,6 @@ func New(cfg Config) *System {
 	meter := energy.NewMeter()
 	space := mem.NewSpace()
 	s := &System{K: k, Meter: meter, Space: space}
-
-	tilePar := cfg.TilePar
-	if tilePar == 0 {
-		tilePar = defaultTilePar
-	}
-	if tilePar > 1 {
-		// Partition before anything is scheduled: queue 0 stays the home
-		// queue for shared/uncore events, queues 1..shards hold tile-affine
-		// events (tile t → queue 1+t%shards). The partition must happen
-		// first — Partition panics once events exist.
-		s.shards = tilePar
-		if s.shards > cfg.Tiles {
-			s.shards = cfg.Tiles
-		}
-		k.Partition(1 + s.shards)
-	}
 
 	if cfg.NoTako {
 		s.H = hier.New(k, cfg.Hier, meter, nil, nil)
@@ -219,14 +187,8 @@ func New(cfg Config) *System {
 		s.E.AttachHierarchy(s.H)
 		s.Tako.Attach(s.H, s.E)
 	}
-	if cfg.NoTako {
-		ffAcc, ffAuto := cfg.FastForward, cfg.FFAuto
-		if ffAcc == 0 && !ffAuto {
-			ffAcc, ffAuto = defaultFFAccesses, defaultFFAuto
-		}
-		if ffAcc > 0 || ffAuto {
-			s.H.EnableFastForward(ffAcc, ffAuto, space)
-		}
+	if cfg.NoTako && (cfg.FastForward > 0 || cfg.FFAuto) {
+		s.H.EnableFastForward(cfg.FastForward, cfg.FFAuto, space)
 	}
 	for i := 0; i < cfg.Tiles; i++ {
 		s.Cores = append(s.Cores, cpu.New(s.H, i, cfg.Core, meter))
@@ -286,8 +248,7 @@ func (s *System) Alloc(name string, size uint64) mem.Region {
 	return s.Space.Alloc(name, size)
 }
 
-// Go spawns a software thread on the given tile's core. On a partitioned
-// kernel the thread's wake events live in its tile's queue; on a sharded
+// Go spawns a software thread on the given tile's core. On a sharded
 // build the thread runs on its tile's shard kernel.
 func (s *System) Go(tile int, name string, fn func(p *sim.Proc, c *cpu.Core)) {
 	c := s.Cores[tile]
@@ -297,7 +258,7 @@ func (s *System) Go(tile int, name string, fn func(p *sim.Proc, c *cpu.Core)) {
 		s.Sh.Shard(tile).K.Go(fmt.Sprintf("%s@%d", name, tile), run)
 		return
 	}
-	s.K.GoOn(s.TileShard(tile), fmt.Sprintf("%s@%d", name, tile), run)
+	s.K.Go(fmt.Sprintf("%s@%d", name, tile), run)
 }
 
 // Barrier returns a rendezvous for n software threads that works on
@@ -322,19 +283,6 @@ func (s *System) RunUntil(limit sim.Cycle) {
 	}
 	s.K.RunUntil(limit)
 }
-
-// TileShard returns the kernel queue holding tile's events: 0 (the home
-// queue) when the kernel is unpartitioned, 1+tile%shards otherwise.
-func (s *System) TileShard(tile int) int {
-	if s.shards == 0 {
-		return 0
-	}
-	return 1 + tile%s.shards
-}
-
-// Shards returns the number of tile queues the kernel is partitioned
-// into (0 when running the sequential single-queue kernel).
-func (s *System) Shards() int { return s.shards }
 
 // Run executes until the machine quiesces and returns the cycle count.
 // It panics if any thread is still blocked (a modeling deadlock). On a
