@@ -3,12 +3,12 @@
 // takoreport -bench JSON report and emits one compact JSON document with
 // every benchmark's metrics (ns/op, allocs/op, sim-accesses/s, ...) and
 // the report's wall/exec timing per experiment. CI uploads the result as
-// BENCH_N.json so throughput and allocation trends are diffable across
-// the PR sequence without re-parsing free-form bench logs.
+// bench_trajectory.json so throughput and allocation trends are diffable
+// across runs without re-parsing free-form bench logs.
 //
 // Usage:
 //
-//	benchtraj -o BENCH_7.json [-report bench_report.json] bench1.txt bench2.txt ...
+//	benchtraj -o bench_trajectory.json [-report bench_report.json] bench1.txt bench2.txt ...
 //
 // Benchmark lines that repeat (go test -count N) stay separate entries
 // in input order, so downstream tooling sees the full sample set.

@@ -1,0 +1,80 @@
+package cli
+
+import (
+	"errors"
+	"flag"
+	"io"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+
+	"tako/internal/system"
+)
+
+// TestFlagsSelectOptions covers the shared flags' mapping onto
+// system.Options and which combinations Start accepts (it exits 2 on a
+// Validate error).
+func TestFlagsSelectOptions(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want system.Options
+		bad  string // substring of the Validate error; empty means accepted
+	}{
+		{nil, system.Options{}, ""},
+		{[]string{"-sharded", "-shard-workers", "4"}, system.Options{Sharded: true, ShardWorkers: 4}, ""},
+		{[]string{"-ff", "1000", "-ff-auto"}, system.Options{FastForward: 1000, FFAuto: true}, ""},
+		{[]string{"-verify", "-attr"}, system.Options{Verify: true, Attribution: true}, ""},
+		{[]string{"-slowest", "5"}, system.Options{Attribution: true, SlowestK: 5}, ""},
+		{[]string{"-sharded", "-verify", "-slowest", "2"}, system.Options{Sharded: true, Verify: true, Attribution: true, SlowestK: 2}, ""},
+		{[]string{"-sharded", "-ff", "1000"}, system.Options{Sharded: true, FastForward: 1000}, "-sharded"},
+		{[]string{"-sharded", "-ff-auto"}, system.Options{Sharded: true, FFAuto: true}, "-ff-auto"},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		f := Register(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		o := f.Options()
+		if o != tc.want {
+			t.Errorf("%v: options %+v, want %+v", tc.args, o, tc.want)
+		}
+		err := o.Validate()
+		switch {
+		case tc.bad == "" && err != nil:
+			t.Errorf("%v: rejected: %v", tc.args, err)
+		case tc.bad != "" && err == nil:
+			t.Errorf("%v: accepted", tc.args)
+		case tc.bad != "" && !strings.Contains(err.Error(), tc.bad):
+			t.Errorf("%v: error %q does not name %s", tc.args, err, tc.bad)
+		}
+	}
+}
+
+// TestStartExitsOnRejectedOptions pins that Start exits 2 on a rejected
+// combination, naming both flags, before any run begins. The test binary
+// re-executes itself to run Start in a child process.
+func TestStartExitsOnRejectedOptions(t *testing.T) {
+	if os.Getenv("CLI_START_CHILD") == "1" {
+		fs := flag.NewFlagSet("takosim", flag.ContinueOnError)
+		f := Register(fs)
+		if err := fs.Parse([]string{"-sharded", "-ff", "1000"}); err != nil {
+			os.Exit(3)
+		}
+		f.Start("takosim")
+		os.Exit(0)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestStartExitsOnRejectedOptions$")
+	cmd.Env = append(os.Environ(), "CLI_START_CHILD=1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("Start with -sharded -ff: %v, want exit status 2", err)
+	}
+	if msg := stderr.String(); !strings.Contains(msg, "-sharded") || !strings.Contains(msg, "-ff") {
+		t.Errorf("message %q does not name -sharded and -ff", msg)
+	}
+}

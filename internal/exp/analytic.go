@@ -13,25 +13,6 @@ import (
 	"tako/internal/workloads"
 )
 
-// scaleTier selects the workload tier for experiments that have a
-// paper-scale configuration: "quick" (CI-friendly sizes) or "full"
-// (uk-2002-class graphs, ≥100M edges). The -scale CLI flag sets it once.
-var scaleTier = "quick"
-
-// SetScale selects the workload tier ("quick" or "full") for
-// scale-aware experiments (fig25full). Invalid tiers are rejected.
-func SetScale(tier string) error {
-	switch tier {
-	case "quick", "full":
-		scaleTier = tier
-		return nil
-	}
-	return fmt.Errorf("unknown scale tier %q (want quick or full)", tier)
-}
-
-// Scale returns the active workload tier.
-func Scale() string { return scaleTier }
-
 // ffCheckTolerance is the cross-validation oracle's gate: analytical
 // and simulated miss ratios must agree within this absolute difference
 // at every level, on every golden workload.
@@ -235,7 +216,7 @@ func init() {
 	register(Experiment{
 		ID:    "fig25full",
 		Title: "Fig 25's graph-size axis at paper scale: fast-forwarded PHI-style scatter",
-		Paper: "täkō improves with data size; uk-2002 (|E|≈298M) is its largest graph — this driver reaches ≥100M-edge scale via analytical fast-forward (-scale full)",
+		Paper: "täkō improves with data size; uk-2002 (|E|≈298M) is its largest graph — this driver reaches ≥100M-edge scale via analytical fast-forward (-full)",
 		Run: func(quick bool) (*stats.Table, error) {
 			type tier struct {
 				name   string
@@ -243,7 +224,7 @@ func init() {
 				window uint64
 			}
 			tr := tier{"quick", 128 * 1024, 2 * 1024 * 1024, 16384}
-			if Scale() == "full" {
+			if !quick {
 				// uk-2002-class: ≥100M edges, streamed generation, O(1)
 				// graph memory (workloads.EdgeStream).
 				tr = tier{"full", 8 << 20, 128 << 20, 131072}

@@ -28,22 +28,6 @@ func TestFFCheckOracle(t *testing.T) {
 	}
 }
 
-// TestSetScale pins the tier validation and restores the default.
-func TestSetScale(t *testing.T) {
-	if err := SetScale("full"); err != nil {
-		t.Fatal(err)
-	}
-	if Scale() != "full" {
-		t.Fatalf("Scale() = %q after SetScale(full)", Scale())
-	}
-	if err := SetScale("paper"); err == nil {
-		t.Fatal("SetScale(paper) accepted")
-	}
-	if err := SetScale("quick"); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestFig25FullQuickTierFastForwards checks the scale-aware driver's
 // invariants at the quick tier: fast-forward engages for exactly the
 // configured prefix and the estimate columns are populated.

@@ -98,9 +98,7 @@ func TestShardedClassicRowIgnoresShardedDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prevOn, prevW := system.DefaultSharded()
-	defer system.SetDefaultSharded(prevOn, prevW)
-	system.SetDefaultSharded(true, 2)
+	defer system.SetOptions(system.SetOptions(system.Options{Sharded: true, ShardWorkers: 2}))
 	got, _, err := runShardedVariant(classic, tiles, words)
 	if err != nil {
 		t.Fatal(err)

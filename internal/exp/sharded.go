@@ -17,8 +17,8 @@ import (
 // machine under both engines the simulator offers — the classic
 // single-kernel engine and the tile-sharded message-passing engine at
 // several worker counts — and tabulates cycles and op counts side by
-// side. Every row is built with system.Build, so process-wide defaults
-// (-sharded, -ff) cannot re-host a row onto another engine.
+// side. Every row is built with system.Build, so the process-wide
+// -sharded and -ff options cannot re-host a row onto another engine.
 //
 // Two properties are asserted, not just printed:
 //
@@ -51,7 +51,6 @@ func shardedVariants() []shardedVariant {
 			cfg.NoTako = true
 			cfg.Sharded = true
 			cfg.ShardWorkers = workers
-			cfg.Hier.FreshChecks = false
 			return cfg
 		}
 	}

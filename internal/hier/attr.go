@@ -2,7 +2,6 @@ package hier
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"tako/internal/mem"
 	"tako/internal/sim"
@@ -270,22 +269,4 @@ func (h *Hierarchy) SlowestAccesses() []SlowAccess {
 		out = append(out, s)
 	}
 	return out
-}
-
-// Package-wide attribution defaults picked up by DefaultConfig, mirroring
-// SetVerifyDefaults: the CLIs arm attribution for every hierarchy built
-// through the standard config paths without plumbing flags through each
-// experiment runner.
-var (
-	defaultAttribution atomic.Bool
-	defaultSlowestK    atomic.Int64
-)
-
-// SetAttributionDefaults arms (or disarms) transaction-level latency
-// attribution for all configs subsequently built by DefaultConfig/
-// ScaledConfig; slowestK bounds the per-run ring of slowest demand
-// accesses kept with full state timelines (0 keeps none).
-func SetAttributionDefaults(on bool, slowestK int) {
-	defaultAttribution.Store(on)
-	defaultSlowestK.Store(int64(slowestK))
 }

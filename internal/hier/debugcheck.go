@@ -9,8 +9,8 @@ import (
 // Freshness checking state lives on the Hierarchy (not in package
 // globals) so parallel tests and coexisting hierarchies cannot
 // cross-contaminate each other's histories or toggles. Enable it per
-// hierarchy with Config.FreshChecks or SetFreshChecks, or process-wide
-// for configs built by DefaultConfig with SetVerifyDefaults.
+// hierarchy with Config.FreshChecks or SetFreshChecks, or for every
+// classic machine with system.Options.Verify.
 
 func (h *Hierarchy) debugDir(la mem.Addr) string {
 	e := h.dirT(la).get(la)

@@ -19,7 +19,6 @@ package hier
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"tako/internal/cache"
 	"tako/internal/dram"
@@ -163,31 +162,10 @@ type Config struct {
 	RTLB tlb.Config
 }
 
-// Package-wide verification defaults picked up by DefaultConfig, so
-// harnesses (takosim -verify, tests) can arm checking for every
-// hierarchy built through the standard config paths without plumbing
-// flags through each experiment runner.
-var (
-	defaultFreshChecks    atomic.Bool
-	defaultSelfCheckEvery atomic.Int64
-)
-
-// SetVerifyDefaults arms (or disarms) verification for all configs
-// subsequently built by DefaultConfig/ScaledConfig: fresh enables
-// coherence-freshness assertions, selfCheckEvery > 0 runs the full
-// invariant checker every that many hierarchy events.
-func SetVerifyDefaults(fresh bool, selfCheckEvery int) {
-	defaultFreshChecks.Store(fresh)
-	defaultSelfCheckEvery.Store(int64(selfCheckEvery))
-}
-
-// DefaultConfig returns the Table 3 system for the given tile count.
+// DefaultConfig returns the Table 3 system for the given tile count,
+// with every check and attribution off.
 func DefaultConfig(tiles int) Config {
 	return Config{
-		FreshChecks:     defaultFreshChecks.Load(),
-		SelfCheckEvery:  int(defaultSelfCheckEvery.Load()),
-		Attribution:     defaultAttribution.Load(),
-		SlowestK:        int(defaultSlowestK.Load()),
 		Tiles:           tiles,
 		L1Size:          32 * 1024,
 		L1Ways:          8,

@@ -21,8 +21,7 @@ import (
 // polling it, check every endpoint returns well-formed data, and shut
 // down cleanly.
 func TestServerEndToEnd(t *testing.T) {
-	hier.SetAttributionDefaults(true, 4)
-	defer hier.SetAttributionDefaults(false, 0)
+	defer system.SetOptions(system.SetOptions(system.Options{Attribution: true, SlowestK: 4}))
 
 	srv, err := Start("127.0.0.1:0")
 	if err != nil {

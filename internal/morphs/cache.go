@@ -28,12 +28,17 @@ import (
 //
 // Keys compare params by value. HATSParams carries a *tlb.Config, which
 // would compare by pointer identity — hatsCacheKey flattens it into the
-// key so equal configurations hit regardless of allocation.
+// key so equal configurations hit regardless of allocation. The key also
+// holds the process-wide system.Options the run was built under, so a
+// run never replays into a machine configured differently (-sharded,
+// -ff, -verify, -attr); the worker count and the cache switch cannot
+// change a result and stay out of it.
 
 type runKey struct {
 	study   string
 	variant string
 	params  any // normalized, comparable params value
+	opts    system.Options
 }
 
 var (
@@ -52,8 +57,8 @@ var (
 func SetRunCache(on bool) bool { return cacheEnabled.Swap(on) }
 
 // ResetRunCache drops every cached run (tests; never needed by the
-// drivers — params fully determine a run, so entries cannot go stale
-// within a process).
+// drivers — params and options fully determine a run, so entries cannot
+// go stale within a process).
 func ResetRunCache() {
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
@@ -73,7 +78,7 @@ func cachedRun(study, variant string, params any, run func() (Result, error)) (R
 		simsExecuted.Add(1)
 		return run()
 	}
-	key := runKey{study: study, variant: variant, params: params}
+	key := runKey{study: study, variant: variant, params: params, opts: system.CurrentOptions()}
 	cacheMu.Lock()
 	r, ok := runCache[key]
 	cacheMu.Unlock()

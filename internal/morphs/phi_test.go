@@ -3,7 +3,7 @@ package morphs
 import (
 	"testing"
 
-	"tako/internal/hier"
+	"tako/internal/system"
 )
 
 func smallPHIParams() PHIParams {
@@ -17,8 +17,7 @@ func TestPHIShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	hier.SetVerifyDefaults(true, 0)
-	defer hier.SetVerifyDefaults(false, 0)
+	defer system.SetOptions(system.SetOptions(system.Options{Verify: true}))
 	res, err := RunPHIAll(smallPHIParams())
 	if err != nil {
 		t.Fatal(err)

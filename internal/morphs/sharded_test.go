@@ -43,8 +43,7 @@ func shardedFingerprint(t *testing.T, r Result) string {
 // the first fingerprint divergence.
 func shardedWidthSweep(t *testing.T, run func() (Result, error)) {
 	t.Helper()
-	prevOn, prevW := system.DefaultSharded()
-	defer system.SetDefaultSharded(prevOn, prevW)
+	defer system.SetOptions(system.CurrentOptions())
 	var ref string
 	for _, workers := range []int{1, 2, 4, 8} {
 		system.SetDefaultSharded(true, workers)
@@ -155,8 +154,7 @@ func TestShardedNVMCrashDeterminism(t *testing.T) {
 	}
 	prm := DefaultNVMParams(256)
 	prm.Transactions = 256
-	prevOn, prevW := system.DefaultSharded()
-	defer system.SetDefaultSharded(prevOn, prevW)
+	defer system.SetOptions(system.CurrentOptions())
 	ref := -1
 	for _, workers := range []int{1, 2, 4, 8} {
 		system.SetDefaultSharded(true, workers)

@@ -73,9 +73,7 @@ func TestRunTraceIgnoresShardedDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prevOn, prevW := system.DefaultSharded()
-	defer system.SetDefaultSharded(prevOn, prevW)
-	system.SetDefaultSharded(true, 2)
+	defer system.SetOptions(system.SetOptions(system.Options{Sharded: true, ShardWorkers: 2}))
 	res, err := RunTrace(DefaultTraceConfig(7))
 	if err != nil {
 		t.Fatal(err)

@@ -1,0 +1,102 @@
+package system
+
+import (
+	"errors"
+	"sync/atomic"
+
+	"tako/internal/hier"
+)
+
+// Options is the process-wide run configuration: every setting a CLI
+// flag can change that can also change a simulated result. It is applied
+// only where machines are built — New applies all of it, Build only the
+// observability fields — so Default, Scaled and hier.DefaultConfig stay
+// pure functions of their arguments. Options is comparable, so the morphs
+// run cache keys on it as is.
+//
+// The two host-side knobs that cannot change a result stay outside it:
+// the scheduler's worker count (sched.SetWorkers, -j) and the run cache
+// (morphs.SetRunCache) leave every table and capture byte-identical.
+type Options struct {
+	// Sharded hosts every machine New builds on the tile-sharded engine
+	// (Config.Sharded) with ShardWorkers workers, unless its Config asks
+	// for fast-forward, which needs the classic kernel.
+	Sharded      bool `json:"sharded"`
+	ShardWorkers int  `json:"shard_workers"`
+	// FastForward and FFAuto arm analytical fast-forward warmup
+	// (Config.FastForward, Config.FFAuto) on the classic machines New
+	// builds whose Config left both unset.
+	FastForward uint64 `json:"ff"`
+	FFAuto      bool   `json:"ff_auto"`
+	// Verify arms per-access coherence-freshness assertions on classic
+	// builds (a sharded hierarchy may not read remote tiles mid-epoch) and
+	// the hierarchy-wide invariant checker every verifyCheckEvery events.
+	Verify bool `json:"verify"`
+	// Attribution arms transaction-level latency attribution; SlowestK > 0
+	// also keeps each run's K slowest demand accesses.
+	Attribution bool `json:"attr"`
+	SlowestK    int  `json:"slowest"`
+}
+
+// verifyCheckEvery is the invariant-checker period Verify arms.
+const verifyCheckEvery = 128
+
+var options atomic.Pointer[Options]
+
+// SetOptions replaces the process-wide run configuration for machines
+// built afterwards and returns the previous one.
+func SetOptions(o Options) Options {
+	if prev := options.Swap(&o); prev != nil {
+		return *prev
+	}
+	return Options{}
+}
+
+// CurrentOptions returns the process-wide run configuration.
+func CurrentOptions() Options {
+	if o := options.Load(); o != nil {
+		return *o
+	}
+	return Options{}
+}
+
+// SetDefaultSharded sets Options.Sharded and Options.ShardWorkers,
+// leaving the other fields as they are.
+func SetDefaultSharded(on bool, workers int) {
+	o := CurrentOptions()
+	o.Sharded, o.ShardWorkers = on, workers
+	SetOptions(o)
+}
+
+// Validate rejects combinations no machine can honour.
+func (o Options) Validate() error {
+	switch {
+	case o.Sharded && (o.FastForward > 0 || o.FFAuto):
+		return errors.New("-sharded cannot be combined with -ff/-ff-auto: the analytical warmup runs on the " +
+			"classic kernel; drop -sharded, or drop -ff/-ff-auto for a full sharded run")
+	case o.ShardWorkers < 0:
+		return errors.New("-shard-workers must not be negative")
+	case o.SlowestK < 0:
+		return errors.New("-slowest must not be negative")
+	}
+	return nil
+}
+
+// observe arms the observability fields on a hierarchy config. It only
+// turns checks on: a config that armed something itself keeps it.
+func (o Options) observe(h *hier.Config, sharded bool) {
+	if o.Verify {
+		if !sharded {
+			h.FreshChecks = true
+		}
+		if h.SelfCheckEvery == 0 {
+			h.SelfCheckEvery = verifyCheckEvery
+		}
+	}
+	if o.Attribution {
+		h.Attribution = true
+		if h.SlowestK == 0 {
+			h.SlowestK = o.SlowestK
+		}
+	}
+}

@@ -60,51 +60,6 @@ type Config struct {
 	FFAuto bool
 }
 
-// defaultSharded, when armed via SetDefaultSharded, makes New host every
-// machine whose Config left Sharded false on the tile-sharded engine,
-// mirroring hier.SetVerifyDefaults: the -sharded CLI flag sets it once
-// and every system built afterwards (including by experiment code that
-// never sees the flag) picks it up. Build ignores it.
-var (
-	defaultSharded      = false
-	defaultShardWorkers = 0
-)
-
-// SetDefaultSharded arms (or disarms) sharded-by-default execution for
-// the machines New builds, with the given worker count (≤ 1: the
-// deterministic sequenced schedule; results are byte-identical either
-// way).
-func SetDefaultSharded(on bool, workers int) {
-	defaultSharded = on
-	if workers < 0 {
-		workers = 0
-	}
-	defaultShardWorkers = workers
-}
-
-// DefaultSharded reports the package-wide sharded default.
-func DefaultSharded() (bool, int) { return defaultSharded, defaultShardWorkers }
-
-// defaultFF mirrors SetDefaultSharded for the analytical fast-forward
-// warmup: the -ff / -ff-auto CLI flags set it once and every baseline
-// machine New builds afterwards picks it up, unless its Config chose
-// explicitly.
-var (
-	defaultFFAccesses uint64
-	defaultFFAuto     bool
-)
-
-// SetDefaultFastForward arms (or disarms, with 0/false) fast-forward
-// warmup for baseline machines whose Config left FastForward/FFAuto
-// unset.
-func SetDefaultFastForward(accesses uint64, auto bool) {
-	defaultFFAccesses = accesses
-	defaultFFAuto = auto
-}
-
-// DefaultFastForward reports the package-wide fast-forward default.
-func DefaultFastForward() (uint64, bool) { return defaultFFAccesses, defaultFFAuto }
-
 // Default returns the paper's Table 3 machine with the given tile count.
 func Default(tiles int) Config {
 	return Config{
@@ -144,32 +99,33 @@ type System struct {
 }
 
 // New builds and wires a System, first resolving the process-wide
-// defaults (SetDefaultSharded, SetDefaultFastForward) into cfg, then
-// building it with Build.
+// Options into cfg, then building it with Build.
 func New(cfg Config) *System {
-	if !cfg.Sharded && defaultSharded &&
-		cfg.FastForward == 0 && !cfg.FFAuto && defaultFFAccesses == 0 && !defaultFFAuto {
-		// The -sharded default applies to any machine — baseline or täkō —
-		// that did not ask for it itself, except under fast-forward warmup
-		// (the config's or the -ff flags'), which needs the classic kernel.
+	o := CurrentOptions()
+	ownFF := cfg.FastForward > 0 || cfg.FFAuto
+	if !cfg.Sharded && o.Sharded && !ownFF && o.FastForward == 0 && !o.FFAuto {
+		// Sharded applies to any machine — baseline or täkō — that did not
+		// ask for it itself, except under fast-forward warmup (the
+		// config's or the options'), which needs the classic kernel.
 		cfg.Sharded = true
 		if cfg.ShardWorkers == 0 {
-			cfg.ShardWorkers = defaultShardWorkers
+			cfg.ShardWorkers = o.ShardWorkers
 		}
-		cfg.Hier.FreshChecks = false
 	}
-	if !cfg.Sharded && cfg.FastForward == 0 && !cfg.FFAuto {
-		cfg.FastForward, cfg.FFAuto = defaultFFAccesses, defaultFFAuto
+	if !cfg.Sharded && !ownFF {
+		cfg.FastForward, cfg.FFAuto = o.FastForward, o.FFAuto
 	}
 	return Build(cfg)
 }
 
 // Build assembles exactly the machine cfg names — the classic
-// single-kernel engine, or the tile-sharded one when cfg.Sharded — and
-// ignores the process-wide defaults New applies. Harnesses whose result
-// depends on the engine (the engine comparison, the interleaving
+// single-kernel engine, or the tile-sharded one when cfg.Sharded — with
+// only the observability Options (Verify, Attribution, SlowestK) applied:
+// the engine and fast-forward Options never reach it. Harnesses whose
+// result depends on the engine (the engine comparison, the interleaving
 // explorer's trace runs) build with it.
 func Build(cfg Config) *System {
+	CurrentOptions().observe(&cfg.Hier, cfg.Sharded)
 	if cfg.Sharded {
 		return newSharded(cfg)
 	}

@@ -146,7 +146,7 @@ func Symmetrize(g *Graph) *Graph {
 	return out
 }
 
-// EdgeStream is a lazily generated uniform graph for the `-scale full`
+// EdgeStream is a lazily generated uniform graph for the `-full`
 // paper-scale tier (uk-2002-class sizes, ≥100M edges): degrees and edge
 // destinations are closed-form functions of the vertex/edge index, so no
 // CSR arrays are ever materialized and memory stays O(1) regardless of
