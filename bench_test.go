@@ -1,16 +1,17 @@
 package tako
 
-// One benchmark per table and figure of the paper's evaluation. Each
-// bench regenerates its artifact at quick scale and reports simulated
-// cycles and the headline ratio as benchmark metrics, so `go test
-// -bench=.` reproduces the whole evaluation. EXPERIMENTS.md records
-// paper-vs-measured numbers from these runs.
+// Benchmarks of the paper's evaluation and of the simulator's hot paths.
+// BenchmarkExperiments regenerates every table and figure that
+// internal/exp registers, at quick scale, one sub-benchmark per
+// experiment id. The ablation and extension benches cover design
+// choices no experiment sweeps, and the observability, hierarchy and
+// data-layout microbenches price the per-access hot path. Host time end
+// to end is measured by bench/ (bench/README.md), not here.
 
 import (
 	"testing"
 
 	"tako/internal/energy"
-	"tako/internal/engine"
 	"tako/internal/exp"
 	"tako/internal/flat"
 	"tako/internal/hier"
@@ -21,50 +22,22 @@ import (
 	"tako/internal/trace"
 )
 
-// runExperiment executes one registered experiment per bench iteration.
-func runExperiment(b *testing.B, id string) {
-	e, ok := exp.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	for i := 0; i < b.N; i++ {
-		tbl, err := e.Run(true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tbl.Rows()) == 0 {
-			b.Fatal("no rows produced")
-		}
-	}
-}
-
-func BenchmarkTable2Overhead(b *testing.B)   { runExperiment(b, "table2") }
-func BenchmarkTable3Parameters(b *testing.B) { runExperiment(b, "table3") }
-
-func BenchmarkFig06Decompression(b *testing.B) {
-	prm := morphs.DefaultDecompParams()
-	prm.Tiles = 4
-	for i := 0; i < b.N; i++ {
-		res, err := morphs.RunDecompressionAll(prm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		base, tako := res[morphs.DecompBaseline], res[morphs.DecompTako]
-		b.ReportMetric(tako.Speedup(base), "speedup")
-		b.ReportMetric(float64(tako.Cycles), "sim-cycles")
-	}
-}
-
-func BenchmarkFig07DecompCount(b *testing.B) {
-	prm := morphs.DefaultDecompParams()
-	prm.Tiles = 4
-	for i := 0; i < b.N; i++ {
-		res, err := morphs.RunDecompressionAll(prm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res[morphs.DecompTako].Extra["decompressions"], "tako-decompressions")
-		b.ReportMetric(res[morphs.DecompPrecompute].Extra["decompressions"], "precompute-decompressions")
+// BenchmarkExperiments runs each registered experiment once per
+// iteration: `go test -run '^$' -bench 'Experiments/^fig21$' .` times
+// one figure.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range exp.All() {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tbl, err := e.Run(true)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(tbl.Rows()) == 0 {
+					b.Fatal("no rows produced")
+				}
+			}
+		})
 	}
 }
 
@@ -75,196 +48,10 @@ func phiBenchParams() morphs.PHIParams {
 	return prm
 }
 
-func BenchmarkFig13PHI(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := morphs.RunPHIAll(phiBenchParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		base := res[morphs.PHIBaseline]
-		b.ReportMetric(res[morphs.PHITako].Speedup(base), "tako-speedup")
-		b.ReportMetric(res[morphs.PHIUB].Speedup(base), "ub-speedup")
-	}
-}
-
-func BenchmarkFig14PHIAccesses(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := morphs.RunPHIAll(phiBenchParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		base := float64(res[morphs.PHIBaseline].DRAMAccesses)
-		b.ReportMetric(float64(res[morphs.PHITako].DRAMAccesses)/base, "tako-dram-ratio")
-		b.ReportMetric(float64(res[morphs.PHIUB].DRAMAccesses)/base, "ub-dram-ratio")
-	}
-}
-
 func hatsBenchParams() morphs.HATSParams {
 	prm := morphs.DefaultHATSParams()
 	prm.Tiles = 8
 	return prm
-}
-
-func BenchmarkFig16HATS(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := morphs.RunHATSAll(hatsBenchParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		base := res[morphs.HATSVertexOrdered]
-		b.ReportMetric(res[morphs.HATSTako].Speedup(base), "tako-speedup")
-		b.ReportMetric(res[morphs.HATSIdeal].Speedup(base), "ideal-speedup")
-	}
-}
-
-func BenchmarkFig17HATSBreakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := morphs.RunHATSAll(hatsBenchParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res[morphs.HATSTako].Extra["load.mean"], "tako-load-lat")
-		b.ReportMetric(res[morphs.HATSSoftwareBDFS].Extra["mispredicts.per.edge"], "swbdfs-mispred-per-edge")
-	}
-}
-
-func BenchmarkFig19NVM(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := morphs.RunNVMSweep([]int{16 << 10, 128 << 10}, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res[morphs.NVMTako][0].Speedup(res[morphs.NVMBaseline][0]), "speedup-16KB")
-		b.ReportMetric(res[morphs.NVMTako][1].Speedup(res[morphs.NVMBaseline][1]), "speedup-128KB")
-	}
-}
-
-func BenchmarkFig20NVMInstrs(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := morphs.RunNVMSweep([]int{16 << 10}, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		base := res[morphs.NVMBaseline][0]
-		tako := res[morphs.NVMTako][0]
-		b.ReportMetric(tako.Extra["instr_per_8B_core"]/base.Extra["instr_per_8B_core"], "core-instr-ratio")
-	}
-}
-
-func BenchmarkFig21SideChannel(b *testing.B) {
-	prm := morphs.DefaultSideChannelParams()
-	for i := 0; i < b.N; i++ {
-		base, err := morphs.RunSideChannel(morphs.SCBaseline, prm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tako, err := morphs.RunSideChannel(morphs.SCTako, prm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(base.TruePositives), "baseline-lines-leaked")
-		b.ReportMetric(float64(tako.TruePositives), "tako-lines-leaked")
-		b.ReportMetric(float64(tako.DetectionCycle), "detection-cycle")
-	}
-}
-
-func BenchmarkFig22FabricSize(b *testing.B) {
-	prm := hatsBenchParams()
-	base, err := morphs.RunHATS(morphs.HATSVertexOrdered, prm)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, dim := range []int{3, 5, 7} {
-		b.Run(sizeName(dim), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p := prm
-				p.Engine = engine.DefaultConfig()
-				p.Engine.FabricW, p.Engine.FabricH = dim, dim
-				p.Engine.MemPEs = dim * dim * 2 / 5
-				r, err := morphs.RunHATS(morphs.HATSTako, p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(r.Speedup(base), "speedup")
-			}
-		})
-	}
-	b.Run("inorder", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p := prm
-			p.Engine = engine.DefaultConfig()
-			p.Engine.InOrderCore = true
-			r, err := morphs.RunHATS(morphs.HATSTako, p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(r.Speedup(base), "speedup")
-		}
-	})
-}
-
-func sizeName(d int) string {
-	return string(rune('0'+d)) + "x" + string(rune('0'+d))
-}
-
-func BenchmarkFig23PELatency(b *testing.B) {
-	prm := hatsBenchParams()
-	base, err := morphs.RunHATS(morphs.HATSVertexOrdered, prm)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		for _, lat := range []int{1, 8} {
-			p := prm
-			p.Engine = engine.DefaultConfig()
-			p.Engine.PELatency = uint64(lat)
-			r, err := morphs.RunHATS(morphs.HATSTako, p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if lat == 1 {
-				b.ReportMetric(r.Speedup(base), "speedup-1cyc")
-			} else {
-				b.ReportMetric(r.Speedup(base), "speedup-8cyc")
-			}
-		}
-	}
-}
-
-func BenchmarkFig24CoreUarch(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		e, _ := exp.ByID("fig24")
-		if _, err := e.Run(true); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig25Scalability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		e, _ := exp.ByID("fig25")
-		if _, err := e.Run(true); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSweepCallbackBuffer(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		e, _ := exp.ByID("sweep-cbbuf")
-		if _, err := e.Run(true); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSweepRTLB(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		e, _ := exp.ByID("sweep-rtlb")
-		if _, err := e.Run(true); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // Ablation benches: täkō's design choices called out in DESIGN.md §6.
@@ -349,19 +136,6 @@ func BenchmarkExtensionHierPHI(b *testing.B) {
 		b.ReportMetric(float64(flat.Cycles), "flat-cycles")
 		b.ReportMetric(float64(hier.Cycles), "hier-cycles")
 		b.ReportMetric(hier.Extra["updates.forwarded"], "forwarded")
-	}
-}
-
-// BenchmarkLayoutMorph runs the AoS→SoA extension study (§5.2's >4x
-// example at full scale; a clear win at quick scale).
-func BenchmarkLayoutMorph(b *testing.B) {
-	prm := morphs.DefaultLayoutParams()
-	for i := 0; i < b.N; i++ {
-		res, err := morphs.RunLayoutAll(prm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res[morphs.LayoutTako].Speedup(res[morphs.LayoutBaseline]), "speedup")
 	}
 }
 
@@ -517,8 +291,7 @@ func TestHierarchyAccessAllocs(t *testing.T) {
 // timestamps every state transition into per-(kind,state) dwell
 // histograms, and "attr+slowest" additionally maintains the top-K
 // slow-access ring with full state timelines. The delta between the
-// sub-benchmarks is the observability tax recorded in the CI bench
-// artifact.
+// sub-benchmarks is the observability tax.
 func BenchmarkHierarchyAccessAttributed(b *testing.B) {
 	const accesses = 10000
 	for _, mode := range []struct {

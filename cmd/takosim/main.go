@@ -9,22 +9,14 @@
 //	takosim -exp fig13 -trace out.trace.json -trace-format chrome
 //	takosim -exp fig13 -attr -slowest 10
 //	takosim -exp fig13 -http :6060
-//	takosim -exp fig13 -ff 1000000 [-ff-auto]
 //	takosim -exp fig25full -full
 //	takosim -explore [-explore-runs N] [-explore-scenario substr]
 //
-// -ff N warms each baseline (NoTako) machine by running its first N
-// core memory accesses through the analytical fast-forward engine — a
-// reuse-distance collector and per-level hit-probability model, no
-// event kernel — then seeds caches, TLBs, and the directory from the
-// collector's steady-state occupancy and switches the event kernel on.
-// -ff-auto instead ends warmup at analytical miss-ratio convergence
-// (bounded by -ff when both are given). Cycle counts then cover only
-// the simulated window; architectural counters cover only post-warmup
-// traffic. -ff and -ff-auto cannot be combined with -sharded (exit 2).
 // -full runs at full scale; for fig25full that is the paper-scale
 // workload tier (uk-2002-class graphs, ≥100M edges, streamed
-// generation).
+// generation). fig25full and ffcheck fast-forward their own baseline
+// machines analytically (system.Config.FastForward); no flag warms the
+// machines of other experiments.
 //
 // -explore runs the coherence interleaving explorer instead of an
 // experiment: each seeded race scenario executes under systematically

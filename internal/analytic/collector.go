@@ -2,15 +2,9 @@ package analytic
 
 import (
 	"fmt"
-	"sort"
 
 	"tako/internal/mem"
 )
-
-// histBuckets is the number of log2 reuse-distance buckets per range:
-// bucket i counts distances in [2^i, 2^(i+1)) (bucket 0 is distance 0),
-// which comfortably spans line-granular working sets up to 2^38 lines.
-const histBuckets = 40
 
 // Sample is the raw reuse-distance observation for one access, exposed
 // so property tests can pin the collector against BruteStack and so the
@@ -21,7 +15,7 @@ type Sample struct {
 
 	// TileDist is the LRU stack distance within the accessing tile's
 	// private stream, GlobalDist within the merged unfiltered all-tile
-	// stream (occupancy/range diagnostics and warm-state seeding),
+	// stream (warm-state seeding),
 	// PageDist within the tile's page-granular stream (models the
 	// per-tile dTLB). TileDist is only collected while the level filters
 	// are unarmed: once SetFilters has armed the exact private-content
@@ -52,19 +46,9 @@ type Sample struct {
 	Write bool
 }
 
-// RangeHist is a per-address-range log2 reuse-distance histogram over
-// the global (all-tile) line stream.
-type RangeHist struct {
-	Name     string
-	Accesses uint64
-	Cold     uint64
-	Buckets  [histBuckets]uint64
-}
-
 // Collector ingests the workload's access stream — with no event kernel
 // in the loop — and maintains exact LRU stack distances at the three
-// granularities the hierarchy's miss behaviour depends on, plus
-// per-address-range histograms for attribution.
+// granularities the hierarchy's miss behaviour depends on.
 //
 // Phantom-region addresses are tracked like any others: the hierarchy
 // caches phantom lines normally (only their backing data is synthetic),
@@ -84,18 +68,13 @@ type Collector struct {
 	tileL2   []*Stack // per-tile L1-miss-filtered stream
 	globalL3 *Stack   // merged private-miss-filtered stream
 
-	space   *mem.Space
-	ranges  []RangeHist
-	rangeOf flatTable // page -> range index + 1 (0 = unresolved)
-
 	Accesses uint64
 	Writes   uint64
 }
 
 // NewCollector builds a collector for a machine with the given tile
-// count and TLB page size. space may be nil, in which case range
-// histograms are collapsed into a single "all" range.
-func NewCollector(tiles int, pageBits uint, space *mem.Space) *Collector {
+// count and TLB page size.
+func NewCollector(tiles int, pageBits uint) *Collector {
 	c := &Collector{
 		tiles:    tiles,
 		pageBits: pageBits,
@@ -104,14 +83,12 @@ func NewCollector(tiles int, pageBits uint, space *mem.Space) *Collector {
 		// Global stream bounds the shared-L3 model: keep far above the
 		// aggregate L3 capacity (16 tiles x 512 KB = 128K lines).
 		global: NewStack(1 << 21),
-		space:  space,
 	}
 	for i := range c.tileLine {
 		// Private stream bound: far above L1+L2 capacity (2.5K lines).
 		c.tileLine[i] = NewStack(1 << 15)
 		c.tilePage[i] = NewStack(1 << 12)
 	}
-	c.ranges = append(c.ranges, RangeHist{Name: "all"})
 	return c
 }
 
@@ -161,65 +138,7 @@ func (c *Collector) Touch(tile int, a mem.Addr, write bool) Sample {
 	if write {
 		c.Writes++
 	}
-	h := &c.ranges[c.rangeIdx(a)]
-	h.Accesses++
-	if s.GlobalCold {
-		h.Cold++
-	} else {
-		h.Buckets[log2Bucket(s.GlobalDist)]++
-	}
 	return s
-}
-
-// rangeIdx resolves a byte address to its histogram range, memoized at
-// page granularity (regions are page-aligned in practice; a page
-// straddling two regions attributes to the first toucher's region,
-// which is fine for a diagnostic histogram).
-func (c *Collector) rangeIdx(a mem.Addr) int {
-	if c.space == nil {
-		return 0
-	}
-	page := uint64(a) >> c.pageBits
-	if v, ok := c.rangeOf.get(page); ok {
-		return v
-	}
-	idx := 0
-	if r, ok := c.space.FindRegion(a); ok {
-		idx = -1
-		for i := range c.ranges {
-			if c.ranges[i].Name == r.Name {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			idx = len(c.ranges)
-			c.ranges = append(c.ranges, RangeHist{Name: r.Name})
-		}
-	}
-	c.rangeOf.put(page, idx)
-	return idx
-}
-
-func log2Bucket(d int) int {
-	b := 0
-	for d > 1 {
-		d >>= 1
-		b++
-	}
-	if b >= histBuckets {
-		b = histBuckets - 1
-	}
-	return b
-}
-
-// Ranges returns the per-range histograms, named ranges sorted by
-// access count (the catch-all "all" range first when space is nil).
-func (c *Collector) Ranges() []RangeHist {
-	out := make([]RangeHist, len(c.ranges))
-	copy(out, c.ranges)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Accesses > out[j].Accesses })
-	return out
 }
 
 // TileMRU returns up to n line addresses most recently touched by tile,

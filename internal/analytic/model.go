@@ -193,23 +193,6 @@ func (m *Model) Estimate() Estimate {
 	return e
 }
 
-// DeltaEstimate summarizes only the accesses observed since snap, an
-// earlier copy of the model (Model is a plain value; copy it to
-// snapshot). Fast-forward auto mode compares consecutive chunk deltas
-// to detect miss-ratio convergence.
-func (m *Model) DeltaEstimate(snap *Model) Estimate {
-	d := *m
-	d.acc -= snap.acc
-	d.l1h -= snap.l1h
-	d.l2h -= snap.l2h
-	d.l2m -= snap.l2m
-	d.l3h -= snap.l3h
-	d.l3m -= snap.l3m
-	d.tlbm -= snap.tlbm
-	d.lat -= snap.lat
-	return d.Estimate()
-}
-
 func (e Estimate) String() string {
 	return fmt.Sprintf("analytic.Estimate{acc:%d L1:%.4f L2:%.4f L3:%.4f TLB:%.4f lat:%.2f}",
 		e.Accesses, e.L1Miss, e.L2Miss, e.L3Miss, e.TLBMiss, e.AvgLat)

@@ -451,15 +451,6 @@ func (c *Cache) Walk(fn func(*LineState)) {
 	}
 }
 
-// WalkSets calls fn for every set with its full way array (valid and
-// invalid lines), exposing replacement state to invariant checkers and
-// verification harnesses. fn must not mutate the slice.
-func (c *Cache) WalkSets(fn func(setIdx int, set []LineState)) {
-	for s := 0; s < c.numSets; s++ {
-		fn(s, c.set(s))
-	}
-}
-
 // CheckReplacementState verifies the structural sanity of every set: no
 // duplicate tags, line-aligned tags indexing to their own set, RRPV
 // within the 2-bit range, and invalid lines carrying no stale metadata

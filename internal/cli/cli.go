@@ -46,8 +46,6 @@ func Register(fs *flag.FlagSet) *Flags {
 
 	fs.BoolVar(&f.opts.Sharded, "sharded", false, "host the machine (baseline or täkō) on the tile-sharded message-passing engine — one kernel per tile, cross-tile traffic as lookahead-respecting messages; cycle counts differ from the classic engine but are byte-identical at any -shard-workers")
 	fs.IntVar(&f.opts.ShardWorkers, "shard-workers", 0, "worker goroutines per sharded simulation (≤1 = deterministic sequenced schedule; results identical at any count)")
-	fs.Uint64Var(&f.opts.FastForward, "ff", 0, "fast-forward the first N core memory accesses of each baseline machine analytically (reuse-distance warmup, no event kernel), then switch the event kernel on with warm caches/TLBs/directory")
-	fs.BoolVar(&f.opts.FFAuto, "ff-auto", false, "end fast-forward as soon as the analytical per-level miss ratios converge (bounded by -ff when both are given)")
 	fs.BoolVar(&f.opts.Verify, "verify", false, "run with coherence-freshness assertions and the periodic hierarchy-wide invariant checker (slower; panics on the first violation), and print txn state-machine coverage")
 	fs.BoolVar(&f.attr, "attr", false, "arm transaction-level latency attribution (per-state dwell histograms + the where-cycles-go table; never changes simulated timing)")
 	fs.IntVar(&f.opts.SlowestK, "slowest", 0, "capture and print the K slowest demand accesses with their state timelines (implies -attr)")

@@ -23,12 +23,10 @@ func TestFlagsSelectOptions(t *testing.T) {
 	}{
 		{nil, system.Options{}, ""},
 		{[]string{"-sharded", "-shard-workers", "4"}, system.Options{Sharded: true, ShardWorkers: 4}, ""},
-		{[]string{"-ff", "1000", "-ff-auto"}, system.Options{FastForward: 1000, FFAuto: true}, ""},
 		{[]string{"-verify", "-attr"}, system.Options{Verify: true, Attribution: true}, ""},
 		{[]string{"-slowest", "5"}, system.Options{Attribution: true, SlowestK: 5}, ""},
 		{[]string{"-sharded", "-verify", "-slowest", "2"}, system.Options{Sharded: true, Verify: true, Attribution: true, SlowestK: 2}, ""},
-		{[]string{"-sharded", "-ff", "1000"}, system.Options{Sharded: true, FastForward: 1000}, "-sharded"},
-		{[]string{"-sharded", "-ff-auto"}, system.Options{Sharded: true, FFAuto: true}, "-ff-auto"},
+		{[]string{"-sharded", "-shard-workers", "-1"}, system.Options{Sharded: true, ShardWorkers: -1}, "-shard-workers"},
 	} {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
@@ -52,14 +50,28 @@ func TestFlagsSelectOptions(t *testing.T) {
 	}
 }
 
-// TestStartExitsOnRejectedOptions pins that Start exits 2 on a rejected
-// combination, naming both flags, before any run begins. The test binary
+// TestFastForwardIsNotAFlag pins that fast-forward is a property of a
+// machine's Config, not a run flag: a process-wide -ff once warmed only
+// the baseline machines of a figure, skewing every täkō-vs-baseline
+// ratio it printed.
+func TestFastForwardIsNotAFlag(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	Register(fs)
+	for _, name := range []string{"ff", "ff-auto"} {
+		if fs.Lookup(name) != nil {
+			t.Errorf("Register defines -%s", name)
+		}
+	}
+}
+
+// TestStartExitsOnRejectedOptions pins that Start exits 2 on rejected
+// options, naming the flag, before any run begins. The test binary
 // re-executes itself to run Start in a child process.
 func TestStartExitsOnRejectedOptions(t *testing.T) {
 	if os.Getenv("CLI_START_CHILD") == "1" {
 		fs := flag.NewFlagSet("takosim", flag.ContinueOnError)
 		f := Register(fs)
-		if err := fs.Parse([]string{"-sharded", "-ff", "1000"}); err != nil {
+		if err := fs.Parse([]string{"-shard-workers", "-1"}); err != nil {
 			os.Exit(3)
 		}
 		f.Start("takosim")
@@ -72,9 +84,9 @@ func TestStartExitsOnRejectedOptions(t *testing.T) {
 	err := cmd.Run()
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Fatalf("Start with -sharded -ff: %v, want exit status 2", err)
+		t.Fatalf("Start with -shard-workers -1: %v, want exit status 2", err)
 	}
-	if msg := stderr.String(); !strings.Contains(msg, "-sharded") || !strings.Contains(msg, "-ff") {
-		t.Errorf("message %q does not name -sharded and -ff", msg)
+	if msg := stderr.String(); !strings.Contains(msg, "-shard-workers") {
+		t.Errorf("message %q does not name -shard-workers", msg)
 	}
 }

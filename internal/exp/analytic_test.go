@@ -49,9 +49,7 @@ func TestFig25FullQuickTier(t *testing.T) {
 // BenchmarkFFWarmup compares a warmup-dominated run (a long skewed
 // hot/cold warmup — the locality profile of real pre-roi phases — then
 // a short measured window) with the warmup executed analytically
-// (fast-forward) versus fully simulated. The benchtraj trajectory
-// derives its ff_speedup column from this pair; the acceptance bar is
-// >=10x.
+// (fast-forward) versus fully simulated; the acceptance bar is >=10x.
 func BenchmarkFFWarmup(b *testing.B) {
 	w := ffGolden{name: "bench", lines: 512, scatter: true,
 		gen: func(rng *rand.Rand, i int) (int, bool) {

@@ -1,9 +1,11 @@
 package exp
 
 import (
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -49,5 +51,33 @@ func TestGoldenCaseStudies(t *testing.T) {
 				t.Errorf("%s diverged from its golden snapshot\n--- got ---\n%s--- want ---\n%s", id, got, want)
 			}
 		})
+	}
+}
+
+// TestOpsGoldensNameEveryExperiment checks that both ops goldens, the
+// classic one and the sharded one, name exactly the registered
+// experiments at quick scale. takoreport's gate fails on an experiment
+// its golden does not name, so a missing entry would fail CI, and an
+// extra one would gate nothing.
+func TestOpsGoldensNameEveryExperiment(t *testing.T) {
+	want := IDs()
+	slices.Sort(want)
+	for _, name := range []string{"bench_ops.golden.json", "bench_ops.sharded.golden.json"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var g map[string]map[string]uint64
+		if err := json.Unmarshal(data, &g); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var got []string
+		for id := range g["quick"] {
+			got = append(got, id)
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s names %v at quick scale, want exactly %v", name, got, want)
+		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 // single-kernel engine and the tile-sharded message-passing engine at
 // several worker counts — and tabulates cycles and op counts side by
 // side. Every row is built with system.Build, so the process-wide
-// -sharded and -ff options cannot re-host a row onto another engine.
+// -sharded option cannot re-host a row onto another engine.
 //
 // Two properties are asserted, not just printed:
 //

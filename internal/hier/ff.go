@@ -14,10 +14,9 @@ import (
 // accesses are executed functionally against the backing store while an
 // exact reuse-distance collector (internal/analytic) observes the
 // stream — no transactions, no coherence protocol, no event-kernel
-// churn per access. When the budget is exhausted (or, in auto mode, the
-// analytical miss ratios converge), the caches, TLBs, and directory are
-// seeded from the collector's steady-state occupancy (seed.go) and the
-// full event kernel takes over for the capture window.
+// churn per access. When the budget is exhausted, the caches, TLBs, and
+// directory are seeded from the collector's steady-state occupancy
+// (seed.go) and the full event kernel takes over for the capture window.
 //
 // Fast-forward is exact functionally (values, including atomics, are
 // bit-identical to full simulation on the cooperative kernel) and
@@ -26,19 +25,9 @@ import (
 // (NoTako) machines: morph callbacks and the sharded message protocol
 // both need the event kernel per access.
 
-// ffChunk is the access count between auto-convergence checks; ffRetime
-// the count between sleep-batch latency refreshes.
 const (
-	ffChunk  = 1 << 20
+	// ffRetime is the access count between sleep-batch latency refreshes.
 	ffRetime = 1 << 16
-	// ffAutoCap bounds auto mode: convergence or not, switch over after
-	// this many accesses.
-	ffAutoCap = 256 << 20
-	// ffConvergeTol is the per-level absolute miss-ratio delta between
-	// consecutive chunks under which a chunk counts as stable;
-	// ffConvergeRuns consecutive stable chunks trigger the switch.
-	ffConvergeTol  = 0.005
-	ffConvergeRuns = 2
 	// ffSleepEvery batches virtual time: each proc sleeps once per this
 	// many fast-forwarded accesses, keeping the cooperative kernel fair
 	// (a proc that never sleeps would starve its siblings) while
@@ -54,19 +43,11 @@ const (
 // ffState is one hierarchy's fast-forward engine.
 type ffState struct {
 	budget   uint64
-	auto     bool
 	done     uint64
 	switched bool
 
 	col   *analytic.Collector
 	model analytic.Model
-
-	// Convergence tracking (auto mode): the model snapshot at the last
-	// chunk boundary and the previous chunk's delta estimate.
-	chunkSnap analytic.Model
-	prevChunk analytic.Estimate
-	haveChunk bool
-	stable    int
 
 	// Per-tile access counters driving the batched fairness sleeps, and
 	// the per-batch latency (re-derived from the model every ffRetime
@@ -121,24 +102,19 @@ func FFSnapshot() FFView {
 }
 
 // EnableFastForward arms analytical fast-forward for the first budget
-// core accesses (auto mode may switch earlier once per-level miss
-// ratios converge; budget 0 with auto selects the default cap). space
-// attributes the collector's reuse histograms to named regions and may
-// be nil. Classic-kernel baseline machines only.
-func (h *Hierarchy) EnableFastForward(budget uint64, auto bool, space *mem.Space) {
+// core accesses (0 leaves it off). Classic-kernel baseline machines
+// only.
+func (h *Hierarchy) EnableFastForward(budget uint64) {
 	if h.sharded {
-		panic("hier: -ff/-ff-auto with -sharded is unsupported (the analytical warmup replays one global " +
-			"access stream on the classic kernel); drop -sharded, or drop the fast-forward flags")
+		panic("hier: fast-forward on a sharded hierarchy is unsupported (the analytical warmup replays one " +
+			"global access stream on the classic kernel); build the machine classic, or clear FastForward")
 	}
 	if h.registry != nil {
-		panic("hier: -ff/-ff-auto on a täkō machine is unsupported (morph callbacks need the event kernel " +
-			"per access); fast-forward baseline (Config.NoTako) machines, or drop the fast-forward flags")
+		panic("hier: fast-forward on a täkō machine is unsupported (morph callbacks need the event kernel " +
+			"per access); fast-forward baseline (NoTako) machines, or clear FastForward")
 	}
 	if budget == 0 {
-		if !auto {
-			return
-		}
-		budget = ffAutoCap
+		return
 	}
 	cfg := h.cfg
 	lineGeom := func(size, ways, banks int) analytic.Geom {
@@ -147,8 +123,7 @@ func (h *Hierarchy) EnableFastForward(budget uint64, auto bool, space *mem.Space
 	dtlbCfg := h.tiles[0].dtlb.Config()
 	f := &ffState{
 		budget: budget,
-		auto:   auto,
-		col:    analytic.NewCollector(cfg.Tiles, uint(dtlbCfg.PageBits), space),
+		col:    analytic.NewCollector(cfg.Tiles, uint(dtlbCfg.PageBits)),
 		counts: make([]uint32, cfg.Tiles),
 		model: analytic.Model{
 			L1:  lineGeom(cfg.L1Size, cfg.L1Ways, 1),
@@ -217,9 +192,6 @@ func (h *Hierarchy) ffTouch(p *sim.Proc, tileID int, a mem.Addr, write bool) {
 		ffDoneTotal.Add(f.done - f.reported)
 		f.reported = f.done
 	}
-	if f.auto && f.done%ffChunk == 0 {
-		f.checkConverged()
-	}
 }
 
 // retime re-derives the per-batch sleep from the analytical average
@@ -233,48 +205,6 @@ func (f *ffState) retime() {
 		lat = 1
 	}
 	f.batchLat = lat
-}
-
-// checkConverged compares the last chunk's per-level miss ratios to the
-// chunk before it; ffConvergeRuns consecutive deltas under
-// ffConvergeTol shrink the budget so the next access switches over.
-func (f *ffState) checkConverged() {
-	cur := f.model.DeltaEstimate(&f.chunkSnap)
-	f.chunkSnap = f.model
-	if f.haveChunk {
-		d := maxAbsDelta(cur, f.prevChunk)
-		if d < ffConvergeTol {
-			f.stable++
-		} else {
-			f.stable = 0
-		}
-		if f.stable >= ffConvergeRuns {
-			f.budget = f.done
-		}
-	}
-	f.prevChunk = cur
-	f.haveChunk = true
-}
-
-func maxAbsDelta(a, b analytic.Estimate) float64 {
-	m := abs(a.L1Miss - b.L1Miss)
-	if d := abs(a.L2Miss - b.L2Miss); d > m {
-		m = d
-	}
-	if d := abs(a.L3Miss - b.L3Miss); d > m {
-		m = d
-	}
-	if d := abs(a.TLBMiss - b.TLBMiss); d > m {
-		m = d
-	}
-	return m
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // ffSwitch ends fast-forward: warm state is seeded from the collector's
@@ -327,15 +257,6 @@ func (h *Hierarchy) FFEstimate() (analytic.Estimate, bool) {
 		return analytic.Estimate{}, false
 	}
 	return h.ff.model.Estimate(), true
-}
-
-// FFRanges returns the per-address-range reuse-distance histograms
-// collected during fast-forward.
-func (h *Hierarchy) FFRanges() []analytic.RangeHist {
-	if h.ff == nil {
-		return nil
-	}
-	return h.ff.col.Ranges()
 }
 
 // The functional fast paths below implement each public access's
@@ -407,6 +328,6 @@ func (h *Hierarchy) FFString() string {
 	if f == nil {
 		return "ff: off"
 	}
-	return fmt.Sprintf("ff: done=%d budget=%d auto=%v switched=%v seeded=%+v",
-		f.done, f.budget, f.auto, f.switched, f.seeded)
+	return fmt.Sprintf("ff: done=%d budget=%d switched=%v seeded=%+v",
+		f.done, f.budget, f.switched, f.seeded)
 }

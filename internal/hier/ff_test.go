@@ -96,7 +96,7 @@ func TestFFFunctionalExactness(t *testing.T) {
 		k := sim.NewKernel()
 		h := New(k, DefaultConfig(tiles), energy.NewMeter(), nil, nil)
 		if ffBudget > 0 {
-			h.EnableFastForward(ffBudget, false, nil)
+			h.EnableFastForward(ffBudget)
 		}
 		expected := ffWorkload(t, k, h, tiles, ops)
 		k.Run()
@@ -136,7 +136,7 @@ func TestFFSwitchoverSeedsWarmState(t *testing.T) {
 	const tiles, ops = 4, 2000
 	k := sim.NewKernel()
 	h := New(k, DefaultConfig(tiles), energy.NewMeter(), nil, nil)
-	h.EnableFastForward(3000, false, nil)
+	h.EnableFastForward(3000)
 	ffWorkload(t, k, h, tiles, ops)
 	k.Run()
 

@@ -94,9 +94,3 @@ func newComponentNames(tiles int) componentNames {
 // Tracer returns the attached tracer (nil when tracing is off), so the
 // engines and system plumbing share the hierarchy's tracer.
 func (h *Hierarchy) Tracer() *trace.Tracer { return h.tracer }
-
-// TraceSpan emits a span covering [start, end) cycles (no-op without an
-// attached tracer).
-func (h *Hierarchy) TraceSpan(start, end uint64, component, kind, detail string) {
-	h.tracer.EmitSpan(start, end, component, kind, detail)
-}

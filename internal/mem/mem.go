@@ -39,9 +39,6 @@ func (a Addr) Line() Addr { return a &^ (LineSize - 1) }
 // Offset returns a's byte offset within its cache line.
 func (a Addr) Offset() uint64 { return uint64(a) & (LineSize - 1) }
 
-// Page returns the 4 KB-page-aligned address containing a.
-func (a Addr) Page() Addr { return a &^ (PageSize - 1) }
-
 func (a Addr) String() string { return fmt.Sprintf("0x%x", uint64(a)) }
 
 // Line is the contents of one cache line.

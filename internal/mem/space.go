@@ -177,12 +177,3 @@ func (s *Space) IsPhantom(a Addr) bool {
 	r, ok := s.FindRegion(a)
 	return ok && r.Phantom
 }
-
-// Regions returns a snapshot of all live regions.
-func (s *Space) Regions() []Region {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Region, len(s.regions))
-	copy(out, s.regions)
-	return out
-}

@@ -31,8 +31,8 @@ import (
 // key so equal configurations hit regardless of allocation. The key also
 // holds the process-wide system.Options the run was built under, so a
 // run never replays into a machine configured differently (-sharded,
-// -ff, -verify, -attr); the worker count and the cache switch cannot
-// change a result and stay out of it.
+// -verify, -attr); the worker count and the cache switch cannot change
+// a result and stay out of it.
 
 type runKey struct {
 	study   string

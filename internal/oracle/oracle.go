@@ -161,9 +161,6 @@ func (o *Oracle) violation(site string, err error) {
 // not).
 func (o *Oracle) MismatchCount() int { return o.nMismatch }
 
-// ViolationCount returns the total number of invariant violations.
-func (o *Oracle) ViolationCount() int { return o.nViolation }
-
 // Err summarizes any recorded problem, nil when the run was clean.
 func (o *Oracle) Err() error {
 	if o.nMismatch == 0 && o.nViolation == 0 {

@@ -228,9 +228,6 @@ func (k *Kernel) RunUntil(t Cycle) {
 	}
 }
 
-// Pending returns the number of queued events.
-func (k *Kernel) Pending() int { return len(k.queue) }
-
 // Blocked returns the names of processes that are parked (waiting) right
 // now. After Run returns, a non-empty result means those processes are
 // deadlocked: no event will ever wake them.

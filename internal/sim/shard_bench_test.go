@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 )
 
@@ -69,14 +68,9 @@ func benchShardedRun(b *testing.B, workers, work int) uint64 {
 // BenchmarkShardedThroughput sweeps worker widths over a 16-shard
 // workload with per-event model compute (8 concurrent chains per shard,
 // so each 3-cycle epoch carries ~24 events per shard and the barrier
-// amortizes). The w1/w8 ratio is the single-run speedup headline; CI
-// records the sweep in the bench artifact next to the sequential kernel
-// benches. Speedup scales with real cores — on a single-core host every
-// width degenerates to sequential plus barrier overhead — so every
-// sub-benchmark records the host's core count and GOMAXPROCS alongside
-// its throughput: trajectory tooling (cmd/benchtraj) annotates sweeps
-// from effectively single-core runners instead of averaging them into
-// speedup trends.
+// amortizes). The w1/w8 ratio is the single-run speedup headline.
+// Speedup scales with real cores: widths beyond the host's cores
+// degenerate to sequential plus barrier overhead.
 func BenchmarkShardedThroughput(b *testing.B) {
 	for _, work := range []int{0, 64, 512} {
 		for _, workers := range []int{1, 2, 4, 8, 16} {
@@ -84,8 +78,6 @@ func BenchmarkShardedThroughput(b *testing.B) {
 				b.ReportAllocs()
 				total := benchShardedRun(b, workers, work)
 				b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "events/s")
-				b.ReportMetric(float64(runtime.NumCPU()), "cpus")
-				b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 			})
 		}
 	}

@@ -17,17 +17,15 @@ import (
 // The two host-side knobs that cannot change a result stay outside it:
 // the scheduler's worker count (sched.SetWorkers, -j) and the run cache
 // (morphs.SetRunCache) leave every table and capture byte-identical.
+// Fast-forward is not an option either but a property of one machine
+// (Config.FastForward): a figure compares machines, and a process-wide
+// warmup would reach only those it can fast-forward.
 type Options struct {
 	// Sharded hosts every machine New builds on the tile-sharded engine
 	// (Config.Sharded) with ShardWorkers workers, unless its Config asks
 	// for fast-forward, which needs the classic kernel.
 	Sharded      bool `json:"sharded"`
 	ShardWorkers int  `json:"shard_workers"`
-	// FastForward and FFAuto arm analytical fast-forward warmup
-	// (Config.FastForward, Config.FFAuto) on the classic machines New
-	// builds whose Config left both unset.
-	FastForward uint64 `json:"ff"`
-	FFAuto      bool   `json:"ff_auto"`
 	// Verify arms per-access coherence-freshness assertions on classic
 	// builds (a sharded hierarchy may not read remote tiles mid-epoch) and
 	// the hierarchy-wide invariant checker every verifyCheckEvery events.
@@ -71,9 +69,6 @@ func SetDefaultSharded(on bool, workers int) {
 // Validate rejects combinations no machine can honour.
 func (o Options) Validate() error {
 	switch {
-	case o.Sharded && (o.FastForward > 0 || o.FFAuto):
-		return errors.New("-sharded cannot be combined with -ff/-ff-auto: the analytical warmup runs on the " +
-			"classic kernel; drop -sharded, or drop -ff/-ff-auto for a full sharded run")
 	case o.ShardWorkers < 0:
 		return errors.New("-shard-workers must not be negative")
 	case o.SlowestK < 0:

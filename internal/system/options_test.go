@@ -13,13 +13,8 @@ func TestOptionsValidate(t *testing.T) {
 	}{
 		{"zero", Options{}, ""},
 		{"sharded", Options{Sharded: true, ShardWorkers: 4}, ""},
-		{"ff", Options{FastForward: 1000}, ""},
-		{"ff-auto", Options{FFAuto: true}, ""},
-		{"ff+ff-auto", Options{FastForward: 1000, FFAuto: true}, ""},
 		{"sharded+verify+attr", Options{Sharded: true, Verify: true, Attribution: true, SlowestK: 5}, ""},
 		{"shard-workers without sharded", Options{ShardWorkers: 2}, ""},
-		{"sharded+ff", Options{Sharded: true, FastForward: 1000}, "drop -sharded"},
-		{"sharded+ff-auto", Options{Sharded: true, FFAuto: true}, "-ff/-ff-auto"},
 		{"negative shard-workers", Options{Sharded: true, ShardWorkers: -1}, "-shard-workers"},
 		{"negative slowest", Options{Attribution: true, SlowestK: -3}, "-slowest"},
 	} {

@@ -1,7 +1,6 @@
 package system
 
 import (
-	"runtime"
 	"testing"
 
 	"tako/internal/core"
@@ -42,12 +41,8 @@ func benchMachineWorkload(cfg Config, words int) sim.Cycle {
 
 // BenchmarkShardedVsClassic is the single-simulation speedup benchmark:
 // one machine, one workload, hosted on the classic kernel and on the
-// sharded engine at several worker widths. cmd/benchtraj pairs the
-// sub-benchmark names to emit a sharded-vs-classic speedup column; the
-// cpus and
-// gomaxprocs metrics let it annotate sweeps from single-core runners,
-// where every worker width degenerates to sequenced execution plus
-// barrier overhead, instead of folding them into speedup trends.
+// sharded engine at several worker widths. Worker widths beyond the
+// host's cores degenerate to sequenced execution plus barrier overhead.
 func BenchmarkShardedVsClassic(b *testing.B) {
 	const (
 		tiles = 4
@@ -60,8 +55,6 @@ func BenchmarkShardedVsClassic(b *testing.B) {
 			cycles = benchMachineWorkload(cfg, words)
 		}
 		b.ReportMetric(float64(cycles)/b.Elapsed().Seconds()*float64(b.N), "sim-cycles/s")
-		b.ReportMetric(float64(runtime.NumCPU()), "cpus")
-		b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 	}
 	b.Run("classic", func(b *testing.B) {
 		cfg := Default(tiles)
@@ -127,8 +120,7 @@ func benchTakoWorkload(cfg Config, words int) sim.Cycle {
 // machine with live engines — every miss on the morph region runs an
 // onMiss callback at the line's home tile, so the sharded variants pay
 // engine scheduling and cross-tile callback messages, not just
-// coherence. cmd/benchtraj pairs the sub-benchmarks into the
-// sharded-täkō speedup column of the trajectory artifact.
+// coherence.
 func BenchmarkShardedTakoVsClassic(b *testing.B) {
 	const (
 		tiles = 4
@@ -141,8 +133,6 @@ func BenchmarkShardedTakoVsClassic(b *testing.B) {
 			cycles = benchTakoWorkload(cfg, words)
 		}
 		b.ReportMetric(float64(cycles)/b.Elapsed().Seconds()*float64(b.N), "sim-cycles/s")
-		b.ReportMetric(float64(runtime.NumCPU()), "cpus")
-		b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 	}
 	b.Run("classic", func(b *testing.B) {
 		run(b, Default(tiles))

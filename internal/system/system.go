@@ -48,16 +48,12 @@ type Config struct {
 	// functionally exact execution against the backing store feeding a
 	// reuse-distance collector, then warm-state seeding when the event
 	// kernel switches on. Classic-kernel baseline (NoTako) machines
-	// only; ignored (with full simulation instead) on täkō and sharded
-	// machines. Warmup timing is estimated rather than simulated, so
-	// cycle counts differ from a full run — default off, and
-	// fast-forwarded configurations carry their own goldens.
+	// only: ignored (with full simulation instead) on täkō machines, and
+	// New keeps such a machine off the sharded engine. Warmup timing is
+	// estimated rather than simulated, so cycle counts differ from a
+	// full run — default off, and fast-forwarded configurations carry
+	// their own goldens.
 	FastForward uint64
-	// FFAuto lets fast-forward end as soon as the analytical per-level
-	// miss ratios converge (two consecutive 1M-access chunks within
-	// 0.5% absolute), bounded by FastForward (or a 256M-access cap when
-	// FastForward is 0).
-	FFAuto bool
 }
 
 // Default returns the paper's Table 3 machine with the given tile count.
@@ -101,19 +97,14 @@ type System struct {
 // New builds and wires a System, first resolving the process-wide
 // Options into cfg, then building it with Build.
 func New(cfg Config) *System {
-	o := CurrentOptions()
-	ownFF := cfg.FastForward > 0 || cfg.FFAuto
-	if !cfg.Sharded && o.Sharded && !ownFF && o.FastForward == 0 && !o.FFAuto {
+	if o := CurrentOptions(); !cfg.Sharded && o.Sharded && cfg.FastForward == 0 {
 		// Sharded applies to any machine — baseline or täkō — that did not
-		// ask for it itself, except under fast-forward warmup (the
-		// config's or the options'), which needs the classic kernel.
+		// ask for it itself, except under fast-forward warmup, which needs
+		// the classic kernel.
 		cfg.Sharded = true
 		if cfg.ShardWorkers == 0 {
 			cfg.ShardWorkers = o.ShardWorkers
 		}
-	}
-	if !cfg.Sharded && !ownFF {
-		cfg.FastForward, cfg.FFAuto = o.FastForward, o.FFAuto
 	}
 	return Build(cfg)
 }
@@ -121,7 +112,7 @@ func New(cfg Config) *System {
 // Build assembles exactly the machine cfg names — the classic
 // single-kernel engine, or the tile-sharded one when cfg.Sharded — with
 // only the observability Options (Verify, Attribution, SlowestK) applied:
-// the engine and fast-forward Options never reach it. Harnesses whose
+// the engine Options never reach it. Harnesses whose
 // result depends on the engine (the engine comparison, the interleaving
 // explorer's trace runs) build with it.
 func Build(cfg Config) *System {
@@ -143,8 +134,8 @@ func Build(cfg Config) *System {
 		s.E.AttachHierarchy(s.H)
 		s.Tako.Attach(s.H, s.E)
 	}
-	if cfg.NoTako && (cfg.FastForward > 0 || cfg.FFAuto) {
-		s.H.EnableFastForward(cfg.FastForward, cfg.FFAuto, space)
+	if cfg.NoTako && cfg.FastForward > 0 {
+		s.H.EnableFastForward(cfg.FastForward)
 	}
 	for i := 0; i < cfg.Tiles; i++ {
 		s.Cores = append(s.Cores, cpu.New(s.H, i, cfg.Core, meter))
@@ -164,9 +155,9 @@ func Build(cfg Config) *System {
 // registration broadcasts, flushes, and persists ride the same message
 // protocol.
 func newSharded(cfg Config) *System {
-	if cfg.FastForward > 0 || cfg.FFAuto {
-		panic("system: -sharded with -ff/-ff-auto is unsupported (the analytical warmup replays on the " +
-			"classic global-clock kernel); drop -sharded, or drop the fast-forward flags for a full sharded run")
+	if cfg.FastForward > 0 {
+		panic("system: a sharded machine cannot fast-forward (the analytical warmup replays on the " +
+			"classic global-clock kernel); clear Sharded, or clear FastForward for a full sharded run")
 	}
 	meter := energy.NewMeter()
 	space := mem.NewSpace()
