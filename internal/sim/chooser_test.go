@@ -44,23 +44,47 @@ func TestChooserDefaultOrderPreserved(t *testing.T) {
 	}
 }
 
-// TestChooserReorders: picking index 2 of a 4-way tie runs that event
-// first and keeps the remaining events' relative order.
+// TestChooserReorders: picking index 2 of a 4-way event tie runs that
+// event first and keeps the remaining events' relative order; picking
+// the second of two same-cycle proc wakes runs that proc first.
 func TestChooserReorders(t *testing.T) {
-	var got []int
-	k := tieKernel(&got)
-	ch := &fixedChooser{picks: []int{2}}
-	k.SetChooser(ch)
-	k.Run()
-	want := []int{2, 0, 1, 3, 99}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("reordered schedule: got %v want %v", got, want)
+	t.Run("events", func(t *testing.T) {
+		var got []int
+		k := tieKernel(&got)
+		ch := &fixedChooser{picks: []int{2}}
+		k.SetChooser(ch)
+		k.Run()
+		want := []int{2, 0, 1, 3, 99}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("reordered schedule: got %v want %v", got, want)
+			}
 		}
-	}
-	if ch.calls == 0 {
-		t.Fatal("chooser never consulted")
-	}
+		if ch.calls == 0 {
+			t.Fatal("chooser never consulted")
+		}
+	})
+	t.Run("procs", func(t *testing.T) {
+		k := NewKernel()
+		var got []string
+		for _, name := range []string{"a", "b"} {
+			k.Go(name, func(p *Proc) {
+				p.Sleep(5)
+				got = append(got, name)
+			})
+		}
+		// The starts tie at cycle 0 (pick a); b then starts alone; the
+		// wakes tie at cycle 5, and the chooser picks b's.
+		ch := &fixedChooser{picks: []int{0, 1}}
+		k.SetChooser(ch)
+		k.Run()
+		if len(got) != 2 || got[0] != "b" || got[1] != "a" {
+			t.Fatalf("wake order %v, want [b a]", got)
+		}
+		if ch.calls != 2 {
+			t.Fatalf("chooser consulted %d times, want 2 (the start tie and the wake tie)", ch.calls)
+		}
+	})
 }
 
 // TestChooserSingletonNotConsulted: with no tie there is no choice.
@@ -77,7 +101,7 @@ func TestChooserSingletonNotConsulted(t *testing.T) {
 }
 
 // TestProcPanicRecoverable: a panic inside a Proc must surface on the
-// kernel goroutine as a *ProcPanic that the driver can recover, and
+// driver's goroutine as a *ProcPanic that the driver can recover, and
 // Shutdown must unwind the remaining parked processes.
 func TestProcPanicRecoverable(t *testing.T) {
 	k := NewKernel()
@@ -113,6 +137,39 @@ func TestProcPanicRecoverable(t *testing.T) {
 		t.Fatal("no stack captured")
 	}
 	k.Shutdown() // must not hang or panic with "bystander" parked mid-sleep
+}
+
+// TestEventPanicOnProcGoroutine: an event that panics while a proc's
+// goroutine runs the event loop reaches the driver with its original
+// value, not wrapped as a ProcPanic; the proc whose goroutine ran it
+// stays parked rather than unwound, and Shutdown unwinds both it and a
+// bystander still parked.
+func TestEventPanicOnProcGoroutine(t *testing.T) {
+	k := NewKernel()
+	k.Go("bystander", func(p *Proc) { p.Sleep(100) })
+	k.Go("completer", func(p *Proc) {
+		p.Sleep(5)
+		f := NewFuture(k)
+		f.Watch(func() { k.At(0, func() {}) }) // schedules into the past
+		f.Complete()
+		p.Sleep(1) // the watch runs here, on this goroutine
+	})
+	func() {
+		defer func() {
+			r := recover()
+			if r != "sim: scheduling event in the past" {
+				t.Fatalf("recovered %T %v, want the original panic value", r, r)
+			}
+		}()
+		k.Run()
+	}()
+	if b := k.Blocked(); len(b) != 2 {
+		t.Fatalf("blocked = %v after the panic, want bystander and completer", b)
+	}
+	k.Shutdown() // must not hang or panic
+	if b := k.Blocked(); len(b) != 0 {
+		t.Fatalf("blocked = %v after Shutdown, want none", b)
+	}
 }
 
 // TestShutdownAfterCleanRun: Shutdown on a completed kernel is a no-op

@@ -3,10 +3,17 @@
 //
 // The kernel orders events by (time, insertion sequence), so two runs of
 // the same program produce identical schedules. Simulated software threads
-// (Proc) run as goroutines, but exactly one runs at a time: the kernel
-// resumes a process and waits for it to park again before dispatching the
-// next event, preserving determinism.
+// (Proc) run as goroutines, but exactly one goroutine holds control at a
+// time and runs the kernel's event loop: the driver (the caller of Run or
+// RunUntil), or a process that has just blocked or finished. A blocking
+// process executes the due events itself: when the next one is its own
+// wake it simply carries on, when it wakes another process it resumes
+// that process directly, and when nothing is due it hands control back to
+// the driver. Which goroutine executes an event never changes the order
+// events run in, so schedules stay deterministic.
 package sim
+
+import "math"
 
 // Cycle is a point in simulated time, measured in clock cycles.
 type Cycle = uint64
@@ -29,6 +36,10 @@ type event struct {
 // Kernel is a deterministic discrete-event simulator clock and queue.
 // The zero value is not usable; create kernels with NewKernel.
 //
+// Its state (queue, clock, pools) is touched by whichever goroutine holds
+// control, in turn; the handoff channels (Proc.resume and yield) order
+// those accesses, so no locking is needed.
+//
 // The queue is a 4-ary min-heap stored flat in a slice. Compared to
 // container/heap this is monomorphic (no interface{} boxing, so pushes
 // don't allocate) and shallower (half the levels of a binary heap), and
@@ -49,9 +60,7 @@ type Kernel struct {
 
 	// freeProcs holds finished Procs whose goroutines are parked awaiting
 	// a next task: spawning recycles them (struct, channels, and goroutine)
-	// instead of allocating. Only the kernel loop and the currently-running
-	// proc touch this list, and never at the same time, so no locking is
-	// needed. Release tears the idle goroutines down.
+	// instead of allocating. Release tears the idle goroutines down.
 	freeProcs []*Proc
 
 	// futurePool recycles one-shot Futures on paths that guarantee no
@@ -65,9 +74,20 @@ type Kernel struct {
 	chooser Chooser
 	batch   []event
 
-	// procPanic holds a panic captured on a Proc goroutine; dispatch
-	// re-raises it on the kernel goroutine so drivers can recover it.
-	procPanic *ProcPanic
+	// limit is the inclusive horizon of the current Run or RunUntil: the
+	// event loop executes only events at or before it.
+	limit Cycle
+
+	// yield returns control to the driver. A process whose event loop
+	// finds nothing due sends on it, as does one that panicked or that
+	// Shutdown unwound; the driver waits on it while processes run.
+	yield chan struct{}
+
+	// failure holds a panic raised on a process goroutine — a *ProcPanic
+	// from the process's own task, or the original value of a panicking
+	// event the process's goroutine was running — for the driver to
+	// re-raise.
+	failure any
 }
 
 // A Chooser resolves scheduling ties. When the kernel is about to run an
@@ -91,7 +111,7 @@ func (k *Kernel) SetChooser(c Chooser) { k.chooser = c }
 
 // NewKernel returns an empty kernel at cycle 0.
 func NewKernel() *Kernel {
-	return &Kernel{}
+	return &Kernel{yield: make(chan struct{})}
 }
 
 // Now returns the current simulated cycle.
@@ -140,48 +160,86 @@ func (k *Kernel) completeAt(when Cycle, f *Future) {
 	k.push(event{when: when, seq: k.seq, future: f})
 }
 
-// Step executes the next pending event, advancing the clock to its time.
-// It reports whether an event was executed.
-func (k *Kernel) Step() bool {
+// Run executes events until the queue is empty.
+func (k *Kernel) Run() { k.drive(math.MaxUint64) }
+
+// RunUntil executes events with time ≤ t, then advances the clock to t.
+func (k *Kernel) RunUntil(t Cycle) {
+	k.drive(t)
+	if k.now < t {
+		k.now = t
+	}
+}
+
+// next returns the time of the earliest pending event; ok is false when
+// the queue is empty.
+func (k *Kernel) next() (when Cycle, ok bool) {
 	if len(k.queue) == 0 {
-		return false
+		return 0, false
 	}
-	if k.chooser != nil {
-		k.stepChoose()
-		return true
-	}
-	k.exec(k.pop())
-	return true
+	return k.queue[0].when, true
 }
 
-// exec runs one dequeued event, advancing the clock to its time.
-func (k *Kernel) exec(e event) {
-	k.now = e.when
-	k.events++
-	switch {
-	case e.proc != nil:
-		if e.start {
-			e.proc.started = true
+// drive runs the event loop up to limit from the driver's goroutine. When
+// an event wakes a process, control passes to it and then from process
+// to process until one finds nothing due and yields; the driver waits for
+// that and re-raises any panic the processes recorded.
+func (k *Kernel) drive(limit Cycle) {
+	k.limit = limit
+	p := k.drain()
+	if p == nil {
+		return
+	}
+	p.resume <- struct{}{}
+	<-k.yield
+	if r := k.failure; r != nil {
+		k.failure = nil
+		panic(r)
+	}
+}
+
+// drain is the event loop. It executes due events (time ≤ limit) in order
+// on the calling goroutine until one wakes a process, and returns that
+// process: the caller resumes it, or simply continues if it is the
+// caller itself. It returns nil when nothing is due.
+func (k *Kernel) drain() *Proc {
+	for len(k.queue) > 0 && k.queue[0].when <= k.limit {
+		var e event
+		if k.chooser == nil {
+			e = k.pop()
+		} else {
+			e = k.take()
 		}
-		e.proc.dispatch()
-	case e.future != nil:
-		e.future.Complete()
-		// Pool-originated futures completed by their scheduled event have
-		// no remaining references (waiters were converted to proc wakes);
-		// recycle immediately.
-		k.RecycleFuture(e.future)
-	default:
-		e.fn()
+		k.now = e.when
+		k.events++
+		switch {
+		case e.proc != nil:
+			if e.start {
+				e.proc.started = true
+			}
+			if !e.proc.done {
+				return e.proc
+			}
+		case e.future != nil:
+			e.future.Complete()
+			// Pool-originated futures completed by their scheduled event
+			// have no remaining references (waiters were converted to
+			// proc wakes); recycle immediately.
+			k.RecycleFuture(e.future)
+		default:
+			e.fn()
+		}
 	}
+	return nil
 }
 
-// stepChoose is Step with a chooser installed on a non-empty queue: pop
-// every event tied at the minimum time (in insertion order), let the
-// chooser pick which one runs, and reinsert the rest. Reinserted events
-// keep their original sequence numbers, so the unchosen events' relative
+// take is the event loop's pop with a chooser installed: it pops every
+// event tied at the minimum time (in insertion order), lets the chooser
+// pick which one runs, and reinserts the rest. Reinserted events keep
+// their original sequence numbers, so the unchosen events' relative
 // order — and hence the meaning of future choices — is unchanged by the
 // pick.
-func (k *Kernel) stepChoose() {
+func (k *Kernel) take() event {
 	b := append(k.batch[:0], k.pop())
 	for len(k.queue) > 0 && k.queue[0].when == b[0].when {
 		b = append(b, k.pop())
@@ -200,32 +258,39 @@ func (k *Kernel) stepChoose() {
 	}
 	clear(b) // don't pin closures from the scratch slice
 	k.batch = b[:0]
-	k.exec(e)
+	return e
 }
 
-// Run executes events until the queue is empty.
-func (k *Kernel) Run() {
-	for k.Step() {
+// handoff runs the event loop on the goroutine of p, which has just
+// blocked or finished. It reports true when p's own wake is next, so p
+// carries on with no goroutine switch. Otherwise it has resumed the
+// process whose wake is next, or yielded to the driver, and p must wait
+// on its resume channel.
+func (k *Kernel) handoff(p *Proc) bool {
+	next := k.drainOnProc()
+	if next == p {
+		return true
 	}
+	if next != nil {
+		next.resume <- struct{}{}
+	} else {
+		k.yield <- struct{}{}
+	}
+	return false
 }
 
-// next returns the time of the earliest pending event; ok is false when
-// the queue is empty.
-func (k *Kernel) next() (when Cycle, ok bool) {
-	if len(k.queue) == 0 {
-		return 0, false
-	}
-	return k.queue[0].when, true
-}
-
-// RunUntil executes events with time ≤ t, then advances the clock to t.
-func (k *Kernel) RunUntil(t Cycle) {
-	for len(k.queue) > 0 && k.queue[0].when <= t {
-		k.Step()
-	}
-	if k.now < t {
-		k.now = t
-	}
+// drainOnProc is drain for a process goroutine. An event that panics here
+// would otherwise unwind the process's task, so the panic is recorded
+// with its original value for the driver to re-raise, and control goes
+// back to the driver.
+func (k *Kernel) drainOnProc() (next *Proc) {
+	defer func() {
+		if r := recover(); r != nil {
+			k.failure = r
+			next = nil
+		}
+	}()
+	return k.drain()
 }
 
 // Blocked returns the names of processes that are parked (waiting) right
@@ -371,11 +436,11 @@ func (k *Kernel) Release() {
 }
 
 // Shutdown abandons an in-flight simulation: every parked process is
-// unwound (via an abort panic its worker loop swallows) and all pooled
-// goroutines are torn down, so a driver that recovered a *ProcPanic can
-// discard the kernel without leaking the goroutines of processes still
-// blocked mid-simulation. The kernel must not be stepped again after
-// Shutdown.
+// unwound (via an abort panic its worker loop swallows) without running
+// any event, and all pooled goroutines are torn down, so a driver that
+// recovered a panic from Run or RunUntil can discard the kernel without
+// leaking the goroutines of processes still blocked mid-simulation. The
+// kernel must not be run again after Shutdown.
 func (k *Kernel) Shutdown() {
 	for _, p := range k.procs {
 		if p.done {
@@ -389,12 +454,13 @@ func (k *Kernel) Shutdown() {
 			continue
 		}
 		// Parked mid-run: resume with abort set so block() unwinds the
-		// task. The worker loop swallows the abort and pools itself.
+		// task. The worker loop swallows the abort, pools itself, and
+		// yields straight back without running any event.
 		p.abort = true
 		p.resume <- struct{}{}
-		<-p.parked
+		<-k.yield
 		p.abort = false
 	}
-	k.procPanic = nil
+	k.failure = nil
 	k.Release()
 }

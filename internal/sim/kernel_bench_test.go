@@ -144,8 +144,10 @@ func BenchmarkKernelFanout(b *testing.B) {
 	b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "events/s")
 }
 
-// BenchmarkProcSleepWake measures the process wake path: park, timer
-// event, dispatch — the cycle every simulated stall goes through.
+// BenchmarkProcSleepWake measures the wake path of a proc that is its own
+// next event: Sleep schedules the wake, and block's event loop pops it and
+// returns with no goroutine switch. BenchmarkProcHandoff prices the
+// switch.
 func BenchmarkProcSleepWake(b *testing.B) {
 	k := NewKernel()
 	k.Go("sleeper", func(p *Proc) {
@@ -173,4 +175,24 @@ func BenchmarkFutureCompleteWait(b *testing.B) {
 		}
 	})
 	k.Run()
+}
+
+// BenchmarkProcHandoff measures the proc-to-proc switch: two procs wake
+// on alternate cycles, so every wake hands control to the other proc's
+// goroutine.
+func BenchmarkProcHandoff(b *testing.B) {
+	k := NewKernel()
+	wakes := 0
+	pingPong := func(p *Proc) {
+		for wakes < b.N {
+			wakes++
+			p.Sleep(2)
+		}
+	}
+	k.Go("even", pingPong)
+	k.Go("odd", func(p *Proc) { p.Sleep(1); pingPong(p) })
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+	b.ReportMetric(float64(wakes)/b.Elapsed().Seconds(), "wakes/s")
 }

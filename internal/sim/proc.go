@@ -5,9 +5,13 @@ import (
 	"runtime/debug"
 )
 
-// Proc is a simulated software thread. Procs run as goroutines, but the
-// kernel admits only one at a time: when a Proc blocks (Sleep, Wait), it
-// parks its goroutine and control returns to the kernel's event loop.
+// Proc is a simulated software thread. Procs run as goroutines, but only
+// the goroutine holding control runs: when a Proc blocks (Sleep, Wait,
+// and the sync primitives) or its task returns, its own goroutine runs
+// the kernel's event loop until an event wakes a process. If that is the
+// Proc itself it carries on without a goroutine switch; otherwise it
+// resumes the woken process (or, with nothing due, yields to the driver)
+// and parks until something resumes it in turn.
 //
 // Finished Procs are pooled: their goroutines park on the resume channel
 // and the next Go/GoArgs reuses the whole structure (struct, channels,
@@ -23,7 +27,6 @@ type Proc struct {
 	k       *Kernel
 	name    string
 	resume  chan struct{}
-	parked  chan struct{}
 	started bool
 	done    bool
 	exit    bool // set by Kernel.Release to retire the pooled goroutine
@@ -75,7 +78,6 @@ func (k *Kernel) spawn(name string) *Proc {
 		k:      k,
 		name:   name,
 		resume: make(chan struct{}),
-		parked: make(chan struct{}),
 	}
 	k.procs = append(k.procs, p)
 	go p.loop()
@@ -89,29 +91,34 @@ func (k *Kernel) scheduleStart(p *Proc) {
 	k.push(event{when: k.now, seq: k.seq, proc: p, start: true})
 }
 
-// loop is the pooled worker body: run a task, return to the free list,
-// park for the next one. The free-list append is safe without locking
-// because the kernel goroutine is blocked in dispatch (on p.parked) for
-// the whole time the proc runs.
+// loop is the pooled worker body: wait to be resumed, run a task, return
+// to the free list, and run the event loop from here until control
+// passes on. An event that respawns this very proc and starts it next
+// leaves control here, and the loop goes straight on to the new task. A
+// task that panicked, or that Shutdown unwound, yields to the driver
+// without running any event.
 func (p *Proc) loop() {
-	for {
-		<-p.resume
-		if p.exit {
-			return
-		}
+	k := p.k
+	<-p.resume
+	for !p.exit {
 		p.runTask()
 		p.fn, p.fnArgs = nil, nil
 		p.done = true
-		p.k.freeProcs = append(p.k.freeProcs, p)
-		p.parked <- struct{}{}
+		k.freeProcs = append(k.freeProcs, p)
+		if p.abort || k.failure != nil {
+			k.yield <- struct{}{}
+		} else if k.handoff(p) {
+			continue
+		}
+		<-p.resume
 	}
 }
 
-// ProcPanic wraps a panic raised on a Proc's goroutine. Procs run on
+// ProcPanic wraps a panic raised by a Proc's task. Procs run on
 // goroutines of their own, where an escaped panic would kill the whole
-// process unrecoverably; the worker loop captures it instead, and
-// dispatch re-raises the wrapped value on the kernel goroutine, where
-// drivers (tests, the interleaving explorer) can recover it. The
+// process unrecoverably; the worker loop captures it instead, and the
+// driver (the caller of Run or RunUntil) re-raises the wrapped value,
+// where tests and the interleaving explorer can recover it. The
 // panicking goroutine's stack is preserved for crash reports.
 type ProcPanic struct {
 	Proc  string // name of the panicking process
@@ -128,14 +135,14 @@ func (e *ProcPanic) Error() string {
 type procAbort struct{}
 
 // runTask runs the proc's task, converting an escaping panic into a
-// captured ProcPanic for dispatch to re-raise.
+// captured ProcPanic for the driver to re-raise.
 func (p *Proc) runTask() {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(procAbort); ok {
 				return
 			}
-			p.k.procPanic = &ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
+			p.k.failure = &ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
 		}
 	}()
 	if p.fn != nil {
@@ -145,24 +152,13 @@ func (p *Proc) runTask() {
 	}
 }
 
-// dispatch hands control to the process and waits for it to park or
-// finish. Must be called from the kernel's event loop. A panic captured
-// while the process ran is re-raised here, on the kernel goroutine.
-func (p *Proc) dispatch() {
-	if p.done {
+// block parks the calling process until an event wakes it. Its goroutine
+// runs the due events first, so when its own wake is next it returns
+// without a goroutine switch.
+func (p *Proc) block() {
+	if p.k.handoff(p) {
 		return
 	}
-	p.resume <- struct{}{}
-	<-p.parked
-	if pp := p.k.procPanic; pp != nil {
-		p.k.procPanic = nil
-		panic(pp)
-	}
-}
-
-// block parks the calling process until something dispatches it again.
-func (p *Proc) block() {
-	p.parked <- struct{}{}
 	<-p.resume
 	if p.abort {
 		panic(procAbort{})

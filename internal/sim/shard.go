@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -312,24 +313,7 @@ func (s *Sharded) collect(buf []message, src, dest int) []message {
 // parallel Run must match byte-for-byte (shards are independent within
 // an epoch, so their execution order cannot matter; the determinism
 // battery enforces exactly that).
-func (s *Sharded) RunSequenced() {
-	for {
-		s.deliver()
-		e, ok := s.minNext()
-		if !ok {
-			return
-		}
-		until := e + s.lookahead - 1
-		for id := range s.shards {
-			s.runShardEpoch(id, until)
-		}
-		s.stats.Epochs++
-		s.checkFailures()
-		if s.barrierHook != nil {
-			s.barrierHook()
-		}
-	}
-}
+func (s *Sharded) RunSequenced() { s.epochs(math.MaxUint64, 1) }
 
 // Run executes epochs with the given number of worker goroutines
 // (clamped to the shard count; ≤ 0 uses one worker per shard). Worker w
@@ -338,46 +322,59 @@ func (s *Sharded) RunSequenced() {
 // and never concurrently with the coordinator (the epoch barrier
 // orders them). The simulated outcome is byte-identical at any worker
 // count and to RunSequenced.
-func (s *Sharded) Run(workers int) {
+func (s *Sharded) Run(workers int) { s.epochs(math.MaxUint64, workers) }
+
+// epochs is the coordinator loop behind Run, RunSequenced and RunUntil:
+// deliver the mailboxes, find the earliest pending event E, run every
+// shard through min(E+lookahead-1, limit), and meet at the barrier —
+// until no event at or before limit remains. One worker runs the shards
+// inline in id order; more run them on worker goroutines as Run
+// describes.
+func (s *Sharded) epochs(limit Cycle, workers int) {
 	n := len(s.shards)
 	if workers <= 0 || workers > n {
 		workers = n
 	}
-	if workers == 1 {
-		s.RunSequenced()
-		return
-	}
-	start := make([]chan Cycle, workers)
-	done := make(chan struct{}, workers)
-	for w := 0; w < workers; w++ {
-		start[w] = make(chan Cycle, 1)
-		go func(w int) {
-			for until := range start[w] {
-				for id := w; id < n; id += workers {
-					s.runShardEpoch(id, until)
-				}
-				done <- struct{}{}
-			}
-		}(w)
-	}
-	defer func() {
-		for _, c := range start {
-			close(c)
+	runEpoch := func(until Cycle) {
+		for id := range s.shards {
+			s.runShardEpoch(id, until)
 		}
-	}()
+	}
+	if workers > 1 {
+		start := make([]chan Cycle, workers)
+		done := make(chan struct{}, workers)
+		for w := 0; w < workers; w++ {
+			start[w] = make(chan Cycle, 1)
+			go func(w int) {
+				for until := range start[w] {
+					for id := w; id < n; id += workers {
+						s.runShardEpoch(id, until)
+					}
+					done <- struct{}{}
+				}
+			}(w)
+		}
+		defer func() {
+			for _, c := range start {
+				close(c)
+			}
+		}()
+		runEpoch = func(until Cycle) {
+			for _, c := range start {
+				c <- until
+			}
+			for range start {
+				<-done
+			}
+		}
+	}
 	for {
 		s.deliver()
 		e, ok := s.minNext()
-		if !ok {
+		if !ok || e > limit {
 			return
 		}
-		until := e + s.lookahead - 1
-		for w := 0; w < workers; w++ {
-			start[w] <- until
-		}
-		for w := 0; w < workers; w++ {
-			<-done
-		}
+		runEpoch(min(e+s.lookahead-1, limit))
 		s.stats.Epochs++
 		s.checkFailures()
 		if s.barrierHook != nil {

@@ -119,82 +119,8 @@ func (b *ShardedBarrier) arriveAt(origin int, f *Future) {
 // so the executed prefix is exactly the events the unbounded run would
 // have executed by then; results are byte-identical at any worker count.
 func (s *Sharded) RunUntil(limit Cycle, workers int) {
-	n := len(s.shards)
-	if workers <= 0 || workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		s.runUntilSequenced(limit)
-	} else {
-		s.runUntilParallel(limit, workers)
-	}
+	s.epochs(limit, workers)
 	for _, sh := range s.shards {
 		sh.K.RunUntil(limit) // no events ≤ limit remain; advances the clock
-	}
-}
-
-func (s *Sharded) runUntilSequenced(limit Cycle) {
-	for {
-		s.deliver()
-		e, ok := s.minNext()
-		if !ok || e > limit {
-			return
-		}
-		until := e + s.lookahead - 1
-		if until > limit {
-			until = limit
-		}
-		for id := range s.shards {
-			s.runShardEpoch(id, until)
-		}
-		s.stats.Epochs++
-		s.checkFailures()
-		if s.barrierHook != nil {
-			s.barrierHook()
-		}
-	}
-}
-
-func (s *Sharded) runUntilParallel(limit Cycle, workers int) {
-	n := len(s.shards)
-	start := make([]chan Cycle, workers)
-	done := make(chan struct{}, workers)
-	for w := 0; w < workers; w++ {
-		start[w] = make(chan Cycle, 1)
-		go func(w int) {
-			for until := range start[w] {
-				for id := w; id < n; id += workers {
-					s.runShardEpoch(id, until)
-				}
-				done <- struct{}{}
-			}
-		}(w)
-	}
-	defer func() {
-		for _, c := range start {
-			close(c)
-		}
-	}()
-	for {
-		s.deliver()
-		e, ok := s.minNext()
-		if !ok || e > limit {
-			return
-		}
-		until := e + s.lookahead - 1
-		if until > limit {
-			until = limit
-		}
-		for w := 0; w < workers; w++ {
-			start[w] <- until
-		}
-		for w := 0; w < workers; w++ {
-			<-done
-		}
-		s.stats.Epochs++
-		s.checkFailures()
-		if s.barrierHook != nil {
-			s.barrierHook()
-		}
 	}
 }

@@ -67,6 +67,64 @@ func TestKernelRunUntil(t *testing.T) {
 	}
 }
 
+// TestKernelRunUntilWithProcs: a proc sleeping past the limit hands
+// control back at the limit, so RunUntil returns with the clock at the
+// limit and that proc still parked, and a later Run wakes it at its own
+// cycle.
+func TestKernelRunUntilWithProcs(t *testing.T) {
+	k := NewKernel()
+	var woke []Cycle
+	for _, d := range []Cycle{10, 40} {
+		k.Go("sleeper", func(p *Proc) {
+			p.Sleep(d)
+			woke = append(woke, p.Now())
+		})
+	}
+	k.RunUntil(25)
+	if k.Now() != 25 {
+		t.Fatalf("now = %d after RunUntil(25), want 25", k.Now())
+	}
+	if len(woke) != 1 || woke[0] != 10 {
+		t.Fatalf("woke at %v by the limit, want [10]", woke)
+	}
+	if b := k.Blocked(); len(b) != 1 {
+		t.Fatalf("blocked = %v at the limit, want the 40-cycle sleeper", b)
+	}
+	k.Run()
+	if len(woke) != 2 || woke[1] != 40 || k.Now() != 40 {
+		t.Fatalf("woke at %v, now = %d; want [10 40] and 40", woke, k.Now())
+	}
+}
+
+// TestProcRespawnedByOwnEvent: a finished proc's goroutine runs the event
+// loop, so an event it runs can spawn onto that very proc (the pool hands
+// back the proc that just finished) and start it next; the goroutine
+// goes straight on to the new task.
+func TestProcRespawnedByOwnEvent(t *testing.T) {
+	k := NewKernel()
+	var second *Proc
+	var ranAt Cycle
+	first := k.Go("first", func(p *Proc) {
+		k.After(0, func() {
+			second = k.Go("second", func(p *Proc) {
+				p.Sleep(3)
+				ranAt = p.Now()
+			})
+		})
+	})
+	k.Run()
+	if second != first {
+		t.Fatal("the respawn did not reuse the proc that just finished")
+	}
+	if second.Name() != "second" || !second.Done() || ranAt != 3 {
+		t.Fatalf("respawned proc %q done=%v ran its task at %d, want second, true, 3",
+			second.Name(), second.Done(), ranAt)
+	}
+	if b := k.Blocked(); len(b) != 0 {
+		t.Fatalf("blocked = %v, want none", b)
+	}
+}
+
 func TestKernelDeterminism(t *testing.T) {
 	run := func(seed int64) []uint64 {
 		k := NewKernel()
