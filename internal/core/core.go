@@ -117,11 +117,11 @@ func (m *Morph) View(tile int) interface{} {
 // per-tile slices are updated synchronously and are always identical; on
 // a sharded build each slice is owned by its tile's shard, and
 // registration broadcasts the new Morph to every other shard as
-// lookahead-delayed mailbox messages, waiting for their acknowledgements
-// before the registering thread proceeds. Remote tiles therefore observe
-// a registration one epoch late at the earliest — mirroring the TLB
-// shootdown a real OS would need — and no shard ever reads registry
-// state another shard is mutating.
+// messages taking the mesh's minimum cross-tile latency, waiting for
+// their acknowledgements before the registering thread proceeds. Remote
+// tiles therefore observe a registration that many cycles late at the
+// earliest — mirroring the TLB shootdown a real OS would need — and no
+// shard ever reads registry state another shard is mutating.
 type Tako struct {
 	K     *sim.Kernel  // classic kernel; nil on a sharded build
 	Sh    *sim.Sharded // sharded engine; nil on a classic build
@@ -260,7 +260,7 @@ func (t *Tako) origin(p *sim.Proc, tile int) int {
 // validate checks a registration against one tile's registry view.
 // Overlap is checked against that view only: phantom ranges cannot
 // overlap across tiles by construction (per-tile stripes), and real-range
-// registrations racing from different tiles within one lookahead window
+// registrations racing from different tiles within one message latency
 // are a workload bug täkō's OS support would also not catch (§6).
 func (t *Tako) validate(spec MorphSpec, level Level, region mem.Region, tile int) error {
 	if level != Private && level != Shared {
@@ -332,7 +332,7 @@ func (t *Tako) publish(p *sim.Proc, origin int, mutate func(view *[]*Morph)) {
 	}
 	mutate(&t.morphs[origin])
 	sh := t.Sh.Shard(origin)
-	la := t.Sh.Lookahead()
+	lat := t.H.Mesh.MinCrossTileLatency()
 	acks := make([]*sim.Future, 0, len(t.morphs)-1)
 	for i := range t.morphs {
 		if i == origin {
@@ -344,9 +344,9 @@ func (t *Tako) publish(p *sim.Proc, origin int, mutate func(view *[]*Morph)) {
 		f := sim.NewFuture(p.Kernel())
 		acks = append(acks, f)
 		i := i
-		sh.Send(i, la, func() {
+		sh.Send(i, lat, func() {
 			mutate(&t.morphs[i])
-			t.Sh.Shard(i).SendComplete(origin, la, f)
+			t.Sh.Shard(i).SendComplete(origin, lat, f)
 		})
 	}
 	for _, f := range acks {

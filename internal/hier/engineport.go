@@ -139,10 +139,10 @@ func (h *Hierarchy) EnginePersistLine(p *sim.Proc, tileID int, a mem.Addr, data 
 	t, hm := h.tiles[tileID], h.tiles[home]
 	done := t.K.GetFuture()
 	line := *data
-	h.sendOrdered(t, home, h.Mesh.Transfer(tileID, home, mem.LineSize), func() {
+	t.shard.Send(home, h.Mesh.Transfer(tileID, home, mem.LineSize), func() {
 		hm.K.Go("persist", func(q *sim.Proc) {
 			q.Wait(h.dramAt(home).WriteLine(la, &line))
-			h.completeOrdered(hm, tileID, h.Mesh.Latency(home, tileID, 8), done)
+			hm.shard.SendComplete(tileID, h.Mesh.Latency(home, tileID, 8), done)
 		})
 	})
 	p.Wait(done)

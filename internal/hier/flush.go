@@ -69,14 +69,14 @@ func (h *Hierarchy) flushSharded(p *sim.Proc, tileID int, region mem.Region, lev
 				if dst == origin {
 					ack.Complete()
 				} else {
-					h.completeOrdered(dt, origin, h.Mesh.Latency(dst, origin, 8), ack)
+					dt.shard.SendComplete(origin, h.Mesh.Latency(dst, origin, 8), ack)
 				}
 			})
 		}
 		if dst == origin {
 			run()
 		} else {
-			h.sendOrdered(t, dst, h.Mesh.Latency(origin, dst, 8), run)
+			t.shard.Send(dst, h.Mesh.Latency(origin, dst, 8), run)
 		}
 	}
 	if level != LevelShared {
@@ -252,12 +252,12 @@ func (h *Hierarchy) invalidateSharded(p *sim.Proc, region mem.Region) {
 		s, st := s, h.tiles[s]
 		ack := sim.NewFuture(t.K)
 		acks = append(acks, ack)
-		h.sendOrdered(t, s, h.Mesh.Latency(origin, s, 8), func() {
+		t.shard.Send(s, h.Mesh.Latency(origin, s, 8), func() {
 			d := extract(st)
-			h.sendOrdered(st, origin, h.Mesh.Latency(s, origin, mem.LineSize), func() {
+			st.shard.Send(origin, h.Mesh.Latency(s, origin, mem.LineSize), func() {
 				dirty[s] = d
 			})
-			h.completeOrdered(st, origin, h.Mesh.Latency(s, origin, 8), ack)
+			st.shard.SendComplete(origin, h.Mesh.Latency(s, origin, 8), ack)
 		})
 	}
 	p.WaitAll(acks...)
@@ -295,10 +295,10 @@ func (h *Hierarchy) invalidateSharded(p *sim.Proc, region mem.Region) {
 		st, lines := h.tiles[s], perHome[s]
 		ack := sim.NewFuture(t.K)
 		acks = append(acks, ack)
-		h.sendOrdered(t, s, h.Mesh.Latency(origin, s, mem.LineSize), func() {
+		t.shard.Send(s, h.Mesh.Latency(origin, s, mem.LineSize), func() {
 			st.K.Go("inval-region", func(q *sim.Proc) {
 				purge(q, st, lines)
-				h.completeOrdered(st, origin, h.Mesh.Latency(s, origin, 8), ack)
+				st.shard.SendComplete(origin, h.Mesh.Latency(s, origin, 8), ack)
 			})
 		})
 	}

@@ -316,10 +316,6 @@ type tile struct {
 	// in for the classic hasExclusive directory peek, which a remote
 	// tile cannot perform under message passing.
 	owned flat.Table[struct{}]
-	// lastArr[d] is the latest arrival cycle already promised on this
-	// tile's ordered channel to tile d; sendOrdered uses it to keep each
-	// (src,dst) channel FIFO even when modeled latencies differ.
-	lastArr []sim.Cycle
 	// reqs pools homeReq message payloads.
 	reqs []*homeReq
 	// invPool recycles back-invalidation reply scratch (home side).
@@ -622,7 +618,7 @@ func (h *Hierarchy) SetDRAMPhase(p *sim.Proc, name string) {
 			continue
 		}
 		d := h.dramAt(home)
-		h.sendOrdered(t, home, h.Mesh.Latency(t.id, home, 8), func() { d.SetPhase(name) })
+		t.shard.Send(home, h.Mesh.Latency(t.id, home, 8), func() { d.SetPhase(name) })
 	}
 }
 

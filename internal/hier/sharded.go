@@ -23,9 +23,8 @@ import (
 //
 // Ownership discipline (who may touch what, from which shard):
 //
-//   - A tile's private caches, MSHRs, pending table, owned table, txn
-//     and request pools, and lastArr channel clocks: that tile's shard
-//     only.
+//   - A tile's private caches, MSHRs, pending table, owned table, and
+//     txn and request pools: that tile's shard only.
 //   - A home tile's L3 bank, l3pending table, directory bank
 //     (h.dirs[home]), and DRAM controllers (h.drams[home]): the home
 //     shard only. Remote requesters reach them by RPC (homeReq).
@@ -33,10 +32,10 @@ import (
 //     are concurrent-safe atomics, so totals are independent of the
 //     worker count.
 //
-// Message ordering: each (src, dst) tile pair is a FIFO channel.
-// sendOrdered stretches a message's delay past the last arrival already
-// promised on that channel (deliver() breaks same-cycle ties by sender
-// sequence), which the protocol leans on in three places: a writeback
+// Message ordering: each (src, dst) tile pair is a FIFO channel —
+// sim.Shard stretches a send's delay past the last arrival already
+// promised on that channel, and same-cycle arrivals keep their send
+// order — which the protocol leans on in three places: a writeback
 // Put lands at the home before the same tile's later invalidation reply
 // (so merges are never reordered behind the response that copies the
 // line), a write grant lands at a requester before a later revocation,
@@ -133,45 +132,13 @@ const (
 	invBack                      // L3 eviction: inclusive back-invalidation
 )
 
-// ---- ordered channels ----
-
-// orderDelay finalizes a message delay on t's channel to dst: clamped up
-// to the engine lookahead when crossing shards (the modeled mesh latency
-// is never below it when RouterDelay+LinkDelay ≥ lookahead, which
-// NewSharded asserts — the clamp is a defensive floor), then stretched
-// past the last arrival already promised on the channel so every
-// (src, dst) pair stays FIFO even when modeled latencies differ.
-func (h *Hierarchy) orderDelay(t *tile, dst int, lat sim.Cycle) sim.Cycle {
-	if dst != t.id {
-		if min := h.eng.Lookahead(); lat < min {
-			lat = min
-		}
-	}
-	now := t.K.Now()
-	if now+lat < t.lastArr[dst] {
-		lat = t.lastArr[dst] - now
-	}
-	t.lastArr[dst] = now + lat
-	return lat
-}
-
-// sendOrdered sends fn to dst's shard on t's FIFO channel.
-func (h *Hierarchy) sendOrdered(t *tile, dst int, lat sim.Cycle, fn func()) {
-	t.shard.Send(dst, h.orderDelay(t, dst, lat), fn)
-}
-
-// completeOrdered completes f (owned by dst's shard) on t's FIFO channel.
-func (h *Hierarchy) completeOrdered(t *tile, dst int, lat sim.Cycle, f *sim.Future) {
-	t.shard.SendComplete(dst, h.orderDelay(t, dst, lat), f)
-}
-
 // ---- requester side: RPCs to the home shard ----
 
 // sendHomeReq ships req to home, where it runs as a home-side
 // transaction on the home's own shard.
 func (h *Hierarchy) sendHomeReq(t *tile, home int, lat sim.Cycle, req *homeReq) {
 	hm := h.tiles[home]
-	h.sendOrdered(t, home, lat, func() {
+	t.shard.Send(home, lat, func() {
 		hm.K.Go(hm.homeNames[req.kind], func(p *sim.Proc) {
 			h.runHomeTxn(p, hm, req)
 		})
@@ -234,7 +201,7 @@ func (h *Hierarchy) sendInstallAck(p *sim.Proc, t *tile, req *homeReq) {
 	home := h.HomeTile(req.a)
 	ack := req.ack
 	h.putReq(t, req)
-	h.completeOrdered(t, home, h.Mesh.Latency(t.id, home, 8), ack)
+	t.shard.SendComplete(home, h.Mesh.Latency(t.id, home, 8), ack)
 }
 
 // upgradeSharded is the message form of upgrade. Request and completion
@@ -328,7 +295,7 @@ func (h *Hierarchy) sendInval(hm *tile, s int, la mem.Addr, kind invKind, r *inv
 	}
 	st := h.tiles[s]
 	home := hm.id
-	h.sendOrdered(hm, s, out, func() {
+	hm.shard.Send(s, out, func() {
 		h.applyInval(st, home, la, kind, r)
 	})
 }
@@ -345,7 +312,7 @@ func (h *Hierarchy) applyInval(st *tile, home int, la mem.Addr, kind invKind, r 
 		data, dirty := h.downgradeOwner(st.id, la)
 		st.owned.Delete(uint64(la))
 		r.data, r.dirty, r.present = data, dirty, true
-		h.completeOrdered(st, home, h.Mesh.Transfer(st.id, home, mem.LineSize), r.fut)
+		st.shard.SendComplete(home, h.Mesh.Transfer(st.id, home, mem.LineSize), r.fut)
 		return
 	}
 	data, dirty, present := h.invalidatePrivate(st.id, la)
@@ -382,7 +349,7 @@ func (h *Hierarchy) applyInval(st *tile, home int, la mem.Addr, kind invKind, r 
 			back = h.Mesh.Latency(st.id, home, 8)
 		}
 	}
-	h.completeOrdered(st, home, back, r.fut)
+	st.shard.SendComplete(home, back, r.fut)
 }
 
 // ---- home-side directory actions (txn steps) ----
@@ -604,7 +571,7 @@ func (t *txn) respondSharded() {
 	req.data = t.data
 	ack := t.hm.K.GetFuture()
 	req.ack = ack
-	h.completeOrdered(t.hm, req.tile, h.Mesh.Transfer(t.home, req.tile, mem.LineSize), req.done)
+	t.hm.shard.SendComplete(req.tile, h.Mesh.Transfer(t.home, req.tile, mem.LineSize), req.done)
 	t.p.Wait(ack)
 	if !t.bypass {
 		t.ls3.Locked = false
@@ -632,7 +599,7 @@ func (h *Hierarchy) sendPutDirty(t *tile, la mem.Addr, data *mem.Line) {
 	t.owned.Delete(uint64(la))
 	hm := h.tiles[home]
 	line := *data
-	h.sendOrdered(t, home, h.Mesh.Latency(t.id, home, mem.LineSize), func() {
+	t.shard.Send(home, h.Mesh.Latency(t.id, home, mem.LineSize), func() {
 		h.applyPut(hm, t.id, la, &line, true, drop)
 	})
 }
@@ -644,7 +611,7 @@ func (h *Hierarchy) sendPutClean(t *tile, la mem.Addr) {
 	home := h.HomeTile(la)
 	t.owned.Delete(uint64(la))
 	hm := h.tiles[home]
-	h.sendOrdered(t, home, h.Mesh.Latency(t.id, home, 8), func() {
+	t.shard.Send(home, h.Mesh.Latency(t.id, home, 8), func() {
 		h.applyPut(hm, t.id, la, nil, false, true)
 	})
 }
@@ -878,7 +845,6 @@ func NewSharded(eng *sim.Sharded, cfg Config, meter *energy.Meter, registry Regi
 	for i := 0; i < cfg.Tiles; i++ {
 		t := h.buildTile(eng.Shard(i).K, i, newPolicy, mshrProbes, homeProbes, bankShift)
 		t.shard = eng.Shard(i)
-		t.lastArr = make([]sim.Cycle, cfg.Tiles)
 		for k := 0; k < nTxnKinds; k++ {
 			t.homeNames[k] = fmt.Sprintf("%s@%d", txnKind(k), i)
 		}

@@ -3,6 +3,7 @@ package hier
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"tako/internal/energy"
@@ -103,9 +104,9 @@ func TestShardedLookaheadPanics(t *testing.T) {
 
 // TestShardedLookaheadRandomNoCEndToEnd drives the full message protocol
 // on randomized legal NoC configurations: whatever the router/link
-// delays, the per-channel ordering layer must keep every cross-tile
-// message at or above the engine lookahead (the engine panics if not)
-// and the workload must still commit the right values.
+// delays, every cross-tile message must stay at or above the engine
+// lookahead (the engine panics if not) and the workload must still
+// commit the right values.
 func TestShardedLookaheadRandomNoCEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for it := 0; it < 8; it++ {
@@ -139,6 +140,80 @@ func TestShardedLookaheadRandomNoCEndToEnd(t *testing.T) {
 			t.Fatalf("iter %d: %v", it, err)
 		}
 		eng.Release()
+	}
+}
+
+// TestShardedResultIndependentOfLookahead pins that the engine lookahead
+// is only a synchronization bound: a cross-tile store / atomic-add /
+// neighbor-load workload gives the same final cycle, kernel events,
+// loaded values and metrics snapshot at lookahead 1 and 2, on one worker
+// and on two, as at the mesh's minimum cross-tile latency.
+func TestShardedResultIndependentOfLookahead(t *testing.T) {
+	const tiles = 4
+	cfg := ScaledConfig(tiles, 64)
+	cfg.FreshChecks = false
+	type result struct {
+		cycle, events uint64
+		loads         []uint64
+		metrics       string
+	}
+	run := func(lookahead sim.Cycle, workers int) result {
+		eng := sim.NewSharded(tiles, lookahead)
+		h := NewSharded(eng, cfg, energy.NewMeter(), nil, nil)
+		loads := make([][]uint64, tiles)
+		const counters = mem.Addr(0x200000)
+		for i := 0; i < tiles; i++ {
+			i := i
+			eng.Shard(i).K.Go("w", func(p *sim.Proc) {
+				own := mem.Addr(0x40000 + i*0x8000)
+				nb := mem.Addr(0x40000 + (i+1)%tiles*0x8000)
+				for j := 0; j < 64; j++ {
+					h.Store(p, i, own+mem.Addr(j%8*64), uint64(i*100+j))
+					h.AtomicAdd(p, i, counters+mem.Addr(j%4*64), 1)
+					loads[i] = append(loads[i], h.Load(p, i, nb+mem.Addr(j%8*64)))
+					p.Sleep(sim.Cycle(j % 3))
+				}
+				h.DrainRMOs(p, i)
+				loads[i] = append(loads[i], h.Load(p, i, counters))
+			})
+		}
+		eng.Run(workers)
+		if blocked := eng.Blocked(); len(blocked) > 0 {
+			t.Fatalf("lookahead %d, %d workers: deadlocked: %v", lookahead, workers, blocked)
+		}
+		h.FinishStats()
+		var r result
+		for i := 0; i < tiles; i++ {
+			if now := eng.Shard(i).K.Now(); now > r.cycle {
+				r.cycle = now
+			}
+			r.events += eng.Shard(i).K.Events()
+			r.loads = append(r.loads, loads[i]...)
+		}
+		var b strings.Builder
+		if err := h.Metrics.Snapshot().WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		r.metrics = b.String()
+		eng.Release()
+		return r
+	}
+	want := run(noc.NewMesh(cfg.NoC, nil).MinCrossTileLatency(), 1)
+	for _, lookahead := range []sim.Cycle{1, 2} {
+		for _, workers := range []int{1, 2} {
+			got := run(lookahead, workers)
+			if got.cycle != want.cycle || got.events != want.events {
+				t.Errorf("lookahead %d, %d workers: cycle %d, %d events; want cycle %d, %d events",
+					lookahead, workers, got.cycle, got.events, want.cycle, want.events)
+			}
+			if fmt.Sprint(got.loads) != fmt.Sprint(want.loads) {
+				t.Errorf("lookahead %d, %d workers: loaded values differ:\n got %v\nwant %v",
+					lookahead, workers, got.loads, want.loads)
+			}
+			if got.metrics != want.metrics {
+				t.Errorf("lookahead %d, %d workers: metrics snapshot differs", lookahead, workers)
+			}
+		}
 	}
 }
 

@@ -986,7 +986,7 @@ func (t *txn) stepUnlock() {
 		// drop our reference first.
 		req := t.req
 		t.req = nil
-		h.completeOrdered(t.hm, req.tile, h.Mesh.Latency(t.home, req.tile, 8), req.done)
+		t.hm.shard.SendComplete(req.tile, h.Mesh.Latency(t.home, req.tile, 8), req.done)
 	}
 	if t.tracing {
 		// One span per home-bank service on the bank's track: request

@@ -2,15 +2,18 @@
 // and a blocking-process model on top of it.
 //
 // The kernel orders events by (time, insertion sequence), so two runs of
-// the same program produce identical schedules. Simulated software threads
-// (Proc) run as goroutines, but exactly one goroutine holds control at a
-// time and runs the kernel's event loop: the driver (the caller of Run or
-// RunUntil), or a process that has just blocked or finished. A blocking
-// process executes the due events itself: when the next one is its own
-// wake it simply carries on, when it wakes another process it resumes
-// that process directly, and when nothing is due it hands control back to
-// the driver. Which goroutine executes an event never changes the order
-// events run in, so schedules stay deterministic.
+// the same program produce identical schedules. On a shard of a Sharded
+// engine the sequence also names the shard an event came from, giving
+// every shard one (time, origin shard, origin sequence) order. Simulated
+// software threads (Proc) run as goroutines, but exactly one goroutine
+// holds control at a time and runs the kernel's event loop: the driver
+// (the caller of Run or RunUntil), or a process that has just blocked or
+// finished. A blocking process executes the due events itself: when the
+// next one is its own wake it simply carries on, when it wakes another
+// process it resumes that process directly, and when nothing is due it
+// hands control back to the driver. Which goroutine executes an event
+// never changes the order events run in, so schedules stay
+// deterministic.
 package sim
 
 import "math"
@@ -135,19 +138,11 @@ func (k *Kernel) After(delay Cycle, fn func()) {
 	k.At(k.now+delay, fn)
 }
 
-// wakeAt schedules p to be dispatched at the given absolute cycle,
-// without allocating a closure.
-func (k *Kernel) wakeAt(when Cycle, p *Proc) {
-	if when < k.now {
-		panic("sim: scheduling event in the past")
-	}
-	k.seq++
-	k.push(event{when: when, seq: k.seq, proc: p})
-}
-
-// wakeAfter schedules p to be dispatched delay cycles from now.
+// wakeAfter schedules p to be dispatched delay cycles from now, without
+// allocating a closure.
 func (k *Kernel) wakeAfter(delay Cycle, p *Proc) {
-	k.wakeAt(k.now+delay, p)
+	k.seq++
+	k.push(event{when: k.now + delay, seq: k.seq, proc: p})
 }
 
 // completeAt schedules f to complete at the given absolute cycle,
@@ -306,7 +301,10 @@ func (k *Kernel) Blocked() []string {
 	return out
 }
 
-// before orders events by (time, insertion sequence).
+// before orders events by (time, insertion sequence). A shard kernel's
+// sequence numbers carry the origin shard in their top bits (NewSharded,
+// Shard.post), so there it orders by (time, origin shard, origin
+// sequence).
 func (a *event) before(b *event) bool {
 	if a.when != b.when {
 		return a.when < b.when

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"slices"
 )
 
 // This file implements the tile-sharded parallel event kernel: a
@@ -12,44 +11,41 @@ import (
 //
 // Each shard owns a full Kernel (queue, clock, proc/future pools) and is
 // only ever touched by one goroutine at a time. Shards advance together
-// through epochs derived from the lookahead — the minimum latency any
-// cross-shard interaction is modeled with (for the täkō CMP, the minimum
-// NoC hop latency; see hier.Lookahead). Within an epoch a shard may
-// execute every event strictly before the epoch horizon without
-// synchronizing, because any message another shard sends during the same
-// epoch cannot arrive before the horizon. Cross-shard events travel
-// through per-(sender,receiver) mailboxes that are drained at the epoch
-// barrier in a canonical (arrival cycle, sender shard, sender sequence)
-// order, so the merged schedule — and therefore every simulated outcome —
-// is byte-identical regardless of worker count or real-time execution
-// interleaving.
+// through epochs derived from the lookahead — a lower bound on the delay
+// of any cross-shard send (for the täkō CMP, the minimum NoC hop latency;
+// see noc.Mesh.MinCrossTileLatency). Within an epoch a shard may execute
+// every event strictly before the epoch horizon without synchronizing,
+// because any message another shard sends during the same epoch cannot
+// arrive before the horizon. Cross-shard events travel through
+// per-(sender,receiver) mailboxes that are emptied at the epoch barrier.
 //
-// The coordinator is deterministic by construction:
+// Every event of every shard has one key, (cycle, origin shard, origin
+// sequence), fixed when it is scheduled:
 //
-//   - a shard's epoch execution is a pure function of its own queue;
-//   - mailbox contents depend only on that execution (per-sender send
-//     order is stamped with a sender-local sequence);
-//   - the drain sorts by a total key that no real-time ordering can
-//     perturb, and receiver-side sequence numbers are assigned in that
-//     canonical order.
+//   - a shard kernel's sequence numbers carry its shard id in the top
+//     bits (NewSharded), so a local event's origin is its own shard and
+//     the kernel's ordinary (cycle, sequence) order is this key;
+//   - a send is stamped by its sender (post) with the sender's next
+//     sequence number and an arrival cycle pushed past the last arrival
+//     already promised on that (sender, receiver) channel, so each
+//     channel is FIFO.
+//
+// The key depends only on the simulated execution, never on where the
+// epoch barriers fall, how many workers run the shards, or the order the
+// mailboxes are emptied in. Any safe execution therefore runs every
+// shard's events in the same order, and the merged schedule — and every
+// simulated outcome — is byte-identical at any lookahead up to the true
+// minimum send delay and at any worker count.
 //
 // Run(workers) executes epochs on worker goroutines; RunSequenced is the
 // single-threaded reference that executes the identical epoch schedule
-// inline (shard 0 first, then 1, ...). Because shards are independent
-// within an epoch, both produce the same simulation; the determinism
-// battery (shard_test.go) pins that equivalence at widths 1/2/4/16 under
-// the race detector.
+// inline (shard 0 first, then 1, ...). The determinism battery
+// (shard_test.go) pins that equivalence at widths 1/2/4/16 and across
+// lookaheads under the race detector.
 
-// message is one cross-shard event in flight: exactly one of
-// fn/proc/future is set, mirroring Kernel's event payloads.
-type message struct {
-	when   Cycle
-	from   int
-	seq    uint64 // sender-local send counter: total order per sender
-	fn     func()
-	proc   *Proc
-	future *Future
-}
+// originShift places a shard kernel's id in the top bits of its event
+// sequence numbers, leaving 2^48 events per shard.
+const originShift = 48
 
 // Shard is one tile's slice of a Sharded kernel: a private Kernel plus
 // outgoing mailboxes. All access to a Shard (building processes on K,
@@ -62,67 +58,64 @@ type Shard struct {
 	// shard are created on it.
 	K *Kernel
 
-	out     [][]message // outgoing mailbox per destination shard
-	sendSeq uint64
-	failure any // panic captured during an epoch; re-raised by the coordinator
+	out     [][]event // outgoing mailbox per destination shard
+	last    []Cycle   // latest arrival promised per destination channel
+	failure any       // panic captured during an epoch; re-raised by the coordinator
 }
 
 // ID returns the shard's index.
 func (sh *Shard) ID() int { return sh.id }
 
-// Send schedules fn on shard to, delay cycles from this shard's current
-// time. Cross-shard sends must respect the lookahead: delay <
-// lookahead panics, because delivery happens at epoch barriers and a
-// shorter delay could land inside the receiver's already-executed
-// window (the classic conservative-PDES causality violation).
-// Same-shard sends are ordinary local events with no minimum delay.
+// Send schedules fn on shard to, at least delay cycles from this shard's
+// current time: later if an earlier send on the same (this, to) channel
+// was promised a later arrival, since every channel is FIFO. Cross-shard
+// sends must respect the lookahead: delay < lookahead panics, because
+// delivery happens at epoch barriers and a shorter delay could land
+// inside the receiver's already-executed window (the classic
+// conservative-PDES causality violation). Sends to this shard itself
+// have no minimum delay.
 func (sh *Shard) Send(to int, delay Cycle, fn func()) {
-	if to == sh.id {
-		sh.K.After(delay, fn)
-		return
-	}
-	sh.post(to, delay, message{fn: fn})
+	sh.post(to, delay, event{fn: fn})
 }
 
 // SendWake schedules p — a process living on shard to — to be
-// dispatched delay cycles from now. Lookahead rules are as in Send.
+// dispatched delay cycles from now. Ordering and lookahead rules are as
+// in Send.
 func (sh *Shard) SendWake(to int, delay Cycle, p *Proc) {
-	if p.k != sh.s.shards[sh.s.shardIndex(to)].K {
+	if p.k != sh.s.Shard(to).K {
 		panic(fmt.Sprintf("sim: SendWake to shard %d for a proc of a different shard", to))
 	}
-	if to == sh.id {
-		sh.K.wakeAfter(delay, p)
-		return
-	}
-	sh.post(to, delay, message{proc: p})
+	sh.post(to, delay, event{proc: p})
 }
 
 // SendComplete schedules future f — owned by shard to — to complete
-// delay cycles from now. Lookahead rules are as in Send.
+// delay cycles from now. Ordering and lookahead rules are as in Send.
 func (sh *Shard) SendComplete(to int, delay Cycle, f *Future) {
-	if f.k != sh.s.shards[sh.s.shardIndex(to)].K {
+	if f.k != sh.s.Shard(to).K {
 		panic(fmt.Sprintf("sim: SendComplete to shard %d for a future of a different shard", to))
 	}
-	if to == sh.id {
-		sh.K.completeAt(sh.K.now+delay, f)
-		return
-	}
-	sh.post(to, delay, message{future: f})
+	sh.post(to, delay, event{future: f})
 }
 
-// post stamps and buffers one cross-shard message.
-func (sh *Shard) post(to int, delay Cycle, m message) {
-	if delay < sh.s.lookahead {
+// post stamps e with its final key — the sender's next sequence number
+// and the channel's FIFO arrival cycle — and queues it: on this shard's
+// own queue for a self-send, in the mailbox to shard to otherwise.
+func (sh *Shard) post(to int, delay Cycle, e event) {
+	to = sh.s.shardIndex(to)
+	if to != sh.id && delay < sh.s.lookahead {
 		panic(fmt.Sprintf(
 			"sim: cross-shard send %d→%d with delay %d violates lookahead %d",
 			sh.id, to, delay, sh.s.lookahead))
 	}
-	to = sh.s.shardIndex(to)
-	m.when = sh.K.now + delay
-	m.from = sh.id
-	sh.sendSeq++
-	m.seq = sh.sendSeq
-	sh.out[to] = append(sh.out[to], m)
+	e.when = max(sh.K.now+delay, sh.last[to])
+	sh.last[to] = e.when
+	sh.K.seq++
+	e.seq = sh.K.seq
+	if to == sh.id {
+		sh.K.push(e)
+		return
+	}
+	sh.out[to] = append(sh.out[to], e)
 }
 
 // ShardedStats counts coordinator work for reports and tests.
@@ -137,13 +130,10 @@ type Sharded struct {
 	shards    []*Shard
 	stats     ShardedStats
 
-	// scratch is the reusable drain buffer (cleared after each use so
-	// pooled messages don't pin closures).
-	scratch []message
-
 	// permute, when set (tests only), reorders the sender iteration of a
-	// drain; the canonical sort must erase any such reordering, which
-	// FuzzShardedDrainOrder pins.
+	// delivery; every message already carries its full key, so no such
+	// reordering may change the schedule, which FuzzShardedDrainOrder
+	// pins.
 	permute func(senders int) []int
 
 	// barrierHook, when set, runs on the coordinator after every epoch
@@ -155,21 +145,26 @@ type Sharded struct {
 }
 
 // NewSharded builds a sharded kernel with n shards and the given
-// lookahead (the minimum cross-shard event latency, in cycles; ≥ 1).
+// lookahead (a lower bound on every cross-shard send delay, in cycles;
+// ≥ 1). The lookahead only sets the epoch width: any value up to the
+// true minimum send delay yields the same simulation.
 func NewSharded(n int, lookahead Cycle) *Sharded {
-	if n < 1 {
-		panic("sim: sharded kernel needs at least one shard")
+	if n < 1 || n > 1<<(64-originShift) {
+		panic(fmt.Sprintf("sim: sharded kernel needs 1 to %d shards, not %d", 1<<(64-originShift), n))
 	}
 	if lookahead < 1 {
 		panic("sim: sharded kernel needs lookahead ≥ 1")
 	}
 	s := &Sharded{lookahead: lookahead}
 	for i := 0; i < n; i++ {
+		k := NewKernel()
+		k.seq = uint64(i) << originShift
 		s.shards = append(s.shards, &Shard{
-			s:   s,
-			id:  i,
-			K:   NewKernel(),
-			out: make([][]message, n),
+			s:    s,
+			id:   i,
+			K:    k,
+			out:  make([][]event, n),
+			last: make([]Cycle, n),
 		})
 	}
 	return s
@@ -212,10 +207,10 @@ func (s *Sharded) minNext() (Cycle, bool) {
 	return best, ok
 }
 
-// runShardEpoch advances one shard to the (inclusive) epoch end,
-// converting a panic on the shard — modeling bug, invariant violation,
-// ProcPanic — into a stored failure the coordinator re-raises
-// deterministically (lowest shard id first).
+// runShardEpoch runs one shard's events up to the (inclusive) epoch end,
+// leaving its clock at its last event, and converts a panic on the shard
+// — modeling bug, invariant violation, ProcPanic — into a stored failure
+// the coordinator re-raises deterministically (lowest shard id first).
 func (s *Sharded) runShardEpoch(id int, until Cycle) {
 	sh := s.shards[id]
 	defer func() {
@@ -223,7 +218,7 @@ func (s *Sharded) runShardEpoch(id int, until Cycle) {
 			sh.failure = r
 		}
 	}()
-	sh.K.RunUntil(until)
+	sh.K.drive(until)
 }
 
 // checkFailures re-raises the lowest-shard panic captured during an
@@ -239,73 +234,34 @@ func (s *Sharded) checkFailures() {
 	}
 }
 
-// deliver drains every mailbox into its destination queue in the
-// canonical (arrival cycle, sender shard, sender sequence) order. The
-// receiver assigns fresh local sequence numbers in that order, so the
-// merged schedule is independent of both worker interleaving and the
-// sender-iteration order (which the permute test hook deliberately
-// scrambles).
+// deliver moves every mailbox into its destination queue. post already
+// stamped each message with its full (arrival, origin shard, origin
+// sequence) key, so the push order cannot matter, which the permute test
+// hook checks by scrambling it.
 func (s *Sharded) deliver() {
 	n := len(s.shards)
-	for dest := 0; dest < n; dest++ {
-		buf := s.scratch[:0]
+	for dest, d := range s.shards {
+		var order []int
 		if s.permute != nil {
-			for _, src := range s.permute(n) {
-				buf = s.collect(buf, src, dest)
-			}
-		} else {
-			for src := 0; src < n; src++ {
-				buf = s.collect(buf, src, dest)
-			}
+			order = s.permute(n)
 		}
-		if len(buf) == 0 {
-			continue
-		}
-		slices.SortFunc(buf, func(a, b message) int {
-			if a.when != b.when {
-				if a.when < b.when {
-					return -1
+		for i := 0; i < n; i++ {
+			src := s.shards[i]
+			if order != nil {
+				src = s.shards[order[i]]
+			}
+			out := src.out[dest]
+			for _, e := range out {
+				if e.when < d.K.now {
+					panic("sim: scheduling event in the past")
 				}
-				return 1
+				d.K.push(e)
 			}
-			if a.from != b.from {
-				return a.from - b.from
-			}
-			// Per-sender sequences are unique, so the key is total.
-			if a.seq < b.seq {
-				return -1
-			}
-			return 1
-		})
-		k := s.shards[dest].K
-		for i := range buf {
-			m := &buf[i]
-			switch {
-			case m.proc != nil:
-				k.wakeAt(m.when, m.proc)
-			case m.future != nil:
-				k.completeAt(m.when, m.future)
-			default:
-				k.At(m.when, m.fn)
-			}
+			s.stats.Messages += uint64(len(out))
+			clear(out) // don't pin closures/procs from the pooled mailbox
+			src.out[dest] = out[:0]
 		}
-		s.stats.Messages += uint64(len(buf))
-		clear(buf) // don't pin closures/procs from the scratch buffer
-		s.scratch = buf[:0]
 	}
-}
-
-// collect appends shard src's mailbox for dest to buf and resets it,
-// keeping the backing array pooled.
-func (s *Sharded) collect(buf []message, src, dest int) []message {
-	out := s.shards[src].out[dest]
-	if len(out) == 0 {
-		return buf
-	}
-	buf = append(buf, out...)
-	clear(out)
-	s.shards[src].out[dest] = out[:0]
-	return buf
 }
 
 // RunSequenced executes the epoch schedule single-threaded: every epoch

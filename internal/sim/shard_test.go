@@ -40,12 +40,14 @@ func (f *shardedFixture) merged() string {
 // buildShardedWorkload wires a deterministic 16-shard program exercising
 // every cross-shard path: plain Send callbacks, SendComplete on
 // pre-created futures, SendWake on explicitly parked processes, plus
-// local event chains and sleeps with pseudo-random (seeded) timing.
-func buildShardedWorkload(shards int) *shardedFixture {
+// local event chains and sleeps with pseudo-random (seeded) timing. Every
+// cross-shard send takes at least minDelay cycles, so the engine may run
+// it at any lookahead from 1 to minDelay.
+func buildShardedWorkload(shards int, lookahead Cycle) *shardedFixture {
 	const (
-		lookahead = 3
-		steps     = 40
-		rounds    = 16
+		minDelay = 3
+		steps    = 40
+		rounds   = 16
 	)
 	if shards < 3 {
 		panic("workload needs ≥3 shards")
@@ -108,13 +110,13 @@ func buildShardedWorkload(shards int) *shardedFixture {
 					f.record(i, "local fn of step %d at %d", step, sh.K.Now())
 				})
 				dest := (i + 1 + rng.Intn(shards-1)) % shards
-				delay := Cycle(lookahead + rng.Intn(4))
+				delay := Cycle(minDelay + rng.Intn(4))
 				sh.Send(dest, delay, func() {
 					f.record(dest, "msg from %d step %d at %d", i, step, s.Shard(dest).K.Now())
 				})
 				if step < rounds {
 					sh.SendComplete((i+1)%shards, delay, futures[(i+1)%shards][step])
-					sh.SendWake((i+2)%shards, lookahead, blockers[(i+2)%shards])
+					sh.SendWake((i+2)%shards, minDelay, blockers[(i+2)%shards])
 				}
 				if step%4 == 0 {
 					// The engine-callback pattern from the hierarchy's
@@ -126,11 +128,11 @@ func buildShardedWorkload(shards int) *shardedFixture {
 					cbDst := (i + 1 + shards/2) % shards
 					ack := cbAcks[i][step/4]
 					dt := s.Shard(cbDst)
-					sh.Send(cbDst, lookahead, func() {
+					sh.Send(cbDst, minDelay, func() {
 						dt.K.Go("cb", func(q *Proc) {
 							f.record(cbDst, "cb for %d step %d at %d", i, step, q.Now())
 							q.Sleep(Cycle(1 + step%3))
-							dt.SendComplete(i, lookahead, ack)
+							dt.SendComplete(i, minDelay, ack)
 						})
 					})
 					p.Wait(ack)
@@ -149,7 +151,7 @@ func buildShardedWorkload(shards int) *shardedFixture {
 // coordinator's epoch/message counts.
 func TestShardedMatchesSequencedAcrossWidths(t *testing.T) {
 	const shards = 16
-	ref := buildShardedWorkload(shards)
+	ref := buildShardedWorkload(shards, 3)
 	ref.s.RunSequenced()
 	want := ref.merged()
 	if want == "" {
@@ -166,7 +168,7 @@ func TestShardedMatchesSequencedAcrossWidths(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 4, 8, 16} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			f := buildShardedWorkload(shards)
+			f := buildShardedWorkload(shards, 3)
 			f.s.Run(workers)
 			if got := f.merged(); got != want {
 				t.Errorf("trace diverged from sequenced reference at %d workers:\n%s",
@@ -183,13 +185,85 @@ func TestShardedMatchesSequencedAcrossWidths(t *testing.T) {
 	}
 }
 
-// TestShardedDrainPermutationInvariant pins that the canonical
-// (cycle, sender, sequence) merge key erases the mailbox drain order: a
-// run whose per-epoch sender iteration is reversed (and one rotated by
-// the epoch number) matches the untouched reference byte for byte.
+// TestShardedOrderIndependentOfLookahead pins that no result depends on
+// where the epoch barriers fall: the workload, whose sends all take at
+// least 3 cycles, gives the same trace at lookahead 1 and 2 — on one
+// worker and on four — as the sequenced run at lookahead 3.
+func TestShardedOrderIndependentOfLookahead(t *testing.T) {
+	const shards = 16
+	ref := buildShardedWorkload(shards, 3)
+	ref.s.RunSequenced()
+	want := ref.merged()
+	ref.s.Release()
+
+	for _, lookahead := range []Cycle{1, 2} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("lookahead=%d/workers=%d", lookahead, workers), func(t *testing.T) {
+				f := buildShardedWorkload(shards, lookahead)
+				f.s.Run(workers)
+				if got := f.merged(); got != want {
+					t.Errorf("trace at lookahead %d diverged from lookahead 3:\n%s",
+						lookahead, firstDiff(got, want))
+				}
+				f.s.Release()
+			})
+		}
+	}
+}
+
+// TestShardedRunEndsAtLastEvent pins that a sharded run stops its clocks
+// at their last events, as the classic kernel does, rather than at the
+// end of the last epoch: a lone proc sleeping 10 cycles on a lookahead-3
+// engine ends at cycle 10, not at the epoch end 12.
+func TestShardedRunEndsAtLastEvent(t *testing.T) {
+	k := NewKernel()
+	k.Go("sleeper", func(p *Proc) { p.Sleep(10) })
+	k.Run()
+	for _, workers := range []int{1, 2} {
+		s := NewSharded(2, 3)
+		s.Shard(0).K.Go("sleeper", func(p *Proc) { p.Sleep(10) })
+		s.Run(workers)
+		if got := s.Shard(0).K.Now(); got != k.Now() {
+			t.Errorf("%d workers: sharded run ended at cycle %d, classic at %d", workers, got, k.Now())
+		}
+		if got := s.Shard(1).K.Now(); got != 0 {
+			t.Errorf("%d workers: idle shard's clock moved to %d", workers, got)
+		}
+		s.Release()
+	}
+}
+
+// TestShardedChannelFIFO pins that every (src, dst) channel is FIFO: a
+// send is pushed past the latest arrival already promised on its
+// channel, and same-cycle arrivals keep their send order. A shard's
+// sends to itself form a channel too; other channels are not held back.
+func TestShardedChannelFIFO(t *testing.T) {
+	f := &shardedFixture{s: NewSharded(3, 3), traces: make([][]string, 3)}
+	sh := f.s.Shard(0)
+	send := func(to int, delay Cycle, name string) {
+		sh.Send(to, delay, func() { f.record(to, "%s at %d", name, f.s.Shard(to).K.Now()) })
+	}
+	sh.K.At(5, func() {
+		send(1, 10, "a")
+		send(1, 3, "b") // held back to a's arrival, and runs after it
+		send(2, 3, "c") // another channel: not held back
+		send(0, 4, "d")
+		send(0, 1, "e") // the self channel: held back to d's arrival
+	})
+	f.s.RunSequenced()
+	want := "shard0 d at 9\nshard0 e at 9\nshard1 a at 15\nshard1 b at 15\nshard2 c at 8\n"
+	if got := f.merged(); got != want {
+		t.Errorf("channel order:\n%s", firstDiff(got, want))
+	}
+}
+
+// TestShardedDrainPermutationInvariant pins that the (cycle, origin
+// shard, origin sequence) key erases the mailbox delivery order: a run
+// whose per-epoch sender iteration is reversed (and one rotated by the
+// epoch number) matches the untouched reference byte for byte.
 func TestShardedDrainPermutationInvariant(t *testing.T) {
 	const shards = 16
-	ref := buildShardedWorkload(shards)
+	ref := buildShardedWorkload(shards, 3)
 	ref.s.RunSequenced()
 	want := ref.merged()
 	ref.s.Release()
@@ -212,7 +286,7 @@ func TestShardedDrainPermutationInvariant(t *testing.T) {
 	}
 	for name, perm := range perms {
 		t.Run(name, func(t *testing.T) {
-			f := buildShardedWorkload(shards)
+			f := buildShardedWorkload(shards, 3)
 			epoch := 0
 			f.s.permute = func(n int) []int {
 				epoch++
@@ -228,19 +302,25 @@ func TestShardedDrainPermutationInvariant(t *testing.T) {
 }
 
 // FuzzShardedDrainOrder feeds arbitrary per-epoch drain permutations to
-// the coordinator and asserts the simulation is unchanged — the fuzzing
-// analog of TestShardedDrainPermutationInvariant.
+// the coordinator, at an engine lookahead of 1 to 3 taken from the first
+// input byte, and asserts the simulation is unchanged — the fuzzing
+// analog of TestShardedDrainPermutationInvariant and
+// TestShardedOrderIndependentOfLookahead.
 func FuzzShardedDrainOrder(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 7, 255, 3})
 	f.Add([]byte{13, 13, 13, 13, 13, 13, 13, 13})
-	ref := buildShardedWorkload(4)
+	ref := buildShardedWorkload(4, 3)
 	ref.s.RunSequenced()
 	want := ref.merged()
 	ref.s.Release()
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fx := buildShardedWorkload(4)
+		lookahead := Cycle(3)
+		if len(data) > 0 {
+			lookahead = 1 + Cycle(data[0]%3)
+		}
+		fx := buildShardedWorkload(4, lookahead)
 		idx := 0
 		fx.s.permute = func(n int) []int {
 			p := make([]int, n)
@@ -271,10 +351,11 @@ func FuzzShardedDrainOrder(f *testing.F) {
 // sent with delay exactly equal to the lookahead — so every delivery
 // lands exactly on an epoch horizon. A coordinator that ran epochs one
 // cycle too long would make the receiver's clock pass the arrival time
-// and trip the kernel's scheduling-in-the-past panic; one that ran them
-// short would change arrival interleaving. The test also pins the
-// absolute arrival cycles and that same-cycle local events (scheduled
-// during the epoch) order before barrier-delivered messages.
+// and trip the scheduling-in-the-past panic; one that ran them short
+// would change arrival interleaving. The test also pins the absolute
+// arrival cycles and the origin rule for same-cycle ties: a message
+// orders against a local event by origin shard, wherever the epochs
+// fall.
 func TestShardedHorizonBoundary(t *testing.T) {
 	const (
 		lookahead = 3
@@ -322,14 +403,10 @@ func TestShardedHorizonBoundary(t *testing.T) {
 			t.Fatalf("message sent at %d arrived at %d, want exactly +%d: %q", sent, arrived, lookahead, line)
 		}
 	}
-	// Same-cycle merge rule: a barrier-delivered message gets its
-	// receiver-side sequence number at the drain, so it orders after
-	// local events scheduled in earlier epochs but before ones scheduled
-	// later in its own epoch. With this dense workload epochs are exactly
-	// [3k, 3k+2]: at an epoch-start cycle (c%3==0) the tick was scheduled
-	// pre-drain and runs first; mid-epoch (c%3!=0) the message runs
-	// first. Pin that rule — it is the "(cycle, seq, tile)" merge key
-	// made observable.
+	// Origin rule: same-cycle events order by (origin shard, origin
+	// sequence). On shard 0 the local tick (origin 0) runs before the
+	// message from shard 1; on shard 1 the message from shard 0 runs
+	// before the local tick — at every cycle, epoch start or not.
 	for i := 0; i < 2; i++ {
 		tickAt := map[int]int{} // cycle → trace index of the tick
 		msgAt := map[int]int{}  // cycle → trace index of the first arrival
@@ -351,9 +428,9 @@ func TestShardedHorizonBoundary(t *testing.T) {
 			}
 			checked++
 			tickFirst := ti < mi
-			wantTickFirst := at%lookahead == 0
+			wantTickFirst := i == 0
 			if tickFirst != wantTickFirst {
-				t.Fatalf("shard %d cycle %d: tickFirst=%v, want %v (epoch-relative merge rule)", i, at, tickFirst, wantTickFirst)
+				t.Fatalf("shard %d cycle %d: tickFirst=%v, want %v (origin rule)", i, at, tickFirst, wantTickFirst)
 			}
 		}
 		if checked < 10 {
@@ -437,7 +514,7 @@ func TestShardedBlockedReportsDeadlock(t *testing.T) {
 
 // TestShardedAllocsPerEvent is the zero-alloc gate for the parallel
 // coordinator: once mailboxes and queues are warm, epochs — including
-// cross-shard sends, the canonical drain, and the worker barrier — stay
+// cross-shard sends, mailbox delivery, and the worker barrier — stay
 // under 0.01 allocations per executed event.
 func TestShardedAllocsPerEvent(t *testing.T) {
 	const (

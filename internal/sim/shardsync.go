@@ -43,29 +43,31 @@ type shardedWaiter struct {
 
 // ShardedBarrier is a reusable rendezvous for processes spread across
 // the shards of one Sharded engine. Arrivals travel to a home shard as
-// mailbox messages (delay = lookahead), the home shard counts them, and
+// messages with a fixed modeled delay, the home shard counts them, and
 // the last arrival releases every waiter — remote waiters by a
 // cross-shard future completion, home-shard waiters by a local event.
-// Because arrival messages drain in the canonical epoch order and the
-// home-side counter is only ever touched from home-shard events, a
-// ShardedBarrier round is byte-identical at any worker count. A release
-// costs two lookahead crossings where the classic Barrier costs zero
-// cycles; sharded cycle counts honestly differ.
+// Because every message is ordered by its (cycle, origin shard, origin
+// sequence) key and the home-side counter is only ever touched from
+// home-shard events, a ShardedBarrier round is byte-identical at any
+// worker count. A release costs two message delays where the classic
+// Barrier costs zero cycles; sharded cycle counts honestly differ.
 type ShardedBarrier struct {
 	s       *Sharded
 	home    int
 	n       int
+	delay   Cycle
 	arrived int
 	waiters []shardedWaiter
 }
 
 // NewShardedBarrier returns a barrier for n participants, coordinated on
-// shard home.
-func NewShardedBarrier(s *Sharded, home, n int) *ShardedBarrier {
+// shard home, whose arrival and release messages each take delay cycles
+// (at least the engine's lookahead).
+func NewShardedBarrier(s *Sharded, home, n int, delay Cycle) *ShardedBarrier {
 	if n <= 0 {
 		panic("sim: barrier needs at least one participant")
 	}
-	return &ShardedBarrier{s: s, home: s.shardIndex(home), n: n}
+	return &ShardedBarrier{s: s, home: s.shardIndex(home), n: n, delay: delay}
 }
 
 // Arrive blocks p until all participants of the current generation have
@@ -79,7 +81,7 @@ func (b *ShardedBarrier) Arrive(p *Proc) {
 		// and p is running on it, so the count updates directly.
 		b.arriveAt(origin, f)
 	} else {
-		b.s.Shard(origin).Send(b.home, b.s.lookahead, func() {
+		b.s.Shard(origin).Send(b.home, b.delay, func() {
 			b.arriveAt(origin, f)
 		})
 	}
@@ -105,7 +107,7 @@ func (b *ShardedBarrier) arriveAt(origin int, f *Future) {
 		if w.origin == b.home {
 			home.K.completeAt(home.K.now, w.fut)
 		} else {
-			home.SendComplete(w.origin, b.s.lookahead, w.fut)
+			home.SendComplete(w.origin, b.delay, w.fut)
 		}
 	}
 	b.arrived = 0

@@ -209,12 +209,13 @@ func (s *System) Go(tile int, name string, fn func(p *sim.Proc, c *cpu.Core)) {
 }
 
 // Barrier returns a rendezvous for n software threads that works on
-// either engine: a classic kernel barrier, or an epoch-coordinated
-// barrier homed on shard 0 of a sharded build. Both sides satisfy
+// either engine: a classic kernel barrier, or a message-passing barrier
+// homed on shard 0 of a sharded build, whose messages take the mesh's
+// minimum cross-tile latency. Both sides satisfy
 // sim.Rendezvous (Arrive blocks until all n arrived).
 func (s *System) Barrier(n int) sim.Rendezvous {
 	if s.Sh != nil {
-		return sim.NewShardedBarrier(s.Sh, 0, n)
+		return sim.NewShardedBarrier(s.Sh, 0, n, s.H.Mesh.MinCrossTileLatency())
 	}
 	return sim.NewBarrier(s.K, n)
 }
