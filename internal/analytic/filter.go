@@ -1,14 +1,16 @@
 package analytic
 
 // exactCache is a functional set-associative LRU content filter: no
-// data, no timing, just which line keys a cache of the given geometry
-// would hold. The collector uses one per private level to reproduce the
+// data, no timing, just which keys a cache of the given geometry would
+// hold. The collector uses one per private level to reproduce the
 // simulator's *filtered* streams — the L2 only observes accesses that
 // missed L1, and the shared L3 only observes accesses that missed both
-// private levels. Feeding the downstream reuse-distance stacks from the
-// unfiltered stream would systematically overestimate L2/L3 residency
-// of lines that live in the level above (the classic filtered-stream
-// bias; docs/performance.md).
+// private levels. Feeding the shared level's reuse-distance stack from
+// the unfiltered stream would systematically overestimate L3 residency
+// of lines that live in the levels above (the classic filtered-stream
+// bias; docs/performance.md). A one-set filter of the dTLB's entry count
+// models each tile's dTLB exactly: a page hits iff its page-granular LRU
+// stack distance is below the entry count.
 type exactCache struct {
 	ways int
 	sets [][]uint64 // per set, resident keys MRU-first (≤ ways)

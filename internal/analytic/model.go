@@ -69,15 +69,13 @@ type Latencies struct {
 	TLBWalk float64
 }
 
-// Model accumulates expected per-level hit/miss counts from raw reuse
-// distances. Per-level counter semantics mirror the simulator exactly:
-// L2 counters only see accesses that missed L1; L3 counters only see
-// accesses that missed both private levels.
+// Model accumulates expected per-level hit/miss counts from the
+// collector's samples. Per-level counter semantics mirror the simulator
+// exactly: L2 counters only see accesses that missed L1; L3 counters
+// only see accesses that missed both private levels.
 type Model struct {
-	L1, L2 Geom // private levels; geometry for the collector's content filters
-	L3     Geom // shared, scored over the private-miss-filtered stream
-	TLB    int  // fully-associative entries per tile
-	Lat    Latencies
+	L3  Geom // shared, scored over the private-miss-filtered stream
+	Lat Latencies
 
 	acc      float64
 	l1h      float64
@@ -115,15 +113,14 @@ func (m *Model) l3HitProb(dist int, cold bool) float64 {
 	return p
 }
 
-// Observe folds one access's reuse distances into the expectations.
-// The sample must carry filtered-stream observations (the collector's
-// SetFilters must be armed). The private levels are counted exactly:
-// the collector's content filters reproduce the simulator's inclusive
-// L1/L2 (including back-invalidation on L2 eviction), so an access hits
-// L1 iff it did not reach L2, and hits L2 iff it did not reach L3. Only
-// the shared L3 — whose banked global state the collector does not
-// replicate — is probabilistic, scored by the binomial hit model over
-// the private-miss-filtered stack distance.
+// Observe folds one access's sample into the expectations. The private
+// levels and the dTLB are counted exactly: the collector's content
+// filters reproduce the simulator's inclusive L1/L2 (including
+// back-invalidation on L2 eviction), so an access hits L1 iff it did not
+// reach L2, and hits L2 iff it did not reach L3. Only the shared L3 —
+// whose banked global state the collector does not replicate — is
+// probabilistic, scored by the binomial hit model over the
+// private-miss-filtered stack distance.
 func (m *Model) Observe(s Sample) {
 	m.acc++
 	lat := m.Lat.L1
@@ -142,7 +139,7 @@ func (m *Model) Observe(s Sample) {
 		}
 	}
 
-	if s.PageCold || s.PageDist >= m.TLB {
+	if !s.TLBHit {
 		m.tlbm++
 		lat += m.Lat.TLBWalk
 	}

@@ -1,13 +1,18 @@
-// Package analytic is the stack-distance-based analytical cache model
-// behind fast-forward warmup (system.Config.FastForward): an exact LRU
-// reuse-distance collector fed straight from the workload access stream
-// (no event kernel), per-address-range reuse-distance histograms, and a
-// miss-ratio/latency estimator for the Table 3 hierarchy derived from
-// them. The approach follows Gysi et al., "A Fast Analytical Model of
-// Fully Associative Caches" (PAPERS.md): reuse distances are orders of
-// magnitude cheaper to collect than event-driven simulation and capture
-// exactly the locality signal the hierarchy's miss behaviour depends on.
+// Package analytic is the analytical cache model behind fast-forward
+// warmup (system.Config.FastForward). Its Collector is fed straight from
+// the workload access stream, with no event kernel, and keeps exact
+// functional content filters for each tile's private levels and dTLB,
+// exact LRU stack distances for the shared level's private-miss-filtered
+// stream, and a bounded recency record for warm-state seeding. Its Model
+// turns those observations into miss-ratio and latency estimates for the
+// Table 3 hierarchy. The approach follows Gysi et al., "A Fast
+// Analytical Model of Fully Associative Caches" (PAPERS.md): reuse
+// distances are orders of magnitude cheaper to collect than event-driven
+// simulation and capture exactly the locality signal the hierarchy's
+// miss behaviour depends on.
 package analytic
+
+import "tako/internal/flat"
 
 // Stack computes exact LRU stack distances (the number of distinct keys
 // touched since a key's previous touch) in O(log n) per access: keys map
@@ -21,12 +26,12 @@ package analytic
 // modeled cache capacity, so bounding never perturbs a finite estimate —
 // a key older than keepMax distinct lines would miss everywhere anyway.
 type Stack struct {
-	bit  []uint32  // Fenwick tree: bit counts of live slots
-	keys []uint64  // slot -> key mirror (stale below a key's newest slot)
-	pos  flatTable // key -> slot
-	next int       // next free slot (logical length)
-	live int       // keys currently tracked
-	keep int       // survivors per compaction (drop-tail bound)
+	bit  []uint32        // Fenwick tree: bit counts of live slots
+	keys []uint64        // slot -> key mirror (stale below a key's newest slot)
+	pos  flat.Table[int] // key -> slot
+	next int             // next free slot (logical length)
+	live int             // keys currently tracked
+	keep int             // survivors per compaction (drop-tail bound)
 
 	// Cold counts first touches (including re-touches of dropped keys);
 	// Dropped counts keys discarded by the bound.
@@ -44,15 +49,20 @@ func NewStack(keepMax int) *Stack {
 		keepMax = 1 << 21
 	}
 	s := &Stack{keep: keepMax}
-	s.growBIT(1 << 10)
+	s.resetBIT(1 << 10)
 	return s
 }
 
-// growBIT (re)allocates the Fenwick tree and slot mirror for n slots,
-// empty.
-func (s *Stack) growBIT(n int) {
-	s.bit = make([]uint32, n+1)
-	s.keys = make([]uint64, n)
+// resetBIT empties the Fenwick tree and slot mirror, sized for n slots;
+// the arrays are reused when the size is unchanged, so steady-state
+// compactions allocate nothing.
+func (s *Stack) resetBIT(n int) {
+	if len(s.keys) == n {
+		clear(s.bit)
+	} else {
+		s.bit = make([]uint32, n+1)
+		s.keys = make([]uint64, n)
+	}
 	s.next = 0
 }
 
@@ -85,9 +95,11 @@ func (s *Stack) Touch(key uint64) (dist int, cold bool) {
 	if s.next+1 >= len(s.bit) {
 		s.compact()
 	}
-	slot, ok := s.pos.upsert(key, s.next)
+	ref, ok := s.pos.GetOrPut(key, s.next)
 	if ok {
 		// Keys more recent than this one = live keys in slots above it.
+		slot := *ref
+		*ref = s.next
 		dist = s.live - s.sum(slot)
 		s.add(slot, -1)
 	} else {
@@ -115,45 +127,30 @@ func (s *Stack) compact() {
 	s.scratch = s.scratch[:0]
 	for slot := 0; slot < s.next; slot++ {
 		k := s.keys[slot]
-		if p, ok := s.pos.get(k); ok && p == slot {
+		if p, ok := s.pos.Get(k); ok && p == slot {
 			s.scratch = append(s.scratch, k)
 		}
 	}
-	if drop := len(s.scratch) - s.keep; drop > 0 {
+	live := s.scratch
+	if drop := len(live) - s.keep; drop > 0 {
 		s.Dropped += uint64(drop)
-		s.scratch = s.scratch[drop:]
+		live = live[drop:]
 	}
 	n := len(s.bit) - 1
 	// Keep at least 7/8 of the slot space free (capped at 4x the keep
 	// bound) so compactions stay rare: each one walks the whole slot
 	// space, so at 1/8 occupancy the amortized cost is ~1.3 slot visits
 	// per touch.
-	for n < 2*len(s.scratch)+2 || (n < 4*s.keep && n < 8*len(s.scratch)) {
+	for n < 2*len(live)+2 || (n < 4*s.keep && n < 8*len(live)) {
 		n *= 2
 	}
-	s.growBIT(n)
-	s.pos.reset(len(s.scratch))
-	for i, k := range s.scratch {
-		s.pos.put(k, i)
+	s.resetBIT(n)
+	s.pos.Reset()
+	for i, k := range live {
+		s.pos.Put(k, i)
 		s.keys[i] = k
 		s.add(i, 1)
 	}
-	s.next = len(s.scratch)
-	s.live = len(s.scratch)
-}
-
-// MRU returns up to n tracked keys, most recently touched first. Used by
-// warm-state seeding to plan steady-state cache occupancy.
-func (s *Stack) MRU(n int) []uint64 {
-	if n > s.live {
-		n = s.live
-	}
-	out := make([]uint64, 0, n)
-	for slot := s.next - 1; slot >= 0 && len(out) < n; slot-- {
-		k := s.keys[slot]
-		if p, ok := s.pos.get(k); ok && p == slot {
-			out = append(out, k)
-		}
-	}
-	return out
+	s.next = len(live)
+	s.live = len(live)
 }

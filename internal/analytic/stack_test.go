@@ -3,8 +3,6 @@ package analytic
 import (
 	"math/rand"
 	"testing"
-
-	"tako/internal/mem"
 )
 
 // TestStackMatchesBrute pins the Fenwick-tree stack against the literal
@@ -43,15 +41,6 @@ func TestStackMatchesBrute(t *testing.T) {
 			}
 			if fast.Live() != brute.Live() {
 				t.Fatalf("live: fast %d != brute %d", fast.Live(), brute.Live())
-			}
-			fm, bm := fast.MRU(64), brute.MRU(64)
-			if len(fm) != len(bm) {
-				t.Fatalf("MRU length: %d != %d", len(fm), len(bm))
-			}
-			for i := range fm {
-				if fm[i] != bm[i] {
-					t.Fatalf("MRU[%d]: fast %d != brute %d", i, fm[i], bm[i])
-				}
 			}
 		})
 	}
@@ -105,52 +94,6 @@ func TestStackDropTail(t *testing.T) {
 	}
 	if fast.Dropped == 0 || spurious == 0 {
 		t.Fatalf("expected drop pressure (dropped=%d spurious=%d)", fast.Dropped, spurious)
-	}
-}
-
-// TestCollectorMatchesBrute pins the three collector granularities —
-// per-tile line, global line, per-tile page — against brute references
-// on a multi-tile interleaved trace that mixes real regions with a
-// phantom range.
-func TestCollectorMatchesBrute(t *testing.T) {
-	const tiles = 4
-	const pageBits = 12 // small pages so the page stream actually exercises reuse
-	space := mem.NewSpace()
-	real1 := space.Alloc("ranks", 1<<16)
-	real2 := space.Alloc("edges", 1<<17)
-	phantom := space.AllocPhantom("ubbuf", 1<<16)
-	regions := []mem.Region{real1, real2, phantom}
-
-	c := NewCollector(tiles, pageBits)
-	bTileLine := make([]*BruteStack, tiles)
-	bTilePage := make([]*BruteStack, tiles)
-	bGlobal := &BruteStack{}
-	for i := range bTileLine {
-		bTileLine[i] = &BruteStack{}
-		bTilePage[i] = &BruteStack{}
-	}
-
-	rng := rand.New(rand.NewSource(23))
-	for i := 0; i < 40000; i++ {
-		tile := rng.Intn(tiles)
-		r := regions[rng.Intn(len(regions))]
-		a := r.At(uint64(rng.Intn(int(r.Size))) &^ 7)
-		write := rng.Intn(4) == 0
-		s := c.Touch(tile, a, write)
-
-		la := uint64(a >> mem.LineShift)
-		td, tc := bTileLine[tile].Touch(la)
-		gd, gc := bGlobal.Touch(la)
-		pd, pc := bTilePage[tile].Touch(uint64(a) >> pageBits)
-		if s.TileDist != td || s.TileCold != tc {
-			t.Fatalf("access %d: tile dist (%d,%v) != brute (%d,%v)", i, s.TileDist, s.TileCold, td, tc)
-		}
-		if s.GlobalDist != gd || s.GlobalCold != gc {
-			t.Fatalf("access %d: global dist (%d,%v) != brute (%d,%v)", i, s.GlobalDist, s.GlobalCold, gd, gc)
-		}
-		if s.PageDist != pd || s.PageCold != pc {
-			t.Fatalf("access %d: page dist (%d,%v) != brute (%d,%v)", i, s.PageDist, s.PageCold, pd, pc)
-		}
 	}
 }
 

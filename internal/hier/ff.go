@@ -10,13 +10,16 @@ import (
 	"tako/internal/sim"
 )
 
-// Analytical fast-forward (ROADMAP item 2): the first N core memory
-// accesses are executed functionally against the backing store while an
-// exact reuse-distance collector (internal/analytic) observes the
+// Analytical fast-forward (system.Config.FastForward): the first N core
+// memory accesses are executed functionally against the backing store
+// while the analytical collector (internal/analytic) observes the
 // stream — no transactions, no coherence protocol, no event-kernel
-// churn per access. When the budget is exhausted, the caches, TLBs, and
-// directory are seeded from the collector's steady-state occupancy
-// (seed.go) and the full event kernel takes over for the capture window.
+// churn per access. The collector keeps exact L1/L2/dTLB content per
+// tile and stack distances only for the shared level's private-miss
+// stream, which is all the model scores. When the budget is exhausted,
+// the caches, TLBs, and directory are seeded from the collector's
+// steady-state occupancy (seed.go) and the full event kernel takes over
+// for the capture window.
 //
 // Fast-forward is exact functionally (values, including atomics, are
 // bit-identical to full simulation on the cooperative kernel) and
@@ -123,13 +126,11 @@ func (h *Hierarchy) EnableFastForward(budget uint64) {
 	dtlbCfg := h.tiles[0].dtlb.Config()
 	f := &ffState{
 		budget: budget,
-		col:    analytic.NewCollector(cfg.Tiles, uint(dtlbCfg.PageBits)),
+		col: analytic.NewCollector(cfg.Tiles, uint(dtlbCfg.PageBits),
+			lineGeom(cfg.L1Size, cfg.L1Ways, 1), lineGeom(cfg.L2Size, cfg.L2Ways, 1), dtlbCfg.Entries),
 		counts: make([]uint32, cfg.Tiles),
 		model: analytic.Model{
-			L1:  lineGeom(cfg.L1Size, cfg.L1Ways, 1),
-			L2:  lineGeom(cfg.L2Size, cfg.L2Ways, 1),
-			L3:  lineGeom(cfg.L3BankSize, cfg.L3Ways, cfg.Tiles),
-			TLB: dtlbCfg.Entries,
+			L3: lineGeom(cfg.L3BankSize, cfg.L3Ways, cfg.Tiles),
 			Lat: analytic.Latencies{
 				L1:      float64(cfg.L1Latency),
 				L2:      float64(cfg.L2TagLat + cfg.L2DataLat),
@@ -140,10 +141,6 @@ func (h *Hierarchy) EnableFastForward(budget uint64) {
 		},
 		batchLat: ffSleepEvery, // until the first retime
 	}
-	// The L2/L3 models observe the filtered streams the simulator's
-	// counters see (L1 misses, private misses), gated by exact
-	// functional LRU content of the level above.
-	f.col.SetFilters(f.model.L1, f.model.L2)
 	h.ff = f
 	ffActiveSystems.Add(1)
 	ffBudgetTotal.Add(budget)
@@ -168,8 +165,8 @@ func (h *Hierarchy) ffGate(p *sim.Proc) bool {
 	return true
 }
 
-// ffTouch records one fast-forwarded access: the collector observes its
-// reuse distances, the model folds them into the running estimate, and
+// ffTouch records one fast-forwarded access: the collector observes it,
+// the model folds the sample into the running estimate, and
 // every ffSleepEvery-th access per tile sleeps the batched latency so
 // virtual time advances and sibling procs stay scheduled.
 //
@@ -179,9 +176,9 @@ func (h *Hierarchy) ffGate(p *sim.Proc) bool {
 // store performed after that seed would be invisible to the now-live
 // caches. With the sleep trailing, every fast-path effect is already in
 // the backing store before any switchover can observe it.
-func (h *Hierarchy) ffTouch(p *sim.Proc, tileID int, a mem.Addr, write bool) {
+func (h *Hierarchy) ffTouch(p *sim.Proc, tileID int, a mem.Addr) {
 	f := h.ff
-	f.model.Observe(f.col.Touch(tileID, a, write))
+	f.model.Observe(f.col.Touch(tileID, a))
 	f.done++
 	f.counts[tileID]++
 	if f.counts[tileID]%ffSleepEvery == 0 {
@@ -269,7 +266,7 @@ func (h *Hierarchy) ffLoad(p *sim.Proc, tileID int, a mem.Addr) uint64 {
 	if h.obs != nil {
 		h.obs.LoadCommitted(tileID, a, v)
 	}
-	h.ffTouch(p, tileID, a, false)
+	h.ffTouch(p, tileID, a)
 	return v
 }
 
@@ -278,7 +275,7 @@ func (h *Hierarchy) ffStore(p *sim.Proc, tileID int, a mem.Addr, v uint64) {
 	if h.obs != nil {
 		h.obs.StoreCommitted(tileID, a, v)
 	}
-	h.ffTouch(p, tileID, a, true)
+	h.ffTouch(p, tileID, a)
 }
 
 func (h *Hierarchy) ffLoadLine(p *sim.Proc, tileID int, a mem.Addr) mem.Line {
@@ -287,7 +284,7 @@ func (h *Hierarchy) ffLoadLine(p *sim.Proc, tileID int, a mem.Addr) mem.Line {
 	if h.obs != nil {
 		h.obs.LineLoaded(tileID, a, &line)
 	}
-	h.ffTouch(p, tileID, a, false)
+	h.ffTouch(p, tileID, a)
 	return line
 }
 
@@ -296,7 +293,7 @@ func (h *Hierarchy) ffStoreLine(p *sim.Proc, tileID int, a mem.Addr, line *mem.L
 	if h.obs != nil {
 		h.obs.LineStored(tileID, a, line, nt)
 	}
-	h.ffTouch(p, tileID, a, true)
+	h.ffTouch(p, tileID, a)
 }
 
 func (h *Hierarchy) ffAtomicRMO(p *sim.Proc, tileID int, a mem.Addr, op RMOOp, v uint64) {
@@ -307,7 +304,7 @@ func (h *Hierarchy) ffAtomicRMO(p *sim.Proc, tileID int, a mem.Addr, op RMOOp, v
 	if h.obs != nil {
 		h.obs.RMOCommitted(tileID, a, op, v, old, op.apply(old, v))
 	}
-	h.ffTouch(p, tileID, a, true)
+	h.ffTouch(p, tileID, a)
 }
 
 func (h *Hierarchy) ffAtomicExchange(p *sim.Proc, tileID int, a mem.Addr, v uint64) uint64 {
@@ -318,7 +315,7 @@ func (h *Hierarchy) ffAtomicExchange(p *sim.Proc, tileID int, a mem.Addr, v uint
 	if h.obs != nil {
 		h.obs.ExchangeCommitted(tileID, a, v, old)
 	}
-	h.ffTouch(p, tileID, a, true)
+	h.ffTouch(p, tileID, a)
 	return old
 }
 

@@ -27,8 +27,8 @@ import (
 //   - owners stay -1 (nothing dirty), so no downgrade state exists.
 //
 // Recency: cache.Seed/TLB.Warm follow the shared fill clocks, so plans
-// are collected most-recent-first (the MRU walk) and installed in
-// reverse, leaving the most recent line MRU in every set.
+// are collected most-recent-first and installed in reverse, leaving the
+// most recent line MRU in every set.
 func (h *Hierarchy) seedWarmState(col *analytic.Collector) ffSeedCounts {
 	var n ffSeedCounts
 	store := h.DRAM.Store()
@@ -74,34 +74,25 @@ func (h *Hierarchy) seedWarmState(col *analytic.Collector) ffSeedCounts {
 	}
 
 	// Private levels + dTLB, per tile. The collector's exact content
-	// filters (armed whenever fast-forward runs) are the private levels'
-	// true steady-state occupancy — including inclusion back-invalidation
-	// — so they are preferred; the tile-stream MRU estimate is the
-	// fallback for filterless collectors.
+	// filters are the private levels' true steady-state occupancy —
+	// including inclusion back-invalidation.
 	for ti, t := range h.tiles {
 		keys1, keys2 := col.FilterMRU(ti)
-		if keys2 == nil {
-			keys2 = col.TileMRU(ti, 4*t.l2.NumSets()*t.l2.Config().Ways)
-		}
 		plan2 := planPrivate(t.l2, keys2, inL3)
-		var plan1 []mem.Addr
-		if keys1 != nil {
-			// Exact L1 content, restricted to the seeded L2 plan so the
-			// installed levels stay inclusive.
-			inPlan2 := make(map[mem.Addr]struct{}, len(plan2))
-			for _, la := range plan2 {
-				inPlan2[la] = struct{}{}
-			}
-			for _, key := range keys1 {
-				la := mem.Addr(key << mem.LineShift)
-				if _, ok := inPlan2[la]; ok {
-					plan1 = append(plan1, la)
-				}
-			}
-			plan1 = planSubset(t.l1, plan1)
-		} else {
-			plan1 = planSubset(t.l1, plan2)
+		// Exact L1 content, restricted to the seeded L2 plan so the
+		// installed levels stay inclusive.
+		inPlan2 := make(map[mem.Addr]struct{}, len(plan2))
+		for _, la := range plan2 {
+			inPlan2[la] = struct{}{}
 		}
+		var plan1 []mem.Addr
+		for _, key := range keys1 {
+			la := mem.Addr(key << mem.LineShift)
+			if _, ok := inPlan2[la]; ok {
+				plan1 = append(plan1, la)
+			}
+		}
+		plan1 = planSubset(t.l1, plan1)
 		for i := len(plan2) - 1; i >= 0; i-- {
 			store.PeekLine(plan2[i], &line)
 			if t.l2.Seed(plan2[i], &line) {
@@ -118,7 +109,7 @@ func (h *Hierarchy) seedWarmState(col *analytic.Collector) ffSeedCounts {
 			}
 		}
 		pageBits := t.dtlb.Config().PageBits
-		pages := col.PageMRU(ti, t.dtlb.Config().Entries)
+		pages := col.PageMRU(ti)
 		for i := len(pages) - 1; i >= 0; i-- {
 			if t.dtlb.Warm(mem.Addr(pages[i]) << pageBits) {
 				n.TLB++
@@ -128,9 +119,10 @@ func (h *Hierarchy) seedWarmState(col *analytic.Collector) ffSeedCounts {
 	return n
 }
 
-// planPrivate collects the private-cache plan for c from keys (a
-// most-recent-first MRU walk of the tile's stream): lines also planned
-// into the shared L3, under per-set way quotas, up to capacity.
+// planPrivate collects the private-cache plan for c from keys (the
+// tile's L2 filter content, most recent first within each set): lines
+// also planned into the shared L3, under per-set way quotas, up to
+// capacity.
 func planPrivate(c *cache.Cache, keys []uint64, inL3 map[uint64]struct{}) []mem.Addr {
 	capacity := c.NumSets() * c.Config().Ways
 	quota := make([]int, c.NumSets())
@@ -153,10 +145,10 @@ func planPrivate(c *cache.Cache, keys []uint64, inL3 map[uint64]struct{}) []mem.
 	return plan
 }
 
-// planSubset restricts an outer-level plan (already most-recent-first)
-// to what fits c's geometry — the L1 plan is a subset of the L2 plan, so
-// inclusion between the seeded private levels mirrors demand-fill
-// steady state.
+// planSubset restricts candidate lines (most recent first within each
+// set) to what fits c's geometry. The L1 candidates are already a subset
+// of the L2 plan, so inclusion between the seeded private levels mirrors
+// demand-fill steady state.
 func planSubset(c *cache.Cache, outer []mem.Addr) []mem.Addr {
 	capacity := c.NumSets() * c.Config().Ways
 	quota := make([]int, c.NumSets())

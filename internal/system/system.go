@@ -48,8 +48,9 @@ type Config struct {
 	// functionally exact execution against the backing store feeding a
 	// reuse-distance collector, then warm-state seeding when the event
 	// kernel switches on. Classic-kernel baseline (NoTako) machines
-	// only: ignored (with full simulation instead) on täkō machines, and
-	// New keeps such a machine off the sharded engine. Warmup timing is
+	// only: building a täkō or sharded machine with it set panics with
+	// a message naming the fix, and New keeps such a machine off the
+	// sharded engine. Warmup timing is
 	// estimated rather than simulated, so cycle counts differ from a
 	// full run — default off, and fast-forwarded configurations carry
 	// their own goldens.
@@ -134,7 +135,7 @@ func Build(cfg Config) *System {
 		s.E.AttachHierarchy(s.H)
 		s.Tako.Attach(s.H, s.E)
 	}
-	if cfg.NoTako && cfg.FastForward > 0 {
+	if cfg.FastForward > 0 {
 		s.H.EnableFastForward(cfg.FastForward)
 	}
 	for i := 0; i < cfg.Tiles; i++ {

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"strings"
 	"testing"
 
 	"tako/internal/cpu"
@@ -42,6 +43,29 @@ func TestNoTakoBaseline(t *testing.T) {
 	s.Run()
 	if s.EngineInstrs() != 0 {
 		t.Fatal("engine instrs nonzero without engines")
+	}
+}
+
+// TestBuildRejectsFastForwardOnTako pins that a täkō machine whose
+// Config asks for fast-forward fails at build time, through Build and
+// through New, with the message that names the fix, instead of silently
+// running in full.
+func TestBuildRejectsFastForwardOnTako(t *testing.T) {
+	cfg := Scaled(2, 16)
+	cfg.FastForward = 1 << 10
+	for _, b := range []struct {
+		name  string
+		build func(Config) *System
+	}{{"Build", Build}, {"New", New}} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "täkō") || !strings.Contains(msg, "FastForward") {
+					t.Errorf("%s of a täkō machine with FastForward: recovered %q, want the täkō fast-forward panic", b.name, msg)
+				}
+			}()
+			b.build(cfg)
+		}()
 	}
 }
 
