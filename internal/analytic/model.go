@@ -151,8 +151,8 @@ type Estimate struct {
 	Accesses uint64
 
 	// Miss ratios per level, each over the accesses that reached that
-	// level (matching the simulator's Stats semantics). TLBMiss is over
-	// all accesses.
+	// level (matching the simulator's l1/l2/l3 hits and misses metrics).
+	// TLBMiss is over all accesses.
 	L1Miss  float64
 	L2Miss  float64
 	L3Miss  float64

@@ -59,16 +59,6 @@ type LineState struct {
 	Data mem.Line
 }
 
-// Stats are per-array counters.
-type Stats struct {
-	Hits        uint64
-	Misses      uint64
-	Evictions   uint64
-	Writebacks  uint64 // dirty evictions
-	MorphEvicts uint64 // evictions that will trigger callbacks
-	Fills       uint64
-}
-
 // Cache is one set-associative array.
 //
 // Line state lives in one contiguous slab indexed by set*ways+way (no
@@ -86,7 +76,6 @@ type Cache struct {
 	valid    []int16 // per-set count of valid ways
 	mru      []int16 // per-set way of the last hit/fill
 	lruClock uint64
-	Stats    Stats
 
 	// Victim-scan scratch: allowedFn is built once and reads vcSet /
 	// vcConstraint, which ChooseVictim binds per call, so passing the
@@ -273,13 +262,6 @@ func (c *Cache) evictWay(setIdx, way int) LineState {
 	set[way] = LineState{}
 	if old.Valid {
 		c.valid[setIdx]--
-		c.Stats.Evictions++
-		if old.Dirty {
-			c.Stats.Writebacks++
-		}
-		if old.Morph {
-			c.Stats.MorphEvicts++
-		}
 	}
 	return old
 }
@@ -319,17 +301,16 @@ func (c *Cache) FillAt(a mem.Addr, way int, data *mem.Line, opts FillOpts) LineS
 	c.valid[setIdx]++
 	c.mru[setIdx] = int16(way)
 	c.cfg.Policy.OnInsert(set, way, opts.EngineFill)
-	c.Stats.Fills++
 	return evicted
 }
 
-// Seed installs a clean line into an invalid way of a's set without
-// touching the hit/miss/fill statistics: warm-state pre-seeding for
-// analytical fast-forward (hier/seed.go). It returns false — and
-// installs nothing — when the line is already present or the set has no
-// invalid way (seeding never evicts). Recency follows the shared fill
-// clock, so callers seed in least-recent-first order; the replacement
-// policy's insertion hook runs so policy metadata stays legal.
+// Seed installs a clean line into an invalid way of a's set: warm-state
+// pre-seeding for analytical fast-forward (hier/seed.go). It returns
+// false — and installs nothing — when the line is already present or the
+// set has no invalid way (seeding never evicts). Recency follows the
+// shared fill clock, so callers seed in least-recent-first order; the
+// replacement policy's insertion hook runs so policy metadata stays
+// legal.
 func (c *Cache) Seed(a mem.Addr, data *mem.Line) bool {
 	setIdx := c.SetIndex(a)
 	set := c.set(setIdx)

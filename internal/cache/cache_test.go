@@ -66,9 +66,6 @@ func TestLookupMissHitAndData(t *testing.T) {
 	if l == nil || l.Data.Word(0) != 99 {
 		t.Fatal("fill did not stick")
 	}
-	if c.Stats.Fills != 1 {
-		t.Fatalf("fills = %d", c.Stats.Fills)
-	}
 }
 
 func TestLRUEvictsOldest(t *testing.T) {
@@ -255,14 +252,19 @@ func TestLinesInRegion(t *testing.T) {
 	}
 }
 
+// TestStatsOnEvict: a fill into a full set hands back the LRU line it
+// evicted, with the dirty bit the caller needs to decide on a writeback.
 func TestStatsOnEvict(t *testing.T) {
 	c := tiny(NewLRU())
 	for i := 0; i < 4; i++ {
 		fill(c, addrFor(0, i), FillOpts{Dirty: i == 0, Morph: i == 1})
 	}
-	fill(c, addrFor(0, 4), FillOpts{}) // evicts way 0 (dirty)
-	if c.Stats.Evictions != 1 || c.Stats.Writebacks != 1 {
-		t.Fatalf("stats = %+v", c.Stats)
+	ev := fill(c, addrFor(0, 4), FillOpts{}) // evicts way 0 (dirty)
+	if !ev.Valid || ev.Tag != addrFor(0, 0) || !ev.Dirty || ev.Morph {
+		t.Fatalf("victim = %+v, want the dirty way-0 line", ev)
+	}
+	if c.Contains(addrFor(0, 0)) {
+		t.Fatal("evicted line still cached")
 	}
 }
 

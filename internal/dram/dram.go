@@ -52,8 +52,7 @@ type DRAM struct {
 	// Observability (AttachMetrics/AttachTracer; all handles nil-safe).
 	mReads, mWrites *stats.Counter
 	mQueueWait      *stats.Histogram // cycles each request waited for its controller
-	mDepth          []*stats.Gauge   // per-controller backlog, sampled periodically
-	samplePeriod    sim.Cycle
+	mDepth          []*stats.Gauge   // per-controller backlog, sampled every samplePeriod cycles
 	lastSample      sim.Cycle
 	tracer          *trace.Tracer
 	compCtrl        []string // pre-rendered "dram.N" component labels
@@ -76,22 +75,21 @@ func New(k *sim.Kernel, cfg Config, store *mem.Memory, meter *energy.Meter) *DRA
 	}
 }
 
-// DefaultSamplePeriod is the queue-depth sampling period used when the
-// caller does not configure one.
-const DefaultSamplePeriod sim.Cycle = 1024
+// samplePeriod is how many cycles apart the queue-depth gauges sample.
+const samplePeriod sim.Cycle = 1024
 
 // AttachMetrics resolves this DRAM's registry handles: dram.reads and
 // dram.writes counters, a dram.queue.wait latency histogram, and one
 // dram.queue.depth{ctrl=N} gauge per controller sampled lazily every
-// samplePeriod cycles (0 = DefaultSamplePeriod). Sampling is lazy — the
-// backlog is inspected at request time, never via kernel events — so it
-// adds no events to the simulation and cannot perturb timing.
+// samplePeriod (1024) cycles. Sampling is lazy — the backlog is
+// inspected at request time, never via kernel events — so it adds no
+// events to the simulation and cannot perturb timing.
 //
 // Extra labels distinguish multiple DRAM instances sharing one registry
 // (the sharded hierarchy hosts one single-controller instance per home
 // shard); gauges in particular must stay single-writer to keep their
 // last-sample field deterministic.
-func (d *DRAM) AttachMetrics(r *stats.Registry, samplePeriod sim.Cycle, labels ...stats.Label) {
+func (d *DRAM) AttachMetrics(r *stats.Registry, labels ...stats.Label) {
 	d.mReads = r.Counter("dram.reads", labels...)
 	d.mWrites = r.Counter("dram.writes", labels...)
 	d.mQueueWait = r.Histogram("dram.queue.wait", labels...)
@@ -101,10 +99,6 @@ func (d *DRAM) AttachMetrics(r *stats.Registry, samplePeriod sim.Cycle, labels .
 		d.mDepth[i] = r.Gauge("dram.queue.depth", append([]stats.Label{stats.L("ctrl", i)}, labels...)...)
 		d.compCtrl[i] = fmt.Sprintf("dram.%d", i)
 	}
-	if samplePeriod == 0 {
-		samplePeriod = DefaultSamplePeriod
-	}
-	d.samplePeriod = samplePeriod
 }
 
 // AttachTracer makes each controller emit one span per line transfer
@@ -114,7 +108,7 @@ func (d *DRAM) AttachTracer(t *trace.Tracer) { d.tracer = t }
 // sampleDepth records each controller's backlog — how many whole requests
 // deep its bandwidth queue currently is — at most once per sample period.
 func (d *DRAM) sampleDepth(now sim.Cycle) {
-	if d.mDepth == nil || (d.lastSample != 0 && now-d.lastSample < d.samplePeriod) {
+	if d.mDepth == nil || (d.lastSample != 0 && now-d.lastSample < samplePeriod) {
 		return
 	}
 	d.lastSample = now

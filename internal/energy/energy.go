@@ -9,7 +9,6 @@ package energy
 
 import (
 	"fmt"
-	"strings"
 	"sync/atomic"
 )
 
@@ -104,37 +103,4 @@ func (m *Meter) TotalPJ() float64 {
 		total += float64(m.counts[k]) * m.costs[k]
 	}
 	return total
-}
-
-// PJ returns the energy attributed to kind k.
-func (m *Meter) PJ(k Kind) float64 { return float64(m.counts[k]) * m.costs[k] }
-
-// Reset zeroes all counts (costs are preserved).
-func (m *Meter) Reset() { m.counts = [numKinds]uint64{} }
-
-// AddFrom accumulates another meter's counts into m.
-func (m *Meter) AddFrom(o *Meter) {
-	for k := Kind(0); k < numKinds; k++ {
-		m.counts[k] += o.counts[k]
-	}
-}
-
-// Breakdown renders a per-kind energy report.
-func (m *Meter) Breakdown() string {
-	var b strings.Builder
-	total := m.TotalPJ()
-	for k := Kind(0); k < numKinds; k++ {
-		if m.counts[k] == 0 {
-			continue
-		}
-		pj := m.PJ(k)
-		pct := 0.0
-		if total > 0 {
-			pct = 100 * pj / total
-		}
-		fmt.Fprintf(&b, "%-14s %12d events  %14.0f pJ  %5.1f%%\n",
-			kindNames[k], m.counts[k], pj, pct)
-	}
-	fmt.Fprintf(&b, "%-14s %27s  %14.0f pJ\n", "total", "", total)
-	return b.String()
 }

@@ -39,32 +39,6 @@ func TestDRAMDominates(t *testing.T) {
 	}
 }
 
-func TestMeterResetAndAddFrom(t *testing.T) {
-	a, b := NewMeter(), NewMeter()
-	a.Add(L2Access, 5)
-	b.Add(L2Access, 7)
-	a.AddFrom(b)
-	if a.Count(L2Access) != 12 {
-		t.Fatalf("AddFrom: %d", a.Count(L2Access))
-	}
-	a.Reset()
-	if a.TotalPJ() != 0 {
-		t.Fatal("reset left energy behind")
-	}
-}
-
-func TestBreakdownRendersOnlyNonzero(t *testing.T) {
-	m := NewMeter()
-	m.Add(L3Access, 3)
-	s := m.Breakdown()
-	if !strings.Contains(s, "l3-access") || strings.Contains(s, "l1-access") {
-		t.Fatalf("breakdown:\n%s", s)
-	}
-	if !strings.Contains(s, "total") {
-		t.Fatal("no total line")
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if CoreInstr.String() != "core-instr" {
 		t.Fatalf("CoreInstr = %q", CoreInstr.String())

@@ -326,7 +326,7 @@ func (h *Hierarchy) dirAction(p *sim.Proc, tileID int, la mem.Addr, o accessOpts
 				h.hot.cohInvalidations.Inc()
 				if dirty {
 					site := ""
-					if h.freshChecks {
+					if h.cfg.FreshChecks {
 						site = fmt.Sprintf("dirAction-inval-merge(from=%d)", s)
 					}
 					merged = h.applyDirtyMerge(ls3, la, data, site)
@@ -340,7 +340,7 @@ func (h *Hierarchy) dirAction(p *sim.Proc, tileID int, la mem.Addr, o accessOpts
 		}
 		e.add(tileID)
 		e.owner = tileID
-		if h.freshChecks {
+		if h.cfg.FreshChecks {
 			h.debugLogHome(la, fmt.Sprintf("dirAction-write-grant(req=%d)", tileID), 0)
 		}
 	} else {
@@ -348,7 +348,7 @@ func (h *Hierarchy) dirAction(p *sim.Proc, tileID int, la mem.Addr, o accessOpts
 			data, dirty := h.downgradeOwner(e.owner, la)
 			if dirty {
 				site := ""
-				if h.freshChecks {
+				if h.cfg.FreshChecks {
 					site = fmt.Sprintf("dirAction-downgrade(owner=%d,req=%d)", e.owner, tileID)
 				}
 				merged = h.applyDirtyMerge(ls3, la, data, site)
@@ -378,7 +378,7 @@ func (h *Hierarchy) applyDirtyMerge(ls3 *cache.LineState, la mem.Addr, data mem.
 		h.dramAt(h.HomeTile(la)).WriteLineNoWait(la, &data)
 	}
 	d := data
-	if h.freshChecks {
+	if h.cfg.FreshChecks {
 		h.debugLogHome(la, site, data.U64(16))
 	}
 	return &d

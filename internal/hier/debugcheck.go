@@ -9,8 +9,8 @@ import (
 // Freshness checking state lives on the Hierarchy (not in package
 // globals) so parallel tests and coexisting hierarchies cannot
 // cross-contaminate each other's histories or toggles. Enable it per
-// hierarchy with Config.FreshChecks or SetFreshChecks, or for every
-// classic machine with system.Options.Verify.
+// hierarchy with Config.FreshChecks, or for every classic machine with
+// system.Options.Verify.
 
 func (h *Hierarchy) debugDir(la mem.Addr) string {
 	e := h.dirT(la).get(la)
@@ -22,7 +22,7 @@ func (h *Hierarchy) debugDir(la mem.Addr) string {
 
 // debugLogHome records the last few mutations of each home line.
 func (h *Hierarchy) debugLogHome(la mem.Addr, site string, w0 uint64) {
-	if !h.freshChecks {
+	if !h.cfg.FreshChecks {
 		return
 	}
 	l := append(h.homeLog[la], fmt.Sprintf("%s@%d w2=%d %s", site, h.K.Now(), w0, h.debugDir(la)))
@@ -32,20 +32,10 @@ func (h *Hierarchy) debugLogHome(la mem.Addr, site string, w0 uint64) {
 	h.homeLog[la] = l
 }
 
-// SetFreshChecks toggles expensive coherence-freshness assertions on
-// this hierarchy; tests enable them to catch stale-copy bugs at their
-// source.
-func (h *Hierarchy) SetFreshChecks(on bool) {
-	h.freshChecks = on
-	if on && h.homeLog == nil {
-		h.homeLog = make(map[mem.Addr][]string)
-	}
-}
-
 // debugCheckFresh panics if tileID holds a clean copy of la that differs
 // from the home L3 copy — a coherence bug. Enabled by tests.
 func (h *Hierarchy) debugCheckFresh(tileID int, la mem.Addr, where string) {
-	if !h.freshChecks {
+	if !h.cfg.FreshChecks {
 		return
 	}
 	hm := h.tiles[h.HomeTile(la)]

@@ -132,7 +132,7 @@ func (h *Hierarchy) removeSharerIfNoCopies(tileID int, la mem.Addr) {
 		e.owner = -1
 	}
 	empty := e.empty()
-	if h.freshChecks {
+	if h.cfg.FreshChecks {
 		h.debugLogHome(la, fmt.Sprintf("removeSharer(%d)", tileID), 0)
 	}
 	if empty {

@@ -152,10 +152,6 @@ type Config struct {
 	Attribution bool
 	SlowestK    int
 
-	// SamplePeriod is the cycle period for queue-depth gauge sampling
-	// (DRAM controller backlogs); 0 uses the dram package default.
-	SamplePeriod uint64
-
 	NoC  noc.Config
 	DRAM dram.Config
 
@@ -300,9 +296,6 @@ type tile struct {
 	// without a registry): it resolves §4.5 Protected predicates through
 	// the tile's own registry view.
 	protectedFn func(tag mem.Addr) bool
-	// phantomMissFills counts phantom fills served by callbacks instead
-	// of DRAM on this tile; summed into Hierarchy.PhantomMissFills.
-	phantomMissFills uint64
 	// slow is this tile's slow-access ring on a sharded build (attr.go):
 	// demand accesses finish on their issuing tile's shard, so per-tile
 	// rings need no locking and merge deterministically at run end.
@@ -357,10 +350,9 @@ type Hierarchy struct {
 	// eventCount drives the periodic self-check (Config.SelfCheckEvery).
 	eventCount uint64
 
-	// Freshness-assertion state (debugcheck.go), per hierarchy so
-	// concurrent tests cannot cross-contaminate.
-	freshChecks bool
-	homeLog     map[mem.Addr][]string
+	// homeLog is the freshness-assertion history (debugcheck.go), per
+	// hierarchy so concurrent tests cannot cross-contaminate.
+	homeLog map[mem.Addr][]string
 
 	// Metrics is the typed registry of named event counts, gauges, and
 	// histograms (hits, misses, callbacks, queue depths...).
@@ -371,10 +363,6 @@ type Hierarchy struct {
 	comp componentNames
 	// LoadLat records demand-load latencies from cores (Fig 17).
 	LoadLat stats.Dist
-	// Phantom DRAM-avoidance accounting: counted per tile
-	// (tile.phantomMissFills) and summed here by PhantomFills /
-	// FinishStats.
-	PhantomMissFills uint64
 
 	// Pre-bound spawn bodies for the hot asynchronous paths (prefetch
 	// issue, writeback timing): built once in New so Kernel.GoArgs sites
@@ -432,9 +420,8 @@ func New(k *sim.Kernel, cfg Config, meter *energy.Meter, registry Registry, runn
 	if cfg.Attribution {
 		h.attr = newTxnAttr(h.Metrics, cfg.SlowestK)
 	}
-	h.DRAM.AttachMetrics(h.Metrics, cfg.SamplePeriod)
+	h.DRAM.AttachMetrics(h.Metrics)
 	h.Mesh.AttachMetrics(h.Metrics)
-	h.freshChecks = cfg.FreshChecks
 	h.prefetchFn = func(p *sim.Proc, a0, a1 uint64) {
 		h.access(p, int(a0), mem.Addr(a1), accessOpts{prefetch: true})
 		h.tiles[a0].prefetchInflight--
@@ -676,15 +663,6 @@ func (h *Hierarchy) hasExclusiveT(t *tile, la mem.Addr) bool {
 	return h.hasExclusive(t.id, la)
 }
 
-// L1Stats, L2Stats, L3Stats expose per-tile cache stats for reports.
-func (h *Hierarchy) L1Stats(tile int) cache.Stats { return h.tiles[tile].l1.Stats }
-
-// L2Stats returns tile's private-L2 stats.
-func (h *Hierarchy) L2Stats(tile int) cache.Stats { return h.tiles[tile].l2.Stats }
-
-// L3Stats returns tile's L3 bank stats.
-func (h *Hierarchy) L3Stats(tile int) cache.Stats { return h.tiles[tile].l3.Stats }
-
 // RTLB returns the tile engine's reverse TLB (for sensitivity reports).
 func (h *Hierarchy) RTLB(tile int) *tlb.TLB { return h.tiles[tile].rtlb }
 
@@ -748,15 +726,4 @@ func (h *Hierarchy) TraceAt(tile int, component, kind, detail string) {
 		return
 	}
 	tr.Emit(uint64(h.tiles[tile].K.Now()), component, kind, detail)
-}
-
-// PhantomFills sums the per-tile phantom-fill counters (callback fills
-// that avoided DRAM) and refreshes the public PhantomMissFills field.
-func (h *Hierarchy) PhantomFills() uint64 {
-	var total uint64
-	for _, t := range h.tiles {
-		total += t.phantomMissFills
-	}
-	h.PhantomMissFills = total
-	return total
 }

@@ -163,7 +163,7 @@ func (h *Hierarchy) writebackToShared(tileID int, la mem.Addr, data mem.Line) {
 	if ls3 := hm.l3.Lookup(la); ls3 != nil {
 		ls3.Data = data
 		ls3.Dirty = true
-		if h.freshChecks {
+		if h.cfg.FreshChecks {
 			h.debugLogHome(la, fmt.Sprintf("writebackToShared(from=%d)", tileID), data.U64(16))
 		}
 	} else {

@@ -2,7 +2,6 @@ package hier
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"tako/internal/mem"
 )
@@ -60,14 +59,13 @@ func (h *Hierarchy) AttachObserver(o Observer) {
 // event notes a hierarchy state change: it drives the Config-enabled
 // self-check (SelfCheckEvery) and forwards to any attached observer.
 //
-// On a sharded build the count is an atomic add (events fire from every
-// shard) and the inline self-check is skipped: CheckInvariants walks
-// every tile's state, which another shard may be mutating mid-epoch.
-// Sharded runs check invariants at the epoch barrier instead
-// (InstallBarrierChecks), where all shards are parked.
+// A sharded build does neither: CheckInvariants walks every tile's
+// state, which another shard may be mutating mid-epoch, and observers
+// are rejected (AttachObserver). Sharded runs check invariants at the
+// epoch barrier instead (InstallBarrierChecks), where all shards are
+// parked.
 func (h *Hierarchy) event(site string) {
 	if h.sharded {
-		atomic.AddUint64(&h.eventCount, 1)
 		return
 	}
 	h.eventCount++

@@ -28,9 +28,9 @@ import (
 //   - A home tile's L3 bank, l3pending table, directory bank
 //     (h.dirs[home]), and DRAM controllers (h.drams[home]): the home
 //     shard only. Remote requesters reach them by RPC (homeReq).
-//   - Shared counters (Metrics, Meter, Mesh transfer counts, eventCount)
-//     are concurrent-safe atomics, so totals are independent of the
-//     worker count.
+//   - Shared counters (Metrics, Meter) are concurrent-safe atomics, so
+//     totals are independent of the worker count. The mesh keeps no
+//     state of its own; its transfers count into those two.
 //
 // Message ordering: each (src, dst) tile pair is a FIFO channel —
 // sim.Shard stretches a send's delay past the last arrival already
@@ -788,7 +788,6 @@ func NewSharded(eng *sim.Sharded, cfg Config, meter *energy.Meter, registry Regi
 		panic(fmt.Sprintf("hier: engine lookahead %d exceeds minimum cross-tile latency %d; messages would violate it",
 			eng.Lookahead(), mesh.MinCrossTileLatency()))
 	}
-	mesh.SetConcurrent()
 	store := mem.NewMemory()
 	store.SetConcurrent()
 	reg := stats.NewRegistry()
@@ -800,7 +799,6 @@ func NewSharded(eng *sim.Sharded, cfg Config, meter *energy.Meter, registry Regi
 		cfg:      cfg,
 		registry: registry,
 		runner:   runner,
-		homeLog:  make(map[mem.Addr][]string),
 		Metrics:  reg,
 		comp:     newComponentNames(cfg.Tiles),
 		sharded:  true,
@@ -835,7 +833,7 @@ func NewSharded(eng *sim.Sharded, cfg Config, meter *energy.Meter, registry Regi
 	h.drams = make([]*dram.DRAM, cfg.Tiles)
 	for i := range h.drams {
 		d := dram.New(eng.Shard(i).K, cfg.DRAM, store, meter)
-		d.AttachMetrics(reg, cfg.SamplePeriod, stats.L("home", i))
+		d.AttachMetrics(reg, stats.L("home", i))
 		h.drams[i] = d
 	}
 	h.DRAM = h.drams[0] // alias so Store() and friends keep working
@@ -890,7 +888,6 @@ func (h *Hierarchy) FinishStats() {
 		h.LoadLat.Merge(&t.loadLat)
 		t.loadLat = stats.Dist{}
 	}
-	h.PhantomFills()
 	if h.tracer != nil && h.tracers != nil {
 		// Fold the per-shard trace forks into the attached tracer in
 		// canonical (cycle, shard, emit-order) order.

@@ -11,8 +11,8 @@ import (
 func TestAtomicAddLocalNoLostUpdates(t *testing.T) {
 	k := sim.NewKernel()
 	cfg := ScaledConfig(4, 16)
+	cfg.FreshChecks = true
 	h := New(k, cfg, energy.NewMeter(), nil, nil)
-	h.SetFreshChecks(true)
 	const per = 500
 	const nLines = 8
 	for tile := 0; tile < 4; tile++ {

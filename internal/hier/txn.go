@@ -79,7 +79,6 @@ type txn struct {
 	flushBank bool // walk an L3 bank instead of the private L2
 	futs      *[]*sim.Future
 	evicted   bool // the flush txn extracted (and processed) its line
-	aborted   bool // the line was locked; the flush walk retries later
 
 	// Latency-attribution clocks (attr.go), meaningful only while
 	// Hierarchy.attr is armed: opStart is the transaction's (or, for
@@ -241,8 +240,7 @@ func (t *txn) stepLookup() {
 			lt = &t.t.pending
 		}
 		if lt.waitIfLocked(t.p, t.la) {
-			t.aborted = true
-			t.to(txnDone)
+			t.to(txnDone) // the line was locked; the flush walk retries later
 			return
 		}
 		t.to(txnCommit)
@@ -278,7 +276,6 @@ func (t *txn) stepL1Probe() {
 			return
 		}
 		t.top.Touch(t.a)
-		t.top.Stats.Hits++
 		topHits.Inc()
 		if t.o.write {
 			h.snoopSibling(t.tileID, t.la, t.o.engine)
@@ -287,7 +284,6 @@ func (t *txn) stepL1Probe() {
 		t.to(txnCommit)
 		return
 	}
-	t.top.Stats.Misses++
 	topMisses.Inc()
 	// Clustered coherence (§4.3): the core and engine L1ds snoop within
 	// the tile. A miss in one that hits in the other migrates the line
@@ -349,7 +345,6 @@ func (t *txn) stepL2Probe() {
 		}
 		p.Sleep(h.cfg.L2DataLat)
 		t.t.l2.Touch(t.a)
-		t.t.l2.Stats.Hits++
 		h.hot.l2Hits.Inc()
 		ls2 = t.t.l2.Lookup(t.a)
 		if ls2 == nil {
@@ -374,7 +369,6 @@ func (t *txn) stepL2Probe() {
 		t.to(txnCommit) // Commit re-probes the L1 and retries if the fill vanished
 		return
 	}
-	t.t.l2.Stats.Misses++
 	h.hot.l2Misses.Inc()
 	if !t.o.engine {
 		h.notifyPrefetcher(p, t.tileID, t.a)
@@ -420,8 +414,6 @@ func (t *txn) stepFetch() {
 				// overlaps this with the callback; we serialize, see
 				// DESIGN.md).
 				t.fetchFromHome()
-			} else {
-				t.t.phantomMissFills++
 			}
 			t.meta = fillMeta{morph: true, phantom: b.Phantom, dirty: t.o.write}
 			if b.HasMiss && h.runner != nil {
@@ -610,7 +602,6 @@ func (t *txn) stepHomeProbe() {
 		if t.kind == kindRMO {
 			h.hot.rmoMisses.Inc()
 		} else {
-			t.hm.l3.Stats.Misses++
 			h.hot.l3Misses.Inc()
 			t.spanKind = "l3.miss"
 		}
@@ -620,7 +611,6 @@ func (t *txn) stepHomeProbe() {
 	if t.kind == kindRMO {
 		h.hot.rmoHits.Inc()
 	} else {
-		t.hm.l3.Stats.Hits++
 		h.hot.l3Hits.Inc()
 	}
 	t.ls3.Locked = true
@@ -643,9 +633,7 @@ func (t *txn) stepHomeFetch() {
 	}
 	if h.registry != nil {
 		if b, ok := h.registry.Binding(t.home, t.a); ok && b.Level == LevelShared {
-			if b.Phantom {
-				t.hm.phantomMissFills++
-			} else {
+			if !b.Phantom {
 				h.dramAt(t.home).ReadLineWait(p, t.la, &t.data)
 			}
 			t.meta.morph, t.meta.phantom = true, b.Phantom
@@ -821,7 +809,7 @@ func (t *txn) stepUpgradeDir() {
 			if ls3 := t.hm.l3.Lookup(t.la); ls3 != nil {
 				ls3.Data = data
 				ls3.Dirty = true
-				if h.freshChecks {
+				if h.cfg.FreshChecks {
 					h.debugLogHome(t.la, fmt.Sprintf("upgrade-merge(from=%d)", s), data.U64(16))
 				}
 			}
@@ -834,7 +822,7 @@ func (t *txn) stepUpgradeDir() {
 	}
 	e.add(t.tileID)
 	e.owner = t.tileID
-	if h.freshChecks {
+	if h.cfg.FreshChecks {
 		h.debugLogHome(t.la, fmt.Sprintf("upgrade-grant(%d)", t.tileID), 0)
 	}
 	h.debugCheckFresh(t.tileID, t.la, "upgrade")
@@ -921,7 +909,7 @@ func (t *txn) stepCommit() {
 		old := t.ls3.Data.U64(off)
 		t.ls3.Data.SetU64(off, t.op.apply(old, t.val))
 		t.ls3.Dirty = true
-		if h.freshChecks {
+		if h.cfg.FreshChecks {
 			h.debugLogHome(t.la, fmt.Sprintf("rmo-commit(from=%d)", t.tileID), t.ls3.Data.U64(16))
 		}
 		if h.obs != nil {

@@ -9,7 +9,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"tako/internal/flat"
 )
@@ -87,13 +86,9 @@ const (
 	LinesPerPage = PageSize / LineSize
 )
 
-// pageChunk is one page of backing storage: its lines stored inline plus
-// a bitmap of which lines have been materialized (touched), so
-// PopulatedLines stays line-exact even though allocation is
-// page-granular.
+// pageChunk is one page of backing storage, its lines stored inline.
 type pageChunk struct {
-	lines   [LinesPerPage]Line
-	touched uint64
+	lines [LinesPerPage]Line
 }
 
 // slabChunks is how many chunks each allocation slab holds (~256 KB).
@@ -115,22 +110,13 @@ type Memory struct {
 	index  flat.Table[int32] // page number -> index into chunks
 	chunks []*pageChunk
 	slab   []pageChunk // current slab; chunks are carved off its front
-	lines  int64       // materialized lines (PopulatedLines)
-
-	// Reads and Writes count line-granularity accesses for DRAM
-	// traffic accounting done by callers that bypass the timing model
-	// (functional baselines); the timed DRAM model keeps its own stats.
-	// Accounting is symmetric: read accessors (PeekLine, ReadU64,
-	// ReadU32) bump Reads; mutating accessors (LineAt, WriteLine,
-	// WriteU64, WriteU32) bump Writes.
-	Reads, Writes uint64
 
 	// Concurrent mode (SetConcurrent): the page index is guarded by an
 	// RWMutex (reads take the read lock; first-touch allocation the write
-	// lock), the touched bitmaps and counters become atomic, and line
-	// contents rely on the caller's coherence protocol to never write one
-	// line from two shards in the same epoch — which the sharded hierarchy
-	// guarantees (lines are only written at their home shard).
+	// lock), and line contents rely on the caller's coherence protocol to
+	// never write one line from two shards in the same epoch — which the
+	// sharded hierarchy guarantees (lines are only written at their home
+	// shard).
 	conc bool
 	mu   sync.RWMutex
 }
@@ -142,8 +128,7 @@ func NewMemory() *Memory {
 
 // SetConcurrent makes the store safe to share between sharded-kernel
 // worker goroutines (see the Memory doc comment). Call before the
-// simulation runs. Counter totals and the populated-line count are
-// accumulated commutatively, so they are worker-count independent.
+// simulation runs.
 func (m *Memory) SetConcurrent() { m.conc = true }
 
 // chunkFor returns the page chunk holding a, claiming one from the slab
@@ -193,56 +178,12 @@ func (m *Memory) claim(page uint64) *pageChunk {
 	return ch
 }
 
-// lineAt is the uncounted accessor behind LineAt and the word helpers:
-// it materializes the line (marking it touched) without bumping Reads or
-// Writes, so each public accessor charges exactly one counter.
-func (m *Memory) lineAt(a Addr) *Line {
-	ch := m.chunkFor(a, true)
-	li := (uint64(a) >> LineShift) & (LinesPerPage - 1)
-	bit := uint64(1) << li
-	if m.conc {
-		for {
-			old := atomic.LoadUint64(&ch.touched)
-			if old&bit != 0 {
-				break
-			}
-			if atomic.CompareAndSwapUint64(&ch.touched, old, old|bit) {
-				atomic.AddInt64(&m.lines, 1)
-				break
-			}
-		}
-	} else if ch.touched&bit == 0 {
-		ch.touched |= bit
-		m.lines++
-	}
-	return &ch.lines[li]
-}
-
-// addReads/addWrites bump the traffic counters (atomically in concurrent
-// mode).
-func (m *Memory) addReads() {
-	if m.conc {
-		atomic.AddUint64(&m.Reads, 1)
-		return
-	}
-	m.Reads++
-}
-
-func (m *Memory) addWrites() {
-	if m.conc {
-		atomic.AddUint64(&m.Writes, 1)
-		return
-	}
-	m.Writes++
-}
-
 // LineAt returns a mutable pointer to the line containing a, allocating
 // its page on first touch. The pointer stays valid for the Memory's
-// lifetime. Because the caller receives mutable access, LineAt counts as
-// one line write.
+// lifetime.
 func (m *Memory) LineAt(a Addr) *Line {
-	m.addWrites()
-	return m.lineAt(a)
+	ch := m.chunkFor(a, true)
+	return &ch.lines[(uint64(a)>>LineShift)&(LinesPerPage-1)]
 }
 
 // PeekLine copies the line containing a into dst without allocating.
@@ -252,43 +193,29 @@ func (m *Memory) PeekLine(a Addr, dst *Line) {
 	} else {
 		*dst = Line{}
 	}
-	m.addReads()
 }
 
 // WriteLine stores src as the line containing a.
 func (m *Memory) WriteLine(a Addr, src *Line) {
-	*m.lineAt(a) = *src
-	m.addWrites()
+	*m.LineAt(a) = *src
 }
 
 // ReadU64 reads the 64-bit word at a (must be 8-aligned).
 func (m *Memory) ReadU64(a Addr) uint64 {
-	m.addReads()
-	return m.lineAt(a).U64(a.Offset())
+	return m.LineAt(a).U64(a.Offset())
 }
 
 // WriteU64 writes the 64-bit word at a (must be 8-aligned).
 func (m *Memory) WriteU64(a Addr, v uint64) {
-	m.addWrites()
-	m.lineAt(a).SetU64(a.Offset(), v)
+	m.LineAt(a).SetU64(a.Offset(), v)
 }
 
 // ReadU32 reads the 32-bit word at a (must be 4-aligned).
 func (m *Memory) ReadU32(a Addr) uint32 {
-	m.addReads()
-	return m.lineAt(a).U32(a.Offset())
+	return m.LineAt(a).U32(a.Offset())
 }
 
 // WriteU32 writes the 32-bit word at a (must be 4-aligned).
 func (m *Memory) WriteU32(a Addr, v uint32) {
-	m.addWrites()
-	m.lineAt(a).SetU32(a.Offset(), v)
-}
-
-// PopulatedLines returns the number of lines that have been touched.
-func (m *Memory) PopulatedLines() int {
-	if m.conc {
-		return int(atomic.LoadInt64(&m.lines))
-	}
-	return int(m.lines)
+	m.LineAt(a).SetU32(a.Offset(), v)
 }

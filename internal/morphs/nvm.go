@@ -64,7 +64,6 @@ type nvmView struct {
 	journalCur     uint64
 	evictedPre     uint64 // lines journaled before commit (current txn)
 	journaledTotal uint64 // cumulative journaled lines
-	applied        uint64 // lines written directly to NVM data
 }
 
 // RunNVM executes one variant: `Transactions` append-only transactions
@@ -154,7 +153,6 @@ func runNVM(v NVMVariant, prm NVMParams) (Result, error) {
 					if vw.committed {
 						line := *ctx.Line
 						ctx.StoreLine(vw.dataBase+mem.Addr(off), &line)
-						vw.applied++
 						return
 					}
 					// Evicted before commit: journal the line (tag +

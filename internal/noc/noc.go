@@ -8,7 +8,6 @@ package noc
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"tako/internal/energy"
 	"tako/internal/sim"
@@ -38,17 +37,6 @@ func DefaultConfig(tiles int) Config {
 type Mesh struct {
 	cfg   Config
 	meter *energy.Meter
-
-	// Transfers and FlitHops count completed transfers and total
-	// flit-hops, for reports.
-	Transfers uint64
-	FlitHops  uint64
-
-	// conc (SetConcurrent) switches the counters above to atomic adds so
-	// Transfer may be called from any shard of a sharded kernel; adds
-	// commute, so totals stay worker-count independent. The registry and
-	// meter handles must have been made concurrent by the caller.
-	conc bool
 
 	// Registry handles (AttachMetrics; nil-safe when never attached).
 	mTransfers *stats.Counter
@@ -136,22 +124,13 @@ func (m *Mesh) MinCrossTileLatency() sim.Cycle {
 	return m.cfg.RouterDelay + m.cfg.LinkDelay
 }
 
-// SetConcurrent switches the mesh's accounting to atomic accumulation
-// for sharded-kernel runs.
-func (m *Mesh) SetConcurrent() { m.conc = true }
-
-// Transfer accounts for a message (energy + stats) and returns its
+// Transfer accounts for a message (energy + metrics) and returns its
 // latency. Callers add the returned latency into their transaction.
+// Transfer keeps no state of its own, so on a sharded kernel any shard
+// may call it once the meter and registry were made concurrent.
 func (m *Mesh) Transfer(from, to, bytes int) sim.Cycle {
 	hops := m.Hops(from, to)
 	flits := m.Flits(bytes)
-	if m.conc {
-		atomic.AddUint64(&m.Transfers, 1)
-		atomic.AddUint64(&m.FlitHops, uint64(hops*flits))
-	} else {
-		m.Transfers++
-		m.FlitHops += uint64(hops * flits)
-	}
 	m.mTransfers.Inc()
 	m.mFlitHops.Add(uint64(hops * flits))
 	m.mMsgFlits.Observe(uint64(flits))

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"tako/internal/energy"
+	"tako/internal/stats"
 )
 
 func TestDefaultConfig16Tiles(t *testing.T) {
@@ -116,12 +117,14 @@ func TestMinCrossTileLatencyIsLowerBound(t *testing.T) {
 func TestTransferAccountsEnergy(t *testing.T) {
 	meter := energy.NewMeter()
 	m := NewMesh(DefaultConfig(16), meter)
+	reg := stats.NewRegistry()
+	m.AttachMetrics(reg)
 	m.Transfer(0, 15, 64) // 6 hops * 4 flits = 24 flit-hops
 	if meter.Count(energy.NoCFlitHop) != 24 {
 		t.Fatalf("flit-hop energy events = %d, want 24", meter.Count(energy.NoCFlitHop))
 	}
-	if m.Transfers != 1 || m.FlitHops != 24 {
-		t.Fatalf("stats: transfers=%d flithops=%d", m.Transfers, m.FlitHops)
+	if tr, fh := reg.Get("noc.transfers"), reg.Get("noc.flithops"); tr != 1 || fh != 24 {
+		t.Fatalf("metrics: noc.transfers=%d noc.flithops=%d, want 1 and 24", tr, fh)
 	}
 	// Same-tile transfer: no energy.
 	m.Transfer(3, 3, 64)

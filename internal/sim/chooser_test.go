@@ -147,12 +147,12 @@ func TestProcPanicRecoverable(t *testing.T) {
 func TestEventPanicOnProcGoroutine(t *testing.T) {
 	k := NewKernel()
 	k.Go("bystander", func(p *Proc) { p.Sleep(100) })
-	k.Go("completer", func(p *Proc) {
+	k.Go("runner", func(p *Proc) {
 		p.Sleep(5)
-		f := NewFuture(k)
-		f.Watch(func() { k.At(0, func() {}) }) // schedules into the past
-		f.Complete()
-		p.Sleep(1) // the watch runs here, on this goroutine
+		// The event schedules into the past; it runs on this goroutine,
+		// inside the Sleep below.
+		k.After(0, func() { k.At(0, func() {}) })
+		p.Sleep(1)
 	})
 	func() {
 		defer func() {
@@ -164,7 +164,7 @@ func TestEventPanicOnProcGoroutine(t *testing.T) {
 		k.Run()
 	}()
 	if b := k.Blocked(); len(b) != 2 {
-		t.Fatalf("blocked = %v after the panic, want bystander and completer", b)
+		t.Fatalf("blocked = %v after the panic, want bystander and runner", b)
 	}
 	k.Shutdown() // must not hang or panic
 	if b := k.Blocked(); len(b) != 0 {

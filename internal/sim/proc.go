@@ -196,15 +196,13 @@ func (p *Proc) Wait(f *Future) {
 	p.block()
 }
 
-// Future is a one-shot completion signal that processes can Wait on and
-// events can Watch.
+// Future is a one-shot completion signal that processes can Wait on.
 type Future struct {
 	k       *Kernel
 	done    bool
 	pooled  bool // from Kernel.GetFuture: recyclable once complete
 	when    Cycle
 	waiters []*Proc
-	watches []func()
 }
 
 // NewFuture returns an incomplete future on kernel k.
@@ -226,10 +224,6 @@ func (f *Future) Complete() {
 	}
 	f.k.putWaiters(f.waiters)
 	f.waiters = nil
-	for _, fn := range f.watches {
-		f.k.After(0, fn)
-	}
-	f.watches = nil
 }
 
 // CompleteAt schedules the future to complete at absolute cycle t.
@@ -243,16 +237,6 @@ func (f *Future) Done() bool { return f.done }
 // When returns the cycle at which the future completed; valid only if
 // Done.
 func (f *Future) When() Cycle { return f.when }
-
-// Watch registers fn to run (as an event) when the future completes. If
-// the future is already complete, fn is scheduled immediately.
-func (f *Future) Watch(fn func()) {
-	if f.done {
-		f.k.After(0, fn)
-		return
-	}
-	f.watches = append(f.watches, fn)
-}
 
 // CompletedFuture returns an already-completed future, useful for
 // zero-latency fast paths.

@@ -254,25 +254,6 @@ func TestFutureDoubleCompletePanics(t *testing.T) {
 	f.Complete()
 }
 
-func TestFutureWatch(t *testing.T) {
-	k := NewKernel()
-	f := NewFuture(k)
-	var at Cycle
-	f.Watch(func() { at = k.Now() })
-	f.CompleteAt(77)
-	k.Run()
-	if at != 77 {
-		t.Fatalf("watch ran at %d, want 77", at)
-	}
-	// Watch on an already-complete future fires too.
-	ran := false
-	f.Watch(func() { ran = true })
-	k.Run()
-	if !ran {
-		t.Fatal("late watch never fired")
-	}
-}
-
 func TestBlockedReportsDeadlock(t *testing.T) {
 	k := NewKernel()
 	f := NewFuture(k) // never completed

@@ -60,15 +60,9 @@ func (s *Semaphore) Release() {
 // Free returns the number of available slots.
 func (s *Semaphore) Free() int { return s.free }
 
-// Cap returns the total number of slots.
-func (s *Semaphore) Cap() int { return s.cap }
-
 // Saturated reports whether no slot is free and processes are waiting or
 // the semaphore is fully consumed.
 func (s *Semaphore) Saturated() bool { return s.free == 0 }
-
-// Waiters returns the number of blocked processes.
-func (s *Semaphore) Waiters() int { return len(s.waiters) }
 
 // WaitGroup tracks a number of in-flight operations; processes can block
 // until the count drains to zero. Used to drain asynchronous remote

@@ -86,7 +86,6 @@ type System struct {
 	E     *engine.Engines
 	Cores []*cpu.Core
 
-	threads int
 	workers int // Sharded run's worker count (≤ 1: sequenced)
 
 	// Capture state (capture.go): set when a process-wide observability
@@ -200,7 +199,6 @@ func (s *System) Alloc(name string, size uint64) mem.Region {
 // build the thread runs on its tile's shard kernel.
 func (s *System) Go(tile int, name string, fn func(p *sim.Proc, c *cpu.Core)) {
 	c := s.Cores[tile]
-	s.threads++
 	run := func(p *sim.Proc) { fn(p, c) }
 	if s.Sh != nil {
 		s.Sh.Shard(tile).K.Go(fmt.Sprintf("%s@%d", name, tile), run)
