@@ -146,6 +146,7 @@ type engTile struct {
 	nextFree  sim.Cycle // fabric issue-bandwidth pipeline
 	stats     Stats
 	queued    int
+	names     [3]string // pre-rendered "cb:<kind>@<tile>" proc names, by kind
 }
 
 // Engines implements hier.Runner for every tile. Each tile's engine
@@ -196,12 +197,16 @@ func NewSharded(sh *sim.Sharded, cfg Config, tiles int, prog Program, meter *ene
 
 func build(ks []*sim.Kernel, cfg Config, prog Program, meter *energy.Meter) *Engines {
 	e := &Engines{ks: ks, cfg: cfg, prog: prog, meter: meter}
-	for _, k := range ks {
-		e.tiles = append(e.tiles, &engTile{
+	for i, k := range ks {
+		t := &engTile{
 			buffer:   sim.NewSemaphore(k, maxInt(cfg.CallbackBuffer, 1)),
 			seqChain: make(map[int]*sim.Future),
 			loaded:   make(map[int]uint64),
-		})
+		}
+		for kind := hier.CbMiss; kind <= hier.CbWriteback; kind++ {
+			t.names[kind] = fmt.Sprintf("cb:%s@%d", kind, i)
+		}
+		e.tiles = append(e.tiles, t)
 	}
 	return e
 }
@@ -303,7 +308,7 @@ func (e *Engines) Run(tile int, kind hier.CallbackKind, b hier.Binding, addr mem
 	}
 
 	sched := k.Now()
-	k.Go(fmt.Sprintf("cb:%s@%d", kind, tile), func(p *sim.Proc) {
+	k.Go(t.names[kind], func(p *sim.Proc) {
 		if waitOn != nil {
 			p.Wait(waitOn)
 		}

@@ -266,6 +266,11 @@ type tile struct {
 
 	rmoInflight *sim.WaitGroup
 
+	// rmoName, evictCBName and l3EvictCBName pre-render the names of
+	// this tile's hot spawns (RMOs, private and home eviction callbacks)
+	// so a spawn formats no string.
+	rmoName, evictCBName, l3EvictCBName string
+
 	streams          []stream
 	streamTick       uint64
 	prefetchInflight int
@@ -482,6 +487,9 @@ func (h *Hierarchy) buildTile(k *sim.Kernel, i int, newPolicy func() cache.Polic
 			HitLatency: 0, WalkLatency: 30,
 		}),
 	}
+	t.rmoName = fmt.Sprintf("rmo@%d", i)
+	t.evictCBName = fmt.Sprintf("evict-cb@%d", i)
+	t.l3EvictCBName = fmt.Sprintf("l3evict-cb@%d", i)
 	t.pending.init(k, fmt.Sprintf("pending@%d", i))
 	t.l3pending.init(k, fmt.Sprintf("home@%d", i))
 	t.l3Busy = func(tag mem.Addr) bool { return t.l3pending.locked(tag) }

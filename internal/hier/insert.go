@@ -128,7 +128,7 @@ func (h *Hierarchy) morphEvictPrivate(tileID int, ev cache.LineState, b Binding,
 	}
 	data := ev.Data
 	t.cbInflight.Add(1)
-	t.K.Go(fmt.Sprintf("evict-cb@%d", tileID), func(p *sim.Proc) {
+	t.K.Go(t.evictCBName, func(p *sim.Proc) {
 		t.wbbuf.Acquire(p)
 		accepted, done := h.runner.Run(tileID, kind, b, la, &data)
 		p.Wait(accepted)
@@ -298,7 +298,7 @@ func (h *Hierarchy) morphEvictShared(homeID int, ev cache.LineState, b Binding, 
 		tok = hm.l3pending.lockWith(la, lock)
 	}
 	hm.cbInflight.Add(1)
-	hm.K.Go(fmt.Sprintf("l3evict-cb@%d", homeID), func(p *sim.Proc) {
+	hm.K.Go(hm.l3EvictCBName, func(p *sim.Proc) {
 		if !locked {
 			// An in-flight home-side operation held the line at
 			// eviction time; queue politely behind it rather than

@@ -1,8 +1,6 @@
 package hier
 
 import (
-	"fmt"
-
 	"tako/internal/mem"
 	"tako/internal/sim"
 )
@@ -54,7 +52,7 @@ func (h *Hierarchy) AtomicRMO(p *sim.Proc, tileID int, a mem.Addr, op RMOOp, v u
 	t.rmo.Acquire(p) // backpressure: bounded in-flight RMOs
 	t.rmoInflight.Add(1)
 	h.hot.rmoIssued.Inc()
-	t.K.Go(fmt.Sprintf("rmo@%d", tileID), func(pp *sim.Proc) {
+	t.K.Go(t.rmoName, func(pp *sim.Proc) {
 		h.runRMO(pp, tileID, a, op, v)
 		t.rmo.Release()
 		t.rmoInflight.Done()

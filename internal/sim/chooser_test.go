@@ -139,18 +139,18 @@ func TestProcPanicRecoverable(t *testing.T) {
 	k.Shutdown() // must not hang or panic with "bystander" parked mid-sleep
 }
 
-// TestEventPanicOnProcGoroutine: an event that panics while a proc's
-// goroutine runs the event loop reaches the driver with its original
-// value, not wrapped as a ProcPanic; the proc whose goroutine ran it
-// stays parked rather than unwound, and Shutdown unwinds both it and a
-// bystander still parked.
+// TestEventPanicOnProcGoroutine: an event a proc schedules just before it
+// blocks runs on the driver, never on the proc's coroutine, so its panic
+// reaches the driver with its original value, not wrapped as a
+// ProcPanic; the proc stays parked rather than unwound, and Shutdown
+// unwinds both it and a bystander still parked.
 func TestEventPanicOnProcGoroutine(t *testing.T) {
 	k := NewKernel()
 	k.Go("bystander", func(p *Proc) { p.Sleep(100) })
 	k.Go("runner", func(p *Proc) {
 		p.Sleep(5)
-		// The event schedules into the past; it runs on this goroutine,
-		// inside the Sleep below.
+		// The event schedules into the past; it runs on the driver once
+		// the Sleep below suspends this proc.
 		k.After(0, func() { k.At(0, func() {}) })
 		p.Sleep(1)
 	})

@@ -5,15 +5,14 @@
 // the same program produce identical schedules. On a shard of a Sharded
 // engine the sequence also names the shard an event came from, giving
 // every shard one (time, origin shard, origin sequence) order. Simulated
-// software threads (Proc) run as goroutines, but exactly one goroutine
-// holds control at a time and runs the kernel's event loop: the driver
-// (the caller of Run or RunUntil), or a process that has just blocked or
-// finished. A blocking process executes the due events itself: when the
-// next one is its own wake it simply carries on, when it wakes another
-// process it resumes that process directly, and when nothing is due it
-// hands control back to the driver. Which goroutine executes an event
-// never changes the order events run in, so schedules stay
-// deterministic.
+// software threads (Proc) run as coroutines of the driver (the caller of
+// Run or RunUntil), and only the driver runs events: when it pops a
+// process's wake it resumes that process, which runs until it blocks or
+// finishes and then suspends back to the driver. A process that blocks
+// while its own wake is the next due event pops that wake and carries on
+// in place, with no switch at all. Exactly one of the driver and its
+// processes runs at a time, and which one pops an event never changes
+// the order events run in, so schedules stay deterministic.
 package sim
 
 import "math"
@@ -39,9 +38,9 @@ type event struct {
 // Kernel is a deterministic discrete-event simulator clock and queue.
 // The zero value is not usable; create kernels with NewKernel.
 //
-// Its state (queue, clock, pools) is touched by whichever goroutine holds
-// control, in turn; the handoff channels (Proc.resume and yield) order
-// those accesses, so no locking is needed.
+// Its state (queue, clock, pools) is touched by the driver and by the
+// process it has resumed, in turn; each coroutine switch orders those
+// accesses, so no locking is needed.
 //
 // The queue is a 4-ary min-heap stored flat in a slice. Compared to
 // container/heap this is monomorphic (no interface{} boxing, so pushes
@@ -61,9 +60,9 @@ type Kernel struct {
 	// their waiter backing arrays are worth reusing.
 	waiterPool [][]*Proc
 
-	// freeProcs holds finished Procs whose goroutines are parked awaiting
-	// a next task: spawning recycles them (struct, channels, and goroutine)
-	// instead of allocating. Release tears the idle goroutines down.
+	// freeProcs holds finished Procs whose coroutines are suspended
+	// awaiting a next task: spawning recycles them (struct and coroutine)
+	// instead of allocating. Release kills the idle coroutines.
 	freeProcs []*Proc
 
 	// futurePool recycles one-shot Futures on paths that guarantee no
@@ -77,19 +76,13 @@ type Kernel struct {
 	chooser Chooser
 	batch   []event
 
-	// limit is the inclusive horizon of the current Run or RunUntil: the
-	// event loop executes only events at or before it.
+	// limit is the inclusive horizon of the current Run or RunUntil: only
+	// events at or before it run, and a blocking process carries on in
+	// place only for a wake at or before it.
 	limit Cycle
 
-	// yield returns control to the driver. A process whose event loop
-	// finds nothing due sends on it, as does one that panicked or that
-	// Shutdown unwound; the driver waits on it while processes run.
-	yield chan struct{}
-
-	// failure holds a panic raised on a process goroutine — a *ProcPanic
-	// from the process's own task, or the original value of a panicking
-	// event the process's goroutine was running — for the driver to
-	// re-raise.
+	// failure holds the *ProcPanic of a process task that panicked, for
+	// the driver to re-raise once the process has suspended.
 	failure any
 }
 
@@ -113,9 +106,7 @@ type Chooser interface {
 func (k *Kernel) SetChooser(c Chooser) { k.chooser = c }
 
 // NewKernel returns an empty kernel at cycle 0.
-func NewKernel() *Kernel {
-	return &Kernel{yield: make(chan struct{})}
-}
+func NewKernel() *Kernel { return &Kernel{} }
 
 // Now returns the current simulated cycle.
 func (k *Kernel) Now() Cycle { return k.now }
@@ -175,30 +166,12 @@ func (k *Kernel) next() (when Cycle, ok bool) {
 	return k.queue[0].when, true
 }
 
-// drive runs the event loop up to limit from the driver's goroutine. When
-// an event wakes a process, control passes to it and then from process
-// to process until one finds nothing due and yields; the driver waits for
-// that and re-raises any panic the processes recorded.
+// drive is the event loop. It runs due events (time ≤ limit) in order
+// on the caller's stack. A popped process wake resumes that process until
+// it suspends; a panic its task raised is re-raised here.
 func (k *Kernel) drive(limit Cycle) {
 	k.limit = limit
-	p := k.drain()
-	if p == nil {
-		return
-	}
-	p.resume <- struct{}{}
-	<-k.yield
-	if r := k.failure; r != nil {
-		k.failure = nil
-		panic(r)
-	}
-}
-
-// drain is the event loop. It executes due events (time ≤ limit) in order
-// on the calling goroutine until one wakes a process, and returns that
-// process: the caller resumes it, or simply continues if it is the
-// caller itself. It returns nil when nothing is due.
-func (k *Kernel) drain() *Proc {
-	for len(k.queue) > 0 && k.queue[0].when <= k.limit {
+	for len(k.queue) > 0 && k.queue[0].when <= limit {
 		var e event
 		if k.chooser == nil {
 			e = k.pop()
@@ -213,7 +186,11 @@ func (k *Kernel) drain() *Proc {
 				e.proc.started = true
 			}
 			if !e.proc.done {
-				return e.proc
+				e.proc.run()
+				if r := k.failure; r != nil {
+					k.failure = nil
+					panic(r)
+				}
 			}
 		case e.future != nil:
 			e.future.Complete()
@@ -225,7 +202,23 @@ func (k *Kernel) drain() *Proc {
 			e.fn()
 		}
 	}
-	return nil
+}
+
+// popOwnWake pops the next event when it is a due wake of p, which is
+// blocking, and reports whether it did: p then carries on in place with
+// no switch, exactly as if the driver had popped the wake and resumed
+// it. It never applies with a chooser installed, so that the driver's
+// take consults the chooser for every event.
+func (k *Kernel) popOwnWake(p *Proc) bool {
+	if k.chooser != nil || len(k.queue) == 0 {
+		return false
+	}
+	if e := &k.queue[0]; e.proc != p || e.when > k.limit {
+		return false
+	}
+	k.now = k.pop().when
+	k.events++
+	return true
 }
 
 // take is the event loop's pop with a chooser installed: it pops every
@@ -254,38 +247,6 @@ func (k *Kernel) take() event {
 	clear(b) // don't pin closures from the scratch slice
 	k.batch = b[:0]
 	return e
-}
-
-// handoff runs the event loop on the goroutine of p, which has just
-// blocked or finished. It reports true when p's own wake is next, so p
-// carries on with no goroutine switch. Otherwise it has resumed the
-// process whose wake is next, or yielded to the driver, and p must wait
-// on its resume channel.
-func (k *Kernel) handoff(p *Proc) bool {
-	next := k.drainOnProc()
-	if next == p {
-		return true
-	}
-	if next != nil {
-		next.resume <- struct{}{}
-	} else {
-		k.yield <- struct{}{}
-	}
-	return false
-}
-
-// drainOnProc is drain for a process goroutine. An event that panics here
-// would otherwise unwind the process's task, so the panic is recorded
-// with its original value for the driver to re-raise, and control goes
-// back to the driver.
-func (k *Kernel) drainOnProc() (next *Proc) {
-	defer func() {
-		if r := recover(); r != nil {
-			k.failure = r
-			next = nil
-		}
-	}()
-	return k.drain()
 }
 
 // Blocked returns the names of processes that are parked (waiting) right
@@ -419,45 +380,30 @@ func (k *Kernel) RecycleFuture(f *Future) {
 	}
 }
 
-// Release tears down the pooled worker goroutines of finished processes.
-// The kernel stays fully usable — subsequent Go calls simply allocate
-// fresh processes — so callers (simulation drivers, benchmarks) should
-// invoke it when a run completes to avoid accumulating parked goroutines
-// across many kernels in one process.
+// Release kills the pooled coroutines of finished processes. The kernel
+// stays fully usable — subsequent Go calls simply allocate fresh
+// processes — so callers (simulation drivers, benchmarks) should invoke
+// it when a run completes to avoid accumulating parked goroutines across
+// many kernels in one process.
 func (k *Kernel) Release() {
 	for i, p := range k.freeProcs {
-		p.exit = true
-		p.resume <- struct{}{}
+		p.kill()
 		k.freeProcs[i] = nil
 	}
 	k.freeProcs = k.freeProcs[:0]
 }
 
-// Shutdown abandons an in-flight simulation: every parked process is
-// unwound (via an abort panic its worker loop swallows) without running
-// any event, and all pooled goroutines are torn down, so a driver that
-// recovered a panic from Run or RunUntil can discard the kernel without
-// leaking the goroutines of processes still blocked mid-simulation. The
-// kernel must not be run again after Shutdown.
+// Shutdown abandons an in-flight simulation: every unfinished process is
+// killed without running any event (a parked one unwinds its task, one
+// never started never runs), and pooled coroutines are released, so a
+// driver that recovered a panic from Run or RunUntil can discard the
+// kernel without leaking the goroutines of processes still blocked
+// mid-simulation. The kernel must not be run again after Shutdown.
 func (k *Kernel) Shutdown() {
 	for _, p := range k.procs {
-		if p.done {
-			continue // pooled in freeProcs; Release retires it below
+		if !p.done {
+			p.kill()
 		}
-		if !p.started {
-			// Never dispatched: the goroutine is parked at its loop head,
-			// where the exit flag retires it directly.
-			p.exit = true
-			p.resume <- struct{}{}
-			continue
-		}
-		// Parked mid-run: resume with abort set so block() unwinds the
-		// task. The worker loop swallows the abort, pools itself, and
-		// yields straight back without running any event.
-		p.abort = true
-		p.resume <- struct{}{}
-		<-k.yield
-		p.abort = false
 	}
 	k.failure = nil
 	k.Release()

@@ -103,6 +103,24 @@ func TestFutureWaiterSliceReuse(t *testing.T) {
 	k.Run()
 }
 
+// TestPooledSpawnAllocs is the alloc gate for the spawn path: once the
+// proc pool is warm, spawning a GoArgs proc that sleeps once and finishes
+// allocates nothing (no Proc, coroutine, closure or name).
+func TestPooledSpawnAllocs(t *testing.T) {
+	k := NewKernel()
+	body := func(p *Proc, d, _ uint64) { p.Sleep(d) }
+	k.GoArgs("pooled", body, 1, 0)
+	k.Run()
+	allocs := testing.AllocsPerRun(100, func() {
+		k.GoArgs("pooled", body, 1, 0)
+		k.Run()
+	})
+	k.Release()
+	if allocs != 0 {
+		t.Fatalf("a pooled spawn allocates %.2f times, want 0", allocs)
+	}
+}
+
 // BenchmarkKernelEventChain measures raw event throughput and
 // allocs/event on a pure callback chain (no processes): the hot loop is
 // push, pop, and the callback itself.
@@ -145,9 +163,8 @@ func BenchmarkKernelFanout(b *testing.B) {
 }
 
 // BenchmarkProcSleepWake measures the wake path of a proc that is its own
-// next event: Sleep schedules the wake, and block's event loop pops it and
-// returns with no goroutine switch. BenchmarkProcHandoff prices the
-// switch.
+// next event: Sleep schedules the wake, and block pops it and returns
+// with no coroutine switch. BenchmarkProcHandoff prices the switch.
 func BenchmarkProcSleepWake(b *testing.B) {
 	k := NewKernel()
 	k.Go("sleeper", func(p *Proc) {
@@ -178,8 +195,8 @@ func BenchmarkFutureCompleteWait(b *testing.B) {
 }
 
 // BenchmarkProcHandoff measures the proc-to-proc switch: two procs wake
-// on alternate cycles, so every wake hands control to the other proc's
-// goroutine.
+// on alternate cycles, so at every wake one proc suspends to the driver
+// and the driver resumes the other, two coroutine switches.
 func BenchmarkProcHandoff(b *testing.B) {
 	k := NewKernel()
 	wakes := 0
@@ -195,4 +212,20 @@ func BenchmarkProcHandoff(b *testing.B) {
 	b.ResetTimer()
 	k.Run()
 	b.ReportMetric(float64(wakes)/b.Elapsed().Seconds(), "wakes/s")
+}
+
+// BenchmarkProcSpawn prices a pooled spawn from start to finish: GoArgs,
+// the start event resuming the proc, one Sleep, and the finish that
+// returns the proc to the pool and suspends it.
+func BenchmarkProcSpawn(b *testing.B) {
+	k := NewKernel()
+	body := func(p *Proc, d, _ uint64) { p.Sleep(d) }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.GoArgs("spawn", body, 1, 0)
+		k.Run()
+	}
+	b.StopTimer()
+	k.Release()
 }

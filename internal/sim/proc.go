@@ -5,35 +5,37 @@ import (
 	"runtime/debug"
 )
 
-// Proc is a simulated software thread. Procs run as goroutines, but only
-// the goroutine holding control runs: when a Proc blocks (Sleep, Wait,
-// and the sync primitives) or its task returns, its own goroutine runs
-// the kernel's event loop until an event wakes a process. If that is the
-// Proc itself it carries on without a goroutine switch; otherwise it
-// resumes the woken process (or, with nothing due, yields to the driver)
-// and parks until something resumes it in turn.
+// Proc is a simulated software thread. Each Proc runs as a coroutine
+// that the kernel's driver resumes when it pops the Proc's wake. When a
+// Proc blocks (Sleep, Wait, and the sync primitives) it carries on in
+// place if its own wake is the next due event; otherwise, and when its
+// task returns, it suspends and control goes back to the driver. Events
+// never run on a Proc's coroutine.
 //
-// Finished Procs are pooled: their goroutines park on the resume channel
-// and the next Go/GoArgs reuses the whole structure (struct, channels,
-// goroutine) instead of allocating. This is safe because every park has
-// exactly one wake scheduled (Sleep, Future completion, Semaphore
-// handoff, WaitGroup drain, Barrier release), so no stale wake event can
-// ever target a recycled Proc. Kernel.Release tears idle pool goroutines
-// down when a run is over.
+// Finished Procs are pooled: their coroutines stay suspended and the next
+// Go/GoArgs reuses the whole structure (struct and coroutine) instead of
+// allocating. This is safe because every park has exactly one wake
+// scheduled (Sleep, Future completion, Semaphore handoff, WaitGroup
+// drain, Barrier release), so no stale wake event can ever target a
+// recycled Proc. Kernel.Release kills idle pooled coroutines when a run
+// is over.
 //
-// All Proc methods must be called from the Proc's own goroutine (i.e.,
+// All Proc methods must be called from the Proc's own coroutine (i.e.,
 // inside the function passed to Kernel.Go), except Done.
 type Proc struct {
 	k       *Kernel
 	name    string
-	resume  chan struct{}
 	started bool
 	done    bool
-	exit    bool // set by Kernel.Release to retire the pooled goroutine
-	abort   bool // set by Kernel.Shutdown: block() unwinds the task
+
+	// run resumes the Proc's coroutine until it suspends and kill ends
+	// it, both called by the driver; suspend, called on the coroutine,
+	// hands control back to the driver (coro.go).
+	run, kill func()
+	suspend   func() bool
 
 	// Task slots: exactly one of fn/fnArgs is set while the proc runs.
-	// They live on the Proc so a pooled goroutine picks up its next task
+	// They live on the Proc so a pooled coroutine picks up its next task
 	// without a per-spawn closure; fnArgs carries two scalar arguments so
 	// hot spawn sites (prefetches, writeback timing) can share one
 	// long-lived function value instead of closing over their operands.
@@ -43,8 +45,8 @@ type Proc struct {
 }
 
 // Go creates a simulated process named name running fn, and schedules it
-// to start at the current cycle. fn runs on its own goroutine; it blocks
-// the simulation only while actively computing between blocking calls.
+// to start at the current cycle. fn runs on the process's own coroutine;
+// it holds the simulation only while computing between blocking calls.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	p := k.spawn(name)
 	p.fn = fn
@@ -64,7 +66,7 @@ func (k *Kernel) GoArgs(name string, fn func(p *Proc, a0, a1 uint64), a0, a1 uin
 
 // spawn returns a ready-to-start Proc, recycling a pooled one when
 // available. Recycled procs are already in k.procs; fresh ones are
-// appended and their worker goroutine started.
+// appended with a new coroutine.
 func (k *Kernel) spawn(name string) *Proc {
 	if n := len(k.freeProcs); n > 0 {
 		p := k.freeProcs[n-1]
@@ -74,13 +76,9 @@ func (k *Kernel) spawn(name string) *Proc {
 		p.started, p.done = false, false
 		return p
 	}
-	p := &Proc{
-		k:      k,
-		name:   name,
-		resume: make(chan struct{}),
-	}
+	p := &Proc{k: k, name: name}
+	p.run, p.kill = newCoro(p.body)
 	k.procs = append(k.procs, p)
-	go p.loop()
 	return p
 }
 
@@ -91,35 +89,27 @@ func (k *Kernel) scheduleStart(p *Proc) {
 	k.push(event{when: k.now, seq: k.seq, proc: p, start: true})
 }
 
-// loop is the pooled worker body: wait to be resumed, run a task, return
-// to the free list, and run the event loop from here until control
-// passes on. An event that respawns this very proc and starts it next
-// leaves control here, and the loop goes straight on to the new task. A
-// task that panicked, or that Shutdown unwound, yields to the driver
-// without running any event.
-func (p *Proc) loop() {
-	k := p.k
-	<-p.resume
-	for !p.exit {
+// body is the coroutine body: run a task, return to the free list, and
+// suspend until a spawn recycles this proc and the driver starts it. It
+// returns once killed.
+func (p *Proc) body(suspend func() bool) {
+	p.suspend = suspend
+	for {
 		p.runTask()
 		p.fn, p.fnArgs = nil, nil
 		p.done = true
-		k.freeProcs = append(k.freeProcs, p)
-		if p.abort || k.failure != nil {
-			k.yield <- struct{}{}
-		} else if k.handoff(p) {
-			continue
+		p.k.freeProcs = append(p.k.freeProcs, p)
+		if !suspend() {
+			return
 		}
-		<-p.resume
 	}
 }
 
-// ProcPanic wraps a panic raised by a Proc's task. Procs run on
-// goroutines of their own, where an escaped panic would kill the whole
-// process unrecoverably; the worker loop captures it instead, and the
+// ProcPanic wraps a panic raised by a Proc's task. The Proc's coroutine
+// captures it, so the Proc finishes and pools like any other, and the
 // driver (the caller of Run or RunUntil) re-raises the wrapped value,
 // where tests and the interleaving explorer can recover it. The
-// panicking goroutine's stack is preserved for crash reports.
+// panicking coroutine's stack is preserved for crash reports.
 type ProcPanic struct {
 	Proc  string // name of the panicking process
 	Value any    // the original panic value
@@ -130,8 +120,8 @@ func (e *ProcPanic) Error() string {
 	return fmt.Sprintf("panic in proc %q: %v\n\n%s", e.Proc, e.Value, e.Stack)
 }
 
-// procAbort is the sentinel block() throws during Kernel.Shutdown to
-// unwind a parked task; runTask swallows it.
+// procAbort is the sentinel block() throws when Kernel.Shutdown kills a
+// parked proc, to unwind its task; runTask swallows it.
 type procAbort struct{}
 
 // runTask runs the proc's task, converting an escaping panic into a
@@ -152,15 +142,14 @@ func (p *Proc) runTask() {
 	}
 }
 
-// block parks the calling process until an event wakes it. Its goroutine
-// runs the due events first, so when its own wake is next it returns
-// without a goroutine switch.
+// block parks the calling process until an event wakes it. When its own
+// wake is the next due event it carries on in place; otherwise it
+// suspends until the driver resumes it.
 func (p *Proc) block() {
-	if p.k.handoff(p) {
+	if p.k.popOwnWake(p) {
 		return
 	}
-	<-p.resume
-	if p.abort {
+	if !p.suspend() {
 		panic(procAbort{})
 	}
 }

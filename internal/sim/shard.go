@@ -351,7 +351,7 @@ func (s *Sharded) Blocked() []string {
 	return out
 }
 
-// Release retires every shard kernel's pooled worker goroutines (see
+// Release kills every shard kernel's pooled proc coroutines (see
 // Kernel.Release).
 func (s *Sharded) Release() {
 	for _, sh := range s.shards {
@@ -360,8 +360,8 @@ func (s *Sharded) Release() {
 }
 
 // Shutdown abandons an in-flight sharded simulation: every shard kernel
-// is shut down (parked processes unwound, pooled goroutines retired) and
-// undelivered mailbox messages are dropped.
+// is shut down (unfinished processes killed, pooled coroutines
+// released) and undelivered mailbox messages are dropped.
 func (s *Sharded) Shutdown() {
 	for _, sh := range s.shards {
 		sh.failure = nil

@@ -96,10 +96,10 @@ func TestKernelRunUntilWithProcs(t *testing.T) {
 	}
 }
 
-// TestProcRespawnedByOwnEvent: a finished proc's goroutine runs the event
-// loop, so an event it runs can spawn onto that very proc (the pool hands
-// back the proc that just finished) and start it next; the goroutine
-// goes straight on to the new task.
+// TestProcRespawnedByOwnEvent: an event a proc scheduled just before it
+// finished can spawn onto that very proc (the pool hands back the proc
+// that just finished), and when the driver starts it, its suspended
+// coroutine goes straight on to the new task.
 func TestProcRespawnedByOwnEvent(t *testing.T) {
 	k := NewKernel()
 	var second *Proc

@@ -257,9 +257,9 @@ func (s *System) Run() sim.Cycle {
 	// Settle fast-forward accounting for workloads that finished inside
 	// the warmup window (no-op when off or already switched over).
 	s.H.FinishFF()
-	// Retire the kernel's pooled worker goroutines: report generation
-	// runs thousands of systems in one process, and parked goroutines
-	// from finished kernels would otherwise accumulate.
+	// Kill the kernel's pooled proc coroutines: report generation runs
+	// thousands of systems in one process, and the parked goroutines of
+	// finished kernels would otherwise accumulate.
 	s.K.Release()
 	return s.K.Now()
 }
