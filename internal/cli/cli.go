@@ -44,8 +44,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.BoolVar(&f.Full, "full", false, "run at full (slow) scale instead of quick scale; fig25full runs its paper-scale tier (uk-2002-class, ≥100M edges, streamed generation)")
 	fs.IntVar(&f.jobs, "j", 0, "simulations to run in parallel (0 = GOMAXPROCS; output is identical at any -j)")
 
-	fs.BoolVar(&f.opts.Sharded, "sharded", false, "host the machine (baseline or täkō) on the tile-sharded message-passing engine — one kernel per tile, cross-tile traffic as lookahead-respecting messages; cycle counts differ from the classic engine but are byte-identical at any -shard-workers")
-	fs.IntVar(&f.opts.ShardWorkers, "shard-workers", 0, "worker goroutines per sharded simulation (≤1 = deterministic sequenced schedule; results identical at any count)")
 	fs.BoolVar(&f.opts.Verify, "verify", false, "run with coherence-freshness assertions and the periodic hierarchy-wide invariant checker (slower; panics on the first violation), and print txn state-machine coverage")
 	fs.BoolVar(&f.attr, "attr", false, "arm transaction-level latency attribution (per-state dwell histograms + the where-cycles-go table; never changes simulated timing)")
 	fs.IntVar(&f.opts.SlowestK, "slowest", 0, "capture and print the K slowest demand accesses with their state timelines (implies -attr)")

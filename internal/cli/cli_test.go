@@ -22,11 +22,10 @@ func TestFlagsSelectOptions(t *testing.T) {
 		bad  string // substring of the Validate error; empty means accepted
 	}{
 		{nil, system.Options{}, ""},
-		{[]string{"-sharded", "-shard-workers", "4"}, system.Options{Sharded: true, ShardWorkers: 4}, ""},
 		{[]string{"-verify", "-attr"}, system.Options{Verify: true, Attribution: true}, ""},
 		{[]string{"-slowest", "5"}, system.Options{Attribution: true, SlowestK: 5}, ""},
-		{[]string{"-sharded", "-verify", "-slowest", "2"}, system.Options{Sharded: true, Verify: true, Attribution: true, SlowestK: 2}, ""},
-		{[]string{"-sharded", "-shard-workers", "-1"}, system.Options{Sharded: true, ShardWorkers: -1}, "-shard-workers"},
+		{[]string{"-verify", "-slowest", "2"}, system.Options{Verify: true, Attribution: true, SlowestK: 2}, ""},
+		{[]string{"-slowest", "-1"}, system.Options{SlowestK: -1}, "-slowest"},
 	} {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
@@ -53,13 +52,15 @@ func TestFlagsSelectOptions(t *testing.T) {
 // TestFastForwardIsNotAFlag pins that fast-forward is a property of a
 // machine's Config, not a run flag: a process-wide -ff once warmed only
 // the baseline machines of a figure, skewing every täkō-vs-baseline
-// ratio it printed.
+// ratio it printed. The flags of the deleted tile-sharded engine are
+// rejected too.
 func TestFastForwardIsNotAFlag(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	Register(fs)
-	for _, name := range []string{"ff", "ff-auto"} {
-		if fs.Lookup(name) != nil {
-			t.Errorf("Register defines -%s", name)
+	for _, args := range [][]string{{"-ff"}, {"-ff-auto"}, {"-sharded"}, {"-shard-workers", "2"}} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		Register(fs)
+		if err := fs.Parse(args); err == nil {
+			t.Errorf("Register accepts %v", args)
 		}
 	}
 }
@@ -71,7 +72,7 @@ func TestStartExitsOnRejectedOptions(t *testing.T) {
 	if os.Getenv("CLI_START_CHILD") == "1" {
 		fs := flag.NewFlagSet("takosim", flag.ContinueOnError)
 		f := Register(fs)
-		if err := fs.Parse([]string{"-shard-workers", "-1"}); err != nil {
+		if err := fs.Parse([]string{"-slowest", "-1"}); err != nil {
 			os.Exit(3)
 		}
 		f.Start("takosim")
@@ -84,9 +85,9 @@ func TestStartExitsOnRejectedOptions(t *testing.T) {
 	err := cmd.Run()
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Fatalf("Start with -shard-workers -1: %v, want exit status 2", err)
+		t.Fatalf("Start with -slowest -1: %v, want exit status 2", err)
 	}
-	if msg := stderr.String(); !strings.Contains(msg, "-shard-workers") {
-		t.Errorf("message %q does not name -shard-workers", msg)
+	if msg := stderr.String(); !strings.Contains(msg, "-slowest") {
+		t.Errorf("message %q does not name -slowest", msg)
 	}
 }

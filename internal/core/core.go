@@ -109,39 +109,23 @@ func (m *Morph) View(tile int) interface{} {
 }
 
 // Tako is the runtime connecting software, the cache hierarchy, and the
-// engines. It implements hier.Registry and engine.Program.
-//
-// The registry is partitioned per tile: every tile holds its own slice
-// of the live Morphs, and Binding/Spec/View only ever read the slice of
-// the tile they are asked about. On a classic (single-kernel) build the
-// per-tile slices are updated synchronously and are always identical; on
-// a sharded build each slice is owned by its tile's shard, and
-// registration broadcasts the new Morph to every other shard as
-// messages taking the mesh's minimum cross-tile latency, waiting for
-// their acknowledgements before the registering thread proceeds. Remote
-// tiles therefore observe a registration that many cycles late at the
-// earliest — mirroring the TLB shootdown a real OS would need — and no
-// shard ever reads registry state another shard is mutating.
+// engines. It implements hier.Registry and engine.Program. Every tile
+// sees the one registry: a registration is visible machine-wide as soon
+// as it is installed, and the registering thread pays RegisterCost for
+// the OS bookkeeping and TLB shootdown (§6).
 type Tako struct {
-	K     *sim.Kernel  // classic kernel; nil on a sharded build
-	Sh    *sim.Sharded // sharded engine; nil on a classic build
+	K     *sim.Kernel
 	Space *mem.Space
 	H     *hier.Hierarchy
 	E     *engine.Engines
 
-	morphs  [][]*Morph // per-tile registry views (sized at Attach)
-	nextSeq []int      // per-tile registration sequence numbers
+	morphs  []*Morph // live registrations, in registration order
+	nextSeq int      // last minted Morph ID
 
 	// RegisterCost models the OS work of (un)registration: page-table
 	// style bookkeeping plus TLB shootdowns (§6).
 	RegisterCost sim.Cycle
 }
-
-// idStripe separates per-tile Morph ID ranges on sharded builds: tile t
-// allocates IDs in (t*idStripe, (t+1)*idStripe], so concurrent
-// registrations on different tiles mint IDs that depend only on their
-// own tile's registration history.
-const idStripe = 1 << 20
 
 // New creates the runtime. Attach the hierarchy and engines with Attach
 // before registering Morphs.
@@ -149,27 +133,15 @@ func New(k *sim.Kernel, space *mem.Space) *Tako {
 	return &Tako{K: k, Space: space, RegisterCost: 1000}
 }
 
-// NewSharded creates the runtime for a sharded machine. Registration
-// state is broadcast between shards by message; see the Tako doc.
-func NewSharded(sh *sim.Sharded, space *mem.Space) *Tako {
-	return &Tako{Sh: sh, Space: space, RegisterCost: 1000}
-}
-
-// Attach wires the runtime to its hierarchy and engines and sizes the
-// per-tile registry views.
+// Attach wires the runtime to its hierarchy and engines.
 func (t *Tako) Attach(h *hier.Hierarchy, e *engine.Engines) {
 	t.H = h
 	t.E = e
-	if n := h.Tiles(); len(t.morphs) != n {
-		t.morphs = make([][]*Morph, n)
-		t.nextSeq = make([]int, n)
-	}
 }
 
-// Binding implements hier.Registry: resolve a from tile's view of the
-// registry.
-func (t *Tako) Binding(tile int, a mem.Addr) (hier.Binding, bool) {
-	for _, m := range t.morphs[tile] {
+// Binding implements hier.Registry: resolve a against the registry.
+func (t *Tako) Binding(a mem.Addr) (hier.Binding, bool) {
+	for _, m := range t.morphs {
 		if m.Region.Contains(a) {
 			return hier.Binding{
 				MorphID:      m.ID,
@@ -187,8 +159,8 @@ func (t *Tako) Binding(tile int, a mem.Addr) (hier.Binding, bool) {
 }
 
 // Spec implements engine.Program.
-func (t *Tako) Spec(morphID, tile int, kind hier.CallbackKind) (engine.Spec, bool) {
-	m := t.byID(morphID, tile)
+func (t *Tako) Spec(morphID int, kind hier.CallbackKind) (engine.Spec, bool) {
+	m := t.byID(morphID)
 	if m == nil {
 		return engine.Spec{}, false
 	}
@@ -214,15 +186,15 @@ func (t *Tako) Spec(morphID, tile int, kind hier.CallbackKind) (engine.Spec, boo
 
 // View implements engine.Program.
 func (t *Tako) View(morphID, tile int) interface{} {
-	m := t.byID(morphID, tile)
+	m := t.byID(morphID)
 	if m == nil {
 		return nil
 	}
 	return m.View(tile)
 }
 
-func (t *Tako) byID(id, tile int) *Morph {
-	for _, m := range t.morphs[tile] {
+func (t *Tako) byID(id int) *Morph {
+	for _, m := range t.morphs {
 		if m.ID == id {
 			return m
 		}
@@ -230,14 +202,8 @@ func (t *Tako) byID(id, tile int) *Morph {
 	return nil
 }
 
-// Morphs returns the live registrations (tile 0's view; every tile sees
-// the same set once in-flight registration broadcasts drain).
-func (t *Tako) Morphs() []*Morph {
-	if len(t.morphs) == 0 {
-		return nil
-	}
-	return t.morphs[0]
-}
+// Morphs returns the live registrations.
+func (t *Tako) Morphs() []*Morph { return t.morphs }
 
 var (
 	// ErrOverlap is returned when a registration overlaps a live Morph
@@ -247,26 +213,12 @@ var (
 	ErrBadLevel = errors.New("tako: Morphs register at PRIVATE or SHARED only")
 )
 
-// origin returns the tile whose registry view the calling proc owns: the
-// proc's shard on a sharded build, or the registering tile classically
-// (where every view is identical anyway).
-func (t *Tako) origin(p *sim.Proc, tile int) int {
-	if t.Sh != nil {
-		return t.Sh.ShardOf(p.Kernel())
-	}
-	return tile
-}
-
-// validate checks a registration against one tile's registry view.
-// Overlap is checked against that view only: phantom ranges cannot
-// overlap across tiles by construction (per-tile stripes), and real-range
-// registrations racing from different tiles within one message latency
-// are a workload bug täkō's OS support would also not catch (§6).
-func (t *Tako) validate(spec MorphSpec, level Level, region mem.Region, tile int) error {
+// validate checks a registration against the live Morphs.
+func (t *Tako) validate(spec MorphSpec, level Level, region mem.Region) error {
 	if level != Private && level != Shared {
 		return ErrBadLevel
 	}
-	for _, m := range t.morphs[tile] {
+	for _, m := range t.morphs {
 		if region.Base < m.Region.End() && m.Region.Base < region.End() {
 			return fmt.Errorf("%w: %v overlaps %v", ErrOverlap, region, m.Region)
 		}
@@ -280,27 +232,13 @@ func (t *Tako) validate(spec MorphSpec, level Level, region mem.Region, tile int
 }
 
 func (t *Tako) install(p *sim.Proc, spec MorphSpec, level Level, region mem.Region, tile int) *Morph {
-	origin := t.origin(p, tile)
-	var id int
-	if t.Sh != nil {
-		// Stripe IDs per registering tile so concurrent registrations
-		// mint IDs independent of cross-tile interleaving.
-		t.nextSeq[origin]++
-		id = t.nextSeq[origin] + origin*idStripe
-	} else {
-		// Classic builds have one logical registry: a single global
-		// sequence, so IDs minted from different tiles never collide.
-		t.nextSeq[0]++
-		id = t.nextSeq[0]
-	}
+	t.nextSeq++
 	m := &Morph{
-		ID: id, Spec: spec, Level: level, Region: region, Tile: tile,
+		ID: t.nextSeq, Spec: spec, Level: level, Region: region, Tile: tile,
 		tako: t, views: make(map[int]interface{}),
 	}
 	// Eagerly create views so software can initialize local state:
-	// one for PRIVATE, one per bank for SHARED (§4.2). Views built here
-	// become visible to remote shards through the registration broadcast,
-	// which is the happens-before edge.
+	// one for PRIVATE, one per bank for SHARED (§4.2).
 	if spec.NewView != nil {
 		if level == Private {
 			m.View(tile)
@@ -310,48 +248,9 @@ func (t *Tako) install(p *sim.Proc, spec MorphSpec, level Level, region mem.Regi
 			}
 		}
 	}
-	t.publish(p, origin, func(view *[]*Morph) {
-		*view = append(*view, m)
-	})
+	t.morphs = append(t.morphs, m)
 	p.Sleep(t.RegisterCost) // OS bookkeeping + TLB shootdown (§6)
 	return m
-}
-
-// publish applies a registry mutation to every tile's view. Classic
-// builds mutate all views synchronously. Sharded builds mutate the
-// origin's view directly and ship the mutation to every other shard as a
-// mailbox message, waiting for all acknowledgements — the message-passing
-// analogue of a TLB shootdown, and the reason remote shards never
-// observe a half-made registration.
-func (t *Tako) publish(p *sim.Proc, origin int, mutate func(view *[]*Morph)) {
-	if t.Sh == nil {
-		for i := range t.morphs {
-			mutate(&t.morphs[i])
-		}
-		return
-	}
-	mutate(&t.morphs[origin])
-	sh := t.Sh.Shard(origin)
-	lat := t.H.Mesh.MinCrossTileLatency()
-	acks := make([]*sim.Future, 0, len(t.morphs)-1)
-	for i := range t.morphs {
-		if i == origin {
-			continue
-		}
-		// Several acks are outstanding at once, and a completed pooled
-		// future recycles before the loop below reaches it — use fresh
-		// futures.
-		f := sim.NewFuture(p.Kernel())
-		acks = append(acks, f)
-		i := i
-		sh.Send(i, lat, func() {
-			mutate(&t.morphs[i])
-			t.Sh.Shard(i).SendComplete(origin, lat, f)
-		})
-	}
-	for _, f := range acks {
-		p.Wait(f)
-	}
 }
 
 // RegisterPhantom allocates a phantom address range of the given size
@@ -359,16 +258,8 @@ func (t *Tako) publish(p *sim.Proc, origin int, mutate func(view *[]*Morph)) {
 // caches; onMiss and onWriteback define the semantics of loads and
 // stores to the range.
 func (t *Tako) RegisterPhantom(p *sim.Proc, spec MorphSpec, level Level, size uint64, tile int) (*Morph, error) {
-	origin := t.origin(p, tile)
-	var region mem.Region
-	if t.Sh != nil {
-		// Per-tile phantom stripes keep concurrently allocated ranges
-		// independent of cross-shard timing.
-		region = t.Space.AllocPhantomAt(origin, spec.Name, size)
-	} else {
-		region = t.Space.AllocPhantom(spec.Name, size)
-	}
-	if err := t.validate(spec, level, region, origin); err != nil {
+	region := t.Space.AllocPhantom(spec.Name, size)
+	if err := t.validate(spec, level, region); err != nil {
 		t.Space.Free(region)
 		return nil, err
 	}
@@ -382,7 +273,7 @@ func (t *Tako) RegisterReal(p *sim.Proc, spec MorphSpec, level Level, region mem
 	if region.Phantom {
 		return nil, errors.New("tako: RegisterReal requires a real region")
 	}
-	if err := t.validate(spec, level, region, t.origin(p, tile)); err != nil {
+	if err := t.validate(spec, level, region); err != nil {
 		return nil, err
 	}
 	t.H.InvalidateRegion(p, region)
@@ -405,14 +296,12 @@ func (t *Tako) Unregister(p *sim.Proc, m *Morph) {
 	}
 	t.FlushData(p, m)
 	m.unregistered = true
-	t.publish(p, t.origin(p, m.Tile), func(view *[]*Morph) {
-		for i, mm := range *view {
-			if mm == m {
-				*view = append((*view)[:i], (*view)[i+1:]...)
-				break
-			}
+	for i, mm := range t.morphs {
+		if mm == m {
+			t.morphs = append(t.morphs[:i], t.morphs[i+1:]...)
+			break
 		}
-	})
+	}
 	if m.Region.Phantom {
 		t.Space.Free(m.Region)
 	}

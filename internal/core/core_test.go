@@ -65,7 +65,7 @@ func TestPhantomMorphLifecycle(t *testing.T) {
 			t.Errorf("reload after flush = %d, want fresh onMiss fill %d", got, uint64(a))
 		}
 		s.Tako.Unregister(p, m)
-		if _, ok := s.Tako.Binding(0, a); ok {
+		if _, ok := s.Tako.Binding(a); ok {
 			t.Error("binding survives unregister")
 		}
 	})

@@ -84,19 +84,14 @@ const samplePeriod sim.Cycle = 1024
 // samplePeriod (1024) cycles. Sampling is lazy — the backlog is
 // inspected at request time, never via kernel events — so it adds no
 // events to the simulation and cannot perturb timing.
-//
-// Extra labels distinguish multiple DRAM instances sharing one registry
-// (the sharded hierarchy hosts one single-controller instance per home
-// shard); gauges in particular must stay single-writer to keep their
-// last-sample field deterministic.
-func (d *DRAM) AttachMetrics(r *stats.Registry, labels ...stats.Label) {
-	d.mReads = r.Counter("dram.reads", labels...)
-	d.mWrites = r.Counter("dram.writes", labels...)
-	d.mQueueWait = r.Histogram("dram.queue.wait", labels...)
+func (d *DRAM) AttachMetrics(r *stats.Registry) {
+	d.mReads = r.Counter("dram.reads")
+	d.mWrites = r.Counter("dram.writes")
+	d.mQueueWait = r.Histogram("dram.queue.wait")
 	d.mDepth = make([]*stats.Gauge, d.cfg.Controllers)
 	d.compCtrl = make([]string, d.cfg.Controllers)
 	for i := range d.mDepth {
-		d.mDepth[i] = r.Gauge("dram.queue.depth", append([]stats.Label{stats.L("ctrl", i)}, labels...)...)
+		d.mDepth[i] = r.Gauge("dram.queue.depth", stats.L("ctrl", i))
 		d.compCtrl[i] = fmt.Sprintf("dram.%d", i)
 	}
 }

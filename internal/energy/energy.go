@@ -9,7 +9,6 @@ package energy
 
 import (
 	"fmt"
-	"sync/atomic"
 )
 
 // Kind identifies a class of energy-consuming event.
@@ -61,14 +60,11 @@ func DefaultCosts() [numKinds]float64 {
 	}
 }
 
-// Meter accumulates event counts and converts them to energy. By
-// default it is single-threaded; SetConcurrent switches Add to atomic
-// accumulation for sharded-kernel runs (adds commute, so totals are
-// identical at any worker count).
+// Meter accumulates event counts and converts them to energy. It is
+// single-threaded, like the kernel that drives it.
 type Meter struct {
 	counts [numKinds]uint64
 	costs  [numKinds]float64
-	conc   bool
 }
 
 // NewMeter returns a Meter with DefaultCosts.
@@ -76,25 +72,11 @@ func NewMeter() *Meter {
 	return &Meter{costs: DefaultCosts()}
 }
 
-// SetConcurrent switches the meter to atomic accumulation.
-func (m *Meter) SetConcurrent() { m.conc = true }
-
 // Add records n events of kind k.
-func (m *Meter) Add(k Kind, n uint64) {
-	if m.conc {
-		atomic.AddUint64(&m.counts[k], n)
-		return
-	}
-	m.counts[k] += n
-}
+func (m *Meter) Add(k Kind, n uint64) { m.counts[k] += n }
 
 // Count returns the number of recorded events of kind k.
-func (m *Meter) Count(k Kind) uint64 {
-	if m.conc {
-		return atomic.LoadUint64(&m.counts[k])
-	}
-	return m.counts[k]
-}
+func (m *Meter) Count(k Kind) uint64 { return m.counts[k] }
 
 // TotalPJ returns total dynamic energy in picojoules.
 func (m *Meter) TotalPJ() float64 {

@@ -112,12 +112,11 @@ type Spec struct {
 }
 
 // Program resolves Morph callbacks for the engine; implemented by the
-// core täkō package. Lookups name the tile whose registry view should
-// answer: on a sharded machine each tile's view is owned by its shard.
+// core täkō package.
 type Program interface {
-	// Spec returns the callback for (morphID, kind) as tile sees it;
-	// ok=false if the Morph does not implement it.
-	Spec(morphID, tile int, kind hier.CallbackKind) (Spec, bool)
+	// Spec returns the callback for (morphID, kind); ok=false if the
+	// Morph does not implement it.
+	Spec(morphID int, kind hier.CallbackKind) (Spec, bool)
 	// View returns the engine-local view of the Morph on this tile
 	// (per-engine state, §4.2).
 	View(morphID, tile int) interface{}
@@ -149,12 +148,10 @@ type engTile struct {
 	names     [3]string // pre-rendered "cb:<kind>@<tile>" proc names, by kind
 }
 
-// Engines implements hier.Runner for every tile. Each tile's engine
-// schedules its work on that tile's kernel: classically every entry of
-// ks is the same kernel; on a sharded build ks[i] is shard i's kernel,
-// making every callback shard-local work.
+// Engines implements hier.Runner for every tile. Every tile's engine
+// schedules its work on the machine's kernel.
 type Engines struct {
-	ks    []*sim.Kernel // per-tile kernels (all identical classically)
+	k     *sim.Kernel
 	cfg   Config
 	prog  Program
 	meter *energy.Meter
@@ -175,29 +172,8 @@ type Engines struct {
 // New builds engines for `tiles` tiles. The hierarchy is attached later
 // with AttachHierarchy (engines and hierarchy reference each other).
 func New(k *sim.Kernel, cfg Config, tiles int, prog Program, meter *energy.Meter) *Engines {
-	ks := make([]*sim.Kernel, tiles)
-	for i := range ks {
-		ks[i] = k
-	}
-	return build(ks, cfg, prog, meter)
-}
-
-// NewSharded builds engines for a sharded machine: tile i's engine runs
-// on shard i's kernel, so every callback is shard-local work.
-func NewSharded(sh *sim.Sharded, cfg Config, tiles int, prog Program, meter *energy.Meter) *Engines {
-	if tiles != sh.Shards() {
-		panic(fmt.Sprintf("engine: %d tiles on a %d-shard engine", tiles, sh.Shards()))
-	}
-	ks := make([]*sim.Kernel, tiles)
-	for i := range ks {
-		ks[i] = sh.Shard(i).K
-	}
-	return build(ks, cfg, prog, meter)
-}
-
-func build(ks []*sim.Kernel, cfg Config, prog Program, meter *energy.Meter) *Engines {
-	e := &Engines{ks: ks, cfg: cfg, prog: prog, meter: meter}
-	for i, k := range ks {
+	e := &Engines{k: k, cfg: cfg, prog: prog, meter: meter}
+	for i := 0; i < tiles; i++ {
 		t := &engTile{
 			buffer:   sim.NewSemaphore(k, maxInt(cfg.CallbackBuffer, 1)),
 			seqChain: make(map[int]*sim.Future),
@@ -238,14 +214,13 @@ func (e *Engines) AttachHierarchy(h *hier.Hierarchy) {
 	}
 }
 
-// tracerAt returns the tracer callback spans on tile must record into:
-// the tile's per-shard fork on a sharded build, the hierarchy's shared
-// tracer classically (nil when tracing is off).
-func (e *Engines) tracerAt(tile int) *trace.Tracer {
+// tracer returns the hierarchy's tracer (nil when tracing is off or no
+// hierarchy is attached).
+func (e *Engines) tracer() *trace.Tracer {
 	if e.h == nil {
 		return nil
 	}
-	return e.h.TracerAt(tile)
+	return e.h.Tracer()
 }
 
 // Config returns the engine configuration.
@@ -281,9 +256,8 @@ func (e *Engines) Saturated(tile int) bool {
 
 // Run implements hier.Runner: schedule a callback on tile's engine.
 func (e *Engines) Run(tile int, kind hier.CallbackKind, b hier.Binding, addr mem.Addr, line *mem.Line) (accepted, done *sim.Future) {
-	t := e.tiles[tile]
-	k := e.ks[tile]
-	spec, ok := e.prog.Spec(b.MorphID, tile, kind)
+	t, k := e.tiles[tile], e.k
+	spec, ok := e.prog.Spec(b.MorphID, kind)
 	if !ok {
 		// No such callback: complete immediately (hier normally
 		// filters these via the Binding Has* flags).
@@ -326,7 +300,7 @@ func (e *Engines) Run(tile int, kind hier.CallbackKind, b hier.Binding, addr mem
 		e.queueHist[kind].Observe(start - sched)
 		e.execHist[kind].Observe(end - start)
 		e.totalHist[kind].Observe(end - sched)
-		if tr := e.tracerAt(tile); tr != nil && tile < len(e.comp) {
+		if tr := e.tracer(); tr != nil && tile < len(e.comp) {
 			comp := e.comp[tile]
 			// Nested slices on the engine track: the cb.<kind> span
 			// encloses its queue and exec phases.

@@ -15,7 +15,7 @@ type fakeProg struct {
 	views map[int]interface{}
 }
 
-func (f *fakeProg) Spec(morphID, tile int, kind hier.CallbackKind) (Spec, bool) {
+func (f *fakeProg) Spec(morphID int, kind hier.CallbackKind) (Spec, bool) {
 	if f.spec.Fn == nil {
 		return Spec{}, false
 	}

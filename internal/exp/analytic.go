@@ -74,8 +74,7 @@ func ffGoldenWorkloads() []ffGolden {
 	}
 }
 
-// ffCheckSystem builds the oracle's machine: a classic-kernel baseline
-// hierarchy with true-LRU replacement and no prefetching, the regime
+// ffCheckSystem builds the oracle's machine: a baseline hierarchy with true-LRU replacement and no prefetching, the regime
 // the analytical model targets (docs/performance.md discusses the
 // trrîp and prefetch gaps). ffBudget > 0 arms fast-forward.
 func ffCheckSystem(tiles int, ffBudget uint64) *system.System {

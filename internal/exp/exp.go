@@ -37,7 +37,7 @@ func order(id string) int {
 	for i, k := range []string{
 		"fig6", "fig7", "table2", "table3", "fig13", "fig14", "fig16",
 		"fig17", "fig19", "fig20", "fig21", "fig22", "fig23", "fig24",
-		"fig25", "fig25full", "ffcheck", "sweep-cbbuf", "sweep-rtlb", "sharded",
+		"fig25", "fig25full", "ffcheck", "sweep-cbbuf", "sweep-rtlb",
 	} {
 		if k == id {
 			return i

@@ -2,6 +2,8 @@ package exp
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -13,7 +15,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig6", "fig7", "table2", "table3", "fig13", "fig14", "fig16",
 		"fig17", "fig19", "fig20", "fig21", "fig22", "fig23", "fig24",
 		"fig25", "fig25full", "ffcheck", "sweep-cbbuf", "sweep-rtlb",
-		"sharded", "layout",
+		"layout",
 	}
 	got := IDs()
 	if len(got) != len(want) {
@@ -84,27 +86,25 @@ func TestFig21DriverRuns(t *testing.T) {
 	}
 }
 
-// TestShardedClassicRowIgnoresShardedDefault pins that the engine
-// comparison builds the engines it names: with the process-wide -sharded
-// default armed, the classic row still runs on the classic kernel and
-// reproduces the unarmed row's cycles and ops.
+// TestShardedClassicRowIgnoresShardedDefault pins that the experiment
+// drivers build the classic machine whatever bench/workloads.go's
+// phi-tako-sharded workload arms: with the SetDefaultSharded stub armed,
+// fig6's quick table still matches its golden snapshot row for row.
 func TestShardedClassicRowIgnoresShardedDefault(t *testing.T) {
-	const tiles, words = 4, 16
-	classic := shardedVariants()[0]
-	if classic.name != "classic" || classic.sharded {
-		t.Fatalf("first engine-comparison row is %q, want the classic kernel", classic.name)
+	if testing.Short() {
+		t.Skip("simulation-heavy")
 	}
-	ref, _, err := runShardedVariant(classic, tiles, words)
+	want, err := os.ReadFile(filepath.Join("testdata", "fig6.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer system.SetOptions(system.SetOptions(system.Options{Sharded: true, ShardWorkers: 2}))
-	got, _, err := runShardedVariant(classic, tiles, words)
+	system.SetDefaultSharded(true, 2)
+	e, _ := ByID("fig6")
+	tbl, err := e.Run(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Cycles != ref.Cycles || recordOps(&got) != recordOps(&ref) {
-		t.Fatalf("armed -sharded default changed the classic row: %d cycles / %d ops, want %d / %d",
-			got.Cycles, recordOps(&got), ref.Cycles, recordOps(&ref))
+	if got := tbl.String(); got != string(want) {
+		t.Fatalf("armed stub changed fig6\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }

@@ -54,30 +54,27 @@ func TestGoldenCaseStudies(t *testing.T) {
 	}
 }
 
-// TestOpsGoldensNameEveryExperiment checks that both ops goldens, the
-// classic one and the sharded one, name exactly the registered
-// experiments at quick scale. takoreport's gate fails on an experiment
-// its golden does not name, so a missing entry would fail CI, and an
-// extra one would gate nothing.
+// TestOpsGoldensNameEveryExperiment checks that the ops golden names
+// exactly the registered experiments at quick scale. takoreport's gate
+// fails on an experiment its golden does not name, so a missing entry
+// would fail CI, and an extra one would gate nothing.
 func TestOpsGoldensNameEveryExperiment(t *testing.T) {
 	want := IDs()
 	slices.Sort(want)
-	for _, name := range []string{"bench_ops.golden.json", "bench_ops.sharded.golden.json"} {
-		data, err := os.ReadFile(filepath.Join("testdata", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var g map[string]map[string]uint64
-		if err := json.Unmarshal(data, &g); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		var got []string
-		for id := range g["quick"] {
-			got = append(got, id)
-		}
-		slices.Sort(got)
-		if !slices.Equal(got, want) {
-			t.Errorf("%s names %v at quick scale, want exactly %v", name, got, want)
-		}
+	data, err := os.ReadFile(filepath.Join("testdata", "bench_ops.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g map[string]map[string]uint64
+	if err := json.Unmarshal(data, &g); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for id := range g["quick"] {
+		got = append(got, id)
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("the golden names %v at quick scale, want exactly %v", got, want)
 	}
 }

@@ -31,15 +31,9 @@ func (h *Hierarchy) Load(p *sim.Proc, tileID int, a mem.Addr) uint64 {
 		h.obs.LoadCommitted(tileID, a, v)
 	}
 	lat := p.Now() - start
-	if h.sharded {
-		// Per-tile distribution, merged into LoadLat by FinishStats:
-		// stats.Dist is not safe for concurrent observation.
-		h.tiles[tileID].loadLat.Observe(float64(lat))
-	} else {
-		h.LoadLat.Observe(float64(lat))
-	}
+	h.LoadLat.Observe(float64(lat))
 	h.hot.loadLat.Observe(lat)
-	h.tracerAt(tileID).EmitSpan(start, p.Now(), h.comp.core[tileID], "load", "")
+	h.tracer.EmitSpan(start, p.Now(), h.comp.core[tileID], "load", "")
 	return v
 }
 
@@ -99,13 +93,9 @@ func (h *Hierarchy) StoreLineNT(p *sim.Proc, tileID int, a mem.Addr, line *mem.L
 		h.ffStoreLine(p, tileID, a, line, true)
 		return
 	}
-	if h.sharded {
-		h.ntStoreSharded(p, tileID, a, line)
-		return
-	}
 	la := a.Line()
 	home := h.HomeTile(la)
-	x := h.getTxn(h.tiles[tileID])
+	x := h.getTxn()
 	x.h, x.p, x.kind = h, p, kindNTStore
 	x.tileID, x.a, x.la = tileID, a, la
 	x.home, x.hm = home, h.tiles[home]
@@ -191,7 +181,7 @@ func (h *Hierarchy) access(p *sim.Proc, tileID int, a mem.Addr, o accessOpts) *c
 		}
 	}
 	h.Meter.Add(energy.TLBAccess, 1)
-	x := h.getTxn(t)
+	x := h.getTxn()
 	x.h, x.p, x.kind = h, p, kindAccess
 	x.tileID, x.a, x.la, x.o = tileID, a, la, o
 	x.t = t
@@ -204,8 +194,6 @@ func (h *Hierarchy) access(p *sim.Proc, tileID int, a mem.Addr, o accessOpts) *c
 		// lands in the Idle state and the access total matches Load's
 		// recorded latency window exactly (the conservation invariant).
 		x.stamp(start)
-		// Sharded builds track too: each tile offers into its own slow
-		// ring (tile.slow), merged deterministically in SlowestAccesses.
 		x.track = !o.engine && !o.prefetch
 	}
 	x.run()
@@ -238,7 +226,7 @@ func (h *Hierarchy) checkEngineRestriction(tileID int, a mem.Addr, o accessOpts)
 	if !o.engine || h.registry == nil {
 		return
 	}
-	b, ok := h.registry.Binding(tileID, a)
+	b, ok := h.registry.Binding(a)
 	if !ok {
 		return
 	}
@@ -266,7 +254,7 @@ func (h *Hierarchy) lockHomeLine(p *sim.Proc, la mem.Addr) uint64 {
 // panics with the line, home tile, cycle, and both tokens.
 func (h *Hierarchy) unlockHomeLine(la mem.Addr, tok uint64) {
 	hm := h.tiles[h.HomeTile(la)]
-	h.completeLock(hm.K, hm.l3pending.mustUnlock(la, tok))
+	h.completeLock(hm.l3pending.mustUnlock(la, tok))
 }
 
 // upgrade obtains write permission for la on tileID: if other tiles hold
@@ -275,12 +263,8 @@ func (h *Hierarchy) unlockHomeLine(la mem.Addr, tok uint64) {
 // concurrent fetch may have copied data that is still in flight, and its
 // copy must be visible for invalidation before ownership changes hands.
 func (h *Hierarchy) upgrade(p *sim.Proc, tileID int, la mem.Addr) {
-	if h.sharded {
-		h.upgradeSharded(p, tileID, la)
-		return
-	}
 	home := h.HomeTile(la)
-	x := h.getTxn(h.tiles[tileID])
+	x := h.getTxn()
 	x.h, x.p, x.kind = h, p, kindUpgrade
 	x.tileID, x.a, x.la = tileID, la, la
 	x.home, x.hm = home, h.tiles[home]
@@ -295,7 +279,7 @@ func (h *Hierarchy) upgrade(p *sim.Proc, tileID int, la mem.Addr) {
 func (h *Hierarchy) fetchFromHome(p *sim.Proc, tileID int, a mem.Addr, o accessOpts, out *mem.Line) {
 	la := a.Line()
 	home := h.HomeTile(a)
-	x := h.getTxn(h.tiles[tileID])
+	x := h.getTxn()
 	x.h, x.p, x.kind = h, p, kindHomeFetch
 	x.tileID, x.a, x.la, x.o = tileID, a, la, o
 	x.home, x.hm = home, h.tiles[home]
@@ -375,7 +359,7 @@ func (h *Hierarchy) applyDirtyMerge(ls3 *cache.LineState, la mem.Addr, data mem.
 		ls3.Data = data
 		ls3.Dirty = true
 	} else {
-		h.dramAt(h.HomeTile(la)).WriteLineNoWait(la, &data)
+		h.DRAM.WriteLineNoWait(la, &data)
 	}
 	d := data
 	if h.cfg.FreshChecks {
@@ -385,14 +369,13 @@ func (h *Hierarchy) applyDirtyMerge(ls3 *cache.LineState, la mem.Addr, data mem.
 }
 
 // completeLock wakes the waiters parked on a released line lock (nil when
-// none materialized) and recycles the pool-originated future into k, the
-// kernel owning the lock table (per-tile on a sharded build). Futures
+// none materialized) and recycles the pool-originated future. Futures
 // stored by lockWith (callback locks, which escape to flush waiters) come
 // from NewFuture and are left untouched by the recycler.
-func (h *Hierarchy) completeLock(k *sim.Kernel, f *sim.Future) {
+func (h *Hierarchy) completeLock(f *sim.Future) {
 	if f == nil {
 		return
 	}
 	f.Complete()
-	k.RecycleFuture(f)
+	h.K.RecycleFuture(f)
 }

@@ -73,11 +73,8 @@ type slowEntry struct {
 	truncated bool
 }
 
-// slowRing is one top-K ring of slow accesses, sorted ascending by
+// slowRing is the top-K ring of slow accesses, sorted ascending by
 // latency so the cheapest survivor is always slow[0]. K == 0 keeps none.
-// Classic builds keep a single ring (txnAttr.ring); sharded builds keep
-// one per tile (tile.slow) — each touched only from its own shard — and
-// merge them deterministically in SlowestAccesses.
 type slowRing struct {
 	k    int
 	slow []slowEntry
@@ -85,8 +82,8 @@ type slowRing struct {
 
 // txnAttr is the armed attribution state of one hierarchy: pre-resolved
 // dwell/total histogram handles (nil for states a kind can never leave,
-// so a bogus observation would fault loudly in tests) and the classic
-// slow ring.
+// so a bogus observation would fault loudly in tests) and the slow
+// ring.
 type txnAttr struct {
 	dwell [nTxnKinds][nTxnStates]*stats.Histogram
 	total [nTxnKinds]*stats.Histogram
@@ -148,14 +145,14 @@ func (t *txn) observeDwell(a *txnAttr, now sim.Cycle) {
 		}
 	}
 	if t.h.tracer != nil && d > 0 {
-		// The track (and, sharded, the per-shard buffer) follows the tile
-		// whose kernel runs this transaction: the issuing tile for access
-		// and private-flush txns, the home bank otherwise.
-		comp, tile := t.h.comp.l2[t.tileID], t.tileID
+		// The track follows the component running this transaction: the
+		// issuing tile's L2 for access and private-flush txns, the home
+		// bank otherwise.
+		comp := t.h.comp.l2[t.tileID]
 		if t.kind != kindAccess && (t.kind != kindFlushEvict || t.flushBank) {
-			comp, tile = t.h.comp.l3[t.home], t.home
+			comp = t.h.comp.l3[t.home]
 		}
-		t.h.tracerAt(tile).EmitSpan(uint64(t.stateEnter), uint64(now), comp, txnSpanNames[t.state], "")
+		t.h.tracer.EmitSpan(uint64(t.stateEnter), uint64(now), comp, txnSpanNames[t.state], "")
 	}
 	t.stateEnter = now
 }
@@ -168,14 +165,7 @@ func (t *txn) finishAttr(a *txnAttr) {
 	total := uint64(t.p.Now() - t.opStart)
 	a.total[t.kind].Observe(total)
 	if t.track {
-		// Demand accesses finish on their issuing tile's kernel, so on a
-		// sharded build each tile offers into its own ring — no locking,
-		// and the ring contents depend only on that tile's own accesses.
-		r := &a.ring
-		if t.h.sharded {
-			r = &t.h.tiles[t.tileID].slow
-		}
-		r.offer(t, total)
+		a.ring.offer(t, total)
 	}
 }
 
@@ -215,39 +205,12 @@ func (r *slowRing) offer(t *txn, lat uint64) {
 
 // SlowestAccesses returns the captured slowest demand accesses, slowest
 // first, with rendered state timelines. Nil when attribution is disarmed
-// or SlowestK is 0. On a sharded build the per-tile rings are merged
-// here: every survivor is collected, sorted by a total order (latency,
-// then tile, then start, then address), and the global top K kept — each
-// tile's ring is deterministic, so the merge is byte-identical at any
-// worker count.
+// or SlowestK is 0.
 func (h *Hierarchy) SlowestAccesses() []SlowAccess {
 	if h.attr == nil {
 		return nil
 	}
 	entries := h.attr.ring.slow
-	if h.sharded {
-		var all []slowEntry
-		for _, t := range h.tiles {
-			all = append(all, t.slow.slow...)
-		}
-		sort.SliceStable(all, func(i, j int) bool {
-			a, b := &all[i], &all[j]
-			if a.lat != b.lat {
-				return a.lat < b.lat
-			}
-			if a.tile != b.tile {
-				return a.tile < b.tile
-			}
-			if a.start != b.start {
-				return a.start < b.start
-			}
-			return a.la < b.la
-		})
-		if len(all) > h.attr.ring.k {
-			all = all[len(all)-h.attr.ring.k:]
-		}
-		entries = all
-	}
 	if len(entries) == 0 {
 		return nil
 	}

@@ -9,11 +9,11 @@ import (
 // Freshness checking state lives on the Hierarchy (not in package
 // globals) so parallel tests and coexisting hierarchies cannot
 // cross-contaminate each other's histories or toggles. Enable it per
-// hierarchy with Config.FreshChecks, or for every classic machine with
+// hierarchy with Config.FreshChecks, or for every machine with
 // system.Options.Verify.
 
 func (h *Hierarchy) debugDir(la mem.Addr) string {
-	e := h.dirT(la).get(la)
+	e := h.dir.get(la)
 	if e == nil {
 		return "dir{}"
 	}

@@ -26,14 +26,14 @@ func (e *dirEntry) empty() bool       { return e.sharers == 0 }
 // The pointer follows dirTable's validity rule: use it before the next
 // directory create or delete.
 func (h *Hierarchy) dirOf(la mem.Addr) *dirEntry {
-	return h.dirT(la).getOrCreate(la)
+	return h.dir.getOrCreate(la)
 }
 
 // hasExclusive reports whether tile may write la without a coherence
 // transaction: it is the registered owner, or the line is untracked
 // (private phantom lines never enter the directory).
 func (h *Hierarchy) hasExclusive(tileID int, la mem.Addr) bool {
-	e := h.dirT(la).get(la)
+	e := h.dir.get(la)
 	if e == nil {
 		return true
 	}
@@ -43,6 +43,16 @@ func (h *Hierarchy) hasExclusive(tileID int, la mem.Addr) bool {
 // privateCaches returns the caches forming tile t's private domain.
 func (t *tile) privateCaches() [3]*cache.Cache {
 	return [3]*cache.Cache{t.l1, t.el1, t.l2}
+}
+
+// holdsAny reports whether tile t's private domain caches any line of r.
+func (t *tile) holdsAny(r mem.Region) bool {
+	for _, c := range t.privateCaches() {
+		if len(c.LinesInRegion(r)) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // invalidatePrivate extracts every copy of la from tile's private domain,
@@ -96,7 +106,7 @@ func (h *Hierarchy) downgradeOwner(tileID int, la mem.Addr) (data mem.Line, dirt
 // grant and the private-side install: a concurrent invalidation cannot
 // see (or recall) a line that is in flight between caches.
 func (h *Hierarchy) dirStillGrants(tileID int, la mem.Addr, write bool) bool {
-	e := h.dirT(la).get(la)
+	e := h.dir.get(la)
 	if e == nil || !e.has(tileID) {
 		return false
 	}
@@ -104,21 +114,10 @@ func (h *Hierarchy) dirStillGrants(tileID int, la mem.Addr, write bool) bool {
 }
 
 // removeSharerIfNoCopies drops tile from la's sharer set once its private
-// domain holds no copy, deleting empty entries. Sharded, the tile cannot
-// touch the directory: it sends a clean Put to the home shard instead
-// (sharded.go), which performs the same removal when the message lands.
+// domain holds no copy, deleting empty entries.
 func (h *Hierarchy) removeSharerIfNoCopies(tileID int, la mem.Addr) {
 	t := h.tiles[tileID]
-	if h.sharded {
-		for _, c := range t.privateCaches() {
-			if c.Contains(la) {
-				return
-			}
-		}
-		h.sendPutClean(t, la)
-		return
-	}
-	e := h.dirT(la).get(la)
+	e := h.dir.get(la)
 	if e == nil {
 		return
 	}
@@ -136,7 +135,7 @@ func (h *Hierarchy) removeSharerIfNoCopies(tileID int, la mem.Addr) {
 		h.debugLogHome(la, fmt.Sprintf("removeSharer(%d)", tileID), 0)
 	}
 	if empty {
-		h.dirT(la).delete(la)
+		h.dir.delete(la)
 	}
 }
 
@@ -146,7 +145,7 @@ func (h *Hierarchy) removeSharerIfNoCopies(tileID int, la mem.Addr) {
 func (h *Hierarchy) DebugReadWord(a mem.Addr) uint64 {
 	la := a.Line()
 	off := a.Offset() &^ 7
-	if e := h.dirT(la).get(la); e != nil && e.owner >= 0 {
+	if e := h.dir.get(la); e != nil && e.owner >= 0 {
 		t := h.tiles[e.owner]
 		for _, c := range t.privateCaches() {
 			if ls := c.Lookup(la); ls != nil && ls.Dirty {

@@ -95,9 +95,7 @@ func (h *Hierarchy) EngineAtomicAddWord(p *sim.Proc, tileID int, a mem.Addr, del
 // engines use this to expose memory-level parallelism within a callback
 // (§5.3).
 func (h *Hierarchy) EngineLoadLineAsync(tileID int, a mem.Addr, cbLevel Level, f *sim.Future) {
-	// The fetch proc runs on the tile's own kernel (= its shard when
-	// sharded), like the callback that issued it.
-	h.tiles[tileID].K.Go("engine-async-load", func(p *sim.Proc) {
+	h.K.Go("engine-async-load", func(p *sim.Proc) {
 		h.EngineLoadLine(p, tileID, a, cbLevel)
 		f.Complete()
 	})
@@ -123,27 +121,5 @@ func (h *Hierarchy) EngineRMWWord(p *sim.Proc, tileID int, a mem.Addr, op RMOOp,
 // the persistence domain (§8.3).
 func (h *Hierarchy) EnginePersistLine(p *sim.Proc, tileID int, a mem.Addr, data *mem.Line, cbLevel Level) {
 	h.EngineStoreLine(p, tileID, a, data, cbLevel)
-	la := a.Line()
-	if !h.sharded {
-		p.Wait(h.DRAM.WriteLine(la, data))
-		return
-	}
-	home := h.HomeTile(la)
-	if home == tileID {
-		p.Wait(h.dramAt(home).WriteLine(la, data))
-		return
-	}
-	// Persist RPC: each DRAM controller is owned by its home shard, so
-	// ship the line there, let the home proc wait out the write queue,
-	// and ack completion back on the ordered channel.
-	t, hm := h.tiles[tileID], h.tiles[home]
-	done := t.K.GetFuture()
-	line := *data
-	t.shard.Send(home, h.Mesh.Transfer(tileID, home, mem.LineSize), func() {
-		hm.K.Go("persist", func(q *sim.Proc) {
-			q.Wait(h.dramAt(home).WriteLine(la, &line))
-			hm.shard.SendComplete(tileID, h.Mesh.Latency(home, tileID, 8), done)
-		})
-	})
-	p.Wait(done)
+	p.Wait(h.DRAM.WriteLine(a.Line(), data))
 }

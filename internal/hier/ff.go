@@ -24,9 +24,8 @@ import (
 // Fast-forward is exact functionally (values, including atomics, are
 // bit-identical to full simulation on the cooperative kernel) and
 // approximate temporally (warmup cycles are estimated, not simulated),
-// so it is default-off and runs only on classic-kernel baseline
-// (NoTako) machines: morph callbacks and the sharded message protocol
-// both need the event kernel per access.
+// so it is default-off and runs only on baseline (NoTako) machines:
+// morph callbacks need the event kernel per access.
 
 const (
 	// ffRetime is the access count between sleep-batch latency refreshes.
@@ -105,13 +104,8 @@ func FFSnapshot() FFView {
 }
 
 // EnableFastForward arms analytical fast-forward for the first budget
-// core accesses (0 leaves it off). Classic-kernel baseline machines
-// only.
+// core accesses (0 leaves it off). Baseline machines only.
 func (h *Hierarchy) EnableFastForward(budget uint64) {
-	if h.sharded {
-		panic("hier: fast-forward on a sharded hierarchy is unsupported (the analytical warmup replays one " +
-			"global access stream on the classic kernel); build the machine classic, or clear FastForward")
-	}
 	if h.registry != nil {
 		panic("hier: fast-forward on a täkō machine is unsupported (morph callbacks need the event kernel " +
 			"per access); fast-forward baseline (NoTako) machines, or clear FastForward")

@@ -177,3 +177,42 @@ func TestFlushRacesInFlightFill(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPrivatePhantomFlushEvictsOtherTilesCopies: a PRIVATE phantom flush
+// must leave no line of the region in any tile's private domain, or the
+// Morph is unregistered with a line still cached under it. Tile 1 holds
+// a line of tile 0's region (as a prefetcher running past the end of its
+// own region leaves one); the flush at tile 0 evicts it through its
+// callback. A real region's copy on tile 1 stays: it is plain memory once
+// unbound.
+func TestPrivatePhantomFlushEvictsOtherTilesCopies(t *testing.T) {
+	region := mem.Region{Name: "ph", Base: 0x4000_0000_0000, Size: 4096, Phantom: true}
+	real := mem.Region{Name: "real", Base: 0x10000, Size: 4096}
+	realB := Binding{MorphID: 2, Level: LevelPrivate, Region: real, HasMiss: true}
+	reg := &fakeRegistry{bindings: []Binding{phantomBinding(region, LevelPrivate), realB}}
+	k := sim.NewKernel()
+	r := &fakeRunner{k: k}
+	h := New(k, DefaultConfig(2), energy.NewMeter(), reg, r)
+	k.Go("stray", func(p *sim.Proc) {
+		h.Load(p, 0, region.Base)
+		h.Load(p, 1, region.Base+mem.LineSize)
+		h.Load(p, 1, real.Base)
+		h.FlushRegion(p, 0, region, LevelPrivate)
+		h.FlushRegion(p, 0, real, LevelPrivate)
+	})
+	k.Run()
+	for tile := 0; tile < 2; tile++ {
+		if lines := h.tiles[tile].l2.LinesInRegion(region); len(lines) != 0 {
+			t.Fatalf("tile %d still caches %v of the flushed phantom region", tile, lines)
+		}
+	}
+	if got := r.count(CbEviction); got != 2 {
+		t.Fatalf("flush ran %d onEviction callbacks, want 2 (one per tile's line)", got)
+	}
+	if h.tiles[1].l2.Lookup(real.Base) == nil {
+		t.Fatal("a real region's flush at tile 0 evicted tile 1's copy")
+	}
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

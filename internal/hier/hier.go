@@ -23,7 +23,6 @@ import (
 	"tako/internal/cache"
 	"tako/internal/dram"
 	"tako/internal/energy"
-	"tako/internal/flat"
 	"tako/internal/mem"
 	"tako/internal/noc"
 	"tako/internal/sim"
@@ -92,12 +91,8 @@ type Binding struct {
 
 // Registry resolves addresses to Morph bindings. Implemented by the core
 // täkō package; a nil registry means no Morphs (baseline hierarchy).
-// Lookups name the tile doing the asking: on a sharded build the registry
-// is partitioned per tile (each shard reads only its own view, updated by
-// registration broadcast messages), so the tile parameter selects the
-// view whose contents are guaranteed visible to the calling shard.
 type Registry interface {
-	Binding(tile int, a mem.Addr) (Binding, bool)
+	Binding(a mem.Addr) (Binding, bool)
 }
 
 // Runner executes callbacks on a tile's engine. Implemented by the
@@ -233,15 +228,6 @@ type stream struct {
 // tile bundles one tile's private state.
 type tile struct {
 	id int
-	// K is the kernel this tile's processes and futures live on: the
-	// hierarchy-wide kernel on a classic build, the tile's own shard
-	// kernel on a sharded build (sharded.go). Tile-affine spawns
-	// (prefetches, writeback timing, RMO issue) go through it so they
-	// stay on the tile's shard.
-	K *sim.Kernel
-	// shard is the tile's mailbox endpoint on a sharded build (nil on a
-	// classic kernel): all cross-tile effects leave through it.
-	shard *sim.Shard
 
 	l1  *cache.Cache // core L1d
 	el1 *cache.Cache // engine L1d
@@ -278,49 +264,10 @@ type tile struct {
 	rtlb *tlb.TLB
 	dtlb *tlb.TLB
 
-	// txnPool recycles this tile's coherence-transaction objects
-	// (txn.go). Pooling per tile (rather than per hierarchy) keeps the
-	// pool single-shard on a sharded build, so getTxn/putTxn never
-	// synchronize.
-	txnPool []*txn
-	// txnCounts is this tile's slice of the transaction state-machine
-	// coverage table; TxnCoverage sums across tiles.
-	txnCounts txnCountTable
-	// loadLat records demand-load latencies issued from this tile;
-	// merged into Hierarchy.LoadLat when the run finishes (FinishStats).
-	// Classic builds observe into Hierarchy.LoadLat directly.
-	loadLat stats.Dist
-
-	// cbInflight tracks eviction/writeback callbacks spawned on this
-	// tile's kernel, so flushes can block until they complete (§4.4).
-	// Per tile (rather than per hierarchy) because a WaitGroup is bound
-	// to one kernel: on a sharded build each tile's callbacks must be
-	// awaited from that tile's own shard.
+	// cbInflight tracks eviction/writeback callbacks spawned for this
+	// tile's caches, so flushes can block until they complete (§4.4).
+	// FlushRegion waits on each tile's group in turn.
 	cbInflight *sim.WaitGroup
-	// protectedFn is this tile's pre-bound victim-avoid hook (nil
-	// without a registry): it resolves §4.5 Protected predicates through
-	// the tile's own registry view.
-	protectedFn func(tag mem.Addr) bool
-	// slow is this tile's slow-access ring on a sharded build (attr.go):
-	// demand accesses finish on their issuing tile's shard, so per-tile
-	// rings need no locking and merge deterministically at run end.
-	slow slowRing
-
-	// Sharded-mode state (sharded.go); unused on a classic build.
-	//
-	// owned is the tile's local view of which lines it holds with write
-	// permission: set when a write grant arrives from home, cleared by
-	// invalidation/downgrade handlers and on last-copy drops. It stands
-	// in for the classic hasExclusive directory peek, which a remote
-	// tile cannot perform under message passing.
-	owned flat.Table[struct{}]
-	// reqs pools homeReq message payloads.
-	reqs []*homeReq
-	// invPool recycles back-invalidation reply scratch (home side).
-	invPool [][]invReply
-	// homeNames pre-renders home-transaction proc names per kind so
-	// arriving requests don't format a string per message.
-	homeNames [nTxnKinds]string
 }
 
 // Hierarchy is the full modeled memory system.
@@ -335,20 +282,9 @@ type Hierarchy struct {
 	runner   Runner
 	tiles    []*tile
 	dir      dirTable
-	// dirs banks the directory per home tile on a sharded build (nil
-	// classically): each bank is touched only from its home shard, so the
-	// open-addressed tables never need locking. Use dirT(la), not the
-	// fields, to resolve a line's directory.
-	dirs []dirTable
 
-	// tracer records structured events when attached (nil = off). On a
-	// sharded build it is the merge target: each tile records into its
-	// own fork (tracers) and FinishStats merges the forks into tracer in
-	// canonical (cycle, shard, seq) order.
+	// tracer records structured events when attached (nil = off).
 	tracer *trace.Tracer
-	// tracers holds one tracer fork per tile on a sharded build (nil
-	// classically, and when tracing is off).
-	tracers []*trace.Tracer
 
 	// obs receives commit-point notifications (observer.go); nil = off.
 	obs Observer
@@ -371,10 +307,13 @@ type Hierarchy struct {
 
 	// Pre-bound spawn bodies for the hot asynchronous paths (prefetch
 	// issue, writeback timing): built once in New so Kernel.GoArgs sites
-	// don't allocate a closure per event. The victim-avoid hook lives per
-	// tile (tile.protectedFn) so it reads the tile's own registry view.
+	// don't allocate a closure per event.
 	prefetchFn func(p *sim.Proc, a0, a1 uint64)
 	wbTimingFn func(p *sim.Proc, a0, a1 uint64)
+	// protectedFn is the pre-bound victim-avoid hook from Morph
+	// replacement hints (the onReplacement extension, §4.5), so insert
+	// paths don't allocate a closure per fill; nil without a registry.
+	protectedFn func(tag mem.Addr) bool
 
 	// attr is the armed latency-attribution state (attr.go); nil when
 	// Config.Attribution is off, so the hot path pays one pointer check.
@@ -384,20 +323,12 @@ type Hierarchy struct {
 	// the access hot path pays one pointer check.
 	ff *ffState
 
-	// Sharded-mode state (sharded.go). sharded selects the
-	// message-passing cross-tile protocol: each tile's state machine
-	// runs on its own shard kernel and all cross-tile effects travel as
-	// Sharded mailbox messages. eng is the engine hosting the shards.
-	// K is nil on a sharded build — every path must use a tile kernel
-	// or the running proc's kernel.
-	sharded bool
-	eng     *sim.Sharded
-	// drams holds one DRAM controller instance per home tile on a
-	// sharded build (each home's controllers must live on that home's
-	// shard kernel); they share one concurrent mem.Memory. Classic
-	// builds leave it nil and use DRAM. DRAM aliases drams[0] sharded
-	// so Store()/tracer accessors keep working.
-	drams []*dram.DRAM
+	// txnPool recycles coherence-transaction objects (txn.go), so the
+	// per-access hot path stays allocation-free.
+	txnPool []*txn
+	// txnCounts is the transaction state-machine coverage table:
+	// observed transitions per (kind, from, to).
+	txnCounts txnCountTable
 }
 
 // New builds a hierarchy. registry and runner may be nil (no Morphs).
@@ -437,6 +368,12 @@ func New(k *sim.Kernel, cfg Config, meter *energy.Meter, registry Registry, runn
 		p.Sleep(h.Mesh.Transfer(int(a0), int(a1), mem.LineSize))
 		t.wbbuf.Release()
 	}
+	if registry != nil {
+		h.protectedFn = func(tag mem.Addr) bool {
+			b, ok := registry.Binding(tag)
+			return ok && b.Protected != nil && b.Protected(tag)
+		}
+	}
 	// Probe-length distributions for the open-addressed tables (observed
 	// on insert): degraded hashing shows up here before it shows up in
 	// wall-clock time.
@@ -445,19 +382,17 @@ func New(k *sim.Kernel, cfg Config, meter *energy.Meter, registry Registry, runn
 	homeProbes := h.Metrics.Histogram("mshr.home.probe.len")
 	bankShift := log2(cfg.Tiles)
 	for i := 0; i < cfg.Tiles; i++ {
-		h.tiles = append(h.tiles, h.buildTile(k, i, newPolicy, mshrProbes, homeProbes, bankShift))
+		h.tiles = append(h.tiles, h.buildTile(i, newPolicy, mshrProbes, homeProbes, bankShift))
 	}
 	return h
 }
 
 // buildTile constructs one tile with all of its kernel-bound resources
-// (semaphores, lock tables, wait groups) on k: the hierarchy-wide kernel
-// on a classic build, the tile's own shard kernel on a sharded one.
-func (h *Hierarchy) buildTile(k *sim.Kernel, i int, newPolicy func() cache.Policy, mshrProbes, homeProbes *stats.Histogram, bankShift uint) *tile {
-	cfg := h.cfg
+// (semaphores, lock tables, wait groups) on the hierarchy's kernel.
+func (h *Hierarchy) buildTile(i int, newPolicy func() cache.Policy, mshrProbes, homeProbes *stats.Histogram, bankShift uint) *tile {
+	cfg, k := h.cfg, h.K
 	t := &tile{
 		id: i,
-		K:  k,
 		l1: cache.New(cache.Config{
 			Name: fmt.Sprintf("l1.%d", i), SizeBytes: cfg.L1Size, Ways: cfg.L1Ways,
 			Policy: newPolicy(),
@@ -495,15 +430,6 @@ func (h *Hierarchy) buildTile(k *sim.Kernel, i int, newPolicy func() cache.Polic
 	t.l3Busy = func(tag mem.Addr) bool { return t.l3pending.locked(tag) }
 	t.pending.tbl.SetProbeStats(mshrProbes)
 	t.l3pending.tbl.SetProbeStats(homeProbes)
-	if h.registry != nil {
-		t.protectedFn = func(tag mem.Addr) bool {
-			b, ok := h.registry.Binding(t.id, tag)
-			return ok && b.Protected != nil && b.Protected(tag)
-		}
-	}
-	if h.sharded && h.attr != nil {
-		t.slow.k = h.attr.ring.k
-	}
 	return t
 }
 
@@ -525,151 +451,8 @@ func (h *Hierarchy) HomeTile(a mem.Addr) int {
 	return int((uint64(a) >> mem.LineShift) % uint64(h.cfg.Tiles))
 }
 
-// dirT resolves the directory bank tracking la: the single table
-// classically, la's home-tile bank on a sharded build.
-func (h *Hierarchy) dirT(la mem.Addr) *dirTable {
-	if h.dirs != nil {
-		return &h.dirs[h.HomeTile(la)]
-	}
-	return &h.dir
-}
-
-// dirTables returns every directory bank, for whole-directory walks
-// (invariant checking, reports).
-func (h *Hierarchy) dirTables() []*dirTable {
-	if h.dirs == nil {
-		return []*dirTable{&h.dir}
-	}
-	out := make([]*dirTable, len(h.dirs))
-	for i := range h.dirs {
-		out[i] = &h.dirs[i]
-	}
-	return out
-}
-
-// eachDirEntry visits every directory entry across all banks in bank
-// order; fn returning false stops the walk.
-func (h *Hierarchy) eachDirEntry(fn func(la mem.Addr, e *dirEntry) bool) {
-	stopped := false
-	for _, d := range h.dirTables() {
-		d.forEach(func(la mem.Addr, e *dirEntry) bool {
-			if !fn(la, e) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if stopped {
-			return
-		}
-	}
-}
-
-// dramAt returns the DRAM controller set serving home tile hm: the
-// shared instance classically, the home's own shard-local instance on a
-// sharded build. All instances share one backing mem.Memory.
-func (h *Hierarchy) dramAt(hm int) *dram.DRAM {
-	if h.drams != nil {
-		return h.drams[hm]
-	}
-	return h.DRAM
-}
-
-// DRAMAccesses returns total DRAM accesses (reads + writes) across all
-// controller instances; reports use it instead of DRAM.Accesses so the
-// count is complete on sharded builds too.
-func (h *Hierarchy) DRAMAccesses() uint64 {
-	if h.drams == nil {
-		return h.DRAM.Accesses()
-	}
-	var total uint64
-	for _, d := range h.drams {
-		total += d.Accesses()
-	}
-	return total
-}
-
-// SetDRAMPhase labels subsequent DRAM accesses for per-phase breakdowns
-// (Figs 14 and 17). Classically — or before the run starts, p == nil —
-// it flips every controller directly. On a running sharded build each
-// controller is owned by its home shard, so the flip ships to each home
-// on the calling shard's ordered channels; attribution around the flip
-// point stays deterministic at any worker count.
-func (h *Hierarchy) SetDRAMPhase(p *sim.Proc, name string) {
-	if !h.sharded || p == nil {
-		if h.drams == nil {
-			h.DRAM.SetPhase(name)
-			return
-		}
-		for _, d := range h.drams {
-			d.SetPhase(name)
-		}
-		return
-	}
-	t := h.tiles[h.eng.ShardOf(p.Kernel())]
-	for home := 0; home < h.cfg.Tiles; home++ {
-		if home == t.id {
-			h.dramAt(home).SetPhase(name)
-			continue
-		}
-		d := h.dramAt(home)
-		t.shard.Send(home, h.Mesh.Latency(t.id, home, 8), func() { d.SetPhase(name) })
-	}
-}
-
-// DRAMPhaseAccesses merges the per-phase access counts across controller
-// instances (one classically, one per home on a sharded build).
-func (h *Hierarchy) DRAMPhaseAccesses() map[string]uint64 {
-	out := make(map[string]uint64, len(h.DRAM.PhaseAccesses))
-	if h.drams == nil {
-		for k, v := range h.DRAM.PhaseAccesses {
-			out[k] = v
-		}
-		return out
-	}
-	for _, d := range h.drams {
-		for k, v := range d.PhaseAccesses {
-			out[k] += v
-		}
-	}
-	return out
-}
-
-// MarkNVM declares r non-volatile memory on every DRAM controller
-// instance; call during setup, before the run starts.
-func (h *Hierarchy) MarkNVM(r mem.Region) {
-	if h.drams == nil {
-		h.DRAM.MarkNVM(r)
-		return
-	}
-	for _, d := range h.drams {
-		d.MarkNVM(r)
-	}
-}
-
-// hasExclusiveT is the tile-local form of hasExclusive: classically it
-// peeks at the shared directory; sharded, a remote tile cannot, so it
-// consults the tile's owned table (maintained by write grants and
-// invalidation handlers). Lines bound to a PRIVATE-level phantom Morph
-// never enter the directory — they are filled by the tile's own engine
-// and discarded on eviction (§4.3) — so they are implicitly writable,
-// mirroring the classic missing-entry→exclusive rule; without that case
-// a store to a phantom line would request an upgrade the home can never
-// grant.
-func (h *Hierarchy) hasExclusiveT(t *tile, la mem.Addr) bool {
-	if h.sharded {
-		if _, ok := t.owned.Get(uint64(la)); ok {
-			return true
-		}
-		if h.registry != nil {
-			if b, ok := h.registry.Binding(t.id, la); ok && b.Phantom && b.Level == LevelPrivate {
-				return true
-			}
-		}
-		return false
-	}
-	return h.hasExclusive(t.id, la)
-}
+// DRAMAccesses returns total DRAM accesses (reads + writes).
+func (h *Hierarchy) DRAMAccesses() uint64 { return h.DRAM.Accesses() }
 
 // RTLB returns the tile engine's reverse TLB (for sensitivity reports).
 func (h *Hierarchy) RTLB(tile int) *tlb.TLB { return h.tiles[tile].rtlb }
@@ -689,49 +472,13 @@ func (h *Hierarchy) CheckMorphInvariants() error {
 
 // AttachTracer wires a structured event tracer into the hierarchy (and
 // its DRAM, whose controllers emit transfer spans); nil disables tracing.
-// On a sharded build the tracer is forked per tile — each shard records
-// into its own unsynchronized buffer — and FinishStats merges the forks
-// back into t in canonical (cycle, shard, seq) order, so traced sharded
-// runs stay byte-identical at any worker count.
 func (h *Hierarchy) AttachTracer(t *trace.Tracer) {
 	h.tracer = t
-	if h.sharded {
-		h.tracers = nil
-		if t != nil {
-			h.tracers = t.Fork(h.cfg.Tiles)
-			for i, d := range h.drams {
-				d.AttachTracer(h.tracers[i])
-			}
-		} else {
-			for _, d := range h.drams {
-				d.AttachTracer(nil)
-			}
-		}
-		return
-	}
 	h.DRAM.AttachTracer(t)
 }
 
-// tracerAt returns the tracer a path running on tile's kernel must
-// record into: the tile's fork on a sharded build, the shared tracer
-// classically. Nil when tracing is off.
-func (h *Hierarchy) tracerAt(tile int) *trace.Tracer {
-	if h.tracers != nil {
-		return h.tracers[tile]
-	}
-	return h.tracer
-}
-
-// TracerAt exposes tracerAt for the engine package, whose callback spans
-// must land in the executing tile's buffer.
-func (h *Hierarchy) TracerAt(tile int) *trace.Tracer { return h.tracerAt(tile) }
-
-// TraceAt emits a trace event on tile's track, stamped with tile's own
-// clock (no-op without an attached tracer).
-func (h *Hierarchy) TraceAt(tile int, component, kind, detail string) {
-	tr := h.tracerAt(tile)
-	if tr == nil {
-		return
-	}
-	tr.Emit(uint64(h.tiles[tile].K.Now()), component, kind, detail)
+// emit records a trace event at the current cycle (no-op without an
+// attached tracer).
+func (h *Hierarchy) emit(component, kind, detail string) {
+	h.tracer.Emit(uint64(h.K.Now()), component, kind, detail)
 }

@@ -14,7 +14,7 @@ type fakeRegistry struct {
 	bindings []Binding
 }
 
-func (r *fakeRegistry) Binding(tile int, a mem.Addr) (Binding, bool) {
+func (r *fakeRegistry) Binding(a mem.Addr) (Binding, bool) {
 	for _, b := range r.bindings {
 		if b.Region.Contains(a) {
 			return b, true

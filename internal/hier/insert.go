@@ -39,7 +39,7 @@ func (h *Hierarchy) insertL2(tileID int, a mem.Addr, data *mem.Line, meta fillMe
 	// hints (the onReplacement extension) are honored when possible.
 	constraint := cache.VictimConstraint{
 		CallbackFree: t.wbbuf.Saturated(),
-		Avoid:        h.protectedHint(tileID),
+		Avoid:        h.protectedFn,
 	}
 	way, ok := t.l2.ChooseVictimForInsert(a, opts, constraint)
 	if !ok {
@@ -74,7 +74,7 @@ func (h *Hierarchy) handleL2Eviction(tileID int, ev cache.LineState, futs *[]*si
 		}
 	}
 	if ev.Morph && h.registry != nil {
-		if b, ok := h.registry.Binding(tileID, la); ok {
+		if b, ok := h.registry.Binding(la); ok {
 			h.morphEvictPrivate(tileID, ev, b, futs)
 			return
 		}
@@ -116,19 +116,16 @@ func (h *Hierarchy) morphEvictPrivate(tileID int, ev cache.LineState, b Binding,
 	}
 	h.hot.cb[kind].Inc()
 	if h.tracer != nil {
-		h.TraceAt(tileID, h.comp.l2[tileID], "cb."+kind.String(), la.String())
+		h.emit(h.comp.l2[tileID], "cb."+kind.String(), la.String())
 	}
-	// The callback proc, its lock future, and the inflight group all live
-	// on the tile's own kernel, so the whole eviction callback is
-	// shard-local work on a sharded build.
-	lock := sim.NewFuture(t.K)
+	lock := sim.NewFuture(h.K)
 	tok := t.pending.lockWith(la, lock)
 	if futs != nil {
 		*futs = append(*futs, lock)
 	}
 	data := ev.Data
 	t.cbInflight.Add(1)
-	t.K.Go(t.evictCBName, func(p *sim.Proc) {
+	h.K.Go(t.evictCBName, func(p *sim.Proc) {
 		t.wbbuf.Acquire(p)
 		accepted, done := h.runner.Run(tileID, kind, b, la, &data)
 		p.Wait(accepted)
@@ -145,20 +142,6 @@ func (h *Hierarchy) morphEvictPrivate(tileID int, ev cache.LineState, b Binding,
 // energy are charged asynchronously.
 func (h *Hierarchy) writebackToShared(tileID int, la mem.Addr, data mem.Line) {
 	home := h.HomeTile(la)
-	t := h.tiles[tileID]
-	if h.sharded {
-		// The dirty data travels to the home shard as a Put message; the
-		// home applies it to its L3 bank (or DRAM) and updates the
-		// directory when it arrives. Timing (one transfer + writeback
-		// buffer occupancy) is still charged by the tile-side wb-timing
-		// proc, exactly like the classic path.
-		h.sendPutDirty(t, la, &data)
-		h.event("l2.writeback")
-		h.hot.l2Writebacks.Inc()
-		h.Meter.Add(energy.L3Access, 1)
-		t.K.GoArgs("wb-timing", h.wbTimingFn, uint64(tileID), uint64(home))
-		return
-	}
 	hm := h.tiles[home]
 	if ls3 := hm.l3.Lookup(la); ls3 != nil {
 		ls3.Data = data
@@ -169,27 +152,25 @@ func (h *Hierarchy) writebackToShared(tileID int, la mem.Addr, data mem.Line) {
 	} else {
 		h.DRAM.WriteLineNoWait(la, &data)
 	}
-	if e := h.dirT(la).get(la); e != nil && e.owner == tileID {
+	if e := h.dir.get(la); e != nil && e.owner == tileID {
 		e.owner = -1
 	}
 	h.removeSharerIfNoCopies(tileID, la)
 	h.event("l2.writeback")
 	h.hot.l2Writebacks.Inc()
 	h.Meter.Add(energy.L3Access, 1)
-	t.K.GoArgs("wb-timing", h.wbTimingFn, uint64(tileID), uint64(home))
+	h.K.GoArgs("wb-timing", h.wbTimingFn, uint64(tileID), uint64(home))
 }
 
 // insertL3 installs a line into its home bank (tile homeID), handling
 // the victim: back-invalidation of private copies, Morph callbacks at
-// the home engine, and DRAM writeback. Non-blocking classically; on a
-// sharded build the victim's back-invalidations are real message round
-// trips, so p (the home-side transaction proc) parks while they drain.
-func (h *Hierarchy) insertL3(p *sim.Proc, homeID int, a mem.Addr, data *mem.Line, meta fillMeta) bool {
+// the home engine, and DRAM writeback. It never blocks.
+func (h *Hierarchy) insertL3(homeID int, a mem.Addr, data *mem.Line, meta fillMeta) bool {
 	hm := h.tiles[homeID]
 	opts := meta.opts()
 	constraint := cache.VictimConstraint{
 		CallbackFree: hm.wbbuf.Saturated(),
-		Avoid:        h.protectedHint(homeID),
+		Avoid:        h.protectedFn,
 		Busy:         hm.l3Busy,
 	}
 	way, ok := hm.l3.ChooseVictimForInsert(a, opts, constraint)
@@ -206,7 +187,7 @@ func (h *Hierarchy) insertL3(p *sim.Proc, homeID int, a mem.Addr, data *mem.Line
 	h.debugLogHome(a.Line(), "insertL3", data.U64(16))
 	if evicted.Valid {
 		h.debugLogHome(evicted.Tag, "l3-evict", evicted.Data.U64(16))
-		h.handleL3Eviction(p, homeID, evicted, nil)
+		h.handleL3Eviction(homeID, evicted, nil)
 	}
 	h.event("l3.insert")
 	return true
@@ -215,16 +196,9 @@ func (h *Hierarchy) insertL3(p *sim.Proc, homeID int, a mem.Addr, data *mem.Line
 // handleL3Eviction processes a line leaving the shared cache:
 // back-invalidate all private copies (inclusive hierarchy), run the
 // SHARED Morph callback if registered, write dirty data to memory.
-func (h *Hierarchy) handleL3Eviction(p *sim.Proc, homeID int, ev cache.LineState, futs *[]*sim.Future) {
+func (h *Hierarchy) handleL3Eviction(homeID int, ev cache.LineState, futs *[]*sim.Future) {
 	la := ev.Tag
-	if h.sharded {
-		// backInvalSharded owns the whole eviction: it writes dirty data
-		// to DRAM (early, before recalls, so a racing fetch of the victim
-		// cannot read stale memory) and counts the writeback itself.
-		h.backInvalSharded(p, homeID, &ev)
-		return
-	}
-	if e := h.dirT(la).get(la); e != nil {
+	if e := h.dir.get(la); e != nil {
 		for s := 0; s < h.cfg.Tiles; s++ {
 			if !e.has(s) {
 				continue
@@ -244,10 +218,10 @@ func (h *Hierarchy) handleL3Eviction(p *sim.Proc, homeID int, ev cache.LineState
 				h.Mesh.Transfer(s, homeID, bytes)
 			}
 		}
-		h.dirT(la).delete(la)
+		h.dir.delete(la)
 	}
 	if ev.Morph && h.registry != nil {
-		if b, ok := h.registry.Binding(homeID, la); ok {
+		if b, ok := h.registry.Binding(la); ok {
 			h.morphEvictShared(homeID, ev, b, futs)
 			return
 		}
@@ -271,7 +245,7 @@ func (h *Hierarchy) morphEvictShared(homeID int, ev cache.LineState, b Binding, 
 		kind, has = CbWriteback, b.HasWriteback
 	}
 	if !b.Phantom && ev.Dirty {
-		h.dramAt(homeID).WriteLineNoWait(la, &ev.Data)
+		h.DRAM.WriteLineNoWait(la, &ev.Data)
 	}
 	if !has || h.runner == nil {
 		h.hot.cbSkipped.Inc()
@@ -279,10 +253,9 @@ func (h *Hierarchy) morphEvictShared(homeID int, ev cache.LineState, b Binding, 
 	}
 	h.hot.cb[kind].Inc()
 	if h.tracer != nil {
-		h.TraceAt(homeID, h.comp.l3[homeID], "cb."+kind.String(), la.String())
+		h.emit(h.comp.l3[homeID], "cb."+kind.String(), la.String())
 	}
-	// Home-side callback machinery lives on the home tile's kernel.
-	lock := sim.NewFuture(hm.K)
+	lock := sim.NewFuture(h.K)
 	if futs != nil {
 		*futs = append(*futs, lock)
 	}
@@ -298,7 +271,7 @@ func (h *Hierarchy) morphEvictShared(homeID int, ev cache.LineState, b Binding, 
 		tok = hm.l3pending.lockWith(la, lock)
 	}
 	hm.cbInflight.Add(1)
-	hm.K.Go(hm.l3EvictCBName, func(p *sim.Proc) {
+	h.K.Go(hm.l3EvictCBName, func(p *sim.Proc) {
 		if !locked {
 			// An in-flight home-side operation held the line at
 			// eviction time; queue politely behind it rather than
@@ -360,12 +333,4 @@ func (h *Hierarchy) fillTop(tileID int, a mem.Addr, data *mem.Line, meta fillMet
 	} else {
 		h.removeSharerIfNoCopies(tileID, evicted.Tag)
 	}
-}
-
-// protectedHint returns tile's victim-selection Avoid hook from Morph
-// replacement hints (the onReplacement extension, §4.5) — pre-built in
-// buildTile against the tile's own registry view, nil when no registry
-// is attached — so insert paths don't allocate a closure per fill.
-func (h *Hierarchy) protectedHint(tile int) func(mem.Addr) bool {
-	return h.tiles[tile].protectedFn
 }

@@ -44,55 +44,7 @@ func (h *Hierarchy) CheckInvariants() error {
 			return err
 		}
 	}
-	// Sharded runs check at epoch barriers (InstallBarrierChecks), where
-	// coherence replies can legitimately still be in flight: a downgraded
-	// or written-back line's data reaches the home only when the reply
-	// message lands, so a clean private copy may briefly be ahead of the
-	// home L3. The freshness clause is relaxed there; every structural
-	// invariant still holds at every barrier.
-	if err := h.checkDirectory(!h.sharded); err != nil {
-		return err
-	}
-	if h.sharded {
-		return h.checkOwnedTables()
-	}
-	return nil
-}
-
-// checkOwnedTables validates each tile's local write-permission view
-// against the directory on a sharded build: a line a tile believes it
-// owns must be registered to that tile at its home bank. (The converse
-// is legitimately false in flight: a grant sets the directory owner
-// before the response message delivers the owned bit.) The per-channel
-// FIFO ordering of grants before revocations makes this direction exact
-// at every epoch barrier.
-func (h *Hierarchy) checkOwnedTables() error {
-	var err error
-	for _, t := range h.tiles {
-		t.owned.Range(func(key uint64, _ *struct{}) bool {
-			la := mem.Addr(key)
-			e := h.dirT(la).get(la)
-			if e == nil || e.owner != t.id {
-				held := ""
-				for _, c := range t.privateCaches() {
-					if ls := c.Lookup(la); ls != nil {
-						held += fmt.Sprintf(" %s(dirty=%v)", c.Config().Name, ls.Dirty)
-					}
-				}
-				if held == "" {
-					held = " none"
-				}
-				err = fmt.Errorf("hier: tile %d owned-table lists %v but %s; private copies:%s",
-					t.id, la, h.debugDir(la), held)
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return h.checkDirectory()
 }
 
 // checkMorphBits validates Morph/Phantom tag bits against the registry.
@@ -108,7 +60,7 @@ func (h *Hierarchy) checkMorphBits(t *tile) error {
 					c.Config().Name, l.Tag)
 				return
 			}
-			b, ok := h.registry.Binding(t.id, l.Tag)
+			b, ok := h.registry.Binding(l.Tag)
 			if !ok {
 				err = fmt.Errorf("hier: %s line %v has Morph/Phantom bits with no live binding",
 					c.Config().Name, l.Tag)
@@ -136,12 +88,11 @@ func (h *Hierarchy) checkMorphBits(t *tile) error {
 }
 
 // checkDirectory validates directory entries against the actual cache
-// contents of every private domain. strictFresh additionally requires
-// clean private copies to match the home L3 data; barrier-time checks on
-// sharded builds drop that clause (see CheckInvariants).
-func (h *Hierarchy) checkDirectory(strictFresh bool) error {
+// contents of every private domain, including the freshness of clean
+// private copies against the home L3 data.
+func (h *Hierarchy) checkDirectory() error {
 	var dirErr error
-	h.eachDirEntry(func(la mem.Addr, e *dirEntry) bool {
+	h.dir.forEach(func(la mem.Addr, e *dirEntry) bool {
 		if e.sharers>>uint(h.cfg.Tiles) != 0 {
 			dirErr = fmt.Errorf("hier: dir %v sharer mask %b has bits beyond %d tiles",
 				la, e.sharers, h.cfg.Tiles)
@@ -178,7 +129,7 @@ func (h *Hierarchy) checkDirectory(strictFresh bool) error {
 				// Freshness: a clean copy in a domain with no dirty
 				// truth of its own must match home (debugcheck.go's
 				// per-access assertion, applied globally).
-				if strictFresh && !domainDirty && ls3 != nil && ls.Data != ls3.Data {
+				if !domainDirty && ls3 != nil && ls.Data != ls3.Data {
 					dirErr = fmt.Errorf("hier: stale copy of %v in tile %d %s: local=%v home=%v\nhistory: %v",
 						la, tid, c.Config().Name, ls.Data, ls3.Data, h.DebugHomeHistory(la))
 					return false
@@ -201,11 +152,11 @@ func (h *Hierarchy) checkDirectory(strictFresh bool) error {
 					return
 				}
 				if h.registry != nil {
-					if b, ok := h.registry.Binding(tid, l.Tag); ok && b.Level == LevelPrivate && b.Phantom {
+					if b, ok := h.registry.Binding(l.Tag); ok && b.Level == LevelPrivate && b.Phantom {
 						return
 					}
 				}
-				e := h.dirT(l.Tag).get(l.Tag)
+				e := h.dir.get(l.Tag)
 				if e == nil || !e.has(tid) {
 					err = fmt.Errorf("hier: tile %d caches untracked line %v (%s), dir=%s",
 						tid, l.Tag, c.Config().Name, h.debugDir(l.Tag))
@@ -222,7 +173,7 @@ func (h *Hierarchy) checkDirectory(strictFresh bool) error {
 // DirSharers returns la's directory sharer mask and owner (-1 when
 // unowned or untracked); exposed for verification harnesses.
 func (h *Hierarchy) DirSharers(la mem.Addr) (sharers uint64, owner int) {
-	e := h.dirT(la).get(la)
+	e := h.dir.get(la)
 	if e == nil {
 		return 0, -1
 	}

@@ -45,29 +45,11 @@ type Observer interface {
 }
 
 // AttachObserver wires an observer into every commit path; nil detaches.
-// Sharded hierarchies reject observers: commit points fire on every
-// shard concurrently, so a single observer would need its own
-// synchronization and would perceive an interleaving, not the
-// architectural total order the oracle depends on.
-func (h *Hierarchy) AttachObserver(o Observer) {
-	if h.sharded && o != nil {
-		panic("hier: observers are not supported on a sharded hierarchy")
-	}
-	h.obs = o
-}
+func (h *Hierarchy) AttachObserver(o Observer) { h.obs = o }
 
 // event notes a hierarchy state change: it drives the Config-enabled
 // self-check (SelfCheckEvery) and forwards to any attached observer.
-//
-// A sharded build does neither: CheckInvariants walks every tile's
-// state, which another shard may be mutating mid-epoch, and observers
-// are rejected (AttachObserver). Sharded runs check invariants at the
-// epoch barrier instead (InstallBarrierChecks), where all shards are
-// parked.
 func (h *Hierarchy) event(site string) {
-	if h.sharded {
-		return
-	}
 	h.eventCount++
 	if h.cfg.SelfCheckEvery > 0 && h.eventCount%uint64(h.cfg.SelfCheckEvery) == 0 {
 		if err := h.CheckInvariants(); err != nil {

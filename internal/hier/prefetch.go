@@ -77,5 +77,5 @@ func (h *Hierarchy) issuePrefetch(tileID int, la mem.Addr) {
 	}
 	t.prefetchInflight++
 	h.hot.prefetchIssued.Inc()
-	t.K.GoArgs("prefetch", h.prefetchFn, uint64(tileID), uint64(la))
+	h.K.GoArgs("prefetch", h.prefetchFn, uint64(tileID), uint64(la))
 }

@@ -52,7 +52,7 @@ func (h *Hierarchy) AtomicRMO(p *sim.Proc, tileID int, a mem.Addr, op RMOOp, v u
 	t.rmo.Acquire(p) // backpressure: bounded in-flight RMOs
 	t.rmoInflight.Add(1)
 	h.hot.rmoIssued.Inc()
-	t.K.Go(t.rmoName, func(pp *sim.Proc) {
+	h.K.Go(t.rmoName, func(pp *sim.Proc) {
 		h.runRMO(pp, tileID, a, op, v)
 		t.rmo.Release()
 		t.rmoInflight.Done()
@@ -78,13 +78,9 @@ func (h *Hierarchy) AtomicRMOSync(p *sim.Proc, tileID int, a mem.Addr, op RMOOp,
 // materialized in-cache with no memory access — PHI's key property);
 // plain lines are fetched from DRAM.
 func (h *Hierarchy) runRMO(p *sim.Proc, tileID int, a mem.Addr, op RMOOp, delta uint64) {
-	if h.sharded {
-		h.rmoSharded(p, tileID, a, op, delta)
-		return
-	}
 	la := a.Line()
 	home := h.HomeTile(a)
-	x := h.getTxn(h.tiles[tileID])
+	x := h.getTxn()
 	x.h, x.p, x.kind = h, p, kindRMO
 	x.tileID, x.a, x.la = tileID, a, la
 	x.home, x.hm = home, h.tiles[home]

@@ -17,8 +17,8 @@ import (
 //     home L3 line) holds trivially — fast-forward wrote all values to
 //     the backing store;
 //   - every seeded private (L1/L2) copy gets its tile's sharer bit in
-//     the directory. This is load-bearing beyond the checker: the
-//     classic hasExclusive treats a *missing* entry as exclusive, so an
+//     the directory. This is load-bearing beyond the checker:
+//     hasExclusive treats a *missing* entry as exclusive, so an
 //     untracked seeded copy would let another tile's write skip the
 //     invalidation protocol and leave the copy stale;
 //   - private plans are restricted to lines also planned into the L3

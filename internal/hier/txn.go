@@ -90,67 +90,47 @@ type txn struct {
 	track      bool
 	tl         []tlSeg
 	tlTrunc    bool
-
-	// pt is the pool tile the transaction was drawn from: the tile whose
-	// kernel (and, sharded, shard) the transaction runs on. Requester-side
-	// kinds draw from the requesting tile, home-side kinds from the home.
-	pt *tile
-	// req is the cross-tile request this home-side transaction serves on
-	// a sharded build (sharded.go); nil classically and on requester-side
-	// transactions.
-	req *homeReq
-	// invs is pooled scratch for home-side invalidation/recall round
-	// trips on a sharded build; capacity survives putTxn like tl.
-	invs []invReply
 }
 
-// getTxn returns a zeroed transaction from tl's pool. Pools are per tile
-// so a sharded build never shares them across shards; the transaction
-// runs on tl's kernel.
-func (h *Hierarchy) getTxn(tl *tile) *txn {
+// getTxn returns a zeroed transaction from the hierarchy's pool.
+func (h *Hierarchy) getTxn() *txn {
 	var t *txn
-	if n := len(tl.txnPool); n > 0 {
-		t = tl.txnPool[n-1]
-		tl.txnPool[n-1] = nil
-		tl.txnPool = tl.txnPool[:n-1]
+	if n := len(h.txnPool); n > 0 {
+		t = h.txnPool[n-1]
+		h.txnPool[n-1] = nil
+		h.txnPool = h.txnPool[:n-1]
 	} else {
 		t = &txn{}
 	}
-	t.pt = tl
 	if h.attr != nil {
-		t.stamp(tl.K.Now())
+		t.stamp(h.K.Now())
 	}
 	return t
 }
 
-// putTxn zeroes and recycles a finished transaction. The timeline and
-// reply-scratch slices' capacities survive the reset so armed
-// attribution and the sharded home paths stop allocating once the pool
-// is warm.
+// putTxn zeroes and recycles a finished transaction. The timeline
+// slice's capacity survives the reset so armed attribution stops
+// allocating once the pool is warm.
 func (h *Hierarchy) putTxn(t *txn) {
-	pt := t.pt
 	tl := t.tl[:0]
-	invs := t.invs[:0]
 	*t = txn{}
 	t.tl = tl
-	t.invs = invs
-	if len(pt.txnPool) < 64 {
-		pt.txnPool = append(pt.txnPool, t)
+	if len(h.txnPool) < 64 {
+		h.txnPool = append(h.txnPool, t)
 	}
 }
 
 // to moves the machine to next, asserting the edge against txnLegal and
-// recording it in the pool tile's coverage table (TxnCoverage sums the
-// tiles). An illegal edge is a state-machine bug (or an interleaving no
-// one modeled): panic with full context rather than continue with
-// corrupt coherence state.
+// recording it in the coverage table. An illegal edge is a state-machine
+// bug (or an interleaving no one modeled): panic with full context
+// rather than continue with corrupt coherence state.
 func (t *txn) to(next txnState) {
 	if txnLegal[t.kind][t.state]&(1<<next) == 0 {
 		panic(fmt.Sprintf(
 			"hier: illegal %v transaction transition %v -> %v (tile %d, line %v, cycle %d)",
 			t.kind, t.state, next, t.tileID, t.la, t.p.Now()))
 	}
-	t.pt.txnCounts[t.kind][t.state][next]++
+	t.h.txnCounts[t.kind][t.state][next]++
 	if a := t.h.attr; a != nil {
 		t.observeDwell(a, t.p.Now())
 	}
@@ -270,7 +250,7 @@ func (t *txn) stepL1Probe() {
 	}
 	if ls := t.top.Lookup(t.a); ls != nil {
 		h.debugCheckFresh(t.tileID, t.la, "l1-hit")
-		if t.o.write && !h.hasExclusiveT(t.t, t.la) {
+		if t.o.write && !h.hasExclusive(t.tileID, t.la) {
 			h.upgrade(p, t.tileID, t.la)
 			t.to(txnLookup)
 			return
@@ -338,7 +318,7 @@ func (t *txn) stepL2Probe() {
 	}
 	if ls2 := t.t.l2.Lookup(t.a); ls2 != nil {
 		h.debugCheckFresh(t.tileID, t.la, "l2-hit")
-		if t.o.write && !h.hasExclusiveT(t.t, t.la) {
+		if t.o.write && !h.hasExclusive(t.tileID, t.la) {
 			h.upgrade(p, t.tileID, t.la)
 			t.to(txnLookup)
 			return
@@ -351,7 +331,7 @@ func (t *txn) stepL2Probe() {
 			t.to(txnLookup) // evicted during the data-array sleep
 			return
 		}
-		if t.o.write && !h.hasExclusiveT(t.t, t.la) {
+		if t.o.write && !h.hasExclusive(t.tileID, t.la) {
 			// Ownership was revoked during the data-array sleep (a
 			// concurrent read downgraded us): dirtying the line now
 			// would skip the invalidation of the new sharers. Retry,
@@ -408,12 +388,12 @@ func (t *txn) stepMissAlloc() {
 func (t *txn) stepFetch() {
 	h := t.h
 	if h.registry != nil {
-		if b, ok := h.registry.Binding(t.tileID, t.a); ok && b.Level == LevelPrivate {
+		if b, ok := h.registry.Binding(t.a); ok && b.Level == LevelPrivate {
 			if !b.Phantom {
 				// Real-address Morph: read backing data (the paper
 				// overlaps this with the callback; we serialize, see
 				// DESIGN.md).
-				t.fetchFromHome()
+				h.fetchFromHome(t.p, t.tileID, t.a, t.o, &t.data)
 			}
 			t.meta = fillMeta{morph: true, phantom: b.Phantom, dirty: t.o.write}
 			if b.HasMiss && h.runner != nil {
@@ -425,22 +405,9 @@ func (t *txn) stepFetch() {
 			return
 		}
 	}
-	t.fetchFromHome()
+	h.fetchFromHome(t.p, t.tileID, t.a, t.o, &t.data)
 	t.meta = fillMeta{dirty: t.o.write}
 	t.to(txnFill)
-}
-
-// fetchFromHome obtains la's line with read (or write) permission from
-// its home tile, filling dst. Classically this drives a nested home
-// transaction inline; sharded it is an RPC to the home shard
-// (sharded.go), which leaves the request attached as t.req so stepFill
-// can ack the install.
-func (t *txn) fetchFromHome() {
-	if t.h.sharded {
-		t.req = t.h.fetchFromHomeSharded(t.p, t.t, t.a, t.o, &t.data)
-		return
-	}
-	t.h.fetchFromHome(t.p, t.tileID, t.a, t.o, &t.data)
 }
 
 // stepCbPending runs the Morph onMiss callback that owns the line
@@ -453,14 +420,14 @@ func (t *txn) stepCbPending() {
 	switch t.kind {
 	case kindAccess:
 		if h.tracer != nil {
-			h.TraceAt(t.tileID, h.comp.l2[t.tileID], "cb.onMiss", t.la.String())
+			h.emit(h.comp.l2[t.tileID], "cb.onMiss", t.la.String())
 		}
 		_, done := h.runner.Run(t.tileID, CbMiss, t.cb, t.la, &t.data)
 		p.Wait(done)
 		t.to(txnFill)
 	case kindHomeFetch:
 		if h.tracer != nil {
-			h.TraceAt(t.home, h.comp.l3[t.home], "cb.onMiss", t.la.String())
+			h.emit(h.comp.l3[t.home], "cb.onMiss", t.la.String())
 		}
 		_, done := h.runner.Run(t.home, CbMiss, t.cb, t.la, &t.data)
 		p.Wait(done)
@@ -476,7 +443,7 @@ func (t *txn) stepCbPending() {
 func (t *txn) stepFill() {
 	h, p := t.h, t.p
 	if h.tracer != nil {
-		h.tracerAt(t.tileID).EmitSpan(t.fetchStart, p.Now(), h.comp.l2[t.tileID], "l2.miss", t.la.String())
+		h.tracer.EmitSpan(t.fetchStart, p.Now(), h.comp.l2[t.tileID], "l2.miss", t.la.String())
 	}
 	t.meta.engine = t.o.engine
 	// Everything except private phantom lines went through the home
@@ -512,25 +479,14 @@ func (t *txn) stepFill() {
 		topMeta.morph = false
 		h.fillTop(t.tileID, t.a, &t.data, topMeta, t.o.engine)
 	}
-	if h.sharded && t.req != nil {
-		// Ack the install so the home can drop the line's Locked bit and
-		// home-line lock; until then no other transaction can touch the
-		// line, which is what makes the in-flight copy invisible to
-		// invalidations without a classic revoke-and-retry.
-		h.sendInstallAck(t.p, t.t, t.req)
-		t.req = nil
-	}
 	t.to(txnValidate)
 }
 
 // stillGranted reports whether the directory still grants this tile the
 // line fetched via the home (private phantom fills never touch the
-// directory and are always granted). On a sharded build the home holds
-// the home-line lock (and the L3 line's Locked bit) until the requester
-// acks the install, so a grant can never be revoked while the line is in
-// flight — it is always granted by protocol.
+// directory and are always granted).
 func (t *txn) stillGranted() bool {
-	return !t.viaHome || t.h.sharded || t.h.dirStillGrants(t.tileID, t.la, t.o.write)
+	return !t.viaHome || t.h.dirStillGrants(t.tileID, t.la, t.o.write)
 }
 
 // stepValidate bails out of a fetch whose directory grant was revoked
@@ -540,13 +496,6 @@ func (t *txn) stillGranted() bool {
 // defensive no-ops on this path.
 func (t *txn) stepValidate() {
 	h := t.h
-	if h.sharded {
-		// The install-ack protocol makes revocation-in-flight impossible
-		// (see stillGranted); a remote tile also cannot peek at the
-		// directory to check.
-		t.to(txnCommit)
-		return
-	}
 	if t.viaHome && !h.dirStillGrants(t.tileID, t.la, t.o.write) {
 		t.top.ExtractLine(t.la)
 		t.t.l2.ExtractLine(t.la)
@@ -557,7 +506,7 @@ func (t *txn) stepValidate() {
 			t.t.mshr.Release()
 			t.usedMSHR = false
 		}
-		h.completeLock(t.t.K, lockFut)
+		h.completeLock(lockFut)
 		t.to(txnLookup)
 		return
 	}
@@ -570,16 +519,11 @@ func (t *txn) stepValidate() {
 // acquires the home-bank line lock.
 func (t *txn) stepHomeLocked() {
 	h, p := t.h, t.p
-	if !h.sharded {
-		// Sharded, the request transfer is charged by the requester at
-		// send time and modeled as the message delay; the home-side
-		// transaction starts when the request arrives.
-		switch t.kind {
-		case kindHomeFetch:
-			p.Sleep(h.Mesh.Transfer(t.tileID, t.home, 8))
-		case kindRMO:
-			p.Sleep(h.Mesh.Transfer(t.tileID, t.home, 16)) // address + operand
-		}
+	switch t.kind {
+	case kindHomeFetch:
+		p.Sleep(h.Mesh.Transfer(t.tileID, t.home, 8))
+	case kindRMO:
+		p.Sleep(h.Mesh.Transfer(t.tileID, t.home, 16)) // address + operand
 	}
 	t.homeTok = h.lockHomeLine(p, t.la)
 	switch t.kind {
@@ -632,9 +576,9 @@ func (t *txn) stepHomeFetch() {
 		t.meta = fillMeta{}
 	}
 	if h.registry != nil {
-		if b, ok := h.registry.Binding(t.home, t.a); ok && b.Level == LevelShared {
+		if b, ok := h.registry.Binding(t.a); ok && b.Level == LevelShared {
 			if !b.Phantom {
-				h.dramAt(t.home).ReadLineWait(p, t.la, &t.data)
+				h.DRAM.ReadLineWait(p, t.la, &t.data)
 			}
 			t.meta.morph, t.meta.phantom = true, b.Phantom
 			if t.kind == kindHomeFetch {
@@ -652,7 +596,7 @@ func (t *txn) stepHomeFetch() {
 			return
 		}
 	}
-	h.dramAt(t.home).ReadLineWait(p, t.la, &t.data)
+	h.DRAM.ReadLineWait(p, t.la, &t.data)
 	t.to(txnHomeFill)
 }
 
@@ -664,7 +608,7 @@ func (t *txn) stepHomeFetch() {
 // data.
 func (t *txn) stepHomeFill() {
 	h, p := t.h, t.p
-	for !h.insertL3(p, t.home, t.a, &t.data, t.meta) {
+	for !h.insertL3(t.home, t.a, &t.data, t.meta) {
 		p.Sleep(1)
 	}
 	t.ls3 = t.hm.l3.Lookup(t.a)
@@ -683,18 +627,6 @@ func (t *txn) stepDirAction() {
 	h, p := t.h, t.p
 	switch t.kind {
 	case kindHomeFetch:
-		if h.sharded {
-			if t.bypass {
-				if merged := t.dirActionSharded(nil); merged != nil {
-					t.data = *merged
-				}
-			} else {
-				t.ls3.Locked = true
-				t.dirActionSharded(t.ls3)
-			}
-			t.to(txnRespond)
-			return
-		}
 		if t.bypass {
 			if merged := h.dirAction(p, t.tileID, t.la, t.o, nil); merged != nil {
 				t.data = *merged
@@ -706,16 +638,11 @@ func (t *txn) stepDirAction() {
 		t.to(txnRespond)
 
 	case kindRMO:
-		if h.sharded {
-			t.rmoDirActionSharded()
-			t.to(txnCommit)
-			return
-		}
 		if t.bypass {
 			// Fill immediately victimized under extreme pressure:
 			// invalidate any private copies (merging dirty data); the
 			// commit applies the update straight to memory.
-			if e := h.dirT(t.la).get(t.la); e != nil {
+			if e := h.dir.get(t.la); e != nil {
 				for s := 0; s < h.cfg.Tiles; s++ {
 					if e.has(s) {
 						if data, dirty, _ := h.invalidatePrivate(s, t.la); dirty {
@@ -724,7 +651,7 @@ func (t *txn) stepDirAction() {
 						e.remove(s)
 					}
 				}
-				h.dirT(t.la).delete(t.la)
+				h.dir.delete(t.la)
 			}
 			t.to(txnCommit)
 			return
@@ -732,7 +659,7 @@ func (t *txn) stepDirAction() {
 		t.ls3.Locked = true
 		// Invalidate stale private copies so the home copy is
 		// authoritative.
-		if e := h.dirT(t.la).get(t.la); e != nil {
+		if e := h.dir.get(t.la); e != nil {
 			for s := 0; s < h.cfg.Tiles; s++ {
 				if e.has(s) {
 					if data, dirty, present := h.invalidatePrivate(s, t.la); present {
@@ -746,25 +673,20 @@ func (t *txn) stepDirAction() {
 				}
 			}
 			e.owner = -1
-			h.dirT(t.la).delete(t.la)
+			h.dir.delete(t.la)
 		}
 		t.to(txnCommit)
 
 	case kindNTStore:
-		if h.sharded {
-			t.ntDirActionSharded()
-			t.to(txnCommit)
-			return
-		}
 		// A full-line store supersedes all cached copies.
-		if e := h.dirT(t.la).get(t.la); e != nil {
+		if e := h.dir.get(t.la); e != nil {
 			for s := 0; s < h.cfg.Tiles; s++ {
 				if e.has(s) {
 					h.invalidatePrivate(s, t.la)
 					e.remove(s)
 				}
 			}
-			h.dirT(t.la).delete(t.la)
+			h.dir.delete(t.la)
 		}
 		t.to(txnCommit)
 
@@ -779,11 +701,7 @@ func (t *txn) stepDirAction() {
 // the recall latency and go straight to Unlock.
 func (t *txn) stepUpgradeDir() {
 	h := t.h
-	if h.sharded {
-		t.upgradeDirSharded()
-		return
-	}
-	e := h.dirT(t.la).get(t.la)
+	e := h.dir.get(t.la)
 	if e == nil || e.owner == t.tileID {
 		t.to(txnUnlock)
 		return
@@ -836,11 +754,6 @@ func (t *txn) stepUpgradeDir() {
 // stale) copy is in flight, losing its update when we install the copy.
 func (t *txn) stepRespond() {
 	h, p := t.h, t.p
-	if h.sharded {
-		t.respondSharded()
-		t.to(txnUnlock)
-		return
-	}
 	switch t.kind {
 	case kindHomeFetch:
 		if !t.bypass {
@@ -871,7 +784,7 @@ func (t *txn) stepCommit() {
 				t.t.mshr.Release()
 				t.usedMSHR = false
 			}
-			h.completeLock(t.t.K, lockFut)
+			h.completeLock(lockFut)
 			if t.o.prefetch {
 				t.result, t.resultSet = t.t.l2.Lookup(t.a), true
 				t.to(txnDone)
@@ -898,7 +811,7 @@ func (t *txn) stepCommit() {
 		if t.bypass {
 			old := t.data.U64(off)
 			t.data.SetU64(off, t.op.apply(old, t.val))
-			h.dramAt(t.home).WriteLineNoWait(t.la, &t.data)
+			h.DRAM.WriteLineNoWait(t.la, &t.data)
 			if h.obs != nil {
 				h.obs.RMOCommitted(t.tileID, t.a, t.op, t.val, old, t.op.apply(old, t.val))
 			}
@@ -924,7 +837,7 @@ func (t *txn) stepCommit() {
 			ls3.Dirty = true
 			h.Meter.Add(energy.L3Access, 1)
 		} else {
-			h.dramAt(t.home).WriteLineNoWait(t.la, t.ext) // bypasses the cache entirely
+			h.DRAM.WriteLineNoWait(t.la, t.ext) // bypasses the cache entirely
 		}
 		if h.obs != nil {
 			h.obs.LineStored(t.tileID, t.a, t.ext, true)
@@ -948,7 +861,7 @@ func (t *txn) stepCommit() {
 		t.evicted = true
 		h.hot.flushLines.Inc()
 		if t.flushBank {
-			h.handleL3Eviction(t.p, t.home, ls, t.futs)
+			h.handleL3Eviction(t.home, ls, t.futs)
 		} else {
 			h.handleL2Eviction(t.tileID, ls, t.futs)
 		}
@@ -964,23 +877,11 @@ func (t *txn) stepUnlock() {
 		t.ls3.Locked = false
 	}
 	h.unlockHomeLine(t.la, t.homeTok)
-	if h.sharded && t.req != nil {
-		// RMO / NT-store / upgrade completion back to the requester. The
-		// data (or request) transfer was charged at send time, so the
-		// completion models only the return latency, uncounted — matching
-		// the classic response sleeps, which bypass the transfer counters
-		// for these kinds. Fetches respond (and nil t.req) in stepRespond.
-		// After completing done the requester may recycle the request, so
-		// drop our reference first.
-		req := t.req
-		t.req = nil
-		t.hm.shard.SendComplete(req.tile, h.Mesh.Latency(t.home, req.tile, 8), req.done)
-	}
 	if t.tracing {
 		// One span per home-bank service on the bank's track: request
 		// arrival through data response (covers queueing on the home
 		// line, DRAM fills, and SHARED callbacks).
-		h.tracerAt(t.home).EmitSpan(t.homeStart, p.Now(), h.comp.l3[t.home], t.spanKind, t.la.String())
+		h.tracer.EmitSpan(t.homeStart, p.Now(), h.comp.l3[t.home], t.spanKind, t.la.String())
 	}
 	t.to(txnDone)
 }

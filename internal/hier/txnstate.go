@@ -171,9 +171,8 @@ var txnLegal = func() [nTxnKinds][nTxnStates]stateMask {
 	return t
 }()
 
-// txnCountTable is one tile's slice of the transaction coverage table:
-// observed transitions per (kind, from, to). Counts live per tile so a
-// sharded build increments without synchronization; TxnCoverage sums.
+// txnCountTable is the transaction coverage table: observed transitions
+// per (kind, from, to).
 type txnCountTable [nTxnKinds][nTxnStates][nTxnStates]uint64
 
 // TxnTransition is one observed state-machine edge with its hit count;
@@ -246,11 +245,7 @@ func (h *Hierarchy) TxnCoverage() []TxnTransition {
 	for k := 0; k < nTxnKinds; k++ {
 		for from := 0; from < nTxnStates; from++ {
 			for to := 0; to < nTxnStates; to++ {
-				var c uint64
-				for _, t := range h.tiles {
-					c += t.txnCounts[k][from][to]
-				}
-				if c > 0 {
+				if c := h.txnCounts[k][from][to]; c > 0 {
 					out = append(out, TxnTransition{
 						Kind:  txnKind(k).String(),
 						From:  txnState(from).String(),

@@ -8,7 +8,6 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"tako/internal/flat"
 )
@@ -110,15 +109,6 @@ type Memory struct {
 	index  flat.Table[int32] // page number -> index into chunks
 	chunks []*pageChunk
 	slab   []pageChunk // current slab; chunks are carved off its front
-
-	// Concurrent mode (SetConcurrent): the page index is guarded by an
-	// RWMutex (reads take the read lock; first-touch allocation the write
-	// lock), and line contents rely on the caller's coherence protocol to
-	// never write one line from two shards in the same epoch — which the
-	// sharded hierarchy guarantees (lines are only written at their home
-	// shard).
-	conc bool
-	mu   sync.RWMutex
 }
 
 // NewMemory returns an empty (all-zero) backing store.
@@ -126,36 +116,10 @@ func NewMemory() *Memory {
 	return &Memory{}
 }
 
-// SetConcurrent makes the store safe to share between sharded-kernel
-// worker goroutines (see the Memory doc comment). Call before the
-// simulation runs.
-func (m *Memory) SetConcurrent() { m.conc = true }
-
 // chunkFor returns the page chunk holding a, claiming one from the slab
 // on first touch when alloc is set (nil otherwise).
 func (m *Memory) chunkFor(a Addr, alloc bool) *pageChunk {
 	page := uint64(a) >> PageShift
-	if m.conc {
-		m.mu.RLock()
-		var ch *pageChunk
-		i, ok := m.index.Get(page)
-		if ok {
-			ch = m.chunks[i]
-		}
-		m.mu.RUnlock()
-		if ok {
-			return ch
-		}
-		if !alloc {
-			return nil
-		}
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		if i, ok := m.index.Get(page); ok { // raced with another allocator
-			return m.chunks[i]
-		}
-		return m.claim(page)
-	}
 	if i, ok := m.index.Get(page); ok {
 		return m.chunks[i]
 	}
@@ -165,8 +129,7 @@ func (m *Memory) chunkFor(a Addr, alloc bool) *pageChunk {
 	return m.claim(page)
 }
 
-// claim carves a fresh chunk for page (index/slab mutation; callers hold
-// the write lock in concurrent mode).
+// claim carves a fresh chunk for page.
 func (m *Memory) claim(page uint64) *pageChunk {
 	if len(m.slab) == 0 {
 		m.slab = make([]pageChunk, slabChunks)

@@ -48,27 +48,17 @@ func (r Region) String() string {
 // Real regions grow upward from lowBase; phantom regions grow downward
 // from the top of a dedicated phantom window, mirroring how täkō's OS
 // support tracks phantom ranges separately from the page table (§6).
-// The allocator is safe for concurrent use: registrations on a sharded
-// machine allocate phantom ranges from different shards, and the striped
-// per-tile phantom windows (AllocPhantomAt) keep the handed-out
-// addresses independent of the allocation order, so concurrent
-// registrations stay deterministic.
+// The allocator is safe for concurrent use.
 type Space struct {
 	mu          sync.Mutex
 	nextReal    Addr
 	nextPhantom Addr
-	tilePhantom map[int]Addr // per-tile phantom cursors (AllocPhantomAt)
 	regions     []Region
 }
 
 const (
 	realBase    Addr = 0x0001_0000
 	phantomBase Addr = 0x4000_0000_0000 // 64 TB: far from any real data
-	// tileStripe is the size of each tile's private phantom window:
-	// stripe t starts at phantomBase + (t+1)*tileStripe, above the shared
-	// bump window at phantomBase, so per-tile and shared phantom
-	// allocations never collide.
-	tileStripe Addr = 1 << 40
 )
 
 // NewSpace returns an empty address-space allocator.
@@ -106,41 +96,6 @@ func (s *Space) AllocPhantom(name string, size uint64) Region {
 	base := alignUp(s.nextPhantom, PageSize)
 	r := Region{Name: name, Base: base, Size: size, Phantom: true}
 	s.nextPhantom = base + Addr(size)
-	s.regions = append(s.regions, r)
-	return r
-}
-
-// AllocPhantomAt reserves a phantom region inside tile's private phantom
-// stripe. Each tile bump-allocates from its own window, so the address a
-// registration receives depends only on that tile's own allocation
-// history — never on how concurrent registrations on other tiles
-// interleave in real time. Sharded machines route phantom registration
-// through this form to stay byte-identical at any worker count.
-func (s *Space) AllocPhantomAt(tile int, name string, size uint64) Region {
-	if size == 0 {
-		panic("mem: zero-size phantom allocation")
-	}
-	if tile < 0 {
-		panic("mem: negative tile for phantom stripe")
-	}
-	if Addr(size) > tileStripe {
-		panic(fmt.Sprintf("mem: phantom allocation %q (%d bytes) exceeds the per-tile stripe", name, size))
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.tilePhantom == nil {
-		s.tilePhantom = make(map[int]Addr)
-	}
-	cur, ok := s.tilePhantom[tile]
-	if !ok {
-		cur = phantomBase + Addr(tile+1)*tileStripe
-	}
-	base := alignUp(cur, PageSize)
-	if base+Addr(size) > phantomBase+Addr(tile+2)*tileStripe {
-		panic(fmt.Sprintf("mem: tile %d phantom stripe exhausted", tile))
-	}
-	r := Region{Name: name, Base: base, Size: size, Phantom: true}
-	s.tilePhantom[tile] = base + Addr(size)
 	s.regions = append(s.regions, r)
 	return r
 }

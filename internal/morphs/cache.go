@@ -30,9 +30,9 @@ import (
 // would compare by pointer identity — hatsCacheKey flattens it into the
 // key so equal configurations hit regardless of allocation. The key also
 // holds the process-wide system.Options the run was built under, so a
-// run never replays into a machine configured differently (-sharded,
-// -verify, -attr); the worker count and the cache switch cannot change
-// a result and stay out of it.
+// run never replays into a machine configured differently (-verify,
+// -attr); the worker count and the cache switch cannot change a result
+// and stay out of it.
 
 type runKey struct {
 	study   string

@@ -7,8 +7,8 @@ import (
 )
 
 // TestRunCacheKeysOnOptions pins that the run cache keys on the
-// process-wide system.Options: a run cached on the classic engine is not
-// replayed once -sharded is armed, and equal options still hit.
+// process-wide system.Options: a run cached without attribution is not
+// replayed once -attr is armed, and equal options still hit.
 func TestRunCacheKeysOnOptions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -32,21 +32,14 @@ func TestRunCacheKeysOnOptions(t *testing.T) {
 		return r
 	}
 
-	classic := run()
-	if classic.Cached {
+	if first := run(); first.Cached {
 		t.Fatal("first run served from an empty cache")
 	}
-	system.SetDefaultSharded(true, 1)
-	sharded := run()
-	if sharded.Cached {
-		t.Fatal("-sharded replayed the run cached on the classic engine")
+	system.SetOptions(system.Options{Attribution: true})
+	if armed := run(); armed.Cached {
+		t.Fatal("-attr replayed the run cached without attribution")
 	}
-	if sharded.Cycles == classic.Cycles {
-		t.Fatalf("sharded run took the classic run's %d cycles", classic.Cycles)
-	}
-	again := run()
-	if !again.Cached || again.Cycles != sharded.Cycles {
-		t.Fatalf("equal options missed the cache: cached=%v, %d cycles, want %d",
-			again.Cached, again.Cycles, sharded.Cycles)
+	if again := run(); !again.Cached {
+		t.Fatal("equal options missed the cache")
 	}
 }

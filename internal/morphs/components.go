@@ -206,9 +206,7 @@ func RunCC(v CCVariant, prm CCParams) (Result, error) {
 				}
 				for r := 0; r < prm.Rounds; r++ {
 					// The round-opening barrier doubles as the publish
-					// edge for morph/runErr, replacing the classic
-					// clock-poll loop (which has no deterministic sharded
-					// equivalent).
+					// edge for morph/runErr.
 					bar.Arrive(p)
 					if runErr != nil {
 						return

@@ -129,7 +129,7 @@ func runHATS(v HATSVariant, prm HATSParams) (Result, error) {
 	}
 
 	vertexPhase := func(p *sim.Proc, c *cpu.Core) {
-		s.H.SetDRAMPhase(p, "vertex")
+		s.H.DRAM.SetPhase("vertex")
 		for vtx := 0; vtx < prm.V; vtx++ {
 			nv := c.Load(p, gm.VertexAddr(vtx))
 			c.Compute(p, 3)
@@ -139,7 +139,7 @@ func runHATS(v HATSVariant, prm HATSParams) (Result, error) {
 
 	switch v {
 	case HATSVertexOrdered:
-		s.H.SetDRAMPhase(nil, "edge")
+		s.H.DRAM.SetPhase("edge")
 		s.Go(0, "hats-vo", func(p *sim.Proc, c *cpu.Core) {
 			for src := 0; src < prm.V; src++ {
 				off := c.Load(p, gm.OffsetAddr(src))
@@ -163,7 +163,7 @@ func runHATS(v HATSVariant, prm HATSParams) (Result, error) {
 		})
 
 	case HATSSoftwareBDFS:
-		s.H.SetDRAMPhase(nil, "edge")
+		s.H.DRAM.SetPhase("edge")
 		s.Go(0, "hats-bdfs", func(p *sim.Proc, c *cpu.Core) {
 			it := workloads.NewBDFSIter(g, initRanks, prm.MaxDepth)
 			it.Touch = func(kind workloads.TouchKind, idx int) {
@@ -243,7 +243,7 @@ func runHATS(v HATSVariant, prm HATSParams) (Result, error) {
 				return &hatsView{iter: workloads.NewBDFSIter(g, initRanks, prm.MaxDepth)}
 			},
 		}
-		s.H.SetDRAMPhase(nil, "edge")
+		s.H.DRAM.SetPhase("edge")
 		s.Go(0, "hats-tako", func(p *sim.Proc, c *cpu.Core) {
 			m, err := s.Tako.RegisterPhantom(p, spec, core.Private, uint64(prm.E)*8, 0)
 			if err != nil {
@@ -266,7 +266,7 @@ func runHATS(v HATSVariant, prm HATSParams) (Result, error) {
 			}
 			// Recover edges evicted before processing: flush the
 			// stream (logging leftovers), then drain the log.
-			s.H.SetDRAMPhase(p, "log")
+			s.H.DRAM.SetPhase("log")
 			s.Tako.FlushData(p, morph)
 			view := morph.View(0).(*hatsView)
 			for j := uint64(0); j < view.logCursor; j++ {

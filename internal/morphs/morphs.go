@@ -9,6 +9,7 @@ package morphs
 
 import (
 	"fmt"
+	"maps"
 
 	"tako/internal/sim"
 	"tako/internal/system"
@@ -45,7 +46,7 @@ type Result struct {
 
 // collect snapshots system-wide metrics into a Result after a run.
 func collect(s *system.System, study, variant string, cycles sim.Cycle) Result {
-	phase := s.H.DRAMPhaseAccesses()
+	phase := maps.Clone(s.H.DRAM.PhaseAccesses)
 	extra := map[string]float64{}
 	for _, name := range []string{
 		"l1.hits", "l1.misses", "l2.hits", "l2.misses",

@@ -96,8 +96,8 @@ func runNVM(v NVMVariant, prm NVMParams) (Result, error) {
 	journal := s.Alloc("nvm.journal", uint64(totalWords)*8+uint64(lines)*8+8192)
 	tagBase := journal.Base
 	lineBase := (journal.Base + mem.Addr(lines*8) + 63) &^ 63
-	s.H.MarkNVM(data)
-	s.H.MarkNVM(journal)
+	s.H.DRAM.MarkNVM(data)
+	s.H.DRAM.MarkNVM(journal)
 
 	// Expected contents: word i of txn t = payload(t, i).
 	payload := func(t, i int) uint64 { return uint64(t)<<32 | uint64(i) | 1<<63 }
@@ -261,8 +261,8 @@ func RunNVMCrash(prm NVMParams, crashAt sim.Cycle) (committed int, err error) {
 	journal := s.Alloc("nvm.journal", uint64(totalWords)*8+uint64(lines)*8+8192)
 	tagBase := journal.Base
 	lineBase := (journal.Base + mem.Addr(lines*8) + 63) &^ 63
-	s.H.MarkNVM(data)
-	s.H.MarkNVM(journal)
+	s.H.DRAM.MarkNVM(data)
+	s.H.DRAM.MarkNVM(journal)
 	payload := func(t, i int) uint64 { return uint64(t)<<32 | uint64(i) | 1<<63 }
 
 	committedCount := 0

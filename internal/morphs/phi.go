@@ -84,8 +84,7 @@ type phiView struct {
 	wc      []mem.Line // per-bin write-combining buffers (engine SRAM)
 	wcN     []int      // valid words per buffer
 	// Study counters live on the view — one per tile, touched only by
-	// that tile's callbacks — so a sharded run never shares them across
-	// shards; runPHI sums the views after the run.
+	// that tile's callbacks; runPHI sums the views after the run.
 	inPlace uint64
 	binned  uint64
 }
@@ -196,7 +195,7 @@ func runPHI(v PHIVariant, prm PHIParams) (Result, error) {
 	switch v {
 	case PHIBaseline:
 		bar := s.Barrier(threads)
-		s.H.SetDRAMPhase(nil, "edge")
+		s.H.DRAM.SetPhase("edge")
 		for t := 0; t < threads; t++ {
 			t := t
 			s.Go(t, "phi-base", func(p *sim.Proc, c *cpu.Core) {
@@ -204,7 +203,7 @@ func runPHI(v PHIVariant, prm PHIParams) (Result, error) {
 					c.AtomicAddLocal(p, gm.VertexAddr(dst), contrib)
 				})
 				bar.Arrive(p)
-				s.H.SetDRAMPhase(p, "vertex")
+				s.H.DRAM.SetPhase("vertex")
 				vertexPhase(p, c, t)
 			})
 		}
@@ -229,7 +228,7 @@ func runPHI(v PHIVariant, prm PHIParams) (Result, error) {
 			wcN[t] = make([]int, numBins)
 		}
 		bar := s.Barrier(threads)
-		s.H.SetDRAMPhase(nil, "edge")
+		s.H.DRAM.SetPhase("edge")
 		for t := 0; t < threads; t++ {
 			t := t
 			s.Go(t, "phi-ub", func(p *sim.Proc, c *cpu.Core) {
@@ -257,7 +256,7 @@ func runPHI(v PHIVariant, prm PHIParams) (Result, error) {
 					}
 				}
 				bar.Arrive(p)
-				s.H.SetDRAMPhase(p, "bin")
+				s.H.DRAM.SetPhase("bin")
 				// Bin phase: thread t applies bins t, t+threads, ...
 				for b := t; b < numBins; b += threads {
 					for tt := 0; tt < threads; tt++ {
@@ -275,7 +274,7 @@ func runPHI(v PHIVariant, prm PHIParams) (Result, error) {
 					}
 				}
 				bar.Arrive(p)
-				s.H.SetDRAMPhase(p, "vertex")
+				s.H.DRAM.SetPhase("vertex")
 				vertexPhase(p, c, t)
 			})
 		}
@@ -383,7 +382,7 @@ func runPHI(v PHIVariant, prm PHIParams) (Result, error) {
 			NewView: func(tile int) interface{} { return &phiHierView{} },
 		}
 		bar := s.Barrier(threads)
-		s.H.SetDRAMPhase(nil, "edge")
+		s.H.DRAM.SetPhase("edge")
 		for t := 0; t < threads; t++ {
 			t := t
 			s.Go(t, "phi-tako", func(p *sim.Proc, c *cpu.Core) {
@@ -396,9 +395,8 @@ func runPHI(v PHIVariant, prm PHIParams) (Result, error) {
 					}
 				}
 				// Publish the registration (or its failure) through a
-				// barrier round: the classic clock-poll loop has no
-				// deterministic sharded equivalent, and the barrier edge
-				// makes morph/runErr safely visible to every thread.
+				// barrier round: the barrier edge makes morph/runErr
+				// visible to every thread.
 				bar.Arrive(p)
 				if runErr != nil {
 					return
@@ -444,7 +442,7 @@ func runPHI(v PHIVariant, prm PHIParams) (Result, error) {
 							}
 						}
 					}
-					s.H.SetDRAMPhase(p, "bin")
+					s.H.DRAM.SetPhase("bin")
 				}
 				bar.Arrive(p)
 				// Bin phase: apply this thread's share of all banks'
@@ -467,7 +465,7 @@ func runPHI(v PHIVariant, prm PHIParams) (Result, error) {
 				}
 				bar.Arrive(p)
 				if t == 0 {
-					s.H.SetDRAMPhase(p, "vertex")
+					s.H.DRAM.SetPhase("vertex")
 				}
 				vertexPhase(p, c, t)
 			})

@@ -9,17 +9,20 @@ import (
 	"tako/internal/system"
 )
 
-// The sharded determinism battery: every täkō case study, hosted on the
-// tile-sharded engine, must produce byte-identical results at any
-// worker count. Each leg runs its study sequenced (workers ≤ 1) and at
-// 2, 4, and 8 workers and compares full result fingerprints — cycles,
-// energy, instruction and DRAM counts, phase attribution, and every
-// study-specific Extra metric.
+// The rerun determinism battery. system.SetDefaultSharded is an empty
+// stub kept for bench/workloads.go, whose phi-tako-sharded workload arms
+// it and must report phi-tako's fingerprint. Each leg runs one täkō case
+// study twice in one process, first with the stub unarmed and then armed
+// the way that workload arms it, and compares full result fingerprints —
+// cycles, energy, instruction and DRAM counts, phase attribution, and
+// every study-specific Extra metric. Equal fingerprints pin both that
+// the stub changes nothing and that a second machine built in the same
+// process reproduces the first (no state leaks from one run into the
+// next). The tests go with the stub.
 
-// shardedFingerprint renders everything about a Result that must be
-// worker-count-invariant. Record and WallMS are host-side observability
-// and excluded.
-func shardedFingerprint(t *testing.T, r Result) string {
+// resultFingerprint renders everything about a Result that a rerun must
+// reproduce. Record and WallMS are host-side observability and excluded.
+func resultFingerprint(t *testing.T, r Result) string {
 	t.Helper()
 	fp := struct {
 		Cycles       sim.Cycle
@@ -39,26 +42,21 @@ func shardedFingerprint(t *testing.T, r Result) string {
 	return string(b)
 }
 
-// shardedWidthSweep runs one study leg at each worker count and fails on
-// the first fingerprint divergence.
-func shardedWidthSweep(t *testing.T, run func() (Result, error)) {
+// armedRerun runs one study leg unarmed, then again with the stub armed,
+// and fails if the two fingerprints differ.
+func armedRerun(t *testing.T, run func() (Result, error)) {
 	t.Helper()
-	defer system.SetOptions(system.CurrentOptions())
-	var ref string
-	for _, workers := range []int{1, 2, 4, 8} {
-		system.SetDefaultSharded(true, workers)
-		r, err := run()
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		fp := shardedFingerprint(t, r)
-		if ref == "" {
-			ref = fp
-			continue
-		}
-		if fp != ref {
-			t.Fatalf("workers=%d diverged:\n got %s\nwant %s", workers, fp, ref)
-		}
+	ref, err := run()
+	if err != nil {
+		t.Fatalf("unarmed: %v", err)
+	}
+	system.SetDefaultSharded(true, 2)
+	got, err := run()
+	if err != nil {
+		t.Fatalf("armed: %v", err)
+	}
+	if fp, want := resultFingerprint(t, got), resultFingerprint(t, ref); fp != want {
+		t.Fatalf("rerun diverged:\n got %s\nwant %s", fp, want)
 	}
 }
 
@@ -68,7 +66,7 @@ func TestShardedDecompDeterminism(t *testing.T) {
 	}
 	prm := DefaultDecompParams()
 	prm.NumValues, prm.NumIndices = 4096, 2048
-	shardedWidthSweep(t, func() (Result, error) { return runDecompression(DecompTako, prm) })
+	armedRerun(t, func() (Result, error) { return runDecompression(DecompTako, prm) })
 }
 
 func TestShardedLayoutDeterminism(t *testing.T) {
@@ -77,7 +75,7 @@ func TestShardedLayoutDeterminism(t *testing.T) {
 	}
 	prm := DefaultLayoutParams()
 	prm.Structs, prm.Passes = 4096, 2
-	shardedWidthSweep(t, func() (Result, error) { return runLayout(LayoutTako, prm) })
+	armedRerun(t, func() (Result, error) { return runLayout(LayoutTako, prm) })
 }
 
 func TestShardedPHIDeterminism(t *testing.T) {
@@ -87,9 +85,8 @@ func TestShardedPHIDeterminism(t *testing.T) {
 	prm := DefaultPHIParams()
 	prm.V, prm.E = 2048, 16384
 	for _, v := range []PHIVariant{PHITako, PHIHier} {
-		v := v
 		t.Run(string(v), func(t *testing.T) {
-			shardedWidthSweep(t, func() (Result, error) { return runPHI(v, prm) })
+			armedRerun(t, func() (Result, error) { return runPHI(v, prm) })
 		})
 	}
 }
@@ -100,7 +97,7 @@ func TestShardedCCDeterminism(t *testing.T) {
 	}
 	prm := DefaultCCParams()
 	prm.V, prm.E, prm.Rounds = 2048, 16384, 2
-	shardedWidthSweep(t, func() (Result, error) { return RunCC(CCTako, prm) })
+	armedRerun(t, func() (Result, error) { return RunCC(CCTako, prm) })
 }
 
 func TestShardedHATSDeterminism(t *testing.T) {
@@ -109,7 +106,7 @@ func TestShardedHATSDeterminism(t *testing.T) {
 	}
 	prm := DefaultHATSParams()
 	prm.V, prm.E = 2048, 16384
-	shardedWidthSweep(t, func() (Result, error) { return runHATS(HATSTako, prm) })
+	armedRerun(t, func() (Result, error) { return runHATS(HATSTako, prm) })
 }
 
 func TestShardedNVMDeterminism(t *testing.T) {
@@ -118,7 +115,7 @@ func TestShardedNVMDeterminism(t *testing.T) {
 	}
 	prm := DefaultNVMParams(256)
 	prm.Transactions = 64
-	shardedWidthSweep(t, func() (Result, error) { return runNVM(NVMTako, prm) })
+	armedRerun(t, func() (Result, error) { return runNVM(NVMTako, prm) })
 }
 
 func TestShardedSideChannelDeterminism(t *testing.T) {
@@ -127,7 +124,7 @@ func TestShardedSideChannelDeterminism(t *testing.T) {
 	}
 	prm := DefaultSideChannelParams()
 	prm.Rounds = 3
-	shardedWidthSweep(t, func() (Result, error) {
+	armedRerun(t, func() (Result, error) {
 		r, err := RunSideChannel(SCTako, prm)
 		if err != nil {
 			return Result{}, err
@@ -136,7 +133,7 @@ func TestShardedSideChannelDeterminism(t *testing.T) {
 			return Result{}, fmt.Errorf("täkō victim failed to detect the attack")
 		}
 		// Fold the attack outcome into the fingerprinted Extra map so
-		// detection timing diverging across worker counts fails the leg.
+		// detection timing diverging between runs fails the leg.
 		r.Extra["detection.cycle"] = float64(r.DetectionCycle)
 		r.Extra["true.positives"] = float64(r.TruePositives)
 		r.Extra["false.positives"] = float64(r.FalsePositives)
@@ -144,34 +141,30 @@ func TestShardedSideChannelDeterminism(t *testing.T) {
 	})
 }
 
-// TestShardedNVMCrashDeterminism pins the crash harness on the sharded
-// engine: RunUntil stops the epoch loop at the crash cycle, recovery
-// replays the journal, and the committed-transaction count is identical
-// at every worker count.
+// TestShardedNVMCrashDeterminism pins the crash harness across reruns:
+// RunUntil stops the run at the crash cycle, recovery replays the
+// journal, and the committed-transaction count is identical unarmed and
+// armed.
 func TestShardedNVMCrashDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
 	prm := DefaultNVMParams(256)
 	prm.Transactions = 256
-	defer system.SetOptions(system.CurrentOptions())
-	ref := -1
-	for _, workers := range []int{1, 2, 4, 8} {
-		system.SetDefaultSharded(true, workers)
-		committed, err := RunNVMCrash(prm, 60000)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if ref == -1 {
-			if committed <= 0 || committed >= prm.Transactions {
-				t.Fatalf("crash at a boundary: committed %d/%d transactions (pick a crash cycle mid-run)",
-					committed, prm.Transactions)
-			}
-			ref = committed
-			continue
-		}
-		if committed != ref {
-			t.Fatalf("workers=%d committed %d transactions, workers=1 committed %d", workers, committed, ref)
-		}
+	ref, err := RunNVMCrash(prm, 60000)
+	if err != nil {
+		t.Fatalf("unarmed: %v", err)
+	}
+	if ref <= 0 || ref >= prm.Transactions {
+		t.Fatalf("crash at a boundary: committed %d/%d transactions (pick a crash cycle mid-run)",
+			ref, prm.Transactions)
+	}
+	system.SetDefaultSharded(true, 2)
+	committed, err := RunNVMCrash(prm, 60000)
+	if err != nil {
+		t.Fatalf("armed: %v", err)
+	}
+	if committed != ref {
+		t.Fatalf("armed run committed %d transactions, unarmed run committed %d", committed, ref)
 	}
 }

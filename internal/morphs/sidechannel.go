@@ -94,36 +94,20 @@ func RunSideChannel(v SideChannelVariant, prm SideChannelParams) (SideChannelRes
 	var detectionCycle sim.Cycle
 	var interrupts int
 	defended := false
-	// The attacker signals completion through coherent memory rather
-	// than a shared Go bool: the victim and attacker live on different
-	// shards, and loads/stores are the only cross-shard channel with a
-	// deterministic order.
+	// The attacker signals completion through a flag in coherent
+	// memory, which the victim polls with ordinary loads.
 	doneFlag := s.Alloc("sc.done", mem.LineSize)
 
 	if v == SCTako {
 		// Victim registers an onEviction Morph over its real table
-		// addresses at the SHARED cache (Table 7). Eviction callbacks run
-		// at the evicted line's home bank — any shard — so each interrupt
-		// is shipped to the victim's shard (tile 0) as a message; the
-		// detection state is only ever touched there, and the timestamp is
-		// the delivery shard's clock. On the classic build delivery is
-		// inline on the global kernel.
-		deliver := func(now sim.Cycle) {
+		// addresses at the SHARED cache (Table 7). Each eviction callback
+		// interrupts the victim, which notes when it was first warned.
+		s.E.Interrupt = func(tile, morphID int, addr mem.Addr) {
 			interrupts++
 			if !detected {
 				detected = true
-				detectionCycle = now
+				detectionCycle = s.K.Now()
 			}
-		}
-		s.E.Interrupt = func(tile, morphID int, addr mem.Addr) {
-			if s.Sh == nil {
-				deliver(s.K.Now())
-				return
-			}
-			victim := s.Sh.Shard(0)
-			s.Sh.Shard(tile).Send(0, s.H.Mesh.Latency(tile, 0, 8), func() {
-				deliver(victim.K.Now())
-			})
 		}
 	}
 

@@ -109,25 +109,8 @@ func (m *Mesh) Latency(from, to, bytes int) sim.Cycle {
 	return head + sim.Cycle(m.Flits(bytes)-1)
 }
 
-// MinCrossTileLatency returns the smallest latency any message between
-// two distinct tiles can have: one hop (adjacent tiles) carrying a
-// single flit. This is the conservative lookahead for tile-sharded
-// parallel simulation — no cross-tile interaction modeled through the
-// mesh can take effect sooner, so shards may advance that many cycles
-// between synchronization barriers (see sim.Sharded).
-func (m *Mesh) MinCrossTileLatency() sim.Cycle {
-	if m.Tiles() == 1 {
-		// Degenerate single-tile mesh: no cross-tile messages exist; any
-		// positive lookahead is safe.
-		return 1
-	}
-	return m.cfg.RouterDelay + m.cfg.LinkDelay
-}
-
 // Transfer accounts for a message (energy + metrics) and returns its
 // latency. Callers add the returned latency into their transaction.
-// Transfer keeps no state of its own, so on a sharded kernel any shard
-// may call it once the meter and registry were made concurrent.
 func (m *Mesh) Transfer(from, to, bytes int) sim.Cycle {
 	hops := m.Hops(from, to)
 	flits := m.Flits(bytes)

@@ -74,46 +74,6 @@ func TestLatency(t *testing.T) {
 	}
 }
 
-// TestMinCrossTileLatencyIsLowerBound pins the conservative-lookahead
-// property the sharded kernel relies on: no message between distinct
-// tiles can ever be faster than MinCrossTileLatency, and the bound is
-// tight (adjacent tiles, single-flit payload, achieve it exactly).
-func TestMinCrossTileLatencyIsLowerBound(t *testing.T) {
-	for _, tiles := range []int{4, 16, 36} {
-		m := NewMesh(DefaultConfig(tiles), nil)
-		min := m.MinCrossTileLatency()
-		if min < 1 {
-			t.Fatalf("%d tiles: lookahead %d not positive", tiles, min)
-		}
-		n := m.Tiles()
-		for from := 0; from < n; from++ {
-			for to := 0; to < n; to++ {
-				if from == to {
-					continue
-				}
-				for _, bytes := range []int{0, 1, 8, 16, 64, 1024} {
-					if lat := m.Latency(from, to, bytes); lat < min {
-						t.Fatalf("%d tiles: Latency(%d,%d,%dB) = %d below lookahead %d",
-							tiles, from, to, bytes, lat, min)
-					}
-				}
-			}
-		}
-		// Tight: one hop with a ≤1-flit payload is exactly the bound.
-		if lat := m.Latency(0, 1, 8); lat != min {
-			t.Fatalf("%d tiles: adjacent single-flit latency %d != lookahead %d", tiles, lat, min)
-		}
-	}
-	// Table 3 mesh: 2-cycle router + 1-cycle link = lookahead 3.
-	if min := NewMesh(DefaultConfig(16), nil).MinCrossTileLatency(); min != 3 {
-		t.Fatalf("Table 3 lookahead = %d, want 3", min)
-	}
-	// Degenerate 1×1 mesh still yields a usable positive lookahead.
-	if min := NewMesh(Config{Width: 1, Height: 1, FlitBytes: 16, RouterDelay: 2, LinkDelay: 1}, nil).MinCrossTileLatency(); min != 1 {
-		t.Fatalf("single-tile lookahead = %d, want 1", min)
-	}
-}
-
 func TestTransferAccountsEnergy(t *testing.T) {
 	meter := energy.NewMeter()
 	m := NewMesh(DefaultConfig(16), meter)

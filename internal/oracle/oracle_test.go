@@ -65,27 +65,24 @@ func TestOracleDeterminism(t *testing.T) {
 }
 
 // TestRunTraceIgnoresShardedDefault pins that the harness builds the
-// engine it drives: with the process-wide -sharded default armed, a
-// trace still runs on the classic kernel and reproduces the unarmed
-// run's fingerprint byte for byte.
+// classic machine whatever bench/workloads.go's phi-tako-sharded workload
+// arms: with the SetDefaultSharded stub armed, a trace reproduces the
+// unarmed run's fingerprint byte for byte.
 func TestRunTraceIgnoresShardedDefault(t *testing.T) {
 	ref, err := RunTrace(DefaultTraceConfig(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer system.SetOptions(system.SetOptions(system.Options{Sharded: true, ShardWorkers: 2}))
+	system.SetDefaultSharded(true, 2)
 	res, err := RunTrace(DefaultTraceConfig(7))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Oracle.h.K == nil {
-		t.Fatal("armed -sharded default re-hosted the trace off the classic kernel")
 	}
 	if err := res.Oracle.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if res.Fingerprint != ref.Fingerprint {
-		t.Fatalf("armed -sharded default changed the trace:\n--- unarmed ---\n%s\n--- armed ---\n%s",
+		t.Fatalf("armed stub changed the trace:\n--- unarmed ---\n%s\n--- armed ---\n%s",
 			ref.Fingerprint, res.Fingerprint)
 	}
 }

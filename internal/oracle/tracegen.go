@@ -137,9 +137,7 @@ func RunTrace(cfg TraceConfig) (*TraceResult, error) {
 	}
 	scfg := system.Scaled(cfg.Tiles, cfg.CacheScale)
 	scfg.Hier.FreshChecks = true
-	// Build, not New: the harness drives the classic kernel (s.K)
-	// directly, so a process-wide -sharded default must not re-host it.
-	s := system.Build(scfg)
+	s := system.New(scfg)
 	if cfg.Chooser != nil {
 		s.K.SetChooser(cfg.Chooser)
 	}

@@ -2,8 +2,8 @@
 // -cpuprofile / -memprofile / -blockprofile / -mutexprofile flags map
 // onto runtime/pprof's CPU, heap, blocking, and mutex-contention
 // profiles, written as files for `go tool pprof`. Block and mutex
-// profiles are what show where the sharded engine's worker pool and the
-// capture/export locks actually contend.
+// profiles show where the parallel scheduler's workers and the
+// capture/export locks contend.
 package prof
 
 import (

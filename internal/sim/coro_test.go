@@ -112,25 +112,6 @@ func TestNoGoroutineLeak(t *testing.T) {
 			}()
 			k.Shutdown()
 		}},
-		{"sharded panic and Shutdown", func(t *testing.T) {
-			s := NewSharded(4, 3)
-			for i := 0; i < 4; i++ {
-				s.Shard(i).K.Go("bystander", func(p *Proc) { p.Sleep(100) })
-			}
-			s.Shard(1).K.Go("bomb", func(p *Proc) {
-				p.Sleep(10)
-				panic("boom")
-			})
-			func() {
-				defer func() {
-					if _, ok := recover().(*ProcPanic); !ok {
-						t.Error("the shard's panic did not reach the caller as a *ProcPanic")
-					}
-				}()
-				s.Run(2)
-			}()
-			s.Shutdown()
-		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

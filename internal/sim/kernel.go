@@ -2,13 +2,11 @@
 // and a blocking-process model on top of it.
 //
 // The kernel orders events by (time, insertion sequence), so two runs of
-// the same program produce identical schedules. On a shard of a Sharded
-// engine the sequence also names the shard an event came from, giving
-// every shard one (time, origin shard, origin sequence) order. Simulated
-// software threads (Proc) run as coroutines of the driver (the caller of
-// Run or RunUntil), and only the driver runs events: when it pops a
-// process's wake it resumes that process, which runs until it blocks or
-// finishes and then suspends back to the driver. A process that blocks
+// the same program produce identical schedules. Simulated software
+// threads (Proc) run as coroutines of the driver (the caller of Run or
+// RunUntil), and only the driver runs events: when it pops a process's
+// wake it resumes that process, which runs until it blocks or finishes
+// and then suspends back to the driver. A process that blocks
 // while its own wake is the next due event pops that wake and carries on
 // in place, with no switch at all. Exactly one of the driver and its
 // processes runs at a time, and which one pops an event never changes
@@ -157,15 +155,6 @@ func (k *Kernel) RunUntil(t Cycle) {
 	}
 }
 
-// next returns the time of the earliest pending event; ok is false when
-// the queue is empty.
-func (k *Kernel) next() (when Cycle, ok bool) {
-	if len(k.queue) == 0 {
-		return 0, false
-	}
-	return k.queue[0].when, true
-}
-
 // drive is the event loop. It runs due events (time ≤ limit) in order
 // on the caller's stack. A popped process wake resumes that process until
 // it suspends; a panic its task raised is re-raised here.
@@ -262,10 +251,7 @@ func (k *Kernel) Blocked() []string {
 	return out
 }
 
-// before orders events by (time, insertion sequence). A shard kernel's
-// sequence numbers carry the origin shard in their top bits (NewSharded,
-// Shard.post), so there it orders by (time, origin shard, origin
-// sequence).
+// before orders events by (time, insertion sequence).
 func (a *event) before(b *event) bool {
 	if a.when != b.when {
 		return a.when < b.when

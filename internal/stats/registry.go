@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Registry is the typed metrics registry shared by the modeled
@@ -24,15 +23,11 @@ import (
 // measurements.
 //
 // The simulation kernel is single-threaded (one Proc runs at a time), so
-// the registry does no locking by default; a Registry must not be shared
-// between concurrently running kernels unless SetConcurrent was called.
-// Concurrent mode switches every handle to commutative atomic updates
-// (adds, CAS min/max), whose final values are independent of update
-// interleaving — sharded runs stay byte-deterministic at any worker
-// count. Handle resolution is always mutex-guarded (it is a cold path).
+// handle updates do no locking: one handle must never be updated from two
+// goroutines at once. Handle resolution is mutex-guarded (it is a cold
+// path).
 type Registry struct {
 	mu       sync.Mutex
-	conc     bool
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
@@ -99,29 +94,6 @@ func labelLess(ls []Label) func(i, j int) bool {
 	}
 }
 
-// SetConcurrent switches the registry and every handle it has resolved
-// (or will resolve) to atomic updates, making them safe to share across
-// sharded-kernel worker goroutines. All updates are commutative — adds,
-// CAS min/max — so the registry's final state is identical regardless of
-// worker count or interleaving. Call before the simulation runs.
-func (r *Registry) SetConcurrent() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.conc = true
-	for _, c := range r.counters {
-		c.conc = true
-	}
-	for _, g := range r.gauges {
-		g.conc = true
-	}
-	for _, h := range r.hists {
-		h.markConc()
-	}
-}
-
 // Counter returns the handle for the named counter, creating it if
 // needed. A nil registry returns a nil handle, which drops increments.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
@@ -133,7 +105,7 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	defer r.mu.Unlock()
 	c, ok := r.counters[k]
 	if !ok {
-		c = &Counter{conc: r.conc}
+		c = &Counter{}
 		r.counters[k] = c
 		r.order = append(r.order, k)
 	}
@@ -150,7 +122,7 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	defer r.mu.Unlock()
 	g, ok := r.gauges[k]
 	if !ok {
-		g = &Gauge{conc: r.conc}
+		g = &Gauge{}
 		r.gauges[k] = g
 	}
 	return g
@@ -168,9 +140,6 @@ func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
 	h, ok := r.hists[k]
 	if !ok {
 		h = &Histogram{}
-		if r.conc {
-			h.markConc()
-		}
 		r.hists[k] = h
 	}
 	return h
@@ -217,17 +186,12 @@ func (r *Registry) String() string {
 // Counter is a monotonically increasing event count. The nil handle is
 // valid and drops all updates.
 type Counter struct {
-	v    uint64
-	conc bool
+	v uint64
 }
 
 // Inc adds 1.
 func (c *Counter) Inc() {
 	if c == nil {
-		return
-	}
-	if c.conc {
-		atomic.AddUint64(&c.v, 1)
 		return
 	}
 	c.v++
@@ -238,10 +202,6 @@ func (c *Counter) Add(n uint64) {
 	if c == nil {
 		return
 	}
-	if c.conc {
-		atomic.AddUint64(&c.v, n)
-		return
-	}
 	c.v += n
 }
 
@@ -250,70 +210,21 @@ func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	if c.conc {
-		return atomic.LoadUint64(&c.v)
-	}
 	return c.v
-}
-
-// atomicMaxInt64 raises *p to at least v.
-func atomicMaxInt64(p *int64, v int64) {
-	for {
-		old := atomic.LoadInt64(p)
-		if v <= old || atomic.CompareAndSwapInt64(p, old, v) {
-			return
-		}
-	}
-}
-
-// atomicMinUint64 lowers *p to at most v.
-func atomicMinUint64(p *uint64, v uint64) {
-	for {
-		old := atomic.LoadUint64(p)
-		if v >= old || atomic.CompareAndSwapUint64(p, old, v) {
-			return
-		}
-	}
-}
-
-// atomicMaxUint64 raises *p to at least v.
-func atomicMaxUint64(p *uint64, v uint64) {
-	for {
-		old := atomic.LoadUint64(p)
-		if v <= old || atomic.CompareAndSwapUint64(p, old, v) {
-			return
-		}
-	}
 }
 
 // Gauge records a sampled instantaneous value (queue depth, occupancy).
 // It keeps the last sample plus max and mean over all samples. The nil
 // handle is valid and drops all updates.
-//
-// The sum is kept as an exact integer so sequential and concurrent
-// accumulation agree bit-for-bit. In concurrent mode, max/count/sum are
-// commutative (CAS/adds) and therefore interleaving-independent; `last`
-// is only deterministic when the gauge has a single writer shard (every
-// gauge in the sharded hierarchy is per-instance-labeled for exactly
-// this reason), and conc max is clamped at ≥ 0 (no modeled gauge samples
-// negative values).
 type Gauge struct {
 	last, max int64
 	n         uint64
 	sum       int64
-	conc      bool
 }
 
 // Set records one sample.
 func (g *Gauge) Set(v int64) {
 	if g == nil {
-		return
-	}
-	if g.conc {
-		atomic.StoreInt64(&g.last, v)
-		atomicMaxInt64(&g.max, v)
-		atomic.AddUint64(&g.n, 1)
-		atomic.AddInt64(&g.sum, v)
 		return
 	}
 	g.last = v
@@ -329,9 +240,6 @@ func (g *Gauge) Value() int64 {
 	if g == nil {
 		return 0
 	}
-	if g.conc {
-		return atomic.LoadInt64(&g.last)
-	}
 	return g.last
 }
 
@@ -339,9 +247,6 @@ func (g *Gauge) Value() int64 {
 func (g *Gauge) Max() int64 {
 	if g == nil {
 		return 0
-	}
-	if g.conc {
-		return atomic.LoadInt64(&g.max)
 	}
 	return g.max
 }
@@ -351,9 +256,6 @@ func (g *Gauge) Samples() uint64 {
 	if g == nil {
 		return 0
 	}
-	if g.conc {
-		return atomic.LoadUint64(&g.n)
-	}
 	return g.n
 }
 
@@ -361,9 +263,6 @@ func (g *Gauge) Samples() uint64 {
 func (g *Gauge) Mean() float64 {
 	if g == nil || g.Samples() == 0 {
 		return 0
-	}
-	if g.conc {
-		return float64(atomic.LoadInt64(&g.sum)) / float64(atomic.LoadUint64(&g.n))
 	}
 	return float64(g.sum) / float64(g.n)
 }
@@ -375,41 +274,18 @@ const histBuckets = 65
 // Histogram is a log2-bucketed histogram of non-negative integer samples
 // (latencies in cycles, queue depths). Observe is O(1) with no
 // allocation; quantiles interpolate within the matching power-of-two
-// bucket. The nil handle is valid and drops all updates.
-//
-// The sum is an exact integer (samples are integers), so sequential and
-// concurrent accumulation agree bit-for-bit; in concurrent mode every
-// update is commutative (atomic adds, CAS min/max), making the final
-// state independent of worker interleaving.
+// bucket. The nil handle is valid and drops all updates. The sum is an
+// exact integer (samples are integers).
 type Histogram struct {
 	n        uint64
 	sum      uint64
 	min, max uint64
 	buckets  [histBuckets]uint64
-	conc     bool
-}
-
-// markConc switches the histogram to atomic updates. The min field uses
-// MaxUint64 as the "no samples yet" sentinel so CAS-min works without a
-// racy first-sample branch; accessors guard on Count()==0.
-func (h *Histogram) markConc() {
-	h.conc = true
-	if h.n == 0 {
-		h.min = math.MaxUint64
-	}
 }
 
 // Observe adds one sample.
 func (h *Histogram) Observe(v uint64) {
 	if h == nil {
-		return
-	}
-	if h.conc {
-		atomicMinUint64(&h.min, v)
-		atomicMaxUint64(&h.max, v)
-		atomic.AddUint64(&h.n, 1)
-		atomic.AddUint64(&h.sum, v)
-		atomic.AddUint64(&h.buckets[bits.Len64(v)], 1)
 		return
 	}
 	if h.n == 0 || v < h.min {
@@ -428,9 +304,6 @@ func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	if h.conc {
-		return atomic.LoadUint64(&h.n)
-	}
 	return h.n
 }
 
@@ -438,9 +311,6 @@ func (h *Histogram) Count() uint64 {
 func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
-	}
-	if h.conc {
-		return float64(atomic.LoadUint64(&h.sum))
 	}
 	return float64(h.sum)
 }
@@ -459,9 +329,6 @@ func (h *Histogram) Min() uint64 {
 	if h.Count() == 0 {
 		return 0
 	}
-	if h.conc {
-		return atomic.LoadUint64(&h.min)
-	}
 	return h.min
 }
 
@@ -469,9 +336,6 @@ func (h *Histogram) Min() uint64 {
 func (h *Histogram) Max() uint64 {
 	if h == nil {
 		return 0
-	}
-	if h.conc {
-		return atomic.LoadUint64(&h.max)
 	}
 	return h.max
 }

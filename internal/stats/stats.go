@@ -37,32 +37,6 @@ func (d *Dist) Observe(v float64) {
 	d.m2 += delta * (v - d.mean)
 }
 
-// Merge folds another distribution into d using Chan et al.'s parallel
-// Welford combination, so per-shard distributions merged in a fixed
-// order reproduce the moments of a single stream. Min/max/sum/count are
-// order-independent; mean/m2 follow the pairwise update exactly.
-func (d *Dist) Merge(o *Dist) {
-	if o.N == 0 {
-		return
-	}
-	if d.N == 0 {
-		*d = *o
-		return
-	}
-	if o.Min < d.Min {
-		d.Min = o.Min
-	}
-	if o.Max > d.Max {
-		d.Max = o.Max
-	}
-	n1, n2 := float64(d.N), float64(o.N)
-	delta := o.mean - d.mean
-	d.mean += delta * n2 / (n1 + n2)
-	d.m2 += o.m2 + delta*delta*n1*n2/(n1+n2)
-	d.N += o.N
-	d.Sum += o.Sum
-}
-
 // Mean returns the sample mean (0 for an empty distribution).
 func (d *Dist) Mean() float64 {
 	if d.N == 0 {

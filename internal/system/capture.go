@@ -176,9 +176,6 @@ func (s *System) attachCapture() {
 	active.nextPid++
 	s.captured = true
 	if active.cfg.Sink != nil {
-		// Sharded hierarchies fork the tracer per tile and merge the
-		// buffers back in canonical (cycle, shard, seq) order at
-		// FinishStats, so the same wiring serves both build shapes.
 		capacity := active.cfg.TraceCapacity
 		if capacity == 0 {
 			capacity = 4096
@@ -212,9 +209,9 @@ func LabelRun(s *System, label string, ops uint64) *RunRecord {
 	}
 	return &RunRecord{
 		Label:        label,
-		Cycles:       s.Cycles(),
+		Cycles:       s.K.Now(),
 		Ops:          ops,
-		KernelEvents: s.KernelEvents(),
+		KernelEvents: s.K.Events(),
 		Metrics:      s.H.Metrics.Snapshot(),
 		TxnEdges:     s.H.TxnCoverage(),
 		Slowest:      s.H.SlowestAccesses(),

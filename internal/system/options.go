@@ -9,10 +9,9 @@ import (
 
 // Options is the process-wide run configuration: every setting a CLI
 // flag can change that can also change a simulated result. It is applied
-// only where machines are built — New applies all of it, Build only the
-// observability fields — so Default, Scaled and hier.DefaultConfig stay
-// pure functions of their arguments. Options is comparable, so the morphs
-// run cache keys on it as is.
+// only where machines are built (New), so Default, Scaled and
+// hier.DefaultConfig stay pure functions of their arguments. Options is
+// comparable, so the morphs run cache keys on it as is.
 //
 // The two host-side knobs that cannot change a result stay outside it:
 // the scheduler's worker count (sched.SetWorkers, -j) and the run cache
@@ -21,14 +20,8 @@ import (
 // (Config.FastForward): a figure compares machines, and a process-wide
 // warmup would reach only those it can fast-forward.
 type Options struct {
-	// Sharded hosts every machine New builds on the tile-sharded engine
-	// (Config.Sharded) with ShardWorkers workers, unless its Config asks
-	// for fast-forward, which needs the classic kernel.
-	Sharded      bool `json:"sharded"`
-	ShardWorkers int  `json:"shard_workers"`
-	// Verify arms per-access coherence-freshness assertions on classic
-	// builds (a sharded hierarchy may not read remote tiles mid-epoch) and
-	// the hierarchy-wide invariant checker every verifyCheckEvery events.
+	// Verify arms per-access coherence-freshness assertions and the
+	// hierarchy-wide invariant checker every verifyCheckEvery events.
 	Verify bool `json:"verify"`
 	// Attribution arms transaction-level latency attribution; SlowestK > 0
 	// also keeps each run's K slowest demand accesses.
@@ -58,20 +51,15 @@ func CurrentOptions() Options {
 	return Options{}
 }
 
-// SetDefaultSharded sets Options.Sharded and Options.ShardWorkers,
-// leaving the other fields as they are.
-func SetDefaultSharded(on bool, workers int) {
-	o := CurrentOptions()
-	o.Sharded, o.ShardWorkers = on, workers
-	SetOptions(o)
-}
+// SetDefaultSharded does nothing: the simulator has one engine. Its only
+// caller is bench/workloads.go, whose phi-tako-sharded workload therefore
+// runs the same machine as phi-tako. It goes with that workload in the
+// benchmark change listed in ROADMAP.md.
+func SetDefaultSharded(bool, int) {}
 
 // Validate rejects combinations no machine can honour.
 func (o Options) Validate() error {
-	switch {
-	case o.ShardWorkers < 0:
-		return errors.New("-shard-workers must not be negative")
-	case o.SlowestK < 0:
+	if o.SlowestK < 0 {
 		return errors.New("-slowest must not be negative")
 	}
 	return nil
@@ -79,11 +67,9 @@ func (o Options) Validate() error {
 
 // observe arms the observability fields on a hierarchy config. It only
 // turns checks on: a config that armed something itself keeps it.
-func (o Options) observe(h *hier.Config, sharded bool) {
+func (o Options) observe(h *hier.Config) {
 	if o.Verify {
-		if !sharded {
-			h.FreshChecks = true
-		}
+		h.FreshChecks = true
 		if h.SelfCheckEvery == 0 {
 			h.SelfCheckEvery = verifyCheckEvery
 		}

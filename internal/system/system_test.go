@@ -47,26 +47,18 @@ func TestNoTakoBaseline(t *testing.T) {
 }
 
 // TestBuildRejectsFastForwardOnTako pins that a täkō machine whose
-// Config asks for fast-forward fails at build time, through Build and
-// through New, with the message that names the fix, instead of silently
-// running in full.
+// Config asks for fast-forward fails at build time, in New, with the
+// message that names the fix, instead of silently running in full.
 func TestBuildRejectsFastForwardOnTako(t *testing.T) {
 	cfg := Scaled(2, 16)
 	cfg.FastForward = 1 << 10
-	for _, b := range []struct {
-		name  string
-		build func(Config) *System
-	}{{"Build", Build}, {"New", New}} {
-		func() {
-			defer func() {
-				msg, _ := recover().(string)
-				if !strings.Contains(msg, "täkō") || !strings.Contains(msg, "FastForward") {
-					t.Errorf("%s of a täkō machine with FastForward: recovered %q, want the täkō fast-forward panic", b.name, msg)
-				}
-			}()
-			b.build(cfg)
-		}()
-	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "täkō") || !strings.Contains(msg, "FastForward") {
+			t.Errorf("New of a täkō machine with FastForward: recovered %q, want the täkō fast-forward panic", msg)
+		}
+	}()
+	New(cfg)
 }
 
 func TestScaledConfigRuns(t *testing.T) {

@@ -25,7 +25,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -37,10 +36,6 @@ type Event struct {
 	Component string // e.g. "l2.3", "engine.0", "dram.1"
 	Kind      string // e.g. "miss", "cb.onMiss", "evict"
 	Detail    string
-	// Shard is the shard whose buffer recorded the event on a sharded
-	// run (Tracer.Fork); 0 on a classic run. It is the second key of the
-	// canonical (cycle, shard, seq) merge order.
-	Shard int `json:",omitempty"`
 }
 
 func (e Event) String() string {
@@ -70,14 +65,6 @@ type Tracer struct {
 	filters []string
 	sink    Sink
 	minSpan uint64
-	// shard labels every recorded event (Fork); 0 on an unforked tracer.
-	shard int
-	// spill retains every recorded event (not just the last `capacity`)
-	// when retainAll is set: forks of a sink-backed tracer buffer here so
-	// Merge can stream the complete per-shard history into the sink, the
-	// same contract an unforked tracer's sink gets.
-	spill     []Event
-	retainAll bool
 }
 
 // New returns a tracer holding the most recent `capacity` events.
@@ -159,78 +146,16 @@ func (t *Tracer) EmitSpan(start, end uint64, component, kind, detail string) {
 }
 
 func (t *Tracer) record(e Event) {
-	e.Shard = t.shard
 	t.total++
-	if t.retainAll {
-		t.spill = append(t.spill, e)
-	} else {
-		t.ring[t.next] = e
-		t.next++
-		if t.next == len(t.ring) {
-			t.next = 0
-			t.wrapped = true
-		}
+	t.ring[t.next] = e
+	t.next++
+	if t.next == len(t.ring) {
+		t.next = 0
+		t.wrapped = true
 	}
 	if t.sink != nil {
 		t.sink.Emit(e)
 	}
-}
-
-// Fork returns n per-shard tracers mirroring t's capacity, filters, and
-// span threshold. Each fork buffers its shard's events unsynchronized —
-// no sink, no sharing — so every shard of a parallel run can record
-// without locking; Merge folds the forks back into t afterwards. When t
-// streams into a sink, its forks retain their full history (not a ring
-// window) so the merged stream carries every event, matching what the
-// sink would have seen from an unforked tracer. Safe on a nil Tracer
-// (returns nil, and nil forks drop everything).
-func (t *Tracer) Fork(n int) []*Tracer {
-	if t == nil {
-		return nil
-	}
-	out := make([]*Tracer, n)
-	for i := range out {
-		f := New(len(t.ring))
-		f.filters = append([]string(nil), t.filters...)
-		f.minSpan = t.minSpan
-		f.shard = i
-		f.retainAll = t.sink != nil
-		out[i] = f
-	}
-	return out
-}
-
-// Merge folds per-shard fork buffers into t in the canonical (cycle,
-// shard, seq) order: all retained events sorted by start cycle, ties
-// broken by shard index, ties within one shard kept in that shard's emit
-// order. The order depends only on what each shard recorded — never on
-// how shards interleaved in real time — so a merged sharded trace is
-// byte-identical at any worker count. Merged events flow through t's
-// ring and sink like locally emitted ones (t's own filters were already
-// applied by the forks). The forks are reset empty.
-func (t *Tracer) Merge(forks []*Tracer) {
-	if t == nil {
-		return
-	}
-	var all []Event
-	for _, f := range forks {
-		if f == nil {
-			continue
-		}
-		all = append(all, f.Events()...)
-		f.next, f.wrapped, f.spill = 0, false, nil
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].Cycle != all[j].Cycle {
-			return all[i].Cycle < all[j].Cycle
-		}
-		return all[i].Shard < all[j].Shard
-	})
-	for _, e := range all {
-		t.shard = e.Shard
-		t.record(e)
-	}
-	t.shard = 0
 }
 
 // Emitf is Emit with a formatted detail string. The formatting cost is
@@ -247,11 +172,6 @@ func (t *Tracer) Emitf(cycle uint64, component, kind, format string, args ...int
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
-	}
-	if t.retainAll {
-		out := make([]Event, len(t.spill))
-		copy(out, t.spill)
-		return out
 	}
 	if !t.wrapped {
 		out := make([]Event, t.next)
@@ -277,9 +197,6 @@ func (t *Tracer) Total() uint64 {
 func (t *Tracer) Retained() int {
 	if t == nil {
 		return 0
-	}
-	if t.retainAll {
-		return len(t.spill)
 	}
 	if t.wrapped {
 		return len(t.ring)

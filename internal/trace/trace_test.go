@@ -97,78 +97,3 @@ func TestQuickRingInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// collectSink records everything emitted into it, in emission order.
-type collectSink struct{ events []Event }
-
-func (s *collectSink) Emit(e Event) { s.events = append(s.events, e) }
-func (s *collectSink) Close() error { return nil }
-
-func TestForkMergeCanonicalOrder(t *testing.T) {
-	tr := New(16)
-	forks := tr.Fork(3)
-	// Deliberately interleaved emission across forks: cycle ties must
-	// break by shard index, and within one shard emit order must hold.
-	forks[2].Emit(5, "c2", "k", "a")
-	forks[0].Emit(5, "c0", "k", "b")
-	forks[1].Emit(3, "c1", "k", "c")
-	forks[0].Emit(1, "c0", "k", "d")
-	forks[2].Emit(5, "c2", "k", "e")
-	tr.Merge(forks)
-	got := tr.Events()
-	want := []struct {
-		cycle  uint64
-		shard  int
-		detail string
-	}{{1, 0, "d"}, {3, 1, "c"}, {5, 0, "b"}, {5, 2, "a"}, {5, 2, "e"}}
-	if len(got) != len(want) {
-		t.Fatalf("merged %d events, want %d", len(got), len(want))
-	}
-	for i, w := range want {
-		if got[i].Cycle != w.cycle || got[i].Shard != w.shard || got[i].Detail != w.detail {
-			t.Fatalf("event %d = %+v, want cycle=%d shard=%d detail=%q",
-				i, got[i], w.cycle, w.shard, w.detail)
-		}
-	}
-	for _, f := range forks {
-		if f.Retained() != 0 {
-			t.Fatal("Merge must reset the forks")
-		}
-	}
-}
-
-// TestSinkBackedForksRetainEverything pins the streaming contract: when
-// the parent tracer feeds a sink, its forks must keep their complete
-// history — not a most-recent-capacity ring window — so the merged
-// stream carries every event the sink would have seen unforked.
-func TestSinkBackedForksRetainEverything(t *testing.T) {
-	sink := &collectSink{}
-	tr := New(4)
-	tr.AttachSink(sink)
-	forks := tr.Fork(2)
-	const perShard = 20 // 5x the ring capacity
-	for i := 0; i < perShard; i++ {
-		forks[0].Emit(uint64(2*i), "c0", "k", "")
-		forks[1].Emit(uint64(2*i+1), "c1", "k", "")
-	}
-	tr.Merge(forks)
-	if len(sink.events) != 2*perShard {
-		t.Fatalf("sink saw %d events, want %d", len(sink.events), 2*perShard)
-	}
-	for i := 1; i < len(sink.events); i++ {
-		if sink.events[i].Cycle < sink.events[i-1].Cycle {
-			t.Fatalf("sink stream out of order at %d: %+v after %+v",
-				i, sink.events[i], sink.events[i-1])
-		}
-	}
-
-	// Without a sink the forks stay ring-bounded (live introspection
-	// keeps a window, not the full history).
-	plain := New(4).Fork(1)
-	for i := 0; i < perShard; i++ {
-		plain[0].Emit(uint64(i), "c", "k", "")
-	}
-	if got := plain[0].Retained(); got != 4 {
-		t.Fatalf("sinkless fork retained %d events, want ring capacity 4", got)
-	}
-}
