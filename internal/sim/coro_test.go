@@ -11,7 +11,7 @@ import (
 func TestCoroContract(t *testing.T) {
 	impls := []struct {
 		name    string
-		newCoro func(body func(suspend func() bool)) (resume, kill func())
+		newCoro func(body func(yield func(struct{}) bool)) (next func() (struct{}, bool), stop func())
 	}{
 		{"chan", newChanCoro},
 		{"build", newCoro},
@@ -20,54 +20,56 @@ func TestCoroContract(t *testing.T) {
 		t.Run(impl.name, func(t *testing.T) {
 			t.Run("resume runs the body until it suspends", func(t *testing.T) {
 				steps := 0
-				resume, kill := impl.newCoro(func(suspend func() bool) {
-					for {
+				next, stop := impl.newCoro(func(yield func(struct{}) bool) {
+					for steps < 3 {
 						steps++
-						if !suspend() {
+						if !yield(struct{}{}) {
 							return
 						}
 					}
 				})
 				for want := 1; want <= 3; want++ {
-					resume()
-					if steps != want {
-						t.Fatalf("after resume %d the body ran %d steps", want, steps)
+					if _, ok := next(); !ok || steps != want {
+						t.Fatalf("next %d reported %v after %d steps, want true after %d", want, ok, steps, want)
 					}
 				}
-				kill()
+				if _, ok := next(); ok {
+					t.Fatal("next reported a yield from a body that returned")
+				}
+				stop()
 			})
 			t.Run("kill ends a suspended body", func(t *testing.T) {
 				var got []bool
 				returned := false
-				resume, kill := impl.newCoro(func(suspend func() bool) {
-					got = append(got, suspend(), suspend())
+				next, stop := impl.newCoro(func(yield func(struct{}) bool) {
+					got = append(got, yield(struct{}{}), yield(struct{}{}))
 					returned = true
 				})
-				resume()
-				kill()
+				next()
+				stop()
 				if !returned {
-					t.Fatal("kill returned before the body did")
+					t.Fatal("stop returned before the body did")
 				}
 				if len(got) != 2 || got[0] || got[1] {
-					t.Fatalf("suspend returned %v after kill, want [false false]", got)
+					t.Fatalf("yield returned %v after stop, want [false false]", got)
 				}
 			})
 			t.Run("a body killed before it ran never runs", func(t *testing.T) {
 				ran := false
-				resume, kill := impl.newCoro(func(func() bool) { ran = true })
-				kill()
-				resume()
+				next, stop := impl.newCoro(func(func(struct{}) bool) { ran = true })
+				stop()
+				next()
 				if ran {
-					t.Fatal("the body ran after kill")
+					t.Fatal("the body ran after stop")
 				}
 			})
 			t.Run("a returned body ignores resume and kill", func(t *testing.T) {
 				runs := 0
-				resume, kill := impl.newCoro(func(func() bool) { runs++ })
-				resume()
-				resume()
-				kill()
-				resume()
+				next, stop := impl.newCoro(func(func(struct{}) bool) { runs++ })
+				next()
+				next()
+				stop()
+				next()
 				if runs != 1 {
 					t.Fatalf("the body ran %d times, want 1", runs)
 				}

@@ -13,24 +13,45 @@
 // the order events run in, so schedules stay deterministic.
 package sim
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Cycle is a point in simulated time, measured in clock cycles.
 type Cycle = uint64
 
-// event is one queue entry. Exactly one of fn/proc/future is set: fn is
-// an arbitrary scheduled callback, proc is a parked process to resume,
-// future is a Future to complete. Carrying the target directly keeps the
-// wake paths (Sleep, Future, Semaphore, WaitGroup, Barrier, CompleteAt)
-// free of per-event closure allocations. start marks a proc event as the
-// process's first dispatch (set by Go/GoArgs rather than a closure).
+// The timing wheel has one slot per cycle for the wheelSlots cycles
+// from now on, and one occupancy bit per slot in wheelWords words.
+const (
+	wheelSlots = 1024
+	wheelMask  = wheelSlots - 1
+	wheelWords = wheelSlots / 64
+)
+
+// node is one wheel entry. Its target is what the event runs: a *Proc to
+// resume (its start or a wake; the proc marks itself started when its
+// coroutine first runs), a *Future to complete, or a func() callback.
+// Carrying the proc or future itself keeps the wake paths (Sleep,
+// Future, Semaphore, WaitGroup, Barrier, CompleteAt) free of per-event
+// closures, and none of the three allocates when stored in an
+// interface. next links the node into its slot's FIFO, or into the free
+// list once it has run; it indexes Kernel.nodes, whose entry 0 is never
+// used, so 0 ends a list.
+type node struct {
+	target any
+	next   int32
+}
+
+// slot is one cycle's FIFO of nodes, first and last; 0 when empty.
+type slot struct{ head, tail int32 }
+
+// event is an entry of the far heap, which holds the events wheelSlots
+// or more cycles out; seq orders the events of one cycle by push.
 type event struct {
 	when   Cycle
 	seq    uint64
-	fn     func()
-	proc   *Proc
-	future *Future
-	start  bool
+	target any
 }
 
 // Kernel is a deterministic discrete-event simulator clock and queue.
@@ -40,18 +61,34 @@ type event struct {
 // process it has resumed, in turn; each coroutine switch orders those
 // accesses, so no locking is needed.
 //
-// The queue is a 4-ary min-heap stored flat in a slice. Compared to
-// container/heap this is monomorphic (no interface{} boxing, so pushes
-// don't allocate) and shallower (half the levels of a binary heap), and
-// popping zeroes the vacated slot so completed events — and everything
-// their closures captured — are collectable instead of pinned by the
-// backing array.
+// The queue is a timing wheel: the calendar queue of Brown (CACM 1988)
+// with one-cycle days. Slot c mod 1024 holds the events due at cycle c,
+// for every c in [now, now+1024), in push order, and a 16-word bitmap
+// marks the occupied slots, so a push appends to a list and finding the
+// next event scans at most 16 words. Events 1024 or more cycles out
+// wait in a 4-ary min-heap ordered by (cycle, seq) and move into the
+// wheel, in that order, each time the clock advances (advance), before
+// anything can be pushed at the new cycle. A far event's cycle was 1024
+// or more cycles out when it was pushed, and a direct push to that
+// cycle can only come later, so every slot's FIFO is exactly the
+// (cycle, insertion) order. Slots link the nodes of one arena, which
+// recycles them through a free list, so steady-state pushes do not
+// allocate; a freed node and a vacated heap entry drop their target, so
+// a run event's closure and what it captured are collectable.
 type Kernel struct {
 	now    Cycle
-	seq    uint64
-	queue  []event
-	procs  []*Proc
 	events uint64
+
+	occ   [wheelWords]uint64 // bit s%64 of word s/64: slots[s] is occupied
+	nodes []node
+	free  int32 // head of the free list of nodes; 0 when none is free
+
+	// far is the heap of events wheelSlots or more cycles out; seq
+	// numbers its pushes.
+	far []event
+	seq uint64
+
+	procs []*Proc
 
 	// waiterPool recycles Future waiter slices: futures are one-shot
 	// and allocated in large numbers on memory-access hot paths, so
@@ -69,10 +106,9 @@ type Kernel struct {
 	futurePool []*Future
 
 	// chooser, when set, resolves same-cycle scheduling ties (see
-	// SetChooser); batch is its reusable scratch slice. nil on every
-	// normal run — the default schedule pays nothing for the hook.
+	// SetChooser). nil on every normal run — the default schedule pays
+	// nothing for the hook.
 	chooser Chooser
-	batch   []event
 
 	// limit is the inclusive horizon of the current Run or RunUntil: only
 	// events at or before it run, and a blocking process carries on in
@@ -82,6 +118,9 @@ type Kernel struct {
 	// failure holds the *ProcPanic of a process task that panicked, for
 	// the driver to re-raise once the process has suspended.
 	failure any
+
+	// slots[c%wheelSlots] is the FIFO of the events due at cycle c.
+	slots [wheelSlots]slot
 }
 
 // A Chooser resolves scheduling ties. When the kernel is about to run an
@@ -104,7 +143,7 @@ type Chooser interface {
 func (k *Kernel) SetChooser(c Chooser) { k.chooser = c }
 
 // NewKernel returns an empty kernel at cycle 0.
-func NewKernel() *Kernel { return &Kernel{} }
+func NewKernel() *Kernel { return &Kernel{nodes: make([]node, 1, 32)} }
 
 // Now returns the current simulated cycle.
 func (k *Kernel) Now() Cycle { return k.now }
@@ -118,8 +157,7 @@ func (k *Kernel) At(when Cycle, fn func()) {
 	if when < k.now {
 		panic("sim: scheduling event in the past")
 	}
-	k.seq++
-	k.push(event{when: when, seq: k.seq, fn: fn})
+	k.push(when, fn)
 }
 
 // After schedules fn to run delay cycles from now.
@@ -130,8 +168,7 @@ func (k *Kernel) After(delay Cycle, fn func()) {
 // wakeAfter schedules p to be dispatched delay cycles from now, without
 // allocating a closure.
 func (k *Kernel) wakeAfter(delay Cycle, p *Proc) {
-	k.seq++
-	k.push(event{when: k.now + delay, seq: k.seq, proc: p})
+	k.push(k.now+delay, p)
 }
 
 // completeAt schedules f to complete at the given absolute cycle,
@@ -140,8 +177,7 @@ func (k *Kernel) completeAt(when Cycle, f *Future) {
 	if when < k.now {
 		panic("sim: scheduling event in the past")
 	}
-	k.seq++
-	k.push(event{when: when, seq: k.seq, future: f})
+	k.push(when, f)
 }
 
 // Run executes events until the queue is empty.
@@ -151,44 +187,49 @@ func (k *Kernel) Run() { k.drive(math.MaxUint64) }
 func (k *Kernel) RunUntil(t Cycle) {
 	k.drive(t)
 	if k.now < t {
-		k.now = t
+		k.advance(t)
 	}
 }
 
 // drive is the event loop. It runs due events (time ≤ limit) in order
-// on the caller's stack. A popped process wake resumes that process until
-// it suspends; a panic its task raised is re-raised here.
+// on the caller's stack, each from its wheel slot. A process's event
+// resumes that process until it suspends; a panic its task raised is
+// re-raised here.
 func (k *Kernel) drive(limit Cycle) {
 	k.limit = limit
-	for len(k.queue) > 0 && k.queue[0].when <= limit {
-		var e event
-		if k.chooser == nil {
-			e = k.pop()
-		} else {
-			e = k.take()
+	for {
+		when, ok := k.peek()
+		if !ok || when > limit {
+			return
 		}
-		k.now = e.when
+		if when != k.now {
+			k.advance(when)
+		}
+		s := int(when & wheelMask)
+		var target any
+		if k.chooser == nil {
+			target = k.pop(s)
+		} else {
+			target = k.take(s)
+		}
 		k.events++
-		switch {
-		case e.proc != nil:
-			if e.start {
-				e.proc.started = true
-			}
-			if !e.proc.done {
-				e.proc.run()
+		switch t := target.(type) {
+		case *Proc:
+			if !t.done {
+				t.next()
 				if r := k.failure; r != nil {
 					k.failure = nil
 					panic(r)
 				}
 			}
-		case e.future != nil:
-			e.future.Complete()
+		case *Future:
+			t.Complete()
 			// Pool-originated futures completed by their scheduled event
 			// have no remaining references (waiters were converted to
 			// proc wakes); recycle immediately.
-			k.RecycleFuture(e.future)
-		default:
-			e.fn()
+			k.RecycleFuture(t)
+		case func():
+			t()
 		}
 	}
 }
@@ -197,45 +238,27 @@ func (k *Kernel) drive(limit Cycle) {
 // blocking, and reports whether it did: p then carries on in place with
 // no switch, exactly as if the driver had popped the wake and resumed
 // it. It never applies with a chooser installed, so that the driver's
-// take consults the chooser for every event.
+// take consults the chooser for every event, nor to a wake still in the
+// far heap, which the driver moves into the wheel first.
 func (k *Kernel) popOwnWake(p *Proc) bool {
-	if k.chooser != nil || len(k.queue) == 0 {
+	if k.chooser != nil {
 		return false
 	}
-	if e := &k.queue[0]; e.proc != p || e.when > k.limit {
+	when, ok := k.peek()
+	if !ok || when > k.limit {
 		return false
 	}
-	k.now = k.pop().when
+	s := int(when & wheelMask)
+	// An empty slot's head is node 0, whose target is always nil.
+	if q, _ := k.nodes[k.slots[s].head].target.(*Proc); q != p {
+		return false
+	}
+	if when != k.now {
+		k.advance(when)
+	}
+	k.pop(s)
 	k.events++
 	return true
-}
-
-// take is the event loop's pop with a chooser installed: it pops every
-// event tied at the minimum time (in insertion order), lets the chooser
-// pick which one runs, and reinserts the rest. Reinserted events keep
-// their original sequence numbers, so the unchosen events' relative
-// order — and hence the meaning of future choices — is unchanged by the
-// pick.
-func (k *Kernel) take() event {
-	b := append(k.batch[:0], k.pop())
-	for len(k.queue) > 0 && k.queue[0].when == b[0].when {
-		b = append(b, k.pop())
-	}
-	idx := 0
-	if len(b) > 1 {
-		if c := k.chooser.Choose(len(b)); c > 0 && c < len(b) {
-			idx = c
-		}
-	}
-	e := b[idx]
-	for i := range b {
-		if i != idx {
-			k.push(b[i])
-		}
-	}
-	clear(b) // don't pin closures from the scratch slice
-	k.batch = b[:0]
-	return e
 }
 
 // Blocked returns the names of processes that are parked (waiting) right
@@ -251,7 +274,129 @@ func (k *Kernel) Blocked() []string {
 	return out
 }
 
-// before orders events by (time, insertion sequence).
+// push queues target to run at cycle when, which is not in the past:
+// at the tail of its wheel slot, or in the far heap when it is wheelSlots
+// or more cycles out.
+func (k *Kernel) push(when Cycle, target any) {
+	if when-k.now >= wheelSlots {
+		k.seq++
+		k.pushFar(event{when: when, seq: k.seq, target: target})
+		return
+	}
+	k.link(int(when&wheelMask), target)
+}
+
+// link appends target to slot s's FIFO, taking a node from the free
+// list or, when it is empty, growing the arena.
+func (k *Kernel) link(s int, target any) {
+	i := k.free
+	if i != 0 {
+		k.free = k.nodes[i].next
+	} else {
+		i = int32(len(k.nodes))
+		k.nodes = append(k.nodes, node{})
+	}
+	n := &k.nodes[i]
+	n.target, n.next = target, 0
+	sl := &k.slots[s]
+	if sl.tail == 0 {
+		sl.head = i
+		k.occ[s>>6] |= 1 << (s & 63)
+	} else {
+		k.nodes[sl.tail].next = i
+	}
+	sl.tail = i
+}
+
+// pop unlinks the first node of slot s, which is occupied, frees it and
+// returns its target.
+func (k *Kernel) pop(s int) any {
+	sl := &k.slots[s]
+	i := sl.head
+	if sl.head = k.nodes[i].next; sl.head == 0 {
+		sl.tail = 0
+		k.occ[s>>6] &^= 1 << (s & 63)
+	}
+	return k.release(i)
+}
+
+// take is the event loop's pop with a chooser installed. When n ≥ 2
+// events share slot s's cycle, it asks the chooser which of them, in
+// insertion order, runs, and unlinks that one in place: the others keep
+// their order ahead of anything pushed later, so the meaning of later
+// choices does not change.
+func (k *Kernel) take(s int) any {
+	head := k.slots[s].head
+	n := 0
+	for i := head; i != 0; i = k.nodes[i].next {
+		n++
+	}
+	c := 0
+	if n > 1 {
+		c = k.chooser.Choose(n)
+	}
+	if c <= 0 || c >= n {
+		return k.pop(s)
+	}
+	prev := head
+	for ; c > 1; c-- {
+		prev = k.nodes[prev].next
+	}
+	i := k.nodes[prev].next
+	k.nodes[prev].next = k.nodes[i].next
+	if k.slots[s].tail == i {
+		k.slots[s].tail = prev
+	}
+	return k.release(i)
+}
+
+// release returns unlinked node i to the free list, dropping and
+// returning its target.
+func (k *Kernel) release(i int32) any {
+	n := &k.nodes[i]
+	target := n.target
+	n.target, n.next = nil, k.free
+	k.free = i
+	return target
+}
+
+// peek returns the cycle of the earliest queued event, and false when
+// none is queued. Every wheel event precedes every far one.
+func (k *Kernel) peek() (Cycle, bool) {
+	base := int(k.now & wheelMask)
+	w := base >> 6
+	if b := k.occ[w] >> (base & 63); b != 0 {
+		return k.now + Cycle(bits.TrailingZeros64(b)), true
+	}
+	for i := 1; i <= wheelWords; i++ {
+		// The last word checked is w again, for the slots below base,
+		// which hold the cycles furthest out.
+		j := (w + i) & (wheelWords - 1)
+		if b := k.occ[j]; b != 0 {
+			s := j<<6 | bits.TrailingZeros64(b)
+			return k.now + Cycle((s-base)&wheelMask), true
+		}
+	}
+	if len(k.far) > 0 {
+		return k.far[0].when, true
+	}
+	return 0, false
+}
+
+// advance moves the clock forward to t and moves every far event that t
+// brings within wheelSlots cycles into the tail of its slot, in
+// (cycle, seq) order. Every clock change goes through here, so no event
+// can be pushed at t before they move, and far events never fall below
+// now+wheelSlots.
+func (k *Kernel) advance(t Cycle) {
+	k.now = t
+	for len(k.far) > 0 && k.far[0].when-t < wheelSlots {
+		e := k.popFar()
+		k.link(int(e.when&wheelMask), e.target)
+	}
+}
+
+// before orders far events by (time, insertion sequence).
 func (a *event) before(b *event) bool {
 	if a.when != b.when {
 		return a.when < b.when
@@ -259,9 +404,9 @@ func (a *event) before(b *event) bool {
 	return a.seq < b.seq
 }
 
-// push inserts e into the queue, sifting it up from the tail.
-func (k *Kernel) push(e event) {
-	q := append(k.queue, e)
+// pushFar inserts e into the far heap, sifting it up from the tail.
+func (k *Kernel) pushFar(e event) {
+	q := append(k.far, e)
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) >> 2
@@ -271,20 +416,19 @@ func (k *Kernel) push(e event) {
 		q[i], q[parent] = q[parent], q[i]
 		i = parent
 	}
-	k.queue = q
+	k.far = q
 }
 
-// pop removes and returns the queue's minimum event, zeroing the vacated
-// tail slot so the popped event's closure (and captured state) is
-// GC-able.
-func (k *Kernel) pop() event {
-	q := k.queue
+// popFar removes and returns the far heap's minimum event, zeroing the
+// vacated tail entry so the backing array pins no target.
+func (k *Kernel) popFar() event {
+	q := k.far
 	top := q[0]
 	n := len(q) - 1
 	q[0] = q[n]
 	q[n] = event{}
 	q = q[:n]
-	k.queue = q
+	k.far = q
 
 	// Sift the relocated tail element down: swap with the smallest of
 	// up to four children until in place.
@@ -373,7 +517,7 @@ func (k *Kernel) RecycleFuture(f *Future) {
 // many kernels in one process.
 func (k *Kernel) Release() {
 	for i, p := range k.freeProcs {
-		p.kill()
+		p.stop()
 		k.freeProcs[i] = nil
 	}
 	k.freeProcs = k.freeProcs[:0]
@@ -388,7 +532,7 @@ func (k *Kernel) Release() {
 func (k *Kernel) Shutdown() {
 	for _, p := range k.procs {
 		if !p.done {
-			p.kill()
+			p.stop()
 		}
 	}
 	k.failure = nil

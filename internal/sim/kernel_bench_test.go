@@ -2,50 +2,163 @@ package sim
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
 
-// TestHeapOrdersLikeReference drives the 4-ary heap with random
-// schedules and checks events pop in (time, insertion-sequence) order —
-// the determinism contract the old container/heap implementation
-// provided.
-func TestHeapOrdersLikeReference(t *testing.T) {
+// TestQueueOrdersLikeReference drives the kernel with random schedules
+// and checks that events run in (cycle, push order), against a
+// reference sort of every push. Delays cover the same cycle, the next,
+// the near wheel, the rest of the wheel and the far heap; events and
+// procs push more from inside, and the driver pushes between RunUntil
+// horizons, so the clock reaches new cycles by an event, by a proc's
+// in-place wake and by RunUntil.
+func TestQueueOrdersLikeReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 50; trial++ {
+	delay := func() Cycle {
+		switch rng.Intn(5) {
+		case 0:
+			return 0
+		case 1:
+			return 1
+		case 2:
+			return Cycle(rng.Intn(16))
+		case 3:
+			return Cycle(rng.Intn(wheelSlots))
+		}
+		return wheelSlots + Cycle(rng.Intn(3*wheelSlots+1))
+	}
+	type push struct {
+		when Cycle
+		id   int
+	}
+	for trial := 0; trial < 100; trial++ {
 		k := NewKernel()
-		n := 1 + rng.Intn(500)
-		for i := 0; i < n; i++ {
-			k.push(event{when: Cycle(rng.Intn(32)), seq: uint64(i), fn: func() {}})
+		budget := 50 + rng.Intn(500)
+		var pushed []push
+		var ran []int
+		var schedule func()
+		schedule = func() {
+			id, when := len(pushed), k.Now()+delay()
+			pushed = append(pushed, push{when, id})
+			k.At(when, func() {
+				ran = append(ran, id)
+				for rng.Intn(2) == 0 && len(pushed) < budget {
+					schedule()
+				}
+			})
 		}
-		var lastWhen Cycle
-		var lastSeq uint64
-		for i := 0; i < n; i++ {
-			e := k.pop()
-			if i > 0 && (e.when < lastWhen || (e.when == lastWhen && e.seq < lastSeq)) {
-				t.Fatalf("trial %d: popped (%d,%d) after (%d,%d)", trial, e.when, e.seq, lastWhen, lastSeq)
+		for i := rng.Intn(3); i > 0; i-- {
+			k.Go("sleeper", func(p *Proc) {
+				for len(pushed) < budget {
+					id, d := len(pushed), delay()
+					pushed = append(pushed, push{p.Now() + d, id})
+					p.Sleep(d)
+					ran = append(ran, id)
+					if rng.Intn(4) == 0 {
+						schedule()
+					}
+				}
+			})
+		}
+		for len(pushed) < budget {
+			for i := 1 + rng.Intn(3); i > 0 && len(pushed) < budget; i-- {
+				schedule()
 			}
-			lastWhen, lastSeq = e.when, e.seq
+			horizon := k.Now() + delay()
+			k.RunUntil(horizon)
+			if k.Now() != horizon {
+				t.Fatalf("trial %d: RunUntil(%d) left the clock at %d", trial, horizon, k.Now())
+			}
 		}
-		if len(k.queue) != 0 {
-			t.Fatalf("queue not drained: %d left", len(k.queue))
+		k.Run()
+		// The procs' starts are events too, but not pushes of this test.
+		if uint64(len(ran)) != k.Events()-uint64(len(k.procs)) {
+			t.Fatalf("trial %d: the kernel ran %d events for %d recorded", trial, k.Events(), len(ran))
+		}
+		want := append([]push(nil), pushed...)
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].when != want[j].when {
+				return want[i].when < want[j].when
+			}
+			return want[i].id < want[j].id
+		})
+		if len(ran) != len(want) {
+			t.Fatalf("trial %d: %d of %d pushes ran", trial, len(ran), len(want))
+		}
+		for i := range want {
+			if ran[i] != want[i].id {
+				t.Fatalf("trial %d: event %d ran push %d, want push %d (cycle %d)", trial, i, ran[i], want[i].id, want[i].when)
+			}
 		}
 	}
 }
 
-// TestPopZeroesVacatedSlots checks pop clears the backing array behind
-// the shrinking queue, so completed events' closures (and whatever they
+// TestFarEventsRunBeforeLaterPushes: events pushed at cycle T while it
+// is 1024 or more cycles out wait in the far heap. Once the clock comes
+// within 1023 cycles of T, pushes go straight to T's wheel slot, and
+// they must run after the far ones, all in push order, whether the clock
+// got there by an event, by a proc's wake or by RunUntil.
+func TestFarEventsRunBeforeLaterPushes(t *testing.T) {
+	const T = 5000
+	for _, how := range []string{"event", "proc", "RunUntil"} {
+		t.Run(how, func(t *testing.T) {
+			k := NewKernel()
+			var got []int
+			record := func(i int) func() { return func() { got = append(got, i) } }
+			k.At(T, record(0))
+			lastFar := func() { k.At(T, record(1)) } // at T-1024: still far
+			near := func() {                         // at T-1023: the wheel
+				k.At(T, record(2))
+				k.After(wheelSlots-1, record(3))
+			}
+			switch how {
+			case "event":
+				k.At(T-wheelSlots, lastFar)
+				k.At(T-wheelSlots+1, near)
+			case "proc":
+				k.Go("pusher", func(p *Proc) {
+					p.Sleep(T - wheelSlots)
+					lastFar()
+					p.Sleep(1)
+					near()
+				})
+			case "RunUntil":
+				k.RunUntil(T - wheelSlots)
+				lastFar()
+				k.RunUntil(T - wheelSlots + 1)
+				near()
+			}
+			k.Run()
+			if len(got) != 4 || got[0] != 0 || got[1] != 1 || got[2] != 2 || got[3] != 3 || k.Now() != T {
+				t.Fatalf("ran %v, clock at %d; want [0 1 2 3] at %d", got, k.Now(), T)
+			}
+		})
+	}
+}
+
+// TestPopZeroesVacatedSlots checks that running events leaves no
+// reference to them in the wheel's node arena or in the far heap's
+// backing array, so completed events' closures (and whatever they
 // captured) are GC-able rather than pinned until the kernel dies.
 func TestPopZeroesVacatedSlots(t *testing.T) {
 	k := NewKernel()
 	for i := 0; i < 100; i++ {
 		big := make([]byte, 1024)
-		k.After(Cycle(i), func() { _ = big })
+		k.After(Cycle(i*37), func() { _ = big }) // wheel and far heap
 	}
 	k.Run()
-	backing := k.queue[:cap(k.queue)]
-	for i, e := range backing {
-		if e.fn != nil || e.proc != nil || e.future != nil || e.when != 0 || e.seq != 0 {
-			t.Fatalf("slot %d not zeroed after pop: %+v", i, e)
+	if len(k.nodes) < 2 || cap(k.far) == 0 {
+		t.Fatalf("the test used %d nodes and %d far entries, want both", len(k.nodes)-1, cap(k.far))
+	}
+	for i, n := range k.nodes {
+		if n.target != nil {
+			t.Fatalf("node %d still holds its event after it ran", i)
+		}
+	}
+	for i, e := range k.far[:cap(k.far)] {
+		if e.target != nil || e.when != 0 || e.seq != 0 {
+			t.Fatalf("far entry %d not zeroed after pop: %+v", i, e)
 		}
 	}
 }
@@ -142,7 +255,7 @@ func BenchmarkKernelEventChain(b *testing.B) {
 }
 
 // BenchmarkKernelFanout measures a wider queue: 64 interleaved event
-// chains, so push/pop traverse a few heap levels per event.
+// chains, 1 to 13 cycles apart.
 func BenchmarkKernelFanout(b *testing.B) {
 	k := NewKernel()
 	n := 0
@@ -157,6 +270,50 @@ func BenchmarkKernelFanout(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < 64 && i < b.N; i++ {
 		k.After(Cycle(i), step)
+	}
+	k.Run()
+	b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "events/s")
+}
+
+// mixDelays are push delays shaped like a PHI run's (ROADMAP item 2):
+// of every 100 pushes, 33 are for the same cycle, 29 for the next, 34
+// for 2 to 15 cycles out, 3 for 16 to 1023 and 1 past the wheel. They
+// are shuffled once, with a fixed seed, so each chain sees a mix.
+var mixDelays = func() []Cycle {
+	d := make([]Cycle, 0, 100)
+	for i := 0; i < 33; i++ {
+		d = append(d, 0)
+	}
+	for i := 0; i < 29; i++ {
+		d = append(d, 1)
+	}
+	for i := 0; i < 34; i++ {
+		d = append(d, Cycle(2+i%14))
+	}
+	d = append(d, 40, 150, 400, 1500)
+	rand.New(rand.NewSource(1)).Shuffle(len(d), func(i, j int) { d[i], d[j] = d[j], d[i] })
+	return d
+}()
+
+// BenchmarkKernelMix measures callbacks at a PHI run's push delays and
+// mean queue depth, about 28 events: 28 interleaved event chains, each
+// taking its delays from mixDelays. It sits between EventChain (depth 1)
+// and Fanout (depth 64).
+func BenchmarkKernelMix(b *testing.B) {
+	const chains = 28
+	k := NewKernel()
+	n := 0
+	var step func()
+	step = func() {
+		n++
+		if n < b.N {
+			k.After(mixDelays[n%len(mixDelays)], step)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < chains && i < b.N; i++ {
+		k.After(mixDelays[i], step)
 	}
 	k.Run()
 	b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "events/s")

@@ -6,11 +6,12 @@ import (
 )
 
 // Proc is a simulated software thread. Each Proc runs as a coroutine
-// that the kernel's driver resumes when it pops the Proc's wake. When a
-// Proc blocks (Sleep, Wait, and the sync primitives) it carries on in
-// place if its own wake is the next due event; otherwise, and when its
-// task returns, it suspends and control goes back to the driver. Events
-// never run on a Proc's coroutine.
+// that the kernel's driver resumes when it pops the Proc's event: its
+// start, which marks it started as its coroutine first runs the task, or
+// a wake. When a Proc blocks (Sleep, Wait, and the sync primitives) it
+// carries on in place if its own wake is the next due event; otherwise,
+// and when its task returns, it yields and control goes back to the
+// driver. Events never run on a Proc's coroutine.
 //
 // Finished Procs are pooled: their coroutines stay suspended and the next
 // Go/GoArgs reuses the whole structure (struct and coroutine) instead of
@@ -28,11 +29,13 @@ type Proc struct {
 	started bool
 	done    bool
 
-	// run resumes the Proc's coroutine until it suspends and kill ends
-	// it, both called by the driver; suspend, called on the coroutine,
-	// hands control back to the driver (coro.go).
-	run, kill func()
-	suspend   func() bool
+	// The coroutine's three calls (coro.go), which on Go 1.23 and later
+	// are iter.Pull's own: the driver's next resumes the coroutine until
+	// it yields and its stop ends it; yield, called on the coroutine,
+	// hands control back to the driver.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
 	// Task slots: exactly one of fn/fnArgs is set while the proc runs.
 	// They live on the Proc so a pooled coroutine picks up its next task
@@ -50,7 +53,7 @@ type Proc struct {
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	p := k.spawn(name)
 	p.fn = fn
-	k.scheduleStart(p)
+	k.push(k.now, p)
 	return p
 }
 
@@ -60,7 +63,7 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 func (k *Kernel) GoArgs(name string, fn func(p *Proc, a0, a1 uint64), a0, a1 uint64) *Proc {
 	p := k.spawn(name)
 	p.fnArgs, p.a0, p.a1 = fn, a0, a1
-	k.scheduleStart(p)
+	k.push(k.now, p)
 	return p
 }
 
@@ -77,29 +80,23 @@ func (k *Kernel) spawn(name string) *Proc {
 		return p
 	}
 	p := &Proc{k: k, name: name}
-	p.run, p.kill = newCoro(p.body)
+	p.next, p.stop = newCoro(p.body)
 	k.procs = append(k.procs, p)
 	return p
 }
 
-// scheduleStart queues the proc's first dispatch at the current cycle,
-// carried directly on the event (no closure).
-func (k *Kernel) scheduleStart(p *Proc) {
-	k.seq++
-	k.push(event{when: k.now, seq: k.seq, proc: p, start: true})
-}
-
 // body is the coroutine body: run a task, return to the free list, and
-// suspend until a spawn recycles this proc and the driver starts it. It
-// returns once killed.
-func (p *Proc) body(suspend func() bool) {
-	p.suspend = suspend
+// yield until a spawn recycles this proc and the driver starts it. It
+// returns once stopped.
+func (p *Proc) body(yield func(struct{}) bool) {
+	p.yield = yield
 	for {
+		p.started = true
 		p.runTask()
 		p.fn, p.fnArgs = nil, nil
 		p.done = true
 		p.k.freeProcs = append(p.k.freeProcs, p)
-		if !suspend() {
+		if !yield(struct{}{}) {
 			return
 		}
 	}
@@ -144,12 +141,12 @@ func (p *Proc) runTask() {
 
 // block parks the calling process until an event wakes it. When its own
 // wake is the next due event it carries on in place; otherwise it
-// suspends until the driver resumes it.
+// yields until the driver resumes it.
 func (p *Proc) block() {
 	if p.k.popOwnWake(p) {
 		return
 	}
-	if !p.suspend() {
+	if !p.yield(struct{}{}) {
 		panic(procAbort{})
 	}
 }
