@@ -285,6 +285,40 @@ func TestHierarchyAccessAllocs(t *testing.T) {
 	}
 }
 
+// TestHardwareActivityAllocs is the alloc gate for the hierarchy's
+// hardware activity, which no thread waits on: remote memory operations,
+// prefetches, and the writeback timing of dirty L2 evictions, each run
+// as kernel continuations. A warm loop of AtomicAdds interleaved with a
+// strided store stream (whose L2 misses train the prefetcher, and which
+// overflows the L2 with dirty lines) must stay within the same 0.01
+// allocs/operation budget as a demand access.
+func TestHardwareActivityAllocs(t *testing.T) {
+	k := sim.NewKernel()
+	h := hier.New(k, hier.DefaultConfig(4), energy.NewMeter(), nil, nil)
+	const ops = 10000
+	run := func() {
+		k.Go("hw", func(p *sim.Proc) {
+			for j := 0; j < ops/2; j++ {
+				h.AtomicAdd(p, 0, mem.Addr(0x20_0000+(j%64)*64), 1)
+				h.Store(p, 0, mem.Addr(0x100_0000+(j%8192)*64), uint64(j))
+			}
+			h.DrainRMOs(p, 0)
+		})
+		k.Run()
+	}
+	run() // warm: fills caches, grows tables, populates pools
+	avg := testing.AllocsPerRun(5, run)
+	for _, c := range []string{"rmo.issued", "prefetch.issued", "l2.writebacks"} {
+		if h.Metrics.Get(c) == 0 {
+			t.Fatalf("the loop caused no %s: the gate would not cover it", c)
+		}
+	}
+	if per := avg / ops; per > 0.01 {
+		t.Fatalf("hardware activity allocates %.4f allocs/operation (%.0f per %d operations), want ≤ 0.01",
+			per, avg, ops)
+	}
+}
+
 // BenchmarkHierarchyAccessAttributed prices transaction-level latency
 // attribution against the same pointer-chase the alloc gates use: "off"
 // is the production configuration (a nil check per transition), "attr"

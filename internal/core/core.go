@@ -14,6 +14,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"tako/internal/engine"
 	"tako/internal/hier"
@@ -120,6 +121,7 @@ type Tako struct {
 	E     *engine.Engines
 
 	morphs  []*Morph // live registrations, in registration order
+	hinted  []*Morph // the live registrations with a ProtectHint, in registration order
 	nextSeq int      // last minted Morph ID
 
 	// RegisterCost models the OS work of (un)registration: page-table
@@ -151,11 +153,23 @@ func (t *Tako) Binding(a mem.Addr) (hier.Binding, bool) {
 				HasMiss:      m.Spec.OnMiss != nil,
 				HasEviction:  m.Spec.OnEviction != nil,
 				HasWriteback: m.Spec.OnWriteback != nil,
-				Protected:    m.Spec.ProtectHint,
 			}, true
 		}
 	}
 	return hier.Binding{}, false
+}
+
+// Protected implements hier.Registry: the ProtectHint of the Morph
+// registered on tag, if it has one. Registrations never overlap, so
+// only the hinted ones need a look, and a machine without hints answers
+// at once.
+func (t *Tako) Protected(tag mem.Addr) bool {
+	for _, m := range t.hinted {
+		if m.Region.Contains(tag) {
+			return m.Spec.ProtectHint(tag)
+		}
+	}
+	return false
 }
 
 // Spec implements engine.Program.
@@ -249,6 +263,9 @@ func (t *Tako) install(p *sim.Proc, spec MorphSpec, level Level, region mem.Regi
 		}
 	}
 	t.morphs = append(t.morphs, m)
+	if spec.ProtectHint != nil {
+		t.hinted = append(t.hinted, m)
+	}
 	p.Sleep(t.RegisterCost) // OS bookkeeping + TLB shootdown (§6)
 	return m
 }
@@ -296,12 +313,8 @@ func (t *Tako) Unregister(p *sim.Proc, m *Morph) {
 	}
 	t.FlushData(p, m)
 	m.unregistered = true
-	for i, mm := range t.morphs {
-		if mm == m {
-			t.morphs = append(t.morphs[:i], t.morphs[i+1:]...)
-			break
-		}
-	}
+	t.morphs = slices.DeleteFunc(t.morphs, func(mm *Morph) bool { return mm == m })
+	t.hinted = slices.DeleteFunc(t.hinted, func(mm *Morph) bool { return mm == m })
 	if m.Region.Phantom {
 		t.Space.Free(m.Region)
 	}

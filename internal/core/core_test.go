@@ -272,6 +272,47 @@ func TestSharedMorphCallbacksAtHomeBanks(t *testing.T) {
 	}
 }
 
+// TestProtectedFollowsRegistrations: the victim hook answers from the
+// live hinted Morphs alone. A hint registered mid-run is honoured at
+// once, a Morph without a hint protects nothing, and unregistering a
+// Morph drops its hint.
+func TestProtectedFollowsRegistrations(t *testing.T) {
+	s := system.New(system.Default(1))
+	s.Go(0, "main", func(p *sim.Proc, cc *cpu.Core) {
+		plain, err := s.Tako.RegisterPhantom(p, core.MorphSpec{Name: "plain"}, core.Private, 1<<16, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for i := 0; i < 64; i++ {
+			cc.Load(p, plain.Region.Base+mem.Addr(i*64))
+		}
+		if s.Tako.Protected(plain.Region.Base) {
+			t.Error("a Morph without a hint protected its line")
+		}
+		var hot mem.Addr
+		spec := core.MorphSpec{Name: "hinted", ProtectHint: func(a mem.Addr) bool { return a.Line() == hot }}
+		hinted, err := s.Tako.RegisterPhantom(p, spec, core.Private, 1<<16, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		hot = hinted.Region.Base + 64
+		cc.Load(p, hot)
+		if !s.Tako.Protected(hot) || !s.Tako.Protected(hot+8) {
+			t.Error("a hint registered mid-run was not honoured")
+		}
+		if s.Tako.Protected(hinted.Region.Base) || s.Tako.Protected(plain.Region.Base+64) {
+			t.Error("a hint protected a line it does not name")
+		}
+		s.Tako.Unregister(p, hinted)
+		if s.Tako.Protected(hot) {
+			t.Error("an unregistered Morph's hint still protects its line")
+		}
+	})
+	s.Run()
+}
+
 func TestProtectHintKeepsLinesLonger(t *testing.T) {
 	// The onReplacement extension (§4.5): a Morph protects one hot
 	// phantom line; under eviction pressure the protected line should

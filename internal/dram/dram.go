@@ -199,18 +199,18 @@ func (d *DRAM) ReadLine(a mem.Addr, dst *mem.Line) *sim.Future {
 	return f
 }
 
-// ReadLineWait is ReadLine for callers that wait immediately: it blocks
-// p until the transfer finishes. The completion future comes from the
-// kernel's pool (and returns to it when its event fires), so a steady
-// stream of misses allocates nothing here.
-func (d *DRAM) ReadLineWait(p *sim.Proc, a mem.Addr, dst *mem.Line) {
+// ReadLinePooled is ReadLine for callers that wait on the transfer at
+// once and keep no reference to its future past the wake. The future
+// comes from the kernel's pool (and returns to it when its event fires),
+// so a steady stream of misses allocates nothing here.
+func (d *DRAM) ReadLinePooled(a mem.Addr, dst *mem.Line) *sim.Future {
 	d.Reads++
 	d.mReads.Inc()
 	d.account(a, false)
 	d.store.PeekLine(a, dst)
 	f := d.k.GetFuture()
 	f.CompleteAt(d.transfer(a, "dram.read"))
-	p.Wait(f)
+	return f
 }
 
 // WriteLineNoWait is WriteLine for fire-and-forget writebacks: identical

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tako/internal/cache"
-	"tako/internal/energy"
 	"tako/internal/mem"
 	"tako/internal/sim"
 )
@@ -96,7 +95,7 @@ func (h *Hierarchy) StoreLineNT(p *sim.Proc, tileID int, a mem.Addr, line *mem.L
 	la := a.Line()
 	home := h.HomeTile(la)
 	x := h.getTxn()
-	x.h, x.p, x.kind = h, p, kindNTStore
+	x.p, x.kind = p, kindNTStore
 	x.tileID, x.a, x.la = tileID, a, la
 	x.home, x.hm = home, h.tiles[home]
 	x.ext = line
@@ -165,41 +164,36 @@ func (h *Hierarchy) AtomicExchange(p *sim.Proc, tileID int, a mem.Addr, v uint64
 // when requested. The returned pointer is valid until the next sleep.
 //
 // The access runs as a kindAccess transaction (txn.go); the lifecycle —
-// lock waits, probes, miss allocation, fetch, fill, post-install
-// validation — is encoded in the txnLegal state machine rather than an
-// inline retry loop.
+// translation, lock waits, probes, miss allocation, fetch, fill,
+// post-install validation — is encoded in the txnLegal state machine
+// rather than an inline retry loop.
 func (h *Hierarchy) access(p *sim.Proc, tileID int, a mem.Addr, o accessOpts) *cache.LineState {
-	t := h.tiles[tileID]
-	la := a.Line()
 	h.checkEngineRestriction(tileID, a, o)
-	start := p.Now() // pre-translation, so attribution covers the TLB walk
-	// Engines translate through their own TLB/rTLB (charged at the
-	// engine port); core accesses use the core dTLB.
-	if !o.engine {
-		if lat, hit := t.dtlb.Lookup(a); !hit {
-			p.Sleep(lat)
-		}
-	}
-	h.Meter.Add(energy.TLBAccess, 1)
+	x := h.newAccess(tileID, a, o)
+	x.p = p
+	x.run()
+	ls := x.result
+	h.putTxn(x)
+	return ls
+}
+
+// newAccess returns a kindAccess transaction for a, not yet started.
+// Getting it before the translation stamps the attribution clocks at the
+// pre-TLB start, so translation time lands in the Idle state and the
+// access total matches Load's recorded latency window exactly (the
+// conservation invariant).
+func (h *Hierarchy) newAccess(tileID int, a mem.Addr, o accessOpts) *txn {
+	t := h.tiles[tileID]
 	x := h.getTxn()
-	x.h, x.p, x.kind = h, p, kindAccess
-	x.tileID, x.a, x.la, x.o = tileID, a, la, o
+	x.kind = kindAccess
+	x.tileID, x.a, x.la, x.o = tileID, a, a.Line(), o
 	x.t = t
 	x.top = t.l1
 	if o.engine {
 		x.top = t.el1
 	}
-	if h.attr != nil {
-		// Re-seed the clocks at the pre-TLB start: translation time then
-		// lands in the Idle state and the access total matches Load's
-		// recorded latency window exactly (the conservation invariant).
-		x.stamp(start)
-		x.track = !o.engine && !o.prefetch
-	}
-	x.run()
-	ls := x.result
-	h.putTxn(x)
-	return ls
+	x.track = h.attr != nil && !o.engine && !o.prefetch
+	return x
 }
 
 // snoopSibling keeps the core and engine L1ds within a tile coherent: a
@@ -237,19 +231,8 @@ func (h *Hierarchy) checkEngineRestriction(tileID int, a mem.Addr, o accessOpts)
 	}
 }
 
-// lockHomeLine serializes with all home-side operations on la (fetches,
-// RMOs, other upgrades), returning the token to pass to unlockHomeLine.
-// Token-in/token-out (rather than a returned unlock closure) keeps this
-// per-access path allocation-free.
-func (h *Hierarchy) lockHomeLine(p *sim.Proc, la mem.Addr) uint64 {
-	hm := h.tiles[h.HomeTile(la)]
-	for hm.l3pending.waitIfLocked(p, la) {
-	}
-	return hm.l3pending.lock(la)
-}
-
-// unlockHomeLine releases the home-line lock taken by lockHomeLine and
-// wakes any queued waiters. Home-line locks are never superseded (every
+// unlockHomeLine releases the home-line lock a transaction took in
+// HomeLocked and wakes any queued waiters. Home-line locks are never superseded (every
 // taker waits its turn), so a stale token here is a protocol bug and
 // panics with the line, home tile, cycle, and both tokens.
 func (h *Hierarchy) unlockHomeLine(la mem.Addr, tok uint64) {
@@ -257,49 +240,15 @@ func (h *Hierarchy) unlockHomeLine(la mem.Addr, tok uint64) {
 	h.completeLock(hm.l3pending.mustUnlock(la, tok))
 }
 
-// upgrade obtains write permission for la on tileID: if other tiles hold
-// copies, they are invalidated through the home directory. It runs as a
-// kindUpgrade transaction, serialized through the home-line lock: a
-// concurrent fetch may have copied data that is still in flight, and its
-// copy must be visible for invalidation before ownership changes hands.
-func (h *Hierarchy) upgrade(p *sim.Proc, tileID int, la mem.Addr) {
-	home := h.HomeTile(la)
-	x := h.getTxn()
-	x.h, x.p, x.kind = h, p, kindUpgrade
-	x.tileID, x.a, x.la = tileID, la, la
-	x.home, x.hm = home, h.tiles[home]
-	x.run()
-	h.putTxn(x)
-}
-
-// fetchFromHome performs the shared-level access for a private miss as a
-// kindHomeFetch transaction: request to the home bank, L3 lookup (with
-// SHARED Morph onMiss or DRAM fill on miss), directory action, and the
-// data response into out.
-func (h *Hierarchy) fetchFromHome(p *sim.Proc, tileID int, a mem.Addr, o accessOpts, out *mem.Line) {
-	la := a.Line()
-	home := h.HomeTile(a)
-	x := h.getTxn()
-	x.h, x.p, x.kind = h, p, kindHomeFetch
-	x.tileID, x.a, x.la, x.o = tileID, a, la, o
-	x.home, x.hm = home, h.tiles[home]
-	x.homeStart, x.spanKind = p.Now(), "l3.hit"
-	x.tracing = h.tracer != nil
-	x.run()
-	*out = x.data
-	h.putTxn(x)
-}
-
 // dirAction performs the directory side of a fetch: invalidations for
 // writes, dirty-owner downgrades for reads. ls3 may be nil when the line
 // bypassed the L3 (its fill was immediately victimized); dirty data
 // merged from private copies is then written to memory and returned so
 // the requester still observes it. Functional changes are immediate;
-// latency is slept.
-func (h *Hierarchy) dirAction(p *sim.Proc, tileID int, la mem.Addr, o accessOpts, ls3 *cache.LineState) (merged *mem.Line) {
+// the latency they cost is returned for the caller to sleep.
+func (h *Hierarchy) dirAction(tileID int, la mem.Addr, o accessOpts, ls3 *cache.LineState) (merged *mem.Line, extra sim.Cycle) {
 	home := h.HomeTile(la)
 	e := h.dirOf(la)
-	var extra sim.Cycle
 	if o.write {
 		for s := 0; s < h.cfg.Tiles; s++ {
 			if s == tileID || !e.has(s) {
@@ -344,10 +293,7 @@ func (h *Hierarchy) dirAction(p *sim.Proc, tileID int, la mem.Addr, o accessOpts
 		e.add(tileID)
 	}
 	h.event("dirAction")
-	if extra > 0 {
-		p.Sleep(extra)
-	}
-	return merged
+	return merged, extra
 }
 
 // applyDirtyMerge applies dirty data recovered from a private copy to the

@@ -24,9 +24,9 @@ import (
 
 // Attribution conservation invariant: for one transaction, the per-state
 // dwell observations sum exactly to its txn.total.cycles observation —
-// both windows span first stamp (getTxn, or the pre-TLB override in
-// access()) to the final transition into Done, and run() observes the
-// total in the same cycle as that transition. Summed per kind over a
+// both windows span first stamp (getTxn; an access gets its txn before
+// its dTLB step, which runs in Idle) to the final transition into Done,
+// and run() observes the total in the same cycle as that transition. Summed per kind over a
 // run, Σ_state Sum(txn.state.cycles{kind,state}) == Sum(txn.total.
 // cycles{kind}); for a pure demand-load workload the kind=access total
 // additionally equals the load.latency sum (attr_test.go locks both in).
@@ -123,9 +123,9 @@ func newTxnAttr(r *stats.Registry, slowestK int) *txnAttr {
 	return a
 }
 
-// stamp seeds a fresh transaction's attribution clocks; access()
-// overrides both with its pre-TLB start so translation time lands in the
-// Idle state and the access total matches the recorded load latency.
+// stamp seeds a fresh transaction's attribution clocks. An access is
+// stamped before its dTLB step, so translation time lands in the Idle
+// state and the access total matches the recorded load latency.
 func (t *txn) stamp(now sim.Cycle) {
 	t.opStart, t.stateEnter = now, now
 }
@@ -162,7 +162,7 @@ func (t *txn) observeDwell(a *txnAttr, now sim.Cycle) {
 // accesses are offered to the slow ring. Called by run() in the same
 // cycle as the final transition, so the total equals the summed dwell.
 func (t *txn) finishAttr(a *txnAttr) {
-	total := uint64(t.p.Now() - t.opStart)
+	total := uint64(t.h.K.Now() - t.opStart)
 	a.total[t.kind].Observe(total)
 	if t.track {
 		a.ring.offer(t, total)

@@ -68,7 +68,7 @@ func (h *Hierarchy) flushPrivate(p *sim.Proc, tileID int, region mem.Region, fut
 			// lock check (a locked line is skipped this pass), extract,
 			// and the eviction pipeline.
 			x := h.getTxn()
-			x.h, x.p, x.kind = h, p, kindFlushEvict
+			x.p, x.kind = p, kindFlushEvict
 			x.tileID, x.la = tileID, la
 			x.t = t
 			x.futs = futs
@@ -110,7 +110,7 @@ func (h *Hierarchy) flushBank(p *sim.Proc, bankID int, region mem.Region, futs *
 		progressed := false
 		for _, la := range lines {
 			x := h.getTxn()
-			x.h, x.p, x.kind = h, p, kindFlushEvict
+			x.p, x.kind = p, kindFlushEvict
 			x.flushBank = true
 			x.tileID, x.la = bankID, la
 			x.home, x.hm = bankID, hm

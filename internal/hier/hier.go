@@ -83,16 +83,17 @@ type Binding struct {
 	// HasMiss/HasEviction/HasWriteback say which callbacks the Morph
 	// implements, so the hierarchy skips scheduling empty ones.
 	HasMiss, HasEviction, HasWriteback bool
-	// Protected is the onReplacement extension (§4.5): when non-nil,
-	// victim selection avoids lines for which it returns true, unless
-	// no other candidate exists.
-	Protected func(mem.Addr) bool
 }
 
 // Registry resolves addresses to Morph bindings. Implemented by the core
 // täkō package; a nil registry means no Morphs (baseline hierarchy).
 type Registry interface {
 	Binding(a mem.Addr) (Binding, bool)
+	// Protected is the onReplacement extension (§4.5): victim selection
+	// avoids lines for which it reports true, unless no other candidate
+	// exists. It is asked for every candidate way of every L2 and L3
+	// victim choice, so it must be cheap when no Morph gives a hint.
+	Protected(tag mem.Addr) bool
 }
 
 // Runner executes callbacks on a tile's engine. Implemented by the
@@ -252,11 +253,6 @@ type tile struct {
 
 	rmoInflight *sim.WaitGroup
 
-	// rmoName, evictCBName and l3EvictCBName pre-render the names of
-	// this tile's hot spawns (RMOs, private and home eviction callbacks)
-	// so a spawn formats no string.
-	rmoName, evictCBName, l3EvictCBName string
-
 	streams          []stream
 	streamTick       uint64
 	prefetchInflight int
@@ -305,14 +301,9 @@ type Hierarchy struct {
 	// LoadLat records demand-load latencies from cores (Fig 17).
 	LoadLat stats.Dist
 
-	// Pre-bound spawn bodies for the hot asynchronous paths (prefetch
-	// issue, writeback timing): built once in New so Kernel.GoArgs sites
-	// don't allocate a closure per event.
-	prefetchFn func(p *sim.Proc, a0, a1 uint64)
-	wbTimingFn func(p *sim.Proc, a0, a1 uint64)
-	// protectedFn is the pre-bound victim-avoid hook from Morph
-	// replacement hints (the onReplacement extension, §4.5), so insert
-	// paths don't allocate a closure per fill; nil without a registry.
+	// protectedFn is the registry's victim-avoid hook (Registry.Protected),
+	// bound once so insert paths don't allocate a closure per fill; nil
+	// without a registry.
 	protectedFn func(tag mem.Addr) bool
 
 	// attr is the armed latency-attribution state (attr.go); nil when
@@ -324,8 +315,11 @@ type Hierarchy struct {
 	ff *ffState
 
 	// txnPool recycles coherence-transaction objects (txn.go), so the
-	// per-access hot path stays allocation-free.
-	txnPool []*txn
+	// per-access hot path stays allocation-free; wbPool and evictPool
+	// recycle the eviction side's continuations (writeback.go).
+	txnPool   []*txn
+	wbPool    []*wbTiming
+	evictPool []*evictCB
 	// txnCounts is the transaction state-machine coverage table:
 	// observed transitions per (kind, from, to).
 	txnCounts txnCountTable
@@ -358,21 +352,8 @@ func New(k *sim.Kernel, cfg Config, meter *energy.Meter, registry Registry, runn
 	}
 	h.DRAM.AttachMetrics(h.Metrics)
 	h.Mesh.AttachMetrics(h.Metrics)
-	h.prefetchFn = func(p *sim.Proc, a0, a1 uint64) {
-		h.access(p, int(a0), mem.Addr(a1), accessOpts{prefetch: true})
-		h.tiles[a0].prefetchInflight--
-	}
-	h.wbTimingFn = func(p *sim.Proc, a0, a1 uint64) {
-		t := h.tiles[a0]
-		t.wbbuf.Acquire(p)
-		p.Sleep(h.Mesh.Transfer(int(a0), int(a1), mem.LineSize))
-		t.wbbuf.Release()
-	}
 	if registry != nil {
-		h.protectedFn = func(tag mem.Addr) bool {
-			b, ok := registry.Binding(tag)
-			return ok && b.Protected != nil && b.Protected(tag)
-		}
+		h.protectedFn = registry.Protected
 	}
 	// Probe-length distributions for the open-addressed tables (observed
 	// on insert): degraded hashing shows up here before it shows up in
@@ -422,9 +403,6 @@ func (h *Hierarchy) buildTile(i int, newPolicy func() cache.Policy, mshrProbes, 
 			HitLatency: 0, WalkLatency: 30,
 		}),
 	}
-	t.rmoName = fmt.Sprintf("rmo@%d", i)
-	t.evictCBName = fmt.Sprintf("evict-cb@%d", i)
-	t.l3EvictCBName = fmt.Sprintf("l3evict-cb@%d", i)
 	t.pending.init(k, fmt.Sprintf("pending@%d", i))
 	t.l3pending.init(k, fmt.Sprintf("home@%d", i))
 	t.l3Busy = func(tag mem.Addr) bool { return t.l3pending.locked(tag) }

@@ -263,3 +263,17 @@ func TestTracerCapturesCallbackEvents(t *testing.T) {
 		t.Fatalf("flush events: %v", counts)
 	}
 }
+
+// TestStrandedRMOIsBlocked: an RMO runs as continuations, not as a proc,
+// but one stranded on a home-line lock that is never released must still
+// show as a deadlock in Kernel.Blocked, which System.Run checks.
+func TestStrandedRMOIsBlocked(t *testing.T) {
+	k, h := newH(2)
+	a := mem.Addr(0x60_0000)
+	h.tiles[h.HomeTile(a)].l3pending.lock(a.Line()) // never released
+	k.Go("core", func(p *sim.Proc) { h.AtomicAdd(p, 0, a, 1) })
+	k.Run()
+	if b := k.Blocked(); len(b) != 1 || b[0] != "waiting continuations: 1" {
+		t.Fatalf("blocked = %q, want the RMO stranded on the home-line lock", b)
+	}
+}

@@ -23,6 +23,8 @@ func (r *fakeRegistry) Binding(a mem.Addr) (Binding, bool) {
 	return Binding{}, false
 }
 
+func (r *fakeRegistry) Protected(mem.Addr) bool { return false }
+
 // fakeRunner executes callbacks instantly (optionally with a delay) and
 // records invocations.
 type recordedCall struct {

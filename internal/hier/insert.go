@@ -28,8 +28,9 @@ func (m fillMeta) opts() cache.FillOpts {
 
 // insertL2 installs a line into tile's private L2, handling the evicted
 // victim. It never sleeps (functional effects are immediate; eviction
-// timing runs on spawned processes), so callers may treat it as atomic.
-// It returns false when every candidate way is locked; callers retry.
+// timing runs as kernel continuations, writeback.go), so callers may
+// treat it as atomic. It returns false when every candidate way is
+// locked; callers retry.
 func (h *Hierarchy) insertL2(tileID int, a mem.Addr, data *mem.Line, meta fillMeta) bool {
 	t := h.tiles[tileID]
 	opts := meta.opts()
@@ -59,9 +60,9 @@ func (h *Hierarchy) insertL2(tileID int, a mem.Addr, data *mem.Line, meta fillMe
 // handleL2Eviction processes a line evicted from tile's L2:
 // back-invalidates L1 copies, triggers Morph callbacks, and writes dirty
 // data back to the shared level. Functional state changes happen
-// immediately; latency and buffer occupancy are charged on a spawned
-// process. If futs is non-nil, a future completing when the eviction's
-// callback finishes is appended (used by flushData).
+// immediately; latency and buffer occupancy are charged by kernel
+// continuations (writeback.go). If futs is non-nil, a future completing
+// when the eviction's callback finishes is appended (used by flushData).
 func (h *Hierarchy) handleL2Eviction(tileID int, ev cache.LineState, futs *[]*sim.Future) {
 	t := h.tiles[tileID]
 	la := ev.Tag
@@ -96,7 +97,8 @@ func (h *Hierarchy) handleL2Eviction(tileID int, ev cache.LineState, futs *[]*si
 // Morph-registered line leaving a private L2 (Table 1 semantics):
 // onWriteback for dirty lines, onEviction for clean ones; phantom lines
 // are then discarded, real lines written back (§4.3). The address stays
-// locked (pending) until the callback completes.
+// locked (pending) until the callback completes; an evictCB
+// (writeback.go) runs the callback and keeps those books.
 func (h *Hierarchy) morphEvictPrivate(tileID int, ev cache.LineState, b Binding, futs *[]*sim.Future) {
 	t := h.tiles[tileID]
 	la := ev.Tag
@@ -123,23 +125,18 @@ func (h *Hierarchy) morphEvictPrivate(tileID int, ev cache.LineState, b Binding,
 	if futs != nil {
 		*futs = append(*futs, lock)
 	}
-	data := ev.Data
+	c := h.getEvictCB()
+	c.tile, c.kind, c.b, c.la = tileID, kind, b, la
+	c.lock, c.tok, c.locked = lock, tok, true
+	c.data = ev.Data
 	t.cbInflight.Add(1)
-	h.K.Go(t.evictCBName, func(p *sim.Proc) {
-		t.wbbuf.Acquire(p)
-		accepted, done := h.runner.Run(tileID, kind, b, la, &data)
-		p.Wait(accepted)
-		t.wbbuf.Release()
-		p.Wait(done)
-		t.pending.unlock(la, tok)
-		lock.Complete()
-		t.cbInflight.Done()
-	})
+	h.K.After(0, c.resume)
 }
 
 // writebackToShared applies a dirty private line to its home L3 bank (or
 // DRAM if the L3 no longer holds it), immediately; transfer latency and
-// energy are charged asynchronously.
+// writeback-buffer occupancy are charged asynchronously, by a wbTiming
+// (writeback.go).
 func (h *Hierarchy) writebackToShared(tileID int, la mem.Addr, data mem.Line) {
 	home := h.HomeTile(la)
 	hm := h.tiles[home]
@@ -159,7 +156,9 @@ func (h *Hierarchy) writebackToShared(tileID int, la mem.Addr, data mem.Line) {
 	h.event("l2.writeback")
 	h.hot.l2Writebacks.Inc()
 	h.Meter.Add(energy.L3Access, 1)
-	h.K.GoArgs("wb-timing", h.wbTimingFn, uint64(tileID), uint64(home))
+	w := h.getWBTiming()
+	w.tile, w.home = tileID, home
+	h.K.After(0, w.resume)
 }
 
 // insertL3 installs a line into its home bank (tile homeID), handling
@@ -259,36 +258,20 @@ func (h *Hierarchy) morphEvictShared(homeID int, ev cache.LineState, b Binding, 
 	if futs != nil {
 		*futs = append(*futs, lock)
 	}
-	data := ev.Data
+	c := h.getEvictCB()
+	c.tile, c.shared, c.kind, c.b, c.la = homeID, true, kind, b, la
+	c.lock = lock
+	c.data = ev.Data
 	// Lock the home line synchronously when it is free, matching
 	// morphEvictPrivate: the callback now owns this line's data, and a
 	// fetch re-materializing the line (and accepting stores) before the
 	// writeback callback ran would have its updates clobbered when the
 	// callback finally persisted the older evicted data.
-	var tok uint64
-	locked := !hm.l3pending.locked(la)
-	if locked {
-		tok = hm.l3pending.lockWith(la, lock)
+	if !hm.l3pending.locked(la) {
+		c.tok, c.locked = hm.l3pending.lockWith(la, lock), true
 	}
 	hm.cbInflight.Add(1)
-	h.K.Go(hm.l3EvictCBName, func(p *sim.Proc) {
-		if !locked {
-			// An in-flight home-side operation held the line at
-			// eviction time; queue politely behind it rather than
-			// clobbering its lock.
-			for hm.l3pending.waitIfLocked(p, la) {
-			}
-			tok = hm.l3pending.lockWith(la, lock)
-		}
-		hm.wbbuf.Acquire(p)
-		accepted, done := h.runner.Run(homeID, kind, b, la, &data)
-		p.Wait(accepted)
-		hm.wbbuf.Release()
-		p.Wait(done)
-		hm.l3pending.mustUnlock(la, tok)
-		lock.Complete()
-		hm.cbInflight.Done()
-	})
+	h.K.After(0, c.resume)
 }
 
 // fillTop installs a line into the core (or engine) L1, merging any

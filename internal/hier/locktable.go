@@ -46,13 +46,13 @@ func (lt *lockTable) locked(la mem.Addr) bool {
 	return lt.tbl.Ref(uint64(la)) != nil
 }
 
-// waitIfLocked blocks p until la's current lock releases, reporting
-// whether it waited (callers loop: the lock may be retaken before p
-// runs again).
-func (lt *lockTable) waitIfLocked(p *sim.Proc, la mem.Addr) bool {
+// waitOn returns the future that completes when la's current lock
+// releases, or nil when la is not locked. Waiters loop: the lock may be
+// retaken before they run again.
+func (lt *lockTable) waitOn(la mem.Addr) *sim.Future {
 	e := lt.tbl.Ref(uint64(la))
 	if e == nil {
-		return false
+		return nil
 	}
 	if e.fut == nil {
 		// Lazily materialized only when contention actually happens, and
@@ -60,12 +60,11 @@ func (lt *lockTable) waitIfLocked(p *sim.Proc, la mem.Addr) bool {
 		// which recycles it — no reference survives the wake.
 		e.fut = lt.k.GetFuture()
 	}
-	p.Wait(e.fut)
-	return true
+	return e.fut
 }
 
 // lock takes la's lock (which must be free — callers drain waiters with
-// waitIfLocked first) and returns the token that releases it. Taking an
+// waitOn first) and returns the token that releases it. Taking an
 // already-held lock is a protocol bug, not a race to tolerate: the
 // holder's unlock would silently miss and strand its waiters.
 func (lt *lockTable) lock(la mem.Addr) uint64 {

@@ -1,9 +1,6 @@
 package hier
 
-import (
-	"tako/internal/mem"
-	"tako/internal/sim"
-)
+import "tako/internal/mem"
 
 // notifyPrefetcher trains the tile's strided L2 prefetcher (Table 3) on
 // a demand L2 miss and issues prefetches for confident streams.
@@ -12,7 +9,7 @@ import (
 // core — this is how täkō's HATS stream stays decoupled (§8.2): "while
 // the core processes one part of the stream, the prefetcher triggers
 // onMiss for subsequent edges."
-func (h *Hierarchy) notifyPrefetcher(p *sim.Proc, tileID int, a mem.Addr) {
+func (h *Hierarchy) notifyPrefetcher(tileID int, a mem.Addr) {
 	if h.cfg.PrefetchDegree <= 0 {
 		return
 	}
@@ -66,7 +63,9 @@ func (h *Hierarchy) notifyPrefetcher(p *sim.Proc, tileID int, a mem.Addr) {
 
 // issuePrefetch launches an asynchronous prefetch of la into the tile's
 // L2, bounded by an in-flight limit and deduplicated against present and
-// pending lines.
+// pending lines. No thread waits on a prefetch, so its kindAccess
+// transaction runs as kernel continuations, starting in this cycle where
+// a spawned proc would have started; it ends in txn.complete.
 func (h *Hierarchy) issuePrefetch(tileID int, la mem.Addr) {
 	t := h.tiles[tileID]
 	if t.prefetchInflight >= h.cfg.PrefetchDegree*2 {
@@ -77,5 +76,5 @@ func (h *Hierarchy) issuePrefetch(tileID int, la mem.Addr) {
 	}
 	t.prefetchInflight++
 	h.hot.prefetchIssued.Inc()
-	h.K.GoArgs("prefetch", h.prefetchFn, uint64(tileID), uint64(la))
+	h.K.After(0, h.newAccess(tileID, la, accessOpts{prefetch: true}).resume)
 }

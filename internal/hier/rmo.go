@@ -46,17 +46,16 @@ func (h *Hierarchy) AtomicAdd(p *sim.Proc, tileID int, a mem.Addr, delta uint64)
 }
 
 // AtomicRMO issues a relaxed remote memory operation with an arbitrary
-// commutative operator.
+// commutative operator. No thread waits on it, so its kindRMO
+// transaction runs as kernel continuations, starting in this cycle where
+// a spawned proc would have started; it ends in txn.complete, which
+// frees its RMOLimit slot.
 func (h *Hierarchy) AtomicRMO(p *sim.Proc, tileID int, a mem.Addr, op RMOOp, v uint64) {
 	t := h.tiles[tileID]
 	t.rmo.Acquire(p) // backpressure: bounded in-flight RMOs
 	t.rmoInflight.Add(1)
 	h.hot.rmoIssued.Inc()
-	h.K.Go(t.rmoName, func(pp *sim.Proc) {
-		h.runRMO(pp, tileID, a, op, v)
-		t.rmo.Release()
-		t.rmoInflight.Done()
-	})
+	h.K.After(0, h.newRMO(tileID, a, op, v).resume)
 }
 
 // AtomicAddSync performs a blocking remote add (used by baselines
@@ -73,20 +72,26 @@ func (h *Hierarchy) AtomicRMOSync(p *sim.Proc, tileID int, a mem.Addr, op RMOOp,
 	h.runRMO(p, tileID, a, op, v)
 }
 
-// runRMO executes the add at the home bank as a kindRMO transaction.
-// Misses on SHARED Morph lines trigger onMiss (phantom lines are
-// materialized in-cache with no memory access — PHI's key property);
-// plain lines are fetched from DRAM.
+// runRMO executes the operation on p, blocking it until done.
 func (h *Hierarchy) runRMO(p *sim.Proc, tileID int, a mem.Addr, op RMOOp, delta uint64) {
-	la := a.Line()
-	home := h.HomeTile(a)
-	x := h.getTxn()
-	x.h, x.p, x.kind = h, p, kindRMO
-	x.tileID, x.a, x.la = tileID, a, la
-	x.home, x.hm = home, h.tiles[home]
-	x.op, x.val = op, delta
+	x := h.newRMO(tileID, a, op, delta)
+	x.p = p
 	x.run()
 	h.putTxn(x)
+}
+
+// newRMO returns a kindRMO transaction that applies op at the home bank,
+// not yet started. Misses on SHARED Morph lines trigger onMiss (phantom
+// lines are materialized in-cache with no memory access — PHI's key
+// property); plain lines are fetched from DRAM.
+func (h *Hierarchy) newRMO(tileID int, a mem.Addr, op RMOOp, delta uint64) *txn {
+	home := h.HomeTile(a)
+	x := h.getTxn()
+	x.kind = kindRMO
+	x.tileID, x.a, x.la = tileID, a, a.Line()
+	x.home, x.hm = home, h.tiles[home]
+	x.op, x.val = op, delta
+	return x
 }
 
 // DrainRMOs blocks until every RMO issued by tileID has completed (used

@@ -17,15 +17,36 @@ import (
 // changes — each call performs the current state's action and moves to a
 // txnLegal-checked successor.
 //
+// A transaction runs either on the proc of the thread it serves (p), or,
+// when no thread waits on it (prefetches, RMOs and their nested home
+// fetches), with no proc at all, as a chain of kernel continuations.
+// Each step ends in at most one wait (sleep, wait, acquire or a nested
+// transaction): a proc blocks there and its run loop goes on, while a
+// continuation parks — it queues its resume exactly where the proc's
+// wake would be queued and returns from run — and its resume re-enters
+// the loop. A step that waits more than once splits into phases, and a
+// wait that ends a state names the state that follows it (after), so
+// both modes make the same transitions at the same cycles.
+//
 // Transactions are pooled on the Hierarchy (getTxn/putTxn) so the
 // per-access hot path stays allocation-free; a private access that
 // misses drives a nested home-fetch transaction, so the pool routinely
 // holds one object per concurrently-running proc plus one.
 type txn struct {
 	h     *Hierarchy
-	p     *sim.Proc
+	p     *sim.Proc // nil: the transaction runs as continuations
 	kind  txnKind
 	state txnState
+
+	phase  uint8    // position within the current state's step
+	after  txnState // the state to move to once the current wait ends; Idle: none
+	parked bool     // a continuation waiting for its resume
+	// resume re-enters run after a continuation's wait; bound once per
+	// pooled object, so parking allocates nothing.
+	resume func()
+	// parent is the transaction a nested one (a home fetch or an
+	// upgrade) runs for; it carries on when this one is done.
+	parent *txn
 
 	tileID int
 	a      mem.Addr
@@ -41,7 +62,7 @@ type txn struct {
 	lockTok    uint64
 	meta       fillMeta
 	viaHome    bool
-	cb         Binding // binding whose onMiss owns the buffer in CbPending
+	cb         Binding // the line's Morph binding, held from Fetch or HomeFetch to the callback
 	fetchStart sim.Cycle
 
 	// result is the line a successful access resolves to (valid at Done
@@ -81,10 +102,10 @@ type txn struct {
 	evicted   bool // the flush txn extracted (and processed) its line
 
 	// Latency-attribution clocks (attr.go), meaningful only while
-	// Hierarchy.attr is armed: opStart is the transaction's (or, for
-	// demand accesses, the pre-TLB) start; stateEnter is when the
-	// current state was entered. track marks demand accesses whose
-	// per-state timeline (tl) feeds the slowest-access ring.
+	// Hierarchy.attr is armed: opStart is the transaction's (for
+	// accesses, the pre-TLB) start; stateEnter is when the current
+	// state was entered. track marks demand accesses whose per-state
+	// timeline (tl) feeds the slowest-access ring.
 	opStart    sim.Cycle
 	stateEnter sim.Cycle
 	track      bool
@@ -101,20 +122,22 @@ func (h *Hierarchy) getTxn() *txn {
 		h.txnPool = h.txnPool[:n-1]
 	} else {
 		t = &txn{}
+		t.resume = t.wake
 	}
+	t.h = h
 	if h.attr != nil {
 		t.stamp(h.K.Now())
 	}
 	return t
 }
 
-// putTxn zeroes and recycles a finished transaction. The timeline
-// slice's capacity survives the reset so armed attribution stops
-// allocating once the pool is warm.
+// putTxn zeroes and recycles a finished transaction. The bound resume
+// and the timeline slice's capacity survive the reset, so parking and
+// armed attribution stop allocating once the pool is warm.
 func (h *Hierarchy) putTxn(t *txn) {
-	tl := t.tl[:0]
+	tl, resume := t.tl[:0], t.resume
 	*t = txn{}
-	t.tl = tl
+	t.tl, t.resume = tl, resume
 	if len(h.txnPool) < 64 {
 		h.txnPool = append(h.txnPool, t)
 	}
@@ -128,32 +151,152 @@ func (t *txn) to(next txnState) {
 	if txnLegal[t.kind][t.state]&(1<<next) == 0 {
 		panic(fmt.Sprintf(
 			"hier: illegal %v transaction transition %v -> %v (tile %d, line %v, cycle %d)",
-			t.kind, t.state, next, t.tileID, t.la, t.p.Now()))
+			t.kind, t.state, next, t.tileID, t.la, t.h.K.Now()))
 	}
 	t.h.txnCounts[t.kind][t.state][next]++
 	if a := t.h.attr; a != nil {
-		t.observeDwell(a, t.p.Now())
+		t.observeDwell(a, t.h.K.Now())
 	}
-	t.state = next
+	t.state, t.phase = next, 0
 }
 
-// run drives the transaction to completion. This loop plus advance() is
-// the whole control flow of the access path; there is no other driver.
+// run drives the transaction until it is done or, running as
+// continuations, parks. This loop plus advance() is the whole control
+// flow of the access path; there is no other driver.
 func (t *txn) run() {
 	for t.state != txnDone {
 		t.advance()
+		if t.parked {
+			return
+		}
 	}
 	if a := t.h.attr; a != nil {
 		t.finishAttr(a)
 	}
+	if t.p == nil {
+		t.complete()
+	}
+}
+
+// wake is a parked continuation's resume: it carries on from the step
+// after its wait.
+func (t *txn) wake() {
+	t.parked = false
+	t.run()
+}
+
+// complete ends a transaction that ran as continuations, in the event in
+// which it reached Done, doing what its issuer did once a proc's run
+// returned. A nested transaction resumes its parent there, unless it
+// finished within nest, which then carries on itself.
+func (t *txn) complete() {
+	h := t.h
+	if p := t.parent; p != nil {
+		if p.parked {
+			p.unnest(t)
+			p.wake()
+		}
+		return
+	}
+	tl := h.tiles[t.tileID]
+	rmo := t.kind == kindRMO
+	h.putTxn(t)
+	if rmo {
+		tl.rmo.Release()
+		tl.rmoInflight.Done()
+	} else { // a prefetch
+		tl.prefetchInflight--
+	}
+}
+
+// sleep ends the step in a d-cycle wait.
+func (t *txn) sleep(d sim.Cycle) {
+	if t.p != nil {
+		t.p.Sleep(d)
+		return
+	}
+	t.parked = true
+	t.h.K.After(d, t.resume)
+}
+
+// wait ends the step in a wait for f, which may be complete already.
+func (t *txn) wait(f *sim.Future) {
+	switch {
+	case f.Done():
+	case t.p != nil:
+		t.p.Wait(f)
+	default:
+		t.parked = true
+		f.Then(t.resume)
+	}
+}
+
+// acquire ends the step in taking a slot of s.
+func (t *txn) acquire(s *sim.Semaphore) {
+	if t.p != nil {
+		s.Acquire(t.p)
+	} else if !s.AcquireThen(t.resume) {
+		t.parked = true
+	}
+}
+
+// sleepTo ends the state in a d-cycle wait, then moves to next.
+func (t *txn) sleepTo(d sim.Cycle, next txnState) {
+	t.after = next
+	t.sleep(d)
+}
+
+// waitTo ends the state in a wait for f, then moves to next.
+func (t *txn) waitTo(f *sim.Future, next txnState) {
+	t.after = next
+	t.wait(f)
+}
+
+// retryIfLocked ends the state in a wait for the tile's pending lock on
+// the line, when one is held, and retries from Lookup after it,
+// reporting whether it did.
+func (t *txn) retryIfLocked() bool {
+	f := t.t.pending.waitOn(t.la)
+	if f == nil {
+		return false
+	}
+	t.waitTo(f, txnLookup)
+	return true
+}
+
+// nest ends the step in running c, a home fetch or an upgrade on t's
+// behalf, on t's proc or, for a continuation, as continuations too; t
+// carries on when c is done, in the same event.
+func (t *txn) nest(c *txn) {
+	c.p, c.parent = t.p, t
+	c.run()
+	if c.state == txnDone {
+		t.unnest(c)
+	} else {
+		t.parked = true // c resumes t when done (complete)
+	}
+}
+
+// unnest takes a finished nested transaction's result and recycles it.
+func (t *txn) unnest(c *txn) {
+	if c.kind == kindHomeFetch {
+		t.data = c.data
+	}
+	t.h.putTxn(c)
 }
 
 // advance is the single transition function: it executes the current
 // state's action and selects the successor. Kind-specific behavior
 // (what "DirAction" means for a fetch vs. an RMO vs. an NT store) is
 // dispatched inside the state's step, so the lifecycle shape stays
-// readable in one place.
+// readable in one place. A state whose last wait named its successor
+// moves there first.
 func (t *txn) advance() {
+	if next := t.after; next != txnIdle {
+		t.after = txnIdle
+		t.to(next)
+		return
+	}
 	switch t.state {
 	case txnIdle:
 		t.stepStart()
@@ -196,10 +339,24 @@ func (t *txn) advance() {
 	}
 }
 
-// stepStart routes Idle to each kind's entry state.
+// stepStart routes Idle to each kind's entry state. A core access (a
+// demand access or a prefetch) first translates through the tile's
+// dTLB; engines translate at the engine port.
 func (t *txn) stepStart() {
 	switch t.kind {
-	case kindAccess, kindFlushEvict:
+	case kindAccess:
+		if t.phase == 0 {
+			t.phase = 1
+			if !t.o.engine {
+				if lat, hit := t.t.dtlb.Lookup(t.a); !hit {
+					t.sleep(lat)
+					return
+				}
+			}
+		}
+		t.h.Meter.Add(energy.TLBAccess, 1)
+		t.to(txnLookup)
+	case kindFlushEvict:
 		t.to(txnLookup)
 	default:
 		t.to(txnHomeLocked)
@@ -219,16 +376,15 @@ func (t *txn) stepLookup() {
 		} else {
 			lt = &t.t.pending
 		}
-		if lt.waitIfLocked(t.p, t.la) {
-			t.to(txnDone) // the line was locked; the flush walk retries later
+		if f := lt.waitOn(t.la); f != nil {
+			t.waitTo(f, txnDone) // the line was locked; the flush walk retries later
 			return
 		}
 		t.to(txnCommit)
 		return
 	}
 	// Respect callback locks and in-flight fills on this line.
-	if t.t.pending.waitIfLocked(t.p, t.la) {
-		t.to(txnLookup)
+	if t.retryIfLocked() {
 		return
 	}
 	if t.o.prefetch {
@@ -240,19 +396,22 @@ func (t *txn) stepLookup() {
 
 // stepL1Probe is the top-level (core or engine L1d) probe.
 func (t *txn) stepL1Probe() {
-	h, p := t.h, t.p
-	topHits, topMisses := h.hot.top(t.o.engine)
-	h.Meter.Add(energy.L1Access, 1)
-	p.Sleep(h.cfg.L1Latency)
-	if t.t.pending.waitIfLocked(p, t.la) { // lock raced in during sleep
-		t.to(txnLookup)
+	h := t.h
+	if t.phase == 0 {
+		h.Meter.Add(energy.L1Access, 1)
+		t.phase = 1
+		t.sleep(h.cfg.L1Latency)
 		return
 	}
+	if t.retryIfLocked() { // lock raced in during sleep
+		return
+	}
+	topHits, topMisses := h.hot.top(t.o.engine)
 	if ls := t.top.Lookup(t.a); ls != nil {
 		h.debugCheckFresh(t.tileID, t.la, "l1-hit")
 		if t.o.write && !h.hasExclusive(t.tileID, t.la) {
-			h.upgrade(p, t.tileID, t.la)
-			t.to(txnLookup)
+			t.after = txnLookup
+			t.upgrade()
 			return
 		}
 		t.top.Touch(t.a)
@@ -283,14 +442,18 @@ func (t *txn) stepL1Probe() {
 
 // stepSibSnoop migrates the line from the tile's sibling L1d.
 func (t *txn) stepSibSnoop() {
-	h, p := t.h, t.p
+	h := t.h
 	sib := t.t.el1
 	if t.o.engine {
 		sib = t.t.l1
 	}
-	h.hot.snoopMigrations.Inc()
-	h.Meter.Add(energy.L1Access, 1)
-	p.Sleep(h.cfg.L1Latency)
+	if t.phase == 0 {
+		h.hot.snoopMigrations.Inc()
+		h.Meter.Add(energy.L1Access, 1)
+		t.phase = 1
+		t.sleep(h.cfg.L1Latency)
+		return
+	}
 	// Extract only after the latency sleep: a line held in a local
 	// variable across a sleep is invisible to concurrent invalidations
 	// and downgrades, and re-installing it would resurrect dirty data
@@ -307,107 +470,124 @@ func (t *txn) stepSibSnoop() {
 
 // stepL2Probe probes the tile's private L2. All accesses probe it
 // (engines are clustered with it, §4.3); only core accesses and
-// private-callback engine accesses allocate there on a miss.
+// private-callback engine accesses allocate there on a miss. Phase 0
+// charges the tag array, 1 probes it, and 2 follows a hit's data-array
+// access.
 func (t *txn) stepL2Probe() {
-	h, p := t.h, t.p
-	h.Meter.Add(energy.L2Access, 1)
-	p.Sleep(h.cfg.L2TagLat)
-	if t.t.pending.waitIfLocked(p, t.la) {
+	h := t.h
+	switch t.phase {
+	case 0:
+		h.Meter.Add(energy.L2Access, 1)
+		t.phase = 1
+		t.sleep(h.cfg.L2TagLat)
+		return
+	case 1:
+		if t.retryIfLocked() {
+			return
+		}
+		if t.t.l2.Lookup(t.a) == nil {
+			h.hot.l2Misses.Inc()
+			if !t.o.engine {
+				h.notifyPrefetcher(t.tileID, t.a)
+			}
+			t.to(txnMissAlloc)
+			return
+		}
+		h.debugCheckFresh(t.tileID, t.la, "l2-hit")
+		if t.o.write && !h.hasExclusive(t.tileID, t.la) {
+			t.after = txnLookup
+			t.upgrade()
+			return
+		}
+		t.phase = 2
+		t.sleep(h.cfg.L2DataLat)
+		return
+	}
+	t.t.l2.Touch(t.a)
+	h.hot.l2Hits.Inc()
+	ls2 := t.t.l2.Lookup(t.a)
+	if ls2 == nil {
+		t.to(txnLookup) // evicted during the data-array sleep
+		return
+	}
+	if t.o.write && !h.hasExclusive(t.tileID, t.la) {
+		// Ownership was revoked during the data-array sleep (a
+		// concurrent read downgraded us): dirtying the line now
+		// would skip the invalidation of the new sharers. Retry,
+		// which re-upgrades.
 		t.to(txnLookup)
 		return
 	}
-	if ls2 := t.t.l2.Lookup(t.a); ls2 != nil {
-		h.debugCheckFresh(t.tileID, t.la, "l2-hit")
-		if t.o.write && !h.hasExclusive(t.tileID, t.la) {
-			h.upgrade(p, t.tileID, t.la)
-			t.to(txnLookup)
-			return
-		}
-		p.Sleep(h.cfg.L2DataLat)
-		t.t.l2.Touch(t.a)
-		h.hot.l2Hits.Inc()
-		ls2 = t.t.l2.Lookup(t.a)
-		if ls2 == nil {
-			t.to(txnLookup) // evicted during the data-array sleep
-			return
-		}
-		if t.o.write && !h.hasExclusive(t.tileID, t.la) {
-			// Ownership was revoked during the data-array sleep (a
-			// concurrent read downgraded us): dirtying the line now
-			// would skip the invalidation of the new sharers. Retry,
-			// which re-upgrades.
-			t.to(txnLookup)
-			return
-		}
-		if t.o.prefetch {
-			t.result, t.resultSet = ls2, true
-			t.to(txnCommit)
-			return
-		}
-		meta := fillMeta{phantom: ls2.Phantom, dirty: false, engine: t.o.engine}
-		h.fillTop(t.tileID, t.a, &ls2.Data, meta, t.o.engine)
-		t.to(txnCommit) // Commit re-probes the L1 and retries if the fill vanished
+	if t.o.prefetch {
+		t.result, t.resultSet = ls2, true
+		t.to(txnCommit)
 		return
 	}
-	h.hot.l2Misses.Inc()
-	if !t.o.engine {
-		h.notifyPrefetcher(p, t.tileID, t.a)
-	}
-	t.to(txnMissAlloc)
+	meta := fillMeta{phantom: ls2.Phantom, dirty: false, engine: t.o.engine}
+	h.fillTop(t.tileID, t.a, &ls2.Data, meta, t.o.engine)
+	t.to(txnCommit) // Commit re-probes the L1 and retries if the fill vanished
 }
 
 // stepMissAlloc allocates an MSHR (core accesses only; engines have
 // dedicated slots so callbacks can always make progress, §5.2) and takes
-// the pending-line lock for the fetch.
+// the pending-line lock for the fetch. Phase 1 holds the MSHR.
 func (t *txn) stepMissAlloc() {
-	p := t.p
-	if t.t.pending.waitIfLocked(p, t.la) {
-		t.to(txnLookup)
-		return
-	}
-	t.usedMSHR = !t.o.engine && !t.o.prefetch
-	if t.usedMSHR {
-		t.t.mshr.Acquire(p)
-		if t.t.pending.locked(t.la) {
-			t.t.mshr.Release()
-			t.usedMSHR = false
-			t.t.pending.waitIfLocked(p, t.la)
-			t.to(txnLookup)
+	if t.phase == 0 {
+		if t.retryIfLocked() {
 			return
 		}
+		t.usedMSHR = !t.o.engine && !t.o.prefetch
+		if t.usedMSHR {
+			t.phase = 1
+			t.acquire(t.t.mshr)
+			return
+		}
+	} else if t.t.pending.locked(t.la) {
+		// A lock raced in while we queued for the MSHR.
+		t.t.mshr.Release()
+		t.usedMSHR = false
+		t.retryIfLocked()
+		return
 	}
 	t.lockTok = t.t.pending.lock(t.la)
 	t.haveLock = true
-	t.fetchStart = p.Now()
+	t.fetchStart = t.h.K.Now()
 	t.to(txnFetch)
 }
 
 // stepFetch obtains the line for the private domain: either via a
 // PRIVATE Morph's onMiss (phantom lines never touch the levels below,
-// §4.3) or by driving a home-side fetch transaction.
+// §4.3) or by driving a home-side fetch transaction. Phase 1 follows a
+// PRIVATE Morph's line, phase 2 a plain one.
 func (t *txn) stepFetch() {
 	h := t.h
-	if h.registry != nil {
-		if b, ok := h.registry.Binding(t.a); ok && b.Level == LevelPrivate {
-			if !b.Phantom {
-				// Real-address Morph: read backing data (the paper
-				// overlaps this with the callback; we serialize, see
-				// DESIGN.md).
-				h.fetchFromHome(t.p, t.tileID, t.a, t.o, &t.data)
-			}
-			t.meta = fillMeta{morph: true, phantom: b.Phantom, dirty: t.o.write}
-			if b.HasMiss && h.runner != nil {
-				t.cb = b
-				t.to(txnCbPending)
+	switch t.phase {
+	case 0:
+		if h.registry != nil {
+			if b, ok := h.registry.Binding(t.a); ok && b.Level == LevelPrivate {
+				t.cb, t.phase = b, 1
+				if !b.Phantom {
+					// Real-address Morph: read backing data (the paper
+					// overlaps this with the callback; we serialize, see
+					// DESIGN.md).
+					t.fetchHome()
+				}
 				return
 			}
-			t.to(txnFill)
+		}
+		t.phase = 2
+		t.fetchHome()
+	case 1:
+		t.meta = fillMeta{morph: true, phantom: t.cb.Phantom, dirty: t.o.write}
+		if t.cb.HasMiss && h.runner != nil {
+			t.to(txnCbPending)
 			return
 		}
+		t.to(txnFill)
+	default:
+		t.meta = fillMeta{dirty: t.o.write}
+		t.to(txnFill)
 	}
-	h.fetchFromHome(t.p, t.tileID, t.a, t.o, &t.data)
-	t.meta = fillMeta{dirty: t.o.write}
-	t.to(txnFill)
 }
 
 // stepCbPending runs the Morph onMiss callback that owns the line
@@ -415,7 +595,7 @@ func (t *txn) stepFetch() {
 // callback on the requesting tile; home-side transactions run it on the
 // home tile (RMOs without a per-callback trace span, as before).
 func (t *txn) stepCbPending() {
-	h, p := t.h, t.p
+	h := t.h
 	h.hot.cb[CbMiss].Inc()
 	switch t.kind {
 	case kindAccess:
@@ -423,33 +603,35 @@ func (t *txn) stepCbPending() {
 			h.emit(h.comp.l2[t.tileID], "cb.onMiss", t.la.String())
 		}
 		_, done := h.runner.Run(t.tileID, CbMiss, t.cb, t.la, &t.data)
-		p.Wait(done)
-		t.to(txnFill)
+		t.waitTo(done, txnFill)
 	case kindHomeFetch:
 		if h.tracer != nil {
 			h.emit(h.comp.l3[t.home], "cb.onMiss", t.la.String())
 		}
 		_, done := h.runner.Run(t.home, CbMiss, t.cb, t.la, &t.data)
-		p.Wait(done)
-		t.to(txnHomeFill)
+		t.waitTo(done, txnHomeFill)
 	default: // kindRMO
 		_, done := h.runner.Run(t.home, CbMiss, t.cb, t.la, &t.data)
-		p.Wait(done)
-		t.to(txnHomeFill)
+		t.waitTo(done, txnHomeFill)
 	}
 }
 
-// stepFill installs the fetched line into the private caches.
+// stepFill installs the fetched line into the private caches. Phase 1
+// is the install attempt, retried a cycle later while every candidate
+// L2 way is locked.
 func (t *txn) stepFill() {
-	h, p := t.h, t.p
-	if h.tracer != nil {
-		h.tracer.EmitSpan(t.fetchStart, p.Now(), h.comp.l2[t.tileID], "l2.miss", t.la.String())
+	h := t.h
+	if t.phase == 0 {
+		if h.tracer != nil {
+			h.tracer.EmitSpan(t.fetchStart, h.K.Now(), h.comp.l2[t.tileID], "l2.miss", t.la.String())
+		}
+		t.meta.engine = t.o.engine
+		// Everything except private phantom lines went through the home
+		// directory, which registered us as a sharer (and owner, for
+		// writes) during the fetch.
+		t.viaHome = !(t.meta.morph && t.meta.phantom)
+		t.phase = 1
 	}
-	t.meta.engine = t.o.engine
-	// Everything except private phantom lines went through the home
-	// directory, which registered us as a sharer (and owner, for
-	// writes) during the fetch.
-	t.viaHome = !(t.meta.morph && t.meta.phantom)
 	// The grant is re-checked in the same synchronous continuation as
 	// each install attempt: the fetched line is invisible to concurrent
 	// invalidations while in flight, so a grant revoked during any sleep
@@ -463,16 +645,16 @@ func (t *txn) stepFill() {
 		// masquerade as the newest data.
 		l2meta := t.meta
 		l2meta.dirty = false
-		for t.stillGranted() {
-			if h.insertL2(t.tileID, t.a, &t.data, l2meta) {
-				if !t.o.prefetch {
-					topMeta := t.meta
-					topMeta.morph = false
-					h.fillTop(t.tileID, t.a, &t.data, topMeta, t.o.engine)
-				}
-				break
+		if t.stillGranted() {
+			if !h.insertL2(t.tileID, t.a, &t.data, l2meta) {
+				t.sleep(1)
+				return
 			}
-			p.Sleep(1)
+			if !t.o.prefetch {
+				topMeta := t.meta
+				topMeta.morph = false
+				h.fillTop(t.tileID, t.a, &t.data, topMeta, t.o.engine)
+			}
 		}
 	} else if !t.o.prefetch && t.stillGranted() {
 		topMeta := t.meta
@@ -513,19 +695,62 @@ func (t *txn) stepValidate() {
 	t.to(txnCommit)
 }
 
+// fetchHome ends the step in a home-side fetch of the line into t.data:
+// a nested kindHomeFetch transaction (request to the home bank, L3
+// lookup with a SHARED Morph's onMiss or a DRAM fill on a miss,
+// directory action, and the data response).
+func (t *txn) fetchHome() {
+	h := t.h
+	x := h.getTxn()
+	x.kind = kindHomeFetch
+	x.tileID, x.a, x.la, x.o = t.tileID, t.a, t.la, t.o
+	x.home = h.HomeTile(t.a)
+	x.hm = h.tiles[x.home]
+	x.homeStart, x.spanKind = h.K.Now(), "l3.hit"
+	x.tracing = h.tracer != nil
+	t.nest(x)
+}
+
+// upgrade ends the step in obtaining write permission for the line: if
+// other tiles hold copies, they are invalidated through the home
+// directory. It runs as a nested kindUpgrade transaction, serialized
+// through the home-line lock: a concurrent fetch may have copied data
+// that is still in flight, and its copy must be visible for invalidation
+// before ownership changes hands.
+func (t *txn) upgrade() {
+	h := t.h
+	x := h.getTxn()
+	x.kind = kindUpgrade
+	x.tileID, x.a, x.la = t.tileID, t.la, t.la
+	x.home = h.HomeTile(t.la)
+	x.hm = h.tiles[x.home]
+	t.nest(x)
+}
+
 // ---- home side (kindHomeFetch, kindRMO, kindNTStore, kindUpgrade) ----
 
 // stepHomeLocked charges the request transfer (fetch and RMO kinds) and
-// acquires the home-bank line lock.
+// acquires the home-bank line lock, serializing with every home-side
+// operation on the line (fetches, RMOs, upgrades, NT stores). Phase 1
+// waits out the lock's holders.
 func (t *txn) stepHomeLocked() {
-	h, p := t.h, t.p
-	switch t.kind {
-	case kindHomeFetch:
-		p.Sleep(h.Mesh.Transfer(t.tileID, t.home, 8))
-	case kindRMO:
-		p.Sleep(h.Mesh.Transfer(t.tileID, t.home, 16)) // address + operand
+	h := t.h
+	if t.phase == 0 {
+		t.phase = 1
+		switch t.kind {
+		case kindHomeFetch:
+			t.sleep(h.Mesh.Transfer(t.tileID, t.home, 8))
+			return
+		case kindRMO:
+			t.sleep(h.Mesh.Transfer(t.tileID, t.home, 16)) // address + operand
+			return
+		}
 	}
-	t.homeTok = h.lockHomeLine(p, t.la)
+	if f := t.hm.l3pending.waitOn(t.la); f != nil {
+		t.wait(f)
+		return
+	}
+	t.homeTok = t.hm.l3pending.lock(t.la)
 	switch t.kind {
 	case kindNTStore, kindUpgrade:
 		t.to(txnDirAction)
@@ -536,37 +761,61 @@ func (t *txn) stepHomeLocked() {
 
 // stepHomeProbe probes the home L3 bank under the lock. On a hit the
 // line is locked before the data-array sleep so a concurrent insert
-// cannot victimize it mid-access.
+// cannot victimize it mid-access. Phase 1 follows the tag array, phase 2
+// a hit's data array.
 func (t *txn) stepHomeProbe() {
-	h, p := t.h, t.p
-	h.Meter.Add(energy.L3Access, 1)
-	p.Sleep(h.cfg.L3TagLat)
-	t.ls3 = t.hm.l3.Lookup(t.a)
-	if t.ls3 == nil {
-		if t.kind == kindRMO {
-			h.hot.rmoMisses.Inc()
-		} else {
-			h.hot.l3Misses.Inc()
-			t.spanKind = "l3.miss"
+	h := t.h
+	switch t.phase {
+	case 0:
+		h.Meter.Add(energy.L3Access, 1)
+		t.phase = 1
+		t.sleep(h.cfg.L3TagLat)
+	case 1:
+		t.ls3 = t.hm.l3.Lookup(t.a)
+		if t.ls3 == nil {
+			if t.kind == kindRMO {
+				h.hot.rmoMisses.Inc()
+			} else {
+				h.hot.l3Misses.Inc()
+				t.spanKind = "l3.miss"
+			}
+			t.to(txnHomeFetch)
+			return
 		}
-		t.to(txnHomeFetch)
-		return
+		if t.kind == kindRMO {
+			h.hot.rmoHits.Inc()
+		} else {
+			h.hot.l3Hits.Inc()
+		}
+		t.ls3.Locked = true
+		t.phase = 2
+		t.sleep(h.cfg.L3DataLat)
+	default:
+		t.hm.l3.Touch(t.a)
+		t.to(txnDirAction)
 	}
-	if t.kind == kindRMO {
-		h.hot.rmoHits.Inc()
-	} else {
-		h.hot.l3Hits.Inc()
-	}
-	t.ls3.Locked = true
-	p.Sleep(h.cfg.L3DataLat)
-	t.hm.l3.Touch(t.a)
-	t.to(txnDirAction)
 }
 
 // stepHomeFetch materializes the line on a home miss: a SHARED Morph's
-// onMiss (phantom lines never reach DRAM), or a DRAM read.
+// onMiss (phantom lines never reach DRAM), or a DRAM read. Phase 1
+// follows a SHARED Morph's line.
 func (t *txn) stepHomeFetch() {
-	h, p := t.h, t.p
+	h := t.h
+	if t.phase == 1 {
+		t.meta.morph, t.meta.phantom = true, t.cb.Phantom
+		if t.kind == kindHomeFetch {
+			// Morph lines are demand-bound even when a prefetch
+			// materialized them: insert at normal priority (only true
+			// engine-port fills demote).
+			t.meta.engine = t.o.engine
+		}
+		if t.cb.HasMiss && h.runner != nil {
+			t.to(txnCbPending)
+			return
+		}
+		t.to(txnHomeFill)
+		return
+	}
 	if t.kind == kindHomeFetch {
 		// Engine fills and prefetched lines insert at distant
 		// re-reference priority in the shared cache (trrîp, §5.2):
@@ -577,39 +826,26 @@ func (t *txn) stepHomeFetch() {
 	}
 	if h.registry != nil {
 		if b, ok := h.registry.Binding(t.a); ok && b.Level == LevelShared {
+			t.cb, t.phase = b, 1
 			if !b.Phantom {
-				h.DRAM.ReadLineWait(p, t.la, &t.data)
+				t.wait(h.DRAM.ReadLinePooled(t.la, &t.data))
 			}
-			t.meta.morph, t.meta.phantom = true, b.Phantom
-			if t.kind == kindHomeFetch {
-				// Morph lines are demand-bound even when a prefetch
-				// materialized them: insert at normal priority (only
-				// true engine-port fills demote).
-				t.meta.engine = t.o.engine
-			}
-			if b.HasMiss && h.runner != nil {
-				t.cb = b
-				t.to(txnCbPending)
-				return
-			}
-			t.to(txnHomeFill)
 			return
 		}
 	}
-	h.DRAM.ReadLineWait(p, t.la, &t.data)
-	t.to(txnHomeFill)
+	t.waitTo(h.DRAM.ReadLinePooled(t.la, &t.data), txnHomeFill)
 }
 
-// stepHomeFill installs the fetched line into the home bank. If the
-// fill is immediately victimized under extreme pressure, the line is
-// served (or updated) without caching — the bypass flag routes the
-// directory action and commit around the missing L3 copy. The home line
-// stays locked throughout so no other writer can race the in-flight
-// data.
+// stepHomeFill installs the fetched line into the home bank, retrying a
+// cycle later while every candidate way is locked or busy. If the fill
+// is immediately victimized under extreme pressure, the line is served
+// (or updated) without caching — the bypass flag routes the directory
+// action and commit around the missing L3 copy. The home line stays
+// locked throughout so no other writer can race the in-flight data.
 func (t *txn) stepHomeFill() {
-	h, p := t.h, t.p
-	for !h.insertL3(t.home, t.a, &t.data, t.meta) {
-		p.Sleep(1)
+	if !t.h.insertL3(t.home, t.a, &t.data, t.meta) {
+		t.sleep(1)
+		return
 	}
 	t.ls3 = t.hm.l3.Lookup(t.a)
 	if t.ls3 == nil {
@@ -624,16 +860,22 @@ func (t *txn) stepHomeFill() {
 // for an NT store, recall-and-grant for an upgrade — but it is the only
 // state in which sharer sets and ownership change.
 func (t *txn) stepDirAction() {
-	h, p := t.h, t.p
+	h := t.h
 	switch t.kind {
 	case kindHomeFetch:
+		var extra sim.Cycle
 		if t.bypass {
-			if merged := h.dirAction(p, t.tileID, t.la, t.o, nil); merged != nil {
+			var merged *mem.Line
+			if merged, extra = h.dirAction(t.tileID, t.la, t.o, nil); merged != nil {
 				t.data = *merged
 			}
 		} else {
 			t.ls3.Locked = true
-			h.dirAction(p, t.tileID, t.la, t.o, t.ls3)
+			_, extra = h.dirAction(t.tileID, t.la, t.o, t.ls3)
+		}
+		if extra > 0 {
+			t.sleepTo(extra, txnRespond)
+			return
 		}
 		t.to(txnRespond)
 
@@ -752,23 +994,28 @@ func (t *txn) stepUpgradeDir() {
 // under the home lock. For a fetch, releasing the lock before the data
 // lands would let another requester modify the line while our (now
 // stale) copy is in flight, losing its update when we install the copy.
+// A fetch's phase 1 follows the transfer.
 func (t *txn) stepRespond() {
-	h, p := t.h, t.p
+	h := t.h
 	switch t.kind {
 	case kindHomeFetch:
-		if !t.bypass {
-			t.data = t.ls3.Data
+		if t.phase == 0 {
+			if !t.bypass {
+				t.data = t.ls3.Data
+			}
+			t.phase = 1
+			t.sleep(h.Mesh.Transfer(t.home, t.tileID, mem.LineSize))
+			return
 		}
-		p.Sleep(h.Mesh.Transfer(t.home, t.tileID, mem.LineSize))
 		if !t.bypass {
 			t.ls3.Locked = false
 		}
+		t.to(txnUnlock)
 	case kindNTStore:
-		p.Sleep(h.Mesh.Transfer(t.tileID, t.home, mem.LineSize))
+		t.sleepTo(h.Mesh.Transfer(t.tileID, t.home, mem.LineSize), txnUnlock)
 	case kindUpgrade:
-		p.Sleep(h.Mesh.Latency(t.tileID, t.home, 8) + t.maxLat + h.Mesh.Latency(t.home, t.tileID, 8))
+		t.sleepTo(h.Mesh.Latency(t.tileID, t.home, 8)+t.maxLat+h.Mesh.Latency(t.home, t.tileID, 8), txnUnlock)
 	}
-	t.to(txnUnlock)
 }
 
 // stepCommit applies the transaction's architectural effect and, on the
@@ -872,7 +1119,7 @@ func (t *txn) stepCommit() {
 // stepUnlock releases the home-bank line lock, waking queued waiters,
 // and closes out the home-side trace span.
 func (t *txn) stepUnlock() {
-	h, p := t.h, t.p
+	h := t.h
 	if t.kind == kindRMO && !t.bypass {
 		t.ls3.Locked = false
 	}
@@ -881,7 +1128,7 @@ func (t *txn) stepUnlock() {
 		// One span per home-bank service on the bank's track: request
 		// arrival through data response (covers queueing on the home
 		// line, DRAM fills, and SHARED callbacks).
-		h.tracer.EmitSpan(t.homeStart, p.Now(), h.comp.l3[t.home], t.spanKind, t.la.String())
+		h.tracer.EmitSpan(t.homeStart, h.K.Now(), h.comp.l3[t.home], t.spanKind, t.la.String())
 	}
 	t.to(txnDone)
 }

@@ -11,9 +11,15 @@
 // in place, with no switch at all. Exactly one of the driver and its
 // processes runs at a time, and which one pops an event never changes
 // the order events run in, so schedules stay deterministic.
+//
+// Activity that no thread waits on can run as continuations instead:
+// plain functions that After, Future.Then and Semaphore.AcquireThen
+// queue exactly where a process waiting in their place would have its
+// wake queued, so they keep a process's schedule with no coroutine.
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 )
@@ -90,10 +96,15 @@ type Kernel struct {
 
 	procs []*Proc
 
+	// parked counts the continuations queued on a Future (Then) or a
+	// Semaphore (AcquireThen) that have not been woken; Blocked reports
+	// them, as it reports parked processes.
+	parked int
+
 	// waiterPool recycles Future waiter slices: futures are one-shot
 	// and allocated in large numbers on memory-access hot paths, so
 	// their waiter backing arrays are worth reusing.
-	waiterPool [][]*Proc
+	waiterPool [][]any
 
 	// freeProcs holds finished Procs whose coroutines are suspended
 	// awaiting a next task: spawning recycles them (struct and coroutine)
@@ -160,7 +171,11 @@ func (k *Kernel) At(when Cycle, fn func()) {
 	k.push(when, fn)
 }
 
-// After schedules fn to run delay cycles from now.
+// After schedules fn to run delay cycles from now. It is the timed
+// continuation: fn lands exactly where the wake of a process calling
+// Sleep(delay) instead would, so hardware activity no thread waits on
+// runs as a chain of functions (After, Future.Then,
+// Semaphore.AcquireThen) with the schedule a process would have.
 func (k *Kernel) After(delay Cycle, fn func()) {
 	k.At(k.now+delay, fn)
 }
@@ -169,6 +184,15 @@ func (k *Kernel) After(delay Cycle, fn func()) {
 // allocating a closure.
 func (k *Kernel) wakeAfter(delay Cycle, p *Proc) {
 	k.push(k.now+delay, p)
+}
+
+// wake queues a woken waiter, a *Proc or a continuation func(), at the
+// current cycle.
+func (k *Kernel) wake(w any) {
+	if _, ok := w.(func()); ok {
+		k.parked--
+	}
+	k.push(k.now, w)
 }
 
 // completeAt schedules f to complete at the given absolute cycle,
@@ -262,14 +286,19 @@ func (k *Kernel) popOwnWake(p *Proc) bool {
 }
 
 // Blocked returns the names of processes that are parked (waiting) right
-// now. After Run returns, a non-empty result means those processes are
-// deadlocked: no event will ever wake them.
+// now, and one more entry counting the continuations queued on a future
+// or a semaphore, if any are. After Run returns, a non-empty result
+// means those processes and continuations are deadlocked: no event will
+// ever wake them.
 func (k *Kernel) Blocked() []string {
 	var out []string
 	for _, p := range k.procs {
 		if !p.done && p.started {
 			out = append(out, p.name)
 		}
+	}
+	if k.parked > 0 {
+		out = append(out, fmt.Sprintf("waiting continuations: %d", k.parked))
 	}
 	return out
 }
@@ -456,19 +485,19 @@ func (k *Kernel) popFar() event {
 
 // getWaiters returns an empty waiter slice, reusing a pooled backing
 // array when one is available.
-func (k *Kernel) getWaiters() []*Proc {
+func (k *Kernel) getWaiters() []any {
 	if n := len(k.waiterPool); n > 0 {
 		s := k.waiterPool[n-1]
 		k.waiterPool[n-1] = nil
 		k.waiterPool = k.waiterPool[:n-1]
 		return s
 	}
-	return make([]*Proc, 0, 4)
+	return make([]any, 0, 4)
 }
 
 // putWaiters returns a drained waiter slice to the pool. Entries are
 // cleared so pooled arrays don't pin processes.
-func (k *Kernel) putWaiters(s []*Proc) {
+func (k *Kernel) putWaiters(s []any) {
 	if cap(s) == 0 || len(k.waiterPool) >= 64 {
 		return
 	}
@@ -525,16 +554,18 @@ func (k *Kernel) Release() {
 
 // Shutdown abandons an in-flight simulation: every unfinished process is
 // killed without running any event (a parked one unwinds its task, one
-// never started never runs), and pooled coroutines are released, so a
-// driver that recovered a panic from Run or RunUntil can discard the
-// kernel without leaking the goroutines of processes still blocked
-// mid-simulation. The kernel must not be run again after Shutdown.
+// never started never runs), waiting continuations are dropped, and
+// pooled coroutines are released, so a driver that recovered a panic
+// from Run or RunUntil can discard the kernel without leaking the
+// goroutines of processes still blocked mid-simulation. The kernel must
+// not be run again after Shutdown.
 func (k *Kernel) Shutdown() {
 	for _, p := range k.procs {
 		if !p.done {
 			p.stop()
 		}
 	}
+	k.parked = 0
 	k.failure = nil
 	k.Release()
 }

@@ -217,15 +217,16 @@ func TestFutureWaiterSliceReuse(t *testing.T) {
 }
 
 // TestPooledSpawnAllocs is the alloc gate for the spawn path: once the
-// proc pool is warm, spawning a GoArgs proc that sleeps once and finishes
-// allocates nothing (no Proc, coroutine, closure or name).
+// proc pool is warm, spawning a proc with a long-lived task that sleeps
+// once and finishes allocates nothing (no Proc, coroutine, closure or
+// name).
 func TestPooledSpawnAllocs(t *testing.T) {
 	k := NewKernel()
-	body := func(p *Proc, d, _ uint64) { p.Sleep(d) }
-	k.GoArgs("pooled", body, 1, 0)
+	body := func(p *Proc) { p.Sleep(1) }
+	k.Go("pooled", body)
 	k.Run()
 	allocs := testing.AllocsPerRun(100, func() {
-		k.GoArgs("pooled", body, 1, 0)
+		k.Go("pooled", body)
 		k.Run()
 	})
 	k.Release()
@@ -371,16 +372,37 @@ func BenchmarkProcHandoff(b *testing.B) {
 	b.ReportMetric(float64(wakes)/b.Elapsed().Seconds(), "wakes/s")
 }
 
-// BenchmarkProcSpawn prices a pooled spawn from start to finish: GoArgs,
-// the start event resuming the proc, one Sleep, and the finish that
-// returns the proc to the pool and suspends it.
+// BenchmarkContinuationChain is BenchmarkProcHandoff with continuations
+// in place of procs: two chains of functions wake on alternate cycles,
+// each queueing itself two cycles on, with no coroutine switch at all.
+func BenchmarkContinuationChain(b *testing.B) {
+	k := NewKernel()
+	wakes := 0
+	var tick func()
+	tick = func() {
+		if wakes < b.N {
+			wakes++
+			k.After(2, tick)
+		}
+	}
+	k.After(0, tick)
+	k.After(1, tick)
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+	b.ReportMetric(float64(wakes)/b.Elapsed().Seconds(), "wakes/s")
+}
+
+// BenchmarkProcSpawn prices a pooled spawn from start to finish: Go with
+// a long-lived task, the start event resuming the proc, one Sleep, and
+// the finish that returns the proc to the pool and suspends it.
 func BenchmarkProcSpawn(b *testing.B) {
 	k := NewKernel()
-	body := func(p *Proc, d, _ uint64) { p.Sleep(d) }
+	body := func(p *Proc) { p.Sleep(1) }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.GoArgs("spawn", body, 1, 0)
+		k.Go("spawn", body)
 		k.Run()
 	}
 	b.StopTimer()

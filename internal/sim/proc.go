@@ -14,7 +14,7 @@ import (
 // driver. Events never run on a Proc's coroutine.
 //
 // Finished Procs are pooled: their coroutines stay suspended and the next
-// Go/GoArgs reuses the whole structure (struct and coroutine) instead of
+// Go reuses the whole structure (struct and coroutine) instead of
 // allocating. This is safe because every park has exactly one wake
 // scheduled (Sleep, Future completion, Semaphore handoff, WaitGroup
 // drain, Barrier release), so no stale wake event can ever target a
@@ -37,14 +37,10 @@ type Proc struct {
 	stop  func()
 	yield func(struct{}) bool
 
-	// Task slots: exactly one of fn/fnArgs is set while the proc runs.
-	// They live on the Proc so a pooled coroutine picks up its next task
-	// without a per-spawn closure; fnArgs carries two scalar arguments so
-	// hot spawn sites (prefetches, writeback timing) can share one
-	// long-lived function value instead of closing over their operands.
-	fn     func(*Proc)
-	fnArgs func(*Proc, uint64, uint64)
-	a0, a1 uint64
+	// fn is the task, set while the proc runs. It lives on the Proc so a
+	// pooled coroutine picks up its next task without a per-spawn
+	// closure.
+	fn func(*Proc)
 }
 
 // Go creates a simulated process named name running fn, and schedules it
@@ -53,16 +49,6 @@ type Proc struct {
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	p := k.spawn(name)
 	p.fn = fn
-	k.push(k.now, p)
-	return p
-}
-
-// GoArgs is Go for allocation-sensitive spawn sites: fn is a shared,
-// long-lived function value and a0/a1 carry the operands, so issuing a
-// process allocates nothing once the proc pool is warm.
-func (k *Kernel) GoArgs(name string, fn func(p *Proc, a0, a1 uint64), a0, a1 uint64) *Proc {
-	p := k.spawn(name)
-	p.fnArgs, p.a0, p.a1 = fn, a0, a1
 	k.push(k.now, p)
 	return p
 }
@@ -93,7 +79,7 @@ func (p *Proc) body(yield func(struct{}) bool) {
 	for {
 		p.started = true
 		p.runTask()
-		p.fn, p.fnArgs = nil, nil
+		p.fn = nil
 		p.done = true
 		p.k.freeProcs = append(p.k.freeProcs, p)
 		if !yield(struct{}{}) {
@@ -132,11 +118,7 @@ func (p *Proc) runTask() {
 			p.k.failure = &ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	if p.fn != nil {
-		p.fn(p)
-	} else {
-		p.fnArgs(p, p.a0, p.a1)
-	}
+	p.fn(p)
 }
 
 // block parks the calling process until an event wakes it. When its own
@@ -175,20 +157,39 @@ func (p *Proc) Wait(f *Future) {
 	if f.done {
 		return
 	}
-	if f.waiters == nil {
-		f.waiters = f.k.getWaiters()
-	}
-	f.waiters = append(f.waiters, p)
+	f.addWaiter(p)
 	p.block()
 }
 
-// Future is a one-shot completion signal that processes can Wait on.
+// Then registers fn to run when f completes, at the cycle and in the
+// place among f's waiters that a process waiting instead would wake at:
+// it is the continuation form of Wait. f must not be complete yet; a
+// caller that finds it complete carries on at once, as Wait returns at
+// once.
+func (f *Future) Then(fn func()) {
+	if f.done {
+		panic("sim: Then on a completed future")
+	}
+	f.k.parked++
+	f.addWaiter(fn)
+}
+
+// addWaiter appends w, a *Proc or a func(), to f's waiters.
+func (f *Future) addWaiter(w any) {
+	if f.waiters == nil {
+		f.waiters = f.k.getWaiters()
+	}
+	f.waiters = append(f.waiters, w)
+}
+
+// Future is a one-shot completion signal that processes can Wait on and
+// continuations can wait on with Then.
 type Future struct {
 	k       *Kernel
 	done    bool
 	pooled  bool // from Kernel.GetFuture: recyclable once complete
 	when    Cycle
-	waiters []*Proc
+	waiters []any // each a *Proc or a func()
 }
 
 // NewFuture returns an incomplete future on kernel k.
@@ -205,8 +206,8 @@ func (f *Future) Complete() {
 	}
 	f.done = true
 	f.when = f.k.now
-	for _, p := range f.waiters {
-		f.k.wakeAfter(0, p)
+	for _, w := range f.waiters {
+		f.k.wake(w)
 	}
 	f.k.putWaiters(f.waiters)
 	f.waiters = nil

@@ -2,13 +2,14 @@ package sim
 
 // Semaphore is a counting semaphore for simulated processes, used to
 // model bounded hardware resources (MSHRs, writeback-buffer entries,
-// callback-buffer slots, outstanding-RMO limits). Waiters are woken in
-// FIFO order.
+// callback-buffer slots, outstanding-RMO limits). Waiters, processes
+// (Acquire) and continuations (AcquireThen) alike, are woken in FIFO
+// order.
 type Semaphore struct {
 	k       *Kernel
 	free    int
 	cap     int
-	waiters []*Proc
+	waiters []any // each a *Proc or a func()
 }
 
 // NewSemaphore returns a semaphore with n slots.
@@ -29,6 +30,21 @@ func (s *Semaphore) Acquire(p *Proc) {
 	p.block() // the releasing side hands its slot directly to us
 }
 
+// AcquireThen is the continuation form of Acquire. It takes a free slot
+// and reports true, and the caller carries on at once; otherwise it
+// queues fn and reports false, and fn runs, holding the slot, when a
+// Release hands it over, exactly when a process queued in its place
+// would wake.
+func (s *Semaphore) AcquireThen(fn func()) bool {
+	if s.free > 0 {
+		s.free--
+		return true
+	}
+	s.k.parked++
+	s.waiters = append(s.waiters, fn)
+	return false
+}
+
 // TryAcquire takes a slot without blocking, reporting success.
 func (s *Semaphore) TryAcquire() bool {
 	if s.free > 0 {
@@ -38,17 +54,17 @@ func (s *Semaphore) TryAcquire() bool {
 	return false
 }
 
-// Release returns a slot. If a process is waiting, the slot passes
-// directly to the first waiter.
+// Release returns a slot. If a process or continuation is waiting, the
+// slot passes directly to the first waiter.
 func (s *Semaphore) Release() {
 	if n := len(s.waiters); n > 0 {
-		p := s.waiters[0]
+		w := s.waiters[0]
 		// Shift in place rather than reslicing forward, so the backing
 		// array is reused across acquire/release cycles.
 		copy(s.waiters, s.waiters[1:])
 		s.waiters[n-1] = nil
 		s.waiters = s.waiters[:n-1]
-		s.k.wakeAfter(0, p)
+		s.k.wake(w)
 		return
 	}
 	if s.free == s.cap {
@@ -70,7 +86,7 @@ func (s *Semaphore) Saturated() bool { return s.free == 0 }
 type WaitGroup struct {
 	k       *Kernel
 	n       int
-	waiters []*Proc
+	waiters []any // each a *Proc
 }
 
 // NewWaitGroup returns an empty wait group.
@@ -97,7 +113,7 @@ func (w *WaitGroup) Count() int { return w.n }
 
 func (w *WaitGroup) wake() {
 	for _, p := range w.waiters {
-		w.k.wakeAfter(0, p)
+		w.k.wake(p)
 	}
 	w.k.putWaiters(w.waiters)
 	w.waiters = nil
@@ -122,7 +138,7 @@ type Barrier struct {
 	k       *Kernel
 	n       int
 	arrived int
-	waiters []*Proc
+	waiters []any // each a *Proc
 }
 
 // NewBarrier returns a barrier for n participants.
@@ -140,7 +156,7 @@ func (b *Barrier) Arrive(p *Proc) {
 	if b.arrived == b.n {
 		b.arrived = 0
 		for _, w := range b.waiters {
-			b.k.wakeAfter(0, w)
+			b.k.wake(w)
 		}
 		b.k.putWaiters(b.waiters)
 		b.waiters = nil
