@@ -15,12 +15,12 @@
 // simulations in parallel (default GOMAXPROCS); results always assemble
 // in variant order, so the report and all gated counts are byte-identical
 // at any -j, so CI runs the ops-golden gate at several -j values against
-// one golden. Runs are also memoized for the duration of the process:
-// paired figures drawn from the same simulations (fig6/fig7, fig13/fig14,
-// fig16/fig17, fig19/fig20) and sweeps that revisit an already-simulated
-// configuration share one run instead of recomputing. Per-experiment
-// wall-clock timing is printed to stdout but kept out of the -out report,
-// so the written report is reproducible byte-for-byte.
+// one golden. One run window spans the whole command and memoizes its
+// runs: paired figures drawn from the same simulations (fig6/fig7,
+// fig13/fig14, fig16/fig17, fig19/fig20) and sweeps that revisit an
+// already-simulated configuration share one run instead of recomputing.
+// Per-experiment wall-clock timing is printed to stdout but kept out of
+// the -out report, so the written report is reproducible byte-for-byte.
 //
 // -bench captures every run's typed metrics (per-experiment cycle and
 // architectural-op counts, latency histograms) into a JSON report,
@@ -35,9 +35,9 @@
 //
 // -metrics writes every run of every experiment into one combined JSON
 // document (the same shape as takosim -metrics). -trace streams every
-// experiment's events into one shared trace file; each simulated system
-// keeps a globally unique process id across experiments, so a full
-// report loads as one Perfetto timeline. -trace-format / -trace-kinds /
+// experiment's events into one shared trace file; the run window gives
+// each simulated system its own process id, so a full report loads as
+// one Perfetto timeline. -trace-format / -trace-kinds /
 // -trace-min-dur behave exactly as in takosim. The bench report also
 // records the system.Options the run was made under ("options").
 //
@@ -65,7 +65,6 @@ import (
 
 	"tako/internal/cli"
 	"tako/internal/exp"
-	"tako/internal/sched"
 	"tako/internal/system"
 )
 
@@ -90,8 +89,8 @@ type benchEntry struct {
 type benchReport struct {
 	Scale string `json:"scale"`
 	Jobs  int    `json:"jobs"`
-	// Options is the process-wide run configuration every simulation
-	// was built under.
+	// Options is the run configuration every simulation was built
+	// under.
 	Options system.Options `json:"options"`
 	// Aggregate perf trajectory: total report wall-clock vs the summed
 	// serial cost of every simulation executed or reused.
@@ -113,8 +112,6 @@ func main() {
 	)
 	flag.Parse()
 	run := shared.Start("takoreport")
-	// The bench report reads captured run records too.
-	run.Capture = run.Capture || *bench != ""
 
 	skipped := map[string]bool{}
 	for _, id := range strings.Split(*skip, ",") {
@@ -139,7 +136,8 @@ func main() {
 	}
 	emit("täkō reproduction report — every table and figure of the evaluation\n")
 	emit("scale: %s\n\n", scale)
-	fmt.Printf("parallelism: %d workers, memoized run cache\n\n", sched.Workers())
+	workers := system.Workers()
+	fmt.Printf("parallelism: %d workers, memoized run cache\n\n", workers)
 	var entries []benchEntry
 	var totalWall, totalExec float64
 	failures := 0
@@ -205,8 +203,8 @@ func main() {
 	if *bench != "" {
 		doc := benchReport{
 			Scale:       scale,
-			Jobs:        sched.Workers(),
-			Options:     system.CurrentOptions(),
+			Jobs:        workers,
+			Options:     shared.Options(),
 			WallMS:      totalWall,
 			ExecMS:      totalExec,
 			Experiments: entries,

@@ -55,6 +55,11 @@
 // process id (one per simulated system) when reading jsonl directly.
 // With -explore, -j parallelizes schedule evaluation instead; findings
 // are identical at any -j.
+//
+// The command arms one run window (system.StartCapture) for its whole
+// run: every machine it builds, the explorer's included, takes -verify
+// and -attr/-slowest from it and streams into its -trace sink, and
+// runs it executes are memoized until the command ends.
 package main
 
 import (
@@ -66,7 +71,7 @@ import (
 	"tako/internal/cli"
 	"tako/internal/exp"
 	"tako/internal/oracle"
-	"tako/internal/sched"
+	"tako/internal/system"
 )
 
 func main() {
@@ -90,7 +95,7 @@ func main() {
 		}
 		// -j parallelizes schedule evaluation; findings are identical at
 		// any -j.
-		cfg.Workers = sched.Workers()
+		cfg.Workers = system.Workers()
 		cfg.Logf = func(format string, args ...any) {
 			fmt.Printf(format+"\n", args...)
 		}

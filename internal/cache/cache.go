@@ -78,12 +78,13 @@ type Cache struct {
 	lruClock uint64
 
 	// Victim-scan scratch: allowedFn is built once and reads vcSet /
-	// vcConstraint, which ChooseVictim binds per call, so passing the
-	// eligibility predicate through the Policy interface never allocates
-	// a closure. Policies must not re-enter ChooseVictim (none do — they
-	// are pure scans over the set).
+	// vcConstraint / vcMorphOnly, which pickVictim binds per call, so
+	// passing the eligibility predicate through the Policy interface
+	// never allocates a closure. Policies must not re-enter pickVictim
+	// (none do — they are pure scans over the set).
 	vcSet        []LineState
 	vcConstraint VictimConstraint
+	vcMorphOnly  bool
 	allowedFn    func(int) bool
 }
 
@@ -115,7 +116,7 @@ func New(cfg Config) *Cache {
 	c.mru = make([]int16, numSets)
 	c.allowedFn = func(i int) bool {
 		l := &c.vcSet[i]
-		if l.Locked {
+		if l.Locked || c.vcMorphOnly && !l.Morph {
 			return false
 		}
 		if c.vcConstraint.CallbackFree && l.Morph {
@@ -226,24 +227,25 @@ func (c *Cache) ChooseVictim(a mem.Addr, constraint VictimConstraint) (way int, 
 			}
 		}
 	}
-	c.vcSet, c.vcConstraint = set, constraint
-	allowed := c.allowedFn
-	any := false
+	return c.pickVictim(set, constraint, false)
+}
+
+// pickVictim asks the policy for a victim among set's ways that
+// constraint allows (and, with morphOnly, that hold a Morph); ok=false
+// when no way is allowed.
+func (c *Cache) pickVictim(set []LineState, constraint VictimConstraint, morphOnly bool) (way int, ok bool) {
+	c.vcSet, c.vcConstraint, c.vcMorphOnly = set, constraint, morphOnly
+	way = -1
 	for i := range set {
-		if allowed(i) {
-			any = true
+		if c.allowedFn(i) {
+			way, ok = c.cfg.Policy.Victim(set, c.allowedFn), true
 			break
 		}
 	}
-	if !any {
-		c.vcSet, c.vcConstraint = nil, VictimConstraint{}
-		return -1, false
-	}
-	way = c.cfg.Policy.Victim(set, allowed)
 	// Unbind the scratch so pooled state never pins a caller's Avoid hook
 	// or outlives the call.
-	c.vcSet, c.vcConstraint = nil, VictimConstraint{}
-	return way, true
+	c.vcSet, c.vcConstraint, c.vcMorphOnly = nil, VictimConstraint{}, false
+	return way, ok
 }
 
 // FillOpts describes an incoming line.
@@ -372,37 +374,15 @@ func (c *Cache) ChooseVictimForInsert(a mem.Addr, opts FillOpts, constraint Vict
 		if constraint.CallbackFree {
 			return -1, false
 		}
-		set := c.set(c.SetIndex(a))
-		allowed := func(i int) bool {
-			if set[i].Locked || !set[i].Morph {
-				return false
-			}
-			if constraint.Busy != nil && constraint.Busy(set[i].Tag) {
-				return false
-			}
-			if constraint.Avoid != nil && constraint.Avoid(set[i].Tag) {
-				return false
-			}
-			return true
-		}
-		any := false
-		for i := range set {
-			if allowed(i) {
-				any = true
-				break
-			}
-		}
-		if !any {
-			if constraint.Avoid == nil {
-				return -1, false
-			}
+		way, ok = c.pickVictim(c.set(c.SetIndex(a)), constraint, true)
+		if !ok && constraint.Avoid != nil {
 			// All Morph candidates are protected: the hint is
 			// advisory, so retry without it.
 			relaxed := constraint
 			relaxed.Avoid = nil
 			return c.ChooseVictimForInsert(a, opts, relaxed)
 		}
-		return c.cfg.Policy.Victim(set, allowed), true
+		return way, ok
 	}
 	return way, ok
 }

@@ -193,6 +193,29 @@ func TestMorphInsertInvariant(t *testing.T) {
 	}
 }
 
+// TestMorphInsertEvictingMorphAllocs pins that a Morph fill which must
+// evict a Morph line, so its set keeps its last callback-free line,
+// chooses that victim without allocating.
+func TestMorphInsertEvictingMorphAllocs(t *testing.T) {
+	// The plain line is the oldest, so LRU first picks it; it is the
+	// set's last callback-free line, so a Morph line must go instead.
+	c := tiny(NewLRU())
+	fill(c, addrFor(0, 0), FillOpts{})
+	fill(c, addrFor(0, 1), FillOpts{Morph: true})
+	fill(c, addrFor(0, 2), FillOpts{Morph: true})
+	fill(c, addrFor(0, 3), FillOpts{Morph: true})
+	constraint := VictimConstraint{Busy: func(mem.Addr) bool { return false }}
+	allocs := testing.AllocsPerRun(100, func() {
+		way, ok := c.ChooseVictimForInsert(addrFor(0, 4), FillOpts{Morph: true}, constraint)
+		if !ok || way != 1 {
+			t.Fatalf("victim way %d (ok %v), want the oldest Morph line, way 1", way, ok)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocs per Morph-evicting victim choice, want 0", allocs)
+	}
+}
+
 // Property: any random mix of Morph and plain fills preserves the per-set
 // callback-free invariant.
 func TestQuickMorphInvariantPreserved(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package cli is the flag set and run wiring that takosim and takoreport
-// share: scale, parallelism, the process-wide system.Options, profiling,
-// live introspection, the observability capture, and the post-run
+// share: scale, parallelism, the system.Options, profiling, live
+// introspection, the run window that carries them, and the post-run
 // attribution / slowest-access / coverage / metrics / trace output. Each
 // command keeps only its own flags and its experiment loop.
 package cli
@@ -13,9 +13,7 @@ import (
 
 	"tako/internal/hier"
 	"tako/internal/introspect"
-	"tako/internal/morphs"
 	"tako/internal/prof"
-	"tako/internal/sched"
 	"tako/internal/system"
 	"tako/internal/trace"
 )
@@ -69,31 +67,27 @@ func (f *Flags) Options() system.Options {
 	return o
 }
 
-// Run is one command invocation, from Start to Finish.
+// Run is one command invocation, from Start to Finish. Its run window
+// (system.StartCapture) is armed for the whole command.
 type Run struct {
 	prog  string
 	flags *Flags
 	opts  system.Options
 
-	// Capture arms a capture window around each experiment (Begin/End).
-	// Start sets it when an output needs run records (-metrics, -trace,
-	// -attr, -slowest, -verify, -http); a command may also set it.
-	Capture bool
 	// Runs is every run captured by an experiment that succeeded.
 	Runs []system.RunRecord
 
 	insp      *introspect.Server
 	stopProf  func() error
-	capCfg    system.CaptureConfig
 	traceFile *os.File
-	traceSink trace.MultiSink
-	nextPid   int
+	// mark is the window's progress when the current experiment began.
+	mark system.Progress
 }
 
-// Start applies the flags for the command prog: it validates and sets
-// the run Options (exit 2 on a rejected combination), the worker count
-// and the run cache, starts profiling and introspection, and opens the
-// trace output.
+// Start applies the flags for the command prog: it validates the run
+// Options (exit 2 on a rejected combination), starts profiling and
+// introspection, opens the trace output, and arms the run window with
+// the Options, the worker count and the trace sink.
 func (f *Flags) Start(prog string) *Run {
 	r := &Run{prog: prog, flags: f, opts: f.Options()}
 	if err := r.opts.Validate(); err != nil {
@@ -104,11 +98,6 @@ func (f *Flags) Start(prog string) *Run {
 		r.Fail(1, err)
 	}
 	r.stopProf = stop
-	system.SetOptions(r.opts)
-	sched.SetWorkers(f.jobs)
-	// The run cache is process-global and never evicts, so a skipped
-	// experiment only changes which figure of a pair simulates first.
-	morphs.SetRunCache(true)
 
 	if f.httpAddr != "" {
 		r.insp, err = introspect.Start(f.httpAddr)
@@ -118,24 +107,21 @@ func (f *Flags) Start(prog string) *Run {
 		fmt.Printf("introspection server on http://%s\n", r.insp.Addr())
 	}
 
-	r.Capture = f.metricsOut != "" || f.traceOut != "" || r.opts.Attribution || r.opts.Verify || f.httpAddr != ""
-	r.capCfg = system.CaptureConfig{TraceMinSpan: f.traceMinDur}
+	cfg := system.CaptureConfig{Options: r.opts, Workers: f.jobs, TraceMinSpan: f.traceMinDur}
 	for _, k := range strings.Split(f.traceKinds, ",") {
 		if k = strings.TrimSpace(k); k != "" {
-			r.capCfg.TraceKinds = append(r.capCfg.TraceKinds, k)
+			cfg.TraceKinds = append(cfg.TraceKinds, k)
 		}
 	}
 	if f.traceOut != "" {
 		if r.traceFile, err = os.Create(f.traceOut); err != nil {
 			r.Fail(1, err)
 		}
-		if r.traceSink, err = trace.SinkFor(f.traceFormat, r.traceFile); err != nil {
+		if cfg.Sink, err = trace.SinkFor(f.traceFormat, r.traceFile); err != nil {
 			r.Fail(2, err)
 		}
-		// StopCapture closes its sink at every window boundary; the one
-		// trace file stays open across windows and closes in Finish.
-		r.capCfg.Sink = trace.KeepOpen(r.traceSink)
 	}
+	system.StartCapture(cfg)
 	return r
 }
 
@@ -152,36 +138,26 @@ func (r *Run) SetExperiments(n int) {
 	}
 }
 
-// Begin starts experiment id: introspection progress and, when
-// capturing, a capture window whose pids continue the previous window's,
-// so one shared trace file never reuses a pid.
+// Begin starts experiment id: introspection progress and a mark on the
+// run window, which End reads back.
 func (r *Run) Begin(id string) {
 	if r.insp != nil {
 		r.insp.StartExperiment(id)
 	}
-	if r.Capture {
-		cfg := r.capCfg
-		cfg.FirstPid = r.nextPid
-		system.StartCapture(cfg)
-	}
+	r.mark = system.CaptureProgress()
 }
 
-// End closes experiment id's capture window and returns what it
-// collected; when ok, its runs join Runs and introspection.
+// End finishes experiment id and returns what the run window collected
+// since Begin; when ok, its runs join Runs.
 func (r *Run) End(id string, ok bool) system.CaptureResult {
-	var res system.CaptureResult
-	if r.Capture {
-		var err error
-		if res, err = system.StopCapture(); err != nil {
-			r.Fail(1, fmt.Errorf("capture: %v", err))
-		}
-		r.nextPid += res.Systems
-		if ok {
-			r.Runs = append(r.Runs, res.Runs...)
-			if r.insp != nil {
-				r.insp.PublishRuns(res.Runs)
-			}
-		}
+	p := system.CaptureProgress()
+	res := system.CaptureResult{
+		Runs:   system.CaptureRuns()[r.mark.Submitted:],
+		ExecMS: p.ExecMS - r.mark.ExecMS,
+		Cached: p.Cached - r.mark.Cached,
+	}
+	if ok {
+		r.Runs = append(r.Runs, res.Runs...)
 	}
 	if r.insp != nil {
 		r.insp.FinishExperiment(id)
@@ -217,11 +193,11 @@ func (r *Run) Report(emit func(format string, args ...any)) {
 	}
 }
 
-// Finish closes the trace, writes -metrics, stops introspection and
-// profiling.
+// Finish stops the run window, which closes the trace sink, closes the
+// trace file, writes -metrics, and stops introspection and profiling.
 func (r *Run) Finish() {
+	_, err := system.StopCapture()
 	if r.traceFile != nil {
-		err := r.traceSink.Close()
 		if cerr := r.traceFile.Close(); err == nil {
 			err = cerr
 		}

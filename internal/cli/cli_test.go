@@ -1,14 +1,19 @@
 package cli
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"io"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"tako/internal/cpu"
+	"tako/internal/mem"
+	"tako/internal/sim"
 	"tako/internal/system"
 )
 
@@ -89,5 +94,64 @@ func TestStartExitsOnRejectedOptions(t *testing.T) {
 	}
 	if msg := stderr.String(); !strings.Contains(msg, "-slowest") {
 		t.Errorf("message %q does not name -slowest", msg)
+	}
+}
+
+// TestOneWindowPerCommand pins what a command's one run window gives its
+// experiments: each End returns only its own experiment's runs, the
+// systems of two experiments get distinct pids in the one trace file,
+// and the Chrome document is closed once, after the last experiment (a
+// sink closed earlier would drop the second experiment's events).
+func TestOneWindowPerCommand(t *testing.T) {
+	tracePath := filepath.Join(t.TempDir(), "run.trace.json")
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	f := Register(fs)
+	if err := fs.Parse([]string{"-trace", tracePath, "-trace-kinds", "dram.*", "-j", "1"}); err != nil {
+		t.Fatal(err)
+	}
+	r := f.Start("test")
+	for _, id := range []string{"a", "b"} {
+		r.Begin(id)
+		s := system.New(system.Scaled(2, 16))
+		region := s.Alloc("data", 16*1024)
+		s.Go(0, "w", func(p *sim.Proc, c *cpu.Core) {
+			for i := 0; i < 64; i++ {
+				c.Store(p, region.Base+mem.Addr(i*64), uint64(i))
+			}
+		})
+		s.Run()
+		system.Submit(system.LabelRun(s, id+"/run", s.Ops()), 1, false)
+		if res := r.End(id, true); len(res.Runs) != 1 || res.Runs[0].Label != id+"/run" || res.ExecMS != 1 {
+			t.Fatalf("experiment %s collected %+v, want its one run", id, res)
+		}
+	}
+	r.Finish()
+	if len(r.Runs) != 2 {
+		t.Fatalf("command kept %d runs, want 2", len(r.Runs))
+	}
+
+	data, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Pid  int            `json:"pid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("trace is not one closed Chrome document: %v", err)
+	}
+	names := map[int]string{}
+	for _, e := range doc.TraceEvents {
+		if e.Ph == "M" && e.Name == "process_name" {
+			names[e.Pid], _ = e.Args["name"].(string)
+		}
+	}
+	if len(names) != 2 || names[0] != "a/run" || names[1] != "b/run" {
+		t.Errorf("process names by pid = %v, want 0: a/run, 1: b/run", names)
 	}
 }

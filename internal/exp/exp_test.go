@@ -2,12 +2,8 @@ package exp
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"tako/internal/system"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -83,28 +79,5 @@ func TestFig21DriverRuns(t *testing.T) {
 	}
 	if rows[0][1] != "false" || rows[1][1] != "true" {
 		t.Fatalf("detection column wrong: %v / %v", rows[0], rows[1])
-	}
-}
-
-// TestShardedClassicRowIgnoresShardedDefault pins that the experiment
-// drivers build the classic machine whatever bench/workloads.go's
-// phi-tako-sharded workload arms: with the SetDefaultSharded stub armed,
-// fig6's quick table still matches its golden snapshot row for row.
-func TestShardedClassicRowIgnoresShardedDefault(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", "fig6.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	system.SetDefaultSharded(true, 2)
-	e, _ := ByID("fig6")
-	tbl, err := e.Run(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tbl.String(); got != string(want) {
-		t.Fatalf("armed stub changed fig6\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }

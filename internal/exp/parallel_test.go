@@ -6,138 +6,129 @@ import (
 	"testing"
 
 	"tako/internal/morphs"
-	"tako/internal/sched"
 	"tako/internal/system"
 )
 
-// captureExp runs one experiment at quick scale under a metrics capture
-// and returns its rendered table plus the captured run records.
-func captureExp(t *testing.T, id string) (string, []system.RunRecord) {
+// expRun is what one experiment left in a run window.
+type expRun struct {
+	table   string
+	runs    []system.RunRecord
+	systems int // machines built, i.e. simulations executed
+}
+
+// runWindow runs the experiments ids at quick scale in one run window
+// with the given worker count and returns, per experiment, its rendered
+// table and what the window collected while it ran.
+func runWindow(t *testing.T, workers int, ids ...string) []expRun {
 	t.Helper()
-	e, ok := ByID(id)
-	if !ok {
-		t.Fatalf("experiment %q not registered", id)
+	system.StartCapture(system.CaptureConfig{Workers: workers})
+	defer system.StopCapture()
+	var out []expRun
+	for _, id := range ids {
+		e, ok := ByID(id)
+		if !ok {
+			t.Fatalf("experiment %q not registered", id)
+		}
+		before := system.CaptureProgress()
+		tbl, err := e.Run(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, expRun{
+			table:   tbl.String(),
+			runs:    system.CaptureRuns()[before.Submitted:],
+			systems: system.CaptureProgress().Systems - before.Systems,
+		})
 	}
-	system.StartCapture(system.CaptureConfig{})
-	tbl, err := e.Run(true)
-	res, cerr := system.StopCapture()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cerr != nil {
-		t.Fatal(cerr)
-	}
-	return tbl.String(), res.Runs
+	return out
 }
 
 // TestParallelDriversMatchSequential pins the scheduler's determinism
 // contract: a driver fanning its variants across 4 workers produces a
 // byte-identical table and byte-identical capture log to the same driver
 // at 1 worker (which executes inline, exactly like the pre-scheduler
-// sequential loop). CI runs this under -race, which also makes it the
-// data-race probe for concurrent simulations.
+// sequential loop). Each side runs in its own window, so both simulate.
+// CI runs this under -race, which also makes it the data-race probe for
+// concurrent simulations.
 func TestParallelDriversMatchSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	prevCache := morphs.SetRunCache(false) // fresh simulations on both sides
-	defer morphs.SetRunCache(prevCache)
-	defer sched.SetWorkers(0)
+	seq := runWindow(t, 1, "fig6")[0]
+	par := runWindow(t, 4, "fig6")[0]
 
-	sched.SetWorkers(1)
-	seqTbl, seqRuns := captureExp(t, "fig6")
-	sched.SetWorkers(4)
-	parTbl, parRuns := captureExp(t, "fig6")
-
-	if seqTbl != parTbl {
-		t.Errorf("table differs between 1 and 4 workers\n--- j=1 ---\n%s--- j=4 ---\n%s", seqTbl, parTbl)
+	if seq.table != par.table {
+		t.Errorf("table differs between 1 and 4 workers\n--- j=1 ---\n%s--- j=4 ---\n%s", seq.table, par.table)
 	}
-	if len(seqRuns) != len(morphs.AllDecompVariants) {
-		t.Fatalf("captured %d runs, want %d", len(seqRuns), len(morphs.AllDecompVariants))
+	if len(seq.runs) != len(morphs.AllDecompVariants) {
+		t.Fatalf("captured %d runs, want %d", len(seq.runs), len(morphs.AllDecompVariants))
 	}
-	seq, err := json.Marshal(seqRuns)
+	seqJSON, err := json.Marshal(seq.runs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := json.Marshal(parRuns)
+	parJSON, err := json.Marshal(par.runs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(seq, par) {
+	if !bytes.Equal(seqJSON, parJSON) {
 		t.Error("captured run records (labels, ops, cycles, metrics) differ between 1 and 4 workers")
 	}
 }
 
 // TestRunCacheSharesPairedFigures pins the memo cache's purpose: fig6 and
 // fig7 render different tables from the same decompression simulations,
-// so with the cache armed the pair costs one set of simulations, and the
+// so in one window the pair costs one set of simulations, and the
 // replayed records carry identical op counts (what the CI ops golden
 // gates on).
 func TestRunCacheSharesPairedFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	prev := morphs.SetRunCache(true)
-	morphs.ResetRunCache()
-	defer func() {
-		morphs.SetRunCache(prev)
-		morphs.ResetRunCache()
-	}()
-
-	start := morphs.SimsExecuted()
-	_, runs6 := captureExp(t, "fig6")
-	afterFig6 := morphs.SimsExecuted()
-	if got, want := int(afterFig6-start), len(morphs.AllDecompVariants); got != want {
+	w := runWindow(t, 0, "fig6", "fig7")
+	fig6, fig7 := w[0], w[1]
+	if got, want := fig6.systems, len(morphs.AllDecompVariants); got != want {
 		t.Fatalf("fig6 executed %d simulations, want %d", got, want)
 	}
-	_, runs7 := captureExp(t, "fig7")
-	if extra := morphs.SimsExecuted() - afterFig6; extra != 0 {
-		t.Errorf("fig7 re-simulated %d runs the cache should have served", extra)
+	if fig7.systems != 0 {
+		t.Errorf("fig7 re-simulated %d runs the cache should have served", fig7.systems)
 	}
-	if len(runs7) != len(runs6) {
-		t.Fatalf("fig7 captured %d runs, fig6 %d", len(runs7), len(runs6))
+	if len(fig7.runs) != len(fig6.runs) {
+		t.Fatalf("fig7 captured %d runs, fig6 %d", len(fig7.runs), len(fig6.runs))
 	}
-	for i := range runs6 {
-		if runs7[i].Label != runs6[i].Label || runs7[i].Ops != runs6[i].Ops {
-			t.Errorf("run %d: fig7 (%s, %d ops) != fig6 (%s, %d ops)",
-				i, runs7[i].Label, runs7[i].Ops, runs6[i].Label, runs6[i].Ops)
+	for i, r6 := range fig6.runs {
+		r7 := fig7.runs[i]
+		if r7.Label != r6.Label || r7.Ops != r6.Ops {
+			t.Errorf("run %d: fig7 (%s, %d ops) != fig6 (%s, %d ops)", i, r7.Label, r7.Ops, r6.Label, r6.Ops)
 		}
-		if !runs7[i].Cached {
-			t.Errorf("fig7 run %s not marked cached", runs7[i].Label)
+		if r6.Cached || !r7.Cached {
+			t.Errorf("run %s: cached in fig6 %v, in fig7 %v; want false, true", r6.Label, r6.Cached, r7.Cached)
 		}
 	}
 }
 
 // TestSkipDoesNotEvictSharedRuns pins the takoreport -skip interaction:
 // skipping one figure of a pair (here fig6, so fig7 runs first and alone)
-// must still simulate the shared runs exactly once and leave them cached
-// for any later figure — the cache never evicts, it only fills.
+// must still simulate the shared runs exactly once and keep them for any
+// later figure in the window.
 func TestSkipDoesNotEvictSharedRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	prev := morphs.SetRunCache(true)
-	morphs.ResetRunCache()
-	defer func() {
-		morphs.SetRunCache(prev)
-		morphs.ResetRunCache()
-	}()
-
-	start := morphs.SimsExecuted()
-	_, runs7 := captureExp(t, "fig7")
-	executed := morphs.SimsExecuted() - start
-	if got, want := int(executed), len(morphs.AllDecompVariants); got != want {
+	w := runWindow(t, 0, "fig7", "fig6")
+	fig7, fig6 := w[0], w[1]
+	if got, want := fig7.systems, len(morphs.AllDecompVariants); got != want {
 		t.Fatalf("fig7 alone executed %d simulations, want %d", got, want)
 	}
-	for _, r := range runs7 {
+	for _, r := range fig7.runs {
 		if r.Cached {
 			t.Errorf("fig7 run %s marked cached on first execution", r.Label)
 		}
 	}
-	if _, runs6 := captureExp(t, "fig6"); len(runs6) != len(runs7) {
-		t.Fatalf("fig6 captured %d runs, want %d", len(runs6), len(runs7))
+	if len(fig6.runs) != len(fig7.runs) {
+		t.Fatalf("fig6 captured %d runs, want %d", len(fig6.runs), len(fig7.runs))
 	}
-	if total := morphs.SimsExecuted() - start; total != executed {
-		t.Errorf("fig6 after skipped-then-run fig7 re-simulated %d runs", total-executed)
+	if fig6.systems != 0 {
+		t.Errorf("fig6 after fig7 re-simulated %d runs", fig6.systems)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"tako/internal/hier"
-	"tako/internal/morphs"
 	"tako/internal/system"
 )
 
@@ -20,17 +19,15 @@ func TestTxnEdgesDeterministicAndLegal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	prev := morphs.SetRunCache(false) // both passes must really simulate
-	defer morphs.SetRunCache(prev)
-
 	legal := map[hier.TxnTransition]bool{}
 	for _, e := range hier.LegalEdges() {
 		e.Count = 0
 		legal[e] = true
 	}
 
-	_, runs1 := captureExp(t, "fig6")
-	_, runs2 := captureExp(t, "fig6")
+	// Separate windows, so both passes really simulate.
+	runs1 := runWindow(t, 0, "fig6")[0].runs
+	runs2 := runWindow(t, 0, "fig6")[0].runs
 	if len(runs1) == 0 || len(runs1) != len(runs2) {
 		t.Fatalf("captured %d and %d runs", len(runs1), len(runs2))
 	}

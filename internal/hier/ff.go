@@ -57,8 +57,10 @@ type ffState struct {
 	counts   []uint32
 	batchLat sim.Cycle
 
-	// reported is the done count already folded into the process-wide
-	// progress gauges (updated periodically, not per access).
+	// progress is where the run's progress is reported (nil: nowhere);
+	// reported is the done count already folded into it (updated
+	// periodically, not per access).
+	progress *FFProgress
 	reported uint64
 
 	seeded ffSeedCounts
@@ -69,17 +71,17 @@ type ffSeedCounts struct {
 	L1, L2, L3, TLB, Dir int
 }
 
-// Process-wide fast-forward progress, aggregated across all hierarchies
-// (report generation runs many systems concurrently); introspect's
-// /progress endpoint renders it with an ETA.
-var (
-	ffActiveSystems atomic.Int64
-	ffDoneTotal     atomic.Uint64
-	ffBudgetTotal   atomic.Uint64
-	ffStartNanos    atomic.Int64
-)
+// FFProgress aggregates fast-forward progress across the hierarchies
+// that report to it (a run window's, which may run concurrently);
+// introspect's /progress endpoint renders it with an ETA.
+type FFProgress struct {
+	active     atomic.Int64
+	done       atomic.Uint64
+	budget     atomic.Uint64
+	startNanos atomic.Int64
+}
 
-// FFView is a snapshot of process-wide fast-forward progress.
+// FFView is a snapshot of FFProgress.
 type FFView struct {
 	Active   int    // hierarchies currently fast-forwarding
 	Accesses uint64 // accesses fast-forwarded so far (all runs)
@@ -87,15 +89,14 @@ type FFView struct {
 	PerSec   float64
 }
 
-// FFSnapshot returns process-wide fast-forward progress for live
-// introspection.
-func FFSnapshot() FFView {
+// Snapshot returns the progress so far.
+func (p *FFProgress) Snapshot() FFView {
 	v := FFView{
-		Active:   int(ffActiveSystems.Load()),
-		Accesses: ffDoneTotal.Load(),
-		Budget:   ffBudgetTotal.Load(),
+		Active:   int(p.active.Load()),
+		Accesses: p.done.Load(),
+		Budget:   p.budget.Load(),
 	}
-	if start := ffStartNanos.Load(); start != 0 && v.Accesses > 0 {
+	if start := p.startNanos.Load(); start != 0 && v.Accesses > 0 {
 		if el := time.Since(time.Unix(0, start)).Seconds(); el > 0 {
 			v.PerSec = float64(v.Accesses) / el
 		}
@@ -103,9 +104,24 @@ func FFSnapshot() FFView {
 	return v
 }
 
+// report folds the accesses f did since its last report into its
+// progress; ended also counts f as no longer fast-forwarding.
+func (f *ffState) report(ended bool) {
+	p := f.progress
+	if p == nil {
+		return
+	}
+	p.done.Add(f.done - f.reported)
+	f.reported = f.done
+	if ended {
+		p.active.Add(-1)
+	}
+}
+
 // EnableFastForward arms analytical fast-forward for the first budget
-// core accesses (0 leaves it off). Baseline machines only.
-func (h *Hierarchy) EnableFastForward(budget uint64) {
+// core accesses (0 leaves it off), reporting its progress to progress
+// (nil: nowhere). Baseline machines only.
+func (h *Hierarchy) EnableFastForward(budget uint64, progress *FFProgress) {
 	if h.registry != nil {
 		panic("hier: fast-forward on a täkō machine is unsupported (morph callbacks need the event kernel " +
 			"per access); fast-forward baseline (NoTako) machines, or clear FastForward")
@@ -134,11 +150,14 @@ func (h *Hierarchy) EnableFastForward(budget uint64) {
 			},
 		},
 		batchLat: ffSleepEvery, // until the first retime
+		progress: progress,
 	}
 	h.ff = f
-	ffActiveSystems.Add(1)
-	ffBudgetTotal.Add(budget)
-	ffStartNanos.CompareAndSwap(0, time.Now().UnixNano())
+	if progress != nil {
+		progress.active.Add(1)
+		progress.budget.Add(budget)
+		progress.startNanos.CompareAndSwap(0, time.Now().UnixNano())
+	}
 	h.Metrics.Counter("ff.accesses")
 	h.Metrics.Counter("ff.switch.cycle")
 }
@@ -180,8 +199,7 @@ func (h *Hierarchy) ffTouch(p *sim.Proc, tileID int, a mem.Addr) {
 	}
 	if f.done%ffRetime == 0 {
 		f.retime()
-		ffDoneTotal.Add(f.done - f.reported)
-		f.reported = f.done
+		f.report(false)
 	}
 }
 
@@ -211,9 +229,7 @@ func (h *Hierarchy) ffSwitch(p *sim.Proc) {
 	h.Metrics.Counter("ff.seed.l2").Add(uint64(f.seeded.L2))
 	h.Metrics.Counter("ff.seed.l3").Add(uint64(f.seeded.L3))
 	h.Metrics.Counter("ff.seed.tlb").Add(uint64(f.seeded.TLB))
-	ffDoneTotal.Add(f.done - f.reported)
-	f.reported = f.done
-	ffActiveSystems.Add(-1)
+	f.report(true)
 }
 
 // FinishFF closes the books on a run that ended before its fast-forward
@@ -227,9 +243,7 @@ func (h *Hierarchy) FinishFF() {
 	}
 	f.switched = true
 	h.Metrics.Counter("ff.accesses").Add(f.done)
-	ffDoneTotal.Add(f.done - f.reported)
-	f.reported = f.done
-	ffActiveSystems.Add(-1)
+	f.report(true)
 }
 
 // FFAccesses returns the number of accesses that were fast-forwarded

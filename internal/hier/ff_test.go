@@ -96,7 +96,7 @@ func TestFFFunctionalExactness(t *testing.T) {
 		k := sim.NewKernel()
 		h := New(k, DefaultConfig(tiles), energy.NewMeter(), nil, nil)
 		if ffBudget > 0 {
-			h.EnableFastForward(ffBudget)
+			h.EnableFastForward(ffBudget, nil)
 		}
 		expected := ffWorkload(t, k, h, tiles, ops)
 		k.Run()
@@ -136,7 +136,7 @@ func TestFFSwitchoverSeedsWarmState(t *testing.T) {
 	const tiles, ops = 4, 2000
 	k := sim.NewKernel()
 	h := New(k, DefaultConfig(tiles), energy.NewMeter(), nil, nil)
-	h.EnableFastForward(3000)
+	h.EnableFastForward(3000, nil)
 	ffWorkload(t, k, h, tiles, ops)
 	k.Run()
 

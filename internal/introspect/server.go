@@ -13,7 +13,7 @@
 //	/               index with a live progress summary
 //	/progress       JSON: phase, experiments done/total, capture counters,
 //	                scheduler workers/active
-//	/metrics        JSON: every published + in-flight run record
+//	/metrics        JSON: every run record the window has collected
 //	                (system.MetricsReport shape)
 //	/txn            transaction-edge coverage heatmap (HTML); ?format=json
 //	                for the aggregated edge list; unvisited legal edges
@@ -43,13 +43,12 @@ type Server struct {
 	srv *http.Server
 	ln  net.Listener
 
-	mu        sync.Mutex
-	phase     string
-	expTotal  int
-	expDone   int
-	current   string
-	published []system.RunRecord
-	start     time.Time
+	mu       sync.Mutex
+	phase    string
+	expTotal int
+	expDone  int
+	current  string
+	start    time.Time
 }
 
 // progressDoc is the /progress JSON document.
@@ -59,12 +58,11 @@ type progressDoc struct {
 	Experiments experimentsDoc  `json:"experiments"`
 	Capture     system.Progress `json:"capture"`
 	FastForward *ffDoc          `json:"fastforward,omitempty"`
-	Published   int             `json:"published_runs"`
 	Sched       schedDoc        `json:"sched"`
 }
 
 // ffDoc reports the analytical fast-forward phase: how many accesses
-// have been fast-forwarded across all hierarchies, the total budget, the
+// the window's hierarchies have fast-forwarded, the total budget, the
 // throughput, and the ETA the throughput implies. Omitted until a run
 // enables fast-forward.
 type ffDoc struct {
@@ -155,28 +153,6 @@ func (s *Server) FinishExperiment(id string) {
 	s.mu.Unlock()
 }
 
-// PublishRuns appends completed run records to the server's published
-// set (served by /metrics and /txn alongside the live capture window).
-func (s *Server) PublishRuns(runs []system.RunRecord) {
-	if len(runs) == 0 {
-		return
-	}
-	s.mu.Lock()
-	s.published = append(s.published, runs...)
-	s.mu.Unlock()
-}
-
-// runs returns published + live-capture records: the published set is
-// what drivers already submitted and handed over; the live tail is
-// whatever the active capture window has collected since.
-func (s *Server) runs() []system.RunRecord {
-	s.mu.Lock()
-	out := make([]system.RunRecord, len(s.published))
-	copy(out, s.published)
-	s.mu.Unlock()
-	return append(out, system.CaptureRuns()...)
-}
-
 func (s *Server) progress() progressDoc {
 	s.mu.Lock()
 	doc := progressDoc{
@@ -185,11 +161,10 @@ func (s *Server) progress() progressDoc {
 		Experiments: experimentsDoc{
 			Total: s.expTotal, Done: s.expDone, Current: s.current,
 		},
-		Published: len(s.published),
 	}
 	s.mu.Unlock()
 	doc.Capture = system.CaptureProgress()
-	if ff := hier.FFSnapshot(); ff.Budget > 0 {
+	if ff := doc.Capture.FF; ff.Budget > 0 {
 		d := &ffDoc{Active: ff.Active, Accesses: ff.Accesses,
 			Budget: ff.Budget, PerSec: ff.PerSec}
 		if ff.PerSec > 0 && ff.Budget > ff.Accesses {
@@ -197,7 +172,7 @@ func (s *Server) progress() progressDoc {
 		}
 		doc.FastForward = d
 	}
-	doc.Sched = schedDoc{Workers: sched.Workers(), Active: sched.Active()}
+	doc.Sched = schedDoc{Workers: system.Workers(), Active: sched.Active()}
 	return doc
 }
 
@@ -214,7 +189,7 @@ func (s *Server) handleProgress(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	system.WriteMetricsReport(w, s.runs()) //nolint:errcheck // client went away
+	system.WriteMetricsReport(w, system.CaptureRuns()) //nolint:errcheck // client went away
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
@@ -227,7 +202,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, `<!doctype html><title>täkō introspection</title>
 <style>body{font:14px monospace;margin:2em}a{display:block;margin:.2em 0}</style>
 <h1>täkō simulation — live introspection</h1>
-<p>phase: <b>%s</b> · experiments %d/%d %s· runs submitted %d (cached %d) · published %d · sched %d/%d busy%s</p>
+<p>phase: <b>%s</b> · experiments %d/%d %s· runs submitted %d (cached %d) · sched %d/%d busy%s</p>
 <a href="/progress">/progress — run progress (JSON)</a>
 <a href="/metrics">/metrics — all run metrics snapshots (JSON)</a>
 <a href="/txn">/txn — transaction state-machine coverage heatmap</a>
@@ -235,7 +210,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 `,
 		html.EscapeString(p.Phase), p.Experiments.Done, p.Experiments.Total,
 		currentTag(p.Experiments.Current), p.Capture.Submitted, p.Capture.Cached,
-		p.Published, p.Sched.Active, p.Sched.Workers, ffTag(p.FastForward))
+		p.Sched.Active, p.Sched.Workers, ffTag(p.FastForward))
 }
 
 // ffTag renders the fast-forward phase for the index line: accesses
@@ -262,7 +237,7 @@ func currentTag(id string) string {
 // from×to matrix shaded by hit count, plus the unvisited legal edges.
 // ?format=json returns the aggregated edge list instead.
 func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
-	edges := system.AggregateTxnEdges(s.runs())
+	edges := system.AggregateTxnEdges(system.CaptureRuns())
 	if r.URL.Query().Get("format") == "json" {
 		writeJSON(w, struct {
 			Edges     []hier.TxnTransition `json:"edges"`

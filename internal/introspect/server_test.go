@@ -21,8 +21,6 @@ import (
 // polling it, check every endpoint returns well-formed data, and shut
 // down cleanly.
 func TestServerEndToEnd(t *testing.T) {
-	defer system.SetOptions(system.SetOptions(system.Options{Attribution: true, SlowestK: 4}))
-
 	srv, err := Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +48,8 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 
 	// Run a small captured simulation, as a driver would.
-	system.StartCapture(system.CaptureConfig{})
+	system.StartCapture(system.CaptureConfig{Options: system.Options{Attribution: true, SlowestK: 4}})
+	defer system.StopCapture()
 	srv.StartExperiment("smoke")
 	s := system.New(system.Scaled(2, 16))
 	region := s.Alloc("data", 32*1024)
@@ -89,15 +88,10 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Error("/metrics run record has no txn edge coverage")
 	}
 
-	res, err := system.StopCapture()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.PublishRuns(res.Runs)
 	srv.FinishExperiment("smoke")
 	srv.SetPhase("done")
 
-	// Progress reflects the finished experiment and published runs.
+	// Progress reflects the finished experiment and the window's runs.
 	_, body = get("/progress")
 	var prog progressDoc
 	if err := json.Unmarshal(body, &prog); err != nil {
@@ -109,8 +103,8 @@ func TestServerEndToEnd(t *testing.T) {
 	if prog.Experiments.Total != 1 || prog.Experiments.Done != 1 {
 		t.Errorf("experiments = %+v, want 1/1", prog.Experiments)
 	}
-	if prog.Published != 1 {
-		t.Errorf("published = %d, want 1", prog.Published)
+	if prog.Capture.Systems != 1 || prog.Capture.Submitted != 1 {
+		t.Errorf("capture = %+v, want 1 system and 1 submitted run", prog.Capture)
 	}
 	if prog.Sched.Workers < 1 {
 		t.Errorf("sched workers = %d, want >= 1", prog.Sched.Workers)
@@ -139,7 +133,7 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 
 	// A fast-forwarded run surfaces the FF phase in /progress (the
-	// gauges are process-wide and cumulative, so the section persists
+	// gauges are the window's and cumulative, so the section persists
 	// after the run finishes).
 	ffCfg := system.Scaled(2, 16)
 	ffCfg.NoTako = true
@@ -203,6 +197,8 @@ func TestServerConcurrentPolling(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	system.StartCapture(system.CaptureConfig{})
+	defer system.StopCapture()
 	base := "http://" + srv.Addr()
 
 	done := make(chan struct{})
@@ -211,7 +207,7 @@ func TestServerConcurrentPolling(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			srv.SetPhase(fmt.Sprintf("phase-%d", i))
 			srv.StartExperiment(fmt.Sprintf("e%d", i))
-			srv.PublishRuns([]system.RunRecord{{Label: fmt.Sprintf("r%d", i)}})
+			system.Submit(&system.RunRecord{Label: fmt.Sprintf("r%d", i)}, 1, false)
 			srv.FinishExperiment(fmt.Sprintf("e%d", i))
 			time.Sleep(time.Millisecond)
 		}

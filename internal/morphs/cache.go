@@ -1,8 +1,6 @@
 package morphs
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"tako/internal/system"
@@ -10,95 +8,49 @@ import (
 )
 
 // The memoized run cache: one entry per (study, variant, params)
-// simulation. The paper's report regenerates paired figures (fig6/fig7,
-// fig13/fig14, fig16/fig17, fig19/fig20) from the exact same runs, and
-// the sensitivity sweeps re-run baselines other figures already
-// simulated; with the cache enabled each such simulation executes once
-// and every later request replays the stored Result — including its
-// observability record, which the requesting driver re-submits into its
-// own capture window so -bench reports and op-count goldens are
-// unchanged by the sharing.
+// simulation, kept in the run window (system.Memo). The paper's report
+// regenerates paired figures (fig6/fig7, fig13/fig14, fig16/fig17,
+// fig19/fig20) from the exact same runs, and the sensitivity sweeps
+// re-run baselines other figures already simulated; within one window
+// each such simulation executes once and every later request replays
+// the stored Result — including its observability record, which is
+// submitted again for the requesting experiment, so -bench reports and
+// op-count goldens are unchanged by the sharing.
 //
-// The cache is off by default: tests and `go test -bench` rely on every
-// call re-simulating. The CLI drivers (takoreport, takosim) opt in. The
-// cache is process-global and never evicts, so a skipped experiment
-// (takoreport -skip fig6) neither removes nor invalidates runs a later
-// figure shares; whichever figure of a pair runs first simulates, the
-// rest reuse.
+// Outside a window every call re-simulates, which is what tests and
+// `go test -bench` rely on. The CLIs arm one window per command,
+// so a run lives from its first execution until the command ends: a
+// skipped experiment (takoreport -skip fig6) only changes which figure
+// of a pair simulates first.
 //
 // Keys compare params by value. HATSParams carries a *tlb.Config, which
 // would compare by pointer identity — hatsCacheKey flattens it into the
-// key so equal configurations hit regardless of allocation. The key also
-// holds the process-wide system.Options the run was built under, so a
-// run never replays into a machine configured differently (-verify,
-// -attr); the worker count and the cache switch cannot change a result
-// and stay out of it.
+// key so equal configurations hit regardless of allocation. The window
+// fixes the system.Options every run in it is built under, so they stay
+// out of the key.
 
 type runKey struct {
 	study   string
 	variant string
 	params  any // normalized, comparable params value
-	opts    system.Options
 }
-
-var (
-	cacheEnabled atomic.Bool
-	cacheMu      sync.Mutex
-	runCache     = map[runKey]Result{}
-
-	// simsExecuted counts simulations actually run (cache misses plus
-	// all runs while the cache is disabled) — the probe tests use it to
-	// assert paired figures share one simulation.
-	simsExecuted atomic.Uint64
-)
-
-// SetRunCache enables or disables run memoization and returns the
-// previous setting. Enabling does not clear previously cached runs.
-func SetRunCache(on bool) bool { return cacheEnabled.Swap(on) }
-
-// ResetRunCache drops every cached run (tests; never needed by the
-// drivers — params and options fully determine a run, so entries cannot
-// go stale within a process).
-func ResetRunCache() {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	runCache = map[runKey]Result{}
-}
-
-// SimsExecuted returns the number of simulations executed (not served
-// from the cache) so far in this process.
-func SimsExecuted() uint64 { return simsExecuted.Load() }
 
 // cachedRun memoizes one variant's simulation. On a miss it executes
-// run, stamps the Result with the measured wall-clock, and stores it; on
-// a hit it returns the stored Result marked Cached with zero wall-clock,
-// so submission accounts the simulation cost exactly once.
+// run and stamps the Result with the measured wall-clock; on a hit it
+// returns the stored Result marked Cached with zero wall-clock, so
+// submission accounts the simulation cost exactly once.
 func cachedRun(study, variant string, params any, run func() (Result, error)) (Result, error) {
-	if !cacheEnabled.Load() {
-		simsExecuted.Add(1)
-		return run()
-	}
-	key := runKey{study: study, variant: variant, params: params, opts: system.CurrentOptions()}
-	cacheMu.Lock()
-	r, ok := runCache[key]
-	cacheMu.Unlock()
-	if ok {
-		r.Cached = true
-		r.WallMS = 0
-		return r, nil
-	}
-	simsExecuted.Add(1)
-	start := time.Now()
-	r, err := run()
-	if err != nil {
+	v, hit, err := system.Memo(runKey{study, variant, params}, func() (any, error) {
+		start := time.Now()
+		r, err := run()
+		r.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
 		return r, err
+	})
+	r := v.(Result)
+	if hit {
+		r.Cached, r.WallMS = true, 0
 	}
-	r.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
-	r.Cached = false
-	cacheMu.Lock()
-	runCache[key] = r
-	cacheMu.Unlock()
-	return r, nil
+	return r, err
 }
 
 // submitResults enters each result's run record into the active capture

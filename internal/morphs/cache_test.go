@@ -6,21 +6,13 @@ import (
 	"tako/internal/system"
 )
 
-// TestRunCacheKeysOnOptions pins that the run cache keys on the
-// process-wide system.Options: a run cached without attribution is not
-// replayed once -attr is armed, and equal options still hit.
-func TestRunCacheKeysOnOptions(t *testing.T) {
+// TestRunCacheLivesOneWindow pins the run cache's lifetime: within one
+// run window equal params hit, a run memoized in one window is simulated
+// again in the next, and with no window armed every call simulates.
+func TestRunCacheLivesOneWindow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	prev := SetRunCache(true)
-	ResetRunCache()
-	defer func() {
-		SetRunCache(prev)
-		ResetRunCache()
-	}()
-	defer system.SetOptions(system.SetOptions(system.Options{}))
-
 	prm := DefaultDecompParams()
 	prm.NumValues, prm.NumIndices = 4096, 2048
 	run := func() Result {
@@ -32,14 +24,27 @@ func TestRunCacheKeysOnOptions(t *testing.T) {
 		return r
 	}
 
-	if first := run(); first.Cached {
-		t.Fatal("first run served from an empty cache")
+	system.StartCapture(system.CaptureConfig{})
+	first, again := run(), run()
+	system.StopCapture()
+	if first.Cached {
+		t.Error("first run in a window served from the cache")
 	}
-	system.SetOptions(system.Options{Attribution: true})
-	if armed := run(); armed.Cached {
-		t.Fatal("-attr replayed the run cached without attribution")
+	if !again.Cached || again.Cycles != first.Cycles || again.Record != first.Record {
+		t.Error("equal params in one window did not replay the memoized run")
 	}
-	if again := run(); !again.Cached {
-		t.Fatal("equal options missed the cache")
+
+	system.StartCapture(system.CaptureConfig{})
+	next := run()
+	system.StopCapture()
+	if next.Cached {
+		t.Error("the next window replayed a run memoized in the previous one")
+	}
+	if next.Cycles != first.Cycles {
+		t.Errorf("re-simulated run took %d cycles, first %d", next.Cycles, first.Cycles)
+	}
+
+	if r := run(); r.Cached || run().Cached {
+		t.Error("a run with no window armed was served from a cache")
 	}
 }

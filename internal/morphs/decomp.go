@@ -79,7 +79,7 @@ type decompView struct{ base mem.Addr }
 
 // RunDecompression executes one variant, verifies the computed sum
 // against the functional reference, and returns its Result. Runs are
-// memoized under the run cache when enabled (SetRunCache).
+// memoized in the run window, if one is armed (system.Memo).
 func RunDecompression(v DecompVariant, prm DecompParams) (Result, error) {
 	return cachedRun("decompression", string(v), prm, func() (Result, error) {
 		return runDecompression(v, prm)

@@ -73,8 +73,8 @@ type hatsView struct {
 
 // RunHATS executes one variant of the single-threaded edge phase plus
 // the vertex phase, verifies against the reference, and returns its
-// Result. Runs are memoized under the run cache when enabled
-// (SetRunCache).
+// Result. Runs are memoized in the run window, if one is
+// armed (system.Memo).
 func RunHATS(v HATSVariant, prm HATSParams) (Result, error) {
 	return cachedRun("hats", string(v), hatsCacheKey(prm), func() (Result, error) {
 		return runHATS(v, prm)

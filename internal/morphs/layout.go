@@ -56,7 +56,7 @@ func DefaultLayoutParams() LayoutParams {
 type layoutView struct{ base mem.Addr }
 
 // RunLayout executes one variant, verifying every pass's field sum.
-// Runs are memoized under the run cache when enabled (SetRunCache).
+// Runs are memoized in the run window, if one is armed (system.Memo).
 func RunLayout(v LayoutVariant, prm LayoutParams) (Result, error) {
 	return cachedRun("layout", string(v), prm, func() (Result, error) {
 		return runLayout(v, prm)

@@ -69,7 +69,7 @@ type nvmView struct {
 // RunNVM executes one variant: `Transactions` append-only transactions
 // of TxnBytes each, verifying that the NVM data region ends up with the
 // expected contents and that every committed byte was persisted. Runs
-// are memoized under the run cache when enabled (SetRunCache).
+// are memoized in the run window, if one is armed (system.Memo).
 func RunNVM(v NVMVariant, prm NVMParams) (Result, error) {
 	return cachedRun("nvm", string(v), prm, func() (Result, error) {
 		return runNVM(v, prm)
@@ -336,7 +336,7 @@ func RunNVMCrash(prm NVMParams, crashAt sim.Cycle) (committed int, err error) {
 
 // RunNVMSweep runs all variants across TxnSizes (Fig 19 + Fig 20). All
 // (size, variant) points are independent simulations, so the whole
-// sweep fans across the scheduler's workers; results assemble — and run
+// sweep fans across the run window's workers; results assemble — and run
 // records submit — in size-major, variant-minor order, matching the
 // sequential sweep.
 func RunNVMSweep(sizes []int, tiles int) (map[NVMVariant][]Result, error) {
@@ -350,7 +350,7 @@ func RunNVMSweep(sizes []int, tiles int) (map[NVMVariant][]Result, error) {
 			points = append(points, point{size, v})
 		}
 	}
-	results, err := sched.MapResults(len(points), func(i int) (Result, error) {
+	results, err := sched.MapResults(system.Workers(), len(points), func(i int) (Result, error) {
 		prm := DefaultNVMParams(points[i].size)
 		prm.Tiles = tiles
 		return RunNVM(points[i].v, prm)

@@ -106,8 +106,8 @@ func roundUp8(n uint64) uint64 { return (n + 7) &^ 7 }
 
 // RunPHI executes one variant of the PageRank scatter phase (plus bin
 // and vertex phases), verifies the final vertex data against the
-// functional reference, and returns its Result. Runs are memoized under
-// the run cache when enabled (SetRunCache).
+// functional reference, and returns its Result. Runs are memoized in
+// the run window, if one is armed (system.Memo).
 func RunPHI(v PHIVariant, prm PHIParams) (Result, error) {
 	return cachedRun("phi", string(v), prm, func() (Result, error) {
 		return runPHI(v, prm)

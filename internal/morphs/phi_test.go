@@ -17,8 +17,9 @@ func TestPHIShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	defer system.SetOptions(system.SetOptions(system.Options{Verify: true}))
+	system.StartCapture(system.CaptureConfig{Options: system.Options{Verify: true}})
 	res, err := RunPHIAll(smallPHIParams())
+	system.StopCapture()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,19 +6,14 @@ import (
 	"testing"
 
 	"tako/internal/sim"
-	"tako/internal/system"
 )
 
-// The rerun determinism battery. system.SetDefaultSharded is an empty
-// stub kept for bench/workloads.go, whose phi-tako-sharded workload arms
-// it and must report phi-tako's fingerprint. Each leg runs one täkō case
-// study twice in one process, first with the stub unarmed and then armed
-// the way that workload arms it, and compares full result fingerprints —
-// cycles, energy, instruction and DRAM counts, phase attribution, and
-// every study-specific Extra metric. Equal fingerprints pin both that
-// the stub changes nothing and that a second machine built in the same
-// process reproduces the first (no state leaks from one run into the
-// next). The tests go with the stub.
+// The rerun determinism battery. Each leg runs one täkō case study twice
+// in one process and compares full result fingerprints — cycles, energy,
+// instruction and DRAM counts, phase attribution, and every
+// study-specific Extra metric. Equal fingerprints pin that a second
+// machine built in the same process reproduces the first (no state leaks
+// from one run into the next).
 
 // resultFingerprint renders everything about a Result that a rerun must
 // reproduce. Record and WallMS are host-side observability and excluded.
@@ -42,18 +37,17 @@ func resultFingerprint(t *testing.T, r Result) string {
 	return string(b)
 }
 
-// armedRerun runs one study leg unarmed, then again with the stub armed,
-// and fails if the two fingerprints differ.
-func armedRerun(t *testing.T, run func() (Result, error)) {
+// rerun runs one study leg twice and fails if the two fingerprints
+// differ.
+func rerun(t *testing.T, run func() (Result, error)) {
 	t.Helper()
 	ref, err := run()
 	if err != nil {
-		t.Fatalf("unarmed: %v", err)
+		t.Fatalf("first run: %v", err)
 	}
-	system.SetDefaultSharded(true, 2)
 	got, err := run()
 	if err != nil {
-		t.Fatalf("armed: %v", err)
+		t.Fatalf("rerun: %v", err)
 	}
 	if fp, want := resultFingerprint(t, got), resultFingerprint(t, ref); fp != want {
 		t.Fatalf("rerun diverged:\n got %s\nwant %s", fp, want)
@@ -66,7 +60,7 @@ func TestShardedDecompDeterminism(t *testing.T) {
 	}
 	prm := DefaultDecompParams()
 	prm.NumValues, prm.NumIndices = 4096, 2048
-	armedRerun(t, func() (Result, error) { return runDecompression(DecompTako, prm) })
+	rerun(t, func() (Result, error) { return runDecompression(DecompTako, prm) })
 }
 
 func TestShardedLayoutDeterminism(t *testing.T) {
@@ -75,7 +69,7 @@ func TestShardedLayoutDeterminism(t *testing.T) {
 	}
 	prm := DefaultLayoutParams()
 	prm.Structs, prm.Passes = 4096, 2
-	armedRerun(t, func() (Result, error) { return runLayout(LayoutTako, prm) })
+	rerun(t, func() (Result, error) { return runLayout(LayoutTako, prm) })
 }
 
 func TestShardedPHIDeterminism(t *testing.T) {
@@ -86,7 +80,7 @@ func TestShardedPHIDeterminism(t *testing.T) {
 	prm.V, prm.E = 2048, 16384
 	for _, v := range []PHIVariant{PHITako, PHIHier} {
 		t.Run(string(v), func(t *testing.T) {
-			armedRerun(t, func() (Result, error) { return runPHI(v, prm) })
+			rerun(t, func() (Result, error) { return runPHI(v, prm) })
 		})
 	}
 }
@@ -97,7 +91,7 @@ func TestShardedCCDeterminism(t *testing.T) {
 	}
 	prm := DefaultCCParams()
 	prm.V, prm.E, prm.Rounds = 2048, 16384, 2
-	armedRerun(t, func() (Result, error) { return RunCC(CCTako, prm) })
+	rerun(t, func() (Result, error) { return RunCC(CCTako, prm) })
 }
 
 func TestShardedHATSDeterminism(t *testing.T) {
@@ -106,7 +100,7 @@ func TestShardedHATSDeterminism(t *testing.T) {
 	}
 	prm := DefaultHATSParams()
 	prm.V, prm.E = 2048, 16384
-	armedRerun(t, func() (Result, error) { return runHATS(HATSTako, prm) })
+	rerun(t, func() (Result, error) { return runHATS(HATSTako, prm) })
 }
 
 func TestShardedNVMDeterminism(t *testing.T) {
@@ -115,7 +109,7 @@ func TestShardedNVMDeterminism(t *testing.T) {
 	}
 	prm := DefaultNVMParams(256)
 	prm.Transactions = 64
-	armedRerun(t, func() (Result, error) { return runNVM(NVMTako, prm) })
+	rerun(t, func() (Result, error) { return runNVM(NVMTako, prm) })
 }
 
 func TestShardedSideChannelDeterminism(t *testing.T) {
@@ -124,7 +118,7 @@ func TestShardedSideChannelDeterminism(t *testing.T) {
 	}
 	prm := DefaultSideChannelParams()
 	prm.Rounds = 3
-	armedRerun(t, func() (Result, error) {
+	rerun(t, func() (Result, error) {
 		r, err := RunSideChannel(SCTako, prm)
 		if err != nil {
 			return Result{}, err
@@ -143,8 +137,7 @@ func TestShardedSideChannelDeterminism(t *testing.T) {
 
 // TestShardedNVMCrashDeterminism pins the crash harness across reruns:
 // RunUntil stops the run at the crash cycle, recovery replays the
-// journal, and the committed-transaction count is identical unarmed and
-// armed.
+// journal, and the committed-transaction count is identical both times.
 func TestShardedNVMCrashDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -153,18 +146,17 @@ func TestShardedNVMCrashDeterminism(t *testing.T) {
 	prm.Transactions = 256
 	ref, err := RunNVMCrash(prm, 60000)
 	if err != nil {
-		t.Fatalf("unarmed: %v", err)
+		t.Fatalf("first run: %v", err)
 	}
 	if ref <= 0 || ref >= prm.Transactions {
 		t.Fatalf("crash at a boundary: committed %d/%d transactions (pick a crash cycle mid-run)",
 			ref, prm.Transactions)
 	}
-	system.SetDefaultSharded(true, 2)
 	committed, err := RunNVMCrash(prm, 60000)
 	if err != nil {
-		t.Fatalf("armed: %v", err)
+		t.Fatalf("rerun: %v", err)
 	}
 	if committed != ref {
-		t.Fatalf("armed run committed %d transactions, unarmed run committed %d", committed, ref)
+		t.Fatalf("rerun committed %d transactions, first run committed %d", committed, ref)
 	}
 }

@@ -1,10 +1,6 @@
 package oracle
 
-import (
-	"testing"
-
-	"tako/internal/system"
-)
+import "testing"
 
 // TestOracleRandomTraces is the main differential-verification
 // property: thousands of mixed operations per seed across multiple
@@ -61,29 +57,6 @@ func TestOracleDeterminism(t *testing.T) {
 	}
 	if err := a.Oracle.Err(); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestRunTraceIgnoresShardedDefault pins that the harness builds the
-// classic machine whatever bench/workloads.go's phi-tako-sharded workload
-// arms: with the SetDefaultSharded stub armed, a trace reproduces the
-// unarmed run's fingerprint byte for byte.
-func TestRunTraceIgnoresShardedDefault(t *testing.T) {
-	ref, err := RunTrace(DefaultTraceConfig(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	system.SetDefaultSharded(true, 2)
-	res, err := RunTrace(DefaultTraceConfig(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Oracle.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if res.Fingerprint != ref.Fingerprint {
-		t.Fatalf("armed stub changed the trace:\n--- unarmed ---\n%s\n--- armed ---\n%s",
-			ref.Fingerprint, res.Fingerprint)
 	}
 }
 

@@ -16,21 +16,10 @@ import (
 	"sync/atomic"
 )
 
-// workers is the configured pool width; 0 means GOMAXPROCS.
-var workers atomic.Int64
-
-// SetWorkers sets the number of simulations run concurrently (the -j
-// flag). n <= 0 resets to the default, GOMAXPROCS.
-func SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	workers.Store(int64(n))
-}
-
-// Workers returns the effective pool width.
-func Workers() int {
-	if n := int(workers.Load()); n > 0 {
+// Workers resolves a requested pool width: n itself when positive,
+// otherwise GOMAXPROCS.
+func Workers(n int) int {
+	if n > 0 {
 		return n
 	}
 	return runtime.GOMAXPROCS(0)
@@ -50,14 +39,14 @@ func runTask(i int, fn func(i int) error) error {
 	return fn(i)
 }
 
-// Map runs fn(0..n-1) across the worker pool and waits for all of them.
-// With one worker (or one task) it runs inline on the caller's
-// goroutine, which keeps -j 1 byte-for-byte the sequential driver. All
-// tasks run to completion even when one fails; the returned error is the
-// failure with the lowest index, so the error surfaced does not depend
-// on scheduling order.
-func Map(n int, fn func(i int) error) error {
-	errs := mapAll(n, fn)
+// Map runs fn(0..n-1) across a pool of workers goroutines (resolved by
+// Workers) and waits for all of them. With one worker (or one task) it
+// runs inline on the caller's goroutine, which keeps -j 1 byte-for-byte
+// the sequential loop. All tasks run to completion even when one
+// fails; the returned error is the failure with the lowest index, so the
+// error surfaced does not depend on scheduling order.
+func Map(workers, n int, fn func(i int) error) error {
+	errs := mapAll(workers, n, fn)
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -66,11 +55,12 @@ func Map(n int, fn func(i int) error) error {
 	return nil
 }
 
-// MapResults runs fn(0..n-1) across the worker pool and returns the
-// results in task order. Like Map, the first error by index wins.
-func MapResults[T any](n int, fn func(i int) (T, error)) ([]T, error) {
+// MapResults runs fn(0..n-1) across a pool of workers goroutines and
+// returns the results in task order. Like Map, the first error by index
+// wins.
+func MapResults[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	err := Map(n, func(i int) error {
+	err := Map(workers, n, func(i int) error {
 		r, err := fn(i)
 		if err != nil {
 			return err
@@ -84,9 +74,9 @@ func MapResults[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-func mapAll(n int, fn func(i int) error) []error {
+func mapAll(workers, n int, fn func(i int) error) []error {
 	errs := make([]error, n)
-	w := Workers()
+	w := Workers(workers)
 	if w > n {
 		w = n
 	}

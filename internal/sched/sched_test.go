@@ -8,28 +8,22 @@ import (
 )
 
 func TestWorkersDefaultAndOverride(t *testing.T) {
-	SetWorkers(0)
-	if got := Workers(); got != runtime.GOMAXPROCS(0) {
+	if got := Workers(0); got != runtime.GOMAXPROCS(0) {
 		t.Fatalf("default workers = %d, want GOMAXPROCS (%d)", got, runtime.GOMAXPROCS(0))
 	}
-	SetWorkers(3)
-	defer SetWorkers(0)
-	if got := Workers(); got != 3 {
+	if got := Workers(3); got != 3 {
 		t.Fatalf("workers = %d, want 3", got)
 	}
-	SetWorkers(-5)
-	if got := Workers(); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("negative reset: workers = %d", got)
+	if got := Workers(-5); got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("negative: workers = %d", got)
 	}
 }
 
 // TestMapResultsOrder checks results land in task order regardless of
 // completion order, at several pool widths.
 func TestMapResultsOrder(t *testing.T) {
-	defer SetWorkers(0)
 	for _, w := range []int{1, 2, 4, 16} {
-		SetWorkers(w)
-		out, err := MapResults(64, func(i int) (int, error) {
+		out, err := MapResults(w, 64, func(i int) (int, error) {
 			// Make early tasks finish late so ordering would break if
 			// results were appended in completion order.
 			for s := 0; s < (64-i)*100; s++ {
@@ -51,11 +45,9 @@ func TestMapResultsOrder(t *testing.T) {
 // TestMapFirstErrorByIndex checks the surfaced error is the lowest-index
 // failure, not whichever failed first on the wall clock.
 func TestMapFirstErrorByIndex(t *testing.T) {
-	SetWorkers(4)
-	defer SetWorkers(0)
 	e3, e7 := errors.New("task 3"), errors.New("task 7")
 	var ran atomic.Int64
-	err := Map(16, func(i int) error {
+	err := Map(4, 16, func(i int) error {
 		ran.Add(1)
 		switch i {
 		case 3:
@@ -74,11 +66,9 @@ func TestMapFirstErrorByIndex(t *testing.T) {
 }
 
 func TestMapInlineWhenSingleWorker(t *testing.T) {
-	SetWorkers(1)
-	defer SetWorkers(0)
 	// Inline execution means strict sequential order.
 	var order []int
-	err := Map(8, func(i int) error {
+	err := Map(1, 8, func(i int) error {
 		order = append(order, i)
 		return nil
 	})
@@ -93,10 +83,10 @@ func TestMapInlineWhenSingleWorker(t *testing.T) {
 }
 
 func TestMapZeroTasks(t *testing.T) {
-	if err := Map(0, func(int) error { t.Fatal("called"); return nil }); err != nil {
+	if err := Map(0, 0, func(int) error { t.Fatal("called"); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	out, err := MapResults(0, func(int) (int, error) { return 0, nil })
+	out, err := MapResults(0, 0, func(int) (int, error) { return 0, nil })
 	if err != nil || len(out) != 0 {
 		t.Fatalf("out=%v err=%v", out, err)
 	}

@@ -6,17 +6,21 @@ import (
 	"sync"
 
 	"tako/internal/hier"
+	"tako/internal/sched"
 	"tako/internal/stats"
 	"tako/internal/trace"
 )
 
-// This file is the observability capture point: the CLI tools arm a
-// process-wide capture (StartCapture) before running experiments, every
-// System built afterwards attaches a tracer streaming into the shared
-// exporter, and each run labels itself (LabelRun, called by the study
-// drivers once the study/variant is known) to build its metrics
-// snapshot. StopCapture closes the exporter and hands back the run
-// records for -metrics / -bench reports.
+// This file is the run window, the one process-wide run state. A
+// command arms it once (StartCapture) and stops it when it is done
+// (StopCapture). Every System built while it is armed joins it (New):
+// the machine takes the window's Options, a pid, a tracer streaming into
+// the window's sink, and the window's fast-forward progress gauges. Each
+// run labels itself (LabelRun, called by the case studies once the
+// study/variant is known) to build its metrics snapshot, and the window
+// memoizes runs (Memo) so paired figures share one simulation.
+// StopCapture closes the sink and hands back the run records for
+// -metrics / -bench reports.
 //
 // Record construction is confined to the run: LabelRun reads only the
 // run's own System and returns the record; nothing about a run's
@@ -26,11 +30,18 @@ import (
 // capture log, and everything serialized from it, is byte-identical no
 // matter how many simulations ran concurrently.
 //
-// When no capture is armed — every test and library use — all of this is
-// a single mutex-guarded nil check per System, and runs record nothing.
+// When no window is armed — most tests and every library use — all of
+// this is a single mutex-guarded nil check per System: machines get the
+// zero Options, runs record nothing and nothing is memoized.
 
-// CaptureConfig configures a capture session.
+// CaptureConfig configures a run window.
 type CaptureConfig struct {
+	// Options arms checks and attribution on every machine built in the
+	// window.
+	Options Options
+	// Workers is how many simulations run at once (-j); 0 means
+	// GOMAXPROCS.
+	Workers int
 	// Sink receives every traced event; nil captures metrics only.
 	Sink trace.MultiSink
 	// TraceKinds filters traced event kinds ("cb.*", "dram.*"; empty =
@@ -39,12 +50,6 @@ type CaptureConfig struct {
 	TraceMinSpan uint64
 	// TraceCapacity sizes each run's in-memory ring (default 4096).
 	TraceCapacity int
-	// FirstPid offsets the pids this capture assigns to its systems.
-	// Pids reset per capture window by default (so repeated captures are
-	// byte-identical); a driver running several capture windows into ONE
-	// shared trace file (takoreport) threads the previous window's
-	// Systems count through here to keep pids globally unique.
-	FirstPid int
 }
 
 // RunRecord is one simulated system's captured run.
@@ -66,26 +71,24 @@ type RunRecord struct {
 	Slowest []hier.SlowAccess `json:"slowest,omitempty"`
 }
 
-// CaptureResult is everything one capture window collected: the run
-// records in submission order (deterministic — drivers submit in
-// variant/sweep order), plus the window's aggregate timing. ExecMS sums
-// the wall-clock of simulations actually executed; cached submissions
-// contribute no ExecMS, so ExecMS is the serial-time estimate a
-// parallel run is compared against.
+// CaptureResult is everything a window collected: the run records in
+// submission order (deterministic — runs are submitted in variant/sweep
+// order), plus the aggregate timing. ExecMS sums the wall-clock of
+// simulations actually executed; cached submissions contribute no
+// ExecMS, so ExecMS is the serial-time estimate a parallel run is
+// compared against.
 type CaptureResult struct {
 	Runs   []RunRecord
 	ExecMS float64
 	Cached int
-	// Systems counts the systems built (pids assigned) in this window;
-	// multi-window drivers add it to CaptureConfig.FirstPid for the next
-	// window so one shared trace file never reuses a pid.
-	Systems int
 }
 
 type capture struct {
 	cfg     CaptureConfig
 	result  CaptureResult
-	nextPid int
+	systems int // machines built so far, which is also the next pid
+	ff      hier.FFProgress
+	memo    map[any]any // made when the first run is kept
 }
 
 var (
@@ -93,20 +96,20 @@ var (
 	active    *capture
 )
 
-// StartCapture arms observability capture for all Systems built until
-// StopCapture. Panics if a capture is already active (captures don't
-// nest; the CLI tools arm exactly one).
+// StartCapture arms the run window for all Systems built until
+// StopCapture. Panics if a window is already armed (windows don't nest;
+// a command arms exactly one).
 func StartCapture(cfg CaptureConfig) {
 	captureMu.Lock()
 	defer captureMu.Unlock()
 	if active != nil {
 		panic("system: capture already active")
 	}
-	active = &capture{cfg: cfg, nextPid: cfg.FirstPid}
+	active = &capture{cfg: cfg}
 }
 
-// StopCapture disarms the capture, closes the trace sink, and returns
-// every submitted run in submission order.
+// StopCapture disarms the window, drops its memoized runs, closes the
+// trace sink, and returns every submitted run in submission order.
 func StopCapture() (CaptureResult, error) {
 	captureMu.Lock()
 	defer captureMu.Unlock()
@@ -114,7 +117,6 @@ func StopCapture() (CaptureResult, error) {
 		return CaptureResult{}, nil
 	}
 	res := active.result
-	res.Systems = active.nextPid - active.cfg.FirstPid
 	var err error
 	if active.cfg.Sink != nil {
 		err = active.cfg.Sink.Close()
@@ -123,18 +125,20 @@ func StopCapture() (CaptureResult, error) {
 	return res, err
 }
 
-// Progress is a point-in-time view of the active capture window, served
-// by the live introspection endpoint (/progress). All zero when no
-// capture is armed.
+// Progress is a point-in-time view of the run window, served by the
+// live introspection endpoint (/progress). All zero when no window is
+// armed.
 type Progress struct {
 	Active    bool    `json:"active"`
 	Systems   int     `json:"systems"`   // systems built this window
 	Submitted int     `json:"submitted"` // run records submitted
 	Cached    int     `json:"cached"`    // of those, served by the memo cache
 	ExecMS    float64 `json:"exec_ms"`   // summed serial cost of executed runs
+	// FF is the fast-forward progress of the window's machines.
+	FF hier.FFView `json:"-"`
 }
 
-// CaptureProgress snapshots the active capture window's counters.
+// CaptureProgress snapshots the window's counters.
 func CaptureProgress() Progress {
 	captureMu.Lock()
 	defer captureMu.Unlock()
@@ -143,16 +147,16 @@ func CaptureProgress() Progress {
 	}
 	return Progress{
 		Active:    true,
-		Systems:   active.nextPid - active.cfg.FirstPid,
+		Systems:   active.systems,
 		Submitted: len(active.result.Runs),
 		Cached:    active.result.Cached,
 		ExecMS:    active.result.ExecMS,
+		FF:        active.ff.Snapshot(),
 	}
 }
 
-// CaptureRuns copies the run records submitted to the active capture so
-// far (nil when no capture is armed) — the live half of an introspection
-// metrics snapshot, alongside whatever the driver already published.
+// CaptureRuns copies the run records submitted to the window so far
+// (nil when no window is armed or nothing was submitted).
 func CaptureRuns() []RunRecord {
 	captureMu.Lock()
 	defer captureMu.Unlock()
@@ -164,28 +168,73 @@ func CaptureRuns() []RunRecord {
 	return out
 }
 
-// attachCapture wires a freshly built System into the active capture (if
-// any): a tracer streaming into the shared sink, and a pid for LabelRun.
-func (s *System) attachCapture() {
+// Workers returns how many simulations run at once: the window's
+// Workers, or GOMAXPROCS when it leaves that 0 or no window is armed.
+func Workers() int {
+	captureMu.Lock()
+	n := 0
+	if active != nil {
+		n = active.cfg.Workers
+	}
+	captureMu.Unlock()
+	return sched.Workers(n)
+}
+
+// Memo returns what run returns, memoized under key in the window: the
+// first request for a key runs it and, when it succeeds, keeps the value
+// until StopCapture; later requests get the kept value with hit set.
+// With no window armed, run runs every time. Concurrent first requests
+// for one key may each run. key must be comparable.
+func Memo(key any, run func() (any, error)) (v any, hit bool, err error) {
+	captureMu.Lock()
+	c := active
+	if c != nil {
+		v, hit = c.memo[key]
+	}
+	captureMu.Unlock()
+	if hit {
+		return v, true, nil
+	}
+	if v, err = run(); err != nil || c == nil {
+		return v, false, err
+	}
+	captureMu.Lock()
+	if c.memo == nil {
+		c.memo = map[any]any{}
+	}
+	c.memo[key] = v
+	captureMu.Unlock()
+	return v, false, nil
+}
+
+// joinCapture enters a System being built into the window, if one is
+// armed, and returns the window (nil when none is).
+func (s *System) joinCapture() *capture {
 	captureMu.Lock()
 	defer captureMu.Unlock()
 	if active == nil {
+		return nil
+	}
+	s.capPid = active.systems
+	active.systems++
+	s.captured = true
+	return active
+}
+
+// attachTracer streams s's events into the window's sink, if it has one.
+func (s *System) attachTracer(c *capture) {
+	if c == nil || c.cfg.Sink == nil {
 		return
 	}
-	s.capPid = active.nextPid
-	active.nextPid++
-	s.captured = true
-	if active.cfg.Sink != nil {
-		capacity := active.cfg.TraceCapacity
-		if capacity == 0 {
-			capacity = 4096
-		}
-		tr := trace.New(capacity)
-		tr.Filter(active.cfg.TraceKinds...)
-		tr.SetMinSpan(active.cfg.TraceMinSpan)
-		tr.AttachSink(active.cfg.Sink.Process(s.capPid))
-		s.H.AttachTracer(tr)
+	capacity := c.cfg.TraceCapacity
+	if capacity == 0 {
+		capacity = 4096
 	}
+	tr := trace.New(capacity)
+	tr.Filter(c.cfg.TraceKinds...)
+	tr.SetMinSpan(c.cfg.TraceMinSpan)
+	tr.AttachSink(c.cfg.Sink.Process(s.capPid))
+	s.H.AttachTracer(tr)
 }
 
 // LabelRun builds a completed run's record under the given label

@@ -3,6 +3,8 @@ package system
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"runtime"
 	"testing"
 
 	"tako/internal/cpu"
@@ -168,7 +170,7 @@ func TestCaptureProgress(t *testing.T) {
 		t.Fatal("disarmed CaptureRuns != nil")
 	}
 
-	StartCapture(CaptureConfig{FirstPid: 7})
+	StartCapture(CaptureConfig{})
 	if p := CaptureProgress(); !p.Active || p.Systems != 0 {
 		t.Fatalf("armed empty progress = %+v", p)
 	}
@@ -190,10 +192,6 @@ func TestCaptureProgress(t *testing.T) {
 	if res.Runs[0].Label != "test/progress" {
 		t.Error("CaptureRuns returned a view into the capture log, not a copy")
 	}
-	// FirstPid offsets pids but not the Systems count.
-	if res.Systems != 1 {
-		t.Errorf("Systems = %d, want 1", res.Systems)
-	}
 	if p := CaptureProgress(); p.Active {
 		t.Error("progress still active after StopCapture")
 	}
@@ -209,4 +207,53 @@ func TestCaptureRejectsNesting(t *testing.T) {
 		}
 	}()
 	StartCapture(CaptureConfig{})
+}
+
+// TestMemoLivesOneWindow pins the run cache's lifetime: within one
+// window an equal key hits, a failed run is not kept, the next window
+// starts empty, and with no window armed every request runs.
+func TestMemoLivesOneWindow(t *testing.T) {
+	runs := 0
+	run := func(v int, err error) func() (any, error) {
+		return func() (any, error) { runs++; return v, err }
+	}
+	check := func(key any, fn func() (any, error), want int, wantHit bool) {
+		t.Helper()
+		v, hit, _ := Memo(key, fn)
+		if v != want || hit != wantHit {
+			t.Errorf("Memo(%v) = %v, hit %v; want %v, hit %v", key, v, hit, want, wantHit)
+		}
+	}
+
+	check("a", run(1, nil), 1, false)
+	check("a", run(2, nil), 2, false) // no window: runs every time
+
+	StartCapture(CaptureConfig{})
+	check("a", run(3, nil), 3, false)
+	check("a", run(4, nil), 3, true)
+	check("b", run(5, errors.New("failed")), 5, false)
+	check("b", run(6, nil), 6, false)
+	StopCapture()
+
+	StartCapture(CaptureConfig{})
+	check("a", run(7, nil), 7, false)
+	StopCapture()
+
+	if runs != 6 {
+		t.Errorf("%d runs executed, want 6", runs)
+	}
+}
+
+// TestWindowFixesWorkers pins that the worker count comes from the
+// window, and defaults to GOMAXPROCS without one.
+func TestWindowFixesWorkers(t *testing.T) {
+	if got := Workers(); got != runtime.GOMAXPROCS(0) {
+		t.Errorf("no window: Workers() = %d, want GOMAXPROCS", got)
+	}
+	StartCapture(CaptureConfig{Workers: 3})
+	got := Workers()
+	StopCapture()
+	if got != 3 {
+		t.Errorf("window with Workers 3: Workers() = %d", got)
+	}
 }

@@ -2,23 +2,21 @@ package system
 
 import (
 	"errors"
-	"sync/atomic"
 
 	"tako/internal/hier"
 )
 
-// Options is the process-wide run configuration: every setting a CLI
-// flag can change that can also change a simulated result. It is applied
-// only where machines are built (New), so Default, Scaled and
-// hier.DefaultConfig stay pure functions of their arguments. Options is
-// comparable, so the morphs run cache keys on it as is.
+// Options is the run configuration: every setting a CLI flag can change
+// that can also change a simulated result. A run window fixes it
+// (CaptureConfig.Options) and New applies it to every machine built in
+// the window, so Default, Scaled and hier.DefaultConfig stay pure
+// functions of their arguments.
 //
-// The two host-side knobs that cannot change a result stay outside it:
-// the scheduler's worker count (sched.SetWorkers, -j) and the run cache
-// (morphs.SetRunCache) leave every table and capture byte-identical.
-// Fast-forward is not an option either but a property of one machine
-// (Config.FastForward): a figure compares machines, and a process-wide
-// warmup would reach only those it can fast-forward.
+// The worker count (CaptureConfig.Workers, -j) cannot change a result
+// and stays outside it. Fast-forward is not an option either but a
+// property of one machine (Config.FastForward): a figure compares
+// machines, and a process-wide warmup would reach only those it can
+// fast-forward.
 type Options struct {
 	// Verify arms per-access coherence-freshness assertions and the
 	// hierarchy-wide invariant checker every verifyCheckEvery events.
@@ -31,25 +29,6 @@ type Options struct {
 
 // verifyCheckEvery is the invariant-checker period Verify arms.
 const verifyCheckEvery = 128
-
-var options atomic.Pointer[Options]
-
-// SetOptions replaces the process-wide run configuration for machines
-// built afterwards and returns the previous one.
-func SetOptions(o Options) Options {
-	if prev := options.Swap(&o); prev != nil {
-		return *prev
-	}
-	return Options{}
-}
-
-// CurrentOptions returns the process-wide run configuration.
-func CurrentOptions() Options {
-	if o := options.Load(); o != nil {
-		return *o
-	}
-	return Options{}
-}
 
 // SetDefaultSharded does nothing: the simulator has one engine. Its only
 // caller is bench/workloads.go, whose phi-tako-sharded workload therefore

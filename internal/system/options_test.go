@@ -27,19 +27,19 @@ func TestOptionsValidate(t *testing.T) {
 	}
 }
 
-// TestOptionsApplyWhereMachinesAreBuilt pins that New arms every
-// observability field on the hierarchy it builds, and that zero Options
-// arm nothing.
+// TestOptionsApplyWhereMachinesAreBuilt pins that New arms the window's
+// Options on every hierarchy it builds, and that a machine built outside
+// any window gets none.
 func TestOptionsApplyWhereMachinesAreBuilt(t *testing.T) {
-	defer SetOptions(SetOptions(Options{Verify: true, Attribution: true, SlowestK: 3}))
-
-	if c := New(Scaled(2, 16)).H.Config(); !c.FreshChecks || c.SelfCheckEvery != verifyCheckEvery || !c.Attribution || c.SlowestK != 3 {
+	StartCapture(CaptureConfig{Options: Options{Verify: true, Attribution: true, SlowestK: 3}})
+	c := New(Scaled(2, 16)).H.Config()
+	StopCapture()
+	if !c.FreshChecks || c.SelfCheckEvery != verifyCheckEvery || !c.Attribution || c.SlowestK != 3 {
 		t.Errorf("New: hier config %+v, want fresh checks, self-check every %d, attribution with K=3",
 			c, verifyCheckEvery)
 	}
 
-	SetOptions(Options{})
 	if c := New(Scaled(2, 16)).H.Config(); c.FreshChecks || c.SelfCheckEvery != 0 || c.Attribution || c.SlowestK != 0 {
-		t.Errorf("zero Options armed checks: %+v", c)
+		t.Errorf("a machine built outside any window armed checks: %+v", c)
 	}
 }

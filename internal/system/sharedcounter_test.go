@@ -12,11 +12,11 @@ import (
 	"tako/internal/sim"
 )
 
-// SetDefaultSharded is an empty stub kept for bench/workloads.go, whose
-// phi-tako-sharded workload arms it and must run the same machine as
-// phi-tako. These tests arm it the way that workload does and pin that
-// New still builds the classic machine, using a cross-tile workload that
-// drives every coherence path between tiles. They go with the stub.
+// Whole-machine coherence checks on a cross-tile workload that drives
+// every coherence path between tiles: each tile reads back what every
+// tile stored, a rerun reproduces the first run byte for byte, the täkō
+// build observes what the baseline build observes, and an eviction
+// stress survives the invariant checker.
 
 // baselineConfig returns a four-tile machine without täkō engines.
 func baselineConfig() Config {
@@ -79,56 +79,51 @@ func checkReadback(t *testing.T, out [][]uint64) {
 	}
 }
 
+// TestShardedSystemSmoke: on the baseline machine every tile reads back
+// what every tile stored.
 func TestShardedSystemSmoke(t *testing.T) {
-	SetDefaultSharded(true, 0)
 	out, _ := runSharedCounterWorkload(t, baselineConfig())
 	checkReadback(t, out)
 }
 
-// TestShardedDeterminismAcrossWorkers: the machine built with the stub
-// armed, at any worker count, reproduces the unarmed run byte for byte —
-// cycle count, op count, kernel events, and the full metrics snapshot.
+// TestShardedDeterminismAcrossWorkers: a second machine built in the
+// same process reproduces the first run byte for byte — cycle count, op
+// count, kernel events, the full metrics snapshot and every value read.
 func TestShardedDeterminismAcrossWorkers(t *testing.T) {
 	outRef, ref := runSharedCounterWorkload(t, baselineConfig())
 	checkReadback(t, outRef)
-	for _, workers := range []int{1, 2, 4} {
-		SetDefaultSharded(true, workers)
-		out, fp := runSharedCounterWorkload(t, baselineConfig())
-		if fp != ref {
-			t.Fatalf("workers=%d diverged:\n got %s\nwant %s", workers, fp, ref)
-		}
-		if !reflect.DeepEqual(out, outRef) {
-			t.Fatalf("workers=%d observed different architectural values", workers)
-		}
+	out, fp := runSharedCounterWorkload(t, baselineConfig())
+	if fp != ref {
+		t.Fatalf("rerun diverged:\n got %s\nwant %s", fp, ref)
+	}
+	if !reflect.DeepEqual(out, outRef) {
+		t.Fatal("rerun observed different architectural values")
 	}
 }
 
 // TestShardedMatchesClassicArchitecturally runs the workload on the
-// täkō build (engines attached), which is what phi-tako-sharded runs,
-// with the stub armed, and checks that every committed load observes
-// the same values as on the unarmed baseline build.
+// täkō build (engines attached) and checks that every committed load
+// observes the same values as on the baseline build.
 func TestShardedMatchesClassicArchitecturally(t *testing.T) {
 	outC, _ := runSharedCounterWorkload(t, baselineConfig())
 	checkReadback(t, outC)
 
-	SetDefaultSharded(true, 2)
-	outS, _ := runSharedCounterWorkload(t, Default(4))
-	if !reflect.DeepEqual(outS, outC) {
-		t.Fatal("the täkō build with the stub armed observed different architectural values than the baseline")
+	outT, _ := runSharedCounterWorkload(t, Default(4))
+	if !reflect.DeepEqual(outT, outC) {
+		t.Fatal("the täkō build observed different architectural values than the baseline")
 	}
 }
 
 // TestShardedEvictionStressWithBarrierChecks forces shared-cache
 // evictions (back-invalidations with recalls and dirty writebacks) on a
-// scaled-down machine, with the stub armed, while the full invariant
-// checker runs every few events (SelfCheckEvery) and freshness checks
-// run on every access. Any protocol race — stale DRAM reads, directory
-// divergence, double writebacks — panics the run.
+// scaled-down machine while the full invariant checker runs every few
+// events (SelfCheckEvery) and freshness checks run on every access. Any
+// protocol race — stale DRAM reads, directory divergence, double
+// writebacks — panics the run.
 func TestShardedEvictionStressWithBarrierChecks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	SetDefaultSharded(true, 2)
 	cfg := baselineConfig()
 	cfg.Hier = hier.ScaledConfig(4, 64)
 	cfg.Hier.FreshChecks = true

@@ -66,20 +66,27 @@ type System struct {
 	E     *engine.Engines
 	Cores []*cpu.Core
 
-	// Capture state (capture.go): set when a process-wide observability
-	// capture was armed before this System was built.
+	// Capture state (capture.go): set when a run window was armed
+	// before this System was built.
 	captured bool
 	capPid   int
 }
 
-// New builds and wires the machine cfg names, with the process-wide
-// Options (Verify, Attribution, SlowestK) armed on its hierarchy.
+// New builds and wires the machine cfg names. A machine built while a
+// run window is armed joins it: the window's Options (Verify,
+// Attribution, SlowestK) are armed on its hierarchy, and it gets a pid,
+// a tracer and the window's fast-forward gauges.
 func New(cfg Config) *System {
-	CurrentOptions().observe(&cfg.Hier)
 	k := sim.NewKernel()
 	meter := energy.NewMeter()
 	space := mem.NewSpace()
 	s := &System{K: k, Meter: meter, Space: space}
+	w := s.joinCapture()
+	var ff *hier.FFProgress
+	if w != nil {
+		w.cfg.Options.observe(&cfg.Hier)
+		ff = &w.ff
+	}
 
 	if cfg.NoTako {
 		s.H = hier.New(k, cfg.Hier, meter, nil, nil)
@@ -91,12 +98,12 @@ func New(cfg Config) *System {
 		s.Tako.Attach(s.H, s.E)
 	}
 	if cfg.FastForward > 0 {
-		s.H.EnableFastForward(cfg.FastForward)
+		s.H.EnableFastForward(cfg.FastForward, ff)
 	}
 	for i := 0; i < cfg.Tiles; i++ {
 		s.Cores = append(s.Cores, cpu.New(s.H, i, cfg.Core, meter))
 	}
-	s.attachCapture()
+	s.attachTracer(w)
 	return s
 }
 

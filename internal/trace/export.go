@@ -285,19 +285,6 @@ func quote(s string) string {
 	return string(b)
 }
 
-// keepOpen wraps a MultiSink so Close is a no-op; the real sink is
-// closed once by whoever owns the file.
-type keepOpen struct{ MultiSink }
-
-func (keepOpen) Close() error { return nil }
-
-// KeepOpen returns a view of sink whose Close does nothing. StopCapture
-// closes its sink, which finalizes a Chrome document — a driver running
-// several capture windows into one shared trace file (takoreport, one
-// window per experiment) hands each window a KeepOpen view and closes
-// the underlying sink itself after the last window.
-func KeepOpen(sink MultiSink) MultiSink { return keepOpen{sink} }
-
 // SinkFor returns the named exporter ("jsonl" or "chrome") writing to w.
 func SinkFor(format string, w io.Writer) (MultiSink, error) {
 	switch format {
