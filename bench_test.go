@@ -11,7 +11,9 @@ package tako
 import (
 	"testing"
 
+	"tako/internal/core"
 	"tako/internal/energy"
+	"tako/internal/engine"
 	"tako/internal/exp"
 	"tako/internal/flat"
 	"tako/internal/hier"
@@ -316,6 +318,70 @@ func TestHardwareActivityAllocs(t *testing.T) {
 	if per := avg / ops; per > 0.01 {
 		t.Fatalf("hardware activity allocates %.4f allocs/operation (%.0f per %d operations), want ≤ 0.01",
 			per, avg, ops)
+	}
+}
+
+// TestMorphCallbackAllocs is the alloc gate for Morph callbacks. Each
+// runs its queueing (its address chain, the callback buffer, a bitstream
+// load) and its fabric compute time as kernel continuations on a pooled
+// record, enters a pooled proc in place for the Morph's Fn, and hands
+// its caller pooled futures, as does an eviction callback's line lock. A
+// warm loop of stores over a phantom PRIVATE Morph's range, twice the
+// L2's size, makes every store an onMiss fill and evicts dirty lines
+// through onWriteback; it must allocate at most 0.01 times per callback.
+func TestMorphCallbackAllocs(t *testing.T) {
+	k := sim.NewKernel()
+	meter := energy.NewMeter()
+	rt := core.New(k, mem.NewSpace())
+	cfg := hier.DefaultConfig(4)
+	e := engine.New(k, engine.DefaultConfig(), 4, rt, meter)
+	h := hier.New(k, cfg, meter, rt, e)
+	e.AttachHierarchy(h)
+	rt.Attach(h, e)
+	var sum uint64
+	spec := core.MorphSpec{
+		Name: "gate",
+		OnMiss: &core.Callback{Instrs: 8, CritPath: 3, Fn: func(ctx *engine.Ctx) {
+			ctx.Line.SetWord(0, uint64(ctx.Addr))
+		}},
+		OnWriteback: &core.Callback{Instrs: 6, CritPath: 3, Fn: func(ctx *engine.Ctx) {
+			sum += ctx.Line.Word(0)
+		}},
+	}
+	var m *core.Morph
+	k.Go("register", func(p *sim.Proc) {
+		var err error
+		if m, err = rt.RegisterPhantom(p, spec, core.Private, 2*uint64(cfg.L2Size), 0); err != nil {
+			t.Error(err)
+		}
+	})
+	k.Run()
+	if m == nil {
+		t.FailNow()
+	}
+	run := func() {
+		k.Go("stores", func(p *sim.Proc) {
+			for a := m.Region.Base; a < m.Region.End(); a += mem.LineSize {
+				h.Store(p, 0, a, uint64(a))
+			}
+		})
+		k.Run()
+	}
+	run() // warm: fills the L2 with dirty phantom lines, populates pools
+	miss, wb := h.Metrics.Get("cb.onMiss"), h.Metrics.Get("cb.onWriteback")
+	before := e.TotalStats().Callbacks
+	run()
+	perRun := e.TotalStats().Callbacks - before
+	if h.Metrics.Get("cb.onMiss") == miss || h.Metrics.Get("cb.onWriteback") == wb {
+		t.Fatal("the loop ran no onMiss or no onWriteback callback: the gate would not cover it")
+	}
+	avg := testing.AllocsPerRun(5, run)
+	if per := avg / float64(perRun); per > 0.01 {
+		t.Fatalf("Morph callbacks allocate %.4f allocs/callback (%.0f per %d callbacks), want ≤ 0.01",
+			per, avg, perRun)
+	}
+	if b := k.Blocked(); len(b) != 0 {
+		t.Fatalf("blocked = %q", b)
 	}
 }
 

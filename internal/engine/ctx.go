@@ -12,6 +12,10 @@ import (
 // coherent L1d, paying modeled latency — and must respect täkō's
 // restriction: no access to data with a Morph at the same or a higher
 // level (enforced by the hierarchy, which panics on violations).
+//
+// A Ctx is valid only during its callback: it lives in the engine's
+// pooled callback record, which zeroes it when the callback ends and
+// reuses it for a later one, so a Morph must not keep it.
 type Ctx struct {
 	P       *sim.Proc
 	Tile    int

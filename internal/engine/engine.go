@@ -136,11 +136,11 @@ type Stats struct {
 type engTile struct {
 	buffer *sim.Semaphore
 	// addrChain serializes callbacks per address: line address → the
-	// done-future of the newest queued callback. Open-addressed — every
-	// callback inserts and deletes here.
-	addrChain flat.Table[*sim.Future]
-	seqChain  map[int]*sim.Future // per-morph sequential chain
-	loaded    map[int]uint64      // bitstream cache: morphID -> last use
+	// newest queued callback. Open-addressed — every callback inserts
+	// and deletes here.
+	addrChain flat.Table[*callback]
+	seqChain  map[int]*callback // per-morph sequential chain
+	loaded    map[int]uint64    // bitstream cache: morphID -> last use
 	tick      uint64
 	nextFree  sim.Cycle // fabric issue-bandwidth pipeline
 	stats     Stats
@@ -167,6 +167,8 @@ type Engines struct {
 	// engine occupancy while executing, and end-to-end latency.
 	queueHist, execHist, totalHist [3]*stats.Histogram
 	comp                           []string // pre-rendered "engine.N" labels
+
+	pool []*callback // finished callbacks, for reuse
 }
 
 // New builds engines for `tiles` tiles. The hierarchy is attached later
@@ -176,7 +178,7 @@ func New(k *sim.Kernel, cfg Config, tiles int, prog Program, meter *energy.Meter
 	for i := 0; i < tiles; i++ {
 		t := &engTile{
 			buffer:   sim.NewSemaphore(k, maxInt(cfg.CallbackBuffer, 1)),
-			seqChain: make(map[int]*sim.Future),
+			seqChain: make(map[int]*callback),
 			loaded:   make(map[int]uint64),
 		}
 		for kind := hier.CbMiss; kind <= hier.CbWriteback; kind++ {
@@ -254,7 +256,9 @@ func (e *Engines) Saturated(tile int) bool {
 	return e.tiles[tile].buffer.Saturated()
 }
 
-// Run implements hier.Runner: schedule a callback on tile's engine.
+// Run implements hier.Runner: schedule a callback on tile's engine. Its
+// futures come from the kernel's pool and belong to the caller, which
+// recycles them once it has resumed past done.
 func (e *Engines) Run(tile int, kind hier.CallbackKind, b hier.Binding, addr mem.Addr, line *mem.Line) (accepted, done *sim.Future) {
 	t, k := e.tiles[tile], e.k
 	spec, ok := e.prog.Spec(b.MorphID, kind)
@@ -264,89 +268,183 @@ func (e *Engines) Run(tile int, kind hier.CallbackKind, b hier.Binding, addr mem
 		f := sim.CompletedFuture(k)
 		return f, f
 	}
-	accepted = sim.NewFuture(k)
-	done = sim.NewFuture(k)
+	c := e.getCallback()
+	c.t, c.tile, c.kind, c.spec, c.b, c.addr, c.line = t, tile, kind, spec, b, addr, line
+	c.accepted, c.done = k.GetFuture(), k.GetFuture()
+	c.sched = k.Now()
 	t.queued++
 	if t.queued > t.stats.MaxQueue {
 		t.stats.MaxQueue = t.queued
 	}
 
 	// Serialization: per-address always; whole-callback if Sequential.
-	var waitOn *sim.Future
 	if spec.Sequential {
-		waitOn = t.seqChain[b.MorphID]
-		t.seqChain[b.MorphID] = done
+		c.pred = t.seqChain[b.MorphID]
+		t.seqChain[b.MorphID] = c
 	} else {
-		waitOn, _ = t.addrChain.Get(uint64(addr))
-		t.addrChain.Put(uint64(addr), done)
+		c.pred, _ = t.addrChain.Get(uint64(addr))
+		t.addrChain.Put(uint64(addr), c)
 	}
-
-	sched := k.Now()
-	k.Go(t.names[kind], func(p *sim.Proc) {
-		if waitOn != nil {
-			p.Wait(waitOn)
-		}
-		if !e.cfg.Ideal {
-			t.buffer.Acquire(p)
-		}
-		accepted.Complete()
-		start := p.Now()
-		e.execute(p, t, tile, spec, b, kind, addr, line)
-		end := p.Now()
-		t.stats.BusyCycles += end - start
-		t.stats.Callbacks++
-		// Latency attribution: schedule → admission (queue), admission →
-		// completion (exec), and the whole life of the callback.
-		e.queueHist[kind].Observe(start - sched)
-		e.execHist[kind].Observe(end - start)
-		e.totalHist[kind].Observe(end - sched)
-		if tr := e.tracer(); tr != nil && tile < len(e.comp) {
-			comp := e.comp[tile]
-			// Nested slices on the engine track: the cb.<kind> span
-			// encloses its queue and exec phases.
-			tr.EmitSpan(sched, end, comp, "cb."+kind.String(), addr.String())
-			tr.EmitSpan(sched, start, comp, "cb.queue", "")
-			tr.EmitSpan(start, end, comp, "cb.exec", kind.String())
-		}
-		if !e.cfg.Ideal {
-			t.buffer.Release()
-		}
-		t.queued--
-		if spec.Sequential {
-			if t.seqChain[b.MorphID] == done {
-				delete(t.seqChain, b.MorphID)
-			}
-		} else if f, _ := t.addrChain.Get(uint64(addr)); f == done {
-			t.addrChain.Delete(uint64(addr))
-		}
-		done.Complete()
-	})
-	return accepted, done
+	if c.pred != nil {
+		c.pred.succ = c
+	}
+	k.After(0, c.resume)
+	return c.accepted, c.done
 }
 
-// execute runs one callback: bitstream load, fabric compute cost, and
-// the handler's real memory traffic.
-func (e *Engines) execute(p *sim.Proc, t *engTile, tile int, spec Spec, b hier.Binding, kind hier.CallbackKind, addr mem.Addr, line *mem.Line) {
-	if !e.cfg.Ideal {
-		e.ensureBitstream(p, t, b.MorphID)
+// callback is one Morph callback on its way through a tile's engine
+// (§5.3). Its queueing — the wait for the callback ahead of it on its
+// chain, a callback-buffer slot, a bitstream load — and its fabric
+// compute time run as kernel continuations, each queued where a
+// process waiting in its place would have its wake queued; only the
+// Morph's Fn runs on a process, which run enters in place. Callbacks
+// are pooled on the Engines, with resume and body bound once, so
+// scheduling one allocates nothing once the pool is warm.
+type callback struct {
+	e    *Engines
+	t    *engTile
+	tile int
+	kind hier.CallbackKind
+	spec Spec
+	b    hier.Binding
+	addr mem.Addr
+	line *mem.Line
+
+	// accepted and done are the futures Run returned. The caller owns
+	// them and may recycle them as soon as done completes, so the
+	// callback queued behind this one reads done only while its pred
+	// link says this one is unfinished.
+	accepted, done *sim.Future
+	// pred is the unfinished callback ahead of this one on its chain
+	// (nil once it finishes); succ is the one queued behind this one.
+	pred, succ *callback
+
+	sched, start sim.Cycle // Run's cycle; the buffer admission's
+	phase        uint8
+	ctx          Ctx // the Fn's environment, zeroed when the callback ends
+
+	resume func()          // run, bound once
+	body   func(*sim.Proc) // exec, bound once
+}
+
+// getCallback returns a pooled, zeroed callback.
+func (e *Engines) getCallback() *callback {
+	if n := len(e.pool); n > 0 {
+		c := e.pool[n-1]
+		e.pool = e.pool[:n-1]
+		return c
 	}
-	ctx := &Ctx{
-		P: p, Tile: tile, Level: b.Level, Addr: addr, Line: line,
-		Kind: kind, MorphID: b.MorphID,
-		engines: e, tile: t,
+	c := &callback{e: e}
+	c.resume, c.body = c.run, c.exec
+	return c
+}
+
+// run steps through the callback: phase 0 waits for the callback ahead
+// of it on its chain to finish, 1 takes a callback-buffer slot, 2 admits
+// the callback and loads its Morph's bitstream if it is not resident, 3
+// enters a process for the Fn (exec), and 4 ends the callback once its
+// fabric compute time has passed.
+func (c *callback) run() {
+	e, t := c.e, c.t
+	switch c.phase {
+	case 0:
+		c.phase = 1
+		if c.pred != nil {
+			c.pred.done.Then(c.resume)
+			return
+		}
+		fallthrough
+	case 1:
+		c.phase = 2
+		if !e.cfg.Ideal && !t.buffer.AcquireThen(c.resume) {
+			return
+		}
+		fallthrough
+	case 2:
+		c.accepted.Complete()
+		c.start = e.k.Now()
+		c.phase = 3
+		if !e.cfg.Ideal && e.loadBitstream(t, c.b.MorphID) {
+			e.k.After(e.cfg.BitstreamLoad, c.resume)
+			return
+		}
+		fallthrough
+	case 3:
+		c.phase = 4
+		e.k.Enter(t.names[c.kind], c.body)
+	default:
+		c.finish()
+	}
+}
+
+// exec runs the Morph's Fn on p, the process run entered, and then
+// queues the end of the callback after its fabric compute time, or ends
+// it at once when it has none.
+func (c *callback) exec(p *sim.Proc) {
+	e := c.e
+	c.ctx = Ctx{
+		P: p, Tile: c.tile, Level: c.b.Level, Addr: c.addr, Line: c.line,
+		Kind: c.kind, MorphID: c.b.MorphID,
+		engines: e, tile: c.t,
 	}
 	if e.prog != nil {
-		ctx.view = e.prog.View(b.MorphID, tile)
+		c.ctx.view = e.prog.View(c.b.MorphID, c.tile)
 	}
-	spec.Fn(ctx)
-	e.chargeCompute(p, t, spec.Cost, ctx.extraOps)
-	t.stats.Instrs += uint64(spec.Cost.Instrs + ctx.extraOps)
-	if e.meter != nil {
-		e.meter.Add(energy.EngineInstr, uint64(spec.Cost.Instrs+ctx.extraOps))
+	c.spec.Fn(&c.ctx)
+	if lat, ok := e.computeTime(c.t, c.spec.Cost, c.ctx.extraOps); ok {
+		e.k.After(lat, c.resume)
+		return
 	}
+	c.finish()
 }
 
-// chargeCompute applies the fabric timing model to one invocation.
+// finish ends the callback: it charges its instructions, records its
+// latencies, frees its buffer slot and its place on its chain, completes
+// done and returns the callback to the pool.
+func (c *callback) finish() {
+	e, t, kind := c.e, c.t, c.kind
+	instrs := uint64(c.spec.Cost.Instrs + c.ctx.extraOps)
+	t.stats.Instrs += instrs
+	if e.meter != nil {
+		e.meter.Add(energy.EngineInstr, instrs)
+	}
+	start, end := c.start, e.k.Now()
+	t.stats.BusyCycles += end - start
+	t.stats.Callbacks++
+	// Latency attribution: schedule → admission (queue), admission →
+	// completion (exec), and the whole life of the callback.
+	e.queueHist[kind].Observe(start - c.sched)
+	e.execHist[kind].Observe(end - start)
+	e.totalHist[kind].Observe(end - c.sched)
+	if tr := e.tracer(); tr != nil && c.tile < len(e.comp) {
+		comp := e.comp[c.tile]
+		// Nested slices on the engine track: the cb.<kind> span
+		// encloses its queue and exec phases.
+		tr.EmitSpan(c.sched, end, comp, "cb."+kind.String(), c.addr.String())
+		tr.EmitSpan(c.sched, start, comp, "cb.queue", "")
+		tr.EmitSpan(start, end, comp, "cb.exec", kind.String())
+	}
+	if !e.cfg.Ideal {
+		t.buffer.Release()
+	}
+	t.queued--
+	if c.spec.Sequential {
+		if t.seqChain[c.b.MorphID] == c {
+			delete(t.seqChain, c.b.MorphID)
+		}
+	} else if last, _ := t.addrChain.Get(uint64(c.addr)); last == c {
+		t.addrChain.Delete(uint64(c.addr))
+	}
+	if c.succ != nil {
+		c.succ.pred = nil
+	}
+	c.done.Complete()
+	*c = callback{e: e, resume: c.resume, body: c.body}
+	e.pool = append(e.pool, c)
+}
+
+// computeTime applies the fabric timing model to one invocation, and
+// reports false when it takes no time.
 //
 // Dataflow fabric: latency = max(critical path × PE latency, issue
 // occupancy), where occupancy = ceil(instrs / int PEs) × PE latency;
@@ -356,21 +454,20 @@ func (e *Engines) execute(p *sim.Proc, t *engTile, tile int, spec Spec, b hier.B
 // In-order core: no SIMD (ops multiply by SIMDWidth) and CPI > 1; the
 // handler's memory ops were already serialized because async loads
 // degrade to synchronous ones (see Ctx.LoadLineAsync).
-func (e *Engines) chargeCompute(p *sim.Proc, t *engTile, cost CallbackCost, extraOps int) {
+func (e *Engines) computeTime(t *engTile, cost CallbackCost, extraOps int) (sim.Cycle, bool) {
 	instrs := cost.Instrs + extraOps
 	if e.cfg.Ideal || instrs == 0 {
-		return
+		return 0, false
 	}
 	if e.cfg.InOrderCore {
-		p.Sleep(sim.Cycle(instrs) * e.cfg.InOrderCPI * sim.Cycle(e.cfg.SIMDWidth))
-		return
+		return sim.Cycle(instrs) * e.cfg.InOrderCPI * sim.Cycle(e.cfg.SIMDWidth), true
 	}
 	occ := sim.Cycle((instrs+e.cfg.IntPEs()-1)/e.cfg.IntPEs()) * e.cfg.PELatency
 	lat := sim.Cycle(cost.CritPath) * e.cfg.PELatency
 	if occ > lat {
 		lat = occ
 	}
-	start := p.Now()
+	start := e.k.Now()
 	if t.nextFree > start {
 		lat += t.nextFree - start
 	}
@@ -378,16 +475,17 @@ func (e *Engines) chargeCompute(p *sim.Proc, t *engTile, cost CallbackCost, extr
 		t.nextFree = start
 	}
 	t.nextFree += occ
-	p.Sleep(lat)
+	return lat, true
 }
 
-// ensureBitstream charges the bitstream-cache lookup, loading the
-// Morph's configuration onto the fabric if it is not resident (§5.3).
-func (e *Engines) ensureBitstream(p *sim.Proc, t *engTile, morphID int) {
+// loadBitstream does the bitstream-cache lookup and reports whether the
+// Morph's configuration must be loaded onto the fabric, which takes
+// BitstreamLoad cycles (§5.3).
+func (e *Engines) loadBitstream(t *engTile, morphID int) bool {
 	t.tick++
 	if _, ok := t.loaded[morphID]; ok {
 		t.loaded[morphID] = t.tick
-		return
+		return false
 	}
 	if len(t.loaded) >= maxInt(e.cfg.BitstreamSlots, 1) {
 		var victim int
@@ -402,7 +500,7 @@ func (e *Engines) ensureBitstream(p *sim.Proc, t *engTile, morphID int) {
 	}
 	t.loaded[morphID] = t.tick
 	t.stats.BitLoads++
-	p.Sleep(e.cfg.BitstreamLoad)
+	return true
 }
 
 // ValidateFit checks a Morph's callbacks fit the fabric's instruction

@@ -315,9 +315,10 @@ func (h *Hierarchy) applyDirtyMerge(ls3 *cache.LineState, la mem.Addr, data mem.
 }
 
 // completeLock wakes the waiters parked on a released line lock (nil when
-// none materialized) and recycles the pool-originated future. Futures
-// stored by lockWith (callback locks, which escape to flush waiters) come
-// from NewFuture and are left untouched by the recycler.
+// none materialized) and recycles the future if it came from the pool:
+// every lazily made lock future does, and so does an eviction callback's
+// lock unless a flush collected it (callbackLock), in which case it is a
+// NewFuture that the recycler leaves alone.
 func (h *Hierarchy) completeLock(f *sim.Future) {
 	if f == nil {
 		return

@@ -102,8 +102,15 @@ type Runner interface {
 	// Run schedules a callback. The returned accepted future completes
 	// when the engine's callback buffer admits the request (freeing
 	// the cache's writeback-buffer entry, §5.2); done completes when
-	// the callback finishes. For CbMiss the callback fills line; for
-	// evictions line holds the evicted data.
+	// the callback finishes, after accepted. For CbMiss the callback
+	// fills line; for evictions line holds the evicted data.
+	//
+	// The caller owns both futures, which may come from the kernel's
+	// pool (Kernel.GetFuture): once it has resumed past done it
+	// recycles each with Kernel.RecycleFuture (a no-op for unpooled
+	// ones) and keeps no reference. The runner never touches either
+	// after completing done; a runner may return one unpooled future
+	// as both.
 	Run(tile int, kind CallbackKind, b Binding, addr mem.Addr, line *mem.Line) (accepted, done *sim.Future)
 	// Saturated reports whether the tile's callback buffer is full, in
 	// which case eviction prefers callback-free victims (§5.2).

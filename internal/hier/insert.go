@@ -120,17 +120,27 @@ func (h *Hierarchy) morphEvictPrivate(tileID int, ev cache.LineState, b Binding,
 	if h.tracer != nil {
 		h.emit(h.comp.l2[tileID], "cb."+kind.String(), la.String())
 	}
-	lock := sim.NewFuture(h.K)
+	lock := h.callbackLock(futs)
 	tok := t.pending.lockWith(la, lock)
-	if futs != nil {
-		*futs = append(*futs, lock)
-	}
 	c := h.getEvictCB()
 	c.tile, c.kind, c.b, c.la = tileID, kind, b, la
 	c.lock, c.tok, c.locked = lock, tok, true
 	c.data = ev.Data
 	t.cbInflight.Add(1)
 	h.K.After(0, c.resume)
+}
+
+// callbackLock returns the future an eviction callback's line lock
+// completes when the callback is done. It comes from the kernel's pool,
+// and completeLock recycles it, unless futs collects it for a flush to
+// wait on after it completed: then it is a NewFuture.
+func (h *Hierarchy) callbackLock(futs *[]*sim.Future) *sim.Future {
+	if futs == nil {
+		return h.K.GetFuture()
+	}
+	lock := sim.NewFuture(h.K)
+	*futs = append(*futs, lock)
+	return lock
 }
 
 // writebackToShared applies a dirty private line to its home L3 bank (or
@@ -254,10 +264,7 @@ func (h *Hierarchy) morphEvictShared(homeID int, ev cache.LineState, b Binding, 
 	if h.tracer != nil {
 		h.emit(h.comp.l3[homeID], "cb."+kind.String(), la.String())
 	}
-	lock := sim.NewFuture(h.K)
-	if futs != nil {
-		*futs = append(*futs, lock)
-	}
+	lock := h.callbackLock(futs)
 	c := h.getEvictCB()
 	c.tile, c.shared, c.kind, c.b, c.la = homeID, true, kind, b, la
 	c.lock = lock

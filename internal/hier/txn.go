@@ -65,6 +65,9 @@ type txn struct {
 	cb         Binding // the line's Morph binding, held from Fetch or HomeFetch to the callback
 	fetchStart sim.Cycle
 
+	// The onMiss callback's futures (Runner.Run), recycled when it ends.
+	cbAccepted, cbDone *sim.Future
+
 	// result is the line a successful access resolves to (valid at Done
 	// for kindAccess; nil for prefetches whose fill was evicted).
 	result    *cache.LineState
@@ -593,27 +596,38 @@ func (t *txn) stepFetch() {
 // stepCbPending runs the Morph onMiss callback that owns the line
 // buffer, waiting for the engine to finish. A private access runs the
 // callback on the requesting tile; home-side transactions run it on the
-// home tile (RMOs without a per-callback trace span, as before).
+// home tile (RMOs without a per-callback trace span, as before). Phase
+// 1 follows the callback's end: the runner's futures are the
+// transaction's to recycle.
 func (t *txn) stepCbPending() {
 	h := t.h
+	if t.phase == 1 {
+		h.K.RecycleFuture(t.cbAccepted)
+		h.K.RecycleFuture(t.cbDone)
+		t.cbAccepted, t.cbDone = nil, nil
+		if t.kind == kindAccess {
+			t.to(txnFill)
+		} else {
+			t.to(txnHomeFill)
+		}
+		return
+	}
 	h.hot.cb[CbMiss].Inc()
+	tile := t.home
 	switch t.kind {
 	case kindAccess:
+		tile = t.tileID
 		if h.tracer != nil {
 			h.emit(h.comp.l2[t.tileID], "cb.onMiss", t.la.String())
 		}
-		_, done := h.runner.Run(t.tileID, CbMiss, t.cb, t.la, &t.data)
-		t.waitTo(done, txnFill)
 	case kindHomeFetch:
 		if h.tracer != nil {
 			h.emit(h.comp.l3[t.home], "cb.onMiss", t.la.String())
 		}
-		_, done := h.runner.Run(t.home, CbMiss, t.cb, t.la, &t.data)
-		t.waitTo(done, txnHomeFill)
-	default: // kindRMO
-		_, done := h.runner.Run(t.home, CbMiss, t.cb, t.la, &t.data)
-		t.waitTo(done, txnHomeFill)
 	}
+	t.cbAccepted, t.cbDone = h.runner.Run(tile, CbMiss, t.cb, t.la, &t.data)
+	t.phase = 1
+	t.wait(t.cbDone)
 }
 
 // stepFill installs the fetched line into the private caches. Phase 1

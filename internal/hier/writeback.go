@@ -70,13 +70,17 @@ type evictCB struct {
 	kind   CallbackKind
 	b      Binding
 	la     mem.Addr
-	lock   *sim.Future // completes when the callback is done (flushData waits on it)
+	// lock completes when the callback is done. It is pooled, and
+	// completeLock recycles it, unless a flush collected it to wait on
+	// later (flushData).
+	lock   *sim.Future
 	tok    uint64
 	locked bool // the line's lock is held; an L3 eviction may have found it busy
 	data   mem.Line
-	done   *sim.Future
-	phase  uint8
-	resume func() // run, bound once
+	// The runner's futures, recycled once the callback is done.
+	accepted, done *sim.Future
+	phase          uint8
+	resume         func() // run, bound once
 }
 
 // getEvictCB returns a pooled, zeroed eviction callback.
@@ -114,11 +118,10 @@ func (c *evictCB) run() {
 		}
 		fallthrough
 	case 1:
-		var accepted *sim.Future
-		accepted, c.done = h.runner.Run(c.tile, c.kind, c.b, c.la, &c.data)
+		c.accepted, c.done = h.runner.Run(c.tile, c.kind, c.b, c.la, &c.data)
 		c.phase = 2
-		if !accepted.Done() {
-			accepted.Then(c.resume)
+		if !c.accepted.Done() {
+			c.accepted.Then(c.resume)
 			return
 		}
 		fallthrough
@@ -136,7 +139,9 @@ func (c *evictCB) run() {
 		} else {
 			t.pending.unlock(c.la, c.tok)
 		}
-		c.lock.Complete()
+		h.completeLock(c.lock)
+		h.K.RecycleFuture(c.accepted)
+		h.K.RecycleFuture(c.done)
 		t.cbInflight.Done()
 		*c = evictCB{h: h, resume: c.resume}
 		h.evictPool = append(h.evictPool, c)

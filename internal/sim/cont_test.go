@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -93,7 +94,8 @@ func (c *eqChooser) Choose(n int) int {
 }
 
 // eqActor runs one actor's ops as continuations: pc is the op, phase the
-// position within it.
+// position within it. With enter set, it runs only the ops before cut,
+// and then enters a proc in place for the rest.
 type eqActor struct {
 	k      *Kernel
 	id     int
@@ -104,10 +106,19 @@ type eqActor struct {
 	sems   []*Semaphore
 	log    *[]eqStep
 	resume func()
+	enter  bool
+	cut    int
 }
 
 func (a *eqActor) run() {
-	for a.pc < len(a.ops) {
+	for {
+		if a.enter && a.pc == a.cut {
+			a.k.Enter("actor", func(p *Proc) { runOps(p, a.id, a.ops, a.cut, a.futs, a.sems, a.log) })
+			return
+		}
+		if a.pc == len(a.ops) {
+			return
+		}
 		o := a.ops[a.pc]
 		switch o.kind {
 		case eqSleep:
@@ -147,14 +158,9 @@ func (a *eqActor) run() {
 	}
 }
 
-// run executes the program and returns its step log, the kernel's event
-// count, the chooser's tie sizes (nil without one) and how many actors
-// are still blocked at the end.
-func (prog eqProgram) run(continuations bool, chooser *eqChooser) ([]eqStep, uint64, []int, int) {
-	k := NewKernel()
-	if chooser != nil {
-		k.SetChooser(chooser)
-	}
+// state makes the program's futures, the timed ones scheduled to
+// complete, and its semaphores on k.
+func (prog eqProgram) state(k *Kernel) ([]*Future, []*Semaphore) {
 	futs := make([]*Future, len(prog.timed)+prog.manual)
 	for i := range futs {
 		futs[i] = NewFuture(k)
@@ -166,6 +172,39 @@ func (prog eqProgram) run(continuations bool, chooser *eqChooser) ([]eqStep, uin
 	for i, n := range prog.sems {
 		sems[i] = NewSemaphore(k, n)
 	}
+	return futs, sems
+}
+
+// runOps runs ops[from:] of actor id on p, logging each step.
+func runOps(p *Proc, id int, ops []eqOp, from int, futs []*Future, sems []*Semaphore, log *[]eqStep) {
+	for pc := from; pc < len(ops); pc++ {
+		switch o := ops[pc]; o.kind {
+		case eqSleep:
+			p.Sleep(o.d)
+		case eqWait:
+			p.Wait(futs[o.i])
+		case eqAcquire:
+			sems[o.i].Acquire(p)
+			p.Sleep(o.d)
+			sems[o.i].Release()
+		case eqComplete:
+			if f := futs[o.i]; !f.Done() {
+				f.Complete()
+			}
+		}
+		*log = append(*log, eqStep{id, pc, p.Now()})
+	}
+}
+
+// run executes the program and returns its step log, the kernel's event
+// count, the chooser's tie sizes (nil without one) and how many actors
+// are still blocked at the end.
+func (prog eqProgram) run(continuations bool, chooser *eqChooser) ([]eqStep, uint64, []int, int) {
+	k := NewKernel()
+	if chooser != nil {
+		k.SetChooser(chooser)
+	}
+	futs, sems := prog.state(k)
 	var log []eqStep
 	for id, ops := range prog.actors {
 		if continuations {
@@ -174,25 +213,7 @@ func (prog eqProgram) run(continuations bool, chooser *eqChooser) ([]eqStep, uin
 			k.After(0, a.resume)
 			continue
 		}
-		k.Go("actor", func(p *Proc) {
-			for pc, o := range ops {
-				switch o.kind {
-				case eqSleep:
-					p.Sleep(o.d)
-				case eqWait:
-					p.Wait(futs[o.i])
-				case eqAcquire:
-					sems[o.i].Acquire(p)
-					p.Sleep(o.d)
-					sems[o.i].Release()
-				case eqComplete:
-					if f := futs[o.i]; !f.Done() {
-						f.Complete()
-					}
-				}
-				log = append(log, eqStep{id, pc, p.Now()})
-			}
-		})
+		k.Go("actor", func(p *Proc) { runOps(p, id, ops, 0, futs, sems, &log) })
 	}
 	k.Run()
 	blocked := len(k.Blocked())
@@ -269,4 +290,187 @@ func TestBlockedCountsContinuations(t *testing.T) {
 	if b := k.Blocked(); len(b) != 1 || b[0] != "waiting continuations: 1" {
 		t.Fatalf("blocked = %q after the release, want the future's continuation", b)
 	}
+}
+
+// coroImpls are the two coroutine implementations a kernel can run its
+// processes on: the build's, and the Go 1.22 channel fallback.
+var coroImpls = []struct {
+	name string
+	coro func(body func(yield func(struct{}) bool)) (next func() (struct{}, bool), stop func())
+}{{"build", newCoro}, {"chan", newChanCoro}}
+
+// runStarted executes prog with actor a started by an event at cycle
+// starts[a]: with enter false, that event starts a proc with Go, which
+// runs every op; with enter true, it starts the actor as continuations,
+// which run the ops before cuts[a] and then enter a proc in place for
+// the rest. It returns the step log, the event count, the chooser's tie
+// sizes and how many actors are left blocked.
+func (prog eqProgram) runStarted(enter bool, starts []Cycle, cuts []int, chooser *eqChooser, coro func(func(func(struct{}) bool)) (func() (struct{}, bool), func())) ([]eqStep, uint64, []int, int) {
+	k := NewKernel()
+	k.coro = coro
+	if chooser != nil {
+		k.SetChooser(chooser)
+	}
+	futs, sems := prog.state(k)
+	var log []eqStep
+	for id, ops := range prog.actors {
+		if enter {
+			a := &eqActor{k: k, id: id, ops: ops, futs: futs, sems: sems, log: &log, enter: true, cut: cuts[id]}
+			a.resume = a.run
+			k.At(starts[id], func() { k.After(0, a.resume) })
+			continue
+		}
+		k.At(starts[id], func() {
+			k.Go("actor", func(p *Proc) { runOps(p, id, ops, 0, futs, sems, &log) })
+		})
+	}
+	k.Run()
+	blocked := len(k.Blocked())
+	if enter && k.parked > 0 {
+		blocked += k.parked - 1 // Blocked counts the continuations in one entry
+	}
+	var seen []int
+	if chooser != nil {
+		seen = chooser.seen
+	}
+	k.Shutdown()
+	return log, k.Events(), seen, blocked
+}
+
+// TestEnterMatchesProcs runs random programs whose actors each start
+// from an event, once as a proc that Go starts there and once as a
+// chain of continuations that, after a random number of its ops, enters
+// a proc in place (Kernel.Enter) for the rest. Both runs must log every
+// step at the same cycle in the same order, run the same number of
+// events and leave the same number of actors blocked, with and without a
+// Chooser (which must see the same ties), on both coroutine
+// implementations.
+func TestEnterMatchesProcs(t *testing.T) {
+	for _, impl := range coroImpls {
+		t.Run(impl.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(2))
+			blocked, entered := 0, 0
+			for trial := 0; trial < 200; trial++ {
+				prog := randomEqProgram(rng)
+				starts := make([]Cycle, len(prog.actors))
+				cuts := make([]int, len(prog.actors))
+				for a, ops := range prog.actors {
+					starts[a] = Cycle(rng.Intn(4))
+					cuts[a] = rng.Intn(len(ops) + 1)
+					if cuts[a] < len(ops) {
+						entered++
+					}
+				}
+				for _, choose := range []bool{false, true} {
+					var pc, ec *eqChooser
+					if choose {
+						seed := rng.Int63()
+						pc = &eqChooser{rng: rand.New(rand.NewSource(seed))}
+						ec = &eqChooser{rng: rand.New(rand.NewSource(seed))}
+					}
+					pLog, pEvents, pSeen, pBlocked := prog.runStarted(false, starts, cuts, pc, impl.coro)
+					eLog, eEvents, eSeen, eBlocked := prog.runStarted(true, starts, cuts, ec, impl.coro)
+					if !slices.Equal(pLog, eLog) {
+						t.Fatalf("trial %d (chooser %v): logs differ\nGo:    %v\nEnter: %v", trial, choose, pLog, eLog)
+					}
+					if pEvents != eEvents || pBlocked != eBlocked || !slices.Equal(pSeen, eSeen) {
+						t.Fatalf("trial %d (chooser %v): Go ran %d events, left %d blocked, saw ties %v; Enter %d, %d, %v",
+							trial, choose, pEvents, pBlocked, pSeen, eEvents, eBlocked, eSeen)
+					}
+					if pBlocked > 0 {
+						blocked++
+					}
+				}
+			}
+			if blocked == 0 || entered == 0 {
+				t.Fatalf("%d runs left an actor blocked and %d actors entered a proc with ops left: both must be exercised", blocked, entered)
+			}
+		})
+	}
+}
+
+// TestEnteredProcPanics: a panic in an entered proc's task reaches the
+// caller of Run as a *ProcPanic naming the proc, whether it fires
+// before the proc first blocks (inside Enter) or after a wake.
+func TestEnteredProcPanics(t *testing.T) {
+	for _, impl := range coroImpls {
+		for _, sleepFirst := range []bool{false, true} {
+			k := NewKernel()
+			k.coro = impl.coro
+			k.Go("bystander", func(p *Proc) { p.Sleep(100) })
+			k.After(5, func() {
+				k.Enter("entered", func(p *Proc) {
+					if sleepFirst {
+						p.Sleep(1)
+					}
+					panic("model assertion")
+				})
+			})
+			var r any
+			func() {
+				defer func() { r = recover() }()
+				k.Run()
+			}()
+			pp, ok := r.(*ProcPanic)
+			if !ok || pp.Proc != "entered" || pp.Value != "model assertion" {
+				t.Fatalf("%s, sleep first %v: recovered %T %v, want the entered proc's *ProcPanic", impl.name, sleepFirst, r, r)
+			}
+			if b := k.Blocked(); len(b) != 1 || b[0] != "bystander" {
+				t.Fatalf("%s, sleep first %v: blocked = %q, want the bystander", impl.name, sleepFirst, b)
+			}
+			k.Shutdown()
+		}
+	}
+}
+
+// TestEnteredProcBlockedAndShutdown: an entered proc parked forever is
+// listed by Blocked under its name, and Shutdown unwinds it.
+func TestEnteredProcBlockedAndShutdown(t *testing.T) {
+	for _, impl := range coroImpls {
+		k := NewKernel()
+		k.coro = impl.coro
+		never := NewFuture(k)
+		unwound := false
+		k.After(3, func() {
+			k.Enter("parked", func(p *Proc) {
+				defer func() { unwound = true }()
+				p.Wait(never)
+				t.Error("the parked proc resumed")
+			})
+		})
+		k.Run()
+		if b := k.Blocked(); len(b) != 1 || b[0] != "parked" {
+			t.Fatalf("%s: blocked = %q, want the entered proc", impl.name, b)
+		}
+		k.Shutdown()
+		if !unwound {
+			t.Fatalf("%s: Shutdown did not unwind the entered proc", impl.name)
+		}
+		if b := k.Blocked(); len(b) != 0 {
+			t.Fatalf("%s: blocked = %q after Shutdown, want none", impl.name, b)
+		}
+	}
+}
+
+// TestEnterFromProcPanics: Enter starts a proc in place only from an
+// event; called from a running proc it panics, saying so.
+func TestEnterFromProcPanics(t *testing.T) {
+	k := NewKernel()
+	k.Go("outer", func(p *Proc) {
+		p.Sleep(1)
+		k.Enter("inner", func(*Proc) { t.Error("the inner proc ran") })
+	})
+	var r any
+	func() {
+		defer func() { r = recover() }()
+		k.Run()
+	}()
+	pp, ok := r.(*ProcPanic)
+	if !ok || pp.Proc != "outer" {
+		t.Fatalf("recovered %T %v, want outer's *ProcPanic", r, r)
+	}
+	if msg, _ := pp.Value.(string); !strings.Contains(msg, `"outer"`) || !strings.Contains(msg, "call it from an event") {
+		t.Fatalf("panic %q does not name the proc and say to call Enter from an event", pp.Value)
+	}
+	k.Shutdown()
 }

@@ -15,7 +15,9 @@
 // Activity that no thread waits on can run as continuations instead:
 // plain functions that After, Future.Then and Semaphore.AcquireThen
 // queue exactly where a process waiting in their place would have its
-// wake queued, so they keep a process's schedule with no coroutine.
+// wake queued, so they keep a process's schedule with no coroutine. A
+// chain of continuations that needs a stack for one part of its work
+// starts a process in place for it (Enter), in its own event.
 package sim
 
 import (
@@ -130,6 +132,14 @@ type Kernel struct {
 	// the driver to re-raise once the process has suspended.
 	failure any
 
+	// running is the process the driver has resumed, nil while the
+	// driver itself runs; Enter refuses to start a process from one.
+	running *Proc
+
+	// coro makes each new process's coroutine: newCoro, unless a test
+	// runs the channel implementation on a newer toolchain.
+	coro func(body func(yield func(struct{}) bool)) (next func() (struct{}, bool), stop func())
+
 	// slots[c%wheelSlots] is the FIFO of the events due at cycle c.
 	slots [wheelSlots]slot
 }
@@ -154,7 +164,7 @@ type Chooser interface {
 func (k *Kernel) SetChooser(c Chooser) { k.chooser = c }
 
 // NewKernel returns an empty kernel at cycle 0.
-func NewKernel() *Kernel { return &Kernel{nodes: make([]node, 1, 32)} }
+func NewKernel() *Kernel { return &Kernel{nodes: make([]node, 1, 32), coro: newCoro} }
 
 // Now returns the current simulated cycle.
 func (k *Kernel) Now() Cycle { return k.now }
@@ -240,11 +250,7 @@ func (k *Kernel) drive(limit Cycle) {
 		switch t := target.(type) {
 		case *Proc:
 			if !t.done {
-				t.next()
-				if r := k.failure; r != nil {
-					k.failure = nil
-					panic(r)
-				}
+				k.resume(t)
 			}
 		case *Future:
 			t.Complete()
@@ -255,6 +261,18 @@ func (k *Kernel) drive(limit Cycle) {
 		case func():
 			t()
 		}
+	}
+}
+
+// resume runs p on its coroutine until it blocks or finishes, and
+// re-raises the panic its task raised, if any.
+func (k *Kernel) resume(p *Proc) {
+	k.running = p
+	p.next()
+	k.running = nil
+	if r := k.failure; r != nil {
+		k.failure = nil
+		panic(r)
 	}
 }
 

@@ -8,10 +8,12 @@ import (
 // Proc is a simulated software thread. Each Proc runs as a coroutine
 // that the kernel's driver resumes when it pops the Proc's event: its
 // start, which marks it started as its coroutine first runs the task, or
-// a wake. When a Proc blocks (Sleep, Wait, and the sync primitives) it
-// carries on in place if its own wake is the next due event; otherwise,
-// and when its task returns, it yields and control goes back to the
-// driver. Events never run on a Proc's coroutine.
+// a wake. A Proc that Enter starts has no start event: the event that
+// calls Enter runs it until it first blocks. When a Proc blocks (Sleep,
+// Wait, and the sync primitives) it carries on in place if its own wake
+// is the next due event; otherwise, and when its task returns, it yields
+// and control goes back to the driver. Events never run on a Proc's
+// coroutine.
 //
 // Finished Procs are pooled: their coroutines stay suspended and the next
 // Go reuses the whole structure (struct and coroutine) instead of
@@ -53,6 +55,25 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
+// Enter creates a simulated process named name running fn and starts it
+// in place: fn runs on the process's coroutine at once, until it first
+// blocks or returns, and Enter returns then. It is Go without the start
+// event, for a chain of continuations that needs a stack for one part of
+// its work: the process takes over in the continuation's own event,
+// where Go would queue its start behind the events already due. A panic
+// in fn reaches the caller of Run as a *ProcPanic, as from a process Go
+// started. Enter must be called from an event (a continuation the
+// driver runs), not from a process: it panics there.
+func (k *Kernel) Enter(name string, fn func(p *Proc)) *Proc {
+	if q := k.running; q != nil {
+		panic(fmt.Sprintf("sim: Enter(%q) called from proc %q; call it from an event (Kernel.After, Future.Then), or use Go", name, q.name))
+	}
+	p := k.spawn(name)
+	p.fn = fn
+	k.resume(p)
+	return p
+}
+
 // spawn returns a ready-to-start Proc, recycling a pooled one when
 // available. Recycled procs are already in k.procs; fresh ones are
 // appended with a new coroutine.
@@ -66,7 +87,7 @@ func (k *Kernel) spawn(name string) *Proc {
 		return p
 	}
 	p := &Proc{k: k, name: name}
-	p.next, p.stop = newCoro(p.body)
+	p.next, p.stop = k.coro(p.body)
 	k.procs = append(k.procs, p)
 	return p
 }
