@@ -9,9 +9,11 @@ package tako
 // to end is measured by bench/ (bench/README.md), not here.
 
 import (
+	"runtime"
 	"testing"
 
 	"tako/internal/core"
+	"tako/internal/cpu"
 	"tako/internal/energy"
 	"tako/internal/engine"
 	"tako/internal/exp"
@@ -21,7 +23,9 @@ import (
 	"tako/internal/morphs"
 	"tako/internal/sim"
 	"tako/internal/stats"
+	"tako/internal/system"
 	"tako/internal/trace"
+	"tako/internal/workloads"
 )
 
 // BenchmarkExperiments runs each registered experiment once per
@@ -382,6 +386,49 @@ func TestMorphCallbackAllocs(t *testing.T) {
 	}
 	if b := k.Blocked(); len(b) != 0 {
 		t.Fatalf("blocked = %q", b)
+	}
+}
+
+// TestFastForwardRunBytes is the allocation gate for analytical
+// fast-forward. It runs the fast-forwarded scatter of bench/'s ff-scatter
+// workload at its smoke scale (V=16K, E=128K, a 4K-access window, 16
+// tiles) and bounds the bytes allocated across Run at 6 MB. The run
+// allocates about 5 MB: the collector's tables, the reuse stack and the
+// warm-state plans. Seeding that builds sets of planned lines (one sized
+// for the L3's 131,072 lines) takes it past 11 MB.
+func TestFastForwardRunBytes(t *testing.T) {
+	const v, e, window, tiles = 16 << 10, 128 << 10, 4 << 10, 16
+	cfg := system.Default(tiles)
+	cfg.NoTako = true
+	cfg.FastForward = uint64(v) + 2*uint64(e) - window
+	s := system.New(cfg)
+	es := workloads.EdgeStream{V: v, E: e, Seed: 1}
+	ranks := s.Alloc("ranks", uint64(v)*8)
+	edges := s.Alloc("edges", (uint64(e)*4+7)&^7)
+	for tile := 0; tile < tiles; tile++ {
+		tile := tile
+		lo, hi := tile*v/tiles, (tile+1)*v/tiles
+		s.Go(tile, "scatter", func(p *sim.Proc, _ *cpu.Core) {
+			for src := lo; src < hi; src++ {
+				contrib := s.H.Load(p, tile, ranks.Word(uint64(src)))%16 + 1
+				end := es.Offset(src + 1)
+				for i := es.Offset(src); i < end; i++ {
+					s.H.Load(p, tile, edges.At(i*4&^7))
+					s.H.AtomicAddLocal(p, tile, ranks.Word(es.Dst(i)), contrib)
+				}
+			}
+		})
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.Run()
+	runtime.ReadMemStats(&after)
+	if got := s.H.FFAccesses(); got != cfg.FastForward {
+		t.Fatalf("fast-forwarded %d accesses, want %d", got, cfg.FastForward)
+	}
+	const bound = 6 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Fatalf("the fast-forwarded run allocated %.2f MB, want ≤ %.0f MB", float64(got)/(1<<20), float64(bound)/(1<<20))
 	}
 }
 

@@ -40,9 +40,10 @@ func (r *recency) touch(key uint64) {
 }
 
 // byAge returns every recorded key with its last touch, least recent
-// first, in the reused scratch.
+// first, in the reused scratch. The scratch is grown to the record's size
+// once, before filling, so reaching it allocates only its final size.
 func (r *recency) byAge() []touched {
-	r.scratch = r.scratch[:0]
+	r.scratch = slices.Grow(r.scratch[:0], r.last.Len())
 	r.last.Range(func(k uint64, at *uint64) bool {
 		r.scratch = append(r.scratch, touched{k, *at})
 		return true

@@ -12,7 +12,13 @@
 // miss behaviour depends on.
 package analytic
 
-import "tako/internal/flat"
+import (
+	"fmt"
+	"math"
+	"slices"
+
+	"tako/internal/flat"
+)
 
 // Stack computes exact LRU stack distances (the number of distinct keys
 // touched since a key's previous touch) in O(log n) per access: keys map
@@ -25,13 +31,17 @@ import "tako/internal/flat"
 // report cold on their next touch. keepMax is chosen far above every
 // modeled cache capacity, so bounding never perturbs a finite estimate —
 // a key older than keepMax distinct lines would miss everywhere anyway.
+//
+// A stack costs 4 bytes per slot (the Fenwick tree) plus its key table:
+// nothing maps a slot back to its key, since only compaction needs that
+// and it reads it from the table.
 type Stack struct {
-	bit  []uint32        // Fenwick tree: bit counts of live slots
-	keys []uint64        // slot -> key mirror (stale below a key's newest slot)
-	pos  flat.Table[int] // key -> slot
-	next int             // next free slot (logical length)
-	live int             // keys currently tracked
-	keep int             // survivors per compaction (drop-tail bound)
+	bit  []uint32          // Fenwick tree: bit counts of live slots
+	pos  flat.Table[int32] // key -> slot
+	last uint64            // the most recently touched key, when next > 0
+	next int               // next free slot (logical length)
+	live int               // keys currently tracked
+	keep int               // survivors per compaction (drop-tail bound)
 
 	// Cold counts first touches (including re-touches of dropped keys);
 	// Dropped counts keys discarded by the bound.
@@ -42,26 +52,33 @@ type Stack struct {
 	scratch []uint64
 }
 
+// maxKeep is the largest keep bound whose slots fit an int32: compaction
+// never grows the slot space past 8x the bound.
+const maxKeep = math.MaxInt32 / 8
+
 // NewStack returns a stack-distance tracker keeping at most keepMax keys
 // (≤ 0 selects a default of 1<<21, ≈128 MB of line-granular working set).
+// It panics if keepMax exceeds maxKeep.
 func NewStack(keepMax int) *Stack {
 	if keepMax <= 0 {
 		keepMax = 1 << 21
+	}
+	if keepMax > maxKeep {
+		panic(fmt.Sprintf("analytic: NewStack(%d): a keep bound above %d overflows the stack's int32 slots", keepMax, maxKeep))
 	}
 	s := &Stack{keep: keepMax}
 	s.resetBIT(1 << 10)
 	return s
 }
 
-// resetBIT empties the Fenwick tree and slot mirror, sized for n slots;
-// the arrays are reused when the size is unchanged, so steady-state
-// compactions allocate nothing.
+// resetBIT empties the Fenwick tree, sized for n slots; the array is
+// reused when the size is unchanged, so steady-state compactions
+// allocate nothing.
 func (s *Stack) resetBIT(n int) {
-	if len(s.keys) == n {
+	if len(s.bit) == n+1 {
 		clear(s.bit)
 	} else {
 		s.bit = make([]uint32, n+1)
-		s.keys = make([]uint64, n)
 	}
 	s.next = 0
 }
@@ -87,7 +104,7 @@ func (s *Stack) sum(i int) int {
 // true on a first touch (or a re-touch after the key was dropped by the
 // bound), in which case dist is meaningless.
 func (s *Stack) Touch(key uint64) (dist int, cold bool) {
-	if s.next > 0 && s.keys[s.next-1] == key {
+	if s.next > 0 && s.last == key {
 		// Immediate re-touch of the MRU key: distance 0, recency order
 		// unchanged — skip the table and Fenwick work entirely.
 		return 0, false
@@ -95,11 +112,11 @@ func (s *Stack) Touch(key uint64) (dist int, cold bool) {
 	if s.next+1 >= len(s.bit) {
 		s.compact()
 	}
-	ref, ok := s.pos.GetOrPut(key, s.next)
+	ref, ok := s.pos.GetOrPut(key, int32(s.next))
 	if ok {
 		// Keys more recent than this one = live keys in slots above it.
-		slot := *ref
-		*ref = s.next
+		slot := int(*ref)
+		*ref = int32(s.next)
 		dist = s.live - s.sum(slot)
 		s.add(slot, -1)
 	} else {
@@ -107,7 +124,7 @@ func (s *Stack) Touch(key uint64) (dist int, cold bool) {
 		s.Cold++
 		s.live++
 	}
-	s.keys[s.next] = key
+	s.last = key
 	s.add(s.next, 1)
 	s.next++
 	return dist, cold
@@ -120,37 +137,49 @@ func (s *Stack) Live() int { return s.live }
 // in recency order (so every subsequent distance is unchanged), the
 // least-recent keys beyond the keep bound are dropped, and the Fenwick
 // tree grows geometrically until it amortizes compaction cost against
-// the keep bound. No sorting: the slot mirror already enumerates keys in
-// recency order — a mirror entry is current iff it is the key's newest
-// slot — so one linear walk collects the survivors.
+// the keep bound. The key table holds each live key's newest slot, so
+// placing its keys by slot enumerates them in recency order. The tree is
+// rebuilt afterwards, so its array, one entry per slot, holds that
+// placement meanwhile (1 + the key's index in scratch; 0 for a free
+// slot): one linear walk then visits the keys in order, and no slot→key
+// mirror is kept between compactions. The last key touched has the
+// highest slot and always survives, so last stays valid.
 func (s *Stack) compact() {
-	s.scratch = s.scratch[:0]
-	for slot := 0; slot < s.next; slot++ {
-		k := s.keys[slot]
-		if p, ok := s.pos.Get(k); ok && p == slot {
-			s.scratch = append(s.scratch, k)
+	keys := slices.Grow(s.scratch[:0], s.pos.Len())
+	bySlot := s.bit[:s.next]
+	clear(bySlot)
+	s.pos.Range(func(k uint64, slot *int32) bool {
+		keys = append(keys, k)
+		bySlot[*slot] = uint32(len(keys))
+		return true
+	})
+	s.scratch = keys
+	drop := max(len(keys)-s.keep, 0)
+	s.Dropped += uint64(drop)
+	s.pos.Reset()
+	rank := -drop
+	for _, k := range bySlot {
+		if k == 0 {
+			continue
 		}
+		if rank >= 0 {
+			s.pos.Put(keys[k-1], int32(rank))
+		}
+		rank++
 	}
-	live := s.scratch
-	if drop := len(live) - s.keep; drop > 0 {
-		s.Dropped += uint64(drop)
-		live = live[drop:]
-	}
+	live := len(keys) - drop
 	n := len(s.bit) - 1
 	// Keep at least 7/8 of the slot space free (capped at 4x the keep
 	// bound) so compactions stay rare: each one walks the whole slot
 	// space, so at 1/8 occupancy the amortized cost is ~1.3 slot visits
 	// per touch.
-	for n < 2*len(live)+2 || (n < 4*s.keep && n < 8*len(live)) {
+	for n < 2*live+2 || (n < 4*s.keep && n < 8*live) {
 		n *= 2
 	}
 	s.resetBIT(n)
-	s.pos.Reset()
-	for i, k := range live {
-		s.pos.Put(k, i)
-		s.keys[i] = k
+	for i := 0; i < live; i++ {
 		s.add(i, 1)
 	}
-	s.next = len(live)
-	s.live = len(live)
+	s.next = live
+	s.live = live
 }

@@ -2,6 +2,7 @@ package analytic
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -95,6 +96,23 @@ func TestStackDropTail(t *testing.T) {
 	if fast.Dropped == 0 || spurious == 0 {
 		t.Fatalf("expected drop pressure (dropped=%d spurious=%d)", fast.Dropped, spurious)
 	}
+}
+
+// TestNewStackRejectsSlotOverflow checks that a keep bound whose slot
+// space would overflow the stack's int32 slots panics at construction,
+// naming the bound, instead of wrapping slots later, and that the
+// largest allowed bound is accepted.
+func TestNewStackRejectsSlotOverflow(t *testing.T) {
+	if s := NewStack(maxKeep); s.keep != maxKeep {
+		t.Fatalf("keep = %d, want %d", s.keep, maxKeep)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "overflows the stack's int32 slots") {
+			t.Fatalf("NewStack(maxKeep+1) panicked with %q, want an int32 overflow message", msg)
+		}
+	}()
+	NewStack(maxKeep + 1)
 }
 
 // TestHitProb sanity-checks the set-associative hit-probability model.

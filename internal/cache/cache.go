@@ -36,9 +36,12 @@ type Config struct {
 }
 
 // LineState is the full state of one cache line (tag + data + metadata).
+// Its 88 bytes are Tag (8), the six flags and RRPV in one word (8), LRU
+// (8) and Data (64). Every cache slab holds one per way, so Valid sits
+// with the other flags rather than padding out a word of its own.
 type LineState struct {
-	Valid bool
 	Tag   mem.Addr // line-aligned address
+	Valid bool
 	Dirty bool
 	// Morph records that a Morph is registered for this line at this
 	// cache level: its eviction must invoke onEviction/onWriteback.

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"tako/internal/mem"
 )
@@ -25,6 +26,14 @@ func fill(c *Cache, a mem.Addr, opts FillOpts) LineState {
 		panic("no victim")
 	}
 	return c.FillAt(a, way, nil, opts)
+}
+
+// TestLineStateSize pins LineState at 88 bytes: a field added or moved so
+// that it pads out a word grows every cache slab.
+func TestLineStateSize(t *testing.T) {
+	if got := unsafe.Sizeof(LineState{}); got != 88 {
+		t.Fatalf("LineState is %d bytes, want 88", got)
+	}
 }
 
 func TestGeometry(t *testing.T) {

@@ -48,7 +48,7 @@ type ffState struct {
 	done     uint64
 	switched bool
 
-	col   *analytic.Collector
+	col   *analytic.Collector // nil once ffSwitch has seeded from it
 	model analytic.Model
 
 	// Per-tile access counters driving the batched fairness sleeps, and
@@ -218,11 +218,13 @@ func (f *ffState) retime() {
 
 // ffSwitch ends fast-forward: warm state is seeded from the collector's
 // steady-state occupancy (seed.go) and subsequent accesses run the full
-// event-kernel protocol.
+// event-kernel protocol. The collector is dropped once seeded: only the
+// model's estimate (FFEstimate) is read afterwards.
 func (h *Hierarchy) ffSwitch(p *sim.Proc) {
 	f := h.ff
 	f.switched = true
 	f.seeded = h.seedWarmState(f.col)
+	f.col = nil
 	h.Metrics.Counter("ff.accesses").Add(f.done)
 	h.Metrics.Counter("ff.switch.cycle").Add(uint64(p.Now()))
 	h.Metrics.Counter("ff.seed.l1").Add(uint64(f.seeded.L1))

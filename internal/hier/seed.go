@@ -26,6 +26,15 @@ import (
 //     L2, mirroring what demand fills would have built;
 //   - owners stay -1 (nothing dirty), so no downgrade state exists.
 //
+// Precondition: every cache is empty when seeding starts. The
+// fast-forward paths touch only the backing store, and seeding runs once,
+// at switchover. Each plan's quotas fit its cache, so every planned line
+// is seeded, and a cache seeded from a plan holds exactly that plan. The
+// L3 is therefore seeded first, so that "planned into the L3" is Contains
+// on the line's home bank, and each tile's L2 before its L1, so that "in
+// the L2 plan" is Contains on the L2: seeding asks the seeded arrays
+// instead of building sets of planned lines.
+//
 // Recency: cache.Seed/TLB.Warm follow the shared fill clocks, so plans
 // are collected most-recent-first and installed in reverse, leaving the
 // most recent line MRU in every set.
@@ -45,7 +54,6 @@ func (h *Hierarchy) seedWarmState(col *analytic.Collector) ffSeedCounts {
 	for i, t := range h.tiles {
 		quotas[i] = make([]int, t.l3.NumSets())
 	}
-	inL3 := make(map[uint64]struct{}, totalL3)
 	planned := 0
 	for _, key := range col.GlobalMRU(4 * totalL3) {
 		if planned == totalL3 {
@@ -60,7 +68,6 @@ func (h *Hierarchy) seedWarmState(col *analytic.Collector) ffSeedCounts {
 		}
 		quotas[bank][set]++
 		l3Plan[bank] = append(l3Plan[bank], la)
-		inL3[key] = struct{}{}
 		planned++
 	}
 	for bank, plan := range l3Plan {
@@ -72,6 +79,7 @@ func (h *Hierarchy) seedWarmState(col *analytic.Collector) ffSeedCounts {
 			}
 		}
 	}
+	inL3 := func(la mem.Addr) bool { return h.tiles[h.HomeTile(la)].l3.Contains(la) }
 
 	// Private levels + dTLB, per tile. The collector's exact content
 	// filters are the private levels' true steady-state occupancy —
@@ -79,20 +87,6 @@ func (h *Hierarchy) seedWarmState(col *analytic.Collector) ffSeedCounts {
 	for ti, t := range h.tiles {
 		keys1, keys2 := col.FilterMRU(ti)
 		plan2 := planPrivate(t.l2, keys2, inL3)
-		// Exact L1 content, restricted to the seeded L2 plan so the
-		// installed levels stay inclusive.
-		inPlan2 := make(map[mem.Addr]struct{}, len(plan2))
-		for _, la := range plan2 {
-			inPlan2[la] = struct{}{}
-		}
-		var plan1 []mem.Addr
-		for _, key := range keys1 {
-			la := mem.Addr(key << mem.LineShift)
-			if _, ok := inPlan2[la]; ok {
-				plan1 = append(plan1, la)
-			}
-		}
-		plan1 = planSubset(t.l1, plan1)
 		for i := len(plan2) - 1; i >= 0; i-- {
 			store.PeekLine(plan2[i], &line)
 			if t.l2.Seed(plan2[i], &line) {
@@ -101,6 +95,9 @@ func (h *Hierarchy) seedWarmState(col *analytic.Collector) ffSeedCounts {
 				n.Dir++
 			}
 		}
+		// Exact L1 content, restricted to the seeded L2 so the installed
+		// levels stay inclusive.
+		plan1 := planPrivate(t.l1, keys1, t.l2.Contains)
 		for i := len(plan1) - 1; i >= 0; i-- {
 			store.PeekLine(plan1[i], &line)
 			if t.l1.Seed(plan1[i], &line) {
@@ -119,11 +116,10 @@ func (h *Hierarchy) seedWarmState(col *analytic.Collector) ffSeedCounts {
 	return n
 }
 
-// planPrivate collects the private-cache plan for c from keys (the
-// tile's L2 filter content, most recent first within each set): lines
-// also planned into the shared L3, under per-set way quotas, up to
-// capacity.
-func planPrivate(c *cache.Cache, keys []uint64, inL3 map[uint64]struct{}) []mem.Addr {
+// planPrivate collects the private-cache plan for c from keys (a tile's
+// filter content, most recent first within each set): the lines that
+// outer holds, under per-set way quotas, up to capacity.
+func planPrivate(c *cache.Cache, keys []uint64, outer func(mem.Addr) bool) []mem.Addr {
 	capacity := c.NumSets() * c.Config().Ways
 	quota := make([]int, c.NumSets())
 	plan := make([]mem.Addr, 0, capacity)
@@ -131,31 +127,9 @@ func planPrivate(c *cache.Cache, keys []uint64, inL3 map[uint64]struct{}) []mem.
 		if len(plan) == capacity {
 			break
 		}
-		if _, ok := inL3[key]; !ok {
-			continue
-		}
 		la := mem.Addr(key << mem.LineShift)
-		set := c.SetIndex(la)
-		if quota[set] >= c.Config().Ways {
+		if !outer(la) {
 			continue
-		}
-		quota[set]++
-		plan = append(plan, la)
-	}
-	return plan
-}
-
-// planSubset restricts candidate lines (most recent first within each
-// set) to what fits c's geometry. The L1 candidates are already a subset
-// of the L2 plan, so inclusion between the seeded private levels mirrors
-// demand-fill steady state.
-func planSubset(c *cache.Cache, outer []mem.Addr) []mem.Addr {
-	capacity := c.NumSets() * c.Config().Ways
-	quota := make([]int, c.NumSets())
-	plan := make([]mem.Addr, 0, capacity)
-	for _, la := range outer {
-		if len(plan) == capacity {
-			break
 		}
 		set := c.SetIndex(la)
 		if quota[set] >= c.Config().Ways {

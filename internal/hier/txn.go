@@ -136,14 +136,13 @@ func (h *Hierarchy) getTxn() *txn {
 
 // putTxn zeroes and recycles a finished transaction. The bound resume
 // and the timeline slice's capacity survive the reset, so parking and
-// armed attribution stop allocating once the pool is warm.
+// armed attribution stop allocating once the pool is warm. The pool is
+// uncapped: it holds at most as many as were ever in flight at once.
 func (h *Hierarchy) putTxn(t *txn) {
 	tl, resume := t.tl[:0], t.resume
 	*t = txn{}
 	t.tl, t.resume = tl, resume
-	if len(h.txnPool) < 64 {
-		h.txnPool = append(h.txnPool, t)
-	}
+	h.txnPool = append(h.txnPool, t)
 }
 
 // to moves the machine to next, asserting the edge against txnLegal and

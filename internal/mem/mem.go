@@ -100,11 +100,14 @@ const slabChunks = 64
 // update application, journaling, decompression) can be verified against
 // functional baselines.
 //
-// Storage is a page-granular arena: the first touch of any line in a 4 KB
-// page claims a whole pageChunk (64 lines inline) from a slab, and a
-// dense open-addressed index maps page number → chunk. Reads and writes
-// within a touched page are then one hash probe plus direct array
-// indexing — no per-line allocation or per-line map entry.
+// Storage is a page-granular arena: the first write to any line in a 4
+// KB page (or a LineAt, which hands out a mutable pointer) claims a whole
+// pageChunk (64 lines inline) from a slab, and a dense open-addressed
+// index maps page number → chunk. Reads and writes within a touched page
+// are then one hash probe plus direct array indexing — no per-line
+// allocation or per-line map entry. Reads (PeekLine, ReadU64, ReadU32)
+// of an untouched page return zeros and claim nothing, so a read-only
+// region costs no host memory.
 type Memory struct {
 	index  flat.Table[int32] // page number -> index into chunks
 	chunks []*pageChunk
@@ -114,19 +117,6 @@ type Memory struct {
 // NewMemory returns an empty (all-zero) backing store.
 func NewMemory() *Memory {
 	return &Memory{}
-}
-
-// chunkFor returns the page chunk holding a, claiming one from the slab
-// on first touch when alloc is set (nil otherwise).
-func (m *Memory) chunkFor(a Addr, alloc bool) *pageChunk {
-	page := uint64(a) >> PageShift
-	if i, ok := m.index.Get(page); ok {
-		return m.chunks[i]
-	}
-	if !alloc {
-		return nil
-	}
-	return m.claim(page)
 }
 
 // claim carves a fresh chunk for page.
@@ -141,18 +131,30 @@ func (m *Memory) claim(page uint64) *pageChunk {
 	return ch
 }
 
+// lineIfTouched returns the line containing a, or nil when its page was
+// never claimed (it reads as zero).
+func (m *Memory) lineIfTouched(a Addr) *Line {
+	i, ok := m.index.Get(uint64(a) >> PageShift)
+	if !ok {
+		return nil
+	}
+	return &m.chunks[i].lines[(uint64(a)>>LineShift)&(LinesPerPage-1)]
+}
+
 // LineAt returns a mutable pointer to the line containing a, allocating
 // its page on first touch. The pointer stays valid for the Memory's
 // lifetime.
 func (m *Memory) LineAt(a Addr) *Line {
-	ch := m.chunkFor(a, true)
-	return &ch.lines[(uint64(a)>>LineShift)&(LinesPerPage-1)]
+	if l := m.lineIfTouched(a); l != nil {
+		return l
+	}
+	return &m.claim(uint64(a) >> PageShift).lines[(uint64(a)>>LineShift)&(LinesPerPage-1)]
 }
 
 // PeekLine copies the line containing a into dst without allocating.
 func (m *Memory) PeekLine(a Addr, dst *Line) {
-	if ch := m.chunkFor(a, false); ch != nil {
-		*dst = ch.lines[(uint64(a)>>LineShift)&(LinesPerPage-1)]
+	if l := m.lineIfTouched(a); l != nil {
+		*dst = *l
 	} else {
 		*dst = Line{}
 	}
@@ -165,7 +167,10 @@ func (m *Memory) WriteLine(a Addr, src *Line) {
 
 // ReadU64 reads the 64-bit word at a (must be 8-aligned).
 func (m *Memory) ReadU64(a Addr) uint64 {
-	return m.LineAt(a).U64(a.Offset())
+	if l := m.lineIfTouched(a); l != nil {
+		return l.U64(a.Offset())
+	}
+	return 0
 }
 
 // WriteU64 writes the 64-bit word at a (must be 8-aligned).
@@ -175,7 +180,10 @@ func (m *Memory) WriteU64(a Addr, v uint64) {
 
 // ReadU32 reads the 32-bit word at a (must be 4-aligned).
 func (m *Memory) ReadU32(a Addr) uint32 {
-	return m.LineAt(a).U32(a.Offset())
+	if l := m.lineIfTouched(a); l != nil {
+		return l.U32(a.Offset())
+	}
+	return 0
 }
 
 // WriteU32 writes the 32-bit word at a (must be 4-aligned).

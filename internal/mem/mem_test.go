@@ -139,9 +139,11 @@ func TestMemoryArenaPointerStability(t *testing.T) {
 }
 
 // TestMemoryPopulatedLines verifies the arena claims storage a page at a
-// time, and only on the accessors that materialize a line: PeekLine on
-// an untouched page reads zeros and claims nothing, while ReadU64 and
-// WriteU64 claim the page's chunk.
+// time, and only on the accessors that write or hand out a mutable line:
+// PeekLine, ReadU64 and ReadU32 of an untouched page read zeros and claim
+// nothing (so a read-only region, like fig25full's edge array, costs no
+// host memory), while WriteU64, WriteU32 and LineAt claim the page's
+// chunk.
 func TestMemoryPopulatedLines(t *testing.T) {
 	m := NewMemory()
 	if n := len(m.chunks); n != 0 {
@@ -163,9 +165,28 @@ func TestMemoryPopulatedLines(t *testing.T) {
 	if n := len(m.chunks); n != 2 {
 		t.Fatalf("PeekLine materialized: chunks = %d, want 2", n)
 	}
-	m.ReadU64(0x20_000) // word reads materialize (mutable-path accessor)
+	if v := m.ReadU64(0x20_008); v != 0 {
+		t.Fatalf("ReadU64 of an untouched page = %d, want 0", v)
+	}
+	if v := m.ReadU32(0x20_044); v != 0 {
+		t.Fatalf("ReadU32 of an untouched page = %d, want 0", v)
+	}
+	if n := len(m.chunks); n != 2 {
+		t.Fatalf("word reads materialized: chunks = %d, want 2", n)
+	}
+	if v := m.ReadU64(0x8); v != 2 {
+		t.Fatalf("ReadU64 of a touched page = %d, want 2", v)
+	}
+	m.WriteU32(0x20_044, 5) // writes claim
 	if n := len(m.chunks); n != 3 {
-		t.Fatalf("chunks = %d, want 3", n)
+		t.Fatalf("WriteU32 did not claim: chunks = %d, want 3", n)
+	}
+	if v := m.ReadU32(0x20_044); v != 5 {
+		t.Fatalf("ReadU32 after WriteU32 = %d, want 5", v)
+	}
+	m.LineAt(0x30_000) // a mutable pointer claims
+	if n := len(m.chunks); n != 4 {
+		t.Fatalf("LineAt did not claim: chunks = %d, want 4", n)
 	}
 }
 

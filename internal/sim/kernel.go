@@ -105,7 +105,9 @@ type Kernel struct {
 
 	// waiterPool recycles Future waiter slices: futures are one-shot
 	// and allocated in large numbers on memory-access hot paths, so
-	// their waiter backing arrays are worth reusing.
+	// their waiter backing arrays are worth reusing. Like futurePool
+	// and freeProcs it is uncapped, so it holds at most as many as
+	// were ever in use at once.
 	waiterPool [][]any
 
 	// freeProcs holds finished Procs whose coroutines are suspended
@@ -516,7 +518,7 @@ func (k *Kernel) getWaiters() []any {
 // putWaiters returns a drained waiter slice to the pool. Entries are
 // cleared so pooled arrays don't pin processes.
 func (k *Kernel) putWaiters(s []any) {
-	if cap(s) == 0 || len(k.waiterPool) >= 64 {
+	if cap(s) == 0 {
 		return
 	}
 	clear(s[:cap(s)])
@@ -552,9 +554,7 @@ func (k *Kernel) RecycleFuture(f *Future) {
 	}
 	f.done = false
 	f.when = 0
-	if len(k.futurePool) < 64 {
-		k.futurePool = append(k.futurePool, f)
-	}
+	k.futurePool = append(k.futurePool, f)
 }
 
 // Release kills the pooled coroutines of finished processes. The kernel
