@@ -432,6 +432,29 @@ func TestFastForwardRunBytes(t *testing.T) {
 	}
 }
 
+// TestPHIRunAllocs is the whole-run allocation gate for a täkō
+// workload: one PHI run (bench/'s phi-tako at its smoke scale: V=2K,
+// E=20K, 4 tiles, CacheScale 128) must allocate at most 2,800 objects,
+// graph generation, machine and reference check included. The run
+// allocates about 2,350. A bin flush whose line escapes to the heap
+// through StoreLineNT adds one object per flushed line, about 900 more.
+func TestPHIRunAllocs(t *testing.T) {
+	prm := morphs.DefaultPHIParams()
+	prm.V, prm.E = 2<<10, 20<<10
+	prm.Tiles, prm.Threads = 4, 4
+	prm.CacheScale = 128
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := morphs.RunPHI(morphs.PHITako, prm); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const bound = 2800
+	if got := after.Mallocs - before.Mallocs; got > bound {
+		t.Fatalf("the PHI run allocated %d objects, want ≤ %d", got, bound)
+	}
+}
+
 // BenchmarkHierarchyAccessAttributed prices transaction-level latency
 // attribution against the same pointer-chase the alloc gates use: "off"
 // is the production configuration (a nil check per transition), "attr"

@@ -18,16 +18,13 @@ import (
 	"fmt"
 
 	"tako/internal/mem"
-	"tako/internal/sim"
 )
 
 // Config describes one cache array.
 type Config struct {
-	Name        string
-	SizeBytes   int
-	Ways        int
-	TagLatency  sim.Cycle
-	DataLatency sim.Cycle
+	Name      string
+	SizeBytes int
+	Ways      int
 	// IndexShift skips address bits above the line offset before set
 	// indexing; shared-cache banks use it to index within a bank after
 	// line-interleaving across tiles.

@@ -101,30 +101,6 @@ func (c *Core) Load(p *sim.Proc, a mem.Addr) uint64 {
 	return c.H.Load(p, c.Tile, a)
 }
 
-// LoadAsync issues an independent load. Out-of-order cores overlap up to
-// MLP of these; in-order cores execute them synchronously. The returned
-// future completes when the data is resident (the value is discarded —
-// use Load for values the thread consumes).
-func (c *Core) LoadAsync(p *sim.Proc, a mem.Addr) *sim.Future {
-	c.instr(1)
-	if c.cfg.Kind == InOrder {
-		c.H.Load(p, c.Tile, a)
-		return sim.CompletedFuture(p.Kernel())
-	}
-	for len(c.window) >= c.cfg.MLP {
-		p.Wait(c.window[0])
-		c.window = c.window[1:]
-	}
-	f := sim.NewFuture(p.Kernel())
-	h, tile := c.H, c.Tile
-	p.Kernel().Go("ooo-load", func(pp *sim.Proc) {
-		h.Load(pp, tile, a)
-		f.Complete()
-	})
-	c.window = append(c.window, f)
-	return f
-}
-
 // LoadHandle is an in-flight value-carrying asynchronous load. Value is
 // valid once F completes (wait it, or Drain the core).
 type LoadHandle struct {
@@ -134,7 +110,9 @@ type LoadHandle struct {
 
 // LoadAsyncV issues an independent load whose value is delivered through
 // the returned handle — the OOO pattern for reductions over independent
-// addresses (e.g., the decompression study's average loop).
+// addresses (e.g., the decompression study's average loop). Out-of-order
+// cores overlap up to MLP of these; in-order cores execute them
+// synchronously.
 func (c *Core) LoadAsyncV(p *sim.Proc, a mem.Addr) *LoadHandle {
 	c.instr(1)
 	lh := &LoadHandle{}

@@ -38,7 +38,7 @@ func TestOOOOverlapsIndependentMisses(t *testing.T) {
 		var end sim.Cycle
 		k.Go("t", func(p *sim.Proc) {
 			for i := 0; i < 8; i++ {
-				c.LoadAsync(p, mem.Addr(0x10000+i*4096)) // distinct pages/streams
+				c.LoadAsyncV(p, mem.Addr(0x10000+i*4096)) // distinct pages/streams
 			}
 			c.Drain(p)
 			end = p.Now()
@@ -89,7 +89,7 @@ func TestWindowBoundsOutstanding(t *testing.T) {
 	k, c := newCore(cfg)
 	k.Go("t", func(p *sim.Proc) {
 		for i := 0; i < 10; i++ {
-			c.LoadAsync(p, mem.Addr(0x20000+i*64))
+			c.LoadAsyncV(p, mem.Addr(0x20000+i*64))
 			if len(c.window) > 2 {
 				t.Errorf("window grew to %d", len(c.window))
 			}

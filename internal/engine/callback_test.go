@@ -93,7 +93,7 @@ func runChainCalls(calls []*chainCall, at []sim.Cycle, chooser sim.Chooser) *sim
 			c.seq, c.ran = runs, k.Now()
 			runs++
 			accepted, done := e.Run(0, hier.CbMiss, hier.Binding{MorphID: c.morph}, c.addr, &c.line)
-			done.Then(func() {
+			done.Then(fnTask(func() {
 				c.done, c.doneStep = true, steps
 				steps++
 				k.RecycleFuture(accepted)
@@ -103,7 +103,7 @@ func runChainCalls(calls []*chainCall, at []sim.Cycle, chooser sim.Chooser) *sim
 					held.Complete()
 					k.RecycleFuture(held)
 				})
-			})
+			}))
 		})
 	}
 	k.Run()
@@ -288,3 +288,9 @@ func TestCtxZeroedAfterCallback(t *testing.T) {
 		t.Fatalf("instrs = %d, want 5 (the extra ops counted before the Ctx was zeroed)", e.Stats(1).Instrs)
 	}
 }
+
+// fnTask is a Task no process waits on that runs a function.
+type fnTask func()
+
+func (f fnTask) Resume()         { f() }
+func (fnTask) Issuer() *sim.Proc { return nil }

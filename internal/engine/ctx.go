@@ -107,7 +107,7 @@ func (c *Ctx) StoreLineNT(a mem.Addr, data *mem.Line) {
 // engine; used by PHI to apply buffered updates in place, §8.1).
 func (c *Ctx) AtomicAddWord(a mem.Addr, delta uint64) {
 	c.tile.stats.MemAccesses++
-	c.engines.h.EngineAtomicAddWord(c.P, c.Tile, a, delta, c.Level)
+	c.engines.h.EngineRMWWord(c.P, c.Tile, a, hier.RMOAdd, delta, c.Level)
 }
 
 // RMWWord performs a commutative read-modify-write with the given

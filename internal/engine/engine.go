@@ -288,18 +288,19 @@ func (e *Engines) Run(tile int, kind hier.CallbackKind, b hier.Binding, addr mem
 	if c.pred != nil {
 		c.pred.succ = c
 	}
-	k.After(0, c.resume)
+	k.AfterTask(0, c)
 	return c.accepted, c.done
 }
 
 // callback is one Morph callback on its way through a tile's engine
 // (§5.3). Its queueing — the wait for the callback ahead of it on its
 // chain, a callback-buffer slot, a bitstream load — and its fabric
-// compute time run as kernel continuations, each queued where a
-// process waiting in its place would have its wake queued; only the
-// Morph's Fn runs on a process, which run enters in place. Callbacks
-// are pooled on the Engines, with resume and body bound once, so
-// scheduling one allocates nothing once the pool is warm.
+// compute time run as kernel continuations (the callback is a sim.Task
+// with no issuer), each queued where a process waiting in its place
+// would have its wake queued; only the Morph's Fn runs on a process,
+// which Resume enters in place. Callbacks are pooled on the Engines, with
+// body bound once, so scheduling one allocates nothing once the pool is
+// warm.
 type callback struct {
 	e    *Engines
 	t    *engTile
@@ -323,9 +324,11 @@ type callback struct {
 	phase        uint8
 	ctx          Ctx // the Fn's environment, zeroed when the callback ends
 
-	resume func()          // run, bound once
-	body   func(*sim.Proc) // exec, bound once
+	body func(*sim.Proc) // exec, bound once
 }
+
+// Issuer makes a callback a sim.Task no proc waits on.
+func (c *callback) Issuer() *sim.Proc { return nil }
 
 // getCallback returns a pooled, zeroed callback.
 func (e *Engines) getCallback() *callback {
@@ -335,28 +338,28 @@ func (e *Engines) getCallback() *callback {
 		return c
 	}
 	c := &callback{e: e}
-	c.resume, c.body = c.run, c.exec
+	c.body = c.exec
 	return c
 }
 
-// run steps through the callback: phase 0 waits for the callback ahead
+// Resume steps through the callback: phase 0 waits for the callback ahead
 // of it on its chain to finish, 1 takes a callback-buffer slot, 2 admits
 // the callback and loads its Morph's bitstream if it is not resident, 3
 // enters a process for the Fn (exec), and 4 ends the callback once its
 // fabric compute time has passed.
-func (c *callback) run() {
+func (c *callback) Resume() {
 	e, t := c.e, c.t
 	switch c.phase {
 	case 0:
 		c.phase = 1
 		if c.pred != nil {
-			c.pred.done.Then(c.resume)
+			c.pred.done.Then(c)
 			return
 		}
 		fallthrough
 	case 1:
 		c.phase = 2
-		if !e.cfg.Ideal && !t.buffer.AcquireThen(c.resume) {
+		if !e.cfg.Ideal && !t.buffer.AcquireThen(c) {
 			return
 		}
 		fallthrough
@@ -365,7 +368,7 @@ func (c *callback) run() {
 		c.start = e.k.Now()
 		c.phase = 3
 		if !e.cfg.Ideal && e.loadBitstream(t, c.b.MorphID) {
-			e.k.After(e.cfg.BitstreamLoad, c.resume)
+			e.k.AfterTask(e.cfg.BitstreamLoad, c)
 			return
 		}
 		fallthrough
@@ -377,7 +380,7 @@ func (c *callback) run() {
 	}
 }
 
-// exec runs the Morph's Fn on p, the process run entered, and then
+// exec runs the Morph's Fn on p, the process Resume entered, and then
 // queues the end of the callback after its fabric compute time, or ends
 // it at once when it has none.
 func (c *callback) exec(p *sim.Proc) {
@@ -392,7 +395,7 @@ func (c *callback) exec(p *sim.Proc) {
 	}
 	c.spec.Fn(&c.ctx)
 	if lat, ok := e.computeTime(c.t, c.spec.Cost, c.ctx.extraOps); ok {
-		e.k.After(lat, c.resume)
+		e.k.AfterTask(lat, c)
 		return
 	}
 	c.finish()
@@ -439,7 +442,7 @@ func (c *callback) finish() {
 		c.succ.pred = nil
 	}
 	c.done.Complete()
-	*c = callback{e: e, resume: c.resume, body: c.body}
+	*c = callback{e: e, body: c.body}
 	e.pool = append(e.pool, c)
 }
 

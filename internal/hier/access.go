@@ -95,11 +95,11 @@ func (h *Hierarchy) StoreLineNT(p *sim.Proc, tileID int, a mem.Addr, line *mem.L
 	la := a.Line()
 	home := h.HomeTile(la)
 	x := h.getTxn()
-	x.p, x.kind = p, kindNTStore
+	x.kind = kindNTStore
 	x.tileID, x.a, x.la = tileID, a, la
 	x.home, x.hm = home, h.tiles[home]
-	x.ext = line
-	x.run()
+	x.data = *line
+	h.await(p, x)
 	h.putTxn(x)
 }
 
@@ -108,19 +108,7 @@ func (h *Hierarchy) StoreLineNT(p *sim.Proc, tileID int, a mem.Addr, line *mem.L
 // Baselines without remote memory operations update shared data this
 // way, paying coherence ping-pong under contention.
 func (h *Hierarchy) AtomicAddLocal(p *sim.Proc, tileID int, a mem.Addr, delta uint64) {
-	if h.ffGate(p) {
-		h.ffAtomicRMO(p, tileID, a, RMOAdd, delta)
-		return
-	}
-	ls := h.access(p, tileID, a, accessOpts{write: true})
-	off := a.Offset() &^ 7
-	old := ls.Data.U64(off)
-	ls.Data.SetU64(off, old+delta)
-	ls.Dirty = true
-	if h.obs != nil {
-		h.obs.RMOCommitted(tileID, a, RMOAdd, delta, old, old+delta)
-	}
-	h.event("atomic.add")
+	h.AtomicRMOLocal(p, tileID, a, RMOAdd, delta)
 }
 
 // AtomicRMOLocal performs a commutative read-modify-write with operator
@@ -170,11 +158,18 @@ func (h *Hierarchy) AtomicExchange(p *sim.Proc, tileID int, a mem.Addr, v uint64
 func (h *Hierarchy) access(p *sim.Proc, tileID int, a mem.Addr, o accessOpts) *cache.LineState {
 	h.checkEngineRestriction(tileID, a, o)
 	x := h.newAccess(tileID, a, o)
-	x.p = p
-	x.run()
+	h.await(p, x)
 	ls := x.result
 	h.putTxn(x)
 	return ls
+}
+
+// await runs x, a transaction p issued, and blocks p until x is done: p
+// parks once, and the event in which x reaches Done resumes it (complete).
+func (h *Hierarchy) await(p *sim.Proc, x *txn) {
+	x.waiter = p
+	x.run()
+	p.Park()
 }
 
 // newAccess returns a kindAccess transaction for a, not yet started.

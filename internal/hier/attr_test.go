@@ -89,7 +89,7 @@ func TestAttributionConservationWorkload(t *testing.T) {
 			}
 			var line mem.Line
 			h.StoreLineNT(p, tile, base, &line)
-			h.AtomicRMOSync(p, tile, base+8, RMOAdd, 1)
+			h.AtomicAddSync(p, tile, base+8, 1)
 		})
 	}
 	k.Run()

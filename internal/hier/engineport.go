@@ -76,20 +76,6 @@ func (h *Hierarchy) EngineStoreLine(p *sim.Proc, tileID int, a mem.Addr, data *m
 	h.event("engine.store")
 }
 
-// EngineAtomicAddWord performs a read-modify-write add on tileID's
-// engine (e.g. PHI applying buffered updates in place).
-func (h *Hierarchy) EngineAtomicAddWord(p *sim.Proc, tileID int, a mem.Addr, delta uint64, cbLevel Level) {
-	h.engineTLB(p, tileID, a)
-	ls := h.access(p, tileID, a, h.engineOpts(cbLevel, true))
-	off := a.Offset() &^ 7
-	ls.Data.SetU64(off, ls.Data.U64(off)+delta)
-	ls.Dirty = true
-	if h.obs != nil {
-		h.obs.EngineAccess(tileID, a, true)
-	}
-	h.event("engine.rmw")
-}
-
 // EngineLoadLineAsync issues a non-blocking engine line fetch on a
 // spawned process, completing f when the line is resident. Dataflow
 // engines use this to expose memory-level parallelism within a callback

@@ -64,7 +64,7 @@ func TestEngineStoreLineAndRMW(t *testing.T) {
 	line.SetU64(8, 200)
 	k.Go("engine", func(p *sim.Proc) {
 		h.EngineStoreLine(p, 0, 0x4000, &line, LevelShared)
-		h.EngineAtomicAddWord(p, 0, 0x4000, 5, LevelShared)
+		h.EngineRMWWord(p, 0, 0x4000, RMOAdd, 5, LevelShared)
 		h.EngineRMWWord(p, 0, 0x4008, RMOAdd, 30, LevelShared)
 		if v := h.EngineLoadWord(p, 0, 0x4000, LevelShared); v != 105 {
 			t.Errorf("atomic add result = %d, want 105", v)

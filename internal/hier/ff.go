@@ -301,7 +301,10 @@ func (h *Hierarchy) ffLoadLine(p *sim.Proc, tileID int, a mem.Addr) mem.Line {
 func (h *Hierarchy) ffStoreLine(p *sim.Proc, tileID int, a mem.Addr, line *mem.Line, nt bool) {
 	h.DRAM.Store().WriteLine(a.Line(), line)
 	if h.obs != nil {
-		h.obs.LineStored(tileID, a, line, nt)
+		// The observer gets a copy, so the caller's line does not
+		// escape through the interface call.
+		l := *line
+		h.obs.LineStored(tileID, a, &l, nt)
 	}
 	h.ffTouch(p, tileID, a)
 }

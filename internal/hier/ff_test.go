@@ -127,6 +127,37 @@ func TestFFFunctionalExactness(t *testing.T) {
 	}
 }
 
+// TestFFRemoteRMOs: remote RMOs pass the fast-forward gate like every
+// other access. On a fast-forwarding machine they apply to the backing
+// store at once, so a fast-forwarded load after them reads their sum,
+// and they leave every cache empty for the switchover to seed.
+func TestFFRemoteRMOs(t *testing.T) {
+	k := sim.NewKernel()
+	h := New(k, DefaultConfig(2), energy.NewMeter(), nil, nil)
+	h.EnableFastForward(1<<62, nil)
+	const a = mem.Addr(0x4000)
+	var got uint64
+	k.Go("rmo", func(p *sim.Proc) {
+		h.Store(p, 0, a, 5)
+		h.AtomicAdd(p, 0, a, 1)
+		h.DrainRMOs(p, 0)
+		h.AtomicAddSync(p, 1, a, 10)
+		got = h.Load(p, 0, a)
+	})
+	k.Run()
+	if h.ff.switched {
+		t.Fatalf("switched over: %s", h.FFString())
+	}
+	if got != 16 {
+		t.Errorf("load after store 5, RMO +1 and synchronous RMO +10 = %d, want 16", got)
+	}
+	for i, tile := range h.tiles {
+		tile.l3.Walk(func(ls *cache.LineState) {
+			t.Errorf("L3 bank %d holds %v before switchover", i, ls.Tag)
+		})
+	}
+}
+
 // TestFFSwitchoverSeedsWarmState checks the switchover contract: the
 // event kernel takes over mid-run against caches, TLBs, and a directory
 // that satisfy every hierarchy invariant, with warm state actually

@@ -68,11 +68,11 @@ func (h *Hierarchy) flushPrivate(p *sim.Proc, tileID int, region mem.Region, fut
 			// lock check (a locked line is skipped this pass), extract,
 			// and the eviction pipeline.
 			x := h.getTxn()
-			x.p, x.kind = p, kindFlushEvict
+			x.kind = kindFlushEvict
 			x.tileID, x.la = tileID, la
 			x.t = t
 			x.futs = futs
-			x.run()
+			h.await(p, x)
 			if x.evicted {
 				progressed = true
 			}
@@ -110,12 +110,12 @@ func (h *Hierarchy) flushBank(p *sim.Proc, bankID int, region mem.Region, futs *
 		progressed := false
 		for _, la := range lines {
 			x := h.getTxn()
-			x.p, x.kind = p, kindFlushEvict
+			x.kind = kindFlushEvict
 			x.flushBank = true
 			x.tileID, x.la = bankID, la
 			x.home, x.hm = bankID, hm
 			x.futs = futs
-			x.run()
+			h.await(p, x)
 			if x.evicted {
 				progressed = true
 			}

@@ -70,8 +70,8 @@ func TestStoreLineNTToUncachedGoesToDRAM(t *testing.T) {
 func TestEngineAtomicAddAndPersist(t *testing.T) {
 	k, h := newH(2)
 	k.Go("engine", func(p *sim.Proc) {
-		h.EngineAtomicAddWord(p, 0, 0xB000, 3, LevelPrivate)
-		h.EngineAtomicAddWord(p, 1, 0xB000, 4, LevelShared)
+		h.EngineRMWWord(p, 0, 0xB000, RMOAdd, 3, LevelPrivate)
+		h.EngineRMWWord(p, 1, 0xB000, RMOAdd, 4, LevelShared)
 		var line mem.Line
 		line.SetWord(0, 42)
 		h.EnginePersistLine(p, 0, 0xC000, &line, LevelPrivate)

@@ -127,7 +127,7 @@ func (h *Hierarchy) morphEvictPrivate(tileID int, ev cache.LineState, b Binding,
 	c.lock, c.tok, c.locked = lock, tok, true
 	c.data = ev.Data
 	t.cbInflight.Add(1)
-	h.K.After(0, c.resume)
+	h.K.AfterTask(0, c)
 }
 
 // callbackLock returns the future an eviction callback's line lock
@@ -168,7 +168,7 @@ func (h *Hierarchy) writebackToShared(tileID int, la mem.Addr, data mem.Line) {
 	h.Meter.Add(energy.L3Access, 1)
 	w := h.getWBTiming()
 	w.tile, w.home = tileID, home
-	h.K.After(0, w.resume)
+	h.K.AfterTask(0, w)
 }
 
 // insertL3 installs a line into its home bank (tile homeID), handling
@@ -278,7 +278,7 @@ func (h *Hierarchy) morphEvictShared(homeID int, ev cache.LineState, b Binding, 
 		c.tok, c.locked = hm.l3pending.lockWith(la, lock), true
 	}
 	hm.cbInflight.Add(1)
-	h.K.After(0, c.resume)
+	h.K.AfterTask(0, c)
 }
 
 // fillTop installs a line into the core (or engine) L1, merging any

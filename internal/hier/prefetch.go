@@ -63,9 +63,9 @@ func (h *Hierarchy) notifyPrefetcher(tileID int, a mem.Addr) {
 
 // issuePrefetch launches an asynchronous prefetch of la into the tile's
 // L2, bounded by an in-flight limit and deduplicated against present and
-// pending lines. No thread waits on a prefetch, so its kindAccess
-// transaction runs as kernel continuations, starting in this cycle where
-// a spawned proc would have started; it ends in txn.complete.
+// pending lines. No thread waits on a prefetch: its kindAccess
+// transaction starts in this cycle, where a spawned proc would have
+// started, and ends in txn.complete.
 func (h *Hierarchy) issuePrefetch(tileID int, la mem.Addr) {
 	t := h.tiles[tileID]
 	if t.prefetchInflight >= h.cfg.PrefetchDegree*2 {
@@ -76,5 +76,5 @@ func (h *Hierarchy) issuePrefetch(tileID int, la mem.Addr) {
 	}
 	t.prefetchInflight++
 	h.hot.prefetchIssued.Inc()
-	h.K.After(0, h.newAccess(tileID, la, accessOpts{prefetch: true}).resume)
+	h.K.AfterTask(0, h.newAccess(tileID, la, accessOpts{prefetch: true}))
 }

@@ -46,37 +46,35 @@ func (h *Hierarchy) AtomicAdd(p *sim.Proc, tileID int, a mem.Addr, delta uint64)
 }
 
 // AtomicRMO issues a relaxed remote memory operation with an arbitrary
-// commutative operator. No thread waits on it, so its kindRMO
-// transaction runs as kernel continuations, starting in this cycle where
-// a spawned proc would have started; it ends in txn.complete, which
-// frees its RMOLimit slot.
+// commutative operator. No thread waits on it: its kindRMO transaction
+// starts in this cycle, where a spawned proc would have started, and
+// ends in txn.complete, which frees its RMOLimit slot.
+//
+// While fast-forwarding, it applies the operation to the backing store at
+// once, as every fast-forwarded access does.
 func (h *Hierarchy) AtomicRMO(p *sim.Proc, tileID int, a mem.Addr, op RMOOp, v uint64) {
+	if h.ffGate(p) {
+		h.ffAtomicRMO(p, tileID, a, op, v)
+		return
+	}
 	t := h.tiles[tileID]
 	t.rmo.Acquire(p) // backpressure: bounded in-flight RMOs
 	t.rmoInflight.Add(1)
 	h.hot.rmoIssued.Inc()
-	h.K.After(0, h.newRMO(tileID, a, op, v).resume)
+	h.K.AfterTask(0, h.newRMO(tileID, a, op, v))
 }
 
 // AtomicAddSync performs a blocking remote add (used by baselines
 // without RMO support to model an ordinary atomic over the shared
 // level).
 func (h *Hierarchy) AtomicAddSync(p *sim.Proc, tileID int, a mem.Addr, delta uint64) {
+	if h.ffGate(p) {
+		h.ffAtomicRMO(p, tileID, a, RMOAdd, delta)
+		return
+	}
 	h.hot.rmoIssued.Inc()
-	h.runRMO(p, tileID, a, RMOAdd, delta)
-}
-
-// AtomicRMOSync is the blocking form of AtomicRMO.
-func (h *Hierarchy) AtomicRMOSync(p *sim.Proc, tileID int, a mem.Addr, op RMOOp, v uint64) {
-	h.hot.rmoIssued.Inc()
-	h.runRMO(p, tileID, a, op, v)
-}
-
-// runRMO executes the operation on p, blocking it until done.
-func (h *Hierarchy) runRMO(p *sim.Proc, tileID int, a mem.Addr, op RMOOp, delta uint64) {
-	x := h.newRMO(tileID, a, op, delta)
-	x.p = p
-	x.run()
+	x := h.newRMO(tileID, a, RMOAdd, delta)
+	h.await(p, x)
 	h.putTxn(x)
 }
 

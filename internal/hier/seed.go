@@ -52,6 +52,7 @@ func (h *Hierarchy) seedWarmState(col *analytic.Collector) ffSeedCounts {
 	l3Plan := make([][]mem.Addr, len(h.tiles))
 	quotas := make([][]int, len(h.tiles))
 	for i, t := range h.tiles {
+		l3Plan[i] = make([]mem.Addr, 0, t.l3.NumSets()*t.l3.Config().Ways)
 		quotas[i] = make([]int, t.l3.NumSets())
 	}
 	planned := 0

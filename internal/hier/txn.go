@@ -17,16 +17,20 @@ import (
 // changes — each call performs the current state's action and moves to a
 // txnLegal-checked successor.
 //
-// A transaction runs either on the proc of the thread it serves (p), or,
-// when no thread waits on it (prefetches, RMOs and their nested home
-// fetches), with no proc at all, as a chain of kernel continuations.
-// Each step ends in at most one wait (sleep, wait, acquire or a nested
-// transaction): a proc blocks there and its run loop goes on, while a
-// continuation parks — it queues its resume exactly where the proc's
-// wake would be queued and returns from run — and its resume re-enters
-// the loop. A step that waits more than once splits into phases, and a
-// wait that ends a state names the state that follows it (after), so
-// both modes make the same transitions at the same cycles.
+// A transaction runs as a chain of kernel continuations: it is a
+// sim.Task. Each step ends in at most one wait (sleep, wait, acquire or
+// a nested transaction), which parks it: the wait queues the
+// transaction itself where a proc waiting instead would have its wake
+// queued, and run returns; the event that ends the wait resumes it, and
+// the loop goes on. A step that waits more than once splits into
+// phases, and a wait that ends a state names the state that follows it
+// (after). The thread a transaction serves (a core thread, or Morph
+// software the engine entered) issued it and blocks on it once, in
+// await; the event in which it reaches Done resumes that thread in place
+// (complete), and while the thread is blocked, each step that is the
+// next due event runs on the thread itself, as sim runs a blocked
+// proc's own events. Prefetches and asynchronous RMOs have no thread
+// waiting.
 //
 // Transactions are pooled on the Hierarchy (getTxn/putTxn) so the
 // per-access hot path stays allocation-free; a private access that
@@ -34,19 +38,17 @@ import (
 // holds one object per concurrently-running proc plus one.
 type txn struct {
 	h     *Hierarchy
-	p     *sim.Proc // nil: the transaction runs as continuations
 	kind  txnKind
 	state txnState
 
 	phase  uint8    // position within the current state's step
 	after  txnState // the state to move to once the current wait ends; Idle: none
-	parked bool     // a continuation waiting for its resume
-	// resume re-enters run after a continuation's wait; bound once per
-	// pooled object, so parking allocates nothing.
-	resume func()
-	// parent is the transaction a nested one (a home fetch or an
-	// upgrade) runs for; it carries on when this one is done.
-	parent *txn
+	parked bool     // waiting for the event that resumes it
+	// waiter is what the transaction resumes when it is done: the
+	// transaction it is nested in (a home fetch or an upgrade runs for
+	// another), the proc that awaits it, or nil when no thread waits on
+	// it.
+	waiter sim.Task
 
 	tileID int
 	a      mem.Addr
@@ -84,20 +86,17 @@ type txn struct {
 	homeStart sim.Cycle
 	maxLat    sim.Cycle // upgrade: slowest recall round-trip
 
-	// data is the transaction's line buffer. It replaces the pooled
-	// fill buffers of the old access path: the line is threaded through
-	// interface calls (DRAM reads, the Morph runner), and a pooled txn
-	// keeps it from escaping to the heap on every miss. putTxn zeroes
-	// the whole object, so the buffer starts with `var line mem.Line`
-	// semantics exactly like the old pool.
+	// data is the transaction's line buffer: the fetched line, or an NT
+	// store's line, copied in at issue. The line is threaded through
+	// interface calls (DRAM reads, the Morph runner, the observer), and a
+	// pooled txn keeps it, and the caller's copy, from escaping to the
+	// heap. putTxn zeroes the whole object, so the buffer starts as a
+	// zero line.
 	data mem.Line
 
 	// RMO operands.
 	op  RMOOp
 	val uint64
-
-	// NT-store input line (caller-owned).
-	ext *mem.Line
 
 	// Flush-eviction bookkeeping.
 	flushBank bool // walk an L3 bank instead of the private L2
@@ -125,7 +124,6 @@ func (h *Hierarchy) getTxn() *txn {
 		h.txnPool = h.txnPool[:n-1]
 	} else {
 		t = &txn{}
-		t.resume = t.wake
 	}
 	t.h = h
 	if h.attr != nil {
@@ -134,14 +132,14 @@ func (h *Hierarchy) getTxn() *txn {
 	return t
 }
 
-// putTxn zeroes and recycles a finished transaction. The bound resume
-// and the timeline slice's capacity survive the reset, so parking and
-// armed attribution stop allocating once the pool is warm. The pool is
-// uncapped: it holds at most as many as were ever in flight at once.
+// putTxn zeroes and recycles a finished transaction. The timeline
+// slice's capacity survives the reset, so armed attribution stops
+// allocating once the pool is warm. The pool is uncapped: it holds at
+// most as many as were ever in flight at once.
 func (h *Hierarchy) putTxn(t *txn) {
-	tl, resume := t.tl[:0], t.resume
+	tl := t.tl[:0]
 	*t = txn{}
-	t.tl, t.resume = tl, resume
+	t.tl = tl
 	h.txnPool = append(h.txnPool, t)
 }
 
@@ -162,9 +160,9 @@ func (t *txn) to(next txnState) {
 	t.state, t.phase = next, 0
 }
 
-// run drives the transaction until it is done or, running as
-// continuations, parks. This loop plus advance() is the whole control
-// flow of the access path; there is no other driver.
+// run drives the transaction until it is done or parks. This loop plus
+// advance() is the whole control flow of the access path; there is no
+// other driver.
 func (t *txn) run() {
 	for t.state != txnDone {
 		t.advance()
@@ -175,69 +173,70 @@ func (t *txn) run() {
 	if a := t.h.attr; a != nil {
 		t.finishAttr(a)
 	}
-	if t.p == nil {
-		t.complete()
-	}
+	t.complete()
 }
 
-// wake is a parked continuation's resume: it carries on from the step
-// after its wait.
-func (t *txn) wake() {
+// Resume is the event that ends a parked transaction's wait: it carries
+// on from the step after it.
+func (t *txn) Resume() {
 	t.parked = false
 	t.run()
 }
 
-// complete ends a transaction that ran as continuations, in the event in
-// which it reached Done, doing what its issuer did once a proc's run
-// returned. A nested transaction resumes its parent there, unless it
-// finished within nest, which then carries on itself.
-func (t *txn) complete() {
-	h := t.h
-	if p := t.parent; p != nil {
-		if p.parked {
-			p.unnest(t)
-			p.wake()
-		}
-		return
+// Issuer is the proc blocked until the transaction is done, through its
+// waiter; nil when no thread waits on it.
+func (t *txn) Issuer() *sim.Proc {
+	if t.waiter == nil {
+		return nil
 	}
-	tl := h.tiles[t.tileID]
-	rmo := t.kind == kindRMO
-	h.putTxn(t)
-	if rmo {
-		tl.rmo.Release()
-		tl.rmoInflight.Done()
-	} else { // a prefetch
-		tl.prefetchInflight--
+	return t.waiter.Issuer()
+}
+
+// complete ends a transaction in the event in which it reached Done. A
+// nested transaction resumes its parent there, unless it finished within
+// nest, which then carries on itself; an awaited one resumes its proc,
+// which recycles it. Hardware no thread waits on frees its resources.
+// Nothing touches t after the resume.
+func (t *txn) complete() {
+	switch w := t.waiter.(type) {
+	case *txn:
+		if w.parked {
+			w.unnest(t)
+			w.Resume()
+		}
+	case nil:
+		h := t.h
+		tl := h.tiles[t.tileID]
+		rmo := t.kind == kindRMO
+		h.putTxn(t)
+		if rmo {
+			tl.rmo.Release()
+			tl.rmoInflight.Done()
+		} else { // a prefetch
+			tl.prefetchInflight--
+		}
+	default:
+		w.Resume()
 	}
 }
 
 // sleep ends the step in a d-cycle wait.
 func (t *txn) sleep(d sim.Cycle) {
-	if t.p != nil {
-		t.p.Sleep(d)
-		return
-	}
 	t.parked = true
-	t.h.K.After(d, t.resume)
+	t.h.K.AfterTask(d, t)
 }
 
 // wait ends the step in a wait for f, which may be complete already.
 func (t *txn) wait(f *sim.Future) {
-	switch {
-	case f.Done():
-	case t.p != nil:
-		t.p.Wait(f)
-	default:
+	if !f.Done() {
 		t.parked = true
-		f.Then(t.resume)
+		f.Then(t)
 	}
 }
 
 // acquire ends the step in taking a slot of s.
 func (t *txn) acquire(s *sim.Semaphore) {
-	if t.p != nil {
-		s.Acquire(t.p)
-	} else if !s.AcquireThen(t.resume) {
+	if !s.AcquireThen(t) {
 		t.parked = true
 	}
 }
@@ -267,10 +266,9 @@ func (t *txn) retryIfLocked() bool {
 }
 
 // nest ends the step in running c, a home fetch or an upgrade on t's
-// behalf, on t's proc or, for a continuation, as continuations too; t
-// carries on when c is done, in the same event.
+// behalf; t carries on when c is done, in the same event.
 func (t *txn) nest(c *txn) {
-	c.p, c.parent = t.p, t
+	c.waiter = t
 	c.run()
 	if c.state == txnDone {
 		t.unnest(c)
@@ -1093,14 +1091,14 @@ func (t *txn) stepCommit() {
 
 	case kindNTStore:
 		if ls3 := t.hm.l3.Lookup(t.la); ls3 != nil {
-			ls3.Data = *t.ext
+			ls3.Data = t.data
 			ls3.Dirty = true
 			h.Meter.Add(energy.L3Access, 1)
 		} else {
-			h.DRAM.WriteLineNoWait(t.la, t.ext) // bypasses the cache entirely
+			h.DRAM.WriteLineNoWait(t.la, &t.data) // bypasses the cache entirely
 		}
 		if h.obs != nil {
-			h.obs.LineStored(t.tileID, t.a, t.ext, true)
+			h.obs.LineStored(t.tileID, t.a, &t.data, true)
 		}
 		h.event("nt.store")
 		h.hot.ntStores.Inc()

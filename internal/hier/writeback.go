@@ -7,11 +7,11 @@ import (
 
 // The eviction side's hardware activity: writeback timing and the
 // bookkeeping around Morph eviction callbacks. No thread waits on
-// either, so each runs as a chain of kernel continuations (Kernel.After,
-// Future.Then, Semaphore.AcquireThen) on a pooled object whose resume is
-// bound once, started in the cycle of the eviction. Every wait queues the
-// resume where a proc's wake would have been queued, so the schedule is
-// the one a spawned proc would have had.
+// either, so each runs as a chain of kernel continuations
+// (Kernel.AfterTask, Future.Then, Semaphore.AcquireThen) on a pooled
+// object, a sim.Task with no issuer, started in the cycle of the
+// eviction. Every wait queues the object where a proc's wake would have
+// been queued, so the schedule is the one a spawned proc would have had.
 
 // wbTiming charges a private writeback's timing: it holds an entry of
 // the tile's writeback buffer for the line's transfer to its home bank.
@@ -21,8 +21,10 @@ type wbTiming struct {
 	h          *Hierarchy
 	tile, home int
 	phase      uint8
-	resume     func() // run, bound once
 }
+
+// Issuer makes a wbTiming a sim.Task no proc waits on.
+func (w *wbTiming) Issuer() *sim.Proc { return nil }
 
 // getWBTiming returns a pooled writeback timing, phase 0.
 func (h *Hierarchy) getWBTiming() *wbTiming {
@@ -31,25 +33,23 @@ func (h *Hierarchy) getWBTiming() *wbTiming {
 		h.wbPool = h.wbPool[:n-1]
 		return w
 	}
-	w := &wbTiming{h: h}
-	w.resume = w.run
-	return w
+	return &wbTiming{h: h}
 }
 
-// run takes a writeback-buffer entry, holds it for the transfer and
+// Resume takes a writeback-buffer entry, holds it for the transfer and
 // frees it.
-func (w *wbTiming) run() {
+func (w *wbTiming) Resume() {
 	h, t := w.h, w.h.tiles[w.tile]
 	switch w.phase {
 	case 0:
 		w.phase = 1
-		if !t.wbbuf.AcquireThen(w.resume) {
+		if !t.wbbuf.AcquireThen(w) {
 			return
 		}
 		fallthrough
 	case 1:
 		w.phase = 2
-		h.K.After(h.Mesh.Transfer(w.tile, w.home, mem.LineSize), w.resume)
+		h.K.AfterTask(h.Mesh.Transfer(w.tile, w.home, mem.LineSize), w)
 	default:
 		t.wbbuf.Release()
 		w.phase = 0
@@ -80,8 +80,10 @@ type evictCB struct {
 	// The runner's futures, recycled once the callback is done.
 	accepted, done *sim.Future
 	phase          uint8
-	resume         func() // run, bound once
 }
+
+// Issuer makes an evictCB a sim.Task no proc waits on.
+func (c *evictCB) Issuer() *sim.Proc { return nil }
 
 // getEvictCB returns a pooled, zeroed eviction callback.
 func (h *Hierarchy) getEvictCB() *evictCB {
@@ -90,30 +92,28 @@ func (h *Hierarchy) getEvictCB() *evictCB {
 		h.evictPool = h.evictPool[:n-1]
 		return c
 	}
-	c := &evictCB{h: h}
-	c.resume = c.run
-	return c
+	return &evictCB{h: h}
 }
 
-// run steps through the callback: phase 0 takes the line's lock if the
+// Resume steps through the callback: phase 0 takes the line's lock if the
 // eviction could not (an L3 eviction found a home-side operation holding
 // it, and queues politely behind it rather than clobbering its lock) and
 // a writeback-buffer entry, 1 hands the callback to the engine, 2 frees
 // the entry once the engine accepted it, and 3 releases the line once
 // the callback is done.
-func (c *evictCB) run() {
+func (c *evictCB) Resume() {
 	h, t := c.h, c.h.tiles[c.tile]
 	switch c.phase {
 	case 0:
 		if !c.locked {
 			if f := t.l3pending.waitOn(c.la); f != nil {
-				f.Then(c.resume)
+				f.Then(c)
 				return
 			}
 			c.tok, c.locked = t.l3pending.lockWith(c.la, c.lock), true
 		}
 		c.phase = 1
-		if !t.wbbuf.AcquireThen(c.resume) {
+		if !t.wbbuf.AcquireThen(c) {
 			return
 		}
 		fallthrough
@@ -121,7 +121,7 @@ func (c *evictCB) run() {
 		c.accepted, c.done = h.runner.Run(c.tile, c.kind, c.b, c.la, &c.data)
 		c.phase = 2
 		if !c.accepted.Done() {
-			c.accepted.Then(c.resume)
+			c.accepted.Then(c)
 			return
 		}
 		fallthrough
@@ -129,7 +129,7 @@ func (c *evictCB) run() {
 		t.wbbuf.Release()
 		c.phase = 3
 		if !c.done.Done() {
-			c.done.Then(c.resume)
+			c.done.Then(c)
 			return
 		}
 		fallthrough
@@ -143,7 +143,7 @@ func (c *evictCB) run() {
 		h.K.RecycleFuture(c.accepted)
 		h.K.RecycleFuture(c.done)
 		t.cbInflight.Done()
-		*c = evictCB{h: h, resume: c.resume}
+		*c = evictCB{h: h}
 		h.evictPool = append(h.evictPool, c)
 	}
 }

@@ -93,30 +93,39 @@ func (c *eqChooser) Choose(n int) int {
 	return c.rng.Intn(n)
 }
 
-// eqActor runs one actor's ops as continuations: pc is the op, phase the
-// position within it. With enter set, it runs only the ops before cut,
-// and then enters a proc in place for the rest.
+// eqActor runs one actor's ops from pc up to end as a chain of Tasks:
+// pc is the op, phase the position within it. With enter set, it runs
+// only the ops before cut, and then enters a proc in place for the rest.
+// With an issuer, the proc parked on the chain, it resumes that proc
+// when it reaches end.
 type eqActor struct {
 	k      *Kernel
 	id     int
 	ops    []eqOp
 	pc     int
+	end    int
 	phase  int
 	futs   []*Future
 	sems   []*Semaphore
 	log    *[]eqStep
-	resume func()
 	enter  bool
 	cut    int
+	issuer *Proc
 }
+
+func (a *eqActor) Resume()       { a.run() }
+func (a *eqActor) Issuer() *Proc { return a.issuer }
 
 func (a *eqActor) run() {
 	for {
 		if a.enter && a.pc == a.cut {
-			a.k.Enter("actor", func(p *Proc) { runOps(p, a.id, a.ops, a.cut, a.futs, a.sems, a.log) })
+			a.k.Enter("actor", func(p *Proc) { runOps(p, a.id, a.ops, a.cut, len(a.ops), a.futs, a.sems, a.log) })
 			return
 		}
-		if a.pc == len(a.ops) {
+		if a.pc == a.end {
+			if a.issuer != nil {
+				a.issuer.Resume()
+			}
 			return
 		}
 		o := a.ops[a.pc]
@@ -124,26 +133,26 @@ func (a *eqActor) run() {
 		case eqSleep:
 			if a.phase == 0 {
 				a.phase = 1
-				a.k.After(o.d, a.resume)
+				a.k.AfterTask(o.d, a)
 				return
 			}
 		case eqWait:
 			if f := a.futs[o.i]; a.phase == 0 && !f.Done() {
 				a.phase = 1
-				f.Then(a.resume)
+				f.Then(a)
 				return
 			}
 		case eqAcquire:
 			switch a.phase {
 			case 0:
 				a.phase = 1
-				if !a.sems[o.i].AcquireThen(a.resume) {
+				if !a.sems[o.i].AcquireThen(a) {
 					return
 				}
 				fallthrough
 			case 1:
 				a.phase = 2
-				a.k.After(o.d, a.resume)
+				a.k.AfterTask(o.d, a)
 				return
 			case 2:
 				a.sems[o.i].Release()
@@ -157,6 +166,12 @@ func (a *eqActor) run() {
 		a.pc, a.phase = a.pc+1, 0
 	}
 }
+
+// fnTask is a Task no process waits on that runs a function.
+type fnTask func()
+
+func (f fnTask) Resume()     { f() }
+func (fnTask) Issuer() *Proc { return nil }
 
 // state makes the program's futures, the timed ones scheduled to
 // complete, and its semaphores on k.
@@ -175,9 +190,9 @@ func (prog eqProgram) state(k *Kernel) ([]*Future, []*Semaphore) {
 	return futs, sems
 }
 
-// runOps runs ops[from:] of actor id on p, logging each step.
-func runOps(p *Proc, id int, ops []eqOp, from int, futs []*Future, sems []*Semaphore, log *[]eqStep) {
-	for pc := from; pc < len(ops); pc++ {
+// runOps runs ops[from:to] of actor id on p, logging each step.
+func runOps(p *Proc, id int, ops []eqOp, from, to int, futs []*Future, sems []*Semaphore, log *[]eqStep) {
+	for pc := from; pc < to; pc++ {
 		switch o := ops[pc]; o.kind {
 		case eqSleep:
 			p.Sleep(o.d)
@@ -208,12 +223,10 @@ func (prog eqProgram) run(continuations bool, chooser *eqChooser) ([]eqStep, uin
 	var log []eqStep
 	for id, ops := range prog.actors {
 		if continuations {
-			a := &eqActor{k: k, id: id, ops: ops, futs: futs, sems: sems, log: &log}
-			a.resume = a.run
-			k.After(0, a.resume)
+			k.AfterTask(0, &eqActor{k: k, id: id, ops: ops, end: len(ops), futs: futs, sems: sems, log: &log})
 			continue
 		}
-		k.Go("actor", func(p *Proc) { runOps(p, id, ops, 0, futs, sems, &log) })
+		k.Go("actor", func(p *Proc) { runOps(p, id, ops, 0, len(ops), futs, sems, &log) })
 	}
 	k.Run()
 	blocked := len(k.Blocked())
@@ -231,7 +244,7 @@ func (prog eqProgram) run(continuations bool, chooser *eqChooser) ([]eqStep, uin
 // TestContinuationsMatchProcs runs random programs of sleeps (0, 1,
 // under 16, under 1024 and 1024 or more cycles: the same cycle, the
 // next, the wheel and the far heap), future waits and semaphore
-// acquires, once as procs and once as continuations (Kernel.After,
+// acquires, once as procs and once as continuations (Kernel.AfterTask,
 // Future.Then, Semaphore.AcquireThen). Both runs must log every step at
 // the same cycle in the same order, run the same number of events and
 // leave the same number of actors blocked, with and without a Chooser;
@@ -275,9 +288,9 @@ func TestBlockedCountsContinuations(t *testing.T) {
 	never := NewFuture(k)
 	s := NewSemaphore(k, 1)
 	s.TryAcquire()
-	k.After(0, func() { never.Then(func() {}) })
+	k.After(0, func() { never.Then(fnTask(func() {})) })
 	k.After(1, func() {
-		if s.AcquireThen(func() {}) {
+		if s.AcquireThen(fnTask(func() {})) {
 			t.Error("AcquireThen took a slot of a full semaphore")
 		}
 	})
@@ -315,13 +328,12 @@ func (prog eqProgram) runStarted(enter bool, starts []Cycle, cuts []int, chooser
 	var log []eqStep
 	for id, ops := range prog.actors {
 		if enter {
-			a := &eqActor{k: k, id: id, ops: ops, futs: futs, sems: sems, log: &log, enter: true, cut: cuts[id]}
-			a.resume = a.run
-			k.At(starts[id], func() { k.After(0, a.resume) })
+			a := &eqActor{k: k, id: id, ops: ops, end: len(ops), futs: futs, sems: sems, log: &log, enter: true, cut: cuts[id]}
+			k.At(starts[id], func() { k.AfterTask(0, a) })
 			continue
 		}
 		k.At(starts[id], func() {
-			k.Go("actor", func(p *Proc) { runOps(p, id, ops, 0, futs, sems, &log) })
+			k.Go("actor", func(p *Proc) { runOps(p, id, ops, 0, len(ops), futs, sems, &log) })
 		})
 	}
 	k.Run()
@@ -386,6 +398,146 @@ func TestEnterMatchesProcs(t *testing.T) {
 				t.Fatalf("%d runs left an actor blocked and %d actors entered a proc with ops left: both must be exercised", blocked, entered)
 			}
 		})
+	}
+}
+
+// runIssued executes prog with every actor a proc that runs its ops in
+// the segments cuts[a] marks, each ending at a cut. With issue false the
+// proc runs every segment itself. With issue true it runs every other
+// one itself, and issues the rest, the first one too when issueFirst[a]
+// is set, as a chain of Tasks whose Issuer it is, and parks until the
+// chain resumes it. It returns the step log, the event count, the
+// chooser's tie sizes, how many actors are left blocked, and how many
+// times a coroutine was entered.
+func (prog eqProgram) runIssued(issue bool, cuts [][]int, issueFirst []bool, chooser *eqChooser, coro func(func(func(struct{}) bool)) (func() (struct{}, bool), func())) ([]eqStep, uint64, []int, int, int) {
+	k := NewKernel()
+	entries := 0
+	k.coro = func(body func(yield func(struct{}) bool)) (func() (struct{}, bool), func()) {
+		next, stop := coro(body)
+		return func() (struct{}, bool) { entries++; return next() }, stop
+	}
+	if chooser != nil {
+		k.SetChooser(chooser)
+	}
+	futs, sems := prog.state(k)
+	var log []eqStep
+	for id, ops := range prog.actors {
+		k.Go("actor", func(p *Proc) {
+			from, issued := 0, issueFirst[id]
+			for _, to := range cuts[id] {
+				if issue && issued {
+					a := &eqActor{k: k, id: id, ops: ops, pc: from, end: to, futs: futs, sems: sems, log: &log, issuer: p}
+					a.run()
+					p.Park()
+				} else {
+					runOps(p, id, ops, from, to, futs, sems, &log)
+				}
+				from, issued = to, !issued
+			}
+		})
+	}
+	k.Run()
+	blocked := len(k.Blocked())
+	if k.parked > 0 {
+		blocked-- // the entry counting the parked Tasks; their procs are listed
+	}
+	var seen []int
+	if chooser != nil {
+		seen = chooser.seen
+	}
+	k.Shutdown()
+	return log, k.Events(), seen, blocked, entries
+}
+
+// TestIssuedTasksMatchProcs runs random programs whose actors are procs
+// that run some stretches of their ops themselves and issue the others
+// as chains of Tasks (Kernel.AfterTask, Future.Then,
+// Semaphore.AcquireThen) that they park on, against the same programs
+// run wholly on the procs. Both runs must log every step at the same
+// cycle in the same order, run the same number of events and leave the
+// same number of actors blocked, with and without a Chooser (which must
+// see the same ties), on both coroutine implementations. Without a
+// chooser, issuing must not enter coroutines more often.
+func TestIssuedTasksMatchProcs(t *testing.T) {
+	for _, impl := range coroImpls {
+		t.Run(impl.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(3))
+			blocked, issued := 0, 0
+			for trial := 0; trial < 200; trial++ {
+				prog := randomEqProgram(rng)
+				cuts := make([][]int, len(prog.actors))
+				first := make([]bool, len(prog.actors))
+				for a, ops := range prog.actors {
+					for pc := 1; pc < len(ops); pc++ {
+						if rng.Intn(3) == 0 {
+							cuts[a] = append(cuts[a], pc)
+						}
+					}
+					cuts[a] = append(cuts[a], len(ops))
+					first[a] = rng.Intn(2) == 0
+					if first[a] || len(cuts[a]) > 1 {
+						issued++
+					}
+				}
+				for _, choose := range []bool{false, true} {
+					var pc, ic *eqChooser
+					if choose {
+						seed := rng.Int63()
+						pc = &eqChooser{rng: rand.New(rand.NewSource(seed))}
+						ic = &eqChooser{rng: rand.New(rand.NewSource(seed))}
+					}
+					pLog, pEvents, pSeen, pBlocked, pEntries := prog.runIssued(false, cuts, first, pc, impl.coro)
+					iLog, iEvents, iSeen, iBlocked, iEntries := prog.runIssued(true, cuts, first, ic, impl.coro)
+					if !slices.Equal(pLog, iLog) {
+						t.Fatalf("trial %d (chooser %v): logs differ\nprocs:  %v\nissued: %v", trial, choose, pLog, iLog)
+					}
+					if pEvents != iEvents || pBlocked != iBlocked || !slices.Equal(pSeen, iSeen) {
+						t.Fatalf("trial %d (chooser %v): procs ran %d events, left %d blocked, saw ties %v; issued %d, %d, %v",
+							trial, choose, pEvents, pBlocked, pSeen, iEvents, iBlocked, iSeen)
+					}
+					if !choose && iEntries > pEntries {
+						t.Fatalf("trial %d: issuing entered coroutines %d times, running on the procs %d", trial, iEntries, pEntries)
+					}
+					if pBlocked > 0 {
+						blocked++
+					}
+				}
+			}
+			if blocked == 0 || issued == 0 {
+				t.Fatalf("%d runs left an actor blocked and %d actors issued Tasks: both must be exercised", blocked, issued)
+			}
+		})
+	}
+}
+
+// TestIssuedChainRunsInPlace: a proc parked on a chain of Tasks it
+// issued, with nothing else due, runs the whole chain in place, each
+// step in its own event at its own cycle, with no coroutine entry past
+// its start. With a chooser installed it runs none of it in place: it
+// yields once, the driver runs the steps, and the chain's last event
+// resumes it.
+func TestIssuedChainRunsInPlace(t *testing.T) {
+	ops := []eqOp{{kind: eqSleep, d: 1}, {kind: eqSleep, d: 0}, {kind: eqAcquire, d: 7}, {kind: eqSleep, d: wheelSlots - 1}}
+	for _, impl := range coroImpls {
+		for _, choose := range []bool{false, true} {
+			prog := eqProgram{sems: []int{1}, actors: [][]eqOp{ops}}
+			var c *eqChooser
+			if choose {
+				c = &eqChooser{rng: rand.New(rand.NewSource(1))}
+			}
+			log, events, _, blocked, entries := prog.runIssued(true, [][]int{{len(ops)}}, []bool{true}, c, impl.coro)
+			want := []eqStep{{0, 0, 1}, {0, 1, 1}, {0, 2, 8}, {0, 3, 8 + wheelSlots - 1}}
+			// The start and one event per waiting step; the acquire finds
+			// its slot free.
+			if !slices.Equal(log, want) || events != 5 || blocked != 0 {
+				t.Fatalf("%s, chooser %v: log %v, %d events, %d blocked; want %v, 5, 0", impl.name, choose, log, events, blocked, want)
+			}
+			// The start, and with a chooser the resume from the chain's
+			// last event.
+			if wantEntries := map[bool]int{false: 1, true: 2}[choose]; entries != wantEntries {
+				t.Fatalf("%s, chooser %v: %d coroutine entries, want %d", impl.name, choose, entries, wantEntries)
+			}
+		}
 	}
 }
 

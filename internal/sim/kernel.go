@@ -4,20 +4,23 @@
 // The kernel orders events by (time, insertion sequence), so two runs of
 // the same program produce identical schedules. Simulated software
 // threads (Proc) run as coroutines of the driver (the caller of Run or
-// RunUntil), and only the driver runs events: when it pops a process's
-// wake it resumes that process, which runs until it blocks or finishes
-// and then suspends back to the driver. A process that blocks
-// while its own wake is the next due event pops that wake and carries on
-// in place, with no switch at all. Exactly one of the driver and its
-// processes runs at a time, and which one pops an event never changes
-// the order events run in, so schedules stay deterministic.
+// RunUntil). The driver runs events: when it pops a process's wake it
+// resumes that process, which runs until it blocks or finishes and then
+// suspends back to the driver. Activity that no thread runs, or that a
+// blocked thread waits on, runs as Tasks: continuations that
+// Kernel.AfterTask, Future.Then and Semaphore.AcquireThen queue exactly
+// where a process waiting in their place would have its wake queued, so
+// they keep a process's schedule with no coroutine. A Task names the
+// process blocked on it (Issuer), if any, and the event in which that
+// work ends resumes the process in place (Proc.Resume), as Enter starts
+// one from a continuation.
 //
-// Activity that no thread waits on can run as continuations instead:
-// plain functions that After, Future.Then and Semaphore.AcquireThen
-// queue exactly where a process waiting in their place would have its
-// wake queued, so they keep a process's schedule with no coroutine. A
-// chain of continuations that needs a stack for one part of its work
-// starts a process in place for it (Enter), in its own event.
+// One rule covers running in place: a blocked process whose own event,
+// its wake or a Task it issued, is the next due runs that event itself,
+// on its own coroutine, with no switch at all; it never does so with a
+// Chooser installed. Exactly one of the driver and its processes runs at
+// a time, and which one pops an event never changes the order events run
+// in, so schedules stay deterministic.
 package sim
 
 import (
@@ -39,11 +42,11 @@ const (
 
 // node is one wheel entry. Its target is what the event runs: a *Proc to
 // resume (its start or a wake; the proc marks itself started when its
-// coroutine first runs), a *Future to complete, or a func() callback.
-// Carrying the proc or future itself keeps the wake paths (Sleep,
-// Future, Semaphore, WaitGroup, Barrier, CompleteAt) free of per-event
-// closures, and none of the three allocates when stored in an
-// interface. next links the node into its slot's FIFO, or into the free
+// coroutine first runs), a Task to resume, a *Future to complete, or a
+// func() callback. Carrying the proc, task or future itself keeps the
+// wake paths (Sleep, Future, Semaphore, WaitGroup, Barrier, CompleteAt)
+// free of per-event closures, and none of them allocates when stored in
+// an interface. next links the node into its slot's FIFO, or into the free
 // list once it has run; it indexes Kernel.nodes, whose entry 0 is never
 // used, so 0 ends a list.
 type node struct {
@@ -98,9 +101,9 @@ type Kernel struct {
 
 	procs []*Proc
 
-	// parked counts the continuations queued on a Future (Then) or a
-	// Semaphore (AcquireThen) that have not been woken; Blocked reports
-	// them, as it reports parked processes.
+	// parked counts the Tasks queued on a Future (Then) or a Semaphore
+	// (AcquireThen) that have not been woken; Blocked reports them, as it
+	// reports parked processes.
 	parked int
 
 	// waiterPool recycles Future waiter slices: futures are one-shot
@@ -108,7 +111,7 @@ type Kernel struct {
 	// their waiter backing arrays are worth reusing. Like futurePool
 	// and freeProcs it is uncapped, so it holds at most as many as
 	// were ever in use at once.
-	waiterPool [][]any
+	waiterPool [][]Task
 
 	// freeProcs holds finished Procs whose coroutines are suspended
 	// awaiting a next task: spawning recycles them (struct and coroutine)
@@ -126,8 +129,7 @@ type Kernel struct {
 	chooser Chooser
 
 	// limit is the inclusive horizon of the current Run or RunUntil: only
-	// events at or before it run, and a blocking process carries on in
-	// place only for a wake at or before it.
+	// events at or before it run, in place or not.
 	limit Cycle
 
 	// failure holds the *ProcPanic of a process task that panicked, for
@@ -135,7 +137,9 @@ type Kernel struct {
 	failure any
 
 	// running is the process the driver has resumed, nil while the
-	// driver itself runs; Enter refuses to start a process from one.
+	// driver itself runs; Enter refuses to start a process from one, and
+	// Proc.Resume tells a process running its own event in place from
+	// one that waits for an event to resume it.
 	running *Proc
 
 	// coro makes each new process's coroutine: newCoro, unless a test
@@ -183,25 +187,34 @@ func (k *Kernel) At(when Cycle, fn func()) {
 	k.push(when, fn)
 }
 
-// After schedules fn to run delay cycles from now. It is the timed
-// continuation: fn lands exactly where the wake of a process calling
-// Sleep(delay) instead would, so hardware activity no thread waits on
-// runs as a chain of functions (After, Future.Then,
-// Semaphore.AcquireThen) with the schedule a process would have.
+// After schedules fn to run delay cycles from now.
 func (k *Kernel) After(delay Cycle, fn func()) {
 	k.At(k.now+delay, fn)
 }
 
-// wakeAfter schedules p to be dispatched delay cycles from now, without
-// allocating a closure.
-func (k *Kernel) wakeAfter(delay Cycle, p *Proc) {
-	k.push(k.now+delay, p)
+// A Task is a continuation the kernel can compare: Resume runs its next
+// step, and Issuer names the process blocked until the work it belongs
+// to ends, or nil when no process waits on it. A blocked process runs
+// its own Tasks in place when they are due next (see the package
+// comment). A Proc is a Task too: its Resume is its wake.
+type Task interface {
+	Resume()
+	Issuer() *Proc
 }
 
-// wake queues a woken waiter, a *Proc or a continuation func(), at the
-// current cycle.
-func (k *Kernel) wake(w any) {
-	if _, ok := w.(func()); ok {
+// AfterTask schedules t to resume delay cycles from now. It is the timed
+// continuation: t lands exactly where the wake of a process calling
+// Sleep(delay) instead would, so work that a chain of Tasks does
+// (AfterTask, Future.Then, Semaphore.AcquireThen) keeps the schedule a
+// process would have.
+func (k *Kernel) AfterTask(delay Cycle, t Task) {
+	k.push(k.now+delay, t)
+}
+
+// wake queues a woken waiter, a *Proc or a Task that Then or
+// AcquireThen parked, at the current cycle.
+func (k *Kernel) wake(w Task) {
+	if _, ok := w.(*Proc); !ok {
 		k.parked--
 	}
 	k.push(k.now, w)
@@ -229,7 +242,8 @@ func (k *Kernel) RunUntil(t Cycle) {
 
 // drive is the event loop. It runs due events (time ≤ limit) in order
 // on the caller's stack, each from its wheel slot. A process's event
-// resumes that process until it suspends; a panic its task raised is
+// resumes that process until it suspends, and so does a Task's event
+// that ends the work the process waits on; a panic its task raised is
 // re-raised here.
 func (k *Kernel) drive(limit Cycle) {
 	k.limit = limit
@@ -250,10 +264,8 @@ func (k *Kernel) drive(limit Cycle) {
 		}
 		k.events++
 		switch t := target.(type) {
-		case *Proc:
-			if !t.done {
-				k.resume(t)
-			}
+		case Task: // a *Proc's or a continuation's
+			t.Resume()
 		case *Future:
 			t.Complete()
 			// Pool-originated futures completed by their scheduled event
@@ -278,38 +290,39 @@ func (k *Kernel) resume(p *Proc) {
 	}
 }
 
-// popOwnWake pops the next event when it is a due wake of p, which is
-// blocking, and reports whether it did: p then carries on in place with
-// no switch, exactly as if the driver had popped the wake and resumed
-// it. It never applies with a chooser installed, so that the driver's
-// take consults the chooser for every event, nor to a wake still in the
-// far heap, which the driver moves into the wheel first.
-func (k *Kernel) popOwnWake(p *Proc) bool {
+// popOwn pops the next event when it is due and is p's own, a wake of p
+// or a Task whose Issuer is p, and returns it; p, which is parking, then
+// runs it in place, exactly as if the driver had popped it. It
+// returns nil, popping nothing, with a chooser installed, so that the
+// driver's take consults the chooser for every event, and for an event
+// still in the far heap, which the driver moves into the wheel first.
+func (k *Kernel) popOwn(p *Proc) Task {
 	if k.chooser != nil {
-		return false
+		return nil
 	}
 	when, ok := k.peek()
 	if !ok || when > k.limit {
-		return false
+		return nil
 	}
 	s := int(when & wheelMask)
 	// An empty slot's head is node 0, whose target is always nil.
-	if q, _ := k.nodes[k.slots[s].head].target.(*Proc); q != p {
-		return false
+	t, _ := k.nodes[k.slots[s].head].target.(Task)
+	if t == nil || t.Issuer() != p {
+		return nil
 	}
 	if when != k.now {
 		k.advance(when)
 	}
 	k.pop(s)
 	k.events++
-	return true
+	return t
 }
 
 // Blocked returns the names of processes that are parked (waiting) right
-// now, and one more entry counting the continuations queued on a future
-// or a semaphore, if any are. After Run returns, a non-empty result
-// means those processes and continuations are deadlocked: no event will
-// ever wake them.
+// now, and one more entry counting the Tasks queued on a future or a
+// semaphore, if any are. After Run returns, a non-empty result means
+// those processes and Tasks are deadlocked: no event will ever wake
+// them.
 func (k *Kernel) Blocked() []string {
 	var out []string
 	for _, p := range k.procs {
@@ -505,19 +518,19 @@ func (k *Kernel) popFar() event {
 
 // getWaiters returns an empty waiter slice, reusing a pooled backing
 // array when one is available.
-func (k *Kernel) getWaiters() []any {
+func (k *Kernel) getWaiters() []Task {
 	if n := len(k.waiterPool); n > 0 {
 		s := k.waiterPool[n-1]
 		k.waiterPool[n-1] = nil
 		k.waiterPool = k.waiterPool[:n-1]
 		return s
 	}
-	return make([]any, 0, 4)
+	return make([]Task, 0, 4)
 }
 
 // putWaiters returns a drained waiter slice to the pool. Entries are
 // cleared so pooled arrays don't pin processes.
-func (k *Kernel) putWaiters(s []any) {
+func (k *Kernel) putWaiters(s []Task) {
 	if cap(s) == 0 {
 		return
 	}
@@ -572,7 +585,7 @@ func (k *Kernel) Release() {
 
 // Shutdown abandons an in-flight simulation: every unfinished process is
 // killed without running any event (a parked one unwinds its task, one
-// never started never runs), waiting continuations are dropped, and
+// never started never runs), waiting Tasks are dropped, and
 // pooled coroutines are released, so a driver that recovered a panic
 // from Run or RunUntil can discard the kernel without leaking the
 // goroutines of processes still blocked mid-simulation. The kernel must

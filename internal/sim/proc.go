@@ -9,11 +9,13 @@ import (
 // that the kernel's driver resumes when it pops the Proc's event: its
 // start, which marks it started as its coroutine first runs the task, or
 // a wake. A Proc that Enter starts has no start event: the event that
-// calls Enter runs it until it first blocks. When a Proc blocks (Sleep,
-// Wait, and the sync primitives) it carries on in place if its own wake
-// is the next due event; otherwise, and when its task returns, it yields
-// and control goes back to the driver. Events never run on a Proc's
-// coroutine.
+// calls Enter runs it until it first blocks. A Proc that issued Tasks
+// and parked (Park) has no wake event either: the event of the Task that
+// ends its work resumes it in place (Resume). When a Proc blocks (Sleep,
+// Wait, Park and the sync primitives) it runs its own events in place,
+// its wake or a Task it issued, for as long as one is the next due
+// event; otherwise, and when its task returns, it yields and control
+// goes back to the driver. No other event runs on a Proc's coroutine.
 //
 // Finished Procs are pooled: their coroutines stay suspended and the next
 // Go reuses the whole structure (struct and coroutine) instead of
@@ -30,6 +32,7 @@ type Proc struct {
 	name    string
 	started bool
 	done    bool
+	woken   bool // resumed by an event it ran in place; Park returns
 
 	// The coroutine's three calls (coro.go), which on Go 1.23 and later
 	// are iter.Pull's own: the driver's next resumes the coroutine until
@@ -124,7 +127,7 @@ func (e *ProcPanic) Error() string {
 	return fmt.Sprintf("panic in proc %q: %v\n\n%s", e.Proc, e.Value, e.Stack)
 }
 
-// procAbort is the sentinel block() throws when Kernel.Shutdown kills a
+// procAbort is the sentinel Park throws when Kernel.Shutdown kills a
 // parked proc, to unwind its task; runTask swallows it.
 type procAbort struct{}
 
@@ -142,17 +145,48 @@ func (p *Proc) runTask() {
 	p.fn(p)
 }
 
-// block parks the calling process until an event wakes it. When its own
-// wake is the next due event it carries on in place; otherwise it
-// yields until the driver resumes it.
-func (p *Proc) block() {
-	if p.k.popOwnWake(p) {
-		return
+// Park blocks the process until an event resumes it: its wake, which
+// Sleep, Wait and the sync primitives queue before they park, or, for
+// work it issued as Tasks (whose Issuer is p), the event that ends that
+// work, which calls Resume. While its own event is the next due, it runs
+// that event in place, and returns once one resumed it; otherwise it
+// yields until an event resumes it. A Resume that came before Park, from
+// the process's own run, makes Park return at once.
+func (p *Proc) Park() {
+	for !p.woken {
+		t := p.k.popOwn(p)
+		if t == nil {
+			if !p.yield(struct{}{}) {
+				panic(procAbort{})
+			}
+			return
+		}
+		t.Resume()
 	}
-	if !p.yield(struct{}{}) {
-		panic(procAbort{})
+	p.woken = false
+}
+
+// Resume resumes p, blocked, from the event that wakes it: p carries on
+// at once, in place, until it blocks again or finishes, as Enter starts
+// a process, and Resume returns then. When p itself runs that event, in
+// place while it blocks, or before it parks, p carries on once the event
+// returns. Resume must be called from an event or from p; from another
+// process it panics.
+func (p *Proc) Resume() {
+	switch k := p.k; k.running {
+	case p:
+		p.woken = true
+	case nil:
+		if !p.done {
+			k.resume(p)
+		}
+	default:
+		panic(fmt.Sprintf("sim: proc %q resumed from proc %q; resume a proc from an event or from itself", p.name, k.running.name))
 	}
 }
+
+// Issuer makes a Proc a Task: a process's wake is its own event.
+func (p *Proc) Issuer() *Proc { return p }
 
 // Kernel returns the kernel this process runs on.
 func (p *Proc) Kernel() *Kernel { return p.k }
@@ -168,8 +202,8 @@ func (p *Proc) Done() bool { return p.done }
 
 // Sleep advances the process by d cycles of simulated time.
 func (p *Proc) Sleep(d Cycle) {
-	p.k.wakeAfter(d, p)
-	p.block()
+	p.k.AfterTask(d, p)
+	p.Park()
 }
 
 // Wait blocks the process until f completes. If f is already complete it
@@ -179,24 +213,23 @@ func (p *Proc) Wait(f *Future) {
 		return
 	}
 	f.addWaiter(p)
-	p.block()
+	p.Park()
 }
 
-// Then registers fn to run when f completes, at the cycle and in the
+// Then queues t to resume when f completes, at the cycle and in the
 // place among f's waiters that a process waiting instead would wake at:
-// it is the continuation form of Wait. f must not be complete yet; a
-// caller that finds it complete carries on at once, as Wait returns at
-// once.
-func (f *Future) Then(fn func()) {
+// it is the Task form of Wait. f must not be complete yet; a caller
+// that finds it complete carries on at once, as Wait returns at once.
+func (f *Future) Then(t Task) {
 	if f.done {
 		panic("sim: Then on a completed future")
 	}
 	f.k.parked++
-	f.addWaiter(fn)
+	f.addWaiter(t)
 }
 
-// addWaiter appends w, a *Proc or a func(), to f's waiters.
-func (f *Future) addWaiter(w any) {
+// addWaiter appends w, a *Proc or a Task, to f's waiters.
+func (f *Future) addWaiter(w Task) {
 	if f.waiters == nil {
 		f.waiters = f.k.getWaiters()
 	}
@@ -204,13 +237,13 @@ func (f *Future) addWaiter(w any) {
 }
 
 // Future is a one-shot completion signal that processes can Wait on and
-// continuations can wait on with Then.
+// Tasks can wait on with Then.
 type Future struct {
 	k       *Kernel
 	done    bool
 	pooled  bool // from Kernel.GetFuture: recyclable once complete
 	when    Cycle
-	waiters []any // each a *Proc or a func()
+	waiters []Task // each a *Proc or a Task
 }
 
 // NewFuture returns an incomplete future on kernel k.

@@ -3,13 +3,12 @@ package sim
 // Semaphore is a counting semaphore for simulated processes, used to
 // model bounded hardware resources (MSHRs, writeback-buffer entries,
 // callback-buffer slots, outstanding-RMO limits). Waiters, processes
-// (Acquire) and continuations (AcquireThen) alike, are woken in FIFO
-// order.
+// (Acquire) and Tasks (AcquireThen) alike, are woken in FIFO order.
 type Semaphore struct {
 	k       *Kernel
 	free    int
 	cap     int
-	waiters []any // each a *Proc or a func()
+	waiters []Task // each a *Proc or a Task
 }
 
 // NewSemaphore returns a semaphore with n slots.
@@ -27,21 +26,20 @@ func (s *Semaphore) Acquire(p *Proc) {
 		return
 	}
 	s.waiters = append(s.waiters, p)
-	p.block() // the releasing side hands its slot directly to us
+	p.Park() // the releasing side hands its slot directly to us
 }
 
-// AcquireThen is the continuation form of Acquire. It takes a free slot
-// and reports true, and the caller carries on at once; otherwise it
-// queues fn and reports false, and fn runs, holding the slot, when a
-// Release hands it over, exactly when a process queued in its place
-// would wake.
-func (s *Semaphore) AcquireThen(fn func()) bool {
+// AcquireThen is the Task form of Acquire. It takes a free slot and
+// reports true, and the caller carries on at once; otherwise it queues t
+// and reports false, and t resumes, holding the slot, when a Release
+// hands it over, exactly when a process queued in its place would wake.
+func (s *Semaphore) AcquireThen(t Task) bool {
 	if s.free > 0 {
 		s.free--
 		return true
 	}
 	s.k.parked++
-	s.waiters = append(s.waiters, fn)
+	s.waiters = append(s.waiters, t)
 	return false
 }
 
@@ -54,8 +52,8 @@ func (s *Semaphore) TryAcquire() bool {
 	return false
 }
 
-// Release returns a slot. If a process or continuation is waiting, the
-// slot passes directly to the first waiter.
+// Release returns a slot. If a process or Task is waiting, the slot
+// passes directly to the first waiter.
 func (s *Semaphore) Release() {
 	if n := len(s.waiters); n > 0 {
 		w := s.waiters[0]
@@ -86,7 +84,7 @@ func (s *Semaphore) Saturated() bool { return s.free == 0 }
 type WaitGroup struct {
 	k       *Kernel
 	n       int
-	waiters []any // each a *Proc
+	waiters []Task // each a *Proc
 }
 
 // NewWaitGroup returns an empty wait group.
@@ -129,7 +127,7 @@ func (w *WaitGroup) Wait(p *Proc) {
 		w.waiters = w.k.getWaiters()
 	}
 	w.waiters = append(w.waiters, p)
-	p.block()
+	p.Park()
 }
 
 // Barrier is a reusable rendezvous for a fixed set of processes: each
@@ -138,7 +136,7 @@ type Barrier struct {
 	k       *Kernel
 	n       int
 	arrived int
-	waiters []any // each a *Proc
+	waiters []Task // each a *Proc
 }
 
 // NewBarrier returns a barrier for n participants.
@@ -166,5 +164,5 @@ func (b *Barrier) Arrive(p *Proc) {
 		b.waiters = b.k.getWaiters()
 	}
 	b.waiters = append(b.waiters, p)
-	p.block()
+	p.Park()
 }

@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"tako/internal/core"
 	"tako/internal/cpu"
+	"tako/internal/engine"
 	"tako/internal/mem"
 	"tako/internal/sim"
 )
@@ -28,6 +30,37 @@ func TestSystemAssemblesAndRuns(t *testing.T) {
 	if s.TotalInstrs() != 2 {
 		t.Fatalf("instrs = %d", s.TotalInstrs())
 	}
+}
+
+// TestStrandedAccessFailsRun: a demand access that can never finish
+// fails Run. The load misses on a PRIVATE phantom Morph whose onMiss
+// parks forever, so the thread is parked on its transaction, and the
+// transaction waits, as a Task, on the callback: Blocked names the
+// thread and the callback's proc, and counts the transaction.
+func TestStrandedAccessFailsRun(t *testing.T) {
+	s := New(Scaled(2, 16))
+	never := sim.NewFuture(s.K)
+	spec := core.MorphSpec{
+		Name:   "stuck",
+		OnMiss: &core.Callback{Instrs: 1, CritPath: 1, Fn: func(ctx *engine.Ctx) { ctx.P.Wait(never) }},
+	}
+	s.Go(0, "reader", func(p *sim.Proc, c *cpu.Core) {
+		m, err := s.Tako.RegisterPhantom(p, spec, core.Private, 4096, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		c.Load(p, m.Region.Base)
+		t.Error("the stranded load returned")
+	})
+	defer func() {
+		msg, _ := recover().(string)
+		if want := "deadlocked processes after run: [reader@0 cb:onMiss@0 waiting continuations: 1]"; !strings.Contains(msg, want) {
+			t.Errorf("Run recovered %q, want it to report %q", msg, want)
+		}
+		s.K.Shutdown()
+	}()
+	s.Run()
 }
 
 func TestNoTakoBaseline(t *testing.T) {
