@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"tako/internal/mem"
@@ -341,4 +342,16 @@ func TestCollectorTouchAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(3, pass); allocs != 0 {
 		t.Fatalf("%v allocs per pass of %d touches, want 0", allocs, len(stream))
 	}
+}
+
+// TestExactCacheRejectsNonPowerOfTwoSets: the filters index a set by
+// masking, so a set count that is not a power of two panics, naming the
+// geometry.
+func TestExactCacheRejectsNonPowerOfTwoSets(t *testing.T) {
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "3 sets × 2 ways") {
+			t.Fatalf("panic %q, want one naming the 3-set geometry", msg)
+		}
+	}()
+	newExactCache(Geom{Sets: 3, Ways: 2})
 }

@@ -1,5 +1,7 @@
 package analytic
 
+import "fmt"
+
 // exactCache is a functional set-associative LRU content filter: no
 // data, no timing, just which keys a cache of the given geometry would
 // hold. The collector uses one per private level to reproduce the
@@ -13,15 +15,21 @@ package analytic
 // stack distance is below the entry count.
 type exactCache struct {
 	ways int
+	mask uint64     // set count - 1
 	sets [][]uint64 // per set, resident keys MRU-first (≤ ways)
 }
 
+// newExactCache returns an empty filter of geometry g. Its set count must
+// be a power of two, as the hardware caches' is.
 func newExactCache(g Geom) *exactCache {
 	sets := g.Sets
 	if sets < 1 {
 		sets = 1
 	}
-	c := &exactCache{ways: g.Ways, sets: make([][]uint64, sets)}
+	if sets&(sets-1) != 0 {
+		panic(fmt.Sprintf("analytic: filter geometry %d sets × %d ways: the set count is not a power of two", g.Sets, g.Ways))
+	}
+	c := &exactCache{ways: g.Ways, mask: uint64(sets - 1), sets: make([][]uint64, sets)}
 	for i := range c.sets {
 		c.sets[i] = make([]uint64, 0, g.Ways)
 	}
@@ -31,10 +39,9 @@ func newExactCache(g Geom) *exactCache {
 // access touches key: reports whether it hit, refreshes its recency,
 // and on a miss installs it, evicting the set's LRU key when full (the
 // victim is returned so callers can propagate inclusion). Set indexing
-// matches the hardware caches (low line-address bits; Sets is a power
-// of two there, so modulo and masking agree).
+// matches the hardware caches: the low line-address bits, masked.
 func (c *exactCache) access(key uint64) (hit bool, victim uint64, evicted bool) {
-	set := c.sets[key%uint64(len(c.sets))]
+	set := c.sets[key&c.mask]
 	for i, k := range set {
 		if k == key {
 			copy(set[1:i+1], set[:i])
@@ -49,7 +56,7 @@ func (c *exactCache) access(key uint64) (hit bool, victim uint64, evicted bool) 
 	set = append(set, 0)
 	copy(set[1:], set)
 	set[0] = key
-	c.sets[key%uint64(len(c.sets))] = set
+	c.sets[key&c.mask] = set
 	return false, victim, evicted
 }
 
@@ -68,10 +75,10 @@ func (c *exactCache) content() []uint64 {
 // filters must too — otherwise the model misses the L3 hits those
 // invalidated-then-refetched lines produce).
 func (c *exactCache) invalidate(key uint64) {
-	set := c.sets[key%uint64(len(c.sets))]
+	set := c.sets[key&c.mask]
 	for i, k := range set {
 		if k == key {
-			c.sets[key%uint64(len(c.sets))] = append(set[:i], set[i+1:]...)
+			c.sets[key&c.mask] = append(set[:i], set[i+1:]...)
 			return
 		}
 	}

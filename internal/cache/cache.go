@@ -32,13 +32,12 @@ type Config struct {
 	Policy     Policy
 }
 
-// LineState is the full state of one cache line (tag + data + metadata).
-// Its 88 bytes are Tag (8), the six flags and RRPV in one word (8), LRU
-// (8) and Data (64). Every cache slab holds one per way, so Valid sits
-// with the other flags rather than padding out a word of its own.
+// LineState is the state of one cache line apart from its tag: data and
+// metadata. Its 80 bytes are the five flags and RRPV in one word (8), LRU
+// (8) and Data (64). The tag and the valid bit live in the array's tag
+// words (see Cache), so a tag search reads 8 bytes a way, not a whole
+// LineState.
 type LineState struct {
-	Tag   mem.Addr // line-aligned address
-	Valid bool
 	Dirty bool
 	// Morph records that a Morph is registered for this line at this
 	// cache level: its eviction must invoke onEviction/onWriteback.
@@ -63,34 +62,67 @@ type LineState struct {
 //
 // Line state lives in one contiguous slab indexed by set*ways+way (no
 // per-set slice headers or pointer indirection: a lookup is one index
-// computation into a single allocation). Two small per-set sidecars
-// accelerate the hot scans without changing any outcome: valid[s] counts
-// valid ways (a full set skips the find-an-invalid-way scan, which would
-// find nothing), and mru[s] remembers the last way hit so the common
-// re-reference probe is a single tag compare.
+// computation into a single allocation). Beside it, tags holds one word
+// per way, at the same index: the line's tag with validBit set, or 0
+// for an invalid way. The words are the only home of a line's tag and
+// valid bit, so a tag search compares one word a way, and a 16-way set's
+// words fill two host cache lines. Two small per-set sidecars accelerate
+// the hot scans without changing any outcome: valid[s] counts valid ways
+// (a full set skips the find-an-invalid-way scan, which would find
+// nothing), and mru[s] remembers the last way hit so the common
+// re-reference probe is a single word compare.
 type Cache struct {
 	cfg      Config
 	lines    []LineState // slab: numSets * ways entries
+	tags     []uint64    // tag words, indexed like lines
 	ways     int
 	numSets  int
+	setMask  uint64  // numSets - 1
 	valid    []int16 // per-set count of valid ways
 	mru      []int16 // per-set way of the last hit/fill
 	lruClock uint64
 
-	// Victim-scan scratch: allowedFn is built once and reads vcSet /
+	// Victim-scan scratch: allowedFn is built once and reads vcBase /
 	// vcConstraint / vcMorphOnly, which pickVictim binds per call, so
 	// passing the eligibility predicate through the Policy interface
 	// never allocates a closure. Policies must not re-enter pickVictim
 	// (none do — they are pure scans over the set).
-	vcSet        []LineState
+	vcBase       int // slab index of the set's way 0
 	vcConstraint VictimConstraint
 	vcMorphOnly  bool
 	allowedFn    func(int) bool
 }
 
+// validBit marks a valid way's tag word. A tag is line-aligned, so its
+// low mem.LineShift bits are free.
+const validBit = 1
+
 // set returns the way array of set s as a slice of the slab.
 func (c *Cache) set(s int) []LineState {
 	return c.lines[s*c.ways : (s+1)*c.ways]
+}
+
+// setTags returns the tag words of set s.
+func (c *Cache) setTags(s int) []uint64 {
+	return c.tags[s*c.ways : (s+1)*c.ways]
+}
+
+// find returns the way of set s that holds line la, or -1. Tags are
+// unique within a set, so a hit on the MRU hint is the answer, and the
+// scan runs only when the hint misses; a scan hit moves the hint.
+func (c *Cache) find(s int, la mem.Addr) int {
+	tags := c.setTags(s)
+	want := uint64(la) | validBit
+	if m := c.mru[s]; tags[m] == want {
+		return int(m)
+	}
+	for i, w := range tags {
+		if w == want {
+			c.mru[s] = int16(i)
+			return i
+		}
+	}
+	return -1
 }
 
 // New builds a cache array from cfg. Size must be divisible by
@@ -110,22 +142,25 @@ func New(cfg Config) *Cache {
 	if cfg.Policy == nil {
 		cfg.Policy = NewTRRIP()
 	}
-	c := &Cache{cfg: cfg, ways: cfg.Ways, numSets: numSets}
+	c := &Cache{cfg: cfg, ways: cfg.Ways, numSets: numSets, setMask: uint64(numSets - 1)}
 	c.lines = make([]LineState, numSets*cfg.Ways)
+	c.tags = make([]uint64, numSets*cfg.Ways)
 	c.valid = make([]int16, numSets)
 	c.mru = make([]int16, numSets)
 	c.allowedFn = func(i int) bool {
-		l := &c.vcSet[i]
+		i += c.vcBase
+		l := &c.lines[i]
 		if l.Locked || c.vcMorphOnly && !l.Morph {
 			return false
 		}
 		if c.vcConstraint.CallbackFree && l.Morph {
 			return false
 		}
-		if c.vcConstraint.Busy != nil && c.vcConstraint.Busy(l.Tag) {
+		tag := mem.Addr(c.tags[i] &^ validBit)
+		if c.vcConstraint.Busy != nil && c.vcConstraint.Busy(tag) {
 			return false
 		}
-		if c.vcConstraint.Avoid != nil && c.vcConstraint.Avoid(l.Tag) {
+		if c.vcConstraint.Avoid != nil && c.vcConstraint.Avoid(tag) {
 			return false
 		}
 		return true
@@ -139,28 +174,19 @@ func (c *Cache) Config() Config { return c.cfg }
 // NumSets returns the number of sets.
 func (c *Cache) NumSets() int { return c.numSets }
 
-// SetIndex returns the set index for address a.
+// SetIndex returns the set index for address a. The set count is a power
+// of two, so the index is a mask of the line number, not a division.
 func (c *Cache) SetIndex(a mem.Addr) int {
-	return int((uint64(a) >> (mem.LineShift + c.cfg.IndexShift)) % uint64(c.numSets))
+	return int((uint64(a) >> (mem.LineShift + c.cfg.IndexShift)) & c.setMask)
 }
 
 // Lookup returns the line holding a, or nil on miss. It does not update
 // replacement state; callers use Touch on hits so that probes (directory
 // lookups, flush walks) do not perturb the policy.
 func (c *Cache) Lookup(a mem.Addr) *LineState {
-	idx := c.SetIndex(a)
-	set := c.set(idx)
-	la := a.Line()
-	// MRU fast path: tags are unique per set, so a hint hit is the
-	// unique answer and a full scan is equivalent when it misses.
-	if m := c.mru[idx]; set[m].Valid && set[m].Tag == la {
-		return &set[m]
-	}
-	for i := range set {
-		if set[i].Valid && set[i].Tag == la {
-			c.mru[idx] = int16(i)
-			return &set[i]
-		}
+	s := c.SetIndex(a)
+	if w := c.find(s, a.Line()); w >= 0 {
+		return &c.lines[s*c.ways+w]
 	}
 	return nil
 }
@@ -170,23 +196,12 @@ func (c *Cache) Contains(a mem.Addr) bool { return c.Lookup(a) != nil }
 
 // Touch records a demand hit on a's line for the replacement policy.
 func (c *Cache) Touch(a mem.Addr) {
-	idx := c.SetIndex(a)
-	set := c.set(idx)
-	la := a.Line()
-	i := int(c.mru[idx])
-	if !set[i].Valid || set[i].Tag != la {
-		i = -1
-		for w := range set {
-			if set[w].Valid && set[w].Tag == la {
-				i = w
-				break
-			}
-		}
-		if i < 0 {
-			return
-		}
-		c.mru[idx] = int16(i)
+	s := c.SetIndex(a)
+	i := c.find(s, a.Line())
+	if i < 0 {
+		return
 	}
+	set := c.set(s)
 	c.lruClock++
 	set[i].LRU = c.lruClock
 	c.cfg.Policy.OnHit(set, i)
@@ -216,36 +231,37 @@ type VictimConstraint struct {
 // excluded (all locked, or no callback-free line under the constraint —
 // the insert invariant makes the latter impossible for CallbackFree).
 func (c *Cache) ChooseVictim(a mem.Addr, constraint VictimConstraint) (way int, ok bool) {
-	idx := c.SetIndex(a)
-	set := c.set(idx)
-	// The invalid-way scan returns the first invalid way; when the valid
-	// count says the set is full it would find nothing, so skip it.
-	if int(c.valid[idx]) < c.ways {
-		for i := range set {
-			if !set[i].Valid {
-				return i, true
+	s := c.SetIndex(a)
+	if w := c.freeWay(s); w >= 0 {
+		return w, true
+	}
+	return c.pickVictim(s, constraint, false)
+}
+
+// freeWay returns the first invalid way of set s, or -1 when the set is
+// full. When the valid count says so, the scan would find nothing, so it
+// is skipped.
+func (c *Cache) freeWay(s int) int {
+	if int(c.valid[s]) < c.ways {
+		for i, w := range c.setTags(s) {
+			if w == 0 {
+				return i
 			}
 		}
 	}
-	return c.pickVictim(set, constraint, false)
+	return -1
 }
 
-// pickVictim asks the policy for a victim among set's ways that
+// pickVictim asks the policy for a victim among set s's ways that
 // constraint allows (and, with morphOnly, that hold a Morph); ok=false
 // when no way is allowed.
-func (c *Cache) pickVictim(set []LineState, constraint VictimConstraint, morphOnly bool) (way int, ok bool) {
-	c.vcSet, c.vcConstraint, c.vcMorphOnly = set, constraint, morphOnly
-	way = -1
-	for i := range set {
-		if c.allowedFn(i) {
-			way, ok = c.cfg.Policy.Victim(set, c.allowedFn), true
-			break
-		}
-	}
+func (c *Cache) pickVictim(s int, constraint VictimConstraint, morphOnly bool) (way int, ok bool) {
+	c.vcBase, c.vcConstraint, c.vcMorphOnly = s*c.ways, constraint, morphOnly
+	way = c.cfg.Policy.Victim(c.set(s), c.allowedFn)
 	// Unbind the scratch so pooled state never pins a caller's Avoid hook
 	// or outlives the call.
-	c.vcSet, c.vcConstraint, c.vcMorphOnly = nil, VictimConstraint{}, false
-	return way, ok
+	c.vcConstraint, c.vcMorphOnly = VictimConstraint{}, false
+	return way, way >= 0
 }
 
 // FillOpts describes an incoming line.
@@ -257,53 +273,39 @@ type FillOpts struct {
 	Locked     bool
 }
 
-// EvictWay removes the line in set idx/way and returns its prior state.
-func (c *Cache) evictWay(setIdx, way int) LineState {
-	set := c.set(setIdx)
-	old := set[way]
-	set[way] = LineState{}
-	if old.Valid {
-		c.valid[setIdx]--
+// evictWay invalidates way of set s and returns the tag and state it
+// held; ok=false when the way was already invalid.
+func (c *Cache) evictWay(s, way int) (tag mem.Addr, old LineState, ok bool) {
+	i := s*c.ways + way
+	w := c.tags[i]
+	if w == 0 {
+		return 0, LineState{}, false
 	}
-	return old
+	old = c.lines[i]
+	c.lines[i], c.tags[i] = LineState{}, 0
+	c.valid[s]--
+	return mem.Addr(w &^ validBit), old, true
 }
 
 // FillAt installs a line for address a into the given way (previously
-// chosen by ChooseVictim and already drained by the caller), returning
-// the evicted line state (Valid=false if the way was empty).
+// chosen by ChooseVictim and already drained by the caller). It returns
+// the tag and state of the line it evicted, with ok=false if the way was
+// empty.
 //
 // FillAt maintains the deadlock-avoidance invariant: if installing a
 // Morph line would leave no callback-free line in the set, it refuses
 // and the caller must evict a Morph line first (see Insert, which handles
 // this automatically).
-func (c *Cache) FillAt(a mem.Addr, way int, data *mem.Line, opts FillOpts) LineState {
-	setIdx := c.SetIndex(a)
-	evicted := c.evictWay(setIdx, way)
-	set := c.set(setIdx)
-	for w := range set {
-		if set[w].Valid && set[w].Tag == a.Line() {
-			panic(fmt.Sprintf("cache %s: duplicate fill of line %v (already in way %d)",
-				c.cfg.Name, a.Line(), w))
-		}
+func (c *Cache) FillAt(a mem.Addr, way int, data *mem.Line, opts FillOpts) (tag mem.Addr, evicted LineState, ok bool) {
+	s := c.SetIndex(a)
+	la := a.Line()
+	tag, evicted, ok = c.evictWay(s, way)
+	if w := c.find(s, la); w >= 0 {
+		panic(fmt.Sprintf("cache %s: duplicate fill of line %v (already in way %d)",
+			c.cfg.Name, la, w))
 	}
-	c.lruClock++
-	set[way] = LineState{
-		Valid:      true,
-		Tag:        a.Line(),
-		Dirty:      opts.Dirty,
-		Morph:      opts.Morph,
-		Phantom:    opts.Phantom,
-		EngineFill: opts.EngineFill,
-		Locked:     opts.Locked,
-		LRU:        c.lruClock,
-	}
-	if data != nil {
-		set[way].Data = *data
-	}
-	c.valid[setIdx]++
-	c.mru[setIdx] = int16(way)
-	c.cfg.Policy.OnInsert(set, way, opts.EngineFill)
-	return evicted
+	c.install(s, way, la, data, opts)
+	return tag, evicted, ok
 }
 
 // Seed installs a clean line into an invalid way of a's set: warm-state
@@ -314,32 +316,38 @@ func (c *Cache) FillAt(a mem.Addr, way int, data *mem.Line, opts FillOpts) LineS
 // replacement policy's insertion hook runs so policy metadata stays
 // legal.
 func (c *Cache) Seed(a mem.Addr, data *mem.Line) bool {
-	setIdx := c.SetIndex(a)
-	set := c.set(setIdx)
-	if int(c.valid[setIdx]) >= c.ways {
+	s := c.SetIndex(a)
+	la := a.Line()
+	way := c.freeWay(s)
+	if way < 0 || c.find(s, la) >= 0 {
 		return false
 	}
-	way := -1
-	for w := range set {
-		if set[w].Valid {
-			if set[w].Tag == a.Line() {
-				return false
-			}
-			continue
-		}
-		if way < 0 {
-			way = w
-		}
-	}
+	c.install(s, way, la, data, FillOpts{})
+	return true
+}
+
+// install puts line la into way of set s, which is invalid: its flags
+// from opts, its data (zeros when data is nil), the next recency stamp
+// and its tag word. The way becomes the MRU hint, and the policy's
+// insertion hook runs.
+func (c *Cache) install(s, way int, la mem.Addr, data *mem.Line, opts FillOpts) {
+	set := c.set(s)
 	c.lruClock++
-	set[way] = LineState{Valid: true, Tag: a.Line(), LRU: c.lruClock}
+	set[way] = LineState{
+		Dirty:      opts.Dirty,
+		Morph:      opts.Morph,
+		Phantom:    opts.Phantom,
+		EngineFill: opts.EngineFill,
+		Locked:     opts.Locked,
+		LRU:        c.lruClock,
+	}
 	if data != nil {
 		set[way].Data = *data
 	}
-	c.valid[setIdx]++
-	c.mru[setIdx] = int16(way)
-	c.cfg.Policy.OnInsert(set, way, false)
-	return true
+	c.tags[s*c.ways+way] = uint64(la) | validBit
+	c.valid[s]++
+	c.mru[s] = int16(way)
+	c.cfg.Policy.OnInsert(set, way, opts.EngineFill)
 }
 
 // CanInsertMorph reports whether inserting a Morph line into a's set,
@@ -351,7 +359,7 @@ func (c *Cache) CanInsertMorph(a mem.Addr, victimWay int) bool {
 		if i == victimWay {
 			continue // being replaced by the Morph line
 		}
-		if !set[i].Valid || !set[i].Morph {
+		if !set[i].Morph { // an invalid way carries no flag
 			return true
 		}
 	}
@@ -374,7 +382,7 @@ func (c *Cache) ChooseVictimForInsert(a mem.Addr, opts FillOpts, constraint Vict
 		if constraint.CallbackFree {
 			return -1, false
 		}
-		way, ok = c.pickVictim(c.set(c.SetIndex(a)), constraint, true)
+		way, ok = c.pickVictim(c.SetIndex(a), constraint, true)
 		if !ok && constraint.Avoid != nil {
 			// All Morph candidates are protected: the hint is
 			// advisory, so retry without it.
@@ -390,59 +398,62 @@ func (c *Cache) ChooseVictimForInsert(a mem.Addr, opts FillOpts, constraint Vict
 // ExtractLine invalidates a's line and returns its state (for flushes and
 // back-invalidations). ok=false if the line is not present.
 func (c *Cache) ExtractLine(a mem.Addr) (LineState, bool) {
-	setIdx := c.SetIndex(a)
-	set := c.set(setIdx)
-	la := a.Line()
-	for i := range set {
-		if set[i].Valid && set[i].Tag == la {
-			return c.evictWay(setIdx, i), true
-		}
+	s := c.SetIndex(a)
+	w := c.find(s, a.Line())
+	if w < 0 {
+		return LineState{}, false
 	}
-	return LineState{}, false
+	_, ls, _ := c.evictWay(s, w)
+	return ls, true
 }
 
-// Walk calls fn for every valid line; fn may mutate the line state but
-// must not invalidate it (use ExtractLine afterwards).
-func (c *Cache) Walk(fn func(*LineState)) {
+// Walk calls fn for every valid line with its tag; fn may mutate the line
+// state but must not invalidate it (use ExtractLine afterwards).
+func (c *Cache) Walk(fn func(tag mem.Addr, l *LineState)) {
 	// Slab order is (set, way) order, matching the old nested loops.
-	for i := range c.lines {
-		if c.lines[i].Valid {
-			fn(&c.lines[i])
+	for i, w := range c.tags {
+		if w != 0 {
+			fn(mem.Addr(w&^validBit), &c.lines[i])
 		}
 	}
 }
 
-// CheckReplacementState verifies the structural sanity of every set: no
-// duplicate tags, line-aligned tags indexing to their own set, RRPV
-// within the 2-bit range, and invalid lines carrying no stale metadata
-// bits. Used by the hierarchy-wide invariant checker.
+// CheckReplacementState verifies the structural sanity of every set: each
+// valid tag word holds a line-aligned tag that indexes to its own set, no
+// two ways share a tag, RRPV is within the 2-bit range, the valid-count
+// sidecar matches the words, and an invalid way has a zero word and no
+// flag in its slab entry. Used by the hierarchy-wide invariant checker.
 func (c *Cache) CheckReplacementState() error {
 	for s := 0; s < c.numSets; s++ {
-		set := c.set(s)
+		set, tags := c.set(s), c.setTags(s)
 		valid := 0
-		for w := range set {
+		for w, word := range tags {
 			l := &set[w]
-			if !l.Valid {
-				if l.Dirty || l.Morph || l.Locked || l.Phantom {
+			if word&validBit == 0 {
+				if word != 0 {
+					return fmt.Errorf("cache %s: set %d way %d invalid but its tag word is %#x", c.cfg.Name, s, w, word)
+				}
+				if l.Dirty || l.Morph || l.EngineFill || l.Locked || l.Phantom {
 					return fmt.Errorf("cache %s: set %d way %d invalid but carries state bits", c.cfg.Name, s, w)
 				}
 				continue
 			}
 			valid++
-			if l.Tag != l.Tag.Line() {
-				return fmt.Errorf("cache %s: set %d way %d tag %v not line-aligned", c.cfg.Name, s, w, l.Tag)
+			tag := mem.Addr(word &^ validBit)
+			if tag != tag.Line() {
+				return fmt.Errorf("cache %s: set %d way %d tag %v not line-aligned", c.cfg.Name, s, w, tag)
 			}
-			if c.SetIndex(l.Tag) != s {
+			if c.SetIndex(tag) != s {
 				return fmt.Errorf("cache %s: line %v stored in set %d, indexes to %d",
-					c.cfg.Name, l.Tag, s, c.SetIndex(l.Tag))
+					c.cfg.Name, tag, s, c.SetIndex(tag))
 			}
 			if l.RRPV > rrpvMax {
-				return fmt.Errorf("cache %s: line %v RRPV %d beyond max %d", c.cfg.Name, l.Tag, l.RRPV, rrpvMax)
+				return fmt.Errorf("cache %s: line %v RRPV %d beyond max %d", c.cfg.Name, tag, l.RRPV, rrpvMax)
 			}
-			for w2 := w + 1; w2 < len(set); w2++ {
-				if set[w2].Valid && set[w2].Tag == l.Tag {
+			for w2 := w + 1; w2 < len(tags); w2++ {
+				if tags[w2] == word {
 					return fmt.Errorf("cache %s: duplicate tag %v in set %d (ways %d, %d)",
-						c.cfg.Name, l.Tag, s, w, w2)
+						c.cfg.Name, tag, s, w, w2)
 				}
 			}
 		}
@@ -458,9 +469,9 @@ func (c *Cache) CheckReplacementState() error {
 // deterministic (set, way) order. Used by flushData tag walks (§4.4).
 func (c *Cache) LinesInRegion(r mem.Region) []mem.Addr {
 	var out []mem.Addr
-	c.Walk(func(l *LineState) {
-		if r.Contains(l.Tag) {
-			out = append(out, l.Tag)
+	c.Walk(func(tag mem.Addr, _ *LineState) {
+		if r.Contains(tag) {
+			out = append(out, tag)
 		}
 	})
 	return out
@@ -474,8 +485,7 @@ func (c *Cache) CheckMorphInvariant() error {
 		set := c.set(s)
 		free := false
 		for w := range set {
-			l := &set[w]
-			if !l.Valid || !l.Morph {
+			if !set[w].Morph { // an invalid way carries no flag
 				free = true
 				break
 			}
@@ -490,6 +500,10 @@ func (c *Cache) CheckMorphInvariant() error {
 // ValidLines returns the number of valid lines.
 func (c *Cache) ValidLines() int {
 	n := 0
-	c.Walk(func(*LineState) { n++ })
+	for _, w := range c.tags {
+		if w != 0 {
+			n++
+		}
+	}
 	return n
 }

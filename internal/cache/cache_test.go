@@ -20,19 +20,29 @@ func addrFor(set, i int) mem.Addr {
 	return mem.Addr(uint64(set)*64 + uint64(i)*2*64)
 }
 
-func fill(c *Cache, a mem.Addr, opts FillOpts) LineState {
+// evicted is what a fill displaced: FillAt's tag, state and ok in one
+// value.
+type evicted struct {
+	Tag   mem.Addr
+	Valid bool
+	LineState
+}
+
+func fill(c *Cache, a mem.Addr, opts FillOpts) evicted {
 	way, ok := c.ChooseVictimForInsert(a, opts, VictimConstraint{})
 	if !ok {
 		panic("no victim")
 	}
-	return c.FillAt(a, way, nil, opts)
+	tag, ls, ok := c.FillAt(a, way, nil, opts)
+	return evicted{tag, ok, ls}
 }
 
-// TestLineStateSize pins LineState at 88 bytes: a field added or moved so
-// that it pads out a word grows every cache slab.
+// TestLineStateSize pins LineState at 80 bytes: a field added or moved so
+// that it pads out a word grows every cache slab. With the way's tag word
+// beside it, a way costs 88 bytes.
 func TestLineStateSize(t *testing.T) {
-	if got := unsafe.Sizeof(LineState{}); got != 88 {
-		t.Fatalf("LineState is %d bytes, want 88", got)
+	if got := unsafe.Sizeof(LineState{}); got != 80 {
+		t.Fatalf("LineState is %d bytes, want 80", got)
 	}
 }
 
@@ -67,8 +77,7 @@ func TestLookupMissHitAndData(t *testing.T) {
 	if !ok {
 		t.Fatal("no victim in empty set")
 	}
-	ev := c.FillAt(a, way, &data, FillOpts{})
-	if ev.Valid {
+	if _, _, ok := c.FillAt(a, way, &data, FillOpts{}); ok {
 		t.Fatal("eviction from empty way")
 	}
 	l := c.Lookup(a + 8) // any addr within the line
@@ -174,7 +183,7 @@ func TestCallbackFreeConstraint(t *testing.T) {
 		t.Fatal("no callback-free victim found")
 	}
 	set := c.SetIndex(addrFor(0, 4))
-	if got := c.set(set)[way].Tag; got != addrFor(0, 3) {
+	if got := mem.Addr(c.setTags(set)[way] &^ validBit); got != addrFor(0, 3) {
 		t.Fatalf("callback-free victim = %v, want %v", got, addrFor(0, 3))
 	}
 }
@@ -261,7 +270,7 @@ func TestExtractLine(t *testing.T) {
 	c := tiny(NewLRU())
 	fill(c, addrFor(0, 0), FillOpts{Dirty: true})
 	ls, ok := c.ExtractLine(addrFor(0, 0) + 16)
-	if !ok || !ls.Dirty || ls.Tag != addrFor(0, 0) {
+	if !ok || !ls.Dirty {
 		t.Fatalf("extract = %+v, %v", ls, ok)
 	}
 	if c.Contains(addrFor(0, 0)) {

@@ -7,16 +7,24 @@ import (
 )
 
 // FuzzCacheOps drives a small trrîp cache with arbitrary
-// insert/touch/extract sequences against a flat residency model: every
-// line that goes in must come out (via eviction or extraction) with the
-// same data, lookups must return what was inserted, and the structural
-// and §5.2 morph invariants must hold after every step.
+// insert/touch/extract/lock/unlock/busy sequences against a flat
+// residency model: every line that goes in must come out (via eviction or
+// extraction) with the same data, lookups must return what was inserted,
+// no insert may evict a locked line or one its Busy predicate names, and
+// the structural (tag words included) and §5.2 morph invariants must hold
+// after every step.
 func FuzzCacheOps(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 2, 3, 1, 1, 0, 2, 1, 0})
 	f.Add([]byte{0, 5, 6, 0, 5, 2, 3, 5, 0, 0, 9, 1})
+	// Fill set 0's eight ways, lock one line, mark another busy, and
+	// insert two more into the full set.
+	f.Add([]byte{0, 0, 0, 0, 4, 0, 0, 8, 0, 0, 12, 0, 0, 16, 0, 0, 20, 0, 0, 24, 0, 0, 28, 0,
+		4, 0, 0, 6, 4, 0, 0, 32, 0, 0, 36, 0, 5, 0, 0, 0, 40, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		c := New(Config{Name: "fuzz", SizeBytes: 4 * 8 * mem.LineSize, Ways: 8, Policy: NewTRRIP()})
 		model := make(map[mem.Addr]uint64)
+		busy := make(map[mem.Addr]bool)
+		isBusy := func(tag mem.Addr) bool { return busy[tag] }
 		verify := func(step int) {
 			if err := c.CheckReplacementState(); err != nil {
 				t.Fatalf("step %d: %v", step, err)
@@ -32,7 +40,7 @@ func FuzzCacheOps(f *testing.F) {
 		for i := 0; i+3 <= len(script); i += 3 {
 			op, idx, flags := script[i], script[i+1], script[i+2]
 			a := mem.Addr(0x4000 + uint64(idx%64)*mem.LineSize)
-			switch op % 4 {
+			switch op % 7 {
 			case 0: // insert
 				if c.Lookup(a) != nil {
 					break // FillAt rejects duplicate tags by design
@@ -42,24 +50,29 @@ func FuzzCacheOps(f *testing.F) {
 					Morph:      flags&2 != 0,
 					Phantom:    flags&2 != 0 && flags&4 != 0,
 					EngineFill: flags&8 != 0,
+					Locked:     flags&32 != 0,
 				}
-				way, ok := c.ChooseVictimForInsert(a, opts, VictimConstraint{CallbackFree: flags&16 != 0})
+				constraint := VictimConstraint{CallbackFree: flags&16 != 0, Busy: isBusy}
+				way, ok := c.ChooseVictimForInsert(a, opts, constraint)
 				if !ok {
 					break
 				}
 				stamp++
 				var line mem.Line
 				line.SetWord(0, stamp)
-				evicted := c.FillAt(a, way, &line, opts)
-				if evicted.Valid {
-					want, ok := model[evicted.Tag]
-					if !ok {
-						t.Fatalf("step %d: evicted untracked line %v", i, evicted.Tag)
+				tag, evicted, ok := c.FillAt(a, way, &line, opts)
+				if ok {
+					want, tracked := model[tag]
+					if !tracked {
+						t.Fatalf("step %d: evicted untracked line %v", i, tag)
 					}
 					if evicted.Data.Word(0) != want {
-						t.Fatalf("step %d: evicted %v data %d, want %d", i, evicted.Tag, evicted.Data.Word(0), want)
+						t.Fatalf("step %d: evicted %v data %d, want %d", i, tag, evicted.Data.Word(0), want)
 					}
-					delete(model, evicted.Tag)
+					if evicted.Locked || busy[tag] {
+						t.Fatalf("step %d: evicted %v, which is locked (%v) or busy (%v)", i, tag, evicted.Locked, busy[tag])
+					}
+					delete(model, tag)
 				}
 				model[a] = stamp
 			case 1: // touch (hit promotion)
@@ -88,6 +101,12 @@ func FuzzCacheOps(f *testing.F) {
 				if ls != nil && ls.Data.Word(0) != want {
 					t.Fatalf("step %d: lookup %v data %d, want %d", i, a, ls.Data.Word(0), want)
 				}
+			case 4, 5: // lock, unlock
+				if ls := c.Lookup(a); ls != nil {
+					ls.Locked = op%7 == 4
+				}
+			case 6: // the line's home lock is taken or released
+				busy[a] = !busy[a]
 			}
 			verify(i)
 		}

@@ -1,8 +1,8 @@
 package cache
 
 // Policy is a cache replacement policy over one set. Victim is called
-// with a filter of allowed ways (never all-false) and must return one of
-// the allowed ways.
+// with a filter of allowed ways and must return one of the allowed ways,
+// or -1 when none is allowed.
 type Policy interface {
 	Name() string
 	// OnInsert updates replacement state for a newly filled way.
@@ -11,7 +11,9 @@ type Policy interface {
 	OnInsert(set []LineState, way int, engineFill bool)
 	// OnHit updates replacement state for a demand hit.
 	OnHit(set []LineState, way int)
-	// Victim selects an allowed way to evict.
+	// Victim selects an allowed way to evict. allowed is pure, and it
+	// can be costly (it may probe a lock table or walk Morph hints), so
+	// policies ask it only about ways their own state makes candidates.
 	Victim(set []LineState, allowed func(way int) bool) int
 }
 
@@ -31,18 +33,14 @@ func (*LRU) OnInsert(set []LineState, way int, engineFill bool) {}
 func (*LRU) OnHit(set []LineState, way int) {}
 
 // Victim implements Policy: the allowed way with the oldest timestamp.
+// It asks allowed only about a way older than the best allowed one so
+// far.
 func (*LRU) Victim(set []LineState, allowed func(int) bool) int {
 	best := -1
 	for i := range set {
-		if !allowed(i) {
-			continue
-		}
-		if best == -1 || set[i].LRU < set[best].LRU {
+		if (best == -1 || set[i].LRU < set[best].LRU) && allowed(i) {
 			best = i
 		}
-	}
-	if best == -1 {
-		panic("cache: Victim called with no allowed ways")
 	}
 	return best
 }
@@ -93,24 +91,46 @@ func (r *RRIP) OnHit(set []LineState, way int) {
 	set[way].EngineFill = false
 }
 
-// Victim implements Policy: first allowed way at distant RRPV, aging all
-// allowed ways until one reaches distant. Ties break toward lower way.
+// Victim implements Policy: the first allowed way at distant RRPV, after
+// aging every allowed way, one step a round, until one is distant. Ties
+// break toward the lower way.
+//
+// Rounds of aging add one to every allowed way until an allowed way
+// reaches distant, so the victim is the first allowed way at the highest
+// RRPV any allowed way holds, and every allowed way ages by that RRPV's
+// distance from distant. Victim finds that RRPV by scanning down from
+// distant, reading each way's RRPV before it asks allowed: a way above
+// the level being scanned is known not to be allowed, so allowed is asked
+// at most once a way, and only about distant ways when one of them is
+// allowed.
 func (r *RRIP) Victim(set []LineState, allowed func(int) bool) int {
-	for {
+	for i := range set {
+		if set[i].RRPV >= rrpvMax && allowed(i) {
+			return i
+		}
+	}
+	for lvl := uint8(rrpvMax - 1); ; lvl-- {
 		for i := range set {
-			if allowed(i) && set[i].RRPV >= rrpvMax {
+			if set[i].RRPV == lvl && allowed(i) {
+				r.age(set, allowed, i, lvl)
 				return i
 			}
 		}
-		aged := false
-		for i := range set {
-			if allowed(i) && set[i].RRPV < rrpvMax {
-				set[i].RRPV++
-				aged = true
-			}
+		if lvl == 0 {
+			return -1
 		}
-		if !aged {
-			panic("cache: Victim called with no allowed ways")
+	}
+}
+
+// age applies the aging rounds that make victim, at RRPV lvl, distant:
+// every allowed way ages by rrpvMax-lvl. The ways above lvl, and those at
+// lvl before victim, are known not to be allowed.
+func (*RRIP) age(set []LineState, allowed func(int) bool, victim int, lvl uint8) {
+	d := rrpvMax - lvl
+	set[victim].RRPV = rrpvMax
+	for i := range set {
+		if v := set[i].RRPV; (v < lvl || v == lvl && i > victim) && allowed(i) {
+			set[i].RRPV = v + d
 		}
 	}
 }

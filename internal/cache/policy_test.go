@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"tako/internal/mem"
@@ -44,9 +46,6 @@ func TestTRRIPEngineStreamEvictsItself(t *testing.T) {
 func TestRRIPVictimTieBreakAndAging(t *testing.T) {
 	p := NewTRRIP()
 	set := make([]LineState, 4)
-	for i := range set {
-		set[i].Valid = true
-	}
 	set[0].RRPV, set[1].RRPV, set[2].RRPV, set[3].RRPV = 2, 3, 1, 3
 	all := func(int) bool { return true }
 	if w := p.Victim(set, all); w != 1 {
@@ -90,6 +89,114 @@ func TestCallbackFreeVictimUnderMorphPressure(t *testing.T) {
 			probe := mem.Addr(uint64(s) * mem.LineSize)
 			if _, ok := c.ChooseVictim(probe, VictimConstraint{CallbackFree: true}); !ok {
 				t.Fatalf("insert %d: set %d lost its callback-free victim", i, s)
+			}
+		}
+	}
+}
+
+// refVictim is victim choice as it was before the scans read RRPV and LRU
+// first: it asks allowed about every way, in every round, before it
+// reads the way's own state, and returns -1 when no way is allowed.
+func refVictim(p Policy, set []LineState, allowed func(int) bool) int {
+	if _, ok := p.(*LRU); ok {
+		best := -1
+		for i := range set {
+			if !allowed(i) {
+				continue
+			}
+			if best == -1 || set[i].LRU < set[best].LRU {
+				best = i
+			}
+		}
+		return best
+	}
+	for {
+		for i := range set {
+			if allowed(i) && set[i].RRPV >= rrpvMax {
+				return i
+			}
+		}
+		aged := false
+		for i := range set {
+			if allowed(i) && set[i].RRPV < rrpvMax {
+				set[i].RRPV++
+				aged = true
+			}
+		}
+		if !aged {
+			return -1
+		}
+	}
+}
+
+// TestVictimMatchesPredicateFirstReference checks victim choice against
+// refVictim on random full sets: random RRPVs and LRU stamps (ties
+// included), Locked and Morph bits, CallbackFree, Morph-only choice, and
+// Busy and Avoid predicates. Both must pick the same way and leave the
+// same RRPVs. A counting predicate pins the point of reading a way's own
+// state first: allowed, and so the Busy and Avoid hooks behind it, runs
+// at most once a way, and under RRIP only for distant ways whenever an
+// allowed way is distant.
+func TestVictimMatchesPredicateFirstReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, p := range []Policy{NewTRRIP(), NewLRU()} {
+		for trial := 0; trial < 4000; trial++ {
+			ways := 1 + rng.Intn(16)
+			c := New(Config{Name: "ref", SizeBytes: 2 * ways * mem.LineSize, Ways: ways, Policy: p})
+			busy, avoid := map[mem.Addr]bool{}, map[mem.Addr]bool{}
+			for w := 0; w < ways; w++ {
+				a := mem.Addr(2 * w * mem.LineSize) // set 0
+				c.FillAt(a, w, nil, FillOpts{Morph: rng.Intn(3) == 0, Locked: rng.Intn(5) == 0})
+				l := &c.set(0)[w]
+				l.RRPV, l.LRU = uint8(rng.Intn(rrpvMax+1)), uint64(rng.Intn(2*ways))
+				busy[a], avoid[a] = rng.Intn(4) == 0, rng.Intn(4) == 0
+			}
+			constraint := VictimConstraint{CallbackFree: rng.Intn(4) == 0}
+			if rng.Intn(2) == 0 {
+				constraint.Busy = func(tag mem.Addr) bool { return busy[tag] }
+			}
+			if rng.Intn(2) == 0 {
+				constraint.Avoid = func(tag mem.Addr) bool { return avoid[tag] }
+			}
+			morphOnly := rng.Intn(4) == 0
+
+			before := slices.Clone(c.set(0))
+			ref := slices.Clone(before)
+			c.vcBase, c.vcConstraint, c.vcMorphOnly = 0, constraint, morphOnly
+			want := refVictim(p, ref, c.allowedFn)
+			allowed := make([]bool, ways)
+			for i := range allowed {
+				allowed[i] = c.allowedFn(i)
+			}
+
+			asked := make([]int, ways)
+			inner := c.allowedFn
+			c.allowedFn = func(i int) bool { asked[i]++; return inner(i) }
+			got, ok := c.pickVictim(0, constraint, morphOnly)
+			c.allowedFn = inner
+
+			if got != want || ok != (want >= 0) {
+				t.Fatalf("%s trial %d: victim %d (ok %v), reference %d\nset %+v\nallowed %v",
+					p.Name(), trial, got, ok, want, before, allowed)
+			}
+			for i := range ref {
+				if c.set(0)[i].RRPV != ref[i].RRPV {
+					t.Fatalf("%s trial %d: way %d RRPV %d, reference %d\nset %+v\nallowed %v",
+						p.Name(), trial, i, c.set(0)[i].RRPV, ref[i].RRPV, before, allowed)
+				}
+			}
+			distant := false
+			for i := range before {
+				distant = distant || allowed[i] && before[i].RRPV >= rrpvMax
+			}
+			for i, n := range asked {
+				if n > 1 {
+					t.Fatalf("%s trial %d: allowed asked about way %d %d times", p.Name(), trial, i, n)
+				}
+				if n > 0 && p.Name() == "trrip" && distant && before[i].RRPV < rrpvMax {
+					t.Fatalf("%s trial %d: allowed asked about way %d at RRPV %d though an allowed way is distant",
+						p.Name(), trial, i, before[i].RRPV)
+				}
 			}
 		}
 	}

@@ -152,8 +152,8 @@ func TestFFRemoteRMOs(t *testing.T) {
 		t.Errorf("load after store 5, RMO +1 and synchronous RMO +10 = %d, want 16", got)
 	}
 	for i, tile := range h.tiles {
-		tile.l3.Walk(func(ls *cache.LineState) {
-			t.Errorf("L3 bank %d holds %v before switchover", i, ls.Tag)
+		tile.l3.Walk(func(la mem.Addr, _ *cache.LineState) {
+			t.Errorf("L3 bank %d holds %v before switchover", i, la)
 		})
 	}
 }
@@ -189,10 +189,10 @@ func TestFFSwitchoverSeedsWarmState(t *testing.T) {
 	// untracked seeded copy could go stale under a remote write).
 	for ti, tile := range h.tiles {
 		for _, c := range []*cache.Cache{tile.l1, tile.l2} {
-			c.Walk(func(ls *cache.LineState) {
-				sharers, _ := h.DirSharers(ls.Tag)
+			c.Walk(func(la mem.Addr, _ *cache.LineState) {
+				sharers, _ := h.DirSharers(la)
 				if sharers&(1<<uint(ti)) == 0 {
-					t.Errorf("tile %d: private line %v has no directory sharer bit", ti, ls.Tag)
+					t.Errorf("tile %d: private line %v has no directory sharer bit", ti, la)
 				}
 			})
 		}

@@ -49,23 +49,21 @@ func (h *Hierarchy) insertL2(tileID int, a mem.Addr, data *mem.Line, meta fillMe
 	if !ok {
 		return false
 	}
-	evicted := t.l2.FillAt(a, way, data, opts)
-	if evicted.Valid {
-		h.handleL2Eviction(tileID, evicted, nil)
+	if tag, evicted, ok := t.l2.FillAt(a, way, data, opts); ok {
+		h.handleL2Eviction(tileID, tag, evicted, nil)
 	}
 	h.event("l2.insert")
 	return true
 }
 
-// handleL2Eviction processes a line evicted from tile's L2:
-// back-invalidates L1 copies, triggers Morph callbacks, and writes dirty
-// data back to the shared level. Functional state changes happen
+// handleL2Eviction processes line la, evicted from tile's L2 with state
+// ev: back-invalidates L1 copies, triggers Morph callbacks, and writes
+// dirty data back to the shared level. Functional state changes happen
 // immediately; latency and buffer occupancy are charged by kernel
 // continuations (writeback.go). If futs is non-nil, a future completing
 // when the eviction's callback finishes is appended (used by flushData).
-func (h *Hierarchy) handleL2Eviction(tileID int, ev cache.LineState, futs *[]*sim.Future) {
+func (h *Hierarchy) handleL2Eviction(tileID int, la mem.Addr, ev cache.LineState, futs *[]*sim.Future) {
 	t := h.tiles[tileID]
-	la := ev.Tag
 	// Back-invalidate the tile's L1 copies (inclusion), merging dirty
 	// data into the evicted line.
 	for _, c := range [2]*cache.Cache{t.l1, t.el1} {
@@ -76,7 +74,7 @@ func (h *Hierarchy) handleL2Eviction(tileID int, ev cache.LineState, futs *[]*si
 	}
 	if ev.Morph && h.registry != nil {
 		if b, ok := h.registry.Binding(la); ok {
-			h.morphEvictPrivate(tileID, ev, b, futs)
+			h.morphEvictPrivate(tileID, la, ev, b, futs)
 			return
 		}
 	}
@@ -99,9 +97,8 @@ func (h *Hierarchy) handleL2Eviction(tileID int, ev cache.LineState, futs *[]*si
 // are then discarded, real lines written back (§4.3). The address stays
 // locked (pending) until the callback completes; an evictCB
 // (writeback.go) runs the callback and keeps those books.
-func (h *Hierarchy) morphEvictPrivate(tileID int, ev cache.LineState, b Binding, futs *[]*sim.Future) {
+func (h *Hierarchy) morphEvictPrivate(tileID int, la mem.Addr, ev cache.LineState, b Binding, futs *[]*sim.Future) {
 	t := h.tiles[tileID]
-	la := ev.Tag
 	kind := CbEviction
 	has := b.HasEviction
 	if ev.Dirty {
@@ -192,21 +189,21 @@ func (h *Hierarchy) insertL3(homeID int, a mem.Addr, data *mem.Line, meta fillMe
 	if !ok {
 		return false
 	}
-	evicted := hm.l3.FillAt(a, way, data, opts)
+	tag, evicted, ok := hm.l3.FillAt(a, way, data, opts)
 	h.debugLogHome(a.Line(), "insertL3", data.U64(16))
-	if evicted.Valid {
-		h.debugLogHome(evicted.Tag, "l3-evict", evicted.Data.U64(16))
-		h.handleL3Eviction(homeID, evicted, nil)
+	if ok {
+		h.debugLogHome(tag, "l3-evict", evicted.Data.U64(16))
+		h.handleL3Eviction(homeID, tag, evicted, nil)
 	}
 	h.event("l3.insert")
 	return true
 }
 
-// handleL3Eviction processes a line leaving the shared cache:
-// back-invalidate all private copies (inclusive hierarchy), run the
-// SHARED Morph callback if registered, write dirty data to memory.
-func (h *Hierarchy) handleL3Eviction(homeID int, ev cache.LineState, futs *[]*sim.Future) {
-	la := ev.Tag
+// handleL3Eviction processes line la, leaving the shared cache with
+// state ev: back-invalidate all private copies (inclusive hierarchy),
+// run the SHARED Morph callback if registered, write dirty data to
+// memory.
+func (h *Hierarchy) handleL3Eviction(homeID int, la mem.Addr, ev cache.LineState, futs *[]*sim.Future) {
 	if e := h.dir.get(la); e != nil {
 		for s := 0; s < h.cfg.Tiles; s++ {
 			if !e.has(s) {
@@ -231,7 +228,7 @@ func (h *Hierarchy) handleL3Eviction(homeID int, ev cache.LineState, futs *[]*si
 	}
 	if ev.Morph && h.registry != nil {
 		if b, ok := h.registry.Binding(la); ok {
-			h.morphEvictShared(homeID, ev, b, futs)
+			h.morphEvictShared(homeID, la, ev, b, futs)
 			return
 		}
 	}
@@ -245,9 +242,8 @@ func (h *Hierarchy) handleL3Eviction(homeID int, ev cache.LineState, futs *[]*si
 }
 
 // morphEvictShared is the L3 counterpart of morphEvictPrivate.
-func (h *Hierarchy) morphEvictShared(homeID int, ev cache.LineState, b Binding, futs *[]*sim.Future) {
+func (h *Hierarchy) morphEvictShared(homeID int, la mem.Addr, ev cache.LineState, b Binding, futs *[]*sim.Future) {
 	hm := h.tiles[homeID]
-	la := ev.Tag
 	kind := CbEviction
 	has := b.HasEviction
 	if ev.Dirty {
@@ -307,20 +303,20 @@ func (h *Hierarchy) fillTop(tileID int, a mem.Addr, data *mem.Line, meta fillMet
 	if !ok {
 		return // pathological: every way locked; line stays in L2 only
 	}
-	evicted := top.FillAt(a, way, data, opts)
-	if !evicted.Valid {
+	tag, evicted, ok := top.FillAt(a, way, data, opts)
+	if !ok {
 		return
 	}
 	if evicted.Dirty {
-		if ls2 := t.l2.Lookup(evicted.Tag); ls2 != nil {
+		if ls2 := t.l2.Lookup(tag); ls2 != nil {
 			ls2.Data = evicted.Data
 			ls2.Dirty = true
 		} else {
 			// Engine line fetched around the L2 (shared-callback
 			// path): write back to the shared level directly.
-			h.writebackToShared(tileID, evicted.Tag, evicted.Data)
+			h.writebackToShared(tileID, tag, evicted.Data)
 		}
 	} else {
-		h.removeSharerIfNoCopies(tileID, evicted.Tag)
+		h.removeSharerIfNoCopies(tileID, tag)
 	}
 }

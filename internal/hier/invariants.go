@@ -51,30 +51,30 @@ func (h *Hierarchy) CheckInvariants() error {
 func (h *Hierarchy) checkMorphBits(t *tile) error {
 	var err error
 	check := func(c *cache.Cache, level Level) {
-		c.Walk(func(l *cache.LineState) {
+		c.Walk(func(la mem.Addr, l *cache.LineState) {
 			if err != nil || (!l.Morph && !l.Phantom) {
 				return
 			}
 			if h.registry == nil {
 				err = fmt.Errorf("hier: %s line %v has Morph/Phantom bits with no registry",
-					c.Config().Name, l.Tag)
+					c.Config().Name, la)
 				return
 			}
-			b, ok := h.registry.Binding(l.Tag)
+			b, ok := h.registry.Binding(la)
 			if !ok {
 				err = fmt.Errorf("hier: %s line %v has Morph/Phantom bits with no live binding",
-					c.Config().Name, l.Tag)
+					c.Config().Name, la)
 				return
 			}
 			if l.Phantom && !b.Phantom {
 				err = fmt.Errorf("hier: %s line %v marked phantom but bound to real region %v",
-					c.Config().Name, l.Tag, b.Region)
+					c.Config().Name, la, b.Region)
 				return
 			}
 			// The Morph bit is set only at the registration level.
 			if l.Morph && level != LevelNone && b.Level != level {
 				err = fmt.Errorf("hier: %s line %v has Morph bit at %v but binding is %v",
-					c.Config().Name, l.Tag, level, b.Level)
+					c.Config().Name, la, level, b.Level)
 			}
 		})
 	}
@@ -147,19 +147,19 @@ func (h *Hierarchy) checkDirectory() error {
 	for tid, t := range h.tiles {
 		for _, c := range t.privateCaches() {
 			var err error
-			c.Walk(func(l *cache.LineState) {
+			c.Walk(func(la mem.Addr, _ *cache.LineState) {
 				if err != nil {
 					return
 				}
 				if h.registry != nil {
-					if b, ok := h.registry.Binding(l.Tag); ok && b.Level == LevelPrivate && b.Phantom {
+					if b, ok := h.registry.Binding(la); ok && b.Level == LevelPrivate && b.Phantom {
 						return
 					}
 				}
-				e := h.dir.get(l.Tag)
+				e := h.dir.get(la)
 				if e == nil || !e.has(tid) {
 					err = fmt.Errorf("hier: tile %d caches untracked line %v (%s), dir=%s",
-						tid, l.Tag, c.Config().Name, h.debugDir(l.Tag))
+						tid, la, c.Config().Name, h.debugDir(la))
 				}
 			})
 			if err != nil {

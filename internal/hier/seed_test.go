@@ -201,9 +201,13 @@ func TestSeedMatchesMapReference(t *testing.T) {
 					ref.l3QuotaSkips, ref.notInL3)
 			}
 
-			lines := func(c *cache.Cache) []cache.LineState {
-				var out []cache.LineState
-				c.Walk(func(ls *cache.LineState) { out = append(out, *ls) })
+			type line struct {
+				tag mem.Addr
+				ls  cache.LineState
+			}
+			lines := func(c *cache.Cache) []line {
+				var out []line
+				c.Walk(func(la mem.Addr, ls *cache.LineState) { out = append(out, line{la, *ls}) })
 				return out
 			}
 			for ti := range got.tiles {

@@ -1119,9 +1119,9 @@ func (t *txn) stepCommit() {
 		t.evicted = true
 		h.hot.flushLines.Inc()
 		if t.flushBank {
-			h.handleL3Eviction(t.home, ls, t.futs)
+			h.handleL3Eviction(t.home, t.la, ls, t.futs)
 		} else {
-			h.handleL2Eviction(t.tileID, ls, t.futs)
+			h.handleL2Eviction(t.tileID, t.la, ls, t.futs)
 		}
 		t.to(txnDone)
 	}

@@ -167,12 +167,6 @@ func (a *eqActor) run() {
 	}
 }
 
-// fnTask is a Task no process waits on that runs a function.
-type fnTask func()
-
-func (f fnTask) Resume()     { f() }
-func (fnTask) Issuer() *Proc { return nil }
-
 // state makes the program's futures, the timed ones scheduled to
 // complete, and its semaphores on k.
 func (prog eqProgram) state(k *Kernel) ([]*Future, []*Semaphore) {
@@ -288,9 +282,9 @@ func TestBlockedCountsContinuations(t *testing.T) {
 	never := NewFuture(k)
 	s := NewSemaphore(k, 1)
 	s.TryAcquire()
-	k.After(0, func() { never.Then(fnTask(func() {})) })
+	k.After(0, func() { never.Then(callback(func() {})) })
 	k.After(1, func() {
-		if s.AcquireThen(fnTask(func() {})) {
+		if s.AcquireThen(callback(func() {})) {
 			t.Error("AcquireThen took a slot of a full semaphore")
 		}
 	})

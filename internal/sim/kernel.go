@@ -40,17 +40,17 @@ const (
 	wheelWords = wheelSlots / 64
 )
 
-// node is one wheel entry. Its target is what the event runs: a *Proc to
-// resume (its start or a wake; the proc marks itself started when its
-// coroutine first runs), a Task to resume, a *Future to complete, or a
-// func() callback. Carrying the proc, task or future itself keeps the
-// wake paths (Sleep, Future, Semaphore, WaitGroup, Barrier, CompleteAt)
-// free of per-event closures, and none of them allocates when stored in
-// an interface. next links the node into its slot's FIFO, or into the free
-// list once it has run; it indexes Kernel.nodes, whose entry 0 is never
-// used, so 0 ends a list.
+// node is one wheel entry. Its target is the Task the event resumes: a
+// *Proc (its start or a wake; the proc marks itself started when its
+// coroutine first runs), a continuation, a *Future to complete
+// (completion) or an At callback (callback). Carrying the proc, task or
+// future itself keeps the wake paths (Sleep, Future, Semaphore,
+// WaitGroup, Barrier, CompleteAt) free of per-event closures, and every
+// target is pointer-shaped, so storing one allocates nothing. next links
+// the node into its slot's FIFO, or into the free list once it has run;
+// it indexes Kernel.nodes, whose entry 0 is never used, so 0 ends a list.
 type node struct {
-	target any
+	target Task
 	next   int32
 }
 
@@ -62,7 +62,7 @@ type slot struct{ head, tail int32 }
 type event struct {
 	when   Cycle
 	seq    uint64
-	target any
+	target Task
 }
 
 // Kernel is a deterministic discrete-event simulator clock and queue.
@@ -184,8 +184,15 @@ func (k *Kernel) At(when Cycle, fn func()) {
 	if when < k.now {
 		panic("sim: scheduling event in the past")
 	}
-	k.push(when, fn)
+	k.push(when, callback(fn))
 }
+
+// callback is an At or After function as a Task. A func value is
+// pointer-shaped, so the conversion allocates nothing.
+type callback func()
+
+func (fn callback) Resume()    { fn() }
+func (callback) Issuer() *Proc { return nil }
 
 // After schedules fn to run delay cycles from now.
 func (k *Kernel) After(delay Cycle, fn func()) {
@@ -220,15 +227,6 @@ func (k *Kernel) wake(w Task) {
 	k.push(k.now, w)
 }
 
-// completeAt schedules f to complete at the given absolute cycle,
-// without allocating a closure.
-func (k *Kernel) completeAt(when Cycle, f *Future) {
-	if when < k.now {
-		panic("sim: scheduling event in the past")
-	}
-	k.push(when, f)
-}
-
 // Run executes events until the queue is empty.
 func (k *Kernel) Run() { k.drive(math.MaxUint64) }
 
@@ -241,10 +239,10 @@ func (k *Kernel) RunUntil(t Cycle) {
 }
 
 // drive is the event loop. It runs due events (time ≤ limit) in order
-// on the caller's stack, each from its wheel slot. A process's event
-// resumes that process until it suspends, and so does a Task's event
-// that ends the work the process waits on; a panic its task raised is
-// re-raised here.
+// on the caller's stack, each from its wheel slot, by resuming its Task.
+// A process's event resumes that process until it suspends, and so does
+// a Task's event that ends the work the process waits on; a panic its
+// task raised is re-raised here.
 func (k *Kernel) drive(limit Cycle) {
 	k.limit = limit
 	for {
@@ -256,25 +254,14 @@ func (k *Kernel) drive(limit Cycle) {
 			k.advance(when)
 		}
 		s := int(when & wheelMask)
-		var target any
+		var target Task
 		if k.chooser == nil {
 			target = k.pop(s)
 		} else {
 			target = k.take(s)
 		}
 		k.events++
-		switch t := target.(type) {
-		case Task: // a *Proc's or a continuation's
-			t.Resume()
-		case *Future:
-			t.Complete()
-			// Pool-originated futures completed by their scheduled event
-			// have no remaining references (waiters were converted to
-			// proc wakes); recycle immediately.
-			k.RecycleFuture(t)
-		case func():
-			t()
-		}
+		target.Resume()
 	}
 }
 
@@ -306,7 +293,7 @@ func (k *Kernel) popOwn(p *Proc) Task {
 	}
 	s := int(when & wheelMask)
 	// An empty slot's head is node 0, whose target is always nil.
-	t, _ := k.nodes[k.slots[s].head].target.(Task)
+	t := k.nodes[k.slots[s].head].target
 	if t == nil || t.Issuer() != p {
 		return nil
 	}
@@ -339,7 +326,7 @@ func (k *Kernel) Blocked() []string {
 // push queues target to run at cycle when, which is not in the past:
 // at the tail of its wheel slot, or in the far heap when it is wheelSlots
 // or more cycles out.
-func (k *Kernel) push(when Cycle, target any) {
+func (k *Kernel) push(when Cycle, target Task) {
 	if when-k.now >= wheelSlots {
 		k.seq++
 		k.pushFar(event{when: when, seq: k.seq, target: target})
@@ -350,7 +337,7 @@ func (k *Kernel) push(when Cycle, target any) {
 
 // link appends target to slot s's FIFO, taking a node from the free
 // list or, when it is empty, growing the arena.
-func (k *Kernel) link(s int, target any) {
+func (k *Kernel) link(s int, target Task) {
 	i := k.free
 	if i != 0 {
 		k.free = k.nodes[i].next
@@ -372,7 +359,7 @@ func (k *Kernel) link(s int, target any) {
 
 // pop unlinks the first node of slot s, which is occupied, frees it and
 // returns its target.
-func (k *Kernel) pop(s int) any {
+func (k *Kernel) pop(s int) Task {
 	sl := &k.slots[s]
 	i := sl.head
 	if sl.head = k.nodes[i].next; sl.head == 0 {
@@ -387,7 +374,7 @@ func (k *Kernel) pop(s int) any {
 // insertion order, runs, and unlinks that one in place: the others keep
 // their order ahead of anything pushed later, so the meaning of later
 // choices does not change.
-func (k *Kernel) take(s int) any {
+func (k *Kernel) take(s int) Task {
 	head := k.slots[s].head
 	n := 0
 	for i := head; i != 0; i = k.nodes[i].next {
@@ -414,7 +401,7 @@ func (k *Kernel) take(s int) any {
 
 // release returns unlinked node i to the free list, dropping and
 // returning its target.
-func (k *Kernel) release(i int32) any {
+func (k *Kernel) release(i int32) Task {
 	n := &k.nodes[i]
 	target := n.target
 	n.target, n.next = nil, k.free

@@ -8,11 +8,16 @@ import (
 
 // TestQueueOrdersLikeReference drives the kernel with random schedules
 // and checks that events run in (cycle, push order), against a
-// reference sort of every push. Delays cover the same cycle, the next,
-// the near wheel, the rest of the wheel and the far heap; events and
-// procs push more from inside, and the driver pushes between RunUntil
+// reference sort of every push. It pushes every kind of target: At
+// callbacks, Tasks (AfterTask), *Future completions (CompleteAt), and
+// procs' starts and wakes. Delays cover the same cycle, the next, the
+// near wheel, the rest of the wheel and the far heap; events and procs
+// push more from inside, and the driver pushes between RunUntil
 // horizons, so the clock reaches new cycles by an event, by a proc's
-// in-place wake and by RunUntil.
+// in-place wake and by RunUntil. Each event but a completion records the
+// kernel's event count when it runs, and a completion is checked by its
+// future's completion cycle and by the place it leaves every other event
+// in.
 func TestQueueOrdersLikeReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	delay := func() Cycle {
@@ -32,29 +37,45 @@ func TestQueueOrdersLikeReference(t *testing.T) {
 		when Cycle
 		id   int
 	}
+	type run struct {
+		id    int
+		event uint64 // the kernel's event count as it ran
+	}
 	for trial := 0; trial < 100; trial++ {
 		k := NewKernel()
 		budget := 50 + rng.Intn(500)
 		var pushed []push
-		var ran []int
+		var ran []run
+		completions := map[*Future]Cycle{}
 		var schedule func()
 		schedule = func() {
 			id, when := len(pushed), k.Now()+delay()
 			pushed = append(pushed, push{when, id})
-			k.At(when, func() {
-				ran = append(ran, id)
+			body := func() {
+				ran = append(ran, run{id, k.Events()})
 				for rng.Intn(2) == 0 && len(pushed) < budget {
 					schedule()
 				}
-			})
+			}
+			switch rng.Intn(3) {
+			case 0:
+				k.At(when, body)
+			case 1:
+				k.AfterTask(when-k.Now(), callback(body))
+			case 2:
+				f := NewFuture(k)
+				completions[f] = when
+				f.CompleteAt(when)
+			}
 		}
 		for i := rng.Intn(3); i > 0; i-- {
+			pushed = append(pushed, push{k.Now(), len(pushed)}) // the start
 			k.Go("sleeper", func(p *Proc) {
 				for len(pushed) < budget {
 					id, d := len(pushed), delay()
 					pushed = append(pushed, push{p.Now() + d, id})
 					p.Sleep(d)
-					ran = append(ran, id)
+					ran = append(ran, run{id, k.Events()})
 					if rng.Intn(4) == 0 {
 						schedule()
 					}
@@ -72,9 +93,8 @@ func TestQueueOrdersLikeReference(t *testing.T) {
 			}
 		}
 		k.Run()
-		// The procs' starts are events too, but not pushes of this test.
-		if uint64(len(ran)) != k.Events()-uint64(len(k.procs)) {
-			t.Fatalf("trial %d: the kernel ran %d events for %d recorded", trial, k.Events(), len(ran))
+		if k.Events() != uint64(len(pushed)) {
+			t.Fatalf("trial %d: the kernel ran %d events for %d pushes", trial, k.Events(), len(pushed))
 		}
 		want := append([]push(nil), pushed...)
 		sort.Slice(want, func(i, j int) bool {
@@ -83,12 +103,14 @@ func TestQueueOrdersLikeReference(t *testing.T) {
 			}
 			return want[i].id < want[j].id
 		})
-		if len(ran) != len(want) {
-			t.Fatalf("trial %d: %d of %d pushes ran", trial, len(ran), len(want))
+		for _, r := range ran {
+			if w := want[r.event-1]; w.id != r.id {
+				t.Fatalf("trial %d: event %d ran push %d, want push %d (cycle %d)", trial, r.event, r.id, w.id, w.when)
+			}
 		}
-		for i := range want {
-			if ran[i] != want[i].id {
-				t.Fatalf("trial %d: event %d ran push %d, want push %d (cycle %d)", trial, i, ran[i], want[i].id, want[i].when)
+		for f, when := range completions {
+			if !f.Done() || f.When() != when {
+				t.Fatalf("trial %d: a future due at cycle %d completed %v at %d", trial, when, f.Done(), f.When())
 			}
 		}
 	}
@@ -164,26 +186,41 @@ func TestPopZeroesVacatedSlots(t *testing.T) {
 }
 
 // TestScheduleAllocsPerEvent is the alloc-count regression gate for the
-// kernel hot path: scheduling and executing a pre-built callback must
-// not allocate (the old container/heap path boxed every event into an
-// interface{}), and waking a parked process must not allocate a closure.
+// kernel hot path: scheduling and executing a pre-built callback, a
+// Task or a future's completion must not allocate (the old
+// container/heap path boxed every event into an interface{}), and waking
+// a parked process must not allocate a closure.
 func TestScheduleAllocsPerEvent(t *testing.T) {
-	k := NewKernel()
 	fn := func() {}
-	// Warm the queue's backing array so growth isn't counted.
-	for i := 0; i < 1024; i++ {
-		k.After(1, fn)
-	}
-	k.Run()
+	task := callback(fn)
 	const events = 1000
-	avg := testing.AllocsPerRun(10, func() {
+	futures := make([]*Future, events)
+	for name, schedule := range map[string]func(k *Kernel, i int){
+		"After":     func(k *Kernel, i int) { k.After(Cycle(i%7), fn) },
+		"AfterTask": func(k *Kernel, i int) { k.AfterTask(Cycle(i%7), task) },
+		"CompleteAt": func(k *Kernel, i int) {
+			futures[i].done = false
+			futures[i].CompleteAt(k.Now() + Cycle(i%7))
+		},
+	} {
+		k := NewKernel()
+		for i := range futures {
+			futures[i] = NewFuture(k)
+		}
+		// Warm the queue's backing array so growth isn't counted.
 		for i := 0; i < events; i++ {
-			k.After(Cycle(i%7), fn)
+			schedule(k, i)
 		}
 		k.Run()
-	})
-	if perEvent := avg / events; perEvent > 0.01 {
-		t.Fatalf("scheduling allocates %.3f allocs/event, want 0", perEvent)
+		avg := testing.AllocsPerRun(10, func() {
+			for i := 0; i < events; i++ {
+				schedule(k, i)
+			}
+			k.Run()
+		})
+		if perEvent := avg / events; perEvent > 0.01 {
+			t.Fatalf("%s: scheduling allocates %.3f allocs/event, want 0", name, perEvent)
+		}
 	}
 }
 

@@ -267,10 +267,27 @@ func (f *Future) Complete() {
 	f.waiters = nil
 }
 
-// CompleteAt schedules the future to complete at absolute cycle t.
+// CompleteAt schedules the future to complete at absolute cycle t,
+// without allocating: its event's Task is the future itself.
 func (f *Future) CompleteAt(t Cycle) {
-	f.k.completeAt(t, f)
+	if t < f.k.now {
+		panic("sim: scheduling event in the past")
+	}
+	f.k.push(t, (*completion)(f))
 }
+
+// completion is a *Future that CompleteAt scheduled, as a Task: its event
+// completes the future and recycles it if it came from the pool, since
+// its waiters were converted to wakes and nothing else holds it.
+type completion Future
+
+func (c *completion) Resume() {
+	f := (*Future)(c)
+	f.Complete()
+	f.k.RecycleFuture(f)
+}
+
+func (*completion) Issuer() *Proc { return nil }
 
 // Done reports whether the future has completed.
 func (f *Future) Done() bool { return f.done }
