@@ -150,6 +150,7 @@ func (t *Tako) Binding(a mem.Addr) (hier.Binding, bool) {
 				Level:        m.Level,
 				Phantom:      m.Region.Phantom,
 				Region:       m.Region,
+				Tile:         m.Tile,
 				HasMiss:      m.Spec.OnMiss != nil,
 				HasEviction:  m.Spec.OnEviction != nil,
 				HasWriteback: m.Spec.OnWriteback != nil,
@@ -215,9 +216,6 @@ func (t *Tako) byID(id int) *Morph {
 	}
 	return nil
 }
-
-// Morphs returns the live registrations.
-func (t *Tako) Morphs() []*Morph { return t.morphs }
 
 var (
 	// ErrOverlap is returned when a registration overlaps a live Morph

@@ -111,7 +111,8 @@ type LoadHandle struct {
 // LoadAsyncV issues an independent load whose value is delivered through
 // the returned handle — the OOO pattern for reductions over independent
 // addresses (e.g., the decompression study's average loop). Out-of-order
-// cores overlap up to MLP of these; in-order cores execute them
+// cores overlap up to MLP of these, each a hardware transaction no
+// thread waits on (Hierarchy.LoadAsync); in-order cores execute them
 // synchronously.
 func (c *Core) LoadAsyncV(p *sim.Proc, a mem.Addr) *LoadHandle {
 	c.instr(1)
@@ -125,14 +126,9 @@ func (c *Core) LoadAsyncV(p *sim.Proc, a mem.Addr) *LoadHandle {
 		p.Wait(c.window[0])
 		c.window = c.window[1:]
 	}
-	f := sim.NewFuture(p.Kernel())
-	lh.F = f
-	h, tile := c.H, c.Tile
-	p.Kernel().Go("ooo-load", func(pp *sim.Proc) {
-		lh.Value = h.Load(pp, tile, a)
-		f.Complete()
-	})
-	c.window = append(c.window, f)
+	lh.F = sim.NewFuture(p.Kernel())
+	c.H.LoadAsync(p, c.Tile, a, &lh.Value, lh.F)
+	c.window = append(c.window, lh.F)
 	return lh
 }
 

@@ -61,9 +61,11 @@ func (c *Ctx) LoadLine(a mem.Addr) mem.Line {
 }
 
 // LoadLineAsync issues a non-blocking line fetch, exposing the
-// memory-level parallelism dataflow fabrics exploit (§5.3). On the
-// in-order-core engine it degenerates to a synchronous load. Call
-// Drain (or wait the future) before reading the fetched data.
+// memory-level parallelism dataflow fabrics exploit (§5.3): the fetch is
+// a hardware transaction that no thread waits on
+// (Hierarchy.EngineLoadLineAsync). On the in-order-core engine it
+// degenerates to a synchronous load. Call Drain (or wait the future)
+// before reading the fetched data.
 func (c *Ctx) LoadLineAsync(a mem.Addr) *sim.Future {
 	c.tile.stats.MemAccesses++
 	if c.engines.cfg.InOrderCore {

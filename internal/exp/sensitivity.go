@@ -35,7 +35,7 @@ func init() {
 			rows = append(rows, cfgRow{"in-order core", inorder})
 			rows = append(rows, cfgRow{"ideal", engine.IdealConfig()})
 			// Task 0 is the baseline; tasks 1..N the engine configs.
-			results, err := runResults(len(rows)+1, func(i int) (morphs.Result, error) {
+			results, err := morphs.RunResults(len(rows)+1, func(i int) (morphs.Result, error) {
 				if i == 0 {
 					return morphs.RunHATS(morphs.HATSVertexOrdered, prm)
 				}
@@ -63,7 +63,7 @@ func init() {
 			prm := hatsParams(quick)
 			t := stats.NewTable("Fig 23 — PE latency (HATS)", "pe-latency", "cycles", "speedup-vs-baseline")
 			lats := []sim.Cycle{1, 2, 4, 8}
-			results, err := runResults(len(lats)+1, func(i int) (morphs.Result, error) {
+			results, err := morphs.RunResults(len(lats)+1, func(i int) (morphs.Result, error) {
 				if i == 0 {
 					return morphs.RunHATS(morphs.HATSVertexOrdered, prm)
 				}
@@ -92,7 +92,7 @@ func init() {
 				"core", "baseline-cycles", "täkō-cycles", "speedup")
 			cores := []cpu.Config{cpu.LittleInOrder(), cpu.Goldmont(), cpu.BigOOO()}
 			// Core-major, baseline-then-täkō: the sequential loop's order.
-			results, err := runResults(len(cores)*2, func(i int) (morphs.Result, error) {
+			results, err := morphs.RunResults(len(cores)*2, func(i int) (morphs.Result, error) {
 				prm := phiParams(quick)
 				prm.Core = cores[i/2]
 				v := morphs.PHIBaseline
@@ -133,7 +133,7 @@ func init() {
 			}
 			variants := []morphs.PHIVariant{morphs.PHIBaseline, morphs.PHIUB, morphs.PHITako}
 			// Row-major, baseline/UB/täkō within each row.
-			results, err := runResults(len(rows)*len(variants), func(i int) (morphs.Result, error) {
+			results, err := morphs.RunResults(len(rows)*len(variants), func(i int) (morphs.Result, error) {
 				rw := rows[i/len(variants)]
 				prm := phiParams(true)
 				prm.Tiles, prm.Threads = rw.tiles, rw.tiles
@@ -159,7 +159,7 @@ func init() {
 		Run: func(quick bool) (*stats.Table, error) {
 			t := stats.NewTable("§9 — callback-buffer size (NVM)", "entries", "cycles", "vs-8-entries")
 			sizes := []int{1, 2, 4, 8, 16, 64}
-			results, err := runResults(len(sizes), func(i int) (morphs.Result, error) {
+			results, err := morphs.RunResults(len(sizes), func(i int) (morphs.Result, error) {
 				prm := morphs.DefaultNVMParams(64 << 10)
 				prm.Tiles = 4
 				prm.Engine = engine.DefaultConfig()
@@ -195,7 +195,7 @@ func init() {
 				bits    uint
 			}
 			cfgs := []cfg{{256, 21}, {512, 21}, {1024, 21}, {256, 12}, {1024, 12}}
-			results, err := runResults(len(cfgs), func(i int) (morphs.Result, error) {
+			results, err := morphs.RunResults(len(cfgs), func(i int) (morphs.Result, error) {
 				p := prm
 				// rTLB config lives in the hierarchy config; thread it
 				// through a dedicated engine run.

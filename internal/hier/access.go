@@ -25,14 +25,39 @@ func (h *Hierarchy) Load(p *sim.Proc, tileID int, a mem.Addr) uint64 {
 	}
 	start := p.Now()
 	ls := h.access(p, tileID, a, accessOpts{})
+	return h.commitLoad(tileID, a, ls, start)
+}
+
+// LoadAsync issues a load of the 8-byte word containing a from tileID's
+// core without blocking p: the value lands in *v, and f completes, when
+// the load commits. No thread waits on it: its kindAccess transaction
+// starts in this cycle and commits in txn.complete, as Load commits.
+//
+// While fast-forwarding, it applies the load at once, as every
+// fast-forwarded access does.
+func (h *Hierarchy) LoadAsync(p *sim.Proc, tileID int, a mem.Addr, v *uint64, f *sim.Future) {
+	if h.ffGate(p) {
+		*v = h.ffLoad(p, tileID, a)
+		f.Complete()
+		return
+	}
+	x := h.newAccess(tileID, a, accessOpts{})
+	x.opStart, x.dst, x.done = h.K.Now(), v, f
+	h.K.AfterTask(0, x)
+}
+
+// commitLoad ends a core load that began at start: it reads the word from
+// ls, the line the load's access resolved to, and accounts its latency.
+func (h *Hierarchy) commitLoad(tileID int, a mem.Addr, ls *cache.LineState, start sim.Cycle) uint64 {
+	now := h.K.Now()
 	v := ls.Data.U64(a.Offset() &^ 7)
 	if h.obs != nil {
 		h.obs.LoadCommitted(tileID, a, v)
 	}
-	lat := p.Now() - start
+	lat := now - start
 	h.LoadLat.Observe(float64(lat))
 	h.hot.loadLat.Observe(lat)
-	h.tracer.EmitSpan(start, p.Now(), h.comp.core[tileID], "load", "")
+	h.tracer.EmitSpan(start, now, h.comp.core[tileID], "load", "")
 	return v
 }
 
@@ -156,7 +181,6 @@ func (h *Hierarchy) AtomicExchange(p *sim.Proc, tileID int, a mem.Addr, v uint64
 // post-install validation — is encoded in the txnLegal state machine
 // rather than an inline retry loop.
 func (h *Hierarchy) access(p *sim.Proc, tileID int, a mem.Addr, o accessOpts) *cache.LineState {
-	h.checkEngineRestriction(tileID, a, o)
 	x := h.newAccess(tileID, a, o)
 	h.await(p, x)
 	ls := x.result
@@ -172,12 +196,14 @@ func (h *Hierarchy) await(p *sim.Proc, x *txn) {
 	p.Park()
 }
 
-// newAccess returns a kindAccess transaction for a, not yet started.
+// newAccess returns a kindAccess transaction for a, not yet started,
+// after checking an engine access against täkō's callback restriction.
 // Getting it before the translation stamps the attribution clocks at the
 // pre-TLB start, so translation time lands in the Idle state and the
 // access total matches Load's recorded latency window exactly (the
 // conservation invariant).
 func (h *Hierarchy) newAccess(tileID int, a mem.Addr, o accessOpts) *txn {
+	h.checkEngineRestriction(tileID, a, o)
 	t := h.tiles[tileID]
 	x := h.getTxn()
 	x.kind = kindAccess

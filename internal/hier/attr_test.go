@@ -6,6 +6,7 @@ import (
 	"tako/internal/energy"
 	"tako/internal/mem"
 	"tako/internal/sim"
+	"tako/internal/tlb"
 	"tako/internal/trace"
 )
 
@@ -68,6 +69,27 @@ func TestAttributionConservationSingleLoad(t *testing.T) {
 	}
 	if slow[0].Truncated {
 		t.Fatalf("single load should not truncate its timeline")
+	}
+}
+
+// TestAttributionEngineTranslation: an engine access translates through
+// the tile's rTLB in its transaction's Idle state, as a core access does
+// through the dTLB. One engine load on a cold rTLB records exactly the
+// rTLB walk latency as the access kind's Idle dwell, and the kind's dwell
+// still sums to its total.
+func TestAttributionEngineTranslation(t *testing.T) {
+	k, h := newAttrH(1, 0)
+	walk, hit := tlb.New(h.cfg.RTLB).Lookup(0x1000)
+	if hit || walk == 0 {
+		t.Fatalf("a cold rTLB lookup took %d cycles (hit %v), want a walk", walk, hit)
+	}
+	k.Go("engine", func(p *sim.Proc) { h.EngineLoadWord(p, 0, 0x1000, LevelShared) })
+	k.Run()
+	if got := h.attr.dwell[kindAccess][txnIdle].Sum(); got != float64(walk) {
+		t.Fatalf("access Idle dwell = %v cycles, want the rTLB walk's %d", got, walk)
+	}
+	if dwell, total := sumDwell(h, kindAccess), h.attr.total[kindAccess].Sum(); dwell != total {
+		t.Fatalf("Σ access dwell = %v, txn.total.cycles{access} = %v", dwell, total)
 	}
 }
 

@@ -12,8 +12,9 @@ import (
 // they run at the L3 bank. Fills issued here are marked engine fills so
 // trrîp inserts them at distant re-reference priority (§5.2).
 //
-// The engine's rTLB is consulted per access for timing; its reach only
-// needs to cover cached data (§6).
+// Every engine access translates through the engine's rTLB for timing,
+// in its transaction's Idle state as a core access uses the dTLB; the
+// rTLB's reach only needs to cover cached data (§6).
 
 func (h *Hierarchy) engineOpts(cbLevel Level, write bool) accessOpts {
 	return accessOpts{
@@ -24,16 +25,8 @@ func (h *Hierarchy) engineOpts(cbLevel Level, write bool) accessOpts {
 	}
 }
 
-func (h *Hierarchy) engineTLB(p *sim.Proc, tileID int, a mem.Addr) {
-	t := h.tiles[tileID]
-	if lat, hit := t.rtlb.Lookup(a); !hit {
-		p.Sleep(lat)
-	}
-}
-
 // EngineLoadWord loads the 8-byte word containing a on tileID's engine.
 func (h *Hierarchy) EngineLoadWord(p *sim.Proc, tileID int, a mem.Addr, cbLevel Level) uint64 {
-	h.engineTLB(p, tileID, a)
 	ls := h.access(p, tileID, a, h.engineOpts(cbLevel, false))
 	if h.obs != nil {
 		h.obs.EngineAccess(tileID, a, false)
@@ -44,7 +37,6 @@ func (h *Hierarchy) EngineLoadWord(p *sim.Proc, tileID int, a mem.Addr, cbLevel 
 // EngineLoadLine loads the full line containing a on tileID's engine
 // (callback operations are line-wide SIMD, §5.3).
 func (h *Hierarchy) EngineLoadLine(p *sim.Proc, tileID int, a mem.Addr, cbLevel Level) mem.Line {
-	h.engineTLB(p, tileID, a)
 	ls := h.access(p, tileID, a, h.engineOpts(cbLevel, false))
 	if h.obs != nil {
 		h.obs.EngineAccess(tileID, a, false)
@@ -54,7 +46,6 @@ func (h *Hierarchy) EngineLoadLine(p *sim.Proc, tileID int, a mem.Addr, cbLevel 
 
 // EngineStoreWord writes the 8-byte word containing a on tileID's engine.
 func (h *Hierarchy) EngineStoreWord(p *sim.Proc, tileID int, a mem.Addr, v uint64, cbLevel Level) {
-	h.engineTLB(p, tileID, a)
 	ls := h.access(p, tileID, a, h.engineOpts(cbLevel, true))
 	ls.Data.SetU64(a.Offset()&^7, v)
 	ls.Dirty = true
@@ -66,7 +57,6 @@ func (h *Hierarchy) EngineStoreWord(p *sim.Proc, tileID int, a mem.Addr, v uint6
 
 // EngineStoreLine writes a full line on tileID's engine.
 func (h *Hierarchy) EngineStoreLine(p *sim.Proc, tileID int, a mem.Addr, data *mem.Line, cbLevel Level) {
-	h.engineTLB(p, tileID, a)
 	ls := h.access(p, tileID, a, h.engineOpts(cbLevel, true))
 	ls.Data = *data
 	ls.Dirty = true
@@ -76,22 +66,21 @@ func (h *Hierarchy) EngineStoreLine(p *sim.Proc, tileID int, a mem.Addr, data *m
 	h.event("engine.store")
 }
 
-// EngineLoadLineAsync issues a non-blocking engine line fetch on a
-// spawned process, completing f when the line is resident. Dataflow
-// engines use this to expose memory-level parallelism within a callback
-// (§5.3).
+// EngineLoadLineAsync issues a non-blocking engine line fetch, completing
+// f when the line is resident. Dataflow engines use this to expose
+// memory-level parallelism within a callback (§5.3). No thread waits on
+// it: its kindAccess transaction starts in this cycle and ends in
+// txn.complete.
 func (h *Hierarchy) EngineLoadLineAsync(tileID int, a mem.Addr, cbLevel Level, f *sim.Future) {
-	h.K.Go("engine-async-load", func(p *sim.Proc) {
-		h.EngineLoadLine(p, tileID, a, cbLevel)
-		f.Complete()
-	})
+	x := h.newAccess(tileID, a, h.engineOpts(cbLevel, false))
+	x.done = f
+	h.K.AfterTask(0, x)
 }
 
 // EngineRMWWord performs a commutative read-modify-write with operator
 // op on tileID's engine (PHI-style in-place application for arbitrary
 // commutative operators).
 func (h *Hierarchy) EngineRMWWord(p *sim.Proc, tileID int, a mem.Addr, op RMOOp, v uint64, cbLevel Level) {
-	h.engineTLB(p, tileID, a)
 	ls := h.access(p, tileID, a, h.engineOpts(cbLevel, true))
 	off := a.Offset() &^ 7
 	ls.Data.SetU64(off, op.apply(ls.Data.U64(off), v))

@@ -12,9 +12,10 @@ import (
 //
 // PRIVATE flushes walk tileID's L2; SHARED flushes walk every L3 bank.
 // A PRIVATE flush of a phantom region also evicts the copies other tiles
-// hold: a tile's prefetcher can run past the end of its own phantom
-// region into a neighbour's, and a phantom line left in any private
-// domain would outlive its Morph's binding once Unregister drops it.
+// hold: a demand access from another tile leaves one (its prefetcher
+// stops at the region, see issuePrefetch), and a phantom line left in
+// any private domain would outlive its Morph's binding once Unregister
+// drops it.
 // Only tiles that hold such a line pay a tag walk. A real region's copies
 // elsewhere are plain memory once unbound, so callers sweep those tiles
 // themselves when they need to.

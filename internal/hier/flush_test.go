@@ -181,9 +181,8 @@ func TestFlushRacesInFlightFill(t *testing.T) {
 // TestPrivatePhantomFlushEvictsOtherTilesCopies: a PRIVATE phantom flush
 // must leave no line of the region in any tile's private domain, or the
 // Morph is unregistered with a line still cached under it. Tile 1 holds
-// a line of tile 0's region (as a prefetcher running past the end of its
-// own region leaves one); the flush at tile 0 evicts it through its
-// callback. A real region's copy on tile 1 stays: it is plain memory once
+// a line of tile 0's region, which its demand load left; the flush at
+// tile 0 evicts it through its callback. A real region's copy on tile 1 stays: it is plain memory once
 // unbound.
 func TestPrivatePhantomFlushEvictsOtherTilesCopies(t *testing.T) {
 	region := mem.Region{Name: "ph", Base: 0x4000_0000_0000, Size: 4096, Phantom: true}

@@ -11,10 +11,14 @@
 // by pending-line futures that later accesses must wait on.
 //
 // Modeling approach: simulated threads call blocking methods (Load,
-// Store, ...) from sim.Procs. Latency is charged with sleeps and queueing
-// (MSHRs, writeback buffers, DRAM bandwidth); functional state changes
-// apply atomically between sleeps so data results are exact while timing
-// is cycle-accounted.
+// Store, ...) from sim.Procs, and each access runs as a coherence
+// transaction (txn.go), a chain of kernel continuations that translates
+// the address in its first state and that the thread blocks on once.
+// Asynchronous loads (LoadAsync, EngineLoadLineAsync), remote memory
+// operations and prefetches are transactions that no thread waits on.
+// Latency is charged with sleeps and queueing (MSHRs, writeback buffers,
+// DRAM bandwidth); functional state changes apply atomically between
+// sleeps so data results are exact while timing is cycle-accounted.
 package hier
 
 import (
@@ -80,6 +84,7 @@ type Binding struct {
 	Level   Level
 	Phantom bool
 	Region  mem.Region
+	Tile    int // the registering tile
 	// HasMiss/HasEviction/HasWriteback say which callbacks the Morph
 	// implements, so the hierarchy skips scheduling empty ones.
 	HasMiss, HasEviction, HasWriteback bool

@@ -456,6 +456,34 @@ func TestPrefetchReducesMissLatency(t *testing.T) {
 	}
 }
 
+// TestPrefetcherStopsAtOtherTilesPrivatePhantom: tile 0 streams loads to
+// the end of its PRIVATE phantom region, which tile 1's adjoins. The
+// stream is confident by its third line, so its prefetches reach past the
+// end; they must not cross into tile 1's region, whose onMiss would run
+// on tile 0's engine.
+func TestPrefetcherStopsAtOtherTilesPrivatePhantom(t *testing.T) {
+	const lines = 4
+	mine := mem.Region{Name: "ph0", Base: 0x4000_0000_0000, Size: lines * mem.LineSize, Phantom: true}
+	theirs := mem.Region{Name: "ph1", Base: mine.End(), Size: lines * mem.LineSize, Phantom: true}
+	b0, b1 := phantomBinding(mine, LevelPrivate), phantomBinding(theirs, LevelPrivate)
+	b1.MorphID, b1.Tile = 2, 1
+	k, h, r := newMorphH(2, &fakeRegistry{bindings: []Binding{b0, b1}})
+	k.Go("core", func(p *sim.Proc) {
+		for i := 0; i < lines; i++ {
+			h.Load(p, 0, mine.Base+mem.Addr(i*mem.LineSize))
+		}
+	})
+	k.Run()
+	if h.Metrics.Get("prefetch.issued") == 0 {
+		t.Fatal("the stream trained no prefetches")
+	}
+	for _, c := range r.calls {
+		if c.kind == CbMiss && theirs.Contains(c.addr) {
+			t.Fatalf("tile %d ran onMiss for %v, in tile 1's PRIVATE phantom region", c.tile, c.addr)
+		}
+	}
+}
+
 func TestScaledConfigLegalGeometry(t *testing.T) {
 	for _, f := range []int{1, 2, 4, 8, 16, 64} {
 		cfg := ScaledConfig(4, f)

@@ -66,6 +66,12 @@ func (h *Hierarchy) notifyPrefetcher(tileID int, a mem.Addr) {
 // pending lines. No thread waits on a prefetch: its kindAccess
 // transaction starts in this cycle, where a spawned proc would have
 // started, and ends in txn.complete.
+//
+// A stream that runs past the end of the tile's own PRIVATE phantom
+// region stops at another tile's: that Morph's onMiss would run on this
+// tile's engine, whose view of the Morph the registering software never
+// set up. A real-address PRIVATE Morph is left alone: its lines have
+// backing data, and software may touch them from any tile.
 func (h *Hierarchy) issuePrefetch(tileID int, la mem.Addr) {
 	t := h.tiles[tileID]
 	if t.prefetchInflight >= h.cfg.PrefetchDegree*2 {
@@ -73,6 +79,11 @@ func (h *Hierarchy) issuePrefetch(tileID int, la mem.Addr) {
 	}
 	if t.l2.Contains(la) || t.pending.locked(la) {
 		return
+	}
+	if h.registry != nil {
+		if b, ok := h.registry.Binding(la); ok && b.Level == LevelPrivate && b.Phantom && b.Tile != tileID {
+			return
+		}
 	}
 	t.prefetchInflight++
 	h.hot.prefetchIssued.Inc()

@@ -29,8 +29,8 @@ import (
 // await; the event in which it reaches Done resumes that thread in place
 // (complete), and while the thread is blocked, each step that is the
 // next due event runs on the thread itself, as sim runs a blocked
-// proc's own events. Prefetches and asynchronous RMOs have no thread
-// waiting.
+// proc's own events. Prefetches, asynchronous RMOs and asynchronous
+// loads have no thread waiting.
 //
 // Transactions are pooled on the Hierarchy (getTxn/putTxn) so the
 // per-access hot path stays allocation-free; a private access that
@@ -70,6 +70,11 @@ type txn struct {
 	// The onMiss callback's futures (Runner.Run), recycled when it ends.
 	cbAccepted, cbDone *sim.Future
 
+	// An asynchronous load's word destination (core loads only) and the
+	// future its commit completes.
+	dst  *uint64
+	done *sim.Future
+
 	// result is the line a successful access resolves to (valid at Done
 	// for kindAccess; nil for prefetches whose fill was evicted).
 	result    *cache.LineState
@@ -107,7 +112,9 @@ type txn struct {
 	// Hierarchy.attr is armed: opStart is the transaction's (for
 	// accesses, the pre-TLB) start; stateEnter is when the current
 	// state was entered. track marks demand accesses whose per-state
-	// timeline (tl) feeds the slowest-access ring.
+	// timeline (tl) feeds the slowest-access ring. An asynchronous core
+	// load's commit measures its latency from opStart, which LoadAsync
+	// stamps whether or not attribution is armed.
 	opStart    sim.Cycle
 	stateEnter sim.Cycle
 	track      bool
@@ -195,7 +202,8 @@ func (t *txn) Issuer() *sim.Proc {
 // complete ends a transaction in the event in which it reached Done. A
 // nested transaction resumes its parent there, unless it finished within
 // nest, which then carries on itself; an awaited one resumes its proc,
-// which recycles it. Hardware no thread waits on frees its resources.
+// which recycles it. Hardware no thread waits on frees its resources;
+// an asynchronous load commits, as Load and the engine port commit.
 // Nothing touches t after the resume.
 func (t *txn) complete() {
 	switch w := t.waiter.(type) {
@@ -207,13 +215,25 @@ func (t *txn) complete() {
 	case nil:
 		h := t.h
 		tl := h.tiles[t.tileID]
-		rmo := t.kind == kindRMO
-		h.putTxn(t)
-		if rmo {
+		switch {
+		case t.kind == kindRMO:
+			h.putTxn(t)
 			tl.rmo.Release()
 			tl.rmoInflight.Done()
-		} else { // a prefetch
+		case t.o.prefetch:
+			h.putTxn(t)
 			tl.prefetchInflight--
+		default: // an asynchronous load: commit, then complete the issuer's future
+			f := t.done
+			if t.o.engine {
+				if h.obs != nil {
+					h.obs.EngineAccess(t.tileID, t.a, false)
+				}
+			} else {
+				*t.dst = h.commitLoad(t.tileID, t.a, t.result, t.opStart)
+			}
+			h.putTxn(t)
+			f.Complete()
 		}
 	default:
 		w.Resume()
@@ -339,19 +359,21 @@ func (t *txn) advance() {
 	}
 }
 
-// stepStart routes Idle to each kind's entry state. A core access (a
-// demand access or a prefetch) first translates through the tile's
-// dTLB; engines translate at the engine port.
+// stepStart routes Idle to each kind's entry state. An access first
+// translates: a core access (a demand access or a prefetch) through the
+// tile's dTLB, an engine access through its rTLB.
 func (t *txn) stepStart() {
 	switch t.kind {
 	case kindAccess:
 		if t.phase == 0 {
 			t.phase = 1
-			if !t.o.engine {
-				if lat, hit := t.t.dtlb.Lookup(t.a); !hit {
-					t.sleep(lat)
-					return
-				}
+			tlb := t.t.dtlb
+			if t.o.engine {
+				tlb = t.t.rtlb
+			}
+			if lat, hit := tlb.Lookup(t.a); !hit {
+				t.sleep(lat)
+				return
 			}
 		}
 		t.h.Meter.Add(energy.TLBAccess, 1)

@@ -53,19 +53,14 @@ func cachedRun(study, variant string, params any, run func() (Result, error)) (R
 	return r, err
 }
 
-// submitResults enters each result's run record into the active capture
+// SubmitResults enters each result's run record into the active capture
 // window, in argument order. Drivers call it after parallel fan-outs
 // join, so capture logs are deterministic at any -j.
-func submitResults(rs ...Result) {
+func SubmitResults(rs ...Result) {
 	for _, r := range rs {
 		system.Submit(r.Record, r.WallMS, r.Cached)
 	}
 }
-
-// SubmitResults is submitResults for drivers outside this package (the
-// sensitivity sweeps and fig21, which call single-variant runners
-// directly).
-func SubmitResults(rs ...Result) { submitResults(rs...) }
 
 // hatsKey is HATSParams flattened into a comparable value: the RTLB
 // pointer is dereferenced so equal sweep configurations share runs.

@@ -7,7 +7,6 @@ import (
 	"tako/internal/cpu"
 	"tako/internal/engine"
 	"tako/internal/mem"
-	"tako/internal/sched"
 	"tako/internal/sim"
 	"tako/internal/system"
 )
@@ -350,7 +349,7 @@ func RunNVMSweep(sizes []int, tiles int) (map[NVMVariant][]Result, error) {
 			points = append(points, point{size, v})
 		}
 	}
-	results, err := sched.MapResults(system.Workers(), len(points), func(i int) (Result, error) {
+	results, err := RunResults(len(points), func(i int) (Result, error) {
 		prm := DefaultNVMParams(points[i].size)
 		prm.Tiles = tiles
 		return RunNVM(points[i].v, prm)
@@ -358,7 +357,6 @@ func RunNVMSweep(sizes []int, tiles int) (map[NVMVariant][]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	submitResults(results...)
 	out := map[NVMVariant][]Result{}
 	for i, pt := range points {
 		out[pt.v] = append(out[pt.v], results[i])

@@ -3,8 +3,8 @@ package oracle
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
+
+	"tako/internal/sched"
 )
 
 // This file implements the deterministic interleaving explorer: small
@@ -463,10 +463,13 @@ func exploreScenario(sc scenario, cfg ExploreConfig) (runs, maxCPs int, findings
 			batch = make([]*schedChooser, n)
 			batchFail = make([]string, n)
 			batched = 0
-			runBatch(n, cfg.Workers, func(i int) {
+			// sched.Map reads 0 workers as GOMAXPROCS, where the explorer
+			// reads sequential; its error is nil, as no task fails.
+			_ = sched.Map(max(cfg.Workers, 1), n, func(i int) error {
 				ch := &schedChooser{prefix: frontier[i]}
 				batch[i] = ch
 				batchFail[i] = runSchedule(sc, cfg, ch)
+				return nil
 			})
 		}
 		prefix := frontier[0]
@@ -504,36 +507,6 @@ func exploreScenario(sc scenario, cfg ExploreConfig) (runs, maxCPs int, findings
 		}
 	}
 	return runs, maxCPs, findings
-}
-
-// runBatch runs fn(0..n-1) on up to w concurrent goroutines (inline in
-// index order when w ≤ 1, matching the sequential explorer exactly).
-func runBatch(n, w int, fn func(i int)) {
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // runSchedule executes one scenario under one schedule and returns a
