@@ -1,7 +1,9 @@
 // Package cache models set-associative cache arrays: tags, data,
-// replacement state, Morph registration bits, and per-line callback
-// locks. Timing and the protocol between levels live in internal/hier;
-// this package is the functional array plus replacement policy.
+// replacement state and Morph registration bits. Timing, the protocol
+// between levels and the line locks that keep a line in use from being
+// victimized live in internal/hier, which names such lines to victim
+// selection through VictimConstraint.Busy; this package is the
+// functional array plus replacement policy.
 //
 // täkō-specific pieces (paper §5.2):
 //   - one tag bit per line records whether a Morph is registered for the
@@ -33,7 +35,7 @@ type Config struct {
 }
 
 // LineState is the state of one cache line apart from its tag: data and
-// metadata. Its 80 bytes are the five flags and RRPV in one word (8), LRU
+// metadata. Its 80 bytes are the four flags and RRPV in one word (8), LRU
 // (8) and Data (64). The tag and the valid bit live in the array's tag
 // words (see Cache), so a tag search reads 8 bytes a way, not a whole
 // LineState.
@@ -45,9 +47,6 @@ type LineState struct {
 	// EngineFill records that the line was inserted by an engine
 	// (callback) access, for trrîp's pollution-avoidance accounting.
 	EngineFill bool
-	// Locked marks a line currently owned by a running callback; it
-	// may not be selected as a victim.
-	Locked bool
 	// Phantom marks a line from a phantom range (never written back to
 	// the next level; discarded after its eviction callback).
 	Phantom bool
@@ -150,7 +149,7 @@ func New(cfg Config) *Cache {
 	c.allowedFn = func(i int) bool {
 		i += c.vcBase
 		l := &c.lines[i]
-		if l.Locked || c.vcMorphOnly && !l.Morph {
+		if c.vcMorphOnly && !l.Morph {
 			return false
 		}
 		if c.vcConstraint.CallbackFree && l.Morph {
@@ -228,7 +227,7 @@ type VictimConstraint struct {
 
 // ChooseVictim picks a victim way in a's set for an incoming fill.
 // Invalid ways are preferred. It returns ok=false if every candidate is
-// excluded (all locked, or no callback-free line under the constraint —
+// excluded (all busy, or no callback-free line under the constraint —
 // the insert invariant makes the latter impossible for CallbackFree).
 func (c *Cache) ChooseVictim(a mem.Addr, constraint VictimConstraint) (way int, ok bool) {
 	s := c.SetIndex(a)
@@ -270,7 +269,6 @@ type FillOpts struct {
 	Morph      bool
 	Phantom    bool
 	EngineFill bool
-	Locked     bool
 }
 
 // evictWay invalidates way of set s and returns the tag and state it
@@ -338,7 +336,6 @@ func (c *Cache) install(s, way int, la mem.Addr, data *mem.Line, opts FillOpts) 
 		Morph:      opts.Morph,
 		Phantom:    opts.Phantom,
 		EngineFill: opts.EngineFill,
-		Locked:     opts.Locked,
 		LRU:        c.lruClock,
 	}
 	if data != nil {
@@ -433,7 +430,7 @@ func (c *Cache) CheckReplacementState() error {
 				if word != 0 {
 					return fmt.Errorf("cache %s: set %d way %d invalid but its tag word is %#x", c.cfg.Name, s, w, word)
 				}
-				if l.Dirty || l.Morph || l.EngineFill || l.Locked || l.Phantom {
+				if l.Dirty || l.Morph || l.EngineFill || l.Phantom {
 					return fmt.Errorf("cache %s: set %d way %d invalid but carries state bits", c.cfg.Name, s, w)
 				}
 				continue

@@ -147,14 +147,20 @@ func TestTRRIPHitRescuesEngineLine(t *testing.T) {
 	}
 }
 
+// TestLockedLinesNotVictimized: a line whose lock is held (a Busy line)
+// is never the victim, even when it is the policy's choice.
 func TestLockedLinesNotVictimized(t *testing.T) {
 	c := tiny(NewLRU())
 	for i := 0; i < 4; i++ {
-		fill(c, addrFor(0, i), FillOpts{Locked: i == 0})
+		fill(c, addrFor(0, i), FillOpts{})
 	}
 	// Way 0 is the LRU line but locked.
-	ev := fill(c, addrFor(0, 4), FillOpts{})
-	if ev.Tag == addrFor(0, 0) {
+	locked := VictimConstraint{Busy: func(tag mem.Addr) bool { return tag == addrFor(0, 0) }}
+	way, ok := c.ChooseVictimForInsert(addrFor(0, 4), FillOpts{}, locked)
+	if !ok {
+		t.Fatal("no victim beside the one locked line")
+	}
+	if tag, _, _ := c.FillAt(addrFor(0, 4), way, nil, FillOpts{}); tag == addrFor(0, 0) {
 		t.Fatal("evicted a locked line")
 	}
 	if c.Lookup(addrFor(0, 0)) == nil {
@@ -165,9 +171,10 @@ func TestLockedLinesNotVictimized(t *testing.T) {
 func TestAllLockedNoVictim(t *testing.T) {
 	c := tiny(NewLRU())
 	for i := 0; i < 4; i++ {
-		fill(c, addrFor(0, i), FillOpts{Locked: true})
+		fill(c, addrFor(0, i), FillOpts{})
 	}
-	if _, ok := c.ChooseVictim(addrFor(0, 9), VictimConstraint{}); ok {
+	all := VictimConstraint{Busy: func(mem.Addr) bool { return true }}
+	if _, ok := c.ChooseVictim(addrFor(0, 9), all); ok {
 		t.Fatal("found victim among all-locked set")
 	}
 }

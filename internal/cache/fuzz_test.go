@@ -7,17 +7,17 @@ import (
 )
 
 // FuzzCacheOps drives a small trrîp cache with arbitrary
-// insert/touch/extract/lock/unlock/busy sequences against a flat
-// residency model: every line that goes in must come out (via eviction or
+// insert/touch/extract/lookup/busy sequences against a flat residency
+// model: every line that goes in must come out (via eviction or
 // extraction) with the same data, lookups must return what was inserted,
-// no insert may evict a locked line or one its Busy predicate names, and
-// the structural (tag words included) and §5.2 morph invariants must hold
+// no insert may evict a line its Busy predicate names, and the
+// structural (tag words included) and §5.2 morph invariants must hold
 // after every step.
 func FuzzCacheOps(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 2, 3, 1, 1, 0, 2, 1, 0})
 	f.Add([]byte{0, 5, 6, 0, 5, 2, 3, 5, 0, 0, 9, 1})
-	// Fill set 0's eight ways, lock one line, mark another busy, and
-	// insert two more into the full set.
+	// Fill set 0's eight ways, mark two lines busy, and insert two more
+	// into the full set.
 	f.Add([]byte{0, 0, 0, 0, 4, 0, 0, 8, 0, 0, 12, 0, 0, 16, 0, 0, 20, 0, 0, 24, 0, 0, 28, 0,
 		4, 0, 0, 6, 4, 0, 0, 32, 0, 0, 36, 0, 5, 0, 0, 0, 40, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
@@ -50,7 +50,6 @@ func FuzzCacheOps(f *testing.F) {
 					Morph:      flags&2 != 0,
 					Phantom:    flags&2 != 0 && flags&4 != 0,
 					EngineFill: flags&8 != 0,
-					Locked:     flags&32 != 0,
 				}
 				constraint := VictimConstraint{CallbackFree: flags&16 != 0, Busy: isBusy}
 				way, ok := c.ChooseVictimForInsert(a, opts, constraint)
@@ -69,8 +68,8 @@ func FuzzCacheOps(f *testing.F) {
 					if evicted.Data.Word(0) != want {
 						t.Fatalf("step %d: evicted %v data %d, want %d", i, tag, evicted.Data.Word(0), want)
 					}
-					if evicted.Locked || busy[tag] {
-						t.Fatalf("step %d: evicted %v, which is locked (%v) or busy (%v)", i, tag, evicted.Locked, busy[tag])
+					if busy[tag] {
+						t.Fatalf("step %d: evicted %v, which is busy", i, tag)
 					}
 					delete(model, tag)
 				}
@@ -101,11 +100,7 @@ func FuzzCacheOps(f *testing.F) {
 				if ls != nil && ls.Data.Word(0) != want {
 					t.Fatalf("step %d: lookup %v data %d, want %d", i, a, ls.Data.Word(0), want)
 				}
-			case 4, 5: // lock, unlock
-				if ls := c.Lookup(a); ls != nil {
-					ls.Locked = op%7 == 4
-				}
-			case 6: // the line's home lock is taken or released
+			case 4, 5, 6: // the line's lock is taken or released
 				busy[a] = !busy[a]
 			}
 			verify(i)

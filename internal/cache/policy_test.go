@@ -131,7 +131,7 @@ func refVictim(p Policy, set []LineState, allowed func(int) bool) int {
 
 // TestVictimMatchesPredicateFirstReference checks victim choice against
 // refVictim on random full sets: random RRPVs and LRU stamps (ties
-// included), Locked and Morph bits, CallbackFree, Morph-only choice, and
+// included), Morph bits, CallbackFree, Morph-only choice, and
 // Busy and Avoid predicates. Both must pick the same way and leave the
 // same RRPVs. A counting predicate pins the point of reading a way's own
 // state first: allowed, and so the Busy and Avoid hooks behind it, runs
@@ -146,7 +146,7 @@ func TestVictimMatchesPredicateFirstReference(t *testing.T) {
 			busy, avoid := map[mem.Addr]bool{}, map[mem.Addr]bool{}
 			for w := 0; w < ways; w++ {
 				a := mem.Addr(2 * w * mem.LineSize) // set 0
-				c.FillAt(a, w, nil, FillOpts{Morph: rng.Intn(3) == 0, Locked: rng.Intn(5) == 0})
+				c.FillAt(a, w, nil, FillOpts{Morph: rng.Intn(3) == 0})
 				l := &c.set(0)[w]
 				l.RRPV, l.LRU = uint8(rng.Intn(rrpvMax+1)), uint64(rng.Intn(2*ways))
 				busy[a], avoid[a] = rng.Intn(4) == 0, rng.Intn(4) == 0

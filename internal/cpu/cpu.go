@@ -62,6 +62,9 @@ type Core struct {
 	Instrs      uint64
 	Mispredicts uint64
 
+	// window holds the futures of the out-of-order loads in flight,
+	// oldest first, at most MLP of them. They come from the kernel's
+	// pool, and the window recycles each once it has retired its load.
 	window []*sim.Future
 }
 
@@ -73,7 +76,7 @@ func New(h *hier.Hierarchy, tile int, cfg Config, meter *energy.Meter) *Core {
 	if cfg.IPC <= 0 {
 		cfg.IPC = 1
 	}
-	return &Core{H: h, Tile: tile, cfg: cfg, meter: meter}
+	return &Core{H: h, Tile: tile, cfg: cfg, meter: meter, window: make([]*sim.Future, 0, cfg.MLP)}
 }
 
 // Config returns the core's configuration.
@@ -102,9 +105,9 @@ func (c *Core) Load(p *sim.Proc, a mem.Addr) uint64 {
 }
 
 // LoadHandle is an in-flight value-carrying asynchronous load. Value is
-// valid once F completes (wait it, or Drain the core).
+// valid once the core has retired the load: after Drain, or after MLP
+// later LoadAsyncV calls.
 type LoadHandle struct {
-	F     *sim.Future
 	Value uint64
 }
 
@@ -112,32 +115,40 @@ type LoadHandle struct {
 // the returned handle — the OOO pattern for reductions over independent
 // addresses (e.g., the decompression study's average loop). Out-of-order
 // cores overlap up to MLP of these, each a hardware transaction no
-// thread waits on (Hierarchy.LoadAsync); in-order cores execute them
-// synchronously.
+// thread waits on (Hierarchy.LoadAsync); a full window first retires its
+// oldest load. In-order cores execute them synchronously.
 func (c *Core) LoadAsyncV(p *sim.Proc, a mem.Addr) *LoadHandle {
 	c.instr(1)
 	lh := &LoadHandle{}
 	if c.cfg.Kind == InOrder {
 		lh.Value = c.H.Load(p, c.Tile, a)
-		lh.F = sim.CompletedFuture(p.Kernel())
 		return lh
 	}
-	for len(c.window) >= c.cfg.MLP {
-		p.Wait(c.window[0])
-		c.window = c.window[1:]
+	if len(c.window) >= c.cfg.MLP {
+		c.retire(p)
 	}
-	lh.F = sim.NewFuture(p.Kernel())
-	c.H.LoadAsync(p, c.Tile, a, &lh.Value, lh.F)
-	c.window = append(c.window, lh.F)
+	f := p.Kernel().GetFuture()
+	c.H.LoadAsync(p, c.Tile, a, &lh.Value, f)
+	c.window = append(c.window, f)
 	return lh
+}
+
+// retire waits for the oldest load in the window, recycles its future
+// and shifts the rest down in place.
+func (c *Core) retire(p *sim.Proc) {
+	f := c.window[0]
+	p.Wait(f)
+	p.Kernel().RecycleFuture(f)
+	n := copy(c.window, c.window[1:])
+	c.window[n] = nil
+	c.window = c.window[:n]
 }
 
 // Drain waits for every outstanding asynchronous load.
 func (c *Core) Drain(p *sim.Proc) {
-	for _, f := range c.window {
-		p.Wait(f)
+	for len(c.window) > 0 {
+		c.retire(p)
 	}
-	c.window = nil
 }
 
 // Store writes the word at a.

@@ -262,84 +262,74 @@ func (h *Hierarchy) unlockHomeLine(la mem.Addr, tok uint64) {
 }
 
 // dirAction performs the directory side of a fetch: invalidations for
-// writes, dirty-owner downgrades for reads. ls3 may be nil when the line
-// bypassed the L3 (its fill was immediately victimized); dirty data
-// merged from private copies is then written to memory and returned so
-// the requester still observes it. Functional changes are immediate;
-// the latency they cost is returned for the caller to sleep.
-func (h *Hierarchy) dirAction(tileID int, la mem.Addr, o accessOpts, ls3 *cache.LineState) (merged *mem.Line, extra sim.Cycle) {
-	home := h.HomeTile(la)
+// writes, dirty-owner downgrades for reads, with dirty data merged into
+// ls3, the home line. Functional changes are immediate; the latency they
+// cost is returned for the caller to sleep.
+func (h *Hierarchy) dirAction(tileID int, la mem.Addr, o accessOpts, ls3 *cache.LineState) (extra sim.Cycle) {
 	e := h.dirOf(la)
 	if o.write {
-		for s := 0; s < h.cfg.Tiles; s++ {
-			if s == tileID || !e.has(s) {
-				continue
-			}
-			data, dirty, present := h.invalidatePrivate(s, la)
-			if present {
-				h.hot.cohInvalidations.Inc()
-				if dirty {
-					site := ""
-					if h.cfg.FreshChecks {
-						site = fmt.Sprintf("dirAction-inval-merge(from=%d)", s)
-					}
-					merged = h.applyDirtyMerge(ls3, la, data, site)
-				}
-				lat := h.Mesh.Transfer(home, s, 8) + h.Mesh.Transfer(s, home, 8)
-				if lat > extra {
-					extra = lat
-				}
-			}
-			e.remove(s)
-		}
-		e.add(tileID)
-		e.owner = tileID
-		if h.cfg.FreshChecks {
-			h.debugLogHome(la, fmt.Sprintf("dirAction-write-grant(req=%d)", tileID), 0)
-		}
+		extra = h.grantOwnership(tileID, la, e, ls3)
 	} else {
 		if e.owner >= 0 && e.owner != tileID {
-			data, dirty := h.downgradeOwner(e.owner, la)
-			if dirty {
-				site := ""
-				if h.cfg.FreshChecks {
-					site = fmt.Sprintf("dirAction-downgrade(owner=%d,req=%d)", e.owner, tileID)
-				}
-				merged = h.applyDirtyMerge(ls3, la, data, site)
+			if data, dirty := h.downgradeOwner(e.owner, la); dirty {
+				h.applyDirtyMerge(ls3, la, data, "downgrade", e.owner)
 			}
 			h.hot.cohDowngrades.Inc()
+			home := h.HomeTile(la)
 			extra = h.Mesh.Transfer(home, e.owner, 8) + h.Mesh.Transfer(e.owner, home, mem.LineSize)
 			e.owner = -1
 		}
 		e.add(tileID)
 	}
 	h.event("dirAction")
-	return merged, extra
+	return extra
 }
 
-// applyDirtyMerge applies dirty data recovered from a private copy to the
-// home line (or memory when the fill bypassed the L3) and returns a copy
-// so the requester still observes the update. site is the pre-formatted
-// freshness-log label ("" when fresh checks are off).
-func (h *Hierarchy) applyDirtyMerge(ls3 *cache.LineState, la mem.Addr, data mem.Line, site string) *mem.Line {
-	if ls3 != nil {
-		ls3.Data = data
-		ls3.Dirty = true
-	} else {
-		h.DRAM.WriteLineNoWait(la, &data)
+// grantOwnership makes tileID the owner of la, whose directory entry is
+// e and whose home line is ls3: it invalidates every other sharer's
+// copy, merges a dirty one into ls3, and returns the slowest recall
+// round trip. A write fetch's directory action and an upgrade both
+// recall this way. (An upgrade never meets a dirty copy: a dirty copy
+// implies its tile owns the line and is its sole sharer.)
+func (h *Hierarchy) grantOwnership(tileID int, la mem.Addr, e *dirEntry, ls3 *cache.LineState) (lat sim.Cycle) {
+	home := h.HomeTile(la)
+	for s := 0; s < h.cfg.Tiles; s++ {
+		if s == tileID || !e.has(s) {
+			continue
+		}
+		if data, dirty, present := h.invalidatePrivate(s, la); present {
+			h.hot.cohInvalidations.Inc()
+			if dirty {
+				h.applyDirtyMerge(ls3, la, data, "recall", s)
+			}
+			if rt := h.Mesh.Transfer(home, s, 8) + h.Mesh.Transfer(s, home, 8); rt > lat {
+				lat = rt
+			}
+		}
+		e.remove(s)
 	}
-	d := data
+	e.add(tileID)
+	e.owner = tileID
 	if h.cfg.FreshChecks {
-		h.debugLogHome(la, site, data.U64(16))
+		h.debugLogHome(la, fmt.Sprintf("grant(%d)", tileID), 0)
 	}
-	return &d
+	return lat
+}
+
+// applyDirtyMerge applies dirty data recovered from tile from's private
+// copy of la to ls3, the home line, and logs it as site for the
+// freshness checks.
+func (h *Hierarchy) applyDirtyMerge(ls3 *cache.LineState, la mem.Addr, data mem.Line, site string, from int) {
+	ls3.Data = data
+	ls3.Dirty = true
+	if h.cfg.FreshChecks {
+		h.debugLogHome(la, fmt.Sprintf("%s-merge(from=%d)", site, from), data.U64(16))
+	}
 }
 
 // completeLock wakes the waiters parked on a released line lock (nil when
-// none materialized) and recycles the future if it came from the pool:
-// every lazily made lock future does, and so does an eviction callback's
-// lock unless a flush collected it (callbackLock), in which case it is a
-// NewFuture that the recycler leaves alone.
+// none materialized) and recycles the future: every lock future, lazily
+// made or an eviction callback's, comes from the kernel's pool.
 func (h *Hierarchy) completeLock(f *sim.Future) {
 	if f == nil {
 		return

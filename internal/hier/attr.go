@@ -146,10 +146,9 @@ func (t *txn) observeDwell(a *txnAttr, now sim.Cycle) {
 	}
 	if t.h.tracer != nil && d > 0 {
 		// The track follows the component running this transaction: the
-		// issuing tile's L2 for access and private-flush txns, the home
-		// bank otherwise.
+		// issuing tile's L2 for accesses, the home bank otherwise.
 		comp := t.h.comp.l2[t.tileID]
-		if t.kind != kindAccess && (t.kind != kindFlushEvict || t.flushBank) {
+		if t.kind != kindAccess {
 			comp = t.h.comp.l3[t.home]
 		}
 		t.h.tracer.EmitSpan(uint64(t.stateEnter), uint64(now), comp, txnSpanNames[t.state], "")

@@ -21,31 +21,30 @@ import (
 // themselves when they need to.
 func (h *Hierarchy) FlushRegion(p *sim.Proc, tileID int, region mem.Region, level Level) {
 	h.emit("flush", "flush.start", region.String())
-	var futs []*sim.Future
 	switch level {
 	case LevelPrivate:
-		h.flushPrivate(p, tileID, region, &futs)
+		h.flushPrivate(p, tileID, region)
 		if region.Phantom {
 			for i, t := range h.tiles {
 				if i != tileID && t.holdsAny(region) {
-					h.flushPrivate(p, i, region, &futs)
+					h.flushPrivate(p, i, region)
 				}
 			}
 		}
 	case LevelShared:
 		for t := 0; t < h.cfg.Tiles; t++ {
-			h.flushBank(p, t, region, &futs)
+			h.flushWalk(p, LevelShared, t, region)
 		}
 	default:
-		h.flushPrivate(p, tileID, region, &futs)
+		h.flushPrivate(p, tileID, region)
 		for t := 0; t < h.cfg.Tiles; t++ {
-			h.flushBank(p, t, region, &futs)
+			h.flushWalk(p, LevelShared, t, region)
 		}
 	}
-	p.WaitAll(futs...)
-	// Callbacks triggered by evictions *before* this flush must also
-	// complete: flushData guarantees no further racing writes from any
-	// callback (§4.4).
+	// Every eviction callback, this flush's and those triggered by
+	// evictions before it, is counted in its tile's cbInflight until it
+	// is done and has released its line: flushData guarantees no further
+	// racing writes from any callback (§4.4).
 	for _, t := range h.tiles {
 		t.cbInflight.Wait(p)
 	}
@@ -54,35 +53,9 @@ func (h *Hierarchy) FlushRegion(p *sim.Proc, tileID int, region mem.Region, leve
 }
 
 // flushPrivate evicts region's lines from one tile's private domain.
-func (h *Hierarchy) flushPrivate(p *sim.Proc, tileID int, region mem.Region, futs *[]*sim.Future) {
+func (h *Hierarchy) flushPrivate(p *sim.Proc, tileID int, region mem.Region) {
 	t := h.tiles[tileID]
-	// Tag-walk cost: the controller checks four tags per cycle.
-	p.Sleep(sim.Cycle(t.l2.NumSets()/4 + 1))
-	for {
-		lines := t.l2.LinesInRegion(region)
-		if len(lines) == 0 {
-			break
-		}
-		progressed := false
-		for _, la := range lines {
-			// Each line is evicted by a kindFlushEvict transaction: one
-			// lock check (a locked line is skipped this pass), extract,
-			// and the eviction pipeline.
-			x := h.getTxn()
-			x.kind = kindFlushEvict
-			x.tileID, x.la = tileID, la
-			x.t = t
-			x.futs = futs
-			h.await(p, x)
-			if x.evicted {
-				progressed = true
-			}
-			h.putTxn(x)
-		}
-		if !progressed {
-			p.Sleep(1)
-		}
-	}
+	h.flushWalk(p, LevelPrivate, tileID, region)
 	// Lines cached above the L2 but inside the region: engine lines
 	// fetched around the L2 (shared-callback path) live only in the
 	// engine L1d, so their dirty data must reach the shared level.
@@ -99,28 +72,41 @@ func (h *Hierarchy) flushPrivate(p *sim.Proc, tileID int, region mem.Region, fut
 	}
 }
 
-// flushBank evicts region's lines from one L3 bank.
-func (h *Hierarchy) flushBank(p *sim.Proc, bankID int, region mem.Region, futs *[]*sim.Future) {
-	hm := h.tiles[bankID]
-	p.Sleep(sim.Cycle(hm.l3.NumSets()/4 + 1))
+// flushWalk evicts region's lines from one tile's L2 (level PRIVATE) or
+// L3 bank (SHARED), each in place through the eviction pipeline. A line
+// whose lock is held (in the tile's pending table or the bank's
+// home-line table) is waited out and retried on a later pass; a pass
+// that evicted nothing waits a cycle before the next.
+func (h *Hierarchy) flushWalk(p *sim.Proc, level Level, tileID int, region mem.Region) {
+	t := h.tiles[tileID]
+	c, locks := t.l2, &t.pending
+	if level == LevelShared {
+		c, locks = t.l3, &t.l3pending
+	}
+	// Tag-walk cost: the controller checks four tags per cycle.
+	p.Sleep(sim.Cycle(c.NumSets()/4 + 1))
 	for {
-		lines := hm.l3.LinesInRegion(region)
+		lines := c.LinesInRegion(region)
 		if len(lines) == 0 {
 			break
 		}
 		progressed := false
 		for _, la := range lines {
-			x := h.getTxn()
-			x.kind = kindFlushEvict
-			x.flushBank = true
-			x.tileID, x.la = bankID, la
-			x.home, x.hm = bankID, hm
-			x.futs = futs
-			h.await(p, x)
-			if x.evicted {
-				progressed = true
+			if f := locks.waitOn(la); f != nil {
+				p.Wait(f)
+				continue
 			}
-			h.putTxn(x)
+			ls, ok := c.ExtractLine(la)
+			if !ok {
+				continue
+			}
+			progressed = true
+			h.hot.flushLines.Inc()
+			if level == LevelShared {
+				h.handleL3Eviction(tileID, la, ls)
+			} else {
+				h.handleL2Eviction(tileID, la, ls)
+			}
 		}
 		if !progressed {
 			p.Sleep(1)

@@ -215,3 +215,107 @@ func TestPrivatePhantomFlushEvictsOtherTilesCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFlushWaitsForEveryCallback: flushData returns only after every
+// eviction callback is done (§4.4), both the flush's own and those the
+// stores before it triggered, at either level. The caches are shrunk so
+// that the stores evict region lines themselves, and each callback takes
+// 500 cycles, so many are still running when the flush starts.
+func TestFlushWaitsForEveryCallback(t *testing.T) {
+	for _, tc := range []struct {
+		level Level
+		lines int // stores, one per line: well beyond the level's room
+	}{
+		{LevelPrivate, 64},
+		{LevelShared, 320},
+	} {
+		t.Run(tc.level.String(), func(t *testing.T) {
+			region := mem.Region{Name: "ph", Base: 0x4000_0000_0000, Size: 1 << 20, Phantom: true}
+			reg := &fakeRegistry{bindings: []Binding{phantomBinding(region, tc.level)}}
+			k := sim.NewKernel()
+			r := &fakeRunner{k: k, delay: 500}
+			h := New(k, ScaledConfig(2, 64), energy.NewMeter(), reg, r)
+			var start, end sim.Cycle
+			k.Go("core", func(p *sim.Proc) {
+				for i := 0; i < tc.lines; i++ {
+					h.Store(p, 0, region.Base+mem.Addr(i*mem.LineSize), uint64(i))
+				}
+				start = p.Now()
+				h.FlushRegion(p, 0, region, tc.level)
+				end = p.Now()
+			})
+			k.Run()
+			before, evictions := 0, 0
+			for _, c := range r.calls {
+				if c.kind == CbMiss {
+					continue
+				}
+				evictions++
+				if c.at < start {
+					before++
+				}
+				if done := c.at + r.delay; done > end {
+					t.Errorf("%v callback for %v started at %d and ended at %d, after the flush returned at %d",
+						c.kind, c.addr, c.at, done, end)
+				}
+			}
+			if before == 0 || before == evictions {
+				t.Fatalf("%d of %d eviction callbacks started before the flush; want some before and some from it", before, evictions)
+			}
+			// Lines the prefetcher fetched past the last store may land
+			// after the flush, as any fill in flight does; the stored
+			// lines may not.
+			for i := 0; i < tc.lines; i++ {
+				a := region.Base + mem.Addr(i*mem.LineSize)
+				for _, tl := range h.tiles {
+					if tl.l2.Contains(a) || tl.l3.Contains(a) {
+						t.Fatalf("tile %d still caches %v after the flush", tl.id, a)
+					}
+				}
+			}
+			if err := h.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestSharedFlushWaitsOutHomeLockedLine: a SHARED flush walk that meets
+// a line whose home line an RMO holds waits for the lock and evicts the
+// line on a later pass, so the RMO's update reaches memory. Evicting it
+// at once would write back the value before the update and leave the
+// RMO committing to a line no longer cached.
+func TestSharedFlushWaitsOutHomeLockedLine(t *testing.T) {
+	k := sim.NewKernel()
+	h := New(k, ScaledConfig(1, 64), energy.NewMeter(), nil, nil)
+	const x = mem.Addr(0x9000)
+	region := mem.Region{Name: "x", Base: x, Size: mem.LineSize}
+	const rmoAt = 300
+	k.Go("rmo", func(p *sim.Proc) {
+		h.Store(p, 0, x, 5)
+		h.FlushRegion(p, 0, region, LevelPrivate) // X is now dirty only in L3
+		if p.Now() >= rmoAt {
+			t.Errorf("setup ran until cycle %d, past the RMO's %d", p.Now(), rmoAt)
+		}
+		p.Sleep(rmoAt - p.Now())
+		h.AtomicAdd(p, 0, x, 7)
+		h.DrainRMOs(p, 0)
+	})
+	k.Go("flush", func(p *sim.Proc) {
+		p.Sleep(rmoAt + 1) // the walk reaches X while the RMO holds its home line
+		h.FlushRegion(p, 0, region, LevelShared)
+	})
+	k.Run()
+	if got := h.DebugReadWord(x); got != 12 {
+		t.Errorf("X reads %d, want 5+7 = 12", got)
+	}
+	if got := h.DRAM.Store().ReadU64(x); got != 12 {
+		t.Errorf("DRAM holds %d for X, want 12", got)
+	}
+	if h.tiles[0].l3.Lookup(x) != nil {
+		t.Error("X is still in L3 after the shared flush")
+	}
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -2,6 +2,7 @@ package hier
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -275,5 +276,25 @@ func TestStrandedRMOIsBlocked(t *testing.T) {
 	k.Run()
 	if b := k.Blocked(); len(b) != 1 || b[0] != "waiting continuations: 1" {
 		t.Fatalf("blocked = %q, want the RMO stranded on the home-line lock", b)
+	}
+}
+
+// TestInvariantsCatchDirTrackedLineMissingFromHome: the hierarchy is
+// inclusive, so CheckInvariants names a directory-tracked line whose
+// home-bank copy is gone.
+func TestInvariantsCatchDirTrackedLineMissingFromHome(t *testing.T) {
+	k, h := newH(2)
+	const x = mem.Addr(0x7040)
+	k.Go("core", func(p *sim.Proc) { h.Load(p, 1, x) })
+	k.Run()
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := h.tiles[h.HomeTile(x)].l3.ExtractLine(x); !ok {
+		t.Fatal("the load left no home copy to extract")
+	}
+	err := h.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), x.String()) || !strings.Contains(err.Error(), "home bank") {
+		t.Fatalf("CheckInvariants = %v, want an error naming %v as missing from its home bank", err, x)
 	}
 }

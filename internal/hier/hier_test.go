@@ -32,6 +32,7 @@ type recordedCall struct {
 	kind CallbackKind
 	addr mem.Addr
 	data mem.Line
+	at   sim.Cycle // when the callback started; it ends delay cycles later
 }
 
 type fakeRunner struct {
@@ -45,7 +46,7 @@ func (r *fakeRunner) Run(tile int, kind CallbackKind, b Binding, addr mem.Addr, 
 	if r.fill != nil {
 		r.fill(kind, addr, line)
 	}
-	r.calls = append(r.calls, recordedCall{tile, kind, addr, *line})
+	r.calls = append(r.calls, recordedCall{tile, kind, addr, *line, r.k.Now()})
 	acc := sim.CompletedFuture(r.k)
 	d := sim.NewFuture(r.k)
 	d.CompleteAt(r.k.Now() + r.delay)

@@ -6,7 +6,6 @@ import (
 	"tako/internal/cache"
 	"tako/internal/energy"
 	"tako/internal/mem"
-	"tako/internal/sim"
 )
 
 // fillMeta describes an incoming line to the insert paths.
@@ -29,8 +28,8 @@ func (m fillMeta) opts() cache.FillOpts {
 // insertL2 installs a line into tile's private L2, handling the evicted
 // victim. It never sleeps (functional effects are immediate; eviction
 // timing runs as kernel continuations, writeback.go), so callers may
-// treat it as atomic. It returns false when every candidate way is
-// locked; callers retry.
+// treat it as atomic. It returns false when the set has no way the line
+// may replace; callers retry.
 func (h *Hierarchy) insertL2(tileID int, a mem.Addr, data *mem.Line, meta fillMeta) bool {
 	t := h.tiles[tileID]
 	opts := meta.opts()
@@ -50,7 +49,7 @@ func (h *Hierarchy) insertL2(tileID int, a mem.Addr, data *mem.Line, meta fillMe
 		return false
 	}
 	if tag, evicted, ok := t.l2.FillAt(a, way, data, opts); ok {
-		h.handleL2Eviction(tileID, tag, evicted, nil)
+		h.handleL2Eviction(tileID, tag, evicted)
 	}
 	h.event("l2.insert")
 	return true
@@ -60,9 +59,8 @@ func (h *Hierarchy) insertL2(tileID int, a mem.Addr, data *mem.Line, meta fillMe
 // ev: back-invalidates L1 copies, triggers Morph callbacks, and writes
 // dirty data back to the shared level. Functional state changes happen
 // immediately; latency and buffer occupancy are charged by kernel
-// continuations (writeback.go). If futs is non-nil, a future completing
-// when the eviction's callback finishes is appended (used by flushData).
-func (h *Hierarchy) handleL2Eviction(tileID int, la mem.Addr, ev cache.LineState, futs *[]*sim.Future) {
+// continuations (writeback.go).
+func (h *Hierarchy) handleL2Eviction(tileID int, la mem.Addr, ev cache.LineState) {
 	t := h.tiles[tileID]
 	// Back-invalidate the tile's L1 copies (inclusion), merging dirty
 	// data into the evicted line.
@@ -72,11 +70,8 @@ func (h *Hierarchy) handleL2Eviction(tileID int, la mem.Addr, ev cache.LineState
 			ev.Dirty = true
 		}
 	}
-	if ev.Morph && h.registry != nil {
-		if b, ok := h.registry.Binding(la); ok {
-			h.morphEvictPrivate(tileID, la, ev, b, futs)
-			return
-		}
+	if ev.Morph && h.morphEvict(LevelPrivate, tileID, la, ev) {
+		return
 	}
 	if ev.Phantom {
 		// A phantom line without a live Morph can only appear if a
@@ -91,14 +86,23 @@ func (h *Hierarchy) handleL2Eviction(tileID int, la mem.Addr, ev cache.LineState
 	}
 }
 
-// morphEvictPrivate runs the eviction/writeback callback for a
-// Morph-registered line leaving a private L2 (Table 1 semantics):
+// morphEvict runs the Morph callback for line la, evicted with state ev
+// from tile's private L2 (level PRIVATE) or from its L3 bank (SHARED),
+// and reports whether a Morph is bound to la. Table 1 semantics:
 // onWriteback for dirty lines, onEviction for clean ones; phantom lines
-// are then discarded, real lines written back (§4.3). The address stays
-// locked (pending) until the callback completes; an evictCB
-// (writeback.go) runs the callback and keeps those books.
-func (h *Hierarchy) morphEvictPrivate(tileID int, la mem.Addr, ev cache.LineState, b Binding, futs *[]*sim.Future) {
-	t := h.tiles[tileID]
+// are then discarded, and a real line's dirty data goes on to the next
+// level, the home bank or DRAM (§4.3). The line's lock is held until
+// the callback completes; an evictCB (writeback.go) runs the callback
+// and keeps those books.
+func (h *Hierarchy) morphEvict(level Level, tileID int, la mem.Addr, ev cache.LineState) bool {
+	if h.registry == nil {
+		return false
+	}
+	b, ok := h.registry.Binding(la)
+	if !ok {
+		return false
+	}
+	shared := level == LevelShared
 	kind := CbEviction
 	has := b.HasEviction
 	if ev.Dirty {
@@ -107,37 +111,46 @@ func (h *Hierarchy) morphEvictPrivate(tileID int, la mem.Addr, ev cache.LineStat
 	// Real-address Morph lines keep load-store semantics: the dirty
 	// data reaches the backing store regardless of the callback.
 	if !b.Phantom && ev.Dirty {
-		h.writebackToShared(tileID, la, ev.Data)
+		if shared {
+			h.DRAM.WriteLineNoWait(la, &ev.Data)
+		} else {
+			h.writebackToShared(tileID, la, ev.Data)
+		}
 	}
 	if !has || h.runner == nil {
 		h.hot.cbSkipped.Inc()
-		return
+		return true
 	}
 	h.hot.cb[kind].Inc()
 	if h.tracer != nil {
-		h.emit(h.comp.l2[tileID], "cb."+kind.String(), la.String())
+		comp := h.comp.l2[tileID]
+		if shared {
+			comp = h.comp.l3[tileID]
+		}
+		h.emit(comp, "cb."+kind.String(), la.String())
 	}
-	lock := h.callbackLock(futs)
-	tok := t.pending.lockWith(la, lock)
+	t := h.tiles[tileID]
 	c := h.getEvictCB()
-	c.tile, c.kind, c.b, c.la = tileID, kind, b, la
-	c.lock, c.tok, c.locked = lock, tok, true
+	c.tile, c.shared, c.kind, c.b, c.la = tileID, shared, kind, b, la
+	c.lock = h.K.GetFuture()
 	c.data = ev.Data
+	// A private eviction takes the line's pending lock at once,
+	// superseding an in-flight fill's. A bank's eviction takes the home
+	// line's lock at once only when it is free: the callback now owns
+	// this line's data, and a fetch re-materializing the line (and
+	// accepting stores) before the writeback callback ran would have its
+	// updates clobbered when the callback finally persisted the older
+	// evicted data. When a home-side operation holds the lock, the evictCB
+	// queues politely behind it.
+	switch {
+	case !shared:
+		c.tok, c.locked = t.pending.lockWith(la, c.lock), true
+	case !t.l3pending.locked(la):
+		c.tok, c.locked = t.l3pending.lockWith(la, c.lock), true
+	}
 	t.cbInflight.Add(1)
 	h.K.AfterTask(0, c)
-}
-
-// callbackLock returns the future an eviction callback's line lock
-// completes when the callback is done. It comes from the kernel's pool,
-// and completeLock recycles it, unless futs collects it for a flush to
-// wait on after it completed: then it is a NewFuture.
-func (h *Hierarchy) callbackLock(futs *[]*sim.Future) *sim.Future {
-	if futs == nil {
-		return h.K.GetFuture()
-	}
-	lock := sim.NewFuture(h.K)
-	*futs = append(*futs, lock)
-	return lock
+	return true
 }
 
 // writebackToShared applies a dirty private line to its home L3 bank (or
@@ -193,7 +206,7 @@ func (h *Hierarchy) insertL3(homeID int, a mem.Addr, data *mem.Line, meta fillMe
 	h.debugLogHome(a.Line(), "insertL3", data.U64(16))
 	if ok {
 		h.debugLogHome(tag, "l3-evict", evicted.Data.U64(16))
-		h.handleL3Eviction(homeID, tag, evicted, nil)
+		h.handleL3Eviction(homeID, tag, evicted)
 	}
 	h.event("l3.insert")
 	return true
@@ -203,7 +216,7 @@ func (h *Hierarchy) insertL3(homeID int, a mem.Addr, data *mem.Line, meta fillMe
 // state ev: back-invalidate all private copies (inclusive hierarchy),
 // run the SHARED Morph callback if registered, write dirty data to
 // memory.
-func (h *Hierarchy) handleL3Eviction(homeID int, la mem.Addr, ev cache.LineState, futs *[]*sim.Future) {
+func (h *Hierarchy) handleL3Eviction(homeID int, la mem.Addr, ev cache.LineState) {
 	if e := h.dir.get(la); e != nil {
 		for s := 0; s < h.cfg.Tiles; s++ {
 			if !e.has(s) {
@@ -226,11 +239,8 @@ func (h *Hierarchy) handleL3Eviction(homeID int, la mem.Addr, ev cache.LineState
 		}
 		h.dir.delete(la)
 	}
-	if ev.Morph && h.registry != nil {
-		if b, ok := h.registry.Binding(la); ok {
-			h.morphEvictShared(homeID, la, ev, b, futs)
-			return
-		}
+	if ev.Morph && h.morphEvict(LevelShared, homeID, la, ev) {
+		return
 	}
 	if ev.Phantom {
 		panic(fmt.Sprintf("hier: phantom line %v in L3 with no Morph bound", la))
@@ -239,42 +249,6 @@ func (h *Hierarchy) handleL3Eviction(homeID int, la mem.Addr, ev cache.LineState
 		h.hot.l3Writebacks.Inc()
 		h.DRAM.WriteLineNoWait(la, &ev.Data) // timing tracked inside DRAM
 	}
-}
-
-// morphEvictShared is the L3 counterpart of morphEvictPrivate.
-func (h *Hierarchy) morphEvictShared(homeID int, la mem.Addr, ev cache.LineState, b Binding, futs *[]*sim.Future) {
-	hm := h.tiles[homeID]
-	kind := CbEviction
-	has := b.HasEviction
-	if ev.Dirty {
-		kind, has = CbWriteback, b.HasWriteback
-	}
-	if !b.Phantom && ev.Dirty {
-		h.DRAM.WriteLineNoWait(la, &ev.Data)
-	}
-	if !has || h.runner == nil {
-		h.hot.cbSkipped.Inc()
-		return
-	}
-	h.hot.cb[kind].Inc()
-	if h.tracer != nil {
-		h.emit(h.comp.l3[homeID], "cb."+kind.String(), la.String())
-	}
-	lock := h.callbackLock(futs)
-	c := h.getEvictCB()
-	c.tile, c.shared, c.kind, c.b, c.la = homeID, true, kind, b, la
-	c.lock = lock
-	c.data = ev.Data
-	// Lock the home line synchronously when it is free, matching
-	// morphEvictPrivate: the callback now owns this line's data, and a
-	// fetch re-materializing the line (and accepting stores) before the
-	// writeback callback ran would have its updates clobbered when the
-	// callback finally persisted the older evicted data.
-	if !hm.l3pending.locked(la) {
-		c.tok, c.locked = hm.l3pending.lockWith(la, lock), true
-	}
-	hm.cbInflight.Add(1)
-	h.K.AfterTask(0, c)
 }
 
 // fillTop installs a line into the core (or engine) L1, merging any
@@ -301,7 +275,7 @@ func (h *Hierarchy) fillTop(tileID int, a mem.Addr, data *mem.Line, meta fillMet
 	opts := cache.FillOpts{Dirty: meta.dirty, Phantom: meta.phantom, EngineFill: engine}
 	way, ok := top.ChooseVictim(a, cache.VictimConstraint{})
 	if !ok {
-		return // pathological: every way locked; line stays in L2 only
+		return // pathological: no way to replace; line stays in L2 only
 	}
 	tag, evicted, ok := top.FillAt(a, way, data, opts)
 	if !ok {

@@ -19,6 +19,10 @@ import (
 //     matching level;
 //   - directory entries are well-formed (owner is a sharer, sharer bits
 //     within range);
+//   - every directory-tracked line is resident in its home bank
+//     (inclusion: a home fill keeps the line it installed until its
+//     transaction is done, and a bank's eviction drops the line's
+//     entry);
 //   - every directory-tracked line cached in a private domain has its
 //     sharer bit set;
 //   - dirty copies exist in at most one private domain, and only in the
@@ -87,9 +91,9 @@ func (h *Hierarchy) checkMorphBits(t *tile) error {
 	return err
 }
 
-// checkDirectory validates directory entries against the actual cache
-// contents of every private domain, including the freshness of clean
-// private copies against the home L3 data.
+// checkDirectory validates directory entries against the home banks and
+// the actual cache contents of every private domain, including the
+// freshness of clean private copies against the home L3 data.
 func (h *Hierarchy) checkDirectory() error {
 	var dirErr error
 	h.dir.forEach(func(la mem.Addr, e *dirEntry) bool {
@@ -102,8 +106,13 @@ func (h *Hierarchy) checkDirectory() error {
 			dirErr = fmt.Errorf("hier: dir %v owner %d not in sharer mask %b", la, e.owner, e.sharers)
 			return false
 		}
-		home := h.tiles[h.HomeTile(la)]
-		ls3 := home.l3.Lookup(la)
+		home := h.HomeTile(la)
+		ls3 := h.tiles[home].l3.Lookup(la)
+		if ls3 == nil {
+			dirErr = fmt.Errorf("hier: dir-tracked line %v (%s) is not in its home bank %d\nhistory: %v",
+				la, h.debugDir(la), home, h.DebugHomeHistory(la))
+			return false
+		}
 		for tid, t := range h.tiles {
 			domainDirty := false
 			for _, c := range t.privateCaches() {
@@ -129,7 +138,7 @@ func (h *Hierarchy) checkDirectory() error {
 				// Freshness: a clean copy in a domain with no dirty
 				// truth of its own must match home (debugcheck.go's
 				// per-access assertion, applied globally).
-				if !domainDirty && ls3 != nil && ls.Data != ls3.Data {
+				if !domainDirty && ls.Data != ls3.Data {
 					dirErr = fmt.Errorf("hier: stale copy of %v in tile %d %s: local=%v home=%v\nhistory: %v",
 						la, tid, c.Config().Name, ls.Data, ls3.Data, h.DebugHomeHistory(la))
 					return false

@@ -10,8 +10,8 @@ import (
 )
 
 // txn is one coherence transaction: a private-domain access, a home-bank
-// fetch, a remote memory operation, a non-temporal store, an ownership
-// upgrade, or a flush eviction. All transaction state that used to live
+// fetch, a remote memory operation, a non-temporal store, or an
+// ownership upgrade. All transaction state that used to live
 // implicitly in locals, futures, and lock tokens spread across the
 // access path is explicit here, and advance() is the only place state
 // changes — each call performs the current state's action and moves to a
@@ -85,7 +85,6 @@ type txn struct {
 	hm        *tile
 	homeTok   uint64
 	ls3       *cache.LineState
-	bypass    bool // home fill immediately victimized: serve without caching
 	tracing   bool
 	spanKind  string
 	homeStart sim.Cycle
@@ -102,11 +101,6 @@ type txn struct {
 	// RMO operands.
 	op  RMOOp
 	val uint64
-
-	// Flush-eviction bookkeeping.
-	flushBank bool // walk an L3 bank instead of the private L2
-	futs      *[]*sim.Future
-	evicted   bool // the flush txn extracted (and processed) its line
 
 	// Latency-attribution clocks (attr.go), meaningful only while
 	// Hierarchy.attr is armed: opStart is the transaction's (for
@@ -378,33 +372,16 @@ func (t *txn) stepStart() {
 		}
 		t.h.Meter.Add(energy.TLBAccess, 1)
 		t.to(txnLookup)
-	case kindFlushEvict:
-		t.to(txnLookup)
 	default:
 		t.to(txnHomeLocked)
 	}
 }
 
-// ---- private side (kindAccess, kindFlushEvict) ----
+// ---- private side (kindAccess) ----
 
 // stepLookup waits out pending-line locks on the requesting tile; it is
-// the universal retry target. A flush eviction does not wait repeatedly:
-// a locked line is skipped this pass and retried by the flush walk.
+// the universal retry target.
 func (t *txn) stepLookup() {
-	if t.kind == kindFlushEvict {
-		var lt *lockTable
-		if t.flushBank {
-			lt = &t.hm.l3pending
-		} else {
-			lt = &t.t.pending
-		}
-		if f := lt.waitOn(t.la); f != nil {
-			t.waitTo(f, txnDone) // the line was locked; the flush walk retries later
-			return
-		}
-		t.to(txnCommit)
-		return
-	}
 	// Respect callback locks and in-flight fills on this line.
 	if t.retryIfLocked() {
 		return
@@ -650,8 +627,8 @@ func (t *txn) stepCbPending() {
 }
 
 // stepFill installs the fetched line into the private caches. Phase 1
-// is the install attempt, retried a cycle later while every candidate
-// L2 way is locked.
+// is the install attempt, retried a cycle later while the L2 set has no
+// way the line may replace.
 func (t *txn) stepFill() {
 	h := t.h
 	if t.phase == 0 {
@@ -792,10 +769,10 @@ func (t *txn) stepHomeLocked() {
 	}
 }
 
-// stepHomeProbe probes the home L3 bank under the lock. On a hit the
-// line is locked before the data-array sleep so a concurrent insert
-// cannot victimize it mid-access. Phase 1 follows the tag array, phase 2
-// a hit's data array.
+// stepHomeProbe probes the home L3 bank under the lock, which also keeps
+// a concurrent insert from victimizing a hit mid-access (insertL3's Busy
+// constraint). Phase 1 follows the tag array, phase 2 a hit's data
+// array.
 func (t *txn) stepHomeProbe() {
 	h := t.h
 	switch t.phase {
@@ -820,7 +797,6 @@ func (t *txn) stepHomeProbe() {
 		} else {
 			h.hot.l3Hits.Inc()
 		}
-		t.ls3.Locked = true
 		t.phase = 2
 		t.sleep(h.cfg.L3DataLat)
 	default:
@@ -870,20 +846,17 @@ func (t *txn) stepHomeFetch() {
 }
 
 // stepHomeFill installs the fetched line into the home bank, retrying a
-// cycle later while every candidate way is locked or busy. If the fill
-// is immediately victimized under extreme pressure, the line is served
-// (or updated) without caching — the bypass flag routes the directory
-// action and commit around the missing L3 copy. The home line stays
-// locked throughout so no other writer can race the in-flight data.
+// cycle later while every candidate way is busy. The installed line stays
+// until the transaction ends: the victim's eviction touches only private
+// caches, the directory, lock tables and DRAM, and the home-line lock,
+// held throughout, keeps later inserts from victimizing the line
+// (insertL3's Busy constraint) and other writers from racing its data.
 func (t *txn) stepHomeFill() {
 	if !t.h.insertL3(t.home, t.a, &t.data, t.meta) {
 		t.sleep(1)
 		return
 	}
 	t.ls3 = t.hm.l3.Lookup(t.a)
-	if t.ls3 == nil {
-		t.bypass = true
-	}
 	t.to(txnDirAction)
 }
 
@@ -896,42 +869,13 @@ func (t *txn) stepDirAction() {
 	h := t.h
 	switch t.kind {
 	case kindHomeFetch:
-		var extra sim.Cycle
-		if t.bypass {
-			var merged *mem.Line
-			if merged, extra = h.dirAction(t.tileID, t.la, t.o, nil); merged != nil {
-				t.data = *merged
-			}
-		} else {
-			t.ls3.Locked = true
-			_, extra = h.dirAction(t.tileID, t.la, t.o, t.ls3)
-		}
-		if extra > 0 {
+		if extra := h.dirAction(t.tileID, t.la, t.o, t.ls3); extra > 0 {
 			t.sleepTo(extra, txnRespond)
 			return
 		}
 		t.to(txnRespond)
 
 	case kindRMO:
-		if t.bypass {
-			// Fill immediately victimized under extreme pressure:
-			// invalidate any private copies (merging dirty data); the
-			// commit applies the update straight to memory.
-			if e := h.dir.get(t.la); e != nil {
-				for s := 0; s < h.cfg.Tiles; s++ {
-					if e.has(s) {
-						if data, dirty, _ := h.invalidatePrivate(s, t.la); dirty {
-							t.data = data
-						}
-						e.remove(s)
-					}
-				}
-				h.dir.delete(t.la)
-			}
-			t.to(txnCommit)
-			return
-		}
-		t.ls3.Locked = true
 		// Invalidate stale private copies so the home copy is
 		// authoritative.
 		if e := h.dir.get(t.la); e != nil {
@@ -988,36 +932,7 @@ func (t *txn) stepUpgradeDir() {
 		return
 	}
 	h.hot.cohUpgrades.Inc()
-	for s := 0; s < h.cfg.Tiles; s++ {
-		if s == t.tileID || !e.has(s) {
-			continue
-		}
-		data, dirty, present := h.invalidatePrivate(s, t.la)
-		if !present {
-			e.remove(s)
-			continue
-		}
-		h.hot.cohInvalidations.Inc()
-		if dirty {
-			if ls3 := t.hm.l3.Lookup(t.la); ls3 != nil {
-				ls3.Data = data
-				ls3.Dirty = true
-				if h.cfg.FreshChecks {
-					h.debugLogHome(t.la, fmt.Sprintf("upgrade-merge(from=%d)", s), data.U64(16))
-				}
-			}
-		}
-		lat := h.Mesh.Transfer(t.home, s, 8) + h.Mesh.Transfer(s, t.home, 8)
-		if lat > t.maxLat {
-			t.maxLat = lat
-		}
-		e.remove(s)
-	}
-	e.add(t.tileID)
-	e.owner = t.tileID
-	if h.cfg.FreshChecks {
-		h.debugLogHome(t.la, fmt.Sprintf("upgrade-grant(%d)", t.tileID), 0)
-	}
+	t.maxLat = h.grantOwnership(t.tileID, t.la, e, t.hm.l3.Lookup(t.la))
 	h.debugCheckFresh(t.tileID, t.la, "upgrade")
 	h.event("upgrade")
 	t.to(txnRespond)
@@ -1033,15 +948,10 @@ func (t *txn) stepRespond() {
 	switch t.kind {
 	case kindHomeFetch:
 		if t.phase == 0 {
-			if !t.bypass {
-				t.data = t.ls3.Data
-			}
+			t.data = t.ls3.Data
 			t.phase = 1
 			t.sleep(h.Mesh.Transfer(t.home, t.tileID, mem.LineSize))
 			return
-		}
-		if !t.bypass {
-			t.ls3.Locked = false
 		}
 		t.to(txnUnlock)
 	case kindNTStore:
@@ -1088,17 +998,6 @@ func (t *txn) stepCommit() {
 
 	case kindRMO:
 		off := t.a.Offset() &^ 7
-		if t.bypass {
-			old := t.data.U64(off)
-			t.data.SetU64(off, t.op.apply(old, t.val))
-			h.DRAM.WriteLineNoWait(t.la, &t.data)
-			if h.obs != nil {
-				h.obs.RMOCommitted(t.tileID, t.a, t.op, t.val, old, t.op.apply(old, t.val))
-			}
-			h.event("rmo.bypass")
-			t.to(txnUnlock)
-			return
-		}
 		old := t.ls3.Data.U64(off)
 		t.ls3.Data.SetU64(off, t.op.apply(old, t.val))
 		t.ls3.Dirty = true
@@ -1125,27 +1024,6 @@ func (t *txn) stepCommit() {
 		h.event("nt.store")
 		h.hot.ntStores.Inc()
 		t.to(txnRespond)
-
-	case kindFlushEvict:
-		var c *cache.Cache
-		if t.flushBank {
-			c = t.hm.l3
-		} else {
-			c = t.t.l2
-		}
-		ls, ok := c.ExtractLine(t.la)
-		if !ok {
-			t.to(txnDone)
-			return
-		}
-		t.evicted = true
-		h.hot.flushLines.Inc()
-		if t.flushBank {
-			h.handleL3Eviction(t.home, t.la, ls, t.futs)
-		} else {
-			h.handleL2Eviction(t.tileID, t.la, ls, t.futs)
-		}
-		t.to(txnDone)
 	}
 }
 
@@ -1153,9 +1031,6 @@ func (t *txn) stepCommit() {
 // and closes out the home-side trace span.
 func (t *txn) stepUnlock() {
 	h := t.h
-	if t.kind == kindRMO && !t.bypass {
-		t.ls3.Locked = false
-	}
 	h.unlockHomeLine(t.la, t.homeTok)
 	if t.tracing {
 		// One span per home-bank service on the bank's track: request

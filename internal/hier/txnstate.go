@@ -2,14 +2,14 @@ package hier
 
 // Transaction lifecycle states. Every coherence-relevant operation on
 // the access path — demand/prefetch/engine accesses, home-bank fetch
-// service, remote memory operations, non-temporal stores, ownership
-// upgrades, and flush evictions — runs as a txn stepping through these
-// states under a single transition function (txn.advance). The legal
-// transitions per transaction kind are enumerated in txnLegal below;
-// txn.to asserts every transition against that table, so an interleaving
-// that drives the machine somewhere unexpected fails loudly instead of
-// silently corrupting coherence state. docs/coherence.md renders the
-// same table as the state diagram.
+// service, remote memory operations, non-temporal stores, and ownership
+// upgrades — runs as a txn stepping through these states under a single
+// transition function (txn.advance). The legal transitions per
+// transaction kind are enumerated in txnLegal below; txn.to asserts
+// every transition against that table, so an interleaving that drives
+// the machine somewhere unexpected fails loudly instead of silently
+// corrupting coherence state. docs/coherence.md renders the same table
+// as the state diagram.
 type txnState uint8
 
 // Lifecycle states. Private-side states (Lookup..Validate) run on the
@@ -29,7 +29,7 @@ const (
 	txnHomeLocked                 // acquire the home-bank line lock (incl. request transfer)
 	txnHomeProbe                  // L3 tag (and data) probe under the home lock
 	txnHomeFetch                  // materialize the line: DRAM read and/or SHARED Morph fill
-	txnHomeFill                   // insertL3 + re-lookup (detects immediate victimization)
+	txnHomeFill                   // insertL3 (retried while every candidate way is busy)
 	txnDirAction                  // directory work: invalidations, downgrades, supersede, upgrade
 	txnRespond                    // response/transfer latency back to the requester
 	txnCommit                     // apply the architectural effect and finalize the result
@@ -59,18 +59,17 @@ type txnKind uint8
 
 // Transaction kinds.
 const (
-	kindAccess     txnKind = iota // core/engine/prefetch private-domain access
-	kindHomeFetch                 // home-bank service of a private miss
-	kindRMO                       // remote memory operation at the home bank
-	kindNTStore                   // non-temporal full-line store (supersede)
-	kindUpgrade                   // write-permission upgrade through the directory
-	kindFlushEvict                // one line evicted by a flush walk
+	kindAccess    txnKind = iota // core/engine/prefetch private-domain access
+	kindHomeFetch                // home-bank service of a private miss
+	kindRMO                      // remote memory operation at the home bank
+	kindNTStore                  // non-temporal full-line store (supersede)
+	kindUpgrade                  // write-permission upgrade through the directory
 
-	nTxnKinds = int(kindFlushEvict) + 1
+	nTxnKinds = int(kindUpgrade) + 1
 )
 
 var txnKindNames = [nTxnKinds]string{
-	"access", "home-fetch", "rmo", "nt-store", "upgrade", "flush-evict",
+	"access", "home-fetch", "rmo", "nt-store", "upgrade",
 }
 
 func (k txnKind) String() string {
@@ -128,7 +127,7 @@ var txnLegal = func() [nTxnKinds][nTxnStates]stateMask {
 
 	// Remote memory operation: same home-side shape, but the directory
 	// action drops every private copy and the commit applies the
-	// operator at the home copy (or memory, when the fill bypassed).
+	// operator at the home copy.
 	r := &t[kindRMO]
 	r[txnIdle] = maskOf(txnHomeLocked)
 	r[txnHomeLocked] = maskOf(txnHomeProbe)
@@ -159,14 +158,6 @@ var txnLegal = func() [nTxnKinds][nTxnStates]stateMask {
 	u[txnDirAction] = maskOf(txnRespond, txnUnlock)
 	u[txnRespond] = maskOf(txnUnlock)
 	u[txnUnlock] = maskOf(txnDone)
-
-	// Flush eviction of one line: a single lock check (a locked line is
-	// skipped this pass and retried by the flush walk), then extraction
-	// and the eviction pipeline.
-	e := &t[kindFlushEvict]
-	e[txnIdle] = maskOf(txnLookup)
-	e[txnLookup] = maskOf(txnCommit, txnDone)
-	e[txnCommit] = maskOf(txnDone)
 
 	return t
 }()

@@ -58,11 +58,13 @@ func (w *wbTiming) Resume() {
 }
 
 // evictCB runs a Morph's onEviction or onWriteback callback for a line
-// leaving a private L2 (morphEvictPrivate) or an L3 bank
-// (morphEvictShared), and keeps its books: a writeback-buffer entry until
-// the engine accepts the callback, and the line's lock (pending, or the
-// home line's for an L3 bank) until it finishes. The evicted line lives
-// in data, which the callback reads through its engine, until then.
+// leaving a private L2 or an L3 bank (morphEvict), and keeps its books:
+// a writeback-buffer entry until the engine accepts the callback, the
+// line's lock (pending, or the home line's for an L3 bank) until it
+// finishes, and its place in the tile's cbInflight count, which
+// flushData waits on, until it has released that lock. The evicted line
+// lives in data, which the callback reads through its engine, until
+// then.
 type evictCB struct {
 	h      *Hierarchy
 	tile   int  // the private L2's tile, or the L3 bank's
@@ -70,9 +72,8 @@ type evictCB struct {
 	kind   CallbackKind
 	b      Binding
 	la     mem.Addr
-	// lock completes when the callback is done. It is pooled, and
-	// completeLock recycles it, unless a flush collected it to wait on
-	// later (flushData).
+	// lock completes when the callback is done; it is pooled, and
+	// completeLock recycles it.
 	lock   *sim.Future
 	tok    uint64
 	locked bool // the line's lock is held; an L3 eviction may have found it busy

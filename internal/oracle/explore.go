@@ -166,7 +166,7 @@ func Scenarios() []scenario {
 		}
 		ss = append(ss, scenario{
 			name:  "shared-evict-lock",
-			race:  "morphEvictShared extracted the victim before locking its home line",
+			race:  "an L3 Morph eviction (morphEvict) extracted the victim before locking its home line",
 			tiles: 2, scale: 256, ops: script(ops...),
 		})
 	}

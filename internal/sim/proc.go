@@ -301,10 +301,3 @@ func (f *Future) When() Cycle { return f.when }
 func CompletedFuture(k *Kernel) *Future {
 	return &Future{k: k, done: true, when: k.now}
 }
-
-// WaitAll blocks the process until every future in fs is complete.
-func (p *Proc) WaitAll(fs ...*Future) {
-	for _, f := range fs {
-		p.Wait(f)
-	}
-}

@@ -266,22 +266,6 @@ func TestBlockedReportsDeadlock(t *testing.T) {
 	}
 }
 
-func TestWaitAll(t *testing.T) {
-	k := NewKernel()
-	f1, f2 := NewFuture(k), NewFuture(k)
-	f1.CompleteAt(10)
-	f2.CompleteAt(30)
-	var end Cycle
-	k.Go("w", func(p *Proc) {
-		p.WaitAll(f1, f2)
-		end = p.Now()
-	})
-	k.Run()
-	if end != 30 {
-		t.Fatalf("WaitAll finished at %d, want 30", end)
-	}
-}
-
 // Property: for any batch of (delay, id) pairs, the kernel executes them
 // sorted by (time, insertion order).
 func TestQuickEventOrdering(t *testing.T) {
