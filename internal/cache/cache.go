@@ -1,18 +1,22 @@
 // Package cache models set-associative cache arrays: tags, data,
 // replacement state and Morph registration bits. Timing, the protocol
 // between levels and the line locks that keep a line in use from being
-// victimized live in internal/hier, which names such lines to victim
-// selection through VictimConstraint.Busy; this package is the
-// functional array plus replacement policy.
+// victimized live in internal/hier; this package is the functional
+// array plus replacement policy.
+//
+// A line enters an array through one call, Insert, which picks the
+// victim, evicts it and installs the line. Its VictimConstraint is hard
+// in Busy (the lines hier's locks name are never victims) and advisory
+// in CallbackFree and Avoid, which Insert relaxes when no way qualifies.
 //
 // täkō-specific pieces (paper §5.2):
 //   - one tag bit per line records whether a Morph is registered for the
 //     line at this cache level;
 //   - the trrîp replacement policy inserts engine-issued fills at distant
 //     re-reference priority to avoid cache pollution from callbacks;
-//   - victim selection can be restricted to callback-free lines, and
-//     inserts maintain the invariant that every set keeps at least one
-//     line that can be evicted without triggering a callback (deadlock
+//   - victim selection prefers callback-free lines when asked, and Insert
+//     maintains the invariant that every set keeps at least one line
+//     that can be evicted without triggering a callback (deadlock
 //     avoidance).
 package cache
 
@@ -206,35 +210,23 @@ func (c *Cache) Touch(a mem.Addr) {
 	c.cfg.Policy.OnHit(set, i)
 }
 
-// VictimConstraint restricts victim selection.
+// VictimConstraint restricts Insert's victim. Busy is hard: Insert
+// never evicts a line it names. CallbackFree and Avoid are advisory:
+// Insert relaxes them when no way qualifies under them.
 type VictimConstraint struct {
-	// CallbackFree requires a victim whose eviction triggers no
+	// CallbackFree asks for a victim whose eviction triggers no
 	// callback (no Morph bit). Used when callback resources are
 	// saturated (§5.2 deadlock avoidance).
 	CallbackFree bool
-	// Avoid excludes lines software asked to protect — the
-	// onReplacement extension (§4.5): Morphs may bias the eviction
-	// policy for their lines. Callers fall back to unconstrained
-	// selection when every candidate is avoided.
+	// Avoid names lines software asked to protect — the onReplacement
+	// extension (§4.5): Morphs may bias the eviction policy for their
+	// lines.
 	Avoid func(tag mem.Addr) bool
 	// Busy excludes lines with an in-flight transaction the cache array
-	// cannot see (a held home-line lock). Unlike Avoid it is a hard
-	// correctness constraint, never relaxed: victimizing a line mid
+	// cannot see (a held home-line lock): victimizing a line mid
 	// transaction lets its eviction snapshot race the transaction's
 	// update.
 	Busy func(tag mem.Addr) bool
-}
-
-// ChooseVictim picks a victim way in a's set for an incoming fill.
-// Invalid ways are preferred. It returns ok=false if every candidate is
-// excluded (all busy, or no callback-free line under the constraint —
-// the insert invariant makes the latter impossible for CallbackFree).
-func (c *Cache) ChooseVictim(a mem.Addr, constraint VictimConstraint) (way int, ok bool) {
-	s := c.SetIndex(a)
-	if w := c.freeWay(s); w >= 0 {
-		return w, true
-	}
-	return c.pickVictim(s, constraint, false)
 }
 
 // freeWay returns the first invalid way of set s, or -1 when the set is
@@ -252,15 +244,15 @@ func (c *Cache) freeWay(s int) int {
 }
 
 // pickVictim asks the policy for a victim among set s's ways that
-// constraint allows (and, with morphOnly, that hold a Morph); ok=false
-// when no way is allowed.
-func (c *Cache) pickVictim(s int, constraint VictimConstraint, morphOnly bool) (way int, ok bool) {
+// constraint allows (and, with morphOnly, that hold a Morph); -1 when no
+// way is allowed.
+func (c *Cache) pickVictim(s int, constraint VictimConstraint, morphOnly bool) int {
 	c.vcBase, c.vcConstraint, c.vcMorphOnly = s*c.ways, constraint, morphOnly
-	way = c.cfg.Policy.Victim(c.set(s), c.allowedFn)
+	way := c.cfg.Policy.Victim(c.set(s), c.allowedFn)
 	// Unbind the scratch so pooled state never pins a caller's Avoid hook
 	// or outlives the call.
 	c.vcConstraint, c.vcMorphOnly = VictimConstraint{}, false
-	return way, way >= 0
+	return way
 }
 
 // FillOpts describes an incoming line.
@@ -285,25 +277,56 @@ func (c *Cache) evictWay(s, way int) (tag mem.Addr, old LineState, ok bool) {
 	return mem.Addr(w &^ validBit), old, true
 }
 
-// FillAt installs a line for address a into the given way (previously
-// chosen by ChooseVictim and already drained by the caller). It returns
-// the tag and state of the line it evicted, with ok=false if the way was
-// empty.
+// Insert installs a line for address a, which the cache must not hold,
+// into a's set. It returns the tag and state of the line it evicted,
+// with evicted=false when it filled an invalid way, and ok=false, with
+// no line evicted or installed, when no way may be replaced.
 //
-// FillAt maintains the deadlock-avoidance invariant: if installing a
-// Morph line would leave no callback-free line in the set, it refuses
-// and the caller must evict a Morph line first (see Insert, which handles
-// this automatically).
-func (c *Cache) FillAt(a mem.Addr, way int, data *mem.Line, opts FillOpts) (tag mem.Addr, evicted LineState, ok bool) {
+// The victim is the set's first invalid way, else the policy's pick
+// among the ways vc allows. A Morph fill keeps the set's last
+// callback-free line (§5.2): when the pick is that line, a Morph line is
+// victimized instead, and Avoid is dropped when it protects every Morph
+// line. When nothing qualifies, Insert retries once under vc.Busy alone.
+func (c *Cache) Insert(a mem.Addr, data *mem.Line, opts FillOpts, vc VictimConstraint) (tag mem.Addr, old LineState, evicted, ok bool) {
 	s := c.SetIndex(a)
+	way := c.victim(s, opts, vc)
+	if way < 0 {
+		way = c.victim(s, opts, VictimConstraint{Busy: vc.Busy})
+	}
+	if way < 0 {
+		return 0, LineState{}, false, false
+	}
 	la := a.Line()
-	tag, evicted, ok = c.evictWay(s, way)
+	tag, old, evicted = c.evictWay(s, way)
 	if w := c.find(s, la); w >= 0 {
 		panic(fmt.Sprintf("cache %s: duplicate fill of line %v (already in way %d)",
 			c.cfg.Name, la, w))
 	}
 	c.install(s, way, la, data, opts)
-	return tag, evicted, ok
+	return tag, old, evicted, true
+}
+
+// victim picks the way of set s that a fill with opts replaces under
+// vc, or -1 when none qualifies.
+func (c *Cache) victim(s int, opts FillOpts, vc VictimConstraint) int {
+	way := c.freeWay(s)
+	if way < 0 {
+		if way = c.pickVictim(s, vc, false); way < 0 {
+			return -1
+		}
+	}
+	if !opts.Morph || c.keepsCallbackFree(s, way) {
+		return way
+	}
+	// A Morph line must go instead, and its eviction runs a callback.
+	if vc.CallbackFree {
+		return -1
+	}
+	if way = c.pickVictim(s, vc, true); way < 0 && vc.Avoid != nil {
+		vc.Avoid = nil
+		return c.victim(s, opts, vc)
+	}
+	return way
 }
 
 // Seed installs a clean line into an invalid way of a's set: warm-state
@@ -347,49 +370,16 @@ func (c *Cache) install(s, way int, la mem.Addr, data *mem.Line, opts FillOpts) 
 	c.cfg.Policy.OnInsert(set, way, opts.EngineFill)
 }
 
-// CanInsertMorph reports whether inserting a Morph line into a's set,
-// evicting victimWay, preserves the per-set invariant of ≥1 callback-free
-// line (counting invalid lines as callback-free).
-func (c *Cache) CanInsertMorph(a mem.Addr, victimWay int) bool {
-	set := c.set(c.SetIndex(a))
+// keepsCallbackFree reports whether set s keeps a callback-free line
+// (an invalid way counts) when a Morph line replaces way.
+func (c *Cache) keepsCallbackFree(s, way int) bool {
+	set := c.set(s)
 	for i := range set {
-		if i == victimWay {
-			continue // being replaced by the Morph line
-		}
-		if !set[i].Morph { // an invalid way carries no flag
+		if i != way && !set[i].Morph { // an invalid way carries no flag
 			return true
 		}
 	}
 	return false
-}
-
-// ChooseVictimForInsert picks a victim for a fill with the given options,
-// honoring both the caller's constraint and the Morph-insert invariant:
-// when the new line carries a Morph and only one callback-free line
-// remains, a Morph line is victimized instead so the set always retains
-// an evictable, callback-free line (§5.2).
-func (c *Cache) ChooseVictimForInsert(a mem.Addr, opts FillOpts, constraint VictimConstraint) (way int, ok bool) {
-	way, ok = c.ChooseVictim(a, constraint)
-	if !ok {
-		return -1, false
-	}
-	if opts.Morph && !c.CanInsertMorph(a, way) {
-		// Must evict a Morph line instead. This victim triggers a
-		// callback, so it is incompatible with CallbackFree.
-		if constraint.CallbackFree {
-			return -1, false
-		}
-		way, ok = c.pickVictim(c.SetIndex(a), constraint, true)
-		if !ok && constraint.Avoid != nil {
-			// All Morph candidates are protected: the hint is
-			// advisory, so retry without it.
-			relaxed := constraint
-			relaxed.Avoid = nil
-			return c.ChooseVictimForInsert(a, opts, relaxed)
-		}
-		return way, ok
-	}
-	return way, ok
 }
 
 // ExtractLine invalidates a's line and returns its state (for flushes and

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -20,8 +21,8 @@ func addrFor(set, i int) mem.Addr {
 	return mem.Addr(uint64(set)*64 + uint64(i)*2*64)
 }
 
-// evicted is what a fill displaced: FillAt's tag, state and ok in one
-// value.
+// evicted is what a fill displaced: Insert's tag, state and evicted
+// flag in one value.
 type evicted struct {
 	Tag   mem.Addr
 	Valid bool
@@ -29,12 +30,11 @@ type evicted struct {
 }
 
 func fill(c *Cache, a mem.Addr, opts FillOpts) evicted {
-	way, ok := c.ChooseVictimForInsert(a, opts, VictimConstraint{})
+	tag, ls, ev, ok := c.Insert(a, nil, opts, VictimConstraint{})
 	if !ok {
 		panic("no victim")
 	}
-	tag, ls, ok := c.FillAt(a, way, nil, opts)
-	return evicted{tag, ok, ls}
+	return evicted{tag, ev, ls}
 }
 
 // TestLineStateSize pins LineState at 80 bytes: a field added or moved so
@@ -73,11 +73,11 @@ func TestLookupMissHitAndData(t *testing.T) {
 	}
 	var data mem.Line
 	data.SetWord(0, 99)
-	way, ok := c.ChooseVictimForInsert(a, FillOpts{}, VictimConstraint{})
+	_, _, ev, ok := c.Insert(a, &data, FillOpts{}, VictimConstraint{})
 	if !ok {
 		t.Fatal("no victim in empty set")
 	}
-	if _, _, ok := c.FillAt(a, way, &data, FillOpts{}); ok {
+	if ev {
 		t.Fatal("eviction from empty way")
 	}
 	l := c.Lookup(a + 8) // any addr within the line
@@ -156,11 +156,11 @@ func TestLockedLinesNotVictimized(t *testing.T) {
 	}
 	// Way 0 is the LRU line but locked.
 	locked := VictimConstraint{Busy: func(tag mem.Addr) bool { return tag == addrFor(0, 0) }}
-	way, ok := c.ChooseVictimForInsert(addrFor(0, 4), FillOpts{}, locked)
+	tag, _, _, ok := c.Insert(addrFor(0, 4), nil, FillOpts{}, locked)
 	if !ok {
 		t.Fatal("no victim beside the one locked line")
 	}
-	if tag, _, _ := c.FillAt(addrFor(0, 4), way, nil, FillOpts{}); tag == addrFor(0, 0) {
+	if tag == addrFor(0, 0) {
 		t.Fatal("evicted a locked line")
 	}
 	if c.Lookup(addrFor(0, 0)) == nil {
@@ -174,8 +174,11 @@ func TestAllLockedNoVictim(t *testing.T) {
 		fill(c, addrFor(0, i), FillOpts{})
 	}
 	all := VictimConstraint{Busy: func(mem.Addr) bool { return true }}
-	if _, ok := c.ChooseVictim(addrFor(0, 9), all); ok {
+	if _, _, _, ok := c.Insert(addrFor(0, 9), nil, FillOpts{}, all); ok {
 		t.Fatal("found victim among all-locked set")
+	}
+	if c.Contains(addrFor(0, 9)) {
+		t.Fatal("refused fill installed its line")
 	}
 }
 
@@ -185,12 +188,11 @@ func TestCallbackFreeConstraint(t *testing.T) {
 	fill(c, addrFor(0, 1), FillOpts{Morph: true})
 	fill(c, addrFor(0, 2), FillOpts{Morph: true})
 	fill(c, addrFor(0, 3), FillOpts{}) // the callback-free line
-	way, ok := c.ChooseVictim(addrFor(0, 4), VictimConstraint{CallbackFree: true})
+	got, _, _, ok := c.Insert(addrFor(0, 4), nil, FillOpts{}, VictimConstraint{CallbackFree: true})
 	if !ok {
 		t.Fatal("no callback-free victim found")
 	}
-	set := c.SetIndex(addrFor(0, 4))
-	if got := mem.Addr(c.setTags(set)[way] &^ validBit); got != addrFor(0, 3) {
+	if got != addrFor(0, 3) {
 		t.Fatalf("callback-free victim = %v, want %v", got, addrFor(0, 3))
 	}
 }
@@ -210,11 +212,66 @@ func TestMorphInsertInvariant(t *testing.T) {
 	if err := c.CheckMorphInvariant(); err != nil {
 		t.Fatal(err)
 	}
-	// And a Morph insert under CallbackFree constraint in that state
-	// is refused rather than violating the invariant.
-	if _, ok := c.ChooseVictimForInsert(addrFor(0, 5), FillOpts{Morph: true},
-		VictimConstraint{CallbackFree: true}); ok {
-		t.Fatal("morph insert with CallbackFree should have been refused")
+	// A Morph insert under CallbackFree in that state must still evict
+	// a Morph line: CallbackFree is advisory, the invariant is not.
+	_, old, out, ok := c.Insert(addrFor(0, 5), nil, FillOpts{Morph: true}, VictimConstraint{CallbackFree: true})
+	if !ok || !out || !old.Morph {
+		t.Fatalf("Morph insert under CallbackFree evicted %+v (evicted %v, ok %v), want a Morph line", old, out, ok)
+	}
+	if err := c.CheckMorphInvariant(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInsertRelaxesOnlyAdvisoryConstraints: Insert relaxes Avoid and
+// CallbackFree when no way qualifies under them, but never Busy.
+func TestInsertRelaxesOnlyAdvisoryConstraints(t *testing.T) {
+	all := func(mem.Addr) bool { return true }
+	full := func(morph ...bool) *Cache {
+		c := tiny(NewLRU())
+		for i, m := range morph {
+			fill(c, addrFor(0, i), FillOpts{Morph: m})
+		}
+		return c
+	}
+
+	// Avoid protects every way: the fill evicts the policy's pick.
+	c := full(false, false, false, false)
+	if tag, _, ev, ok := c.Insert(addrFor(0, 4), nil, FillOpts{}, VictimConstraint{Avoid: all}); !ok || !ev || tag != addrFor(0, 0) {
+		t.Fatalf("fill with every way avoided evicted %v (evicted %v, ok %v), want the LRU line %v", tag, ev, ok, addrFor(0, 0))
+	}
+
+	// CallbackFree leaves only the last callback-free line, which a Morph
+	// fill must keep: a Morph line goes.
+	c = full(false, true, true, true)
+	_, old, ev, ok := c.Insert(addrFor(0, 4), nil, FillOpts{Morph: true}, VictimConstraint{CallbackFree: true})
+	if !ok || !ev || !old.Morph {
+		t.Fatalf("Morph fill under CallbackFree evicted %+v (evicted %v, ok %v), want a Morph line", old, ev, ok)
+	}
+	if err := c.CheckMorphInvariant(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Every way busy: no fill, and the set is as it was.
+	c = full(false, true, false, true)
+	lines, tags := slices.Clone(c.set(0)), slices.Clone(c.setTags(0))
+	if _, _, _, ok := c.Insert(addrFor(0, 4), nil, FillOpts{Morph: true},
+		VictimConstraint{CallbackFree: true, Avoid: all, Busy: all}); ok {
+		t.Fatal("fill into an all-busy set succeeded")
+	}
+	if !slices.Equal(lines, c.set(0)) || !slices.Equal(tags, c.setTags(0)) {
+		t.Fatal("refused fill changed the set")
+	}
+
+	// The retry drops Avoid but keeps Busy: the LRU line is busy, so the
+	// next-oldest goes.
+	c = full(false, false, false, false)
+	busy := func(tag mem.Addr) bool { return tag == addrFor(0, 0) }
+	if tag, _, ev, ok := c.Insert(addrFor(0, 4), nil, FillOpts{}, VictimConstraint{Avoid: all, Busy: busy}); !ok || !ev || tag != addrFor(0, 1) {
+		t.Fatalf("fill evicted %v (evicted %v, ok %v), want %v beside the busy LRU line", tag, ev, ok, addrFor(0, 1))
+	}
+	if !c.Contains(addrFor(0, 0)) {
+		t.Fatal("busy line evicted")
 	}
 }
 
@@ -222,19 +279,23 @@ func TestMorphInsertInvariant(t *testing.T) {
 // evict a Morph line, so its set keeps its last callback-free line,
 // chooses that victim without allocating.
 func TestMorphInsertEvictingMorphAllocs(t *testing.T) {
-	// The plain line is the oldest, so LRU first picks it; it is the
-	// set's last callback-free line, so a Morph line must go instead.
+	// The plain line is the oldest, so LRU first picks it on every fill;
+	// it is the set's last callback-free line, so the oldest Morph line
+	// must go instead.
 	c := tiny(NewLRU())
 	fill(c, addrFor(0, 0), FillOpts{})
 	fill(c, addrFor(0, 1), FillOpts{Morph: true})
 	fill(c, addrFor(0, 2), FillOpts{Morph: true})
 	fill(c, addrFor(0, 3), FillOpts{Morph: true})
 	constraint := VictimConstraint{Busy: func(mem.Addr) bool { return false }}
+	next := 4
 	allocs := testing.AllocsPerRun(100, func() {
-		way, ok := c.ChooseVictimForInsert(addrFor(0, 4), FillOpts{Morph: true}, constraint)
-		if !ok || way != 1 {
-			t.Fatalf("victim way %d (ok %v), want the oldest Morph line, way 1", way, ok)
+		want := addrFor(0, next-3)
+		tag, old, ev, ok := c.Insert(addrFor(0, next), nil, FillOpts{Morph: true}, constraint)
+		if !ok || !ev || tag != want || !old.Morph {
+			t.Fatalf("fill %d evicted %v (evicted %v, ok %v), want the oldest Morph line %v", next, tag, ev, ok, want)
 		}
+		next++
 	})
 	if allocs != 0 {
 		t.Errorf("%v allocs per Morph-evicting victim choice, want 0", allocs)
@@ -257,11 +318,9 @@ func TestQuickMorphInvariantPreserved(t *testing.T) {
 				EngineFill: rng.Intn(4) == 0,
 				Dirty:      rng.Intn(2) == 0,
 			}
-			way, ok := c.ChooseVictimForInsert(a, opts, VictimConstraint{})
-			if !ok {
+			if _, _, _, ok := c.Insert(a, nil, opts, VictimConstraint{}); !ok {
 				return false
 			}
-			c.FillAt(a, way, nil, opts)
 			if err := c.CheckMorphInvariant(); err != nil {
 				return false
 			}

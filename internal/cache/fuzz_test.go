@@ -43,7 +43,7 @@ func FuzzCacheOps(f *testing.F) {
 			switch op % 7 {
 			case 0: // insert
 				if c.Lookup(a) != nil {
-					break // FillAt rejects duplicate tags by design
+					break // Insert rejects duplicate tags by design
 				}
 				opts := FillOpts{
 					Dirty:      flags&1 != 0,
@@ -52,15 +52,14 @@ func FuzzCacheOps(f *testing.F) {
 					EngineFill: flags&8 != 0,
 				}
 				constraint := VictimConstraint{CallbackFree: flags&16 != 0, Busy: isBusy}
-				way, ok := c.ChooseVictimForInsert(a, opts, constraint)
+				var line mem.Line
+				line.SetWord(0, stamp+1)
+				tag, evicted, out, ok := c.Insert(a, &line, opts, constraint)
 				if !ok {
 					break
 				}
 				stamp++
-				var line mem.Line
-				line.SetWord(0, stamp)
-				tag, evicted, ok := c.FillAt(a, way, &line, opts)
-				if ok {
+				if out {
 					want, tracked := model[tag]
 					if !tracked {
 						t.Fatalf("step %d: evicted untracked line %v", i, tag)

@@ -77,17 +77,14 @@ func TestCallbackFreeVictimUnderMorphPressure(t *testing.T) {
 			continue
 		}
 		opts := FillOpts{Morph: true, Phantom: i%2 == 0, Dirty: i%3 == 0, EngineFill: i%5 == 0}
-		way, ok := c.ChooseVictimForInsert(a, opts, VictimConstraint{})
-		if !ok {
+		if _, _, _, ok := c.Insert(a, nil, opts, VictimConstraint{}); !ok {
 			t.Fatalf("insert %d: no victim for a Morph fill", i)
 		}
-		c.FillAt(a, way, nil, opts)
 		if err := c.CheckMorphInvariant(); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 		for s := 0; s < sets; s++ {
-			probe := mem.Addr(uint64(s) * mem.LineSize)
-			if _, ok := c.ChooseVictim(probe, VictimConstraint{CallbackFree: true}); !ok {
+			if c.freeWay(s) < 0 && c.pickVictim(s, VictimConstraint{CallbackFree: true}, false) < 0 {
 				t.Fatalf("insert %d: set %d lost its callback-free victim", i, s)
 			}
 		}
@@ -146,7 +143,7 @@ func TestVictimMatchesPredicateFirstReference(t *testing.T) {
 			busy, avoid := map[mem.Addr]bool{}, map[mem.Addr]bool{}
 			for w := 0; w < ways; w++ {
 				a := mem.Addr(2 * w * mem.LineSize) // set 0
-				c.FillAt(a, w, nil, FillOpts{Morph: rng.Intn(3) == 0})
+				c.install(0, w, a, nil, FillOpts{Morph: rng.Intn(3) == 0})
 				l := &c.set(0)[w]
 				l.RRPV, l.LRU = uint8(rng.Intn(rrpvMax+1)), uint64(rng.Intn(2*ways))
 				busy[a], avoid[a] = rng.Intn(4) == 0, rng.Intn(4) == 0
@@ -172,12 +169,12 @@ func TestVictimMatchesPredicateFirstReference(t *testing.T) {
 			asked := make([]int, ways)
 			inner := c.allowedFn
 			c.allowedFn = func(i int) bool { asked[i]++; return inner(i) }
-			got, ok := c.pickVictim(0, constraint, morphOnly)
+			got := c.pickVictim(0, constraint, morphOnly)
 			c.allowedFn = inner
 
-			if got != want || ok != (want >= 0) {
-				t.Fatalf("%s trial %d: victim %d (ok %v), reference %d\nset %+v\nallowed %v",
-					p.Name(), trial, got, ok, want, before, allowed)
+			if got != want {
+				t.Fatalf("%s trial %d: victim %d, reference %d\nset %+v\nallowed %v",
+					p.Name(), trial, got, want, before, allowed)
 			}
 			for i := range ref {
 				if c.set(0)[i].RRPV != ref[i].RRPV {

@@ -42,12 +42,9 @@ type DRAM struct {
 	nvm      []mem.Region
 
 	// Stats.
-	Reads, Writes  uint64
-	PerCtrl        []uint64
-	phase          string
-	PhaseAccesses  map[string]uint64
-	StallCycles    sim.Cycle // total cycles requests waited for a free controller
-	persistedLines map[mem.Addr]struct{}
+	Reads, Writes uint64
+	phase         string
+	PhaseAccesses map[string]uint64
 
 	// Observability (AttachMetrics/AttachTracer; all handles nil-safe).
 	mReads, mWrites *stats.Counter
@@ -64,14 +61,12 @@ func New(k *sim.Kernel, cfg Config, store *mem.Memory, meter *energy.Meter) *DRA
 		panic("dram: need at least one controller")
 	}
 	return &DRAM{
-		k:              k,
-		cfg:            cfg,
-		store:          store,
-		meter:          meter,
-		nextFree:       make([]sim.Cycle, cfg.Controllers),
-		PerCtrl:        make([]uint64, cfg.Controllers),
-		PhaseAccesses:  make(map[string]uint64),
-		persistedLines: make(map[mem.Addr]struct{}),
+		k:             k,
+		cfg:           cfg,
+		store:         store,
+		meter:         meter,
+		nextFree:      make([]sim.Cycle, cfg.Controllers),
+		PhaseAccesses: make(map[string]uint64),
 	}
 }
 
@@ -152,7 +147,6 @@ func (d *DRAM) occupy(ctrl int) sim.Cycle {
 	d.sampleDepth(now)
 	start := now
 	if d.nextFree[ctrl] > start {
-		d.StallCycles += d.nextFree[ctrl] - start
 		start = d.nextFree[ctrl]
 	}
 	d.mQueueWait.Observe(start - now)
@@ -161,20 +155,21 @@ func (d *DRAM) occupy(ctrl int) sim.Cycle {
 }
 
 // transfer runs one line transfer through a's controller, emitting its
-// span (request arrival through transfer completion) when traced.
-func (d *DRAM) transfer(a mem.Addr, kind string) sim.Cycle {
+// span (request arrival through transfer completion) when traced, and
+// returns a pooled future that completes when the transfer does.
+func (d *DRAM) transfer(a mem.Addr, kind string) *sim.Future {
 	ctrl := d.ControllerFor(a)
 	now := d.k.Now()
 	done := d.occupy(ctrl)
 	if d.tracer != nil && d.compCtrl != nil {
 		d.tracer.EmitSpan(now, done, d.compCtrl[ctrl], kind, a.Line().String())
 	}
-	return done
+	f := d.k.GetFuture()
+	f.CompleteAt(done)
+	return f
 }
 
 func (d *DRAM) account(a mem.Addr, write bool) {
-	ctrl := d.ControllerFor(a)
-	d.PerCtrl[ctrl]++
 	if d.phase != "" {
 		d.PhaseAccesses[d.phase]++
 	}
@@ -187,68 +182,32 @@ func (d *DRAM) account(a mem.Addr, write bool) {
 }
 
 // ReadLine fetches the line containing a: the data is copied into dst
-// immediately (the simulator serializes conflicting accesses above this
+// at once (the simulator serializes conflicting accesses above this
 // layer), and the returned future completes when the transfer finishes.
+//
+// The future comes from the kernel's pool and returns to it when its
+// completion event fires, so a steady stream of transfers allocates
+// nothing here: a caller waits on it at once or drops it, and keeps no
+// reference past the wake.
 func (d *DRAM) ReadLine(a mem.Addr, dst *mem.Line) *sim.Future {
 	d.Reads++
 	d.mReads.Inc()
 	d.account(a, false)
 	d.store.PeekLine(a, dst)
-	f := sim.NewFuture(d.k)
-	f.CompleteAt(d.transfer(a, "dram.read"))
-	return f
+	return d.transfer(a, "dram.read")
 }
 
-// ReadLinePooled is ReadLine for callers that wait on the transfer at
-// once and keep no reference to its future past the wake. The future
-// comes from the kernel's pool (and returns to it when its event fires),
-// so a steady stream of misses allocates nothing here.
-func (d *DRAM) ReadLinePooled(a mem.Addr, dst *mem.Line) *sim.Future {
-	d.Reads++
-	d.mReads.Inc()
-	d.account(a, false)
-	d.store.PeekLine(a, dst)
-	f := d.k.GetFuture()
-	f.CompleteAt(d.transfer(a, "dram.read"))
-	return f
-}
-
-// WriteLineNoWait is WriteLine for fire-and-forget writebacks: identical
-// functional and timing behavior (the completion event still holds the
-// simulation open until the transfer drains), but the internal future is
-// pooled rather than returned.
-func (d *DRAM) WriteLineNoWait(a mem.Addr, src *mem.Line) {
-	d.Writes++
-	d.mWrites.Inc()
-	d.account(a, true)
-	d.store.WriteLine(a, src)
-	if d.IsNVM(a) {
-		d.persistedLines[a.Line()] = struct{}{}
-	}
-	f := d.k.GetFuture()
-	f.CompleteAt(d.transfer(a, "dram.write"))
-}
-
-// WriteLine writes the line containing a. Data is applied immediately;
-// the future completes when the controller finishes the transfer.
+// WriteLine writes the line containing a: the data is applied at once,
+// and the returned future, pooled as ReadLine's is, completes when the
+// controller finishes the transfer. A writeback no thread waits on
+// drops it; its completion event still holds the simulation open until
+// the transfer drains.
 func (d *DRAM) WriteLine(a mem.Addr, src *mem.Line) *sim.Future {
 	d.Writes++
 	d.mWrites.Inc()
 	d.account(a, true)
 	d.store.WriteLine(a, src)
-	if d.IsNVM(a) {
-		d.persistedLines[a.Line()] = struct{}{}
-	}
-	f := sim.NewFuture(d.k)
-	f.CompleteAt(d.transfer(a, "dram.write"))
-	return f
-}
-
-// Persisted reports whether the line containing a has ever been written
-// to NVM, used by the transactions study to check durability invariants.
-func (d *DRAM) Persisted(a mem.Addr) bool {
-	_, ok := d.persistedLines[a.Line()]
-	return ok
+	return d.transfer(a, "dram.write")
 }
 
 // Accesses returns total line transfers (reads + writes).

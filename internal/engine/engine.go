@@ -40,8 +40,8 @@ type Config struct {
 
 	// InOrderCore replaces the fabric with an in-order scalar core
 	// (the alternative evaluated in Fig 22): no SIMD (line-wide ops
-	// pay per-element), higher per-instruction cost, and memory-level
-	// parallelism collapses (async loads execute synchronously).
+	// pay per-element) and a higher per-instruction cost. Every engine
+	// memory access is synchronous on either engine.
 	InOrderCore bool
 	// Ideal removes all compute cost and concurrency limits; callback
 	// latency is memory latency and data dependencies only (§7).
@@ -454,9 +454,9 @@ func (c *callback) finish() {
 // occupancy also serializes through the shared fabric pipeline, so
 // concurrent callbacks contend for issue bandwidth.
 //
-// In-order core: no SIMD (ops multiply by SIMDWidth) and CPI > 1; the
-// handler's memory ops were already serialized because async loads
-// degrade to synchronous ones (see Ctx.LoadLineAsync).
+// In-order core: no SIMD (ops multiply by SIMDWidth) and CPI > 1. The
+// handler's memory ops need no serializing here: every one of them
+// blocked the callback while it ran.
 func (e *Engines) computeTime(t *engTile, cost CallbackCost, extraOps int) (sim.Cycle, bool) {
 	instrs := cost.Instrs + extraOps
 	if e.cfg.Ideal || instrs == 0 {

@@ -278,36 +278,3 @@ func TestCtxMemoryOpsThroughHierarchy(t *testing.T) {
 	_ = k
 	_ = e
 }
-
-func TestAsyncLoadsOverlap(t *testing.T) {
-	// A callback fetching 4 distinct DRAM lines asynchronously should
-	// be much faster than fetching them synchronously.
-	mkSpec := func(async bool) Spec {
-		return Spec{
-			Cost: CallbackCost{Instrs: 4, CritPath: 2},
-			Fn: func(ctx *Ctx) {
-				if async {
-					for i := 0; i < 4; i++ {
-						ctx.LoadLineAsync(mem.Addr(0x10000 + i*64))
-					}
-					ctx.Drain()
-				} else {
-					for i := 0; i < 4; i++ {
-						ctx.LoadLine(mem.Addr(0x10000 + i*64))
-					}
-				}
-			},
-		}
-	}
-	run := func(async bool) sim.Cycle {
-		k, e := setup(DefaultConfig(), mkSpec(async))
-		var line mem.Line
-		_, done := e.Run(0, hier.CbMiss, binding(), 0x1000, &line)
-		k.Run()
-		return done.When()
-	}
-	a, s := run(true), run(false)
-	if a >= s {
-		t.Fatalf("async (%d) not faster than sync (%d)", a, s)
-	}
-}

@@ -12,9 +12,10 @@ import (
 // they run at the L3 bank. Fills issued here are marked engine fills so
 // trrîp inserts them at distant re-reference priority (§5.2).
 //
-// Every engine access translates through the engine's rTLB for timing,
-// in its transaction's Idle state as a core access uses the dTLB; the
-// rTLB's reach only needs to cover cached data (§6).
+// Every engine access blocks the callback that issued it until its
+// transaction is done, and translates through the engine's rTLB for
+// timing, in the transaction's Idle state as a core access uses the
+// dTLB; the rTLB's reach only needs to cover cached data (§6).
 
 func (h *Hierarchy) engineOpts(cbLevel Level, write bool) accessOpts {
 	return accessOpts{
@@ -64,17 +65,6 @@ func (h *Hierarchy) EngineStoreLine(p *sim.Proc, tileID int, a mem.Addr, data *m
 		h.obs.EngineAccess(tileID, a, true)
 	}
 	h.event("engine.store")
-}
-
-// EngineLoadLineAsync issues a non-blocking engine line fetch, completing
-// f when the line is resident. Dataflow engines use this to expose
-// memory-level parallelism within a callback (§5.3). No thread waits on
-// it: its kindAccess transaction starts in this cycle and ends in
-// txn.complete.
-func (h *Hierarchy) EngineLoadLineAsync(tileID int, a mem.Addr, cbLevel Level, f *sim.Future) {
-	x := h.newAccess(tileID, a, h.engineOpts(cbLevel, false))
-	x.done = f
-	h.K.AfterTask(0, x)
 }
 
 // EngineRMWWord performs a commutative read-modify-write with operator

@@ -76,40 +76,6 @@ func TestEngineStoreLineAndRMW(t *testing.T) {
 	k.Run()
 }
 
-// TestEngineLoadLineAsyncOrdering issues two async fetches in the same
-// cycle — one for a line already resident in the engine L1d, one that
-// must come from DRAM — and checks both that every future completes and
-// that the resident line's future completes strictly earlier (the async
-// path exposes real memory-level parallelism rather than serializing on
-// issue order).
-func TestEngineLoadLineAsyncOrdering(t *testing.T) {
-	k, h := newH(2)
-	h.DRAM.Store().WriteU64(0x5000, 1)
-	h.DRAM.Store().WriteU64(0x6000, 2)
-	var hitDone, missDone sim.Cycle
-	k.Go("engine", func(p *sim.Proc) {
-		// Warm 0x5000 into the engine L1d.
-		h.EngineLoadLine(p, 0, 0x5000, LevelShared)
-		fHit := sim.NewFuture(k)
-		fMiss := sim.NewFuture(k)
-		// Issue the cold fetch first: completion order must follow
-		// residency, not issue order.
-		h.EngineLoadLineAsync(0, 0x6000, LevelShared, fMiss)
-		h.EngineLoadLineAsync(0, 0x5000, LevelShared, fHit)
-		p.Wait(fHit)
-		hitDone = p.Now()
-		p.Wait(fMiss)
-		missDone = p.Now()
-	})
-	k.Run()
-	if hitDone == 0 || missDone == 0 {
-		t.Fatal("async load futures never completed")
-	}
-	if hitDone >= missDone {
-		t.Fatalf("resident-line async load completed at %d, after the DRAM fetch at %d", hitDone, missDone)
-	}
-}
-
 // TestEnginePersistLine checks the §8.3 persistence contract: the write
 // is visible through the cache AND reaches the backing (NV)DRAM before
 // the call returns, with the write accounted to the persistence domain.

@@ -115,24 +115,35 @@ func (h *Hierarchy) flushWalk(p *sim.Proc, level Level, tileID int, region mem.R
 }
 
 // InvalidateRegion drops region's lines from every cache without
-// callbacks or writebacks; used when registering a Morph over existing
-// data so stale copies cannot bypass the new semantics (§4.1: "when a
-// Morph is registered or unregistered, its address range is flushed").
-// Dirty lines are written back to memory first to preserve their data.
+// callbacks; used when registering a Morph over existing data so stale
+// copies cannot bypass the new semantics (§4.1: "when a Morph is
+// registered or unregistered, its address range is flushed"). Dirty data
+// reaches memory first, the newest copy of each line: every tile's
+// newest private copy goes into the line's home-bank copy (or to memory
+// when the bank holds none), and then each bank's dirty lines go to
+// memory.
 func (h *Hierarchy) InvalidateRegion(p *sim.Proc, region mem.Region) {
-	for _, t := range h.tiles {
+	for i, t := range h.tiles {
 		for _, c := range t.privateCaches() {
 			for _, la := range c.LinesInRegion(region) {
-				if ls, ok := c.ExtractLine(la); ok && ls.Dirty {
-					h.DRAM.WriteLineNoWait(la, &ls.Data)
+				data, dirty, _ := h.invalidatePrivate(i, la)
+				if !dirty {
+					continue
+				}
+				if ls3 := h.tiles[h.HomeTile(la)].l3.Lookup(la); ls3 != nil {
+					ls3.Data, ls3.Dirty = data, true
+				} else {
+					h.DRAM.WriteLine(la, &data)
 				}
 			}
 		}
+	}
+	for _, t := range h.tiles {
 		for _, la := range t.l3.LinesInRegion(region) {
 			if ls, ok := t.l3.ExtractLine(la); ok {
 				h.dir.delete(la)
 				if ls.Dirty {
-					h.DRAM.WriteLineNoWait(la, &ls.Data)
+					h.DRAM.WriteLine(la, &ls.Data)
 				}
 			}
 		}

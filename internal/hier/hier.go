@@ -14,8 +14,8 @@
 // Store, ...) from sim.Procs, and each access runs as a coherence
 // transaction (txn.go), a chain of kernel continuations that translates
 // the address in its first state and that the thread blocks on once.
-// Asynchronous loads (LoadAsync, EngineLoadLineAsync), remote memory
-// operations and prefetches are transactions that no thread waits on.
+// Asynchronous core loads (LoadAsync), remote memory operations and
+// prefetches are transactions that no thread waits on.
 // Latency is charged with sleeps and queueing (MSHRs, writeback buffers,
 // DRAM bandwidth); functional state changes apply atomically between
 // sleeps so data results are exact while timing is cycle-accounted.

@@ -112,6 +112,76 @@ func TestInvalidateRegionDropsAndPreserves(t *testing.T) {
 	}
 }
 
+// TestInvalidateRegionKeepsNewestCopy: a line dirty in a private cache
+// and, with older data, in its home bank or in the same tile's L2 ends
+// in memory with the newest data, and no cache holds it.
+func TestInvalidateRegionKeepsNewestCopy(t *testing.T) {
+	cases := []struct {
+		name  string
+		tiles int
+		write func(p *sim.Proc, h *Hierarchy, x mem.Addr) uint64
+	}{
+		// Store 1, flush the private copy into the home bank (dirty
+		// there), store 2: the private copy is newer than the bank's.
+		{"home-bank", 1, func(p *sim.Proc, h *Hierarchy, x mem.Addr) uint64 {
+			h.Store(p, 0, x, 1)
+			h.FlushRegion(p, 0, mem.Region{Name: "x", Base: x, Size: mem.LineSize}, LevelPrivate)
+			h.Store(p, 0, x, 2)
+			return 2
+		}},
+		{"home-bank-2-tiles", 2, func(p *sim.Proc, h *Hierarchy, x mem.Addr) uint64 {
+			h.Store(p, 0, x, 1)
+			h.FlushRegion(p, 0, mem.Region{Name: "x", Base: x, Size: mem.LineSize}, LevelPrivate)
+			h.Store(p, 0, x, 2)
+			return 2
+		}},
+		// Store 1, evict the L1 copy into the L2 (dirty there) with
+		// loads that conflict in its L1 set, store 3: the L1 copy is
+		// newer than the L2's.
+		{"l2", 1, func(p *sim.Proc, h *Hierarchy, x mem.Addr) uint64 {
+			h.Store(p, 0, x, 1)
+			stride := mem.Addr(h.tiles[0].l1.NumSets() * mem.LineSize)
+			for i := mem.Addr(1); i <= 16; i++ {
+				h.Load(p, 0, x+i*stride)
+			}
+			if ls := h.tiles[0].l2.Lookup(x); ls == nil || !ls.Dirty || h.tiles[0].l1.Contains(x) {
+				t.Errorf("conflicting loads left x's L1 copy or no dirty L2 copy")
+			}
+			h.Store(p, 0, x, 3)
+			return 3
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k, h := newH(tc.tiles)
+			x := mem.Addr(0x10000)
+			for h.HomeTile(x) != 0 {
+				x += mem.LineSize
+			}
+			var want uint64
+			k.Go("core", func(p *sim.Proc) {
+				want = tc.write(p, h, x)
+				h.InvalidateRegion(p, mem.Region{Name: "r", Base: x, Size: mem.LineSize})
+			})
+			k.Run()
+			if got := h.DRAM.Store().ReadU64(x); got != want {
+				t.Errorf("DRAM holds %d, want the newest store, %d", got, want)
+			}
+			for i, tl := range h.tiles {
+				pc := tl.privateCaches()
+				for _, c := range append(pc[:], tl.l3) {
+					if c.Contains(x) {
+						t.Errorf("tile %d's %s still holds the line", i, c.Config().Name)
+					}
+				}
+			}
+			if err := h.CheckInvariants(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
 func TestHomeTileInterleaving(t *testing.T) {
 	_, h := newH(4)
 	seen := map[int]bool{}

@@ -8,48 +8,27 @@ import (
 	"tako/internal/mem"
 )
 
-// fillMeta describes an incoming line to the insert paths.
-type fillMeta struct {
-	morph   bool // Morph registered at the receiving level
-	phantom bool
-	engine  bool // engine-issued fill (trrîp demotion)
-	dirty   bool
-}
-
-func (m fillMeta) opts() cache.FillOpts {
-	return cache.FillOpts{
-		Dirty:      m.dirty,
-		Morph:      m.morph,
-		Phantom:    m.phantom,
-		EngineFill: m.engine,
-	}
-}
-
 // insertL2 installs a line into tile's private L2, handling the evicted
 // victim. It never sleeps (functional effects are immediate; eviction
 // timing runs as kernel continuations, writeback.go), so callers may
 // treat it as atomic. It returns false when the set has no way the line
 // may replace; callers retry.
-func (h *Hierarchy) insertL2(tileID int, a mem.Addr, data *mem.Line, meta fillMeta) bool {
+func (h *Hierarchy) insertL2(tileID int, a mem.Addr, data *mem.Line, opts cache.FillOpts) bool {
 	t := h.tiles[tileID]
-	opts := meta.opts()
 	// When writeback-buffer entries are exhausted, evicting a Morph
-	// line would stall on callback resources; prefer a callback-free
-	// victim instead (§5.2 deadlock avoidance). Software replacement
-	// hints (the onReplacement extension) are honored when possible.
-	constraint := cache.VictimConstraint{
+	// line would stall on callback resources, so a callback-free victim
+	// is preferred (§5.2 deadlock avoidance), as are lines no software
+	// replacement hint protects (the onReplacement extension); Insert
+	// relaxes both when no way qualifies.
+	tag, old, evicted, ok := t.l2.Insert(a, data, opts, cache.VictimConstraint{
 		CallbackFree: t.wbbuf.Saturated(),
 		Avoid:        h.protectedFn,
-	}
-	way, ok := t.l2.ChooseVictimForInsert(a, opts, constraint)
-	if !ok {
-		way, ok = t.l2.ChooseVictimForInsert(a, opts, cache.VictimConstraint{})
-	}
+	})
 	if !ok {
 		return false
 	}
-	if tag, evicted, ok := t.l2.FillAt(a, way, data, opts); ok {
-		h.handleL2Eviction(tileID, tag, evicted)
+	if evicted {
+		h.handleL2Eviction(tileID, tag, old)
 	}
 	h.event("l2.insert")
 	return true
@@ -112,7 +91,7 @@ func (h *Hierarchy) morphEvict(level Level, tileID int, la mem.Addr, ev cache.Li
 	// data reaches the backing store regardless of the callback.
 	if !b.Phantom && ev.Dirty {
 		if shared {
-			h.DRAM.WriteLineNoWait(la, &ev.Data)
+			h.DRAM.WriteLine(la, &ev.Data)
 		} else {
 			h.writebackToShared(tileID, la, ev.Data)
 		}
@@ -167,7 +146,7 @@ func (h *Hierarchy) writebackToShared(tileID int, la mem.Addr, data mem.Line) {
 			h.debugLogHome(la, fmt.Sprintf("writebackToShared(from=%d)", tileID), data.U64(16))
 		}
 	} else {
-		h.DRAM.WriteLineNoWait(la, &data)
+		h.DRAM.WriteLine(la, &data)
 	}
 	if e := h.dir.get(la); e != nil && e.owner == tileID {
 		e.owner = -1
@@ -183,30 +162,24 @@ func (h *Hierarchy) writebackToShared(tileID int, la mem.Addr, data mem.Line) {
 
 // insertL3 installs a line into its home bank (tile homeID), handling
 // the victim: back-invalidation of private copies, Morph callbacks at
-// the home engine, and DRAM writeback. It never blocks.
-func (h *Hierarchy) insertL3(homeID int, a mem.Addr, data *mem.Line, meta fillMeta) bool {
+// the home engine, and DRAM writeback. It never blocks. A line whose
+// home-line lock is held is never the victim (Busy), so it returns false
+// when every way is locked; the filling transaction retries after a
+// cycle.
+func (h *Hierarchy) insertL3(homeID int, a mem.Addr, data *mem.Line, opts cache.FillOpts) bool {
 	hm := h.tiles[homeID]
-	opts := meta.opts()
-	constraint := cache.VictimConstraint{
+	tag, old, evicted, ok := hm.l3.Insert(a, data, opts, cache.VictimConstraint{
 		CallbackFree: hm.wbbuf.Saturated(),
 		Avoid:        h.protectedFn,
 		Busy:         hm.l3Busy,
-	}
-	way, ok := hm.l3.ChooseVictimForInsert(a, opts, constraint)
-	if !ok {
-		// Retry without the advisory protection hint; Busy is a hard
-		// constraint and stays. Failing outright is safe — the filling
-		// transaction retries after a cycle.
-		way, ok = hm.l3.ChooseVictimForInsert(a, opts, cache.VictimConstraint{Busy: hm.l3Busy})
-	}
+	})
 	if !ok {
 		return false
 	}
-	tag, evicted, ok := hm.l3.FillAt(a, way, data, opts)
 	h.debugLogHome(a.Line(), "insertL3", data.U64(16))
-	if ok {
-		h.debugLogHome(tag, "l3-evict", evicted.Data.U64(16))
-		h.handleL3Eviction(homeID, tag, evicted)
+	if evicted {
+		h.debugLogHome(tag, "l3-evict", old.Data.U64(16))
+		h.handleL3Eviction(homeID, tag, old)
 	}
 	h.event("l3.insert")
 	return true
@@ -247,18 +220,20 @@ func (h *Hierarchy) handleL3Eviction(homeID int, la mem.Addr, ev cache.LineState
 	}
 	if ev.Dirty {
 		h.hot.l3Writebacks.Inc()
-		h.DRAM.WriteLineNoWait(la, &ev.Data) // timing tracked inside DRAM
+		h.DRAM.WriteLine(la, &ev.Data) // timing tracked inside DRAM
 	}
 }
 
-// fillTop installs a line into the core (or engine) L1, merging any
-// evicted dirty victim into the L2 (inclusion guarantees the L2 holds
-// it, except for engine lines fetched around the L2, which write back to
-// the shared level).
-func (h *Hierarchy) fillTop(tileID int, a mem.Addr, data *mem.Line, meta fillMeta, engine bool) {
+// fillTop installs a line into the core L1d, or the engine's for an
+// engine fill (opts.EngineFill), merging any evicted dirty victim into
+// the L2 (inclusion guarantees the L2 holds it, except for engine lines
+// fetched around the L2, which write back to the shared level). Morphs
+// never register at an L1d, so the line carries no Morph bit, and an
+// unconstrained insert of such a line always finds a way.
+func (h *Hierarchy) fillTop(tileID int, a mem.Addr, data *mem.Line, opts cache.FillOpts) {
 	t := h.tiles[tileID]
 	top := t.l1
-	if engine {
+	if opts.EngineFill {
 		top = t.el1
 	}
 	// A racing access on this tile may have installed the line while
@@ -268,27 +243,23 @@ func (h *Hierarchy) fillTop(tileID int, a mem.Addr, data *mem.Line, meta fillMet
 	if ls := top.Lookup(a); ls != nil {
 		if !ls.Dirty {
 			ls.Data = *data
-			ls.Dirty = meta.dirty
+			ls.Dirty = opts.Dirty
 		}
 		return
 	}
-	opts := cache.FillOpts{Dirty: meta.dirty, Phantom: meta.phantom, EngineFill: engine}
-	way, ok := top.ChooseVictim(a, cache.VictimConstraint{})
-	if !ok {
-		return // pathological: no way to replace; line stays in L2 only
-	}
-	tag, evicted, ok := top.FillAt(a, way, data, opts)
-	if !ok {
+	opts.Morph = false
+	tag, old, evicted, _ := top.Insert(a, data, opts, cache.VictimConstraint{})
+	if !evicted {
 		return
 	}
-	if evicted.Dirty {
+	if old.Dirty {
 		if ls2 := t.l2.Lookup(tag); ls2 != nil {
-			ls2.Data = evicted.Data
+			ls2.Data = old.Data
 			ls2.Dirty = true
 		} else {
 			// Engine line fetched around the L2 (shared-callback
 			// path): write back to the shared level directly.
-			h.writebackToShared(tileID, tag, evicted.Data)
+			h.writebackToShared(tileID, tag, old.Data)
 		}
 	} else {
 		h.removeSharerIfNoCopies(tileID, tag)

@@ -30,7 +30,7 @@ import (
 // (complete), and while the thread is blocked, each step that is the
 // next due event runs on the thread itself, as sim runs a blocked
 // proc's own events. Prefetches, asynchronous RMOs and asynchronous
-// loads have no thread waiting.
+// core loads have no thread waiting.
 //
 // Transactions are pooled on the Hierarchy (getTxn/putTxn) so the
 // per-access hot path stays allocation-free; a private access that
@@ -62,7 +62,7 @@ type txn struct {
 	usedMSHR   bool
 	haveLock   bool
 	lockTok    uint64
-	meta       fillMeta
+	meta       cache.FillOpts
 	viaHome    bool
 	cb         Binding // the line's Morph binding, held from Fetch or HomeFetch to the callback
 	fetchStart sim.Cycle
@@ -70,8 +70,8 @@ type txn struct {
 	// The onMiss callback's futures (Runner.Run), recycled when it ends.
 	cbAccepted, cbDone *sim.Future
 
-	// An asynchronous load's word destination (core loads only) and the
-	// future its commit completes.
+	// An asynchronous core load's word destination and the future its
+	// commit completes.
 	dst  *uint64
 	done *sim.Future
 
@@ -197,7 +197,7 @@ func (t *txn) Issuer() *sim.Proc {
 // nested transaction resumes its parent there, unless it finished within
 // nest, which then carries on itself; an awaited one resumes its proc,
 // which recycles it. Hardware no thread waits on frees its resources;
-// an asynchronous load commits, as Load and the engine port commit.
+// an asynchronous core load commits, as Load commits.
 // Nothing touches t after the resume.
 func (t *txn) complete() {
 	switch w := t.waiter.(type) {
@@ -217,15 +217,9 @@ func (t *txn) complete() {
 		case t.o.prefetch:
 			h.putTxn(t)
 			tl.prefetchInflight--
-		default: // an asynchronous load: commit, then complete the issuer's future
+		default: // an asynchronous core load: commit, then complete the issuer's future
 			f := t.done
-			if t.o.engine {
-				if h.obs != nil {
-					h.obs.EngineAccess(t.tileID, t.a, false)
-				}
-			} else {
-				*t.dst = h.commitLoad(t.tileID, t.a, t.result, t.opStart)
-			}
+			*t.dst = h.commitLoad(t.tileID, t.a, t.result, t.opStart)
 			h.putTxn(t)
 			f.Complete()
 		}
@@ -459,8 +453,7 @@ func (t *txn) stepSibSnoop() {
 	// they could not see. If the copy vanished during the sleep, the
 	// retry refetches it.
 	if ls, ok := sib.ExtractLine(t.la); ok {
-		meta := fillMeta{phantom: ls.Phantom, dirty: ls.Dirty, engine: t.o.engine}
-		h.fillTop(t.tileID, t.a, &ls.Data, meta, t.o.engine)
+		h.fillTop(t.tileID, t.a, &ls.Data, cache.FillOpts{Dirty: ls.Dirty, Phantom: ls.Phantom, EngineFill: t.o.engine})
 	}
 	// Retry from the top: the hit path applies write permission checks
 	// and replacement updates.
@@ -522,8 +515,7 @@ func (t *txn) stepL2Probe() {
 		t.to(txnCommit)
 		return
 	}
-	meta := fillMeta{phantom: ls2.Phantom, dirty: false, engine: t.o.engine}
-	h.fillTop(t.tileID, t.a, &ls2.Data, meta, t.o.engine)
+	h.fillTop(t.tileID, t.a, &ls2.Data, cache.FillOpts{Phantom: ls2.Phantom, EngineFill: t.o.engine})
 	t.to(txnCommit) // Commit re-probes the L1 and retries if the fill vanished
 }
 
@@ -577,14 +569,14 @@ func (t *txn) stepFetch() {
 		t.phase = 2
 		t.fetchHome()
 	case 1:
-		t.meta = fillMeta{morph: true, phantom: t.cb.Phantom, dirty: t.o.write}
+		t.meta = cache.FillOpts{Dirty: t.o.write, Morph: true, Phantom: t.cb.Phantom}
 		if t.cb.HasMiss && h.runner != nil {
 			t.to(txnCbPending)
 			return
 		}
 		t.to(txnFill)
 	default:
-		t.meta = fillMeta{dirty: t.o.write}
+		t.meta = cache.FillOpts{Dirty: t.o.write}
 		t.to(txnFill)
 	}
 }
@@ -635,11 +627,11 @@ func (t *txn) stepFill() {
 		if h.tracer != nil {
 			h.tracer.EmitSpan(t.fetchStart, h.K.Now(), h.comp.l2[t.tileID], "l2.miss", t.la.String())
 		}
-		t.meta.engine = t.o.engine
+		t.meta.EngineFill = t.o.engine
 		// Everything except private phantom lines went through the home
 		// directory, which registered us as a sharer (and owner, for
 		// writes) during the fetch.
-		t.viaHome = !(t.meta.morph && t.meta.phantom)
+		t.viaHome = !(t.meta.Morph && t.meta.Phantom)
 		t.phase = 1
 	}
 	// The grant is re-checked in the same synchronous continuation as
@@ -653,23 +645,19 @@ func (t *txn) stepFill() {
 		// The L2 copy stays clean: dirtiness is tracked at the writing
 		// L1 and merged down on eviction, so a stale L2 copy can never
 		// masquerade as the newest data.
-		l2meta := t.meta
-		l2meta.dirty = false
+		l2 := t.meta
+		l2.Dirty = false
 		if t.stillGranted() {
-			if !h.insertL2(t.tileID, t.a, &t.data, l2meta) {
+			if !h.insertL2(t.tileID, t.a, &t.data, l2) {
 				t.sleep(1)
 				return
 			}
 			if !t.o.prefetch {
-				topMeta := t.meta
-				topMeta.morph = false
-				h.fillTop(t.tileID, t.a, &t.data, topMeta, t.o.engine)
+				h.fillTop(t.tileID, t.a, &t.data, t.meta)
 			}
 		}
 	} else if !t.o.prefetch && t.stillGranted() {
-		topMeta := t.meta
-		topMeta.morph = false
-		h.fillTop(t.tileID, t.a, &t.data, topMeta, t.o.engine)
+		h.fillTop(t.tileID, t.a, &t.data, t.meta)
 	}
 	t.to(txnValidate)
 }
@@ -811,12 +799,12 @@ func (t *txn) stepHomeProbe() {
 func (t *txn) stepHomeFetch() {
 	h := t.h
 	if t.phase == 1 {
-		t.meta.morph, t.meta.phantom = true, t.cb.Phantom
+		t.meta.Morph, t.meta.Phantom = true, t.cb.Phantom
 		if t.kind == kindHomeFetch {
 			// Morph lines are demand-bound even when a prefetch
 			// materialized them: insert at normal priority (only true
 			// engine-port fills demote).
-			t.meta.engine = t.o.engine
+			t.meta.EngineFill = t.o.engine
 		}
 		if t.cb.HasMiss && h.runner != nil {
 			t.to(txnCbPending)
@@ -829,20 +817,20 @@ func (t *txn) stepHomeFetch() {
 		// Engine fills and prefetched lines insert at distant
 		// re-reference priority in the shared cache (trrîp, §5.2):
 		// streamed-once data should not displace reused lines.
-		t.meta = fillMeta{engine: t.o.engine || t.o.prefetch}
+		t.meta = cache.FillOpts{EngineFill: t.o.engine || t.o.prefetch}
 	} else {
-		t.meta = fillMeta{}
+		t.meta = cache.FillOpts{}
 	}
 	if h.registry != nil {
 		if b, ok := h.registry.Binding(t.a); ok && b.Level == LevelShared {
 			t.cb, t.phase = b, 1
 			if !b.Phantom {
-				t.wait(h.DRAM.ReadLinePooled(t.la, &t.data))
+				t.wait(h.DRAM.ReadLine(t.la, &t.data))
 			}
 			return
 		}
 	}
-	t.waitTo(h.DRAM.ReadLinePooled(t.la, &t.data), txnHomeFill)
+	t.waitTo(h.DRAM.ReadLine(t.la, &t.data), txnHomeFill)
 }
 
 // stepHomeFill installs the fetched line into the home bank, retrying a
@@ -1016,7 +1004,7 @@ func (t *txn) stepCommit() {
 			ls3.Dirty = true
 			h.Meter.Add(energy.L3Access, 1)
 		} else {
-			h.DRAM.WriteLineNoWait(t.la, &t.data) // bypasses the cache entirely
+			h.DRAM.WriteLine(t.la, &t.data) // bypasses the cache entirely
 		}
 		if h.obs != nil {
 			h.obs.LineStored(t.tileID, t.a, &t.data, true)
